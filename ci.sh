@@ -11,6 +11,10 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+# bench/ is a module of its own (replace repro => ../), so the root
+# ./... never compiles it: vet it here, or an API slip in what it calls
+# surfaces only when the benchmark pipeline runs.
+go -C bench vet ./...
 
 echo "== test (-race) =="
 go test -race ./...
@@ -89,43 +93,52 @@ grep -q '^survey_zones_untouched_total ' "$SNAP"
 grep -q '^authserver_sign_wait_ns_count ' "$SNAP"
 echo "survey metrics smoke OK ($SURVEY_URL)"
 
-echo "== distributed survey smoke (coordinator + 2 workers on loopback) =="
-DIST_STATE="$SMOKE_DIR/dist-state"
-"$SMOKE_DIR/repro" -serve 127.0.0.1:0 -fig1 -shards 4 -domain-scale 500000 \
-  -state-dir "$DIST_STATE" -metrics 127.0.0.1:0 \
-  >"$SMOKE_DIR/coord.log" 2>"$SMOKE_DIR/coord.err" &
-REPRO_PID=$!
-COORD_ADDR=""
-for _ in $(seq 1 100); do
-  COORD_ADDR=$(sed -n 's#^repro: coordinating on \(.*\)$#\1#p' "$SMOKE_DIR/coord.err")
-  [ -n "$COORD_ADDR" ] && break
-  sleep 0.1
-done
-[ -n "$COORD_ADDR" ] || { echo "coordinator never bound"; cat "$SMOKE_DIR/coord.err"; exit 1; }
-DIST_URL=$(sed -n 's#^repro: metrics on \(http://[^ ]*\)/metrics$#\1/metrics#p' "$SMOKE_DIR/coord.err")
-"$SMOKE_DIR/repro" -worker "$COORD_ADDR" -shards 4 -domain-scale 500000 \
-  >"$SMOKE_DIR/worker1.log" 2>&1 &
-W1_PID=$!
-"$SMOKE_DIR/repro" -worker "$COORD_ADDR" -shards 4 -domain-scale 500000 \
-  >"$SMOKE_DIR/worker2.log" 2>&1 &
-W2_PID=$!
-# Snapshot the coordinator's merged /metrics until it exits; the last
-# good scrape carries the merged worker counters.
-DSNAP="$SMOKE_DIR/dist-metrics.snap"
-: > "$DSNAP"
-while kill -0 "$REPRO_PID" 2>/dev/null; do
-  curl -fsS "$DIST_URL" > "$DSNAP.tmp" 2>/dev/null && mv "$DSNAP.tmp" "$DSNAP"
-  sleep 0.1
-done
-wait "$REPRO_PID" || { echo "coordinator exited nonzero"; cat "$SMOKE_DIR/coord.err"; exit 1; }
-REPRO_PID=""
-wait "$W1_PID" || { echo "worker 1 exited nonzero"; cat "$SMOKE_DIR/worker1.log"; exit 1; }
-wait "$W2_PID" || { echo "worker 2 exited nonzero"; cat "$SMOKE_DIR/worker2.log"; exit 1; }
-grep -q '^survey_shards_completed_total ' "$DSNAP"
-grep -q '^distsurvey_leases_granted_total ' "$DSNAP"
-grep -q '^distsurvey_workers_connected_total 2$' "$DSNAP"
-ls "$DIST_STATE"/shard-*.json >/dev/null || { echo "no shard checkpoints written"; exit 1; }
-echo "distributed survey smoke OK (coordinator $COORD_ADDR)"
+# dist_smoke <name> <shards-completed metric> <study flags…> runs one
+# study distributed — coordinator + 2 workers on loopback, all started
+# with the same study flags — and checks the merged metrics and the
+# checkpoints.
+dist_smoke() {
+  local name=$1 metric=$2
+  shift 2
+  echo "== distributed $name smoke (coordinator + 2 workers on loopback) =="
+  local state="$SMOKE_DIR/dist-state-$name" log="$SMOKE_DIR/dist-$name"
+  "$SMOKE_DIR/repro" -serve 127.0.0.1:0 "$@" \
+    -state-dir "$state" -metrics 127.0.0.1:0 \
+    >"$log.coord.log" 2>"$log.coord.err" &
+  REPRO_PID=$!
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's#^repro: coordinating on \(.*\)$#\1#p' "$log.coord.err")
+    [ -n "$addr" ] && break
+    sleep 0.1
+  done
+  [ -n "$addr" ] || { echo "coordinator never bound"; cat "$log.coord.err"; exit 1; }
+  local url
+  url=$(sed -n 's#^repro: metrics on \(http://[^ ]*\)/metrics$#\1/metrics#p' "$log.coord.err")
+  "$SMOKE_DIR/repro" -worker "$addr" "$@" >"$log.worker1.log" 2>&1 &
+  W1_PID=$!
+  "$SMOKE_DIR/repro" -worker "$addr" "$@" >"$log.worker2.log" 2>&1 &
+  W2_PID=$!
+  # Snapshot the coordinator's merged /metrics until it exits; the last
+  # good scrape carries the merged worker counters.
+  local snap="$log.metrics.snap"
+  : > "$snap"
+  while kill -0 "$REPRO_PID" 2>/dev/null; do
+    curl -fsS "$url" > "$snap.tmp" 2>/dev/null && mv "$snap.tmp" "$snap"
+    sleep 0.1
+  done
+  wait "$REPRO_PID" || { echo "coordinator exited nonzero"; cat "$log.coord.err"; exit 1; }
+  REPRO_PID=""
+  wait "$W1_PID" || { echo "worker 1 exited nonzero"; cat "$log.worker1.log"; exit 1; }
+  wait "$W2_PID" || { echo "worker 2 exited nonzero"; cat "$log.worker2.log"; exit 1; }
+  grep -q "^$metric " "$snap"
+  grep -q '^distsurvey_leases_granted_total ' "$snap"
+  grep -q '^distsurvey_workers_connected_total 2$' "$snap"
+  ls "$state"/shard-*.json >/dev/null || { echo "no shard checkpoints written"; exit 1; }
+  echo "distributed $name smoke OK (coordinator $addr)"
+}
+dist_smoke survey survey_shards_completed_total -fig1 -shards 4 -domain-scale 500000
+dist_smoke resolver-study resolverstudy_shards_completed_total -fig3 -shards 4 -resolver-scale 2000
 
 echo "== resolver study smoke (repro -fig3 -shards 2) =="
 "$SMOKE_DIR/repro" -fig3 -shards 2 -resolver-scale 2000 -metrics 127.0.0.1:0 \

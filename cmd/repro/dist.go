@@ -12,21 +12,18 @@ import (
 	"repro/internal/obs"
 )
 
-// Distributed survey mode: `repro -serve ADDR` runs the coordinator —
-// it plans the shards, leases them to workers, merges their results,
-// and prints the same §5.1 sections the in-process survey prints.
-// `repro -worker ADDR` runs a worker that executes leased shards; it
-// must be started with the same survey flags (-domain-scale, -seed,
-// -shards, -signing), which the hello handshake enforces.
+// Distributed mode: `repro -serve ADDR` runs the coordinator — it plans
+// the study's shards, leases them to workers, merges their results, and
+// prints the same sections the in-process run prints. `repro -worker
+// ADDR` runs a worker that executes leased shards; it must be started
+// with the same study flags (-fig3 or not, -domain-scale /
+// -resolver-scale, -seed, -shards, -signing), which the hello handshake
+// enforces. Both are generic over the study: -fig3 selects the §4.2
+// resolver study, anything else the §4.1 domain survey.
 
-// distSections selects which survey sections the coordinator prints.
-type distSections struct {
-	fig1, table2, tlds bool
-}
-
-// runDistCoordinator binds addr, serves the survey to workers, and
-// prints the merged report.
-func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, show distSections) error {
+// runDistCoordinator binds addr, serves the study to workers, and
+// hands the merged report to print.
+func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, print func(R)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -34,7 +31,7 @@ func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, 
 	// The bound address goes to stderr so scripts (and CI) can discover
 	// a :0 ephemeral port.
 	fmt.Fprintf(os.Stderr, "repro: coordinating on %s\n", ln.Addr())
-	coord, err := distsurvey.NewCoordinator(distsurvey.Config{
+	coord, err := distsurvey.NewCoordinator(distsurvey.CoordinatorConfig[S]{
 		Spec:     spec,
 		Obs:      reg,
 		StateDir: stateDir,
@@ -49,77 +46,18 @@ func runDistCoordinator(ctx context.Context, addr string, spec core.SurveySpec, 
 	if n := coord.CheckpointsLoaded(); n > 0 {
 		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
 	}
-	fmt.Printf("== Coordinating the §4.1 domain survey (%d domains, %d shards, seed %d)…\n\n",
-		spec.Registered, spec.Shards, spec.Seed)
+	fmt.Printf("== Coordinating the %s…\n\n", spec)
 	report, err := coord.Serve(ctx, ln)
 	if err != nil {
 		return err
 	}
-	if show.fig1 {
-		printFig1(report)
-	}
-	if show.table2 {
-		printTable2(report)
-	}
-	if show.tlds {
-		printTLDs(report)
-	}
+	print(report)
 	return nil
-}
-
-// runDistResolverCoordinator is runDistCoordinator for the §4.2
-// resolver study (`repro -fig3 -serve ADDR`).
-func runDistResolverCoordinator(ctx context.Context, addr string, spec core.ResolverStudySpec, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "repro: coordinating on %s\n", ln.Addr())
-	coord, err := distsurvey.NewResolverCoordinator(distsurvey.ResolverConfig{
-		Spec:     spec,
-		Obs:      reg,
-		StateDir: stateDir,
-		Resume:   resume,
-		LeaseTTL: leaseTTL,
-	})
-	if err != nil {
-		// ServeResolverStudy never runs, so release the listener here.
-		_ = ln.Close()
-		return err
-	}
-	if n := coord.CheckpointsLoaded(); n > 0 {
-		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
-	}
-	fmt.Printf("== Coordinating the §4.2 resolver study (fleet at 1:%d scale, %d shards, seed %d)…\n\n",
-		spec.ScaleDen, spec.Shards, spec.Seed)
-	report, err := coord.ServeResolverStudy(ctx, ln)
-	if err != nil {
-		return err
-	}
-	printFig3(report)
-	return nil
-}
-
-// runDistResolverWorker is runDistWorker for the §4.2 resolver study
-// (`repro -fig3 -worker ADDR`).
-func runDistResolverWorker(ctx context.Context, addr string, spec core.ResolverStudySpec, reg *obs.Registry, tracer *obs.Tracer) error {
-	conn, err := dialRetry(ctx, addr)
-	if err != nil {
-		return err
-	}
-	name, _ := os.Hostname() // best-effort label; empty is fine
-	name = fmt.Sprintf("%s/%d", name, os.Getpid())
-	fmt.Fprintf(os.Stderr, "repro: worker %s serving coordinator %s\n", name, addr)
-	return distsurvey.RunResolverWorker(ctx, conn, spec, distsurvey.WorkerConfig{
-		Name:  name,
-		Obs:   reg,
-		Trace: tracer,
-	})
 }
 
 // runDistWorker dials the coordinator (retrying while it boots) and
-// executes leased shards until the survey is done.
-func runDistWorker(ctx context.Context, addr string, spec core.SurveySpec, reg *obs.Registry, tracer *obs.Tracer) error {
+// executes leased shards until the study is done.
+func runDistWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, tracer *obs.Tracer) error {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return err

@@ -58,19 +58,19 @@ func run() error {
 		statewalkOut    = flag.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
 		statewalkCells  = flag.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
 		statewalkCorpus = flag.String("statewalk-corpus", "", "statewalk: write fuzz-corpus seeds minimized from unexplained divergences under this directory")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 1, "stream the domain survey in this many bounded shards (same results at any value)")
-		signing  = flag.String("signing", "lazy", "zone signing mode for the survey: lazy (sign on first query) or eager (sign at deploy); same results either way")
-		dScale   = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
-		rScale   = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
-		tScale   = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
-		metrics  = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
-		traceOut = flag.String("trace", "", "append survey phase spans to this NDJSON file")
+		seed            = flag.Uint64("seed", 1, "simulation seed")
+		shards          = flag.Int("shards", 1, "run the domain survey and the resolver study in this many bounded shards (same results at any value)")
+		signing         = flag.String("signing", "lazy", "zone signing mode for the survey: lazy (sign on first query) or eager (sign at deploy); same results either way")
+		dScale          = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
+		rScale          = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
+		tScale          = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
+		metrics         = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
+		traceOut        = flag.String("trace", "", "append per-shard phase spans (survey and resolver study) to this NDJSON file")
 
-		serveAddr  = flag.String("serve", "", "coordinate the domain survey for -worker processes on this TCP address (e.g. 127.0.0.1:0)")
-		workerAddr = flag.String("worker", "", "execute survey shards for the coordinator at this TCP address (start with the same survey flags)")
+		serveAddr  = flag.String("serve", "", "coordinate the study (-fig3: resolver study; otherwise the domain survey) for -worker processes on this TCP address (e.g. 127.0.0.1:0)")
+		workerAddr = flag.String("worker", "", "execute the study's shards for the coordinator at this TCP address (start with the same study flags)")
 		stateDir   = flag.String("state-dir", "", "coordinator: directory for crash-safe shard checkpoints")
-		resume     = flag.Bool("resume", false, "coordinator: resume a survey from -state-dir instead of starting fresh")
+		resume     = flag.Bool("resume", false, "coordinator: resume the study recorded in -state-dir instead of starting fresh")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "coordinator: re-lease shards from workers silent this long (default 10s)")
 	)
 	flag.Parse()
@@ -130,9 +130,9 @@ func run() error {
 				return err
 			}
 			if *workerAddr != "" {
-				return runDistResolverWorker(ctx, *workerAddr, rspec, reg, tracer)
+				return runDistWorker(ctx, *workerAddr, rspec, reg, tracer)
 			}
-			return runDistResolverCoordinator(ctx, *serveAddr, rspec, reg, *stateDir, *resume, *leaseTTL)
+			return runDistCoordinator(ctx, *serveAddr, rspec, reg, *stateDir, *resume, *leaseTTL, printFig3)
 		}
 		spec, err := core.SurveyConfig{
 			Registered: population.FullRegistered / *dScale,
@@ -146,10 +146,16 @@ func run() error {
 		if *workerAddr != "" {
 			return runDistWorker(ctx, *workerAddr, spec, reg, tracer)
 		}
-		return runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, distSections{
-			fig1:   *all || *fig1,
-			table2: *all || *table2,
-			tlds:   *all || *tlds,
+		return runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, func(report *core.SurveyReport) {
+			if *all || *fig1 {
+				printFig1(report)
+			}
+			if *all || *table2 {
+				printTable2(report)
+			}
+			if *all || *tlds {
+				printTLDs(report)
+			}
 		})
 	}
 

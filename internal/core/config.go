@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // SigningMode selects when a survey shard's zones are signed.
@@ -102,25 +100,10 @@ func (c SurveyConfig) Resolve() (SurveySpec, error) {
 	}, nil
 }
 
-// Config returns the in-process SurveyConfig equivalent of the spec,
-// with the given process-local attachments.
-func (s SurveySpec) Config(reg *obs.Registry, trace *obs.Tracer) SurveyConfig {
-	return SurveyConfig{
-		Registered: s.Registered,
-		Seed:       s.Seed,
-		Workers:    s.Workers,
-		QPS:        s.QPS,
-		Shards:     s.Shards,
-		Signing:    s.Signing,
-		Obs:        reg,
-		Trace:      trace,
-	}
-}
-
 // specHashVersion versions the hash preimage: bump it whenever the
 // shard plan or outcome format changes incompatibly, so stale state
 // directories are refused rather than misinterpreted.
-const specHashVersion = 1
+const specHashVersion = 2
 
 // Hash returns the hex config hash identifying which survey a shard
 // job, checkpoint, or state directory belongs to. Only result- and
@@ -131,6 +114,11 @@ func (s SurveySpec) Hash() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("repro-survey-v%d:r=%d:s=%d:sh=%d:sg=%d",
 		specHashVersion, s.Registered, s.Seed, s.Shards, int(s.Signing))))
 	return hex.EncodeToString(h[:16])
+}
+
+// String names the survey and its size.
+func (s SurveySpec) String() string {
+	return fmt.Sprintf("§4.1 domain survey (%d domains, %d shards, seed %d)", s.Registered, s.Shards, s.Seed)
 }
 
 // withDefaults returns a copy of c with zero fields resolved to their

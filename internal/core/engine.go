@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/analysis"
@@ -15,49 +14,44 @@ import (
 	"repro/internal/testbed"
 )
 
-// This file is the survey engine proper, split into the three layers
-// the distributed runner is built from:
-//
-//   - Plan: PlanJobs turns a resolved SurveySpec into serializable
-//     ShardJobs — any process holding a job can execute that shard.
-//   - Execute: ShardRunner.Execute runs one job through the existing
-//     generate→deploy→scan path and folds the results into a
-//     serializable ShardOutcome.
-//   - Merge: ReportBuilder folds outcomes — in any order, each shard
-//     exactly once — into the final SurveyReport.
-//
-// RunSurvey (core.go) is the thin in-process client: plan, execute
-// each job sequentially, merge. internal/distsurvey is the
-// multi-process client of the same three layers.
+// This file is the §4.1 survey's instantiation of the study engine
+// (study.go): SurveySpec supplies the shard plans over an index-pure
+// domain universe, the generate→deploy→scan body that executes one
+// plan, and the fold that merges one ShardOutcome into the
+// SurveyReport.
 
-// ShardJob is the pure, serializable description of one unit of survey
-// work: which survey (Spec + ConfigHash) and which slice of it (Plan).
-type ShardJob struct {
-	Spec SurveySpec           `json:"spec"`
-	Plan population.ShardPlan `json:"plan"`
-	// ConfigHash is Spec.Hash(), carried explicitly so executors can
-	// refuse jobs from a different survey without recomputing.
-	ConfigHash string `json:"config_hash"`
+// ShardJob is one unit of survey work.
+type ShardJob = Job[SurveySpec, population.ShardPlan]
+
+// ShardRunner executes ShardJobs; its sign cache deduplicates
+// infrastructure signing across shard deployments.
+type ShardRunner = Runner[SurveySpec, population.ShardPlan, *ShardOutcome, *SurveyReport]
+
+// ReportBuilder folds ShardOutcomes into the final SurveyReport.
+type ReportBuilder = Builder[*ShardOutcome, *SurveyReport]
+
+// PlanJobs, NewShardRunner, and NewReportBuilder are the survey
+// spellings of Plan, NewRunner, and NewBuilder.
+func PlanJobs(spec SurveySpec) ([]ShardJob, error) { return Plan(spec) }
+
+func NewShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) *ShardRunner {
+	return NewRunner[SurveySpec](reg, trace, cache)
 }
 
-// PlanJobs splits the survey described by spec into one ShardJob per
-// shard. Jobs are independent: each can be executed by any process, in
-// any order.
-func PlanJobs(spec SurveySpec) ([]ShardJob, error) {
-	p, err := population.NewShardPlanner(population.Config{
-		Registered: spec.Registered,
-		Seed:       spec.Seed,
-	})
+func NewReportBuilder(spec SurveySpec) *ReportBuilder { return NewBuilder(spec) }
+
+// populationConfig is the universe the spec pins. Plan and execute both
+// derive it through here, so planner and jobs can never disagree.
+func (s SurveySpec) populationConfig() population.Config {
+	return population.Config{Registered: s.Registered, Seed: s.Seed}
+}
+
+func (s SurveySpec) shardPlans() ([]population.ShardPlan, error) {
+	p, err := population.NewShardPlanner(s.populationConfig())
 	if err != nil {
 		return nil, err
 	}
-	hash := spec.Hash()
-	plans := p.Plan(spec.Shards)
-	jobs := make([]ShardJob, len(plans))
-	for i, pl := range plans {
-		jobs[i] = ShardJob{Spec: spec, Plan: pl, ConfigHash: hash}
-	}
-	return jobs, nil
+	return p.Plan(s.Shards), nil
 }
 
 // ShardOutcome is the serializable result of executing one ShardJob:
@@ -85,15 +79,15 @@ type ShardOutcome struct {
 	TransferredTLDs []string `json:"transferred_tlds,omitempty"`
 }
 
-// ShardRunner executes ShardJobs: the per-process machinery shared by
-// every shard it runs — the sign cache deduplicating infrastructure
-// signing across shard deployments, and the obs counters (all no-op
-// without a registry). Execute is sequential; a runner is not safe for
-// concurrent Execute calls.
-type ShardRunner struct {
-	reg   *obs.Registry
-	trace *obs.Tracer
-	cache *testbed.SignCache
+// ShardIndex implements Sharded.
+func (o *ShardOutcome) ShardIndex() int { return o.Index }
+
+// surveyExec is the survey's per-process shard executor: the planner
+// for one spec plus the obs counters (all no-op without a registry).
+type surveyExec struct {
+	env
+	spec    SurveySpec
+	planner *population.ShardPlanner
 
 	mScanned  *obs.Counter
 	mIterWork *obs.Counter
@@ -108,24 +102,18 @@ type ShardRunner struct {
 	// stays the run's only clock.
 	scannedDomains int
 	scanSeconds    float64
-
-	// The planner is cached across Execute calls for one survey; a job
-	// for a different (Registered, Seed) rebuilds it.
-	planner    *population.ShardPlanner
-	plannerCfg population.Config
 }
 
-// NewShardRunner prepares a runner whose metrics land in reg and whose
-// phase spans land in trace (both may be nil). The cache may be nil
-// for a fresh sign cache.
-func NewShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) *ShardRunner {
-	if cache == nil {
-		cache = testbed.NewSignCache()
+func (s SurveySpec) newExecutor(e env) (executor[population.ShardPlan, *ShardOutcome], error) {
+	planner, err := population.NewShardPlanner(s.populationConfig())
+	if err != nil {
+		return nil, err
 	}
-	return &ShardRunner{
-		reg:       reg,
-		trace:     trace,
-		cache:     cache,
+	reg := e.reg
+	return &surveyExec{
+		env:       e,
+		spec:      s,
+		planner:   planner,
 		mScanned:  reg.Counter("survey_domains_scanned_total", "registered domains scanned successfully"),
 		mIterWork: reg.Counter("survey_nsec3_iteration_work_total", "cumulative 1+iterations over scanned NSEC3 zones (Gruza et al. verification cost)"),
 		mSigned:   reg.Counter("survey_zones_signed_total", "zones signed fresh (deploy-time or lazily on first query)"),
@@ -134,40 +122,16 @@ func NewShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCac
 		mUntouch:  reg.Counter("survey_zones_untouched_total", "deployed zones never queried during their shard — work lazy signing skipped entirely"),
 		mShards:   reg.Counter("survey_shards_completed_total", "survey shards executed to completion"),
 		mRate:     reg.Gauge("survey_domains_per_second", "cumulative registered-domain scan throughput"),
-	}
+	}, nil
 }
 
-// ensurePlanner returns the cached planner for the job's survey,
-// rebuilding it when the survey changes.
-func (run *ShardRunner) ensurePlanner(spec SurveySpec) (*population.ShardPlanner, error) {
-	cfg := population.Config{Registered: spec.Registered, Seed: spec.Seed}
-	if run.planner == nil || run.plannerCfg != cfg {
-		p, err := population.NewShardPlanner(cfg)
-		if err != nil {
-			return nil, err
-		}
-		run.planner, run.plannerCfg = p, cfg
-	}
-	return run.planner, nil
-}
+// execute runs one shard plan end to end — generate, deploy onto its
+// own simulated network, scan, fold.
+func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (*ShardOutcome, error) {
+	planner, spec := run.planner, run.spec
 
-// Execute runs one ShardJob end to end — generate, deploy onto its own
-// simulated network, scan, fold — and returns the shard's serializable
-// outcome. The outcome depends only on the job, never on which process
-// or in which order shards execute.
-func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcome, error) {
-	if want := job.Spec.Hash(); job.ConfigHash != "" && job.ConfigHash != want {
-		return nil, fmt.Errorf("core: shard job %d carries config hash %s, spec hashes to %s",
-			job.Plan.Index, job.ConfigHash, want)
-	}
-	planner, err := run.ensurePlanner(job.Spec)
-	if err != nil {
-		return nil, err
-	}
-	cfg := job.Spec.Config(run.reg, run.trace)
-
-	gen := run.trace.Start("generate", job.Plan.Index)
-	shard, err := planner.GenerateShard(job.Plan)
+	gen := run.trace.Start("generate", plan.Index)
+	shard, err := planner.GenerateShard(plan)
 	gen.End()
 	if err != nil {
 		return nil, err
@@ -182,10 +146,10 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 
 	deploySpan := run.trace.Start("deploy", shard.Index)
 	opts := []population.DeployOption{population.WithSignCache(run.cache)}
-	if cfg.Signing != SigningEager {
+	if spec.Signing != SigningEager {
 		opts = append(opts, population.WithLazySigning())
 	}
-	dep, err := population.Deploy(u, netsim.NewNetwork(cfg.Seed+uint64(shard.Index)), DefaultInception, DefaultExpiration, opts...)
+	dep, err := population.Deploy(u, netsim.NewNetwork(spec.Seed+uint64(shard.Index)), DefaultInception, DefaultExpiration, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -195,9 +159,9 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 	sc := scanner.New(scanner.Config{
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,
-		Workers:   cfg.Workers,
-		QPS:       cfg.QPS,
-		Seed:      cfg.Seed + 1 + uint64(shard.Index),
+		Workers:   spec.Workers,
+		QPS:       spec.QPS,
+		Seed:      spec.Seed + 1 + uint64(shard.Index),
 		Obs:       run.reg,
 	})
 	defer sc.Close()
@@ -209,7 +173,7 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 		names[i] = u.Domains[i].Name
 	}
 	scanSpan := run.trace.Start("scan", shard.Index)
-	sinks := make([]*surveySink, 0, cfg.Workers)
+	sinks := make([]*surveySink, 0, spec.Workers)
 	err = sc.ScanAll(ctx, scanner.Names(names), func(int) scanner.Sink {
 		s := &surveySink{
 			agg: compliance.NewAggregate(), ops: analysis.NewOperatorStats(),
@@ -312,7 +276,7 @@ func (run *ShardRunner) Execute(ctx context.Context, job ShardJob) (*ShardOutcom
 
 // scanTLDs pushes the TLD registry through the same scan pipeline,
 // folding into the shard-0 outcome.
-func (run *ShardRunner) scanTLDs(ctx context.Context, sc *scanner.Scanner, tlds []population.TLDSpec, out *ShardOutcome) error {
+func (run *surveyExec) scanTLDs(ctx context.Context, sc *scanner.Scanner, tlds []population.TLDSpec, out *ShardOutcome) error {
 	names := make([]dnswire.Name, 0, len(tlds))
 	for _, t := range tlds {
 		n, err := dnswire.FromLabels(t.Name)
@@ -341,52 +305,26 @@ func (run *ShardRunner) scanTLDs(ctx context.Context, sc *scanner.Scanner, tlds 
 	return nil
 }
 
-// DuplicateShardError is the typed rejection ReportBuilder.Add returns
-// when a shard's outcome arrives twice — the enforcement point that a
-// resumed or re-leased survey never double-merges.
-type DuplicateShardError struct {
-	Index int
-}
-
-func (e *DuplicateShardError) Error() string {
-	return fmt.Sprintf("core: shard %d already merged into the report", e.Index)
-}
-
-// ReportBuilder folds ShardOutcomes into the final SurveyReport. Add
-// accepts outcomes in any order but each shard index exactly once;
-// Finish computes the derived figures. The registry-side aggregates
-// (TLDAgg) come from the spec, not the outcomes — they are generated,
-// not scanned.
-type ReportBuilder struct {
+// surveyAccum is the SurveyReport under construction. The registry-side
+// aggregates (TLDAgg) come from the spec, not the outcomes — they are
+// generated, not scanned.
+type surveyAccum struct {
 	report      *SurveyReport
 	transferred map[string]bool
-	merged      map[int]bool
 }
 
-// NewReportBuilder prepares an empty report for the survey described
-// by spec.
-func NewReportBuilder(spec SurveySpec) *ReportBuilder {
-	return &ReportBuilder{
+func (s SurveySpec) newAccum() accum[*ShardOutcome, *SurveyReport] {
+	return &surveyAccum{
 		report: &SurveyReport{
 			Agg:       compliance.NewAggregate(),
 			Operators: analysis.NewOperatorStats(),
-			TLDAgg:    population.AggregateTLDs(population.GenerateTLDs(spec.Seed)),
+			TLDAgg:    population.AggregateTLDs(population.GenerateTLDs(s.Seed)),
 		},
 		transferred: make(map[string]bool),
-		merged:      make(map[int]bool),
 	}
 }
 
-// Add merges one shard's outcome. A second outcome for the same shard
-// returns *DuplicateShardError and changes nothing.
-func (b *ReportBuilder) Add(o *ShardOutcome) error {
-	if o == nil {
-		return fmt.Errorf("core: nil shard outcome")
-	}
-	if b.merged[o.Index] {
-		return &DuplicateShardError{Index: o.Index}
-	}
-	b.merged[o.Index] = true
+func (b *surveyAccum) fold(o *ShardOutcome) {
 	b.report.Agg.Merge(o.Agg)
 	b.report.Operators.Merge(o.Operators)
 	b.report.ScanErrors += o.ScanErrors
@@ -397,17 +335,9 @@ func (b *ReportBuilder) Add(o *ShardOutcome) error {
 	for _, name := range o.TransferredTLDs {
 		b.transferred[name] = true
 	}
-	return nil
 }
 
-// Merged reports whether the shard's outcome has already been added.
-func (b *ReportBuilder) Merged(index int) bool { return b.merged[index] }
-
-// MergedCount returns how many distinct shards have been added.
-func (b *ReportBuilder) MergedCount() int { return len(b.merged) }
-
-// Finish computes the derived figures and returns the report.
-func (b *ReportBuilder) Finish() *SurveyReport {
+func (b *surveyAccum) finish() *SurveyReport {
 	b.report.TLDZonesTransferred = len(b.transferred)
 	// Figure 1 CDFs from the merged histograms.
 	iterHist := make(map[int]int, len(b.report.Agg.IterationsHist))

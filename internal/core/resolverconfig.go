@@ -94,15 +94,7 @@ func (s ResolverStudySpec) Hash() string {
 	return hex.EncodeToString(h[:16])
 }
 
-// Config returns the in-process ResolverStudyConfig equivalent of the
-// spec, with the given process-local attachments.
-func (s ResolverStudySpec) Config(reg *obs.Registry, trace *obs.Tracer) ResolverStudyConfig {
-	return ResolverStudyConfig{
-		ScaleDen: s.ScaleDen,
-		Seed:     s.Seed,
-		Workers:  s.Workers,
-		Shards:   s.Shards,
-		Obs:      reg,
-		Trace:    trace,
-	}
+// String names the study and its size.
+func (s ResolverStudySpec) String() string {
+	return fmt.Sprintf("§4.2 resolver study (fleet at 1:%d scale, %d shards, seed %d)", s.ScaleDen, s.Shards, s.Seed)
 }

@@ -18,24 +18,15 @@ import (
 	"repro/internal/zone"
 )
 
-// This file is the §4.2 resolver-study engine, the Figure 3 twin of
-// the survey engine (engine.go): the same plan/execute/merge split
-// over a fleet of resolvers instead of a universe of domains.
-//
-//   - Plan: PlanResolverJobs turns a resolved ResolverStudySpec into
-//     serializable ResolverShardJobs over index-pure respop.ShardPlans.
-//   - Execute: ResolverShardRunner.Execute deploys one shard's slice
-//     of the fleet on its own simulated network (testbed zones shared
-//     through the sign cache), probes it, and classifies every
-//     transcript into a serializable ResolverShardOutcome.
-//   - Merge: ResolverReportBuilder folds outcomes — in any order,
-//     each shard exactly once — into the final ResolverStudyReport.
-//
-// RunResolverStudy is the thin in-process client; internal/distsurvey
-// leases the same jobs to worker processes. Because respop assignments
-// are index-pure, peak memory is O(one shard's resolvers): the paper's
-// full 105.2 K + 6.8 K + 1.2 K + 0.7 K validator fleet (ScaleDen=1)
-// runs in the same footprint as the 1:200 default.
+// This file is the §4.2 resolver study's instantiation of the study
+// engine (study.go), the Figure 3 counterpart of the survey
+// (engine.go): ResolverStudySpec supplies the shard plans over an
+// index-pure resolver fleet, the deploy→probe→classify body that
+// executes one plan, and the fold that merges one ResolverShardOutcome
+// into the ResolverStudyReport. Because respop assignments are
+// index-pure, peak memory is O(one shard's resolvers): the paper's full
+// 105.2 K + 6.8 K + 1.2 K + 0.7 K validator fleet (ScaleDen=1) runs in
+// the same footprint as the 1:200 default.
 
 // installScanResolver registers a Cloudflare-like recursive resolver
 // on a hierarchy's network (the measurement resolver of §4.1) and
@@ -55,15 +46,27 @@ func installScanResolver(h *testbed.Hierarchy, reg *obs.Registry) netip.AddrPort
 	return addr
 }
 
-// ResolverShardJob is the pure, serializable description of one unit
-// of resolver-study work: which study (Spec + ConfigHash) and which
-// slice of its fleet (Plan).
-type ResolverShardJob struct {
-	Spec ResolverStudySpec `json:"spec"`
-	Plan respop.ShardPlan  `json:"plan"`
-	// ConfigHash is Spec.Hash(), carried explicitly so executors can
-	// refuse jobs from a different study without recomputing.
-	ConfigHash string `json:"config_hash"`
+// ResolverShardJob is one unit of resolver-study work.
+type ResolverShardJob = Job[ResolverStudySpec, respop.ShardPlan]
+
+// ResolverShardRunner executes ResolverShardJobs; its sign cache
+// deduplicates testbed signing across shard worlds.
+type ResolverShardRunner = Runner[ResolverStudySpec, respop.ShardPlan, *ResolverShardOutcome, *ResolverStudyReport]
+
+// ResolverReportBuilder folds ResolverShardOutcomes into the final
+// ResolverStudyReport.
+type ResolverReportBuilder = Builder[*ResolverShardOutcome, *ResolverStudyReport]
+
+// PlanResolverJobs, NewResolverShardRunner, and NewResolverReportBuilder
+// are the resolver-study spellings of Plan, NewRunner, and NewBuilder.
+func PlanResolverJobs(spec ResolverStudySpec) ([]ResolverShardJob, error) { return Plan(spec) }
+
+func NewResolverShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) *ResolverShardRunner {
+	return NewRunner[ResolverStudySpec](reg, trace, cache)
+}
+
+func NewResolverReportBuilder(spec ResolverStudySpec) *ResolverReportBuilder {
+	return NewBuilder(spec)
 }
 
 // deployConfig is the respop configuration the spec pins. Every layer
@@ -76,21 +79,12 @@ func (s ResolverStudySpec) deployConfig() respop.DeployConfig {
 	}
 }
 
-// PlanResolverJobs splits the study described by spec into one
-// ResolverShardJob per shard. Jobs are independent: each can be
-// executed by any process, in any order.
-func PlanResolverJobs(spec ResolverStudySpec) ([]ResolverShardJob, error) {
-	p, err := respop.NewPlanner(spec.deployConfig())
+func (s ResolverStudySpec) shardPlans() ([]respop.ShardPlan, error) {
+	p, err := respop.NewPlanner(s.deployConfig())
 	if err != nil {
 		return nil, err
 	}
-	hash := spec.Hash()
-	plans := p.Plan(spec.Shards)
-	jobs := make([]ResolverShardJob, len(plans))
-	for i, pl := range plans {
-		jobs[i] = ResolverShardJob{Spec: spec, Plan: pl, ConfigHash: hash}
-	}
-	return jobs, nil
+	return p.Plan(s.Shards), nil
 }
 
 // ResolverShardOutcome is the serializable result of executing one
@@ -110,39 +104,34 @@ type ResolverShardOutcome struct {
 	ProbeFailures int `json:"probe_failures"`
 }
 
-// ResolverShardRunner executes ResolverShardJobs: the per-process
-// machinery shared by every shard it runs — the sign cache
-// deduplicating testbed signing across shard worlds, and the obs
-// counters (all no-op without a registry). Execute is sequential; a
-// runner is not safe for concurrent Execute calls.
-type ResolverShardRunner struct {
-	reg   *obs.Registry
-	trace *obs.Tracer
-	cache *testbed.SignCache
+// ShardIndex implements Sharded.
+func (o *ResolverShardOutcome) ShardIndex() int { return o.Index }
+
+// resolverExec is the resolver study's per-process shard executor: the
+// planner for one spec plus the obs counters (all no-op without a
+// registry).
+type resolverExec struct {
+	env
+	spec    ResolverStudySpec
+	planner *respop.Planner
 
 	mProbeFail *obs.Counter
 	mProbed    map[respop.Quadrant]*obs.Counter
 	mShards    *obs.Counter
 	mSigned    *obs.Counter
 	mReused    *obs.Counter
-
-	// The planner is cached across Execute calls for one study; a job
-	// for a different spec rebuilds it.
-	planner     *respop.Planner
-	plannerSpec ResolverStudySpec
 }
 
-// NewResolverShardRunner prepares a runner whose metrics land in reg
-// and whose phase spans land in trace (both may be nil). The cache may
-// be nil for a fresh sign cache.
-func NewResolverShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) *ResolverShardRunner {
-	if cache == nil {
-		cache = testbed.NewSignCache()
+func (s ResolverStudySpec) newExecutor(e env) (executor[respop.ShardPlan, *ResolverShardOutcome], error) {
+	planner, err := respop.NewPlanner(s.deployConfig())
+	if err != nil {
+		return nil, err
 	}
-	return &ResolverShardRunner{
-		reg:        reg,
-		trace:      trace,
-		cache:      cache,
+	reg := e.reg
+	return &resolverExec{
+		env:        e,
+		spec:       s,
+		planner:    planner,
 		mProbeFail: reg.Counter("resolverstudy_probe_failures_total", "resolver probes that yielded no transcript (cancelled or errored)"),
 		mProbed: map[respop.Quadrant]*obs.Counter{
 			respop.OpenIPv4:   reg.Counter("resolverstudy_probed_open_ipv4_total", "open IPv4 resolvers probed to a transcript"),
@@ -153,20 +142,7 @@ func NewResolverShardRunner(reg *obs.Registry, trace *obs.Tracer, cache *testbed
 		mShards: reg.Counter("resolverstudy_shards_completed_total", "resolver-study shards executed to completion"),
 		mSigned: reg.Counter("resolverstudy_zones_signed_total", "testbed zones signed fresh across shard worlds"),
 		mReused: reg.Counter("resolverstudy_zones_reused_total", "testbed zones served from the sign cache"),
-	}
-}
-
-// ensurePlanner returns the cached planner for the job's study,
-// rebuilding it when the study changes.
-func (run *ResolverShardRunner) ensurePlanner(spec ResolverStudySpec) (*respop.Planner, error) {
-	if run.planner == nil || run.plannerSpec != spec {
-		p, err := respop.NewPlanner(spec.deployConfig())
-		if err != nil {
-			return nil, err
-		}
-		run.planner, run.plannerSpec = p, spec
-	}
-	return run.planner, nil
+	}, nil
 }
 
 // probeSlot collects one probe's result by its fleet index, so the
@@ -177,38 +153,29 @@ type probeSlot struct {
 	err error
 }
 
-// Execute runs one ResolverShardJob end to end — build the testbed
-// world on its own network, deploy the shard's slice of the fleet,
-// probe it, classify — and returns the shard's serializable outcome.
-// The outcome depends only on the job, never on which process or in
-// which order shards execute.
-func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJob) (*ResolverShardOutcome, error) {
-	if want := job.Spec.Hash(); job.ConfigHash != "" && job.ConfigHash != want {
-		return nil, fmt.Errorf("core: resolver shard job %d carries config hash %s, spec hashes to %s",
-			job.Plan.Index, job.ConfigHash, want)
-	}
-	planner, err := run.ensurePlanner(job.Spec)
-	if err != nil {
-		return nil, err
-	}
+// execute runs one shard plan end to end — build the testbed world on
+// its own network, deploy the shard's slice of the fleet, probe it,
+// classify.
+func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*ResolverShardOutcome, error) {
+	spec := run.spec
 
-	deploySpan := run.trace.Start("deploy", job.Plan.Index)
+	deploySpan := run.trace.Start("deploy", plan.Index)
 	// Each shard gets its own simulated network, so peak memory is one
 	// shard's resolvers; the testbed zones are identical across shards
 	// and signed once through the shared cache.
-	h, err := BuildTestbedWorld(job.Spec.Seed+uint64(job.Plan.Index),
+	h, err := BuildTestbedWorld(spec.Seed+uint64(plan.Index),
 		testbed.WithLazySigning(), testbed.WithCache(run.cache))
 	if err != nil {
 		return nil, err
 	}
-	instances, err := respop.DeployShard(h, planner, job.Plan)
+	instances, err := respop.DeployShard(h, run.planner, plan)
 	if err != nil {
 		return nil, err
 	}
 	deploySpan.End()
 
 	out := &ResolverShardOutcome{
-		Index:       job.Plan.Index,
+		Index:       plan.Index,
 		Series:      make(map[respop.Quadrant]*analysis.RCodeSeries),
 		PerQuadrant: make(map[respop.Quadrant]*compliance.ResolverAggregate),
 		Deployed:    make(map[respop.Quadrant]int),
@@ -226,10 +193,10 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 		}
 	}
 
-	probeSpan := run.trace.Start("probe", job.Plan.Index)
+	probeSpan := run.trace.Start("probe", plan.Index)
 	// Open resolvers: probed directly, results collected by index.
 	slots := make([]probeSlot, len(open))
-	sem := make(chan struct{}, job.Spec.Workers)
+	sem := make(chan struct{}, spec.Workers)
 	var wg sync.WaitGroup
 	for i, inst := range open {
 		wg.Add(1)
@@ -254,7 +221,7 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 	// Closed resolvers via the Atlas platform (EDE-less transcripts),
 	// probe IDs pinned to fleet indexes so labels and result order are
 	// shard-independent.
-	platform := &atlas.Platform{Exchanger: h.Net, MaxConcurrent: job.Spec.Workers}
+	platform := &atlas.Platform{Exchanger: h.Net, MaxConcurrent: spec.Workers}
 	probes := make([]atlas.Probe, len(closed))
 	for i, inst := range closed {
 		probes[i] = atlas.Probe{
@@ -266,7 +233,7 @@ func (run *ResolverShardRunner) Execute(ctx context.Context, job ResolverShardJo
 	measured := platform.Measure(ctx, probes, "closed")
 	probeSpan.End()
 
-	mergeSpan := run.trace.Start("merge", job.Plan.Index)
+	mergeSpan := run.trace.Start("merge", plan.Index)
 	defer mergeSpan.End()
 	classify := func(inst *respop.Instance, tr *testbed.Transcript, err error) {
 		if err != nil || tr == nil {
@@ -327,39 +294,22 @@ type ResolverStudyReport struct {
 	ProbeFailures int
 }
 
-// ResolverReportBuilder folds ResolverShardOutcomes into the final
-// ResolverStudyReport. Add accepts outcomes in any order but each
-// shard index exactly once.
-type ResolverReportBuilder struct {
+// resolverAccum is the ResolverStudyReport under construction.
+type resolverAccum struct {
 	report *ResolverStudyReport
-	merged map[int]bool
 }
 
-// NewResolverReportBuilder prepares an empty report for the study
-// described by spec.
-func NewResolverReportBuilder(spec ResolverStudySpec) *ResolverReportBuilder {
-	return &ResolverReportBuilder{
-		report: &ResolverStudyReport{
-			Series:      make(map[respop.Quadrant]*analysis.RCodeSeries),
-			PerQuadrant: make(map[respop.Quadrant]*compliance.ResolverAggregate),
-			Overall:     compliance.NewResolverAggregate(),
-			Deployed:    make(map[respop.Quadrant]int),
-			Population:  respop.PopulationCounts(spec.ScaleDen),
-		},
-		merged: make(map[int]bool),
-	}
+func (s ResolverStudySpec) newAccum() accum[*ResolverShardOutcome, *ResolverStudyReport] {
+	return &resolverAccum{report: &ResolverStudyReport{
+		Series:      make(map[respop.Quadrant]*analysis.RCodeSeries),
+		PerQuadrant: make(map[respop.Quadrant]*compliance.ResolverAggregate),
+		Overall:     compliance.NewResolverAggregate(),
+		Deployed:    make(map[respop.Quadrant]int),
+		Population:  respop.PopulationCounts(s.ScaleDen),
+	}}
 }
 
-// Add merges one shard's outcome. A second outcome for the same shard
-// returns *DuplicateShardError and changes nothing.
-func (b *ResolverReportBuilder) Add(o *ResolverShardOutcome) error {
-	if o == nil {
-		return fmt.Errorf("core: nil resolver shard outcome")
-	}
-	if b.merged[o.Index] {
-		return &DuplicateShardError{Index: o.Index}
-	}
-	b.merged[o.Index] = true
+func (b *resolverAccum) fold(o *ResolverShardOutcome) {
 	for q, s := range o.Series {
 		dst := b.report.Series[q]
 		if dst == nil {
@@ -381,42 +331,19 @@ func (b *ResolverReportBuilder) Add(o *ResolverShardOutcome) error {
 		b.report.Deployed[q] += n
 	}
 	b.report.ProbeFailures += o.ProbeFailures
-	return nil
 }
 
-// Merged reports whether the shard's outcome has already been added.
-func (b *ResolverReportBuilder) Merged(index int) bool { return b.merged[index] }
+func (b *resolverAccum) finish() *ResolverStudyReport { return b.report }
 
-// MergedCount returns how many distinct shards have been added.
-func (b *ResolverReportBuilder) MergedCount() int { return len(b.merged) }
-
-// Finish returns the report.
-func (b *ResolverReportBuilder) Finish() *ResolverStudyReport { return b.report }
-
-// RunResolverStudy runs the whole study in-process: plan the shard
-// jobs, execute each sequentially (testbed signing shared through one
-// cache), merge. Peak memory is O(one shard's resolvers).
+// RunResolverStudy runs the whole study in-process through the study
+// engine's Run: testbed signing is shared through one cache, and peak
+// memory is O(one shard's resolvers).
 func RunResolverStudy(ctx context.Context, cfg ResolverStudyConfig) (*ResolverStudyReport, error) {
 	spec, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := PlanResolverJobs(spec)
-	if err != nil {
-		return nil, err
-	}
-	builder := NewResolverReportBuilder(spec)
-	run := NewResolverShardRunner(cfg.Obs, cfg.Trace, nil)
-	for _, job := range jobs {
-		out, err := run.Execute(ctx, job)
-		if err != nil {
-			return nil, err
-		}
-		if err := builder.Add(out); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
+	return Run(ctx, spec, cfg.Obs, cfg.Trace)
 }
 
 // BuildTestbedWorld assembles root + com + the rfc9276 testbed on a

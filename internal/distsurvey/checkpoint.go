@@ -10,13 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Crash-safe survey state: a state directory holds one manifest.json
-// naming the survey (config hash + spec) and one shard-NNNN.json per
+// Crash-safe study state: a state directory holds one manifest.json
+// naming the study (config hash + spec) and one shard-NNNN.json per
 // completed shard. Every file is written atomically — temp file,
 // fsync, rename, directory fsync — so a file either exists complete or
 // not at all; a checkpoint that is nevertheless truncated or corrupt
 // (torn disk, manual edit) is skipped on load and the shard simply
-// re-runs. The ReportBuilder's duplicate rejection guarantees a shard
+// re-runs. The core.Builder's duplicate rejection guarantees a shard
 // is merged exactly once no matter how a resume interleaves with
 // re-leases.
 
@@ -24,94 +24,76 @@ import (
 // entire layout.
 const manifestName = "manifest.json"
 
-// manifest pins which study a state directory belongs to. Spec is set
-// for §4.1 surveys, RSpec for §4.2 resolver studies; the config hash —
-// whose preimages are disjoint between the two kinds — is what every
-// integrity check compares.
+// manifest pins which study a state directory belongs to. The config
+// hash — whose preimage names the study kind and the format version
+// (core's specHashVersion) — is what every integrity check compares;
+// the spec rides along for whoever inspects the directory.
 type manifest struct {
-	Version    int                     `json:"version"`
-	ConfigHash string                  `json:"config_hash"`
-	Spec       core.SurveySpec         `json:"spec"`
-	Kind       string                  `json:"kind,omitempty"`
-	RSpec      *core.ResolverStudySpec `json:"rspec,omitempty"`
+	ConfigHash string `json:"config_hash"`
+	Spec       any    `json:"spec"`
 }
 
-// Checkpoint is one completed shard's durable record: the outcome the
-// report needs plus the worker's metrics snapshot, hash-stamped so a
-// file from a different study can never be merged. Exactly one of
-// Outcome (survey) and ROutcome (resolver study) is set.
-type Checkpoint struct {
-	ConfigHash string                     `json:"config_hash"`
-	Outcome    *core.ShardOutcome         `json:"outcome,omitempty"`
-	ROutcome   *core.ResolverShardOutcome `json:"routcome,omitempty"`
-	Obs        *obs.Snapshot              `json:"obs,omitempty"`
+// ShardCheckpoint is one completed shard's durable record: the outcome
+// the report needs plus the worker's metrics snapshot, hash-stamped so
+// a file from a different study can never be merged.
+type ShardCheckpoint[O core.Sharded] struct {
+	ConfigHash string        `json:"config_hash"`
+	Outcome    O             `json:"outcome"`
+	Obs        *obs.Snapshot `json:"obs,omitempty"`
 }
 
-// shardIndex returns the checkpointed shard's index, refusing records
-// that carry neither or both outcome kinds.
-func (cp *Checkpoint) shardIndex() (int, bool) {
-	switch {
-	case cp.Outcome != nil && cp.ROutcome == nil:
-		return cp.Outcome.Index, true
-	case cp.ROutcome != nil && cp.Outcome == nil:
-		return cp.ROutcome.Index, true
-	}
-	return 0, false
+// absent reports whether a decoded outcome is missing (the zero O — a
+// nil pointer): JSON null and an omitted key both decode to it.
+func absent[O comparable](o O) bool {
+	var none O
+	return o == none
 }
+
+// Checkpoint is the survey's ShardCheckpoint, the spelling the
+// benchmark module (bench/) compiles against.
+type Checkpoint = ShardCheckpoint[*core.ShardOutcome]
 
 // StateMismatchError is the typed refusal for resuming (or starting
 // over) a state directory recorded under a different config hash.
 type StateMismatchError struct {
 	Dir  string
-	Want string // hash of the survey being run
+	Want string // hash of the study being run
 	Got  string // hash recorded in the directory
 }
 
 func (e *StateMismatchError) Error() string {
-	return fmt.Sprintf("distsurvey: state dir %s belongs to survey %s, not %s — delete it or rerun the original flags with -resume",
+	return fmt.Sprintf("distsurvey: state dir %s belongs to study %s, not %s — delete it or rerun the original flags with -resume",
 		e.Dir, e.Got, e.Want)
 }
 
 // StateExistsError is the typed refusal for starting a fresh run over
-// a state directory that already holds a survey: without -resume that
+// a state directory that already holds a study: without -resume that
 // would silently orphan (or worse, later double-merge) its shards.
 type StateExistsError struct {
 	Dir string
 }
 
 func (e *StateExistsError) Error() string {
-	return fmt.Sprintf("distsurvey: state dir %s already holds survey state — pass -resume to continue it or delete the directory",
+	return fmt.Sprintf("distsurvey: state dir %s already holds study state — pass -resume to continue it or delete the directory",
 		e.Dir)
 }
 
-// Store reads and writes one survey's state directory.
-type Store struct {
+// Store reads and writes one study's state directory.
+type Store[O core.Sharded] struct {
 	dir  string
 	hash string
 }
 
-// OpenStore opens (or initializes) the state directory for the survey
+// OpenStore opens (or initializes) the state directory for the study
 // spec describes. With resume, the directory must already hold a
 // matching manifest and the surviving checkpoints are returned;
-// without it, the directory must not hold survey state yet. The
-// skipped count reports checkpoints dropped as corrupt.
-func OpenStore(dir string, spec core.SurveySpec, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
-	return openStore(dir, spec.Hash(), manifest{Version: ProtocolVersion, ConfigHash: spec.Hash(), Spec: spec}, resume)
-}
-
-// OpenResolverStore is OpenStore for a §4.2 resolver study. The two
-// kinds share the directory layout and crash-safety machinery; the
-// disjoint config-hash preimages keep their state from ever mixing.
-func OpenResolverStore(dir string, spec core.ResolverStudySpec, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
-	m := manifest{Version: ProtocolVersion, ConfigHash: spec.Hash(), Kind: "resolverstudy", RSpec: &spec}
-	return openStore(dir, spec.Hash(), m, resume)
-}
-
-func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []*Checkpoint, skipped int, err error) {
+// without it, the directory must not hold study state yet. The skipped
+// count reports checkpoints dropped as corrupt.
+func OpenStore[S core.Study[P, O, R], P, O core.Sharded, R any](dir string, spec S, resume bool) (store *Store[O], cps []*ShardCheckpoint[O], skipped int, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, err
 	}
-	s := &Store{dir: dir, hash: hash}
+	s := &Store[O]{dir: dir, hash: spec.Hash()}
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case err == nil:
@@ -126,8 +108,8 @@ func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []
 			if !resume {
 				return nil, nil, 0, &StateExistsError{Dir: dir}
 			}
-			if m.ConfigHash != hash {
-				return nil, nil, 0, &StateMismatchError{Dir: dir, Want: hash, Got: m.ConfigHash}
+			if m.ConfigHash != s.hash {
+				return nil, nil, 0, &StateMismatchError{Dir: dir, Want: s.hash, Got: m.ConfigHash}
 			}
 			cps, skipped = s.load()
 			return s, cps, skipped, nil
@@ -139,7 +121,7 @@ func openStore(dir, hash string, mf manifest, resume bool) (store *Store, cps []
 	default:
 		return nil, nil, 0, err
 	}
-	m, err := json.Marshal(mf)
+	m, err := json.Marshal(manifest{ConfigHash: s.hash, Spec: spec})
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -157,12 +139,8 @@ func shardFile(index int) string {
 // Write durably records one completed shard. The write is atomic: a
 // crash at any point leaves either the previous state or the complete
 // new file, never a torn one.
-func (s *Store) Write(cp *Checkpoint) error {
-	if cp == nil {
-		return fmt.Errorf("distsurvey: refusing to checkpoint an empty outcome")
-	}
-	index, ok := cp.shardIndex()
-	if !ok {
+func (s *Store[O]) Write(cp *ShardCheckpoint[O]) error {
+	if cp == nil || absent(cp.Outcome) {
 		return fmt.Errorf("distsurvey: refusing to checkpoint an empty outcome")
 	}
 	cp.ConfigHash = s.hash
@@ -170,13 +148,13 @@ func (s *Store) Write(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(s.dir, shardFile(index), data)
+	return writeFileAtomic(s.dir, shardFile(cp.Outcome.ShardIndex()), data)
 }
 
 // load scans the directory for shard checkpoints, skipping (and
 // counting) any that are corrupt, truncated, hash-mismatched, or
 // misfiled — those shards just re-run.
-func (s *Store) load() (cps []*Checkpoint, skipped int) {
+func (s *Store[O]) load() (cps []*ShardCheckpoint[O], skipped int) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, 0
@@ -191,12 +169,9 @@ func (s *Store) load() (cps []*Checkpoint, skipped int) {
 			skipped++
 			continue
 		}
-		cp := &Checkpoint{}
-		if err := json.Unmarshal(data, cp); err != nil || cp.ConfigHash != s.hash {
-			skipped++
-			continue
-		}
-		if got, ok := cp.shardIndex(); !ok || got != index {
+		cp := &ShardCheckpoint[O]{}
+		if err := json.Unmarshal(data, cp); err != nil || cp.ConfigHash != s.hash ||
+			absent(cp.Outcome) || cp.Outcome.ShardIndex() != index {
 			skipped++
 			continue
 		}

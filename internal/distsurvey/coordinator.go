@@ -2,6 +2,7 @@ package distsurvey
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"sort"
@@ -17,10 +18,10 @@ import (
 // a third of this.
 const DefaultLeaseTTL = 10 * time.Second
 
-// Config describes one coordinated survey run.
-type Config struct {
-	// Spec is the resolved survey. Workers must present the same hash.
-	Spec core.SurveySpec
+// CoordinatorConfig describes one coordinated run of the study S.
+type CoordinatorConfig[S any] struct {
+	// Spec is the resolved study. Workers must present the same hash.
+	Spec S
 	// Obs receives the merged metrics: worker shard snapshots plus the
 	// coordinator's own lease counters. May be nil.
 	Obs *obs.Registry
@@ -32,19 +33,9 @@ type Config struct {
 	LeaseTTL time.Duration
 }
 
-// ResolverConfig describes one coordinated §4.2 resolver-study run —
-// the resolver-study twin of Config.
-type ResolverConfig struct {
-	// Spec is the resolved study. Workers must present the same hash.
-	Spec core.ResolverStudySpec
-	// Obs receives the merged metrics. May be nil.
-	Obs *obs.Registry
-	// StateDir/Resume: crash-safe per-shard checkpoints, as for surveys.
-	StateDir string
-	Resume   bool
-	// LeaseTTL overrides DefaultLeaseTTL.
-	LeaseTTL time.Duration
-}
+// Config is the survey's CoordinatorConfig, the spelling the benchmark
+// module (bench/) compiles against.
+type Config = CoordinatorConfig[core.SurveySpec]
 
 // lease tracks one outstanding shard grant. Epochs make grants
 // distinguishable: a result stamped with a superseded epoch is stale
@@ -54,58 +45,23 @@ type lease struct {
 	deadline time.Time
 }
 
-// shardMerger erases the study kind from the coordinator's merge path:
-// both report builders reject duplicates and merge order-independently,
-// which is all the lease machinery relies on. The typed report comes
-// back out through Serve / ServeResolverStudy.
-type shardMerger interface {
-	Merged(index int) bool
-	Add(cp *Checkpoint) error
-}
-
-// surveyMerger adapts core.ReportBuilder.
-type surveyMerger struct{ b *core.ReportBuilder }
-
-func (m surveyMerger) Merged(index int) bool { return m.b.Merged(index) }
-
-func (m surveyMerger) Add(cp *Checkpoint) error {
-	if cp.Outcome == nil {
-		return fmt.Errorf("distsurvey: survey coordinator got a resolver-study outcome")
-	}
-	return m.b.Add(cp.Outcome)
-}
-
-// resolverMerger adapts core.ResolverReportBuilder.
-type resolverMerger struct{ b *core.ResolverReportBuilder }
-
-func (m resolverMerger) Merged(index int) bool { return m.b.Merged(index) }
-
-func (m resolverMerger) Add(cp *Checkpoint) error {
-	if cp.ROutcome == nil {
-		return fmt.Errorf("distsurvey: resolver-study coordinator got a survey outcome")
-	}
-	return m.b.Add(cp.ROutcome)
-}
-
-// Coordinator leases shard jobs (survey or resolver-study) to workers,
-// merges their results, and checkpoints every completed shard before
-// acknowledging it.
-type Coordinator struct {
+// Coordinator leases a study's shard jobs to workers, merges their
+// outcomes (O) into the study's report (R), and checkpoints every
+// completed shard before acknowledging it.
+type Coordinator[O core.Sharded, R any] struct {
 	hash     string
 	reg      *obs.Registry
-	store    *Store
+	store    *Store[O]
 	leaseTTL time.Duration
 
 	mu        sync.Mutex
-	jobs      map[int]Frame  // job-frame templates, not yet merged
-	leases    map[int]*lease // currently granted
+	jobs      map[int]json.RawMessage // encoded core.Jobs, not yet merged
+	leases    map[int]*lease          // currently granted
 	nextEpoch uint64
-	merge     shardMerger
-	survey    *core.ReportBuilder         // set for survey runs
-	resolver  *core.ResolverReportBuilder // set for resolver-study runs
-	loaded    int                         // shards recovered from checkpoints at startup
-	wake      chan struct{}               // closed+replaced when a shard becomes grantable
-	done      chan struct{}               // closed once every shard is merged
+	builder   *core.Builder[O, R]
+	loaded    int           // shards recovered from checkpoints at startup
+	wake      chan struct{} // closed+replaced when a shard becomes grantable
+	done      chan struct{} // closed once every shard is merged
 
 	mGranted  *obs.Counter
 	mExpired  *obs.Counter
@@ -117,92 +73,32 @@ type Coordinator struct {
 
 // CheckpointsLoaded reports how many completed shards the coordinator
 // recovered from the state directory at startup.
-func (c *Coordinator) CheckpointsLoaded() int {
+func (c *Coordinator[O, R]) CheckpointsLoaded() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.loaded
 }
 
-// NewCoordinator plans the survey, recovers any checkpointed shards,
+// NewCoordinator plans the study, recovers any checkpointed shards,
 // and prepares to serve workers. With a StateDir it refuses mixed
 // state via *StateMismatchError / *StateExistsError.
-func NewCoordinator(cfg Config) (*Coordinator, error) {
-	jobs, err := core.PlanJobs(cfg.Spec)
+func NewCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](cfg CoordinatorConfig[S]) (*Coordinator[O, R], error) {
+	jobs, err := core.Plan(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	frames := make([]Frame, len(jobs))
-	for i := range jobs {
-		frames[i] = Frame{Type: TypeJob, Job: &jobs[i]}
-	}
-	builder := core.NewReportBuilder(cfg.Spec)
-	c, err := newCoordinator(cfg.Spec.Hash(), cfg.Obs, cfg.LeaseTTL, frames, surveyMerger{builder},
-		storeOpener(cfg.StateDir, func() (*Store, []*Checkpoint, int, error) {
-			return OpenStore(cfg.StateDir, cfg.Spec, cfg.Resume)
-		}))
-	if err != nil {
-		return nil, err
-	}
-	c.survey = builder
-	return c, nil
-}
-
-// NewResolverCoordinator plans the §4.2 resolver study and prepares to
-// serve workers — NewCoordinator's resolver-study twin over the same
-// lease, checkpoint, and merge machinery.
-func NewResolverCoordinator(cfg ResolverConfig) (*Coordinator, error) {
-	jobs, err := core.PlanResolverJobs(cfg.Spec)
-	if err != nil {
-		return nil, err
-	}
-	frames := make([]Frame, len(jobs))
-	for i := range jobs {
-		frames[i] = Frame{Type: TypeJob, RJob: &jobs[i]}
-	}
-	builder := core.NewResolverReportBuilder(cfg.Spec)
-	c, err := newCoordinator(cfg.Spec.Hash(), cfg.Obs, cfg.LeaseTTL, frames, resolverMerger{builder},
-		storeOpener(cfg.StateDir, func() (*Store, []*Checkpoint, int, error) {
-			return OpenResolverStore(cfg.StateDir, cfg.Spec, cfg.Resume)
-		}))
-	if err != nil {
-		return nil, err
-	}
-	c.resolver = builder
-	return c, nil
-}
-
-// storeOpener returns open unchanged when a state dir is configured,
-// nil otherwise — keeping newCoordinator's "is persistence on" check in
-// one place.
-func storeOpener(dir string, open func() (*Store, []*Checkpoint, int, error)) func() (*Store, []*Checkpoint, int, error) {
-	if dir == "" {
-		return nil
-	}
-	return open
-}
-
-// jobIndex returns the shard index a job-frame template describes.
-func jobIndex(f Frame) int {
-	if f.Job != nil {
-		return f.Job.Plan.Index
-	}
-	return f.RJob.Plan.Index
-}
-
-// newCoordinator wires the kind-independent machinery: the job board,
-// lease table, counters, and checkpoint replay.
-func newCoordinator(hash string, reg *obs.Registry, ttl time.Duration, frames []Frame, merge shardMerger,
-	open func() (*Store, []*Checkpoint, int, error)) (*Coordinator, error) {
+	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	c := &Coordinator{
-		hash:      hash,
+	reg := cfg.Obs
+	c := &Coordinator[O, R]{
+		hash:      cfg.Spec.Hash(),
 		reg:       reg,
 		leaseTTL:  ttl,
-		jobs:      make(map[int]Frame, len(frames)),
+		jobs:      make(map[int]json.RawMessage, len(jobs)),
 		leases:    make(map[int]*lease),
-		merge:     merge,
+		builder:   core.NewBuilder(cfg.Spec),
 		wake:      make(chan struct{}),
 		done:      make(chan struct{}),
 		mGranted:  reg.Counter("distsurvey_leases_granted_total", "shard leases granted to workers (including re-leases)"),
@@ -212,27 +108,27 @@ func newCoordinator(hash string, reg *obs.Registry, ttl time.Duration, frames []
 		mSkipped:  reg.Counter("distsurvey_checkpoints_skipped_total", "corrupt or mismatched checkpoint files ignored on startup"),
 		mWorkers:  reg.Counter("distsurvey_workers_connected_total", "workers that completed the hello handshake"),
 	}
-	for _, f := range frames {
-		c.jobs[jobIndex(f)] = f
+	for _, job := range jobs {
+		data, err := json.Marshal(job)
+		if err != nil {
+			return nil, err
+		}
+		c.jobs[job.Plan.ShardIndex()] = data
 	}
-	if open != nil {
-		store, cps, skipped, err := open()
+	if cfg.StateDir != "" {
+		store, cps, skipped, err := OpenStore(cfg.StateDir, cfg.Spec, cfg.Resume)
 		if err != nil {
 			return nil, err
 		}
 		c.store = store
 		c.mSkipped.Add(uint64(skipped))
 		for _, cp := range cps {
-			index, ok := cp.shardIndex()
-			if !ok {
+			index := cp.Outcome.ShardIndex()
+			if _, live := c.jobs[index]; !live || c.builder.Merged(index) {
 				c.mSkipped.Inc()
 				continue
 			}
-			if _, live := c.jobs[index]; !live || c.merge.Merged(index) {
-				c.mSkipped.Inc()
-				continue
-			}
-			if err := c.merge.Add(cp); err != nil {
+			if err := c.builder.Add(cp.Outcome); err != nil {
 				return nil, fmt.Errorf("distsurvey: replaying checkpoint for shard %d: %w", index, err)
 			}
 			if err := c.reg.AddSnapshot(cp.Obs); err != nil {
@@ -250,36 +146,11 @@ func newCoordinator(hash string, reg *obs.Registry, ttl time.Duration, frames []
 }
 
 // Serve accepts worker connections on ln until every shard is merged
-// (or ctx is cancelled), then returns the finished survey report. Serve
-// owns the listener and closes it on the way out.
-func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) (*core.SurveyReport, error) {
-	if c.survey == nil {
-		return nil, fmt.Errorf("distsurvey: Serve on a resolver-study coordinator; use ServeResolverStudy")
-	}
-	if err := c.serve(ctx, ln); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.survey.Finish(), nil
-}
-
-// ServeResolverStudy is Serve for a resolver-study coordinator.
-func (c *Coordinator) ServeResolverStudy(ctx context.Context, ln net.Listener) (*core.ResolverStudyReport, error) {
-	if c.resolver == nil {
-		return nil, fmt.Errorf("distsurvey: ServeResolverStudy on a survey coordinator; use Serve")
-	}
-	if err := c.serve(ctx, ln); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resolver.Finish(), nil
-}
-
-// serve runs the accept loop until every shard is merged (nil), ctx is
-// cancelled, or the listener dies with shards outstanding.
-func (c *Coordinator) serve(ctx context.Context, ln net.Listener) error {
+// (or ctx is cancelled, or the listener dies with shards outstanding),
+// then returns the finished report. Serve owns the listener and closes
+// it on the way out.
+func (c *Coordinator[O, R]) Serve(ctx context.Context, ln net.Listener) (R, error) {
+	var none R
 	var wg sync.WaitGroup
 	finished := make(chan struct{})
 	wg.Add(1)
@@ -309,23 +180,25 @@ func (c *Coordinator) serve(ctx context.Context, ln net.Listener) error {
 
 	select {
 	case <-c.done:
-		return nil
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.builder.Finish(), nil
 	default:
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return none, err
 	}
 	c.mu.Lock()
 	remaining := len(c.jobs)
 	c.mu.Unlock()
-	return fmt.Errorf("distsurvey: listener closed with %d shard(s) unmerged", remaining)
+	return none, fmt.Errorf("distsurvey: listener closed with %d shard(s) unmerged", remaining)
 }
 
 // handleConn speaks the worker protocol on one connection. Every read
 // is armed with a lease-TTL deadline, so a silent worker — no
 // heartbeat, no result — unblocks the handler, which then releases any
 // lease the worker still holds for re-granting.
-func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
+func (c *Coordinator[O, R]) handleConn(ctx context.Context, conn net.Conn) {
 	defer func() {
 		// Connection death is the fast re-lease path: no need to wait
 		// for the TTL when the socket already told us the worker is gone.
@@ -348,7 +221,7 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		return
 	}
 	if hello.ConfigHash != c.hash {
-		_ = w.write(ctx, &Frame{Type: TypeError, Err: fmt.Sprintf("config hash %s, coordinator runs %s — start the worker with the same survey flags", hello.ConfigHash, c.hash)}) // refusal best-effort: the conn is being dropped
+		_ = w.write(ctx, &Frame{Type: TypeError, Err: fmt.Sprintf("config hash %s, coordinator runs %s — start the worker with the same study flags", hello.ConfigHash, c.hash)}) // refusal best-effort: the conn is being dropped
 		return
 	}
 	hbMS := int(c.leaseTTL.Milliseconds() / 3)
@@ -367,19 +240,18 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		switch f.Type {
 		case TypeLease:
-			job, epoch, finished, err := c.acquire(ctx)
+			g, err := c.acquire(ctx)
 			if err != nil {
 				return
 			}
-			if finished {
+			if g == nil {
 				_ = w.write(ctx, &Frame{Type: TypeDone}) // worker is leaving either way
 				return
 			}
-			job.Lease = epoch
-			if err := w.write(ctx, &job); err != nil {
+			if err := w.write(ctx, &Frame{Type: TypeJob, Lease: g.epoch, Job: g.job}); err != nil {
 				return
 			}
-			heldShard, heldEpoch = jobIndex(job), epoch
+			heldShard, heldEpoch = g.shard, g.epoch
 		case TypeHeartbeat:
 			c.extend(f.Shard, f.Lease)
 		case TypeResult:
@@ -404,29 +276,36 @@ func (c *Coordinator) handleConn(ctx context.Context, conn net.Conn) {
 // dead-but-connected worker cannot pin its handler (or its lease)
 // forever. Heartbeats arrive at a third of the TTL, keeping live
 // workers comfortably inside it.
-func (c *Coordinator) readDeadline(ctx context.Context, w *wireConn) (*Frame, error) {
+func (c *Coordinator[O, R]) readDeadline(ctx context.Context, w *wireConn) (*Frame, error) {
 	if err := w.conn.SetReadDeadline(time.Now().Add(c.leaseTTL)); err != nil {
 		return nil, err
 	}
 	return w.read(ctx)
 }
 
+// grant is one lease as handed to a worker: the shard, its fresh epoch,
+// and the encoded job to send.
+type grant struct {
+	shard int
+	epoch uint64
+	job   json.RawMessage
+}
+
 // acquire blocks until a shard is grantable, every shard is merged
-// (finished=true), or ctx is cancelled. Grants go lowest-index-first
-// so runs are easy to reason about. The granted value is a copy of the
-// job-frame template, ready to send once stamped with the lease epoch.
-func (c *Coordinator) acquire(ctx context.Context) (Frame, uint64, bool, error) {
+// (nil grant), or ctx is cancelled. Grants go lowest-index-first so
+// runs are easy to reason about.
+func (c *Coordinator[O, R]) acquire(ctx context.Context) (*grant, error) {
 	for {
 		c.mu.Lock()
 		now := time.Now()
 		c.expireLocked(now)
-		if job, epoch, ok := c.grantLocked(now); ok {
+		if g := c.grantLocked(now); g != nil {
 			c.mu.Unlock()
-			return job, epoch, false, nil
+			return g, nil
 		}
 		if len(c.jobs) == 0 {
 			c.mu.Unlock()
-			return Frame{}, 0, true, nil
+			return nil, nil
 		}
 		wake := c.wake
 		wait := c.nextDeadlineLocked(now)
@@ -437,11 +316,11 @@ func (c *Coordinator) acquire(ctx context.Context) (Frame, uint64, bool, error) 
 		case <-wake: // a release or merge changed the board
 		case <-c.done:
 			timer.Stop()
-			return Frame{}, 0, true, nil
+			return nil, nil
 		case <-timer.C: // earliest lease deadline passed; re-scan
 		case <-ctx.Done():
 			timer.Stop()
-			return Frame{}, 0, false, ctx.Err()
+			return nil, ctx.Err()
 		}
 		timer.Stop()
 	}
@@ -450,7 +329,7 @@ func (c *Coordinator) acquire(ctx context.Context) (Frame, uint64, bool, error) 
 // expireLocked reclaims leases whose deadline has passed. The lease
 // row is deleted but its epoch stays burned: a result from the expired
 // grant no longer matches any live lease and is rejected.
-func (c *Coordinator) expireLocked(now time.Time) {
+func (c *Coordinator[O, R]) expireLocked(now time.Time) {
 	for index, l := range c.leases {
 		if now.After(l.deadline) {
 			delete(c.leases, index)
@@ -459,8 +338,9 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// grantLocked leases the lowest-index unleased, unmerged shard.
-func (c *Coordinator) grantLocked(now time.Time) (Frame, uint64, bool) {
+// grantLocked leases the lowest-index unleased, unmerged shard, or
+// returns nil when none is free.
+func (c *Coordinator[O, R]) grantLocked(now time.Time) *grant {
 	indexes := make([]int, 0, len(c.jobs))
 	for index := range c.jobs {
 		if c.leases[index] == nil {
@@ -468,20 +348,20 @@ func (c *Coordinator) grantLocked(now time.Time) (Frame, uint64, bool) {
 		}
 	}
 	if len(indexes) == 0 {
-		return Frame{}, 0, false
+		return nil
 	}
 	sort.Ints(indexes)
 	index := indexes[0]
 	c.nextEpoch++
 	c.leases[index] = &lease{epoch: c.nextEpoch, deadline: now.Add(c.leaseTTL)}
 	c.mGranted.Inc()
-	return c.jobs[index], c.nextEpoch, true
+	return &grant{shard: index, epoch: c.nextEpoch, job: c.jobs[index]}
 }
 
 // nextDeadlineLocked returns how long acquire may sleep before a lease
 // could expire. With no leases outstanding the wake channel is the
 // only signal, so sleep a full TTL and re-scan.
-func (c *Coordinator) nextDeadlineLocked(now time.Time) time.Duration {
+func (c *Coordinator[O, R]) nextDeadlineLocked(now time.Time) time.Duration {
 	wait := c.leaseTTL
 	for _, l := range c.leases {
 		if d := l.deadline.Sub(now); d < wait {
@@ -496,7 +376,7 @@ func (c *Coordinator) nextDeadlineLocked(now time.Time) time.Duration {
 
 // extend pushes a live lease's deadline out by one TTL. Stale epochs
 // (the shard was re-leased) and unknown shards are ignored.
-func (c *Coordinator) extend(shard int, epoch uint64) {
+func (c *Coordinator[O, R]) extend(shard int, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if l := c.leases[shard]; l != nil && l.epoch == epoch {
@@ -507,7 +387,7 @@ func (c *Coordinator) extend(shard int, epoch uint64) {
 // release returns a still-held lease to the pool (worker disconnected
 // mid-shard). The epoch check means a release races safely with the
 // same shard's re-lease to another worker.
-func (c *Coordinator) release(shard int, epoch uint64) {
+func (c *Coordinator[O, R]) release(shard int, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if l := c.leases[shard]; l != nil && l.epoch == epoch {
@@ -522,15 +402,15 @@ func (c *Coordinator) release(shard int, epoch uint64) {
 // a coordinator that dies between the two replays the checkpoint on
 // resume rather than losing the shard. Stale-epoch and duplicate
 // results are rejected (accepted=false) without touching the report.
-func (c *Coordinator) complete(f *Frame) (bool, error) {
-	cp := &Checkpoint{Outcome: f.Outcome, ROutcome: f.ROutcome, Obs: f.Obs}
-	if index, ok := cp.shardIndex(); !ok || index != f.Shard {
+func (c *Coordinator[O, R]) complete(f *Frame) (bool, error) {
+	cp := &ShardCheckpoint[O]{Obs: f.Obs}
+	if err := json.Unmarshal(f.Outcome, &cp.Outcome); err != nil || absent(cp.Outcome) || cp.Outcome.ShardIndex() != f.Shard {
 		return false, fmt.Errorf("distsurvey: result frame for shard %d carries no matching outcome", f.Shard)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	l := c.leases[f.Shard]
-	if l == nil || l.epoch != f.Lease || c.merge.Merged(f.Shard) {
+	if l == nil || l.epoch != f.Lease || c.builder.Merged(f.Shard) {
 		c.mRejected.Inc()
 		return false, nil
 	}
@@ -539,7 +419,7 @@ func (c *Coordinator) complete(f *Frame) (bool, error) {
 			return false, err
 		}
 	}
-	if err := c.merge.Add(cp); err != nil {
+	if err := c.builder.Add(cp.Outcome); err != nil {
 		return false, err
 	}
 	delete(c.leases, f.Shard)
@@ -557,7 +437,7 @@ func (c *Coordinator) complete(f *Frame) (bool, error) {
 }
 
 // wakeLocked broadcasts a board change to every blocked acquire.
-func (c *Coordinator) wakeLocked() {
+func (c *Coordinator[O, R]) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
 }

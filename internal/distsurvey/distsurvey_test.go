@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/population"
+	"repro/internal/respop"
 	"repro/internal/testbed"
 )
 
@@ -97,21 +100,147 @@ var structuralCounters = []string{
 	"survey_shards_completed_total",
 }
 
-type serveResult struct {
-	report *core.SurveyReport
+// The smallest resolver study worth distributing: ScaleDen 2000 gives
+// ~200 resolvers across the four quadrants. Three shards, like the
+// survey, so a killed coordinator leaves one behind to resume.
+const (
+	rsScaleDen = 2000
+	rsSeed     = 5
+	rsShards   = 3
+)
+
+var (
+	rsOnce     sync.Once
+	rsErr      error
+	rsR1, rsR3 *core.ResolverStudyReport
+	rsReg3     *obs.Registry
+)
+
+// resolverGolden is golden for the §4.2 resolver study.
+func resolverGolden(t *testing.T) (*core.ResolverStudyReport, *core.ResolverStudyReport, *obs.Registry) {
+	t.Helper()
+	rsOnce.Do(func() {
+		ctx := context.Background()
+		rsR1, rsErr = core.RunResolverStudy(ctx, core.ResolverStudyConfig{ScaleDen: rsScaleDen, Seed: rsSeed, Shards: 1})
+		if rsErr != nil {
+			return
+		}
+		rsReg3 = obs.NewRegistry()
+		rsR3, rsErr = core.RunResolverStudy(ctx, core.ResolverStudyConfig{
+			ScaleDen: rsScaleDen, Seed: rsSeed, Shards: rsShards, Obs: rsReg3,
+		})
+	})
+	if rsErr != nil {
+		t.Fatal(rsErr)
+	}
+	return rsR1, rsR3, rsReg3
+}
+
+func resolverSpec(t *testing.T, seed uint64) core.ResolverStudySpec {
+	t.Helper()
+	spec, err := core.ResolverStudyConfig{ScaleDen: rsScaleDen, Seed: seed, Shards: rsShards}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// renderResolverReport turns a resolver-study report into user-visible
+// bytes, the byte-identical half of the equivalence contract.
+func renderResolverReport(r *core.ResolverStudyReport) string {
+	var b bytes.Buffer
+	for _, q := range respop.Quadrants() {
+		if s := r.Series[q]; s != nil {
+			analysis.RenderRCodeSeries(&b, s)
+		}
+	}
+	return b.String()
+}
+
+// studyCase is one study instantiation under test: the spec to
+// distribute and the in-process results a distributed run must
+// reproduce. Every generic helper below is written once against it.
+type studyCase[S core.Study[P, O, R], P, O core.Sharded, R any] struct {
+	spec S
+	// foreign is the same study kind under a different seed; wrongKind
+	// runs a worker of the other study kind. Both must be refused.
+	foreign   S
+	wrongKind func(ctx context.Context, conn net.Conn) error
+	// r1 is the in-process Shards=1 report — the strongest equivalence
+	// target. rN/regN are the in-process run at spec's shard count,
+	// whose per-shard structure matches the distributed run exactly,
+	// making its structural counters directly comparable.
+	r1, rN R
+	regN   *obs.Registry
+	render func(R) string
+	// structural are the metrics that must merge to the same totals
+	// whether shards run in one process or many (sign-cache counters
+	// legitimately differ: each process has its own cache);
+	// shardsDone counts completed shards.
+	structural []string
+	shardsDone string
+}
+
+func surveyCase(t *testing.T) studyCase[core.SurveySpec, population.ShardPlan, *core.ShardOutcome, *core.SurveyReport] {
+	t.Helper()
+	r1, r3, reg3 := golden(t)
+	foreign, err := core.SurveyConfig{Registered: goldenRegistered, Seed: goldenSeed + 1, Shards: goldenShards}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return studyCase[core.SurveySpec, population.ShardPlan, *core.ShardOutcome, *core.SurveyReport]{
+		spec: goldenSpec(t), foreign: foreign,
+		wrongKind: func(ctx context.Context, conn net.Conn) error {
+			return RunWorker(ctx, conn, resolverSpec(t, goldenSeed), WorkerConfig{Name: "wrong-kind"})
+		},
+		r1: r1, rN: r3, regN: reg3, render: renderReport,
+		structural: structuralCounters, shardsDone: "survey_shards_completed_total",
+	}
+}
+
+func resolverCase(t *testing.T) studyCase[core.ResolverStudySpec, respop.ShardPlan, *core.ResolverShardOutcome, *core.ResolverStudyReport] {
+	t.Helper()
+	r1, r3, reg3 := resolverGolden(t)
+	return studyCase[core.ResolverStudySpec, respop.ShardPlan, *core.ResolverShardOutcome, *core.ResolverStudyReport]{
+		spec: resolverSpec(t, rsSeed), foreign: resolverSpec(t, rsSeed+1),
+		// Same seed, same shard count, wrong study kind: the hash
+		// preimages are disjoint by construction.
+		wrongKind: func(ctx context.Context, conn net.Conn) error {
+			surveySpec, err := core.SurveyConfig{Registered: goldenRegistered, Seed: rsSeed, Shards: rsShards}.Resolve()
+			if err != nil {
+				return err
+			}
+			return RunWorker(ctx, conn, surveySpec, WorkerConfig{Name: "wrong-kind"})
+		},
+		r1: r1, rN: r3, regN: reg3, render: renderResolverReport,
+		// The probe-path counters must merge to the in-process totals.
+		structural: []string{
+			"resolverstudy_probed_open_ipv4_total",
+			"resolverstudy_probed_open_ipv6_total",
+			"resolverstudy_probed_closed_ipv4_total",
+			"resolverstudy_probed_closed_ipv6_total",
+			"resolverstudy_probe_failures_total",
+			"resolverstudy_shards_completed_total",
+		},
+		shardsDone: "resolverstudy_shards_completed_total",
+	}
+}
+
+type serveResult[R any] struct {
+	report R
 	err    error
 }
 
-func serveAsync(ctx context.Context, c *Coordinator, ln *netsim.StreamListener) chan serveResult {
-	ch := make(chan serveResult, 1)
+func serveAsync[O core.Sharded, R any](ctx context.Context, c *Coordinator[O, R], ln *netsim.StreamListener) chan serveResult[R] {
+	ch := make(chan serveResult[R], 1)
 	go func() {
 		report, err := c.Serve(ctx, ln)
-		ch <- serveResult{report, err}
+		ch <- serveResult[R]{report, err}
 	}()
 	return ch
 }
 
-func runWorkerAsync(ctx context.Context, sn *netsim.StreamNet, spec core.SurveySpec, name string) chan error {
+func runWorkerAsync[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, sn *netsim.StreamNet, spec S, name string) chan error {
 	ch := make(chan error, 1)
 	go func() {
 		conn, err := sn.DialStream(ctx, "coord")
@@ -124,9 +253,10 @@ func runWorkerAsync(ctx context.Context, sn *netsim.StreamNet, spec core.SurveyS
 	return ch
 }
 
-// dialHello dials the coordinator and completes the handshake,
-// returning the wire for manual protocol driving.
-func dialHello(ctx context.Context, t *testing.T, sn *netsim.StreamNet, spec core.SurveySpec, opts ...netsim.StreamDialOption) *wireConn {
+// dialHello dials the coordinator and completes the handshake for the
+// study with the given config hash, returning the wire for manual
+// protocol driving.
+func dialHello(ctx context.Context, t *testing.T, sn *netsim.StreamNet, hash string, opts ...netsim.StreamDialOption) *wireConn {
 	t.Helper()
 	conn, err := sn.DialStream(ctx, "coord", opts...)
 	if err != nil {
@@ -134,7 +264,7 @@ func dialHello(ctx context.Context, t *testing.T, sn *netsim.StreamNet, spec cor
 	}
 	w := &wireConn{conn: conn}
 	if err := w.write(ctx, &Frame{
-		Type: TypeHello, Version: ProtocolVersion, ConfigHash: spec.Hash(), Worker: "test-worker",
+		Type: TypeHello, Version: ProtocolVersion, ConfigHash: hash, Worker: "test-worker",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +278,8 @@ func dialHello(ctx context.Context, t *testing.T, sn *netsim.StreamNet, spec cor
 	return w
 }
 
-// leaseJob requests and returns one lease.
-func leaseJob(ctx context.Context, t *testing.T, w *wireConn) *Frame {
+// leaseJob requests one lease and returns its frame and decoded job.
+func leaseJob[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, w *wireConn) (*Frame, core.Job[S, P]) {
 	t.Helper()
 	if err := w.write(ctx, &Frame{Type: TypeLease}); err != nil {
 		t.Fatal(err)
@@ -158,24 +288,36 @@ func leaseJob(ctx context.Context, t *testing.T, w *wireConn) *Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Type != TypeJob || f.Job == nil {
+	var job core.Job[S, P]
+	if f.Type != TypeJob || json.Unmarshal(f.Job, &job) != nil {
 		t.Fatalf("lease answered %+v", f)
 	}
-	return f
+	return f, job
 }
 
-// executeShardAsWorker runs one leased shard exactly the way RunWorker
-// does — fresh per-job registry, shared cache — and streams the result.
-func executeShardAsWorker(ctx context.Context, t *testing.T, w *wireConn, f *Frame, cache *testbed.SignCache) int {
+// resultFrame executes a leased job exactly the way RunWorker does —
+// fresh per-job registry, shared cache — and builds its result frame.
+func resultFrame[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, f *Frame, job core.Job[S, P], cache *testbed.SignCache) *Frame {
 	t.Helper()
 	reg := obs.NewRegistry()
-	out, err := core.NewShardRunner(reg, nil, cache).Execute(ctx, *f.Job)
+	out, err := core.NewRunner[S](reg, nil, cache).Execute(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.write(ctx, &Frame{
-		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: out, Obs: reg.Snapshot(),
-	}); err != nil {
+	data, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Frame{Type: TypeResult, Shard: out.ShardIndex(), Lease: f.Lease, Outcome: data, Obs: reg.Snapshot()}
+}
+
+// executeShardAsWorker leases one shard, executes it, streams the
+// result, and returns the shard index the coordinator accepted.
+func executeShardAsWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, w *wireConn, cache *testbed.SignCache) int {
+	t.Helper()
+	f, job := leaseJob[S](ctx, t, w)
+	result := resultFrame(ctx, t, f, job, cache)
+	if err := w.write(ctx, result); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := w.read(ctx)
@@ -185,47 +327,47 @@ func executeShardAsWorker(ctx context.Context, t *testing.T, w *wireConn, f *Fra
 	if ack.Type != TypeResultOK || !ack.Accepted {
 		t.Fatalf("result answered %+v", ack)
 	}
-	return out.Index
+	return result.Shard
 }
 
-// TestDistributedGoldenEquivalence is the tentpole contract: a
-// coordinator with two workers produces the byte-identical report and
-// the same structural metrics as the in-process pipeline — and a
-// worker from a different survey is refused at the handshake.
-func TestDistributedGoldenEquivalence(t *testing.T) {
-	r1, r3, reg3 := golden(t)
-	spec := goldenSpec(t)
+// checkGoldenEquivalence is the tentpole contract, written once for
+// both studies: a coordinator with two workers produces the
+// byte-identical report and the same structural metrics as the
+// in-process pipeline — and a worker from a different study (same kind
+// under other flags, or the other kind entirely) is refused at the
+// handshake with a typed error before any lease is granted.
+func checkGoldenEquivalence[S core.Study[P, O, R], P, O core.Sharded, R any](t *testing.T, c studyCase[S, P, O, R]) {
 	ctx := context.Background()
-
 	sn := netsim.NewStreamNet()
 	ln, err := sn.Listen("coord")
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	coord, err := NewCoordinator(Config{Spec: spec, Obs: reg, LeaseTTL: 30 * time.Second})
+	coord, err := NewCoordinator(CoordinatorConfig[S]{Spec: c.spec, Obs: reg, LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serveCh := serveAsync(ctx, coord, ln)
 
-	// A worker running different survey flags must be turned away with
-	// a typed handshake error before any lease is granted.
-	foreign, err := core.SurveyConfig{Registered: goldenRegistered, Seed: goldenSeed + 1, Shards: goldenShards}.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := sn.DialStream(ctx, "coord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hs *HandshakeError
-	if err := RunWorker(ctx, conn, foreign, WorkerConfig{Name: "foreign"}); !errors.As(err, &hs) {
-		t.Fatalf("mismatched worker returned %v, want *HandshakeError", err)
+	for name, intruder := range map[string]func(context.Context, net.Conn) error{
+		"foreign": func(ctx context.Context, conn net.Conn) error {
+			return RunWorker(ctx, conn, c.foreign, WorkerConfig{Name: "foreign"})
+		},
+		"wrong-kind": c.wrongKind,
+	} {
+		conn, err := sn.DialStream(ctx, "coord")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hs *HandshakeError
+		if err := intruder(ctx, conn); !errors.As(err, &hs) {
+			t.Fatalf("%s worker returned %v, want *HandshakeError", name, err)
+		}
 	}
 
-	w1 := runWorkerAsync(ctx, sn, spec, "w1")
-	w2 := runWorkerAsync(ctx, sn, spec, "w2")
+	w1 := runWorkerAsync(ctx, sn, c.spec, "w1")
+	w2 := runWorkerAsync(ctx, sn, c.spec, "w2")
 	res := <-serveCh
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -236,32 +378,49 @@ func TestDistributedGoldenEquivalence(t *testing.T) {
 		}
 	}
 
-	if !reflect.DeepEqual(res.report, r1) {
-		t.Errorf("distributed report differs from single-process Shards=1:\nwant %+v\ngot  %+v", r1, res.report)
+	shards := len(coordJobs(t, c.spec))
+	if !reflect.DeepEqual(res.report, c.r1) {
+		t.Errorf("distributed report differs from single-process Shards=1:\nwant %+v\ngot  %+v", c.r1, res.report)
 	}
-	if !reflect.DeepEqual(res.report, r3) {
-		t.Errorf("distributed report differs from in-process Shards=%d", goldenShards)
+	if !reflect.DeepEqual(res.report, c.rN) {
+		t.Errorf("distributed report differs from in-process Shards=%d", shards)
 	}
-	if got, want := renderReport(res.report), renderReport(r1); got != want {
+	if got, want := c.render(res.report), c.render(c.r1); got != want {
 		t.Errorf("rendered report differs:\n%s\nvs\n%s", got, want)
 	}
-	for _, name := range structuralCounters {
-		if got, want := counterValue(reg, name), counterValue(reg3, name); got != want {
+	for _, name := range c.structural {
+		if got, want := counterValue(reg, name), counterValue(c.regN, name); got != want {
 			t.Errorf("%s = %d distributed, %d in-process", name, got, want)
 		}
 	}
-	if got := counterValue(reg, "survey_shards_completed_total"); got != goldenShards {
-		t.Errorf("survey_shards_completed_total = %d, want %d", got, goldenShards)
+	if got := counterValue(reg, c.shardsDone); got != uint64(shards) {
+		t.Errorf("%s = %d, want %d", c.shardsDone, got, shards)
 	}
 	if got := counterValue(reg, "distsurvey_workers_connected_total"); got != 2 {
-		t.Errorf("workers_connected = %d, want 2 (the foreign worker must not count)", got)
+		t.Errorf("workers_connected = %d, want 2 (the refused workers must not count)", got)
 	}
-	if got := counterValue(reg, "distsurvey_leases_granted_total"); got != goldenShards {
-		t.Errorf("leases_granted = %d, want %d", got, goldenShards)
+	if got := counterValue(reg, "distsurvey_leases_granted_total"); got != uint64(shards) {
+		t.Errorf("leases_granted = %d, want %d", got, shards)
 	}
 	if got := counterValue(reg, "distsurvey_results_rejected_total"); got != 0 {
 		t.Errorf("results_rejected = %d, want 0", got)
 	}
+}
+
+// coordJobs plans spec the way the coordinator does.
+func coordJobs[S core.Study[P, O, R], P, O core.Sharded, R any](t *testing.T, spec S) []core.Job[S, P] {
+	t.Helper()
+	jobs, err := core.Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+func TestDistributedGoldenEquivalence(t *testing.T) { checkGoldenEquivalence(t, surveyCase(t)) }
+
+func TestDistributedResolverStudyEquivalence(t *testing.T) {
+	checkGoldenEquivalence(t, resolverCase(t))
 }
 
 // TestWorkerDeathReLease kills a worker that holds a lease (conn drop
@@ -285,10 +444,9 @@ func TestWorkerDeathReLease(t *testing.T) {
 	serveCh := serveAsync(ctx, coord, ln)
 
 	// The doomed worker leases shard 0, then dies without a word.
-	doomed := dialHello(ctx, t, sn, spec)
-	f := leaseJob(ctx, t, doomed)
-	if f.Job.Plan.Index != 0 {
-		t.Fatalf("first lease granted shard %d, want 0", f.Job.Plan.Index)
+	doomed := dialHello(ctx, t, sn, spec.Hash())
+	if _, job := leaseJob[core.SurveySpec](ctx, t, doomed); job.Plan.Index != 0 {
+		t.Fatalf("first lease granted shard %d, want 0", job.Plan.Index)
 	}
 	if err := doomed.conn.Close(); err != nil {
 		t.Fatal(err)
@@ -350,17 +508,9 @@ func TestPartialResultFrameReLease(t *testing.T) {
 		Type: TypeHello, Version: ProtocolVersion, ConfigHash: spec.Hash(), Worker: "test-worker",
 	}) + frameBytes(&Frame{Type: TypeLease}) + 10
 
-	cut := dialHello(ctx, t, sn, spec, netsim.WithWriteLimit(budget))
-	f := leaseJob(ctx, t, cut)
-	regCut := obs.NewRegistry()
-	out, err := core.NewShardRunner(regCut, nil, nil).Execute(ctx, *f.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	werr := cut.write(ctx, &Frame{
-		Type: TypeResult, Shard: out.Index, Lease: f.Lease, Outcome: out, Obs: regCut.Snapshot(),
-	})
-	if werr == nil {
+	cut := dialHello(ctx, t, sn, spec.Hash(), netsim.WithWriteLimit(budget))
+	f, job := leaseJob[core.SurveySpec](ctx, t, cut)
+	if werr := cut.write(ctx, resultFrame(ctx, t, f, job, nil)); werr == nil {
 		t.Fatal("result write survived a 10-byte budget; the fault injection did not fire")
 	}
 
@@ -403,9 +553,9 @@ func TestLeaseExpiryReLeasesSilentWorker(t *testing.T) {
 	}
 	serveCh := serveAsync(ctx, coord, ln)
 
-	silent := dialHello(ctx, t, sn, spec)
+	silent := dialHello(ctx, t, sn, spec.Hash())
 	defer silent.conn.Close()
-	leaseJob(ctx, t, silent) // shard 0, then silence: no heartbeat, no result
+	leaseJob[core.SurveySpec](ctx, t, silent) // shard 0, then silence: no heartbeat, no result
 
 	wch := runWorkerAsync(ctx, sn, spec, "survivor")
 	res := <-serveCh
@@ -426,33 +576,33 @@ func TestLeaseExpiryReLeasesSilentWorker(t *testing.T) {
 	}
 }
 
-// TestCoordinatorKilledAndResumed is the crash-safety half of the
-// golden test: two shards complete and checkpoint, the coordinator is
-// killed, and a resumed coordinator finishes only the remaining shard
-// yet produces the byte-identical report and structural metrics.
-func TestCoordinatorKilledAndResumed(t *testing.T) {
-	r1, _, reg3 := golden(t)
-	spec := goldenSpec(t)
+// checkKilledAndResumed is the crash-safety half of the golden test,
+// written once for both studies: all shards but one complete and
+// checkpoint, the coordinator is killed, and a resumed coordinator
+// finishes only the remaining shard yet produces the byte-identical
+// report and structural metrics.
+func checkKilledAndResumed[S core.Study[P, O, R], P, O core.Sharded, R any](t *testing.T, c studyCase[S, P, O, R]) {
 	ctx := context.Background()
 	state := filepath.Join(t.TempDir(), "state")
+	done := len(coordJobs(t, c.spec)) - 1
 
-	// Phase 1: two shards checkpoint, then the coordinator dies.
+	// Phase 1: all shards but the last checkpoint, then the coordinator
+	// dies.
 	sn := netsim.NewStreamNet()
 	ln, err := sn.Listen("coord")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord1, err := NewCoordinator(Config{Spec: spec, Obs: obs.NewRegistry(), StateDir: state, LeaseTTL: 30 * time.Second})
+	coord1, err := NewCoordinator(CoordinatorConfig[S]{Spec: c.spec, Obs: obs.NewRegistry(), StateDir: state, LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx1, kill := context.WithCancel(ctx)
 	serveCh := serveAsync(ctx1, coord1, ln)
-	w := dialHello(ctx, t, sn, spec)
+	w := dialHello(ctx, t, sn, c.spec.Hash())
 	cache := testbed.NewSignCache()
-	for i := 0; i < 2; i++ {
-		f := leaseJob(ctx, t, w)
-		if got := executeShardAsWorker(ctx, t, w, f, cache); got != i {
+	for i := 0; i < done; i++ {
+		if got := executeShardAsWorker[S](ctx, t, w, cache); got != i {
 			t.Fatalf("phase 1 executed shard %d, want %d", got, i)
 		}
 	}
@@ -466,19 +616,15 @@ func TestCoordinatorKilledAndResumed(t *testing.T) {
 
 	// A fresh (non-resume) run over the same state dir must refuse.
 	var exists *StateExistsError
-	if _, err := NewCoordinator(Config{Spec: spec, StateDir: state}); !errors.As(err, &exists) {
+	if _, err := NewCoordinator(CoordinatorConfig[S]{Spec: c.spec, StateDir: state}); !errors.As(err, &exists) {
 		t.Fatalf("fresh run over live state returned %v, want *StateExistsError", err)
 	}
-	// So must a resume under different survey flags.
-	foreign, err := core.SurveyConfig{Registered: goldenRegistered, Seed: goldenSeed + 1, Shards: goldenShards}.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// So must a resume under different study flags.
 	var mismatch *StateMismatchError
-	if _, err := NewCoordinator(Config{Spec: foreign, StateDir: state, Resume: true}); !errors.As(err, &mismatch) {
+	if _, err := NewCoordinator(CoordinatorConfig[S]{Spec: c.foreign, StateDir: state, Resume: true}); !errors.As(err, &mismatch) {
 		t.Fatalf("foreign resume returned %v, want *StateMismatchError", err)
 	}
-	if mismatch.Got != spec.Hash() || mismatch.Want != foreign.Hash() {
+	if mismatch.Got != c.spec.Hash() || mismatch.Want != c.foreign.Hash() {
 		t.Fatalf("mismatch error carries %q/%q", mismatch.Got, mismatch.Want)
 	}
 
@@ -490,15 +636,15 @@ func TestCoordinatorKilledAndResumed(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg2 := obs.NewRegistry()
-	coord2, err := NewCoordinator(Config{Spec: spec, Obs: reg2, StateDir: state, Resume: true, LeaseTTL: 30 * time.Second})
+	coord2, err := NewCoordinator(CoordinatorConfig[S]{Spec: c.spec, Obs: reg2, StateDir: state, Resume: true, LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := coord2.CheckpointsLoaded(); got != 2 {
-		t.Fatalf("resume loaded %d checkpoints, want 2", got)
+	if got := coord2.CheckpointsLoaded(); got != done {
+		t.Fatalf("resume loaded %d checkpoints, want %d", got, done)
 	}
 	serveCh2 := serveAsync(ctx, coord2, ln2)
-	wch := runWorkerAsync(ctx, sn2, spec, "finisher")
+	wch := runWorkerAsync(ctx, sn2, c.spec, "finisher")
 	res := <-serveCh2
 	if res.err != nil {
 		t.Fatal(res.err)
@@ -506,23 +652,28 @@ func TestCoordinatorKilledAndResumed(t *testing.T) {
 	if err := <-wch; err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.report, r1) {
+	if !reflect.DeepEqual(res.report, c.r1) {
 		t.Errorf("resumed report differs from single-process run")
 	}
-	if got, want := renderReport(res.report), renderReport(r1); got != want {
+	if got, want := c.render(res.report), c.render(c.r1); got != want {
 		t.Errorf("rendered resumed report differs:\n%s\nvs\n%s", got, want)
 	}
-	for _, name := range structuralCounters {
-		if got, want := counterValue(reg2, name), counterValue(reg3, name); got != want {
+	for _, name := range c.structural {
+		if got, want := counterValue(reg2, name), counterValue(c.regN, name); got != want {
 			t.Errorf("%s = %d resumed, %d in-process", name, got, want)
 		}
 	}
-	if got := counterValue(reg2, "distsurvey_checkpoints_loaded_total"); got != 2 {
-		t.Errorf("checkpoints_loaded = %d, want 2", got)
+	if got := counterValue(reg2, "distsurvey_checkpoints_loaded_total"); got != uint64(done) {
+		t.Errorf("checkpoints_loaded = %d, want %d", got, done)
 	}
 	if got := counterValue(reg2, "distsurvey_leases_granted_total"); got != 1 {
 		t.Errorf("leases_granted = %d, want 1 (only the unfinished shard)", got)
 	}
+}
+
+func TestCoordinatorKilledAndResumed(t *testing.T) {
+	t.Run("survey", func(t *testing.T) { checkKilledAndResumed(t, surveyCase(t)) })
+	t.Run("resolverstudy", func(t *testing.T) { checkKilledAndResumed(t, resolverCase(t)) })
 }
 
 // TestResumeSkipsCorruptCheckpoints: truncated or garbage checkpoint
@@ -545,10 +696,10 @@ func TestResumeSkipsCorruptCheckpoints(t *testing.T) {
 	}
 	ctx1, kill := context.WithCancel(ctx)
 	serveCh := serveAsync(ctx1, coord1, ln)
-	w := dialHello(ctx, t, sn, spec)
+	w := dialHello(ctx, t, sn, spec.Hash())
 	cache := testbed.NewSignCache()
 	for i := 0; i < 2; i++ {
-		executeShardAsWorker(ctx, t, w, leaseJob(ctx, t, w), cache)
+		executeShardAsWorker[core.SurveySpec](ctx, t, w, cache)
 	}
 	if err := w.conn.Close(); err != nil {
 		t.Fatal(err)

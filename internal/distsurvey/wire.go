@@ -1,12 +1,14 @@
-// Package distsurvey runs the §4.1 survey as coordinator + worker
-// processes over the plan/execute/merge engine in internal/core: the
-// coordinator plans ShardJobs and leases them out, workers execute
-// them through the exact same generate→deploy→scan path RunSurvey
-// uses, and the coordinator merges the streamed-back outcomes and obs
-// snapshots through the same ReportBuilder — so a distributed run's
-// report is byte-identical to a single-process one. Heartbeats and
-// lease epochs re-lease shards from dead workers; crash-safe per-shard
-// checkpoints (checkpoint.go) make a survey resumable after
+// Package distsurvey runs a study — the §4.1 survey or the §4.2
+// resolver study — as coordinator + worker processes over the
+// plan/execute/merge engine in internal/core: the coordinator plans
+// the study's jobs and leases them out, workers execute them through
+// the exact same core.Runner path core.Run uses, and the coordinator
+// merges the streamed-back outcomes and obs snapshots through the same
+// core.Builder — so a distributed run's report is byte-identical to a
+// single-process one. Everything here is generic over core.Study; the
+// study kinds differ only in the spec a run is started with. Heartbeats
+// and lease epochs re-lease shards from dead workers; crash-safe
+// per-shard checkpoints (checkpoint.go) make a study resumable after
 // coordinator or worker death without redoing completed shards.
 package distsurvey
 
@@ -19,13 +21,13 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // ProtocolVersion is bumped on incompatible frame changes; the hello
-// exchange refuses a mismatch.
-const ProtocolVersion = 1
+// exchange refuses a mismatch. Version 2 carries both study kinds under
+// the same job/outcome keys.
+const ProtocolVersion = 2
 
 // MaxFrame bounds one frame's payload: a shard outcome is aggregate
 // histograms and counters, far below this even at full scale. The
@@ -53,7 +55,7 @@ const (
 // stream for the newline.
 type Frame struct {
 	Type string `json:"type"`
-	// Version and ConfigHash identify the protocol and survey (hello);
+	// Version and ConfigHash identify the protocol and study (hello);
 	// the coordinator refuses workers running different flags.
 	Version    int    `json:"version,omitempty"`
 	ConfigHash string `json:"config_hash,omitempty"`
@@ -61,13 +63,11 @@ type Frame struct {
 	Worker string `json:"worker,omitempty"`
 	// HeartbeatMS tells the worker how often to heartbeat (hello_ok).
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
-	// Job carries the leased survey shard (job). Exactly one of Job
-	// and RJob is set on a job frame; the config hashes of the two
-	// study kinds have disjoint preimages, so a worker can never hold
-	// a lease of the wrong kind past the hello exchange.
-	Job *core.ShardJob `json:"job,omitempty"`
-	// RJob carries the leased resolver-study shard (job).
-	RJob *core.ResolverShardJob `json:"rjob,omitempty"`
+	// Job carries the leased shard as an encoded core.Job (job). The
+	// study kind is not on the wire: the config hashes of the two kinds
+	// have disjoint preimages, so a worker can never hold a lease of
+	// the wrong kind past the hello exchange.
+	Job json.RawMessage `json:"job,omitempty"`
 	// Lease is the lease epoch (job, heartbeat, result): a re-leased
 	// shard gets a new epoch, so results from the dead lease are
 	// recognizably stale.
@@ -78,12 +78,10 @@ type Frame struct {
 	// means the lease was stale or the shard already done — not an
 	// error, the worker just moves on.
 	Accepted bool `json:"accepted,omitempty"`
-	// Outcome / ROutcome and Obs carry the shard's aggregates (exactly
-	// one, matching the job kind) and the worker's per-shard metrics
-	// snapshot (result).
-	Outcome  *core.ShardOutcome         `json:"outcome,omitempty"`
-	ROutcome *core.ResolverShardOutcome `json:"routcome,omitempty"`
-	Obs      *obs.Snapshot              `json:"obs,omitempty"`
+	// Outcome and Obs carry the shard's encoded outcome and the worker's
+	// per-shard metrics snapshot (result).
+	Outcome json.RawMessage `json:"outcome,omitempty"`
+	Obs     *obs.Snapshot   `json:"obs,omitempty"`
 	// Err carries the peer's refusal (error).
 	Err string `json:"err,omitempty"`
 }

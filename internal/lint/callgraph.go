@@ -20,6 +20,8 @@ import (
 // Resolution is deliberately static and conservative:
 //
 //   - direct calls to declared functions and methods resolve exactly;
+//     a generic function or method is one node, whichever way a call
+//     site supplies its type arguments;
 //   - go f() and defer f() contribute edges with their own kinds, so
 //     analyzers can distinguish a spawned call from a sequential one;
 //   - a function literal is its own node, linked to its enclosing
@@ -27,7 +29,8 @@ import (
 //     far as a static analysis can tell, may run it);
 //   - a call through an interface fans out to the matching method of
 //     every named type in the loaded packages whose method set
-//     satisfies the interface (dynamic edges);
+//     satisfies the interface (dynamic edges) — as does a method call
+//     on a type-parameter receiver, through its constraint;
 //   - a function merely referenced as a value (passed as a callback,
 //     stored in a field) gets a ref edge from the referencing
 //     function, because the reference may be called anywhere.
@@ -333,11 +336,8 @@ func (b *graphBuilder) walkBody(node *CallNode, body *ast.BlockStmt) {
 		case *ast.DeferStmt:
 			kinds[n.Call] = EdgeDefer
 		case *ast.CallExpr:
-			switch fun := ast.Unparen(n.Fun).(type) {
-			case *ast.Ident:
-				calleeIdents[fun] = true
-			case *ast.SelectorExpr:
-				calleeIdents[fun.Sel] = true
+			if id := calleeIdent(n); id != nil {
+				calleeIdents[id] = true
 			}
 		}
 		return true
@@ -416,16 +416,31 @@ func (b *graphBuilder) resolveCall(caller *CallNode, call *ast.CallExpr, kind Ed
 }
 
 // resolveDynamic fans an interface-method call out to every concrete
-// method in the loaded packages that can satisfy it.
+// method in the loaded packages that can satisfy it. A call on a value
+// of type-parameter type lands here too: its method belongs to the
+// constraint interface.
+//
+// Inside generic code the interface usually mentions type parameters —
+// s.Execute(job) with s constrained by Study[J, O], or a field of type
+// executor[J, O] — and no concrete type implements that exactly: the
+// identical-signature test needs the instantiation, which a static
+// graph over the generic body does not have. Such an interface is
+// matched loosely instead (mayImplement), the same over-approximating
+// bias as the rest of the graph: the call reaches every instantiation's
+// method rather than none.
 func (b *graphBuilder) resolveDynamic(caller *CallNode, call *ast.CallExpr, iface *types.Func, kind EdgeKind) {
-	recv := iface.Type().(*types.Signature).Recv().Type()
+	recv := iface.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 	dynKind := kind
 	if dynKind == EdgeCall {
 		dynKind = EdgeDynamic
 	}
+	open := false
+	for i := 0; i < recv.NumMethods() && !open; i++ {
+		open = mentionsTypeParam(recv.Method(i).Type())
+	}
 	seen := map[*CallNode]bool{}
 	for _, t := range b.concrete {
-		if !types.Implements(t, recv.Underlying().(*types.Interface)) {
+		if !types.Implements(t, recv) && !(open && mayImplement(t, recv)) {
 			continue
 		}
 		obj, _, _ := types.LookupFieldOrMethod(t, true, iface.Pkg(), iface.Name())
@@ -438,4 +453,59 @@ func (b *graphBuilder) resolveDynamic(caller *CallNode, call *ast.CallExpr, ifac
 			addEdge(caller, callee, dynKind, call.Pos())
 		}
 	}
+}
+
+// mentionsTypeParam reports whether t is, or is composed from, a type
+// parameter. Named types are searched through their type arguments
+// only, so recursive type declarations terminate.
+func mentionsTypeParam(t types.Type) bool {
+	switch t := types.Unalias(t).(type) {
+	case *types.TypeParam:
+		return true
+	case *types.Pointer:
+		return mentionsTypeParam(t.Elem())
+	case *types.Slice:
+		return mentionsTypeParam(t.Elem())
+	case *types.Array:
+		return mentionsTypeParam(t.Elem())
+	case *types.Chan:
+		return mentionsTypeParam(t.Elem())
+	case *types.Map:
+		return mentionsTypeParam(t.Key()) || mentionsTypeParam(t.Elem())
+	case *types.Signature:
+		return mentionsTypeParam(t.Params()) || mentionsTypeParam(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			if mentionsTypeParam(t.At(i).Type()) {
+				return true
+			}
+		}
+	case *types.Named:
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			if mentionsTypeParam(t.TypeArgs().At(i)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mayImplement is the loose satisfaction test for an interface that
+// mentions type parameters: t has every method of iface by name, with
+// the same number of parameters and results. Some instantiation may
+// make the signatures identical; none can if the shapes already differ.
+func mayImplement(t types.Type, iface *types.Interface) bool {
+	for i := 0; i < iface.NumMethods(); i++ {
+		want := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(t, true, want.Pkg(), want.Name())
+		got, ok := obj.(*types.Func)
+		if !ok {
+			return false
+		}
+		ws, gs := want.Type().(*types.Signature), got.Type().(*types.Signature)
+		if ws.Params().Len() != gs.Params().Len() || ws.Results().Len() != gs.Results().Len() || ws.Variadic() != gs.Variadic() {
+			return false
+		}
+	}
+	return true
 }

@@ -146,3 +146,46 @@ func TestCallGraphCrossPackage(t *testing.T) {
 	}
 	t.Errorf("testbed.ProbeResolver has no caller from repro/internal/atlas; in-edges: %d", len(probe.In))
 }
+
+// reaches reports whether to is reachable from from over any edges.
+func reaches(from, to *lint.CallNode) bool {
+	seen := map[*lint.CallNode]bool{from: true}
+	queue := []*lint.CallNode{from}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		if n == to {
+			return true
+		}
+		for _, e := range n.Out {
+			if !seen[e.Callee] {
+				seen[e.Callee] = true
+				queue = append(queue, e.Callee)
+			}
+		}
+	}
+	return false
+}
+
+// TestCallGraphSeesThroughStudyEngine pins the chains the generic study
+// engine must not hide from detertaint, goleak, and mergepurity: both
+// in-process entry points and the distributed worker loop reach the
+// execute body of both instantiations. The graph has one node per
+// generic function, so each entry point reaches both bodies — the
+// explicitly instantiated callees (NewRunner[S], executeLease[S]), the
+// type-parameter method call (job.Spec.newExecutor), and the generic
+// interface field (run.exec.execute) all have to resolve on the way.
+func TestCallGraphSeesThroughStudyEngine(t *testing.T) {
+	pkgs, err := lint.Load("../..", "./internal/core", "./internal/distsurvey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lint.BuildCallGraph(pkgs)
+	for _, entry := range []string{"core.RunSurvey", "core.RunResolverStudy", "distsurvey.RunWorker"} {
+		for _, body := range []string{"(*surveyExec).execute", "(*resolverExec).execute"} {
+			if !reaches(findNode(t, g, entry), findNode(t, g, body)) {
+				t.Errorf("%s does not reach %s", entry, body)
+			}
+		}
+	}
+}

@@ -72,6 +72,16 @@ func GoldenCases() []GoldenCase {
 		{HotPathAllocAnalyzer, "hotpathalloc", []FixturePkg{{"", "repro/internal/hotfix"}}},
 		{BufAliasAnalyzer, "bufalias", []FixturePkg{{"", "repro/internal/buffix"}}},
 		{PoolSafeAnalyzer, "poolsafe", []FixturePkg{{"", "repro/internal/poolfix"}}},
+		// The generic fixture is one engine checked twice: each consumer
+		// package carries the want markers of one analyzer.
+		{DeterTaintAnalyzer, "generic", []FixturePkg{
+			{"engine", "repro/internal/engine"},
+			{"core", "repro/internal/core"},
+		}},
+		{CtxPropAnalyzer, "generic", []FixturePkg{
+			{"engine", "repro/internal/engine"},
+			{"svc", "repro/internal/svc"},
+		}},
 	}
 }
 

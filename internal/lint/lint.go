@@ -257,16 +257,37 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// calleeFunc resolves the *types.Func a call expression invokes, or nil
-// for builtins, function-typed variables, and type conversions.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+// calleeIdent returns the identifier naming a call's callee — f in
+// f(…), pkg.f(…), and x.f(…) — or nil when the callee is not named (a
+// function literal, an indexed or returned function value). An
+// explicitly instantiated generic callee, f[T](…) or pkg.f[K, V](…),
+// wraps the name in an index expression; indexing a slice or map of
+// functions has the same syntax and is told apart by calleeFunc, which
+// finds a variable rather than a function behind the identifier.
+func calleeIdent(call *ast.CallExpr) *ast.Ident {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		id = fun
+		return fun
 	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
+		return fun.Sel
+	}
+	return nil
+}
+
+// calleeFunc resolves the *types.Func a call expression invokes, or nil
+// for builtins, function-typed variables, and type conversions. For a
+// generic callee it is the declared (uninstantiated) function however
+// the type arguments were supplied.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	id := calleeIdent(call)
+	if id == nil {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)

@@ -12,7 +12,11 @@ import (
 // that fails here fails `reprolint -selfcheck` identically.
 func TestGolden(t *testing.T) {
 	for _, gc := range lint.GoldenCases() {
-		t.Run(gc.Root, func(t *testing.T) {
+		name := gc.Root
+		if name != gc.Analyzer.Name { // a fixture shared between analyzers
+			name += "-" + gc.Analyzer.Name
+		}
+		t.Run(name, func(t *testing.T) {
 			rep, err := lint.CheckFixture("testdata", gc)
 			if err != nil {
 				t.Fatal(err)

@@ -53,6 +53,9 @@ type ShardPlan struct {
 	NSEC3Start int `json:"nsec3_start"`
 }
 
+// ShardIndex returns the shard ordinal (core.Sharded).
+func (p ShardPlan) ShardIndex() int { return p.Index }
+
 // ShardPlanner holds the shared generation tables and plans shards.
 // Plans and shards are pure functions of (Config, shard count); the
 // planner itself is read-only after construction and safe to reuse
