@@ -200,7 +200,8 @@ func Analyzers() []*Analyzer {
 }
 
 // Run applies each analyzer to each package within its scope and
-// returns every diagnostic, sorted by position then analyzer.
+// returns every diagnostic, sorted by position, analyzer, then message
+// (a total order, so reports and goldens are stable).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	var project *Project
@@ -252,7 +253,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags
 }

@@ -1,21 +1,87 @@
 package lint_test
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/lint"
 )
 
+// goldenName is a golden case's subtest name and its heading in
+// testdata/diagnostics.golden: the fixture root, qualified by the
+// analyzer when several analyzers share the fixture.
+func goldenName(gc lint.GoldenCase) string {
+	shared := 0
+	for _, other := range lint.GoldenCases() {
+		if other.Root == gc.Root {
+			shared++
+		}
+	}
+	if shared > 1 {
+		return gc.Root + "-" + gc.Analyzer.Name
+	}
+	return gc.Root
+}
+
+// goldenDiagnostics renders every golden case's diagnostics in full —
+// one "# <case>" heading, then each Diagnostic.String() with its path
+// relative to testdata/ — the exact-output contract the `// want`
+// prefix regexes cannot give: a chain that loses a hop or a message
+// that changes wording shows up as a diff of this text.
+func goldenDiagnostics(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, gc := range lint.GoldenCases() {
+		diags, err := lint.RunFixture("testdata", gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, d := range diags {
+			d.Pos.Filename = strings.TrimPrefix(filepath.ToSlash(d.Pos.Filename), "testdata/")
+			b.WriteString(d.String() + "\n")
+		}
+		out[goldenName(gc)] = b.String()
+	}
+	return out
+}
+
+const diagnosticsGolden = "testdata/diagnostics.golden"
+
 // TestGolden checks every analyzer's fixture against its `// want`
 // markers through the same harness CI's self-check runs, so a fixture
-// that fails here fails `reprolint -selfcheck` identically.
+// that fails here fails `reprolint -selfcheck` identically — and then
+// against the committed full diagnostic text. LINT_WRITE_GOLDEN=1
+// regenerates that file after a deliberate change; its diff is the
+// review artefact.
 func TestGolden(t *testing.T) {
-	for _, gc := range lint.GoldenCases() {
-		name := gc.Root
-		if name != gc.Analyzer.Name { // a fixture shared between analyzers
-			name += "-" + gc.Analyzer.Name
+	got := goldenDiagnostics(t)
+	if os.Getenv("LINT_WRITE_GOLDEN") == "1" {
+		var b strings.Builder
+		for _, gc := range lint.GoldenCases() {
+			b.WriteString("# " + goldenName(gc) + "\n" + got[goldenName(gc)])
 		}
+		if err := os.WriteFile(diagnosticsGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(diagnosticsGolden)
+	if err != nil {
+		t.Fatalf("committed diagnostics missing (run with LINT_WRITE_GOLDEN=1 to generate): %v", err)
+	}
+	want := map[string]string{}
+	var name string
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if heading, ok := strings.CutPrefix(line, "# "); ok {
+			name = strings.TrimSpace(heading)
+		} else {
+			want[name] += line
+		}
+	}
+	for _, gc := range lint.GoldenCases() {
+		name = goldenName(gc)
 		t.Run(name, func(t *testing.T) {
 			rep, err := lint.CheckFixture("testdata", gc)
 			if err != nil {
@@ -26,6 +92,9 @@ func TestGolden(t *testing.T) {
 			}
 			for _, u := range rep.Unexpected {
 				t.Errorf("unexpected diagnostic: %s", u)
+			}
+			if got[name] != want[name] {
+				t.Errorf("diagnostics differ from %s (LINT_WRITE_GOLDEN=1 regenerates)\n--- got\n%s--- want\n%s", diagnosticsGolden, got[name], want[name])
 			}
 		})
 	}
@@ -182,6 +251,15 @@ func TestSelfCheckReports(t *testing.T) {
 	}
 	if len(reps) != len(lint.GoldenCases()) {
 		t.Fatalf("got %d reports, want %d", len(reps), len(lint.GoldenCases()))
+	}
+	covered := map[string]bool{}
+	for _, r := range reps {
+		covered[r.Analyzer] = true
+	}
+	for _, a := range lint.Analyzers() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s ships without a golden fixture", a.Name)
+		}
 	}
 	for _, r := range reps {
 		if !r.OK() {
