@@ -13,8 +13,10 @@ echo "== vet =="
 go vet ./...
 # bench/ is a module of its own (replace repro => ../), so the root
 # ./... never compiles it: vet it here, or an API slip in what it calls
-# surfaces only when the benchmark pipeline runs.
+# surfaces only when the benchmark pipeline runs. Same for reprolint:
+# bench/README.md promises the module is clean with no baseline.
 go -C bench vet ./...
+(cd bench && go run repro/cmd/reprolint ./...)
 
 echo "== test (-race) =="
 go test -race ./...
@@ -193,21 +195,17 @@ echo "== reprolint self-check (golden fixtures) =="
 # A diagnostic drifting from its fixture markers fails this leg even if
 # the real tree stays clean.
 go run ./cmd/reprolint -selfcheck internal/lint/testdata > reprolint-selfcheck.json
-# The report must cover the full suite: spot-check that the serving-path
-# analyzers are present and that every fixture carried a timing.
-for a in hotpathalloc bufalias poolsafe; do
-  grep -q "\"analyzer\": \"$a\"" reprolint-selfcheck.json \
-    || { echo "self-check report missing analyzer $a"; exit 1; }
-done
+# That every analyzer in the suite has a fixture in the report is a
+# test (TestSelfCheckReports), not a list to keep in sync here.
 grep -q '"elapsed_ms"' reprolint-selfcheck.json \
   || { echo "self-check report lacks elapsed_ms timings"; exit 1; }
 
 echo "== reprolint (baseline ratchet) =="
 # The baseline is the tolerated-findings ratchet. MAX_BASELINE pins the
 # ceiling at the committed entry count; it may only ever be decreased.
-# The JSON report is kept as a CI artifact for triage.
+# One load-and-analyze pass both gates the build and writes the JSON
+# report kept as a CI artifact for triage.
 MAX_BASELINE=0
-go run ./cmd/reprolint -json ./... > reprolint-report.json || true
-go run ./cmd/reprolint -baseline lint.baseline.json -max-baseline "$MAX_BASELINE" ./...
+go run ./cmd/reprolint -json -baseline lint.baseline.json -max-baseline "$MAX_BASELINE" ./... > reprolint-report.json
 
 echo "CI: all legs passed"

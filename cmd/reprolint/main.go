@@ -14,7 +14,7 @@
 // a diagnostic whose file path contains any fragment is dropped. This
 // is deliberately coarse — per-finding waivers belong in the code as
 // justification comments (errdiscard), named constants (rfcconst), or
-// //repro:nondeterministic directives (detertaint), not in driver
+// //repro:nondeterministic directives (determinism), not in driver
 // flags.
 //
 // Self-check: -selfcheck <dir> ignores patterns and instead replays

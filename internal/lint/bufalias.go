@@ -96,12 +96,7 @@ func isByteSliceOrPtr(t types.Type) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
+	return isByteSlice(t)
 }
 
 // seedParams registers every []byte / *[]byte parameter as a
@@ -172,10 +167,8 @@ func (a *bufAliaser) walkBody(fd *ast.FuncDecl) {
 					"%s of the %s buffer %s is sent on a channel; the receiver reads it after the buffer is reused — copy before sending",
 					aliasNoun(sub), bi.origin, obj.Name())
 			}
-		case *ast.ForStmt:
-			a.checkLoopReads(s.Body, s.Pos())
-		case *ast.RangeStmt:
-			a.checkLoopReads(s.Body, s.Pos())
+		case *ast.ForStmt, *ast.RangeStmt:
+			a.checkLoopReads(loopBody(s), s.Pos())
 		}
 		return true
 	})
@@ -389,11 +382,7 @@ func (a *bufAliaser) checkLoopReads(body *ast.BlockStmt, loopPos token.Pos) {
 		case *ast.CallExpr:
 			// msgs = append(msgs, buf[:n]) retains the header; a spread
 			// append(dst, buf...) copies the bytes and is clean.
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "append" &&
-				s.Ellipsis == token.NoPos {
-				if _, isBuiltin := a.info.Uses[id].(*types.Builtin); !isBuiltin {
-					return true
-				}
+			if builtinCall(a.info, s) == "append" && s.Ellipsis == token.NoPos {
 				for _, arg := range s.Args[1:] {
 					if isByteSliceOrPtr(a.info.TypeOf(arg)) {
 						escape(arg, "is retained by a growing slice")

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -13,9 +14,10 @@ import (
 // call graph over every loaded package. The intraprocedural analyzers
 // (PR 1) see one function body at a time, which forced the determinism
 // guarantee onto a hand-maintained file exemption list; the graph lets
-// detertaint, goleak, and lockorder reason about whole call chains
+// determinism, goleak, and lockorder reason about whole call chains
 // instead — "core reaches time.Now through the scanner" rather than
-// "this file may read the clock".
+// "this file may read the clock". Reach is the one search every
+// chain-reporting analyzer runs over it.
 //
 // Resolution is deliberately static and conservative:
 //
@@ -97,18 +99,8 @@ type CallNode struct {
 	Lit *ast.FuncLit
 	// Pkg is the loaded package the node's body lives in.
 	Pkg *Package
-	// NondetReason is the justification text of a
-	// //repro:nondeterministic directive on the declaration, "" when
-	// the function is not annotated. Annotated functions are sanctioned
-	// nondeterminism roots: detertaint does not propagate taint past
-	// them.
-	NondetReason string
-	// Annotated reports whether the directive is present at all (even
-	// with a missing reason, which detertaint flags separately).
-	Annotated bool
 	// Directives maps every //repro:<name> directive on the
-	// declaration to its (possibly empty) reason text. NondetReason and
-	// Annotated mirror the //repro:nondeterministic entry.
+	// declaration to its (possibly empty) reason text.
 	Directives map[string]string
 	// Out and In are the outgoing and incoming edges, in source order.
 	Out, In []*CallEdge
@@ -227,21 +219,12 @@ func (g *CallGraph) LitNode(lit *ast.FuncLit) *CallNode {
 	return g.lits[lit]
 }
 
-// NondetDirective is the comment directive that marks a function as a
-// sanctioned nondeterminism root, e.g.
-//
-//	//repro:nondeterministic span timing is telemetry, never report data
-//	func (t *Tracer) Start(...)
-//
-// The reason is mandatory; detertaint reports a bare directive.
-const NondetDirective = "//repro:nondeterministic"
-
-// Directive reports whether the declaration carries the named
-// //repro: directive, and its reason text. Literals carry nothing:
-// only declared functions can be annotated, keeping waivers greppable.
-func (n *CallNode) Directive(name string) (reason string, ok bool) {
-	reason, ok = n.Directives[name]
-	return reason, ok
+// waived reports whether the declaration carries the named //repro:
+// directive with a reason — a bare directive is never a waiver.
+// Literals carry nothing: only declared functions can be annotated,
+// keeping waivers greppable.
+func (n *CallNode) waived(directive string) bool {
+	return n.Directives[directive] != ""
 }
 
 // BuildCallGraph constructs the call graph of pkgs. All packages must
@@ -267,7 +250,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 				}
 				node := &CallNode{Func: fn, Decl: fd, Pkg: pkg}
 				node.Directives = parseDirectives(fd.Doc)
-				node.NondetReason, node.Annotated = node.Directive(NondetDirective)
 				g.funcs[funcKey(fn)] = node
 				g.Nodes = append(g.Nodes, node)
 			}
@@ -508,4 +490,112 @@ func mayImplement(t types.Type, iface *types.Interface) bool {
 		}
 	}
 	return true
+}
+
+// EdgeSet is a set of edge kinds: an analyzer's propagation policy, as
+// data.
+type EdgeSet uint
+
+// Edges builds the set holding kinds.
+func Edges(kinds ...EdgeKind) EdgeSet {
+	var s EdgeSet
+	for _, k := range kinds {
+		s |= 1 << k
+	}
+	return s
+}
+
+// AllEdges follows every way one function can reach another;
+// StaticEdges stops at interface boundaries and function values, where
+// the callee's own signature carries the contract.
+var (
+	AllEdges    = Edges(EdgeCall, EdgeGo, EdgeDefer, EdgeDynamic, EdgeClosure, EdgeRef)
+	StaticEdges = Edges(EdgeCall, EdgeGo, EdgeDefer, EdgeClosure)
+)
+
+// Search directions for Reach.
+const (
+	// Callees searches forward, from a function to what it calls.
+	Callees = true
+	// Callers searches backward, from a function to what calls it.
+	Callers = false
+)
+
+// Reached is the outcome of one Reach search.
+type Reached struct {
+	// Order lists the reached nodes breadth-first, seeds first.
+	Order []*CallNode
+
+	forward bool
+	// via maps a reached node to the neighbour the search came from,
+	// nil for a seed.
+	via map[*CallNode]*CallNode
+}
+
+// Reach is the breadth-first search behind every chain-reporting
+// analyzer: from seeds, toward callees or callers, over the edge kinds
+// in over, never entering a node absorb accepts (nil absorbs nothing).
+// An absorbed seed is dropped like any other absorbed node. Breadth
+// first makes every recorded chain a shortest one.
+func Reach(seeds []*CallNode, forward bool, over EdgeSet, absorb func(*CallNode) bool) *Reached {
+	r := &Reached{forward: forward, via: make(map[*CallNode]*CallNode)}
+	visit := func(n, from *CallNode) {
+		if _, seen := r.via[n]; seen || absorb != nil && absorb(n) {
+			return
+		}
+		r.via[n] = from
+		r.Order = append(r.Order, n)
+	}
+	for _, n := range seeds {
+		visit(n, nil)
+	}
+	for i := 0; i < len(r.Order); i++ {
+		n := r.Order[i]
+		edges := n.In
+		if forward {
+			edges = n.Out
+		}
+		for _, e := range edges {
+			if over&(1<<e.Kind) == 0 {
+				continue
+			}
+			if forward {
+				visit(e.Callee, n)
+			} else {
+				visit(e.Caller, n)
+			}
+		}
+	}
+	return r
+}
+
+// Has reports whether the search reached n.
+func (r *Reached) Has(n *CallNode) bool {
+	_, ok := r.via[n]
+	return ok
+}
+
+// Via returns the neighbour the search reached n from: nil for a seed.
+func (r *Reached) Via(n *CallNode) *CallNode { return r.via[n] }
+
+// Seed returns the seed n was reached from.
+func (r *Reached) Seed(n *CallNode) *CallNode {
+	for r.via[n] != nil {
+		n = r.via[n]
+	}
+	return n
+}
+
+// Chain renders the path between n and its seed in call order —
+// "core.Run → scanner.Scan → (*Scanner).query" — whichever way the
+// search ran.
+func (r *Reached) Chain(n *CallNode) string {
+	var names []string
+	for ; n != nil; n = r.via[n] {
+		names = append(names, n.Name())
+	}
+	if r.forward {
+		slices.Reverse(names)
+	}
+	return strings.Join(names, " → ")
 }

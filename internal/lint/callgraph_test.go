@@ -149,26 +149,73 @@ func TestCallGraphCrossPackage(t *testing.T) {
 
 // reaches reports whether to is reachable from from over any edges.
 func reaches(from, to *lint.CallNode) bool {
-	seen := map[*lint.CallNode]bool{from: true}
-	queue := []*lint.CallNode{from}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if n == to {
-			return true
-		}
-		for _, e := range n.Out {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				queue = append(queue, e.Callee)
-			}
+	return lint.Reach([]*lint.CallNode{from}, lint.Callees, lint.AllEdges, nil).Has(to)
+}
+
+// TestReach pins the one search every chain-reporting analyzer runs:
+// both directions, shortest chains rendered in call order, the
+// edge-kind filter, and absorption — which stops propagation through a
+// node (and drops it as a seed) without touching the other seeds.
+func TestReach(t *testing.T) {
+	g := buildFixtureGraph(t)
+	node := func(name string) *lint.CallNode { return findNode(t, g, name) }
+	callee, outer, inner := node("cgfix.callee"), node("cgfix.outer"), node("cgfix.inner")
+	isNode := func(n *lint.CallNode) func(*lint.CallNode) bool {
+		return func(m *lint.CallNode) bool { return m == n }
+	}
+
+	// Forward: outer reaches callee directly and through inner; breadth
+	// first keeps the direct chain.
+	fwd := lint.Reach([]*lint.CallNode{outer}, lint.Callees, lint.AllEdges, nil)
+	if got, want := fwd.Chain(callee), "cgfix.outer → cgfix.callee"; got != want {
+		t.Errorf("forward chain = %q, want %q", got, want)
+	}
+	if fwd.Seed(callee) != outer || fwd.Via(outer) != nil || fwd.Order[0] != outer {
+		t.Errorf("forward search does not start at its seed")
+	}
+
+	// Backward from callee: every caller, chains still in call order.
+	back := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.AllEdges, nil)
+	if got, want := back.Chain(inner), "cgfix.inner → cgfix.callee"; got != want {
+		t.Errorf("backward chain = %q, want %q", got, want)
+	}
+	for _, name := range []string{"cgfix.plainCall", "cgfix.spawn", "cgfix.deferred", "cgfix.reference", "cgfix.immediate", "cgfix.outer"} {
+		if !back.Has(node(name)) {
+			t.Errorf("backward search over all edges missed %s", name)
 		}
 	}
-	return false
+	if back.Has(node("cgfix.dispatch")) {
+		t.Errorf("backward search reached cgfix.dispatch, which never reaches callee")
+	}
+
+	// Edge-kind filter: only the plain and deferred calls survive.
+	plain := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.Edges(lint.EdgeCall, lint.EdgeDefer), nil)
+	for name, want := range map[string]bool{
+		"cgfix.plainCall": true, "cgfix.deferred": true, "cgfix.inner": true, "cgfix.outer": true,
+		"cgfix.spawn": false, "cgfix.reference": false,
+	} {
+		if got := plain.Has(node(name)); got != want {
+			t.Errorf("call/defer-only search: reached %s = %v, want %v", name, got, want)
+		}
+	}
+
+	// Absorb: with inner absorbing, top — whose only path runs through
+	// inner — is cut off, while outer is still reached by its own direct
+	// call; an absorbed seed is dropped while the other seed propagates.
+	top := node("cgfix.top")
+	absorbed := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.AllEdges, isNode(inner))
+	if absorbed.Has(inner) || absorbed.Has(top) || !absorbed.Has(outer) || !back.Has(top) {
+		t.Errorf("absorbing inner: reached inner=%v top=%v outer=%v (top without absorb: %v), want false/false/true (true)",
+			absorbed.Has(inner), absorbed.Has(top), absorbed.Has(outer), back.Has(top))
+	}
+	seeds := lint.Reach([]*lint.CallNode{inner, node("cgfix.plainCall")}, lint.Callers, lint.AllEdges, isNode(inner))
+	if seeds.Has(inner) || seeds.Has(top) || !seeds.Has(node("cgfix.plainCall")) {
+		t.Errorf("an absorbed seed must be dropped and stop nothing else")
+	}
 }
 
 // TestCallGraphSeesThroughStudyEngine pins the chains the generic study
-// engine must not hide from detertaint, goleak, and mergepurity: both
+// engine must not hide from determinism, goleak, and mergepurity: both
 // in-process entry points and the distributed worker loop reach the
 // execute body of both instantiations. The graph has one node per
 // generic function, so each entry point reaches both bodies — the

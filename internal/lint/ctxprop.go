@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CtxPropAnalyzer enforces the cancellation contract the distributed
@@ -40,7 +39,7 @@ import (
 // contract.
 //
 // The waiver is //repro:ctxexempt <reason> on the declaration. Like
-// detertaint's sanctioned roots it absorbs: a function whose blocking
+// determinism's sanctioned roots it absorbs: a function whose blocking
 // is bounded by other means (a conn deadline, a CPU-bound signer, a
 // lifecycle owned by a shutdown func) does not impose ctx on its
 // callers. A bare directive without a reason is itself a finding.
@@ -53,73 +52,34 @@ var CtxPropAnalyzer = &Analyzer{
 	RunProject: runCtxProp,
 }
 
-// ctxMark records how blocking-ness reached a node: through which
-// callee (nil when the node itself blocks) toward which blocking site.
-type ctxMark struct {
-	next   *CallNode
-	source taintSource
-}
-
 func runCtxProp(pass *ProjectPass) {
 	g := pass.Project.Graph
+	directiveHygiene(pass)
 
-	// Directive hygiene: a waiver without a reason is a finding, not a
-	// waiver — exemptions must be reviewable.
+	// Seed pass: nodes whose own body blocks. Then backward over
+	// call/go/defer/closure edges; exempt nodes absorb their own seeds
+	// and incoming marks alike.
+	source := map[*CallNode]string{}
+	var seeds []*CallNode
 	for _, node := range g.Nodes {
-		if reason, ok := node.Directive(CtxExemptDirective); ok && reason == "" {
-			pass.Reportf(node.Pkg.Fset, node.Pos(),
-				"%s directive without a reason; state why this blocking path needs no context", CtxExemptDirective)
+		if desc := blockingSource(node); desc != "" {
+			source[node] = desc
+			seeds = append(seeds, node)
 		}
 	}
-
-	// Seed pass: nodes whose own body blocks. Exempt nodes absorb
-	// their own seeds and incoming marks alike.
-	marks := map[*CallNode]ctxMark{}
-	var queue []*CallNode
-	for _, node := range g.Nodes {
-		if ctxExempt(node) {
-			continue
-		}
-		if src, ok := blockingSource(node); ok {
-			marks[node] = ctxMark{source: src}
-			queue = append(queue, node)
-		}
-	}
-
-	// Backward propagation over call/go/defer/closure edges; BFS for
-	// shortest chains.
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
-		for _, e := range node.In {
-			switch e.Kind {
-			case EdgeCall, EdgeGo, EdgeDefer, EdgeClosure:
-			default:
-				continue
-			}
-			caller := e.Caller
-			if _, seen := marks[caller]; seen || ctxExempt(caller) {
-				continue
-			}
-			marks[caller] = ctxMark{next: node, source: marks[node].source}
-			queue = append(queue, caller)
-		}
-	}
+	blocked := Reach(seeds, Callers, StaticEdges, ctxExempt)
 
 	// Rule 1 report: every declared, non-main, ctx-less function on a
 	// blocking path. Literals inherit their encloser's parameters and
 	// cannot be annotated, so they stay silent (the encloser reports).
-	for _, node := range g.Nodes {
-		mark, blocked := marks[node]
-		if !blocked || node.Func == nil || node.Pkg.Types.Name() == "main" {
+	for _, node := range blocked.Order {
+		if node.Func == nil || node.Pkg.Types.Name() == "main" || hasCtxParam(node.Func) {
 			continue
 		}
-		if hasCtxParam(node.Func) {
-			continue
-		}
+		desc := source[blocked.Seed(node)]
 		pass.Reportf(node.Pkg.Fset, node.Pos(),
-			"%s is on a blocking path to %s without a context.Context parameter: %s; accept a ctx and thread it to the blocking call, or annotate with %s <reason>",
-			node.Name(), mark.source.desc, ctxChainString(node, marks), CtxExemptDirective)
+			"%s is on a blocking path to %s without a context.Context parameter: %s → %s; accept a ctx and thread it to the blocking call, or annotate with %s <reason>",
+			node.Name(), desc, blocked.Chain(node), desc, CtxExemptDirective)
 	}
 
 	// Rules 2 and 3 are per-body; literals are their own nodes, so
@@ -135,10 +95,7 @@ func runCtxProp(pass *ProjectPass) {
 
 // ctxExempt reports whether the node carries a usable ctxexempt
 // directive (reason required).
-func ctxExempt(node *CallNode) bool {
-	r, ok := node.Directive(CtxExemptDirective)
-	return ok && r != ""
-}
+func ctxExempt(node *CallNode) bool { return node.waived(CtxExemptDirective) }
 
 // ctxExemptOrEnclosed extends the waiver to literals: a closure
 // defined inside an exempt function shares its justification.
@@ -224,13 +181,11 @@ var blockingIOFuncs = map[string]bool{
 	"CopyN": true, "ReadAll": true,
 }
 
-// blockingSource returns the first blocking operation in node's own
-// body (nested literals are their own nodes and seed separately).
-func blockingSource(node *CallNode) (taintSource, bool) {
+// blockingSource describes the first blocking operation in node's own
+// body (nested literals are their own nodes and seed separately), ""
+// when there is none.
+func blockingSource(node *CallNode) string {
 	body := node.Body()
-	if body == nil {
-		return taintSource{}, false
-	}
 	info := node.Pkg.Info
 
 	// Channel ops inside select comm clauses are not seeds: the select
@@ -252,15 +207,13 @@ func blockingSource(node *CallNode) (taintSource, bool) {
 			for _, rhs := range s.Rhs {
 				inComm[ast.Unparen(rhs)] = true
 			}
-		case *ast.SendStmt:
-			inComm[s] = true
 		}
 		return true
 	})
 
-	var found *taintSource
+	found := ""
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found != nil {
+		if found != "" {
 			return false
 		}
 		switch n := n.(type) {
@@ -274,44 +227,25 @@ func blockingSource(node *CallNode) (taintSource, bool) {
 			switch fn.Pkg().Path() {
 			case "net":
 				if blockingNetFuncs[fn.Name()] {
-					found = &taintSource{desc: "net." + fn.Name(), pos: n.Pos()}
+					found = "net." + fn.Name()
 				}
 			case "io":
 				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil && blockingIOFuncs[fn.Name()] {
-					found = &taintSource{desc: "io." + fn.Name(), pos: n.Pos()}
+					found = "io." + fn.Name()
 				}
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !inComm[n] && isSignalChan(info.TypeOf(n.X)) {
-				found = &taintSource{desc: "a bare struct{}-channel receive", pos: n.Pos()}
+				found = "a bare struct{}-channel receive"
 			}
 		case *ast.SendStmt:
 			if !inComm[n] && isSignalChan(info.TypeOf(n.Chan)) {
-				found = &taintSource{desc: "a bare struct{}-channel send (semaphore acquire)", pos: n.Pos()}
+				found = "a bare struct{}-channel send (semaphore acquire)"
 			}
 		}
 		return true
 	})
-	if found != nil {
-		return *found, true
-	}
-	return taintSource{}, false
-}
-
-// ctxChainString renders the blocking chain from node to the blocking
-// site, e.g. "(*Server).serveUDP → net.ReadFrom".
-func ctxChainString(node *CallNode, marks map[*CallNode]ctxMark) string {
-	var parts []string
-	for n := node; n != nil; {
-		parts = append(parts, n.Name())
-		mark := marks[n]
-		if mark.next == nil {
-			parts = append(parts, mark.source.desc)
-			break
-		}
-		n = mark.next
-	}
-	return strings.Join(parts, " → ")
+	return found
 }
 
 // checkCtxRoots reports context.Background / context.TODO calls (rule

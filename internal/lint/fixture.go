@@ -54,7 +54,9 @@ func GoldenCases() []GoldenCase {
 		{ErrDiscardAnalyzer, "errdiscard", []FixturePkg{{"", "repro/internal/lintfixture"}}},
 		{CopyLockAnalyzer, "copylock", []FixturePkg{{"", "repro/internal/lintfixture"}}},
 		{RFCConstAnalyzer, "rfcconst", []FixturePkg{{"", "repro/internal/dnswire"}}},
-		{DeterTaintAnalyzer, "detertaint", []FixturePkg{
+		// determinism's call-chain half: a scoped package reaching sources
+		// through an unscoped one.
+		{DeterminismAnalyzer, "detertaint", []FixturePkg{
 			{"scanlib", "repro/internal/scanlib"},
 			{"core", "repro/internal/core"},
 		}},
@@ -74,7 +76,7 @@ func GoldenCases() []GoldenCase {
 		{PoolSafeAnalyzer, "poolsafe", []FixturePkg{{"", "repro/internal/poolfix"}}},
 		// The generic fixture is one engine checked twice: each consumer
 		// package carries the want markers of one analyzer.
-		{DeterTaintAnalyzer, "generic", []FixturePkg{
+		{DeterminismAnalyzer, "generic", []FixturePkg{
 			{"engine", "repro/internal/engine"},
 			{"core", "repro/internal/core"},
 		}},

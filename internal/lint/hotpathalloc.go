@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // HotPathAllocAnalyzer is the static twin of -benchmem: functions
@@ -62,73 +61,34 @@ type allocSite struct {
 	desc string
 }
 
-// hotMark records how a node became hot: through which caller (nil for
-// roots) from which root.
-type hotMark struct {
-	prev *CallNode
-	root *CallNode
-}
-
 func runHotPathAlloc(pass *ProjectPass) {
 	g := pass.Project.Graph
 
 	// Directive hygiene: reasons are mandatory in both directions, and
 	// a function cannot be simultaneously a root and a waiver.
+	directiveHygiene(pass)
+	var roots []*CallNode
 	for _, node := range g.Nodes {
-		if reason, ok := node.Directive(HotPathDirective); ok && reason == "" {
-			pass.Reportf(node.Pkg.Fset, node.Pos(),
-				"%s directive without a reason; state why this path must serve allocation-free", HotPathDirective)
-		}
-		if reason, ok := node.Directive(AllocOKDirective); ok && reason == "" {
-			pass.Reportf(node.Pkg.Fset, node.Pos(),
-				"%s directive without a reason; state why this allocation is acceptable on a hot path", AllocOKDirective)
-		}
-		_, isRoot := node.Directive(HotPathDirective)
-		_, isWaived := node.Directive(AllocOKDirective)
+		_, isRoot := node.Directives[HotPathDirective]
+		_, isWaived := node.Directives[AllocOKDirective]
 		if isRoot && isWaived {
 			pass.Reportf(node.Pkg.Fset, node.Pos(),
 				"%s and %s on the same declaration contradict each other; a root cannot waive itself", HotPathDirective, AllocOKDirective)
 		}
-	}
-
-	// Forward reachability from roots over call/go/defer/closure
-	// edges; BFS for shortest chains. Waived nodes absorb.
-	marks := map[*CallNode]hotMark{}
-	var queue []*CallNode
-	for _, node := range g.Nodes {
-		if reason, ok := node.Directive(HotPathDirective); ok && reason != "" && !allocWaived(node) {
-			marks[node] = hotMark{root: node}
-			queue = append(queue, node)
-		}
-	}
-	for len(queue) > 0 {
-		node := queue[0]
-		queue = queue[1:]
-		for _, e := range node.Out {
-			switch e.Kind {
-			case EdgeCall, EdgeGo, EdgeDefer, EdgeClosure:
-			default:
-				continue
-			}
-			callee := e.Callee
-			if _, seen := marks[callee]; seen || allocWaived(callee) {
-				continue
-			}
-			marks[callee] = hotMark{prev: node, root: marks[node].root}
-			queue = append(queue, callee)
+		if node.waived(HotPathDirective) {
+			roots = append(roots, node)
 		}
 	}
 
-	// Report every allocation site in every hot node, with the chain
-	// from its root.
-	for _, node := range g.Nodes {
-		if _, hot := marks[node]; !hot {
-			continue
-		}
+	// Forward reachability from roots over call/go/defer/closure edges;
+	// waived nodes absorb. Report every allocation site in every hot
+	// node, with the chain from its root.
+	hot := Reach(roots, Callees, StaticEdges, allocWaived)
+	for _, node := range hot.Order {
 		for _, site := range allocSites(node) {
 			pass.Reportf(node.Pkg.Fset, site.pos,
 				"hot path must not allocate: %s in %s; hoist the allocation out of the serving path, reuse caller-provided or pooled memory, or annotate the function with %s <reason>",
-				site.desc, hotChainString(node, marks), AllocOKDirective)
+				site.desc, hot.Chain(node), AllocOKDirective)
 		}
 	}
 
@@ -136,11 +96,20 @@ func runHotPathAlloc(pass *ProjectPass) {
 	// nothing is stale and must be removed. "Silences" means the waived
 	// function's own body, or anything reachable from it (through
 	// further waived nodes too), contains at least one allocation site.
+	// A call to a function the graph has no body for — another module,
+	// or a project package outside the current run's scope, resolved
+	// only through export data — counts too: the callee may allocate,
+	// so the waiver can never be proven stale. Without this the verdict
+	// would flip between full-tree and subset runs.
 	for _, node := range g.Nodes {
 		if !allocWaived(node) {
 			continue
 		}
-		if !waiverUseful(g, node) {
+		useful := false
+		for _, n := range Reach([]*CallNode{node}, Callees, StaticEdges, nil).Order {
+			useful = useful || len(allocSites(n)) > 0 || callsOutsideGraph(g, n)
+		}
+		if !useful {
 			pass.Reportf(node.Pkg.Fset, node.Pos(),
 				"%s on %s waives nothing: no allocation site in its body or anything it reaches; remove the stale waiver", AllocOKDirective, node.Name())
 		}
@@ -149,41 +118,7 @@ func runHotPathAlloc(pass *ProjectPass) {
 
 // allocWaived reports whether the node carries a usable allocok
 // directive (reason required).
-func allocWaived(node *CallNode) bool {
-	r, ok := node.Directive(AllocOKDirective)
-	return ok && r != ""
-}
-
-// waiverUseful reports whether an allocok waiver on node silences at
-// least one allocation site in node's body or its reachable subtree.
-// A call to a function the graph has no body for — another module, or
-// a project package outside the current run's scope, resolved only
-// through export data — counts as useful too: the callee may
-// allocate, so the waiver can never be proven stale. Without this the
-// verdict would flip between full-tree and subset runs.
-func waiverUseful(g *CallGraph, node *CallNode) bool {
-	seen := map[*CallNode]bool{}
-	var walk func(n *CallNode) bool
-	walk = func(n *CallNode) bool {
-		if seen[n] {
-			return false
-		}
-		seen[n] = true
-		if len(allocSites(n)) > 0 || callsOutsideGraph(g, n) {
-			return true
-		}
-		for _, e := range n.Out {
-			switch e.Kind {
-			case EdgeCall, EdgeGo, EdgeDefer, EdgeClosure:
-				if walk(e.Callee) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(node)
-}
+func allocWaived(node *CallNode) bool { return node.waived(AllocOKDirective) }
 
 // callsOutsideGraph reports whether n's body calls a declared function
 // that has no node in the graph, i.e. one whose body the analysis
@@ -210,19 +145,6 @@ func callsOutsideGraph(g *CallGraph, n *CallNode) bool {
 		return true
 	})
 	return found
-}
-
-// hotChainString renders the path from the root annotation to node,
-// e.g. "(*Server).Handle → authserver.apexFor".
-func hotChainString(node *CallNode, marks map[*CallNode]hotMark) string {
-	var parts []string
-	for n := node; n != nil; n = marks[n].prev {
-		parts = append(parts, n.Name())
-	}
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return strings.Join(parts, " → ")
 }
 
 // allocSites scans a node's own body (nested literals excluded: they
@@ -270,17 +192,13 @@ func allocSites(node *CallNode) []allocSite {
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if _, isMap := info.TypeOf(idx.X).Underlying().(*types.Map); isMap {
-						add(lhs.Pos(), "a map write")
-					}
+				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isMap(info.TypeOf(idx.X)) {
+					add(lhs.Pos(), "a map write")
 				}
 			}
 		case *ast.IncDecStmt:
-			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok {
-				if _, isMap := info.TypeOf(idx.X).Underlying().(*types.Map); isMap {
-					add(n.Pos(), "a map write")
-				}
+			if idx, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && isMap(info.TypeOf(idx.X)) {
+				add(n.Pos(), "a map write")
 			}
 		}
 		return true
@@ -292,21 +210,18 @@ func allocSites(node *CallNode) []allocSite {
 // string conversions, fmt/errors.New calls, and interface boxing of
 // concrete non-pointer arguments.
 func checkCallAlloc(info *types.Info, call *ast.CallExpr, owned map[types.Object]bool, add func(token.Pos, string)) {
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				add(call.Pos(), "a make call")
-			case "new":
-				add(call.Pos(), "a new call")
-			case "append":
-				if len(call.Args) > 0 && !bufferOwned(info, call.Args[0], owned) {
-					add(call.Pos(), "an append into a fresh (non-caller-owned) buffer")
-				}
+	if builtin := builtinCall(info, call); builtin != "" {
+		switch builtin {
+		case "make":
+			add(call.Pos(), "a make call")
+		case "new":
+			add(call.Pos(), "a new call")
+		case "append":
+			if len(call.Args) > 0 && !ownedExpr(info, call.Args[0], owned) {
+				add(call.Pos(), "an append into a fresh (non-caller-owned) buffer")
 			}
-			return
 		}
+		return
 	}
 	// Conversions: string <-> []byte / []rune.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
@@ -370,15 +285,7 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, owned map[types.Object
 
 // isByteOrRuneSlice reports whether t is []byte or []rune.
 func isByteOrRuneSlice(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+	return isByteSlice(t) || isSliceOf(t, types.Int32)
 }
 
 // capturesVariables reports whether the literal references objects
@@ -504,10 +411,8 @@ func ownedExpr(info *types.Info, e ast.Expr, owned map[types.Object]bool) bool {
 	case *ast.IndexExpr:
 		return ownedExpr(info, e.X, owned)
 	case *ast.CallExpr:
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "append" && len(e.Args) > 0 {
-				return ownedExpr(info, e.Args[0], owned)
-			}
+		if builtinCall(info, e) == "append" && len(e.Args) > 0 {
+			return ownedExpr(info, e.Args[0], owned)
 		}
 		// Append-style call: the buffer is threaded through as an
 		// argument and (by the idiom's contract) returned.
@@ -519,12 +424,6 @@ func ownedExpr(info *types.Info, e ast.Expr, owned map[types.Object]bool) bool {
 		return false
 	}
 	return false
-}
-
-// bufferOwned reports whether an append destination resolves to
-// caller-owned capacity.
-func bufferOwned(info *types.Info, e ast.Expr, owned map[types.Object]bool) bool {
-	return ownedExpr(info, e, owned)
 }
 
 // isLocalArray reports whether e denotes a variable (or pointer to

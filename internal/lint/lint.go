@@ -3,21 +3,31 @@
 // It exists because the reproduction's scientific claims rest on
 // invariants the Go compiler cannot check:
 //
-//   - the synthetic population and analysis layers must be bit-for-bit
-//     deterministic, or the Table 2 / Figure 1 calibration stops being
-//     reproducible (analyzers: determinism);
-//   - the hand-rolled DNS wire codec must never index past buffer
-//     bounds on adversarial input — the parser-robustness failure class
-//     that NSEC3 CPU-exhaustion attacks exploit at measurement scale
-//     (analyzer: wiresafety);
-//   - errors, lock copies, and magic protocol numbers must not slip in
-//     as the scanner grows toward production scale (analyzers:
-//     errdiscard, copylock, rfcconst).
+//   - generation, aggregation and merging must be pure functions of the
+//     seed, at any shard split, or the Table 2 / Figure 1 calibration
+//     stops being reproducible (determinism, mergepurity);
+//   - the hand-rolled DNS wire codec must survive adversarial bytes —
+//     no index past a buffer bound, no attacker-sized allocation or
+//     loop — the parser-robustness failure class that NSEC3
+//     CPU-exhaustion attacks exploit at measurement scale (wiresafety,
+//     wiretaint);
+//   - the concurrent pipeline must stay stoppable and leak-free:
+//     cancellation reaches every blocking call, goroutines terminate,
+//     locks are neither copied nor re-entered (ctxprop, goleak,
+//     lockorder, copylock);
+//   - the serving path must stay allocation-free and its recycled
+//     buffers unaliased (hotpathalloc, bufalias, poolsafe);
+//   - errors and magic protocol numbers must not slip in as the scanner
+//     grows toward production scale (errdiscard, rfcconst).
 //
 // The framework intentionally mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) without
 // depending on it, honoring the repository's stdlib-only constraint.
-// The cmd/reprolint driver loads packages and runs Analyzers().
+// Analyzers share three pieces instead of each growing its own: the
+// call graph with its one search (callgraph.go: Reach), the
+// statement-flow walker (flow.go), and the //repro: directive table
+// (suppress.go). The cmd/reprolint driver loads packages and runs
+// Analyzers().
 package lint
 
 import (
@@ -141,28 +151,24 @@ func pathSuffixMatch(path, suffix string) bool {
 	return strings.HasSuffix(path, "/"+suffix)
 }
 
-// inScope reports whether the analyzer applies to the file named
-// filename inside the package with import path pkgPath.
-func (a *Analyzer) inScope(pkgPath, filename string) bool {
-	for _, ex := range a.ExemptFiles {
-		if pathSuffixMatch(filename, ex) {
-			return false
-		}
-	}
-	if len(a.Packages) == 0 {
-		return true
-	}
-	for _, p := range a.Packages {
-		if pathSuffixMatch(pkgPath, p) {
-			return true
-		}
-	}
-	for _, f := range a.ExtraFiles {
-		if pathSuffixMatch(filename, f) {
+// matchesAny reports whether path ends, segment-aligned, with any of
+// the suffixes.
+func matchesAny(path string, suffixes []string) bool {
+	for _, s := range suffixes {
+		if pathSuffixMatch(path, s) {
 			return true
 		}
 	}
 	return false
+}
+
+// inScope reports whether the analyzer applies to the file named
+// filename inside the package with import path pkgPath.
+func (a *Analyzer) inScope(pkgPath, filename string) bool {
+	if matchesAny(filename, a.ExemptFiles) {
+		return false
+	}
+	return len(a.Packages) == 0 || matchesAny(pkgPath, a.Packages) || matchesAny(filename, a.ExtraFiles)
 }
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -187,7 +193,6 @@ func Analyzers() []*Analyzer {
 		ErrDiscardAnalyzer,
 		CopyLockAnalyzer,
 		RFCConstAnalyzer,
-		DeterTaintAnalyzer,
 		GoLeakAnalyzer,
 		LockOrderAnalyzer,
 		CtxPropAnalyzer,
@@ -315,3 +320,47 @@ func isPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	}
 	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
+
+// builtinCall returns the name of the builtin e calls ("append", "len",
+// "make", ...), or "" when e is anything else — a shadowing declaration
+// of the same name included.
+func builtinCall(info *types.Info, e ast.Expr) string {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
+		return ""
+	}
+	return id.Name
+}
+
+// isMap reports whether t is a map type.
+func isMap(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
+}
+
+// isSliceOf reports whether t is a slice whose element is the basic
+// kind elem; isByteSlice is the wire-buffer case (arrays and strings
+// are out of scope everywhere it is asked).
+func isSliceOf(t types.Type, elem types.BasicKind) bool {
+	if t == nil {
+		return false
+	}
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == elem
+}
+
+func isByteSlice(t types.Type) bool { return isSliceOf(t, types.Uint8) }

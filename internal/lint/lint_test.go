@@ -25,27 +25,23 @@ func goldenName(gc lint.GoldenCase) string {
 	return gc.Root
 }
 
-// goldenDiagnostics renders every golden case's diagnostics in full —
-// one "# <case>" heading, then each Diagnostic.String() with its path
-// relative to testdata/ — the exact-output contract the `// want`
-// prefix regexes cannot give: a chain that loses a hop or a message
-// that changes wording shows up as a diff of this text.
-func goldenDiagnostics(t *testing.T) map[string]string {
+// goldenDiagnostics renders one golden case's diagnostics in full —
+// each Diagnostic.String() with its path relative to testdata/ — the
+// exact-output contract the `// want` prefix regexes cannot give: a
+// chain that loses a hop or a message that changes wording shows up as
+// a diff of this text.
+func goldenDiagnostics(t *testing.T, gc lint.GoldenCase) string {
 	t.Helper()
-	out := map[string]string{}
-	for _, gc := range lint.GoldenCases() {
-		diags, err := lint.RunFixture("testdata", gc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		for _, d := range diags {
-			d.Pos.Filename = strings.TrimPrefix(filepath.ToSlash(d.Pos.Filename), "testdata/")
-			b.WriteString(d.String() + "\n")
-		}
-		out[goldenName(gc)] = b.String()
+	diags, err := lint.RunFixture("testdata", gc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	var b strings.Builder
+	for _, d := range diags {
+		d.Pos.Filename = strings.TrimPrefix(filepath.ToSlash(d.Pos.Filename), "testdata/")
+		b.WriteString(d.String() + "\n")
+	}
+	return b.String()
 }
 
 const diagnosticsGolden = "testdata/diagnostics.golden"
@@ -53,15 +49,14 @@ const diagnosticsGolden = "testdata/diagnostics.golden"
 // TestGolden checks every analyzer's fixture against its `// want`
 // markers through the same harness CI's self-check runs, so a fixture
 // that fails here fails `reprolint -selfcheck` identically — and then
-// against the committed full diagnostic text. LINT_WRITE_GOLDEN=1
-// regenerates that file after a deliberate change; its diff is the
-// review artefact.
+// against the committed full diagnostic text, one "# <case>" block per
+// golden case. LINT_WRITE_GOLDEN=1 regenerates that file after a
+// deliberate change; its diff is the review artefact.
 func TestGolden(t *testing.T) {
-	got := goldenDiagnostics(t)
 	if os.Getenv("LINT_WRITE_GOLDEN") == "1" {
 		var b strings.Builder
 		for _, gc := range lint.GoldenCases() {
-			b.WriteString("# " + goldenName(gc) + "\n" + got[goldenName(gc)])
+			b.WriteString("# " + goldenName(gc) + "\n" + goldenDiagnostics(t, gc))
 		}
 		if err := os.WriteFile(diagnosticsGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -72,16 +67,16 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("committed diagnostics missing (run with LINT_WRITE_GOLDEN=1 to generate): %v", err)
 	}
 	want := map[string]string{}
-	var name string
+	var block string
 	for _, line := range strings.SplitAfter(string(data), "\n") {
 		if heading, ok := strings.CutPrefix(line, "# "); ok {
-			name = strings.TrimSpace(heading)
+			block = strings.TrimSpace(heading)
 		} else {
-			want[name] += line
+			want[block] += line
 		}
 	}
 	for _, gc := range lint.GoldenCases() {
-		name = goldenName(gc)
+		name := goldenName(gc)
 		t.Run(name, func(t *testing.T) {
 			rep, err := lint.CheckFixture("testdata", gc)
 			if err != nil {
@@ -93,8 +88,8 @@ func TestGolden(t *testing.T) {
 			for _, u := range rep.Unexpected {
 				t.Errorf("unexpected diagnostic: %s", u)
 			}
-			if got[name] != want[name] {
-				t.Errorf("diagnostics differ from %s (LINT_WRITE_GOLDEN=1 regenerates)\n--- got\n%s--- want\n%s", diagnosticsGolden, got[name], want[name])
+			if got := goldenDiagnostics(t, gc); got != want[name] {
+				t.Errorf("diagnostics differ from %s (LINT_WRITE_GOLDEN=1 regenerates)\n--- got\n%s--- want\n%s", diagnosticsGolden, got, want[name])
 			}
 		})
 	}

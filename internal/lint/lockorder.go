@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+	"strings"
 )
 
 // LockOrderAnalyzer enforces intra-type lock discipline for the
@@ -25,9 +27,9 @@ import (
 //     that path, leaving the type locked forever.
 //
 // The path analysis is deliberately forgiving: an Unlock anywhere
-// inside a branch releases the tracked lock for the code after it, so
-// the guard-clause idiom (`if done { mu.Unlock(); return }`) stays
-// silent. The analyzer under-reports rather than flagging idioms.
+// inside a branching statement releases the tracked lock for the code
+// after it, so the guard-clause idiom (`if done { mu.Unlock(); return }`)
+// stays silent. The analyzer under-reports rather than flagging idioms.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "flag same-receiver mutex self-deadlocks (lock held across a " +
@@ -148,12 +150,8 @@ func summarizeMethod(node *CallNode) *methodInfo {
 		if !ok {
 			return true
 		}
-		if path, kind, op := receiverLockOp(info, recv, call); op && kind != lockOpUnlock && kind != lockOpRUnlock {
-			if kind == lockOpLock {
-				mi.acquires.add(path, lockWrite)
-			} else {
-				mi.acquires.add(path, lockRead)
-			}
+		if path, kind, acquire, ok := receiverLockOp(info, recv, call); ok && acquire {
+			mi.acquires.add(path, kind)
 			return true
 		}
 		if fn := siblingCall(info, recv, call); fn != nil {
@@ -164,46 +162,30 @@ func summarizeMethod(node *CallNode) *methodInfo {
 	return mi
 }
 
-// lockOp identifies the four sync lock method names.
-type lockOp int
-
-const (
-	lockOpNone lockOp = iota
-	lockOpLock
-	lockOpRLock
-	lockOpUnlock
-	lockOpRUnlock
-)
-
 // receiverLockOp matches calls of the form recv.path.Lock() (or
 // RLock/Unlock/RUnlock) where path is a selector chain rooted at the
-// method receiver and the callee is sync.Mutex or sync.RWMutex.
-func receiverLockOp(info *types.Info, recv *types.Var, call *ast.CallExpr) (path string, op lockOp, ok bool) {
+// method receiver and the callee is sync.Mutex or sync.RWMutex. acquire
+// tells Lock/RLock from Unlock/RUnlock, kind the write from the read
+// pair.
+func receiverLockOp(info *types.Info, recv *types.Var, call *ast.CallExpr) (path string, kind lockKind, acquire, ok bool) {
 	sel, selOk := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !selOk {
-		return "", lockOpNone, false
+		return "", 0, false, false
 	}
 	fn, _ := info.Uses[sel.Sel].(*types.Func)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", lockOpNone, false
+		return "", 0, false, false
 	}
 	switch fn.Name() {
-	case "Lock":
-		op = lockOpLock
-	case "RLock":
-		op = lockOpRLock
-	case "Unlock":
-		op = lockOpUnlock
-	case "RUnlock":
-		op = lockOpRUnlock
+	case "Lock", "Unlock":
+		kind = lockWrite
+	case "RLock", "RUnlock":
+		kind = lockRead
 	default:
-		return "", lockOpNone, false
+		return "", 0, false, false
 	}
-	path, rooted := receiverPath(info, recv, sel.X)
-	if !rooted {
-		return "", lockOpNone, false
-	}
-	return path, op, true
+	path, ok = receiverPath(info, recv, sel.X)
+	return path, kind, !strings.HasSuffix(fn.Name(), "Unlock"), ok
 }
 
 // receiverPath renders a selector chain ("mu", "inner.mu") if it is
@@ -281,122 +263,77 @@ type heldLock struct {
 	pos      token.Pos
 }
 
-// checkMethodPaths walks one method's statements tracking which
-// receiver locks are held, reporting re-acquiring sibling calls and
-// defer-less early returns.
+// heldLocks is the flow state: the receiver locks held on the current
+// path, by lock path.
+type heldLocks map[string]heldLock
+
+// checkMethodPaths walks one method's statements on the shared flow
+// walker, tracking which receiver locks are held, reporting
+// re-acquiring sibling calls and defer-less early returns.
 func checkMethodPaths(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*methodInfo) {
-	held := map[string]*heldLock{}
-	walkHeldStmts(pass, mi, byFunc, mi.node.Decl.Body.List, held)
-}
-
-// cloneHeld copies the held map for branch-local tracking.
-func cloneHeld(held map[string]*heldLock) map[string]*heldLock {
-	out := make(map[string]*heldLock, len(held))
-	for k, v := range held {
-		c := *v
-		out[k] = &c
-	}
-	return out
-}
-
-// walkHeldStmts processes a statement list sequentially.
-func walkHeldStmts(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*methodInfo, stmts []ast.Stmt, held map[string]*heldLock) {
 	info := mi.node.Pkg.Info
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if path, op, ok := receiverLockOp(info, mi.recv, call); ok {
-					switch op {
-					case lockOpLock:
-						held[path] = &heldLock{kind: lockWrite, pos: call.Pos()}
-					case lockOpRLock:
-						held[path] = &heldLock{kind: lockRead, pos: call.Pos()}
-					case lockOpUnlock, lockOpRUnlock:
+	fl := flow[heldLocks]{
+		clone: maps.Clone[heldLocks],
+		visit: func(n ast.Node, held heldLocks) {
+			switch s := n.(type) {
+			case *ast.ExprStmt:
+				if call, ok := s.X.(*ast.CallExpr); ok {
+					if path, kind, acquire, ok := receiverLockOp(info, mi.recv, call); ok {
+						if acquire {
+							held[path] = heldLock{kind: kind, pos: call.Pos()}
+						} else {
+							delete(held, path)
+						}
+						return
+					}
+				}
+			case *ast.DeferStmt:
+				if path, _, acquire, ok := receiverLockOp(info, mi.recv, s.Call); ok && !acquire {
+					if h, isHeld := held[path]; isHeld {
+						h.deferred = true
+						held[path] = h
+					}
+					return
+				}
+			}
+			checkLocks(pass, mi, byFunc, n, held)
+			if ret, ok := n.(*ast.ReturnStmt); ok {
+				reportEarlyReturns(pass, mi, ret, held)
+			}
+		},
+		// After a branching statement a lock is held only if every
+		// continuing path holds it — and not even then if some branch,
+		// continuing or not, unlocks it: the lock may or may not be held
+		// afterwards, and the analyzer prefers silence to guessing.
+		join: func(of ast.Stmt, falls []heldLocks) heldLocks {
+			held := falls[0]
+			for _, other := range falls[1:] {
+				for path := range held {
+					if _, both := other[path]; !both {
 						delete(held, path)
 					}
-					continue
 				}
 			}
-			checkExprLocks(pass, mi, byFunc, s.X, held)
-		case *ast.DeferStmt:
-			if path, op, ok := receiverLockOp(info, mi.recv, s.Call); ok && (op == lockOpUnlock || op == lockOpRUnlock) {
-				if h := held[path]; h != nil {
-					h.deferred = true
+			ast.Inspect(of, func(n ast.Node) bool {
+				if _, ok := n.(*ast.FuncLit); ok {
+					return false
 				}
-				continue
-			}
-			checkExprLocks(pass, mi, byFunc, s.Call, held)
-		case *ast.ReturnStmt:
-			for _, e := range s.Results {
-				checkExprLocks(pass, mi, byFunc, e, held)
-			}
-			reportEarlyReturns(pass, mi, s, held)
-		case *ast.IfStmt:
-			if s.Init != nil {
-				walkHeldStmts(pass, mi, byFunc, []ast.Stmt{s.Init}, held)
-			}
-			checkExprLocks(pass, mi, byFunc, s.Cond, held)
-			walkHeldStmts(pass, mi, byFunc, s.Body.List, cloneHeld(held))
-			if s.Else != nil {
-				walkHeldStmts(pass, mi, byFunc, []ast.Stmt{s.Else}, cloneHeld(held))
-			}
-			releaseBranchUnlocks(info, mi.recv, s, held)
-		case *ast.BlockStmt:
-			walkHeldStmts(pass, mi, byFunc, s.List, held)
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt, *ast.LabeledStmt:
-			inner := branchBody(s)
-			walkHeldStmts(pass, mi, byFunc, inner, cloneHeld(held))
-			releaseBranchUnlocks(info, mi.recv, s, held)
-		default:
-			checkStmtLocks(pass, mi, byFunc, stmt, held)
-		}
+				if call, ok := n.(*ast.CallExpr); ok {
+					if path, _, acquire, ok := receiverLockOp(info, mi.recv, call); ok && !acquire {
+						delete(held, path)
+					}
+				}
+				return true
+			})
+			return held
+		},
 	}
-}
-
-// branchBody flattens the statement lists nested under a branching
-// statement so the walk can recurse uniformly.
-func branchBody(s ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	ast.Inspect(s, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			out = append(out, n.List...)
-			return false
-		case *ast.CaseClause:
-			out = append(out, n.Body...)
-			return false
-		case *ast.CommClause:
-			out = append(out, n.Body...)
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// releaseBranchUnlocks drops tracked locks that some branch of s
-// unlocks: after the branch the lock may or may not be held, and the
-// analyzer prefers silence to guessing.
-func releaseBranchUnlocks(info *types.Info, recv *types.Var, s ast.Stmt, held map[string]*heldLock) {
-	ast.Inspect(s, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if path, op, ok := receiverLockOp(info, recv, call); ok && (op == lockOpUnlock || op == lockOpRUnlock) {
-			delete(held, path)
-		}
-		return true
-	})
+	fl.walk(mi.node.Decl.Body.List, heldLocks{})
 }
 
 // reportEarlyReturns flags returns reached while a defer-less lock is
 // held.
-func reportEarlyReturns(pass *ProjectPass, mi *methodInfo, ret *ast.ReturnStmt, held map[string]*heldLock) {
+func reportEarlyReturns(pass *ProjectPass, mi *methodInfo, ret *ast.ReturnStmt, held heldLocks) {
 	paths := make([]string, 0, len(held))
 	for path, h := range held {
 		if !h.deferred {
@@ -411,29 +348,14 @@ func reportEarlyReturns(pass *ProjectPass, mi *methodInfo, ret *ast.ReturnStmt, 
 	}
 }
 
-// checkStmtLocks scans a statement's expressions for sibling calls
-// while locks are held (assignments, sends, declarations...).
-func checkStmtLocks(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*methodInfo, stmt ast.Stmt, held map[string]*heldLock) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if e, ok := n.(ast.Expr); ok {
-			checkExprLocks(pass, mi, byFunc, e, held)
-			return false
-		}
-		return true
-	})
-}
-
-// checkExprLocks reports sibling calls inside e that can re-acquire a
-// lock currently held.
-func checkExprLocks(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*methodInfo, e ast.Expr, held map[string]*heldLock) {
-	if e == nil || len(held) == 0 {
+// checkLocks reports sibling calls anywhere under root (function
+// literals excluded) that can re-acquire a lock currently held.
+func checkLocks(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*methodInfo, root ast.Node, held heldLocks) {
+	if len(held) == 0 {
 		return
 	}
 	info := mi.node.Pkg.Info
-	ast.Inspect(e, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}

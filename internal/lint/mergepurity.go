@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // MergePurityAnalyzer is the static twin of the shard-equivalence
@@ -47,8 +46,7 @@ var MergePurityAnalyzer = &Analyzer{
 }
 
 func runMergePurity(pass *ProjectPass) {
-	g := pass.Project.Graph
-	for _, node := range g.Nodes {
+	for _, node := range pass.Project.Graph.Nodes {
 		if node.Func == nil || node.Decl == nil || node.Decl.Recv == nil {
 			continue
 		}
@@ -63,38 +61,21 @@ func runMergePurity(pass *ProjectPass) {
 	}
 }
 
+// mergeEdges is what a Merge can run synchronously: a goroutine it
+// spawns or a function value it hands out is not part of the fold.
+var mergeEdges = Edges(EdgeCall, EdgeDefer, EdgeClosure, EdgeDynamic)
+
 // checkMergeNondet walks forward from Merge over the call graph and
-// reports the first reachable nondeterminism source with its chain
-// (rule 1). Sanctioned nodes absorb, exactly as in detertaint.
+// reports the nearest reachable nondeterminism source with its chain
+// (rule 1). Sanctioned nodes absorb, exactly as in determinism.
 func checkMergeNondet(pass *ProjectPass, merge *CallNode) {
-	prev := map[*CallNode]*CallNode{merge: nil}
-	queue := []*CallNode{merge}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if src, ok := directSource(n); ok {
-			var parts []string
-			for at := n; at != nil; at = prev[at] {
-				parts = append([]string{at.Name()}, parts...)
-			}
-			parts = append(parts, src.desc)
+	reached := Reach([]*CallNode{merge}, Callees, mergeEdges, sanctioned)
+	for _, n := range reached.Order {
+		if src, ok := taintingSource(n); ok {
 			pass.Reportf(merge.Pkg.Fset, merge.Pos(),
-				"%s reaches nondeterminism source %s: %s; a merge result must not depend on when or in what order shards fold, or annotate with %s <reason>",
-				merge.Name(), src.desc, strings.Join(parts, " → "), NondetDirective)
+				"%s reaches nondeterminism source %s: %s → %s; a merge result must not depend on when or in what order shards fold, or annotate with %s <reason>",
+				merge.Name(), src.desc, reached.Chain(n), src.desc, NondetDirective)
 			return
-		}
-		for _, e := range n.Out {
-			switch e.Kind {
-			case EdgeCall, EdgeDefer, EdgeClosure, EdgeDynamic:
-			default:
-				continue
-			}
-			callee := e.Callee
-			if _, seen := prev[callee]; seen || sanctioned(callee) {
-				continue
-			}
-			prev[callee] = n
-			queue = append(queue, callee)
 		}
 	}
 }
@@ -150,11 +131,7 @@ func checkMergeBody(pass *ProjectPass, node *CallNode) {
 		if !ok {
 			return true
 		}
-		t := info.TypeOf(rs.X)
-		if t == nil {
-			return true
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
+		if !isMap(info.TypeOf(rs.X)) {
 			return true
 		}
 		rangeVars := rangeVarObjs(info, rs)
@@ -163,7 +140,7 @@ func checkMergeBody(pass *ProjectPass, node *CallNode) {
 	})
 
 	// Rule 4: overwrites of mergeable or argument-copied fields.
-	checkFieldOverwrites(pass, node, recv, params, node.Body().List, false)
+	checkFieldOverwrites(pass, node, recv, params)
 }
 
 func isFloatType(t types.Type) bool {
@@ -294,17 +271,10 @@ func isStringType(t types.Type) bool {
 // isAppendOf reports whether e is append(..., x...) with a
 // range-var-dependent appended value.
 func isAppendOf(info *types.Info, e ast.Expr, rangeVars map[types.Object]bool) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
+	if builtinCall(info, e) != "append" {
 		return false
 	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
-		return false
-	}
+	call := ast.Unparen(e).(*ast.CallExpr)
 	for _, arg := range call.Args[1:] {
 		if mentionsAny(info, arg, rangeVars) {
 			return true
@@ -327,47 +297,34 @@ func hasMergeMethod(t types.Type) bool {
 	return false
 }
 
-// checkFieldOverwrites walks statements enforcing rule 4, carrying
-// whether the current branch is dominated by a comparison that
-// mentions the Merge argument (the max/min idiom).
-func checkFieldOverwrites(pass *ProjectPass, node *CallNode, recv types.Object, params map[types.Object]bool, stmts []ast.Stmt, guarded bool) {
+// checkFieldOverwrites enforces rule 4 on the shared flow walker. The
+// state is one fact: whether the current path is dominated by a
+// comparison that mentions the Merge argument (the max/min idiom) —
+// inside either branch of such an if, or after it when its body exits.
+func checkFieldOverwrites(pass *ProjectPass, node *CallNode, recv types.Object, params map[types.Object]bool) {
 	info := node.Pkg.Info
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.IfStmt:
-			g := guarded || mentionsAny(info, s.Cond, params)
-			checkFieldOverwrites(pass, node, recv, params, s.Body.List, g)
-			if s.Else != nil {
-				checkFieldOverwrites(pass, node, recv, params, []ast.Stmt{s.Else}, g)
-			}
-		case *ast.BlockStmt:
-			checkFieldOverwrites(pass, node, recv, params, s.List, guarded)
-		case *ast.ForStmt:
-			checkFieldOverwrites(pass, node, recv, params, s.Body.List, guarded)
-		case *ast.RangeStmt:
-			checkFieldOverwrites(pass, node, recv, params, s.Body.List, guarded)
-		case *ast.SwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					checkFieldOverwrites(pass, node, recv, params, cc.Body, guarded)
-				}
-			}
-		case *ast.LabeledStmt:
-			checkFieldOverwrites(pass, node, recv, params, []ast.Stmt{s.Stmt}, guarded)
-		case *ast.AssignStmt:
-			if s.Tok != token.ASSIGN {
-				continue
+	fl := flow[*bool]{
+		clone: func(guarded *bool) *bool { g := *guarded; return &g },
+		visit: func(n ast.Node, guarded *bool) {
+			s, ok := n.(*ast.AssignStmt)
+			if !ok || s.Tok != token.ASSIGN {
+				return
 			}
 			for i, lhs := range s.Lhs {
-				lhs = ast.Unparen(lhs)
 				var rhs ast.Expr
 				if i < len(s.Rhs) {
 					rhs = s.Rhs[i]
 				}
-				checkOneOverwrite(pass, node, recv, params, lhs, rhs, guarded)
+				checkOneOverwrite(pass, node, recv, params, ast.Unparen(lhs), rhs, *guarded)
 			}
-		}
+		},
+		enter: func(of ast.Stmt, guarded *bool) {
+			if s, ok := of.(*ast.IfStmt); ok && mentionsAny(info, s.Cond, params) {
+				*guarded = true
+			}
+		},
 	}
+	fl.walk(node.Body().List, new(bool))
 }
 
 // checkOneOverwrite judges a single lhs = rhs against rule 4.

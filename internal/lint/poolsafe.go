@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"maps"
 )
 
 // PoolSafeAnalyzer enforces sync.Pool discipline on the pooled-buffer
@@ -13,16 +15,16 @@ import (
 // returns the allocations hotpathalloc just removed) or a data race
 // (two goroutines sharing one recycled buffer).
 //
-// The analysis is intra-procedural and flow-sensitive: branches fork
-// the tracking state and rejoin conservatively (a value Put on one
-// fall-through branch but not the other reports nothing — only
-// definite violations are findings). Ownership transfers end the
-// obligation: returning the value, passing it to a go or defer call
-// (defer pool.Put(x) and defer release(x) both count), sending it on a
-// channel, storing it into a field, global, map, or slice, or
-// capturing it in a function literal. Plain calls are borrows. Values
-// escaping this way are the callee's responsibility; the analyzer
-// tracks each function's own obligations only.
+// The analysis is intra-procedural and flow-sensitive, on the shared
+// flow walker: branches fork the tracking state and rejoin
+// conservatively (a value Put on one fall-through branch but not the
+// other reports nothing — only definite violations are findings).
+// Ownership transfers end the obligation: returning the value, passing
+// it to a go or defer call (defer pool.Put(x) and defer release(x) both
+// count), sending it on a channel, storing it into a field, global,
+// map, or slice, or capturing it in a function literal. Plain calls are
+// borrows. Values escaping this way are the callee's responsibility;
+// the analyzer tracks each function's own obligations only.
 //
 // A Get inside a loop must resolve its obligation within the
 // iteration: a pool value still live at a continue or at the end of
@@ -44,31 +46,60 @@ const (
 	poolMaybe                  // branches disagree; only definite bugs report
 )
 
+// poolFacts is the flow state: every tracked Get result, and the loop
+// the walk is currently inside.
+type poolFacts struct {
+	state map[types.Object]poolState
+	// loop is the body of the innermost enclosing loop, nil outside
+	// one. A Get result declared inside it owes its Put before the
+	// iteration ends.
+	loop *ast.BlockStmt
+}
+
 func runPoolSafe(pass *Pass) {
+	w := &poolWalker{pass: pass, info: pass.Info}
+	fl := flow[*poolFacts]{
+		clone: func(st *poolFacts) *poolFacts {
+			return &poolFacts{state: maps.Clone(st.state), loop: st.loop}
+		},
+		visit: w.visit,
+		enter: func(of ast.Stmt, st *poolFacts) {
+			if body := loopBody(of); body != nil {
+				st.loop = body
+			}
+		},
+		join: w.join,
+	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &poolWalker{pass: pass, info: pass.Info}
-			st := map[types.Object]poolState{}
-			terminated := w.walkStmts(fd.Body.List, st)
-			if !terminated {
+			st, exits := fl.walk(fd.Body.List, &poolFacts{state: map[types.Object]poolState{}})
+			if !exits {
 				w.flagLive(st)
 			}
 		}
 	}
 }
 
-// poolWalker carries one function's walk.
+// loopBody returns the body of a for or range statement, nil for any
+// other node.
+func loopBody(s ast.Node) *ast.BlockStmt {
+	switch s := s.(type) {
+	case *ast.ForStmt:
+		return s.Body
+	case *ast.RangeStmt:
+		return s.Body
+	}
+	return nil
+}
+
+// poolWalker is the analyzer's transfer function and join.
 type poolWalker struct {
 	pass *Pass
 	info *types.Info
-	// loopLocals, when non-nil, collects Gets performed inside the
-	// innermost loop body, which must resolve before the iteration
-	// ends.
-	loopLocals map[types.Object]bool
 }
 
 // isSyncPoolMethod reports whether call invokes the named method on a
@@ -107,7 +138,7 @@ func isSyncPoolGet(info *types.Info, e ast.Expr) bool {
 
 // trackedIdent resolves an expression to a tracked object, unwrapping
 // parens only — derivations (slices, derefs) are uses, not the value.
-func (w *poolWalker) trackedIdent(e ast.Expr, st map[types.Object]poolState) (types.Object, bool) {
+func (w *poolWalker) trackedIdent(e ast.Expr, st *poolFacts) (types.Object, bool) {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil, false
@@ -119,33 +150,25 @@ func (w *poolWalker) trackedIdent(e ast.Expr, st map[types.Object]poolState) (ty
 	if obj == nil {
 		return nil, false
 	}
-	_, tracked := st[obj]
+	_, tracked := st.state[obj]
 	return obj, tracked
 }
 
-// checkUses reports tracked values read after their Put. The node is
-// scanned for identifiers; exclude suppresses the one identifier that
-// is the current statement's own Put argument.
-func (w *poolWalker) checkUses(node ast.Node, st map[types.Object]poolState, exclude ast.Expr) {
-	if node == nil {
-		return
-	}
+// checkUses reports tracked values read after their Put.
+func (w *poolWalker) checkUses(node ast.Node, st *poolFacts) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
-			return true
-		}
-		if exclude != nil && ast.Unparen(exclude) == ast.Node(id) {
 			return true
 		}
 		obj := w.info.Uses[id]
 		if obj == nil {
 			return true
 		}
-		if st[obj] == poolPut {
+		if st.state[obj] == poolPut {
 			w.pass.Reportf(id.Pos(),
 				"%s is used after being Put back to its sync.Pool; the pool may already have handed it to another goroutine", id.Name)
-			st[obj] = poolGone // one report per violation chain
+			st.state[obj] = poolGone // one report per violation chain
 		}
 		return true
 	})
@@ -153,18 +176,15 @@ func (w *poolWalker) checkUses(node ast.Node, st map[types.Object]poolState, exc
 
 // transferAll marks every tracked value appearing anywhere in node as
 // ownership-transferred.
-func (w *poolWalker) transferAll(node ast.Node, st map[types.Object]poolState) {
-	if node == nil {
-		return
-	}
+func (w *poolWalker) transferAll(node ast.Node, st *poolFacts) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
 		}
 		if obj := w.info.Uses[id]; obj != nil {
-			if s, tracked := st[obj]; tracked && s != poolPut {
-				st[obj] = poolGone
+			if s, tracked := st.state[obj]; tracked && s != poolPut {
+				st.state[obj] = poolGone
 			}
 		}
 		return true
@@ -172,83 +192,74 @@ func (w *poolWalker) transferAll(node ast.Node, st map[types.Object]poolState) {
 }
 
 // flagLive reports every value still owing a Put at a function exit.
-func (w *poolWalker) flagLive(st map[types.Object]poolState) {
-	for obj, s := range st {
+func (w *poolWalker) flagLive(st *poolFacts) {
+	for obj, s := range st.state {
 		if s == poolLive {
 			w.pass.Reportf(obj.Pos(),
 				"sync.Pool Get result %s is not returned to the pool on every path; Put it (or transfer ownership) before this path exits", obj.Name())
-			st[obj] = poolGone
+			st.state[obj] = poolGone
 		}
 	}
 }
 
-// flagLoopLive reports loop-local values still owed at an iteration
-// boundary.
-func (w *poolWalker) flagLoopLive(st map[types.Object]poolState, locals map[types.Object]bool) {
-	for obj := range locals {
-		if st[obj] == poolLive {
+// flagLoopLive reports values declared inside the loop body that are
+// still owed at an iteration boundary.
+func (w *poolWalker) flagLoopLive(st *poolFacts, body *ast.BlockStmt) {
+	for obj, s := range st.state {
+		if s == poolLive && body.Pos() <= obj.Pos() && obj.Pos() < body.End() {
 			w.pass.Reportf(obj.Pos(),
 				"sync.Pool Get result %s leaks once per loop iteration; Put it (or transfer ownership) before the iteration ends", obj.Name())
-			st[obj] = poolGone
+			st.state[obj] = poolGone
 		}
 	}
 }
 
-// cloneState copies the tracking state for a branch.
-func cloneState(st map[types.Object]poolState) map[types.Object]poolState {
-	c := make(map[types.Object]poolState, len(st))
-	for k, v := range st {
-		c[k] = v
-	}
-	return c
-}
-
-// joinStates merges two fall-through branch states into dst:
-// agreement keeps the state, disagreement degrades to poolMaybe.
-func joinStates(dst, a, b map[types.Object]poolState) {
-	for obj := range a {
-		av, bv := a[obj], b[obj]
-		if av == bv {
-			dst[obj] = av
-		} else {
-			dst[obj] = poolMaybe
+// join merges the paths continuing after a statement: agreement keeps
+// a value's state, disagreement degrades it to poolMaybe, and a path
+// that never tracked the value has no say. Falling out of a loop body
+// is an iteration boundary.
+func (w *poolWalker) join(of ast.Stmt, falls []*poolFacts) *poolFacts {
+	out := falls[0]
+	for _, st := range falls {
+		if body := loopBody(of); body != nil {
+			w.flagLoopLive(st, body)
+		}
+		for obj, s := range st.state {
+			if prev, tracked := out.state[obj]; tracked && prev != s {
+				s = poolMaybe
+			}
+			out.state[obj] = s
 		}
 	}
-	for obj := range b {
-		if _, ok := a[obj]; !ok {
-			dst[obj] = poolMaybe
-		}
-	}
+	return out
 }
 
-// walkStmts walks a statement list, returning whether it definitely
-// transfers control away (return, branch, panic).
-func (w *poolWalker) walkStmts(list []ast.Stmt, st map[types.Object]poolState) bool {
-	for _, s := range list {
-		if w.walkStmt(s, st) {
-			return true
+// visit is the transfer function of one leaf statement or control
+// expression.
+func (w *poolWalker) visit(n ast.Node, st *poolFacts) {
+	if call, ok := putCall(w.info, n); ok {
+		if obj, tracked := w.trackedIdent(call.Args[0], st); tracked {
+			switch st.state[obj] {
+			case poolPut:
+				w.pass.Reportf(call.Pos(),
+					"%s is Put back to its sync.Pool twice; the pool may hand the same buffer to two goroutines", obj.Name())
+			case poolLive, poolMaybe:
+				st.state[obj] = poolPut
+			}
+			return
 		}
 	}
-	return false
-}
-
-func (w *poolWalker) walkStmt(stmt ast.Stmt, st map[types.Object]poolState) bool {
-	switch s := stmt.(type) {
+	w.checkUses(n, st)
+	switch s := n.(type) {
 	case *ast.AssignStmt:
-		w.checkUses(s, st, nil)
 		// New Gets: x := pool.Get().(*T).
 		for i, rhs := range s.Rhs {
 			if i >= len(s.Lhs) || !isSyncPoolGet(w.info, rhs) {
 				continue
 			}
 			if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
-				if obj := w.info.Defs[id]; obj != nil {
-					st[obj] = poolLive
-					if w.loopLocals != nil {
-						w.loopLocals[obj] = true
-					}
-				} else if obj := w.info.Uses[id]; obj != nil {
-					st[obj] = poolLive
+				if obj := w.info.ObjectOf(id); obj != nil {
+					st.state[obj] = poolLive
 				}
 			}
 		}
@@ -264,22 +275,8 @@ func (w *poolWalker) walkStmt(stmt ast.Stmt, st map[types.Object]poolState) bool
 			}
 		}
 	case *ast.ExprStmt:
-		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
-		if ok && isSyncPoolMethod(w.info, call, "Put") && len(call.Args) == 1 {
-			if obj, tracked := w.trackedIdent(call.Args[0], st); tracked {
-				switch st[obj] {
-				case poolPut:
-					w.pass.Reportf(call.Pos(),
-						"%s is Put back to its sync.Pool twice; the pool may hand the same buffer to two goroutines", obj.Name())
-				case poolLive, poolMaybe:
-					st[obj] = poolPut
-				}
-				return false
-			}
-		}
-		w.checkUses(s, st, nil)
 		// Function literals passed as arguments may retain captures.
-		if ok {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
 			for _, arg := range call.Args {
 				if lit, isLit := ast.Unparen(arg).(*ast.FuncLit); isLit {
 					w.transferAll(lit, st)
@@ -287,154 +284,32 @@ func (w *poolWalker) walkStmt(stmt ast.Stmt, st map[types.Object]poolState) bool
 			}
 		}
 	case *ast.GoStmt:
-		w.checkUses(s, st, nil)
 		w.transferAll(s.Call, st)
 	case *ast.DeferStmt:
-		w.checkUses(s, st, nil)
 		// defer pool.Put(x) / defer release(x): the obligation is
 		// satisfied at every exit from here on.
 		w.transferAll(s.Call, st)
 	case *ast.SendStmt:
-		w.checkUses(s, st, nil)
 		w.transferAll(s.Value, st)
 	case *ast.ReturnStmt:
-		w.checkUses(s, st, nil)
 		for _, r := range s.Results {
 			w.transferAll(r, st)
 		}
 		w.flagLive(st)
-		return true
 	case *ast.BranchStmt:
 		// A continue ends the iteration: loop-local obligations are due.
-		if w.loopLocals != nil && s.Tok.String() == "continue" {
-			w.flagLoopLive(st, w.loopLocals)
+		if st.loop != nil && s.Tok == token.CONTINUE {
+			w.flagLoopLive(st, st.loop)
 		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.checkUses(s.Cond, st, nil)
-		bodySt := cloneState(st)
-		bodyTerm := w.walkStmts(s.Body.List, bodySt)
-		elseSt := cloneState(st)
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseSt)
-		}
-		switch {
-		case bodyTerm && elseTerm:
-			return true
-		case bodyTerm:
-			replaceState(st, elseSt)
-		case elseTerm:
-			replaceState(st, bodySt)
-		default:
-			joinStates(st, bodySt, elseSt)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.checkUses(s.Cond, st, nil)
-		}
-		w.walkLoopBody(s.Body, st)
-		if s.Post != nil {
-			w.walkStmt(s.Post, st)
-		}
-	case *ast.RangeStmt:
-		w.checkUses(s.X, st, nil)
-		w.walkLoopBody(s.Body, st)
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.checkUses(s.Tag, st, nil)
-		w.walkClauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.walkClauses(s.Body.List, st)
-	case *ast.SelectStmt:
-		w.walkClauses(s.Body.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	default:
-		w.checkUses(stmt, st, nil)
-	}
-	return false
-}
-
-// replaceState overwrites dst with src in place.
-func replaceState(dst, src map[types.Object]poolState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
 	}
 }
 
-// walkLoopBody walks a loop body once with its own loop-local Get set,
-// then joins the result conservatively with the pre-loop state (zero
-// iterations must stay sound).
-func (w *poolWalker) walkLoopBody(body *ast.BlockStmt, st map[types.Object]poolState) {
-	saved := w.loopLocals
-	w.loopLocals = map[types.Object]bool{}
-	bodySt := cloneState(st)
-	terminated := w.walkStmts(body.List, bodySt)
-	if !terminated {
-		w.flagLoopLive(bodySt, w.loopLocals)
+// putCall matches the statement pool.Put(x).
+func putCall(info *types.Info, n ast.Node) (*ast.CallExpr, bool) {
+	es, ok := n.(*ast.ExprStmt)
+	if !ok {
+		return nil, false
 	}
-	w.loopLocals = saved
-	joinStates(st, st, bodySt)
-}
-
-// walkClauses walks switch/select clause bodies, each on a cloned
-// state, joining all fall-through results.
-func (w *poolWalker) walkClauses(clauses []ast.Stmt, st map[types.Object]poolState) {
-	base := cloneState(st)
-	first := true
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range cc.List {
-				w.checkUses(e, base, nil)
-			}
-			body = cc.Body
-		case *ast.CommClause:
-			clSt := cloneState(base)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, clSt)
-			}
-			if !w.walkStmts(cc.Body, clSt) {
-				if first {
-					replaceState(st, clSt)
-					first = false
-				} else {
-					joinStates(st, st, clSt)
-				}
-			}
-			continue
-		default:
-			continue
-		}
-		clSt := cloneState(base)
-		if !w.walkStmts(body, clSt) {
-			if first {
-				replaceState(st, clSt)
-				first = false
-			} else {
-				joinStates(st, st, clSt)
-			}
-		}
-	}
-	if first {
-		replaceState(st, base)
-	}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	return call, ok && isSyncPoolMethod(info, call, "Put") && len(call.Args) == 1
 }

@@ -31,3 +31,15 @@ type RealDoer struct{}
 func (RealDoer) Do() {}
 
 func dispatch(d Doer) { d.Do() }
+
+// inner and outer give callee a caller two hops away that also calls it
+// directly: the shape that tells a shortest chain from any chain. top
+// reaches callee through inner only.
+func inner() { callee() }
+
+func top() { inner() }
+
+func outer() {
+	inner()
+	callee()
+}

@@ -90,7 +90,7 @@ func countRange(m map[string]int) int {
 
 // annotatedRoot is a near miss: the //repro:nondeterministic directive
 // (with a reason) marks a sanctioned root, so the intraprocedural scan
-// skips the body; detertaint audits the directive itself.
+// skips the body.
 //
 //repro:nondeterministic fixture: telemetry clock, never report data
 func annotatedRoot() time.Time {
@@ -98,9 +98,9 @@ func annotatedRoot() time.Time {
 }
 
 // bareAnnotation does NOT waive the finding: a directive without a
-// reason is no waiver (and detertaint reports the directive).
+// reason is no waiver, and is a finding of its own.
 //
 //repro:nondeterministic
-func bareAnnotation() time.Time {
+func bareAnnotation() time.Time { // want `//repro:nondeterministic directive without a reason`
 	return time.Now() // want `call to time.Now leaks the wall clock`
 }

@@ -106,3 +106,11 @@ func Conflicted() { // want `//repro:hotpath and //repro:allocok on the same dec
 func Idle(n int) int { // want `//repro:allocok on hotfix\.Idle waives nothing`
 	return n + 1
 }
+
+// Misspelled meant to be a root; the typo would silently drop it out of
+// the proof, so the unknown name is itself a finding.
+//
+//repro:hotpaht fixture: transposed letters
+func Misspelled() { // want `unknown directive //repro:hotpaht; known: //repro:allocok, //repro:ctxexempt, //repro:hotpath, //repro:nondeterministic, //repro:wiretrusted`
+	_ = make([]byte, 8)
+}

@@ -86,3 +86,102 @@ func Window(b []byte) []byte {
 	end := binary.BigEndian.Uint32(b)
 	return b[:end] // want `slice bound derived from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.Window`
 }
+
+// SelectSend sizes an allocation inside a select's communication
+// clause — a statement position of its own, not part of any body.
+func SelectSend(b []byte, ch chan []byte) {
+	n := binary.BigEndian.Uint32(b)
+	select {
+	case ch <- make([]byte, n): // want `make sized from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.SelectSend`
+	default:
+	}
+}
+
+// SelectSendSafe is the guarded twin.
+func SelectSendSafe(b []byte, ch chan []byte) {
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b) {
+		return
+	}
+	select {
+	case ch <- make([]byte, n):
+	default:
+	}
+}
+
+// PostAlloc allocates in a for statement's post clause.
+func PostAlloc(b []byte) []byte {
+	n := binary.BigEndian.Uint32(b)
+	var out []byte
+	for i := 0; i < 2; out = make([]byte, n) { // want `make sized from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.PostAlloc`
+		i++
+	}
+	return out
+}
+
+// PostAllocSafe is the guarded twin.
+func PostAllocSafe(b []byte) []byte {
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b) {
+		return nil
+	}
+	var out []byte
+	for i := 0; i < 2; out = make([]byte, n) {
+		i++
+	}
+	return out
+}
+
+// SwitchInit allocates in a type switch's init statement.
+func SwitchInit(b []byte, v any) int {
+	n := binary.BigEndian.Uint32(b)
+	switch out := make([]byte, n); v.(type) { // want `make sized from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.SwitchInit`
+	case int:
+		return len(out)
+	}
+	return 0
+}
+
+// SwitchInitSafe is the guarded twin.
+func SwitchInitSafe(b []byte, v any) int {
+	n := int(binary.BigEndian.Uint32(b))
+	if n > len(b) {
+		return 0
+	}
+	switch out := make([]byte, n); v.(type) {
+	case int:
+		return len(out)
+	}
+	return 0
+}
+
+// CaseExpr indexes by a wire offset inside a case expression.
+func CaseExpr(b []byte, want byte) bool {
+	off := binary.BigEndian.Uint32(b)
+	switch want {
+	case b[off]: // want `slice index derived from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.CaseExpr`
+		return true
+	}
+	return false
+}
+
+// LoopCond slices by a wire bound inside a for condition that is not
+// itself a comparison against the wire value.
+func LoopCond(b []byte) int {
+	end := binary.BigEndian.Uint32(b)
+	n := 0
+	for len(b[:end]) > n { // want `slice bound derived from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.LoopCond`
+		n++
+	}
+	return n
+}
+
+// SwitchAssign allocates in a type switch's assign statement.
+func SwitchAssign(b []byte, box func([]byte) any) int {
+	n := binary.BigEndian.Uint32(b)
+	switch v := box(make([]byte, n)).(type) { // want `make sized from untrusted wire bytes without a dominating bounds guard: untrusted wire bytes → wire\.SwitchAssign`
+	case int:
+		return v
+	}
+	return 0
+}

@@ -41,14 +41,13 @@ var WireSafetyAnalyzer = &Analyzer{
 }
 
 func runWireSafety(pass *Pass) {
+	w := &wireWalker{pass: pass}
+	w.flow = flow[*guardEnv]{clone: (*guardEnv).clone, visit: w.visit, enter: w.enter}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				w.flow.walk(fd.Body.List, newGuardEnv())
 			}
-			w := &wireWalker{pass: pass}
-			w.walkBlock(fd.Body.List, newGuardEnv())
 		}
 	}
 }
@@ -84,146 +83,65 @@ func (e *guardEnv) clone() *guardEnv {
 	return c
 }
 
-func (e *guardEnv) addGuards(keys []string) {
-	for _, k := range keys {
-		e.guarded[k] = true
-	}
-}
-
-func (e *guardEnv) markDerived(base, name string) {
-	if e.lenDerived[base] == nil {
-		e.lenDerived[base] = map[string]bool{}
-	}
-	e.lenDerived[base][name] = true
-}
-
+// wireWalker is the analyzer's transfer function over the shared flow
+// walker. The walker supplies dominance: facts entered on a branch stay
+// in it, and the facts of an early-exit if (a body ending in
+// return/break/continue/panic) extend to the rest of the list, which is
+// how the codec's "if off >= len(msg) { return err }" idiom dominates
+// the reads below it.
 type wireWalker struct {
 	pass *Pass
+	flow flow[*guardEnv]
 }
 
-// walkBlock processes a statement list in order. Guards established by
-// early-exit if statements extend to the remainder of the list, which
-// is how the codec's "if off >= len(msg) { return err }" idiom
-// dominates the reads below it.
-func (w *wireWalker) walkBlock(stmts []ast.Stmt, env *guardEnv) {
-	for _, s := range stmts {
-		w.walkStmt(s, env)
-	}
-}
-
-func (w *wireWalker) walkStmt(stmt ast.Stmt, env *guardEnv) {
-	switch s := stmt.(type) {
+// enter records what a condition or range clause establishes for the
+// branch it governs.
+func (w *wireWalker) enter(of ast.Stmt, env *guardEnv) {
+	var cond ast.Expr
+	switch s := of.(type) {
 	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
-		}
-		w.checkExpr(s.Cond, env)
-		guards := w.condGuards(s.Cond)
-		bodyEnv := env.clone()
-		bodyEnv.addGuards(guards)
-		w.walkBlock(s.Body.List, bodyEnv)
-		if s.Else != nil {
-			elseEnv := env.clone()
-			elseEnv.addGuards(guards)
-			w.walkStmt(s.Else, elseEnv)
-		}
-		if terminates(s.Body) {
-			env.addGuards(guards)
-		}
+		cond = s.Cond
 	case *ast.ForStmt:
-		loopEnv := env.clone()
-		if s.Init != nil {
-			w.walkStmt(s.Init, loopEnv)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond, loopEnv)
-			loopEnv.addGuards(w.condGuards(s.Cond))
-		}
-		w.walkBlock(s.Body.List, loopEnv)
-		if s.Post != nil {
-			w.walkStmt(s.Post, loopEnv)
-		}
+		cond = s.Cond
 	case *ast.RangeStmt:
-		w.checkExpr(s.X, env)
-		bodyEnv := env.clone()
-		if w.isByteSlice(s.X) {
-			bodyEnv.guarded[exprString(s.X)] = true
+		if isByteSlice(w.pass.Info.TypeOf(s.X)) {
+			env.guarded[exprString(s.X)] = true
 		}
-		w.walkBlock(s.Body.List, bodyEnv)
-	case *ast.BlockStmt:
-		w.walkBlock(s.List, env.clone())
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
+	}
+	if cond != nil {
+		for _, key := range w.condGuards(cond) {
+			env.guarded[key] = true
 		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag, env)
-		}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.checkExpr(e, env)
-			}
-			w.walkBlock(cc.Body, env.clone())
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, env)
-		}
-		for _, c := range s.Body.List {
-			w.walkBlock(c.(*ast.CaseClause).Body, env.clone())
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.walkStmt(cc.Comm, env.clone())
-			}
-			w.walkBlock(cc.Body, env.clone())
-		}
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, env)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.checkExpr(e, env)
-		}
-		for _, e := range s.Lhs {
-			w.checkExpr(e, env)
-		}
-		w.recordLenDerived(s, env)
-	case *ast.DeclStmt:
-		w.checkExpr(s, env)
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok || len(vs.Values) != len(vs.Names) {
-					continue
-				}
-				for i, name := range vs.Names {
-					for _, base := range w.lenBases(vs.Values[i], env) {
-						env.markDerived(base, name.Name)
-					}
-				}
-			}
-		}
-	default:
-		w.checkExpr(stmt, env)
 	}
 }
 
-// recordLenDerived marks LHS variables assigned from expressions that
-// pin them to len(base) for some []byte base.
-func (w *wireWalker) recordLenDerived(s *ast.AssignStmt, env *guardEnv) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, lhs := range s.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
+// visit checks every index and slice expression under n, then records
+// the variables an assignment or declaration pins to len(base) for some
+// []byte base.
+func (w *wireWalker) visit(n ast.Node, env *guardEnv) {
+	w.checkExpr(n, env)
+	derive := func(name *ast.Ident, value ast.Expr) {
+		for _, base := range w.lenBases(value, env) {
+			if env.lenDerived[base] == nil {
+				env.lenDerived[base] = map[string]bool{}
+			}
+			env.lenDerived[base][name.Name] = true
 		}
-		for _, base := range w.lenBases(s.Rhs[i], env) {
-			env.markDerived(base, id.Name)
+	}
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		for i, lhs := range s.Lhs {
+			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" && len(s.Lhs) == len(s.Rhs) {
+				derive(id, s.Rhs[i])
+			}
+		}
+	case *ast.DeclStmt:
+		for _, spec := range s.Decl.(*ast.GenDecl).Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) == len(vs.Names) {
+				for i, name := range vs.Names {
+					derive(name, vs.Values[i])
+				}
+			}
 		}
 	}
 }
@@ -235,10 +153,8 @@ func (w *wireWalker) lenBases(expr ast.Expr, env *guardEnv) []string {
 	ast.Inspect(expr, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "len" && len(n.Args) == 1 {
-				if _, isBuiltin := w.pass.Info.Uses[id].(*types.Builtin); isBuiltin && w.isByteSlice(n.Args[0]) {
-					bases = append(bases, exprString(n.Args[0]))
-				}
+			if builtinCall(w.pass.Info, n) == "len" && isByteSlice(w.pass.Info.TypeOf(n.Args[0])) {
+				bases = append(bases, exprString(n.Args[0]))
 			}
 		case *ast.Ident:
 			for base, vars := range env.lenDerived {
@@ -259,14 +175,14 @@ func (w *wireWalker) checkExpr(node ast.Node, env *guardEnv) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			w.walkBlock(n.Body.List, env.clone())
+			w.flow.walk(n.Body.List, env.clone())
 			return false
 		case *ast.IndexExpr:
-			if w.isByteSlice(n.X) && !w.indexSafe(n.X, n.Index, env) {
+			if isByteSlice(w.pass.Info.TypeOf(n.X)) && !w.indexSafe(n.X, n.Index, env) {
 				w.pass.Reportf(n.Pos(), "index of wire buffer %s is not dominated by a len(%s) bounds guard", exprString(n.X), exprString(n.X))
 			}
 		case *ast.SliceExpr:
-			if !w.isByteSlice(n.X) {
+			if !isByteSlice(w.pass.Info.TypeOf(n.X)) {
 				return true
 			}
 			for _, bound := range []ast.Expr{n.Low, n.High, n.Max} {
@@ -278,21 +194,6 @@ func (w *wireWalker) checkExpr(node ast.Node, env *guardEnv) {
 		}
 		return true
 	})
-}
-
-// isByteSlice reports whether the expression's type is a []byte slice
-// (arrays and strings are out of scope).
-func (w *wireWalker) isByteSlice(expr ast.Expr) bool {
-	t := w.pass.Info.TypeOf(expr)
-	if t == nil {
-		return false
-	}
-	slice, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	basic, ok := slice.Elem().Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Uint8
 }
 
 // baseGuarded reports whether the buffer expression itself is covered
@@ -353,10 +254,8 @@ func (w *wireWalker) condGuards(cond ast.Expr) []string {
 	ast.Inspect(cond, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "len" && len(n.Args) == 1 {
-				if _, isBuiltin := w.pass.Info.Uses[id].(*types.Builtin); isBuiltin {
-					keys = append(keys, exprString(n.Args[0]))
-				}
+			if builtinCall(w.pass.Info, n) == "len" {
+				keys = append(keys, exprString(n.Args[0]))
 			}
 		case *ast.SelectorExpr:
 			// Only value fields, not method calls or package selectors.
@@ -367,29 +266,4 @@ func (w *wireWalker) condGuards(cond ast.Expr) []string {
 		return true
 	})
 	return keys
-}
-
-// terminates reports whether a block always transfers control away:
-// its last statement is a return, branch, or panic-like call.
-func terminates(block *ast.BlockStmt) bool {
-	if len(block.List) == 0 {
-		return false
-	}
-	switch last := block.List[len(block.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			return fun.Name == "panic"
-		case *ast.SelectorExpr:
-			name := fun.Sel.Name
-			return name == "Exit" || name == "Fatal" || name == "Fatalf" || name == "Panic" || name == "Panicf"
-		}
-	}
-	return false
 }

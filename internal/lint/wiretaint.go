@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"maps"
 )
 
 // WireTaintAnalyzer generalizes wiresafety from local syntax to
@@ -62,22 +62,21 @@ var WireTaintAnalyzer = &Analyzer{
 // are untrusted by definition: the wire codec boundary.
 var wiretaintSourcePkgs = []string{"internal/dnswire", "internal/nsec3"}
 
-// wtProv records how a node's parameters became tainted: through
-// which caller (nil at a root) and, at roots, why.
-type wtProv struct {
-	from *CallNode
-	root string
-}
-
 type wireTaint struct {
 	pass *ProjectPass
 	g    *CallGraph
 	// params holds the tainted parameter objects per node (the node's
 	// own signature objects).
 	params map[*CallNode]map[*types.Var]bool
-	prov   map[*CallNode]wtProv
-	queue  []*CallNode
-	queued map[*CallNode]bool
+	// prov records through which caller a node's parameters first
+	// became tainted (nil at an entry point), in Reach's own shape so
+	// reports render their chain the same way.
+	prov *Reached
+	// readRoot marks the entry points whose taint is a network read
+	// buffer rather than a codec-boundary parameter.
+	readRoot map[*CallNode]bool
+	queue    []*CallNode
+	queued   map[*CallNode]bool
 	// reported dedupes sink reports across re-analyses of a node.
 	reported map[token.Pos]bool
 }
@@ -88,18 +87,12 @@ func runWireTaint(pass *ProjectPass) {
 		pass:     pass,
 		g:        g,
 		params:   make(map[*CallNode]map[*types.Var]bool),
-		prov:     make(map[*CallNode]wtProv),
+		prov:     &Reached{forward: true, via: make(map[*CallNode]*CallNode)},
+		readRoot: make(map[*CallNode]bool),
 		queued:   make(map[*CallNode]bool),
 		reported: make(map[token.Pos]bool),
 	}
-
-	// Directive hygiene.
-	for _, node := range g.Nodes {
-		if reason, ok := node.Directive(WireTrustedDirective); ok && reason == "" {
-			pass.Reportf(node.Pkg.Fset, node.Pos(),
-				"%s directive without a reason; state why these wire-derived values are bounded", WireTrustedDirective)
-		}
-	}
+	directiveHygiene(pass)
 
 	// Roots: []byte parameters at the codec boundary. Every declared
 	// node is queued once regardless, so read-buffer taint (discovered
@@ -108,12 +101,11 @@ func runWireTaint(pass *ProjectPass) {
 		if node.Func == nil || node.Decl == nil {
 			continue
 		}
-		if wtSourcePkg(node.Pkg.Path) {
+		if matchesAny(node.Pkg.Path, wiretaintSourcePkgs) {
 			sig := node.Func.Type().(*types.Signature)
 			for i := 0; i < sig.Params().Len(); i++ {
-				p := sig.Params().At(i)
-				if isByteSliceType(p.Type()) {
-					w.taintParam(node, p, nil, "untrusted wire bytes")
+				if p := sig.Params().At(i); isByteSlice(p.Type()) {
+					w.taintParam(node, p, nil)
 				}
 			}
 		}
@@ -128,29 +120,6 @@ func runWireTaint(pass *ProjectPass) {
 		w.queued[node] = false
 		w.analyze(node)
 	}
-}
-
-func wtSourcePkg(path string) bool {
-	for _, p := range wiretaintSourcePkgs {
-		if pathSuffixMatch(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
-func wireTrusted(node *CallNode) bool {
-	r, ok := node.Directive(WireTrustedDirective)
-	return ok && r != ""
-}
-
-func isByteSliceType(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Uint8
 }
 
 // wtNarrow reports whether a value of type t is bounded by its width
@@ -181,7 +150,7 @@ func (w *wireTaint) enqueue(node *CallNode) {
 
 // taintParam marks one parameter of node tainted and records the
 // provenance (first writer wins: BFS-ish shortest chains).
-func (w *wireTaint) taintParam(node *CallNode, p *types.Var, from *CallNode, root string) {
+func (w *wireTaint) taintParam(node *CallNode, p *types.Var, from *CallNode) {
 	set := w.params[node]
 	if set == nil {
 		set = make(map[*types.Var]bool)
@@ -191,8 +160,8 @@ func (w *wireTaint) taintParam(node *CallNode, p *types.Var, from *CallNode, roo
 		return
 	}
 	set[p] = true
-	if _, ok := w.prov[node]; !ok {
-		w.prov[node] = wtProv{from: from, root: root}
+	if !w.prov.Has(node) {
+		w.prov.via[node] = from
 	}
 	w.enqueue(node)
 }
@@ -244,8 +213,8 @@ func (w *wireTaint) analyze(node *CallNode) {
 		if id, ok := ast.Unparen(bufArg).(*ast.Ident); ok {
 			if obj := info.Uses[id]; obj != nil && !tainted[obj] {
 				tainted[obj] = true
-				if _, seen := w.prov[node]; !seen {
-					w.prov[node] = wtProv{root: "network read buffer"}
+				if !w.prov.Has(node) {
+					w.prov.via[node], w.readRoot[node] = nil, true
 				}
 			}
 		}
@@ -284,8 +253,29 @@ func (w *wireTaint) analyze(node *CallNode) {
 		})
 	}
 
-	// Flow walk: guards, sinks, callee propagation.
-	w.walkStmts(node, body.List, tainted, make(map[types.Object]bool))
+	// Flow walk over the shared walker: the state is the set of
+	// integers a dominating comparison has sanitized. Every leaf and
+	// control expression is scanned for sinks and callee propagation;
+	// an if's comparison guards both its branches (and, when its body
+	// exits, the rest of the list); a for condition is additionally a
+	// loop-bound sink.
+	fl := flow[map[types.Object]bool]{
+		clone: maps.Clone[map[types.Object]bool],
+		visit: func(n ast.Node, guarded map[types.Object]bool) {
+			w.checkExpr(node, n, tainted, guarded)
+		},
+		enter: func(of ast.Stmt, guarded map[types.Object]bool) {
+			switch s := of.(type) {
+			case *ast.IfStmt:
+				for _, obj := range wtCondGuards(info, s.Cond, tainted) {
+					guarded[obj] = true
+				}
+			case *ast.ForStmt:
+				w.checkLoopBound(node, s.Cond, tainted, guarded)
+			}
+		},
+	}
+	fl.walk(body.List, make(map[types.Object]bool))
 }
 
 // wtExprTainted reports whether e evaluates to an attacker-influenced
@@ -329,10 +319,8 @@ func wtExprTainted(info *types.Info, e ast.Expr, tainted, guarded map[types.Obje
 				!wtNarrow(info.TypeOf(e))
 		}
 		// len/cap results are bounded by memory already held.
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-			if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-				return false
-			}
+		if builtinCall(info, e) != "" {
+			return false
 		}
 		// The encoding/binary readers decode attacker integers.
 		if fn := calleeFunc(info, e); fn != nil && fn.Pkg() != nil &&
@@ -383,125 +371,6 @@ func wtCondGuards(info *types.Info, cond ast.Expr, tainted map[types.Object]bool
 	return out
 }
 
-// walkStmts walks a statement list in order, threading the guarded
-// set, and reports whether the straight-line flow terminates early.
-func (w *wireTaint) walkStmts(node *CallNode, stmts []ast.Stmt, tainted, guarded map[types.Object]bool) bool {
-	info := node.Pkg.Info
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *ast.IfStmt:
-			if s.Init != nil {
-				w.walkStmts(node, []ast.Stmt{s.Init}, tainted, guarded)
-			}
-			w.checkExpr(node, s.Cond, tainted, guarded)
-			condObjs := wtCondGuards(info, s.Cond, tainted)
-			branchGuard := wtCloneGuards(guarded, condObjs)
-			bodyTerm := w.walkStmts(node, s.Body.List, tainted, branchGuard)
-			if s.Else != nil {
-				w.walkStmts(node, []ast.Stmt{s.Else}, tainted, wtCloneGuards(guarded, condObjs))
-			}
-			if bodyTerm {
-				// Early-exit guard: the comparison dominates the rest
-				// of the block.
-				for _, obj := range condObjs {
-					guarded[obj] = true
-				}
-			}
-		case *ast.ForStmt:
-			if s.Init != nil {
-				w.walkStmts(node, []ast.Stmt{s.Init}, tainted, guarded)
-			}
-			w.checkLoopBound(node, s.Cond, tainted, guarded)
-			w.walkStmts(node, s.Body.List, tainted, wtCloneGuards(guarded, nil))
-		case *ast.RangeStmt:
-			w.checkExpr(node, s.X, tainted, guarded)
-			w.walkStmts(node, s.Body.List, tainted, wtCloneGuards(guarded, nil))
-		case *ast.BlockStmt:
-			if w.walkStmts(node, s.List, tainted, guarded) {
-				return true
-			}
-		case *ast.SwitchStmt:
-			if s.Init != nil {
-				w.walkStmts(node, []ast.Stmt{s.Init}, tainted, guarded)
-			}
-			w.checkExpr(node, s.Tag, tainted, guarded)
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walkStmts(node, cc.Body, tainted, wtCloneGuards(guarded, nil))
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walkStmts(node, cc.Body, tainted, wtCloneGuards(guarded, nil))
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					w.walkStmts(node, cc.Body, tainted, wtCloneGuards(guarded, nil))
-				}
-			}
-		case *ast.LabeledStmt:
-			if w.walkStmts(node, []ast.Stmt{s.Stmt}, tainted, guarded) {
-				return true
-			}
-		case *ast.ReturnStmt:
-			for _, r := range s.Results {
-				w.checkExpr(node, r, tainted, guarded)
-			}
-			return true
-		case *ast.BranchStmt:
-			return true
-		case *ast.ExprStmt:
-			w.checkExpr(node, s.X, tainted, guarded)
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-					return true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, e := range s.Rhs {
-				w.checkExpr(node, e, tainted, guarded)
-			}
-			for _, e := range s.Lhs {
-				w.checkExpr(node, e, tainted, guarded)
-			}
-		case *ast.DeclStmt:
-			if gd, ok := s.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for _, v := range vs.Values {
-							w.checkExpr(node, v, tainted, guarded)
-						}
-					}
-				}
-			}
-		case *ast.GoStmt:
-			w.checkExpr(node, s.Call, tainted, guarded)
-		case *ast.DeferStmt:
-			w.checkExpr(node, s.Call, tainted, guarded)
-		case *ast.SendStmt:
-			w.checkExpr(node, s.Chan, tainted, guarded)
-			w.checkExpr(node, s.Value, tainted, guarded)
-		case *ast.IncDecStmt:
-			w.checkExpr(node, s.X, tainted, guarded)
-		}
-	}
-	return false
-}
-
-func wtCloneGuards(guarded map[types.Object]bool, extra []types.Object) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(guarded)+len(extra))
-	for k := range guarded {
-		out[k] = true
-	}
-	for _, k := range extra {
-		out[k] = true
-	}
-	return out
-}
-
 // checkLoopBound reports a for-loop condition bounded by a tainted,
 // unguarded wire value — the CPU-exhaustion shape.
 func (w *wireTaint) checkLoopBound(node *CallNode, cond ast.Expr, tainted, guarded map[types.Object]bool) {
@@ -528,12 +397,9 @@ func (w *wireTaint) checkLoopBound(node *CallNode, cond ast.Expr, tainted, guard
 // indices/bounds) and propagates taint into statically-resolved
 // callees. Function literals are walked inline: they share the
 // enclosing scope.
-func (w *wireTaint) checkExpr(node *CallNode, e ast.Expr, tainted, guarded map[types.Object]bool) {
-	if e == nil {
-		return
-	}
+func (w *wireTaint) checkExpr(node *CallNode, root ast.Node, tainted, guarded map[types.Object]bool) {
 	info := node.Pkg.Info
-	ast.Inspect(e, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
 			if wtExprTainted(info, n.Index, tainted, guarded) {
@@ -549,14 +415,12 @@ func (w *wireTaint) checkExpr(node *CallNode, e ast.Expr, tainted, guarded map[t
 				}
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "make" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					for _, arg := range n.Args[1:] {
-						if wtExprTainted(info, arg, tainted, guarded) {
-							w.reportSink(node, n.Pos(),
-								"make sized from untrusted wire bytes")
-							break
-						}
+			if builtinCall(info, n) == "make" {
+				for _, arg := range n.Args[1:] {
+					if wtExprTainted(info, arg, tainted, guarded) {
+						w.reportSink(node, n.Pos(),
+							"make sized from untrusted wire bytes")
+						break
 					}
 				}
 			}
@@ -597,42 +461,23 @@ func (w *wireTaint) propagateCall(node *CallNode, call *ast.CallExpr, tainted, g
 		if wtNarrow(p.Type()) {
 			continue
 		}
-		w.taintParam(callee, p, node, "")
+		w.taintParam(callee, p, node)
 	}
 }
 
 // reportSink records one finding at pos, with the full chain from the
-// taint's entry point, unless the function is waived.
+// taint's entry point — "untrusted wire bytes → dnswire.Unpack →
+// dnswire.parseRData" — unless the function is waived.
 func (w *wireTaint) reportSink(node *CallNode, pos token.Pos, what string) {
-	if wireTrusted(node) || w.reported[pos] {
+	if node.waived(WireTrustedDirective) || w.reported[pos] {
 		return
 	}
 	w.reported[pos] = true
-	w.pass.Reportf(node.Pkg.Fset, pos,
-		"%s without a dominating bounds guard: %s; compare against len() (or the decoder cursor) before use, or annotate with %s <reason>",
-		what, w.chain(node), WireTrustedDirective)
-}
-
-// chain renders the taint path from entry point to the sink function,
-// e.g. "untrusted wire bytes → dnswire.Unpack → dnswire.parseRData".
-func (w *wireTaint) chain(node *CallNode) string {
-	var names []string
 	root := "untrusted wire bytes"
-	seen := map[*CallNode]bool{}
-	for n := node; n != nil && !seen[n]; {
-		seen[n] = true
-		names = append([]string{n.Name()}, names...)
-		p, ok := w.prov[n]
-		if !ok {
-			break
-		}
-		if p.from == nil {
-			if p.root != "" {
-				root = p.root
-			}
-			break
-		}
-		n = p.from
+	if w.readRoot[w.prov.Seed(node)] {
+		root = "network read buffer"
 	}
-	return root + " → " + strings.Join(names, " → ")
+	w.pass.Reportf(node.Pkg.Fset, pos,
+		"%s without a dominating bounds guard: %s → %s; compare against len() (or the decoder cursor) before use, or annotate with %s <reason>",
+		what, root, w.prov.Chain(node), WireTrustedDirective)
 }
