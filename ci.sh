@@ -14,9 +14,13 @@ go vet ./...
 # bench/ is a module of its own (replace repro => ../), so the root
 # ./... never compiles it: vet it here, or an API slip in what it calls
 # surfaces only when the benchmark pipeline runs. Same for reprolint:
-# bench/README.md promises the module is clean with no baseline.
+# bench/README.md promises the module is clean with no baseline. Its
+# tests run too (~40 s): bench/layers.go probes AddLazyZone/ZoneFor and
+# the deploy options directly, so a behavioural slip in that surface
+# would otherwise show up only as a benchmark failure.
 go -C bench vet ./...
 (cd bench && go run repro/cmd/reprolint ./...)
+go -C bench test ./...
 
 echo "== test (-race) =="
 go test -race ./...
@@ -68,6 +72,18 @@ curl -fsS "$METRICS_URL" | grep -q '^authd_zones '
 curl -fsS "$METRICS_URL" | grep -q '^authd_queries_total '
 echo "metrics smoke OK ($METRICS_URL)"
 
+# scrape_until_exit <pid> <metrics url> <snapshot file> snapshots
+# /metrics until the process exits: the endpoint dies with the process,
+# so the last good scrape is kept for the caller to assert on.
+scrape_until_exit() {
+  local pid=$1 url=$2 snap=$3
+  : > "$snap"
+  while kill -0 "$pid" 2>/dev/null; do
+    curl -fsS "$url" > "$snap.tmp" 2>/dev/null && mv "$snap.tmp" "$snap"
+    sleep 0.1
+  done
+}
+
 echo "== survey metrics smoke (repro -shards 2, lazy signing) =="
 go build -o "$SMOKE_DIR/repro" ./cmd/repro
 "$SMOKE_DIR/repro" -fig1 -shards 2 -domain-scale 50000 -metrics 127.0.0.1:0 \
@@ -80,14 +96,8 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$SURVEY_URL" ] || { echo "repro never exposed /metrics"; cat "$SMOKE_DIR/repro.log"; exit 1; }
-# Snapshot /metrics until the run exits: the endpoint dies with the
-# process, so keep the last good scrape and assert on that.
 SNAP="$SMOKE_DIR/metrics.snap"
-: > "$SNAP"
-while kill -0 "$REPRO_PID" 2>/dev/null; do
-  curl -fsS "$SURVEY_URL" > "$SNAP.tmp" 2>/dev/null && mv "$SNAP.tmp" "$SNAP"
-  sleep 0.1
-done
+scrape_until_exit "$REPRO_PID" "$SURVEY_URL" "$SNAP"
 wait "$REPRO_PID" || { echo "repro exited nonzero"; cat "$SMOKE_DIR/repro.log"; exit 1; }
 REPRO_PID=""
 grep -q '^survey_zones_signed_lazily_total ' "$SNAP"
@@ -121,14 +131,10 @@ dist_smoke() {
   W1_PID=$!
   "$SMOKE_DIR/repro" -worker "$addr" "$@" >"$log.worker2.log" 2>&1 &
   W2_PID=$!
-  # Snapshot the coordinator's merged /metrics until it exits; the last
-  # good scrape carries the merged worker counters.
+  # The coordinator's last good scrape carries the merged worker
+  # counters.
   local snap="$log.metrics.snap"
-  : > "$snap"
-  while kill -0 "$REPRO_PID" 2>/dev/null; do
-    curl -fsS "$url" > "$snap.tmp" 2>/dev/null && mv "$snap.tmp" "$snap"
-    sleep 0.1
-  done
+  scrape_until_exit "$REPRO_PID" "$url" "$snap"
   wait "$REPRO_PID" || { echo "coordinator exited nonzero"; cat "$log.coord.err"; exit 1; }
   REPRO_PID=""
   wait "$W1_PID" || { echo "worker 1 exited nonzero"; cat "$log.worker1.log"; exit 1; }
@@ -154,11 +160,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$FIG3_URL" ] || { echo "repro -fig3 never exposed /metrics"; cat "$SMOKE_DIR/fig3.err"; exit 1; }
 FSNAP="$SMOKE_DIR/fig3-metrics.snap"
-: > "$FSNAP"
-while kill -0 "$REPRO_PID" 2>/dev/null; do
-  curl -fsS "$FIG3_URL" > "$FSNAP.tmp" 2>/dev/null && mv "$FSNAP.tmp" "$FSNAP"
-  sleep 0.1
-done
+scrape_until_exit "$REPRO_PID" "$FIG3_URL" "$FSNAP"
 wait "$REPRO_PID" || { echo "repro -fig3 exited nonzero"; cat "$SMOKE_DIR/fig3.err"; exit 1; }
 REPRO_PID=""
 # Counters flush at each shard's merge, so the last pre-exit scrape

@@ -17,7 +17,7 @@ import (
 // prints the same sections the in-process run prints. `repro -worker
 // ADDR` runs a worker that executes leased shards; it must be started
 // with the same study flags (-fig3 or not, -domain-scale /
-// -resolver-scale, -seed, -shards, -signing), which the hello handshake
+// -resolver-scale, -seed, -shards), which the hello handshake
 // enforces. Both are generic over the study: -fig3 selects the §4.2
 // resolver study, anything else the §4.1 domain survey.
 

@@ -60,7 +60,6 @@ func run() error {
 		statewalkCorpus = flag.String("statewalk-corpus", "", "statewalk: write fuzz-corpus seeds minimized from unexplained divergences under this directory")
 		seed            = flag.Uint64("seed", 1, "simulation seed")
 		shards          = flag.Int("shards", 1, "run the domain survey and the resolver study in this many bounded shards (same results at any value)")
-		signing         = flag.String("signing", "lazy", "zone signing mode for the survey: lazy (sign on first query) or eager (sign at deploy); same results either way")
 		dScale          = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
 		rScale          = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
 		tScale          = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
@@ -76,15 +75,6 @@ func run() error {
 	flag.Parse()
 	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *timeline || *statewalk) {
 		*all = true
-	}
-	var signingMode core.SigningMode
-	switch *signing {
-	case "lazy":
-		signingMode = core.SigningLazy
-	case "eager":
-		signingMode = core.SigningEager
-	default:
-		return fmt.Errorf("unknown -signing mode %q (want lazy or eager)", *signing)
 	}
 	ctx := context.Background()
 
@@ -138,7 +128,6 @@ func run() error {
 			Registered: population.FullRegistered / *dScale,
 			Seed:       *seed,
 			Shards:     *shards,
-			Signing:    signingMode,
 		}.Resolve()
 		if err != nil {
 			return err
@@ -185,7 +174,6 @@ func run() error {
 			Registered: population.FullRegistered / *dScale,
 			Seed:       *seed,
 			Shards:     *shards,
-			Signing:    signingMode,
 			Obs:        reg,
 			Trace:      tracer,
 		})

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/testbed"
@@ -54,29 +53,16 @@ func (p *Platform) Measure(ctx context.Context, probes []Probe, uniquePrefix str
 	if limit <= 0 {
 		limit = 100
 	}
-	sem := make(chan struct{}, limit)
+	probed := testbed.ProbeResolvers(ctx, p.Exchanger, limit, len(probes), func(i int) (netip.AddrPort, string) {
+		return probes[i].Resolver, fmt.Sprintf("%s-atlas-%d", uniquePrefix, probes[i].ID)
+	})
 	results := make([]MeasurementResult, len(probes))
-	var wg sync.WaitGroup
-	for i, probe := range probes {
-		wg.Add(1)
-		go func(i int, probe Probe) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				results[i] = MeasurementResult{Probe: probe, Err: ctx.Err()}
-				return
-			}
-			defer func() { <-sem }()
-			unique := fmt.Sprintf("%s-atlas-%d", uniquePrefix, probe.ID)
-			tr, err := testbed.ProbeResolver(ctx, p.Exchanger, probe.Resolver, unique)
-			if tr != nil {
-				stripEDE(tr)
-			}
-			results[i] = MeasurementResult{Probe: probe, Transcript: tr, Err: err}
-		}(i, probe)
+	for i, r := range probed {
+		if r.Transcript != nil {
+			stripEDE(r.Transcript)
+		}
+		results[i] = MeasurementResult{Probe: probes[i], Transcript: r.Transcript, Err: r.Err}
 	}
-	wg.Wait()
 	return results
 }
 

@@ -17,7 +17,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dnswire"
 	"repro/internal/obs"
@@ -25,17 +24,13 @@ import (
 )
 
 // Server is an authoritative name server for one or more signed zones.
-// Zones are installed either eagerly (AddZone) or lazily (AddLazyZone:
-// an apex plus a SignFunc that the first query runs under a per-zone
-// singleflight).
+// Every hosted zone is one table entry keyed by its apex: AddZone
+// installs it already signed, AddLazyZone installs a SignFunc that the
+// first query runs under the entry's singleflight (lazy.go).
 type Server struct {
 	mu       sync.RWMutex
-	zones    map[dnswire.Name]*zone.Signed
-	lazy     map[dnswire.Name]*lazyZone
+	zones    map[dnswire.Name]*hostedZone
 	transfer map[dnswire.Name]zone.TransferPolicy
-
-	lazyTotal atomic.Int64 // lazy zones ever registered
-	lazyMat   atomic.Int64 // lazy zones materialized so far
 
 	// Instrumentation (nil without Instrument; obs types are nil-safe).
 	mSignWait   *obs.Histogram
@@ -53,8 +48,7 @@ var errNoZone = errors.New("authserver: no zone for qname")
 // New creates an empty server.
 func New() *Server {
 	return &Server{
-		zones:    make(map[dnswire.Name]*zone.Signed),
-		lazy:     make(map[dnswire.Name]*lazyZone),
+		zones:    make(map[dnswire.Name]*hostedZone),
 		transfer: make(map[dnswire.Name]zone.TransferPolicy),
 	}
 }
@@ -67,52 +61,37 @@ func (s *Server) SetTransferPolicy(apex dnswire.Name, p zone.TransferPolicy) {
 	s.transfer[apex] = p
 }
 
-// AddZone installs a signed zone, replacing any zone with the same apex.
+// signedDone is the done channel of every zone installed already
+// signed: closed from birth, so such an entry is never awaited.
+var signedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// AddZone installs a signed zone, replacing any zone — signed or still
+// pending — with the same apex.
 func (s *Server) AddZone(sz *zone.Signed) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.zones[sz.Zone.Apex] = sz
+	s.zones[sz.Zone.Apex] = &hostedZone{done: signedDone, sz: sz}
 }
 
-// apexFor picks the deepest hosted apex — eagerly installed or lazily
-// registered — that is an ancestor of (or equal to) qname.
-func (s *Server) apexFor(qname dnswire.Name) (dnswire.Name, bool) {
+// apexFor finds the deepest hosted apex that is an ancestor of (or
+// equal to) qname: the first hit walking qname toward the root, one map
+// probe per label (Name.Parent is a substring, so the walk does not
+// allocate). A nil entry means no hosted zone covers qname.
+func (s *Server) apexFor(qname dnswire.Name) (dnswire.Name, *hostedZone) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var best dnswire.Name
-	bestDepth := -1
-	for apex := range s.zones {
-		if qname.IsSubdomainOf(apex) {
-			if d := apex.CountLabels(); d > bestDepth {
-				best, bestDepth = apex, d
-			}
+	for cur := qname; ; cur = cur.Parent() {
+		if cur.IsRoot() {
+			return dnswire.Root, s.zones[dnswire.Root]
+		}
+		if hz, ok := s.zones[cur]; ok {
+			return cur, hz
 		}
 	}
-	for apex := range s.lazy {
-		if qname.IsSubdomainOf(apex) {
-			if d := apex.CountLabels(); d > bestDepth {
-				best, bestDepth = apex, d
-			}
-		}
-	}
-	return best, bestDepth >= 0
-}
-
-// zoneAt returns the signed zone hosted at apex, materializing it
-// first when the apex is lazily registered. The materialized zone is
-// promoted into the eager map, so only the first query pays.
-func (s *Server) zoneAt(ctx context.Context, apex dnswire.Name) (*zone.Signed, error) {
-	s.mu.RLock()
-	sz, ok := s.zones[apex]
-	lz := s.lazy[apex]
-	s.mu.RUnlock()
-	if ok {
-		return sz, nil
-	}
-	if lz == nil {
-		return nil, errNoZone
-	}
-	return s.materialize(ctx, lz)
 }
 
 // ZoneFor returns the deepest zone whose apex is an ancestor of (or
@@ -120,11 +99,11 @@ func (s *Server) zoneAt(ctx context.Context, apex dnswire.Name) (*zone.Signed, e
 // whose lazy signing failed reports false. ctx bounds the wait on an
 // in-flight lazy signer.
 func (s *Server) ZoneFor(ctx context.Context, qname dnswire.Name) (*zone.Signed, bool) {
-	apex, ok := s.apexFor(qname)
-	if !ok {
+	_, hz := s.apexFor(qname)
+	if hz == nil {
 		return nil, false
 	}
-	sz, err := s.zoneAt(ctx, apex)
+	sz, err := s.signed(ctx, hz)
 	return sz, err == nil
 }
 
@@ -134,33 +113,26 @@ func (s *Server) ZoneFor(ctx context.Context, qname dnswire.Name) (*zone.Signed,
 // returned error is errNoZone (nothing hosted → REFUSED) or a lazy
 // signing failure (→ SERVFAIL).
 func (s *Server) zoneForQuery(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*zone.Signed, error) {
-	apex, ok := s.apexFor(qname)
-	if !ok {
+	apex, hz := s.apexFor(qname)
+	if hz == nil {
 		return nil, errNoZone
 	}
 	if qtype == dnswire.TypeDS && qname == apex && !qname.IsRoot() {
-		if parent, ok := s.apexFor(qname.Parent()); ok && parent != apex {
-			apex = parent
+		if _, parent := s.apexFor(qname.Parent()); parent != nil {
+			hz = parent
 		}
 	}
-	return s.zoneAt(ctx, apex)
+	return s.signed(ctx, hz)
 }
 
-// Zones returns the hosted zone apexes — eager and lazy, queried or
-// not — sorted canonically.
+// Zones returns the hosted zone apexes — queried or not — sorted
+// canonically.
 func (s *Server) Zones() []dnswire.Name {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := make(map[dnswire.Name]bool, len(s.zones)+len(s.lazy))
-	out := make([]dnswire.Name, 0, len(s.zones)+len(s.lazy))
+	out := make([]dnswire.Name, 0, len(s.zones))
 	for apex := range s.zones {
-		seen[apex] = true
 		out = append(out, apex)
-	}
-	for apex := range s.lazy {
-		if !seen[apex] {
-			out = append(out, apex)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return dnswire.CanonicalCompare(out[i], out[j]) < 0 })
 	return out

@@ -17,29 +17,31 @@ import (
 // singleflight.
 type SignFunc func() (*zone.Signed, error)
 
-// lazyZone is an apex registered without its signed zone: the first
-// query materializes it under done — a singleflight channel so
-// concurrent first queries for the same apex block on one signer while
-// other apexes sign in parallel. sz/err are written before close(done)
-// and only read after <-done, which orders the accesses.
-type lazyZone struct {
-	apex dnswire.Name
-	done chan struct{}
+// hostedZone is one entry of the server's apex table. done is the
+// entry's singleflight: sz/err are written before close(done) and only
+// read after <-done, which orders the accesses. A zone installed by
+// AddZone is born with done closed; one registered by AddLazyZone
+// carries the thunk that the first caller takes (under Server.mu) and
+// runs, so concurrent first queries for the same apex block on one
+// signer while other apexes sign in parallel.
+type hostedZone struct {
+	lazy bool // registered by AddLazyZone (what LazyStats counts)
 	sign SignFunc
+	done chan struct{}
 	sz   *zone.Signed
 	err  error
 }
 
 // AddLazyZone registers an apex whose signed zone is produced by sign
-// on first demand. Until then the server routes queries for the apex
-// exactly as if the zone were installed, paying the signing cost only
-// when traffic actually arrives — a hierarchy's peak memory stays
-// O(zones touched) instead of O(zones hosted).
+// on first demand, replacing any zone with the same apex. Until then
+// the server routes queries for the apex exactly as if the zone were
+// installed, paying the signing cost only when traffic actually arrives
+// — a hierarchy's peak memory stays O(zones touched) instead of
+// O(zones hosted).
 func (s *Server) AddLazyZone(apex dnswire.Name, sign SignFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lazy[apex] = &lazyZone{apex: apex, sign: sign}
-	s.lazyTotal.Add(1)
+	s.zones[apex] = &hostedZone{lazy: true, sign: sign, done: make(chan struct{})}
 }
 
 // Instrument attaches observability: a histogram of nanoseconds
@@ -58,31 +60,55 @@ func (s *Server) Instrument(reg *obs.Registry) {
 }
 
 // Materialize forces lazy signing of the hosted zone with the given
-// apex (idempotent; a no-op for eagerly-installed zones). AXFR setup
-// and tests use it to pre-sign a zone without synthesizing a query.
-// ctx bounds the wait on a signer already in flight; the signing work
-// itself is never abandoned (the memoized result must exist for later
-// queries).
+// apex (idempotent; a plain lookup for zones installed signed). AXFR
+// setup and tests use it to pre-sign a zone without synthesizing a
+// query. ctx bounds the wait on a signer already in flight; the signing
+// work itself is never abandoned (the memoized result must exist for
+// later queries).
 func (s *Server) Materialize(ctx context.Context, apex dnswire.Name) (*zone.Signed, error) {
 	s.mu.RLock()
-	sz, ok := s.zones[apex]
-	lz := s.lazy[apex]
+	hz := s.zones[apex]
 	s.mu.RUnlock()
-	if ok {
-		return sz, nil
-	}
-	if lz == nil {
+	if hz == nil {
 		return nil, fmt.Errorf("authserver: no zone %s", apex)
 	}
-	return s.materialize(ctx, lz)
+	return s.signed(ctx, hz)
 }
 
 // LazyStats reports how many lazily-registered zones have been
 // materialized and how many are still pending (registered but never
-// queried, or failed to sign).
+// queried, or failed to sign). It is derived from the table, so
+// re-registering an apex cannot make it drift.
 func (s *Server) LazyStats() (materialized, pending int) {
-	materialized = int(s.lazyMat.Load())
-	return materialized, int(s.lazyTotal.Load()) - materialized
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, hz := range s.zones {
+		if !hz.lazy {
+			continue
+		}
+		select {
+		case <-hz.done:
+			if hz.err == nil {
+				materialized++
+				continue
+			}
+		default:
+		}
+		pending++
+	}
+	return materialized, pending
+}
+
+// signed returns the entry's signed zone: the memoized result once the
+// entry's signing has finished (always, for AddZone), the singleflight
+// otherwise.
+func (s *Server) signed(ctx context.Context, hz *hostedZone) (*zone.Signed, error) {
+	select {
+	case <-hz.done:
+		return hz.sz, hz.err
+	default:
+		return s.materialize(ctx, hz)
+	}
 }
 
 // materialize runs the zone's singleflight: the first caller signs,
@@ -91,50 +117,35 @@ func (s *Server) LazyStats() (materialized, pending int) {
 // failed to sign keeps answering ServFail rather than retrying).
 //
 //repro:nondeterministic sign-wait timing is telemetry (authserver_sign_wait_ns), never response content
-//repro:allocok first-query zone materialization is the lazy-signing cold path; every later query takes the eager-map hit-free route
-func (s *Server) materialize(ctx context.Context, lz *lazyZone) (*zone.Signed, error) {
-	var start time.Time
+//repro:allocok first-query zone materialization is the lazy-signing cold path; every later query reads the memoized zone off its closed done channel without entering here
+func (s *Server) materialize(ctx context.Context, hz *hostedZone) (*zone.Signed, error) {
 	if s.mSignWait != nil {
-		start = time.Now()
+		// Signer, waiter and cancelled waiter alike: the time spent in
+		// here is sign-wait the caller experienced.
+		start := time.Now()
+		defer func() { s.mSignWait.Observe(float64(time.Since(start).Nanoseconds())) }()
 	}
-	observe := func() {
-		if s.mSignWait != nil {
-			s.mSignWait.Observe(float64(time.Since(start).Nanoseconds()))
-		}
-	}
+	// Whoever takes the thunk is the signer; dropping it from the entry
+	// releases the records it captured once it has run.
 	s.mu.Lock()
-	if lz.done == nil {
-		// First query: this goroutine is the signer. Signing runs to
-		// completion even if ctx is cancelled mid-way: waiters and later
-		// queries depend on the memoized result existing.
-		lz.done = make(chan struct{})
-		s.mu.Unlock()
-		lz.sz, lz.err = lz.sign()
-		if lz.err == nil {
-			// Promote to the eager map and drop the lazy entry, so
-			// later queries route without rescanning a stale lazy map.
-			// (A failed zone stays registered: its memoized error keeps
-			// answering SERVFAIL.)
-			s.mu.Lock()
-			s.zones[lz.sz.Zone.Apex] = lz.sz
-			delete(s.lazy, lz.apex)
-			s.mu.Unlock()
-			s.lazyMat.Add(1)
+	sign := hz.sign
+	hz.sign = nil
+	s.mu.Unlock()
+	if sign != nil {
+		// Signing runs to completion even if ctx is cancelled mid-way:
+		// waiters and later queries depend on the memoized result.
+		hz.sz, hz.err = sign()
+		if hz.err == nil {
 			s.mLazySigned.Inc()
 		}
-		close(lz.done)
+		close(hz.done)
 	} else {
-		done := lz.done
-		s.mu.Unlock()
 		select {
-		case <-done:
+		case <-hz.done:
 		case <-ctx.Done():
-			// The wait — not the signing — is cancelled; the time spent
-			// blocked is still sign-wait the caller experienced.
-			observe()
+			// The wait — not the signing — is cancelled.
 			return nil, ctx.Err()
 		}
 	}
-	observe()
-	return lz.sz, lz.err
+	return hz.sz, hz.err
 }

@@ -245,8 +245,8 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 
 	// Signing-work accounting happens once the shard's traffic has
 	// drained: lazy thunks run from query-handling goroutines, so the
-	// totals are only final here. SignStats folds eager build-time and
-	// lazy post-build work together, keeping the signed/reused counters
+	// totals are only final here. SignStats is the one ledger of signing
+	// work, whenever it ran, so the signed/reused counters are
 	// comparable across signing modes.
 	signed, reused := dep.Hierarchy.SignStats()
 	run.mSigned.Add(uint64(signed))

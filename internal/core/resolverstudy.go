@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/atlas"
@@ -145,14 +144,6 @@ func (s ResolverStudySpec) newExecutor(e env) (executor[respop.ShardPlan, *Resol
 	}, nil
 }
 
-// probeSlot collects one probe's result by its fleet index, so the
-// classification order below is the fleet order — never goroutine
-// completion order.
-type probeSlot struct {
-	tr  *testbed.Transcript
-	err error
-}
-
 // execute runs one shard plan end to end — build the testbed world on
 // its own network, deploy the shard's slice of the fleet, probe it,
 // classify.
@@ -194,29 +185,11 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 	}
 
 	probeSpan := run.trace.Start("probe", plan.Index)
-	// Open resolvers: probed directly, results collected by index.
-	slots := make([]probeSlot, len(open))
-	sem := make(chan struct{}, spec.Workers)
-	var wg sync.WaitGroup
-	for i, inst := range open {
-		wg.Add(1)
-		go func(i int, inst *respop.Instance) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				slots[i] = probeSlot{err: ctx.Err()}
-				return
-			}
-			defer func() { <-sem }()
-			// The fleet index makes the cache-busting label unique
-			// across shards and processes.
-			unique := fmt.Sprintf("open-%d", inst.Index)
-			tr, err := testbed.ProbeResolver(ctx, h.Net, inst.Addr, unique)
-			slots[i] = probeSlot{tr: tr, err: err}
-		}(i, inst)
-	}
-	wg.Wait()
+	// Open resolvers: probed directly. The fleet index makes the
+	// cache-busting label unique across shards and processes.
+	direct := testbed.ProbeResolvers(ctx, h.Net, spec.Workers, len(open), func(i int) (netip.AddrPort, string) {
+		return open[i].Addr, fmt.Sprintf("open-%d", open[i].Index)
+	})
 
 	// Closed resolvers via the Atlas platform (EDE-less transcripts),
 	// probe IDs pinned to fleet indexes so labels and result order are
@@ -260,7 +233,7 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 		s.Observe(tr)
 	}
 	for i, inst := range open {
-		classify(inst, slots[i].tr, slots[i].err)
+		classify(inst, direct[i].Transcript, direct[i].Err)
 	}
 	for i, inst := range closed {
 		classify(inst, measured[i].Transcript, measured[i].Err)

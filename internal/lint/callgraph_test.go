@@ -138,13 +138,13 @@ func TestCallGraphCrossPackage(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := lint.BuildCallGraph(pkgs)
-	probe := findNode(t, g, "testbed.ProbeResolver")
+	probe := findNode(t, g, "testbed.ProbeResolvers")
 	for _, e := range probe.In {
 		if e.Caller.Pkg.Path == "repro/internal/atlas" {
 			return
 		}
 	}
-	t.Errorf("testbed.ProbeResolver has no caller from repro/internal/atlas; in-edges: %d", len(probe.In))
+	t.Errorf("testbed.ProbeResolvers has no caller from repro/internal/atlas; in-edges: %d", len(probe.In))
 }
 
 // reaches reports whether to is reachable from from over any edges.

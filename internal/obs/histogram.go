@@ -37,8 +37,9 @@ func DurationBuckets() []float64 {
 }
 
 // NanosecondBuckets is the bucket set for nanosecond-valued waits —
-// the lazy sign-wait histogram: from a microsecond (fast-path promote
-// races) up past a second (a large zone signing under contention).
+// the lazy sign-wait histogram: from a microsecond (a waiter arriving
+// as the signer finishes) up past a second (a large zone signing under
+// contention).
 func NanosecondBuckets() []float64 {
 	return []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 5e9}
 }

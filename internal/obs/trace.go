@@ -2,7 +2,7 @@ package obs
 
 // This file is the one place in internal/obs that reads the wall
 // clock. The clock reads are sanctioned per function with
-// //repro:nondeterministic directives (checked by the detertaint
+// //repro:nondeterministic directives (checked by the determinism
 // analyzer, which propagates taint over the cross-package call graph
 // and stops at annotated roots). The waiver is deliberate and narrow:
 // a span tracer's whole job is to measure real elapsed time, so unlike

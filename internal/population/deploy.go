@@ -56,6 +56,24 @@ func WithTransferPolicy(pol func(TLDSpec) zone.TransferPolicy) DeployOption {
 	return func(o *deployOptions) { o.transfer = pol }
 }
 
+// signConfig maps a TLD's or a domain's DNSSEC parameters to the zone
+// signing config that reproduces them; saltSeed makes the NSEC3 salt a
+// function of the zone's position in the universe.
+func signConfig(dnssec, hashed bool, iterations uint16, saltLen int, optOut bool, saltSeed uint64) zone.SignConfig {
+	switch {
+	case !dnssec:
+		return zone.SignConfig{Denial: zone.DenialNone}
+	case hashed:
+		return zone.SignConfig{
+			Denial: zone.DenialNSEC3,
+			NSEC3:  nsec3.Params{Iterations: iterations, Salt: deterministicSalt(saltLen, saltSeed)},
+			OptOut: optOut,
+		}
+	default:
+		return zone.SignConfig{Denial: zone.DenialNSEC}
+	}
+}
+
 // Deploy materializes the universe into real zones on a simulated
 // network: the root, every TLD (all 1,449), one zone per registered
 // domain hosted on its operator's shared name server, and one
@@ -99,20 +117,7 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 		if err != nil {
 			return nil, err
 		}
-		cfg := zone.SignConfig{}
-		switch {
-		case !tld.DNSSEC:
-			cfg.Denial = zone.DenialNone
-		case tld.NSEC3:
-			cfg.Denial = zone.DenialNSEC3
-			cfg.NSEC3 = nsec3.Params{
-				Iterations: tld.Iterations,
-				Salt:       deterministicSalt(tld.SaltLen, uint64(i)+1),
-			}
-			cfg.OptOut = tld.OptOut
-		default:
-			cfg.Denial = zone.DenialNSEC
-		}
+		cfg := signConfig(tld.DNSSEC, tld.NSEC3, tld.Iterations, tld.SaltLen, tld.OptOut, uint64(i)+1)
 		b.AddZone(testbed.ZoneSpec{
 			Apex: apex, Sign: cfg, Unsigned: !tld.DNSSEC, Shared: true, Server: addr,
 		})
@@ -162,20 +167,7 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 		spec := &u.Domains[i]
 		op := u.Operators[spec.Operator]
 		nsHost := dnswire.MustParseName("ns1." + op.InfraDomain)
-		cfg := zone.SignConfig{}
-		switch {
-		case !spec.DNSSEC:
-			cfg.Denial = zone.DenialNone
-		case spec.NSEC3:
-			cfg.Denial = zone.DenialNSEC3
-			cfg.NSEC3 = nsec3.Params{
-				Iterations: spec.Iterations,
-				Salt:       deterministicSalt(spec.SaltLen, uint64(i)+7),
-			}
-			cfg.OptOut = spec.OptOut
-		default:
-			cfg.Denial = zone.DenialNSEC
-		}
+		cfg := signConfig(spec.DNSSEC, spec.NSEC3, spec.Iterations, spec.SaltLen, spec.OptOut, uint64(i)+7)
 		b.AddZone(testbed.ZoneSpec{
 			Apex:   spec.Name,
 			NSHost: nsHost,

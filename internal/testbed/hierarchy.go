@@ -68,40 +68,33 @@ type Hierarchy struct {
 	Net         *netsim.Network
 	Roots       []netip.AddrPort
 	TrustAnchor []dnswire.DS
-	// Zones maps apex to its signed zone for zones signed eagerly at
-	// build time. Lazily-registered zones appear here never — query
-	// them through the network or force them with Materialize.
+	// Zones maps apex to its signed zone for the DNSSEC-signed zones
+	// Build materialized itself. Lazily-registered zones appear here
+	// never — query them through the network or force them with
+	// Materialize.
 	Zones map[dnswire.Name]*zone.Signed
 	// Servers maps listen address to the server instance.
 	Servers map[netip.AddrPort]*authserver.Server
 	// Log records queries on every server (shared).
 	Log *authserver.QueryLog
-	// ZonesSigned and ZonesReused count build-time signing work: zones
-	// signed fresh during this build versus served from the builder's
-	// SignCache. Lazy signing is counted separately (SignStats folds
-	// both together).
-	ZonesSigned, ZonesReused int
 
 	// hosts maps every apex to its serving server, so Materialize can
 	// reach a zone without knowing the topology.
 	hosts map[dnswire.Name]*authserver.Server
-	// lazySigned/lazyReused count post-build signing work done by lazy
-	// thunks: fresh signs versus sign-cache hits. Atomic — thunks run
-	// on query-handling goroutines.
-	lazySigned, lazyReused atomic.Int64
+	// signed/reused count signing work: zones signed fresh versus served
+	// from the builder's SignCache. Atomic — lazy zones sign on
+	// query-handling goroutines.
+	signed, reused atomic.Int64
 }
 
 // Materialize forces signing of the zone with the given apex —
-// idempotent, and a cheap lookup for zones signed eagerly. AXFR setup
-// and tests use it to force-sign a lazy zone without synthesizing a
-// query. ctx bounds the wait when another goroutine is already signing
-// the apex. The materialized zone is NOT added to h.Zones (which is a
-// plain map, read concurrently); it is installed on the serving
+// idempotent, and a cheap lookup for zones Build already signed. AXFR
+// setup and tests use it to force-sign a lazy zone without synthesizing
+// a query. ctx bounds the wait when another goroutine is already
+// signing the apex. The materialized zone is NOT added to h.Zones
+// (which is a plain map, read concurrently); it lives on the serving
 // server.
 func (h *Hierarchy) Materialize(ctx context.Context, apex dnswire.Name) (*zone.Signed, error) {
-	if sz, ok := h.Zones[apex]; ok {
-		return sz, nil
-	}
 	srv, ok := h.hosts[apex]
 	if !ok {
 		return nil, fmt.Errorf("testbed: no zone %s in hierarchy", apex)
@@ -109,11 +102,10 @@ func (h *Hierarchy) Materialize(ctx context.Context, apex dnswire.Name) (*zone.S
 	return srv.Materialize(ctx, apex)
 }
 
-// SignStats reports total signing work — eager build-time and lazy
-// post-build combined — as fresh signs versus sign-cache hits.
+// SignStats reports the hierarchy's signing work so far — during Build
+// and on first queries alike — as fresh signs versus sign-cache hits.
 func (h *Hierarchy) SignStats() (signed, reused int) {
-	return h.ZonesSigned + int(h.lazySigned.Load()),
-		h.ZonesReused + int(h.lazyReused.Load())
+	return int(h.signed.Load()), int(h.reused.Load())
 }
 
 // LazyStats reports how many lazily-registered zones were materialized
@@ -163,11 +155,11 @@ func WithCache(c *SignCache) BuilderOption {
 }
 
 // WithLazySigning defers non-root zone signing to first query: Build
-// registers each zone as a spec plus a sign thunk on its server, and
+// hands each zone's sign thunk to its server instead of running it, and
 // the first query to reach the zone materializes it under a per-zone
-// singleflight. Keys are still resolved (and DS records published) at
-// build time — a delegation's DS depends only on the child's KSK — so
-// the hierarchy validates identically to an eager build. Peak memory
+// singleflight. Keys are resolved (and DS records published) at build
+// time either way — a delegation's DS depends only on the child's KSK —
+// so the hierarchy validates identically to an eager build. Peak memory
 // becomes O(zones touched) instead of O(zones hosted).
 func WithLazySigning() BuilderOption {
 	return func(b *Builder) { b.lazy = true }
@@ -290,32 +282,41 @@ func delegationRRs(spec *ZoneSpec, ds *dnswire.DS) []dnswire.RR {
 	return rrs
 }
 
-// lazyRec is a zone registered for on-demand signing: its keys are
-// already resolved (the DS in the parent came from them), its raw zone
-// and signatures don't exist until the thunk runs.
-type lazyRec struct {
+// zonePlan is a zone as Build plans it: its keys are resolved (the DS
+// in the parent came from them), its records and signatures don't exist
+// until sign runs.
+type zonePlan struct {
 	spec *ZoneSpec
 	cfg  zone.SignConfig
-	// delegations are the child NS/glue/DS sets installed by
-	// deeper zones during the build, applied when the raw zone is
-	// finally constructed.
+	// cache is the builder's SignCache when the zone is Shared and
+	// signed, nil otherwise: the one place that decision is made.
+	cache *SignCache
+	// delegations are the child NS/glue/DS sets deeper zones installed
+	// during planning, applied when the raw zone is constructed.
 	delegations []dnswire.RR
 }
 
-// Build signs every zone bottom-up, inserts delegations (NS + glue +
-// DS) into parents, registers authoritative servers on net, and returns
-// the hierarchy with the root trust anchor. With WithLazySigning, only
-// the root is signed here; every other zone is registered as a thunk
-// its server runs on first query.
+// Build plans every zone deepest-first — keys and DS now, delegation
+// (NS + glue + DS) appended to the parent's plan, content and
+// signatures deferred to the plan's sign thunk — then registers
+// authoritative servers on net and returns the hierarchy with the root
+// trust anchor. Building eagerly runs each thunk here; with
+// WithLazySigning only the root's runs, and every other zone's is
+// handed to its server to run on first query.
 func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 	rootSpec, ok := b.specs[dnswire.Root]
 	if !ok {
 		return nil, fmt.Errorf("testbed: hierarchy needs a root zone")
 	}
-	// Deepest zones first so DS records exist before parents sign.
+	if rootSpec.Unsigned {
+		return nil, fmt.Errorf("testbed: root must be signed")
+	}
+	// Deepest zones first so DS records exist before parents are planned.
 	order := make([]*ZoneSpec, 0, len(b.specs))
+	plans := make(map[dnswire.Name]*zonePlan, len(b.specs))
 	for _, s := range b.specs {
 		order = append(order, s)
+		plans[s.Apex] = &zonePlan{spec: s}
 	}
 	sort.Slice(order, func(i, j int) bool {
 		di, dj := order[i].Apex.CountLabels(), order[j].Apex.CountLabels()
@@ -332,98 +333,22 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 		Log:     authserver.NewQueryLog(1 << 16),
 		hosts:   make(map[dnswire.Name]*authserver.Server, len(b.specs)),
 	}
-	raw := make(map[dnswire.Name]*zone.Zone)
-	lazyRecs := make(map[dnswire.Name]*lazyRec)
-	// The root stays eager even under WithLazySigning: the trust
-	// anchor must exist before the first query.
-	isLazy := func(spec *ZoneSpec) bool { return b.lazy && !spec.Apex.IsRoot() }
 
-	// First pass: materialize raw zones for eager specs; register a
-	// lazy record for the rest (their raw zones are built on demand).
 	for _, spec := range order {
-		if isLazy(spec) {
-			lazyRecs[spec.Apex] = &lazyRec{spec: spec}
-			continue
+		ds, err := b.resolveKeys(plans[spec.Apex])
+		if err != nil {
+			return nil, err
 		}
-		raw[spec.Apex] = b.rawZone(spec)
-	}
-
-	// Second pass (deepest first): sign — or, for lazy zones, resolve
-	// keys and compute the DS without signing — then install the
-	// delegation + DS into the parent's raw zone or pending list.
-	for _, spec := range order {
-		var ds *dnswire.DS
-		if rec, ok := lazyRecs[spec.Apex]; ok {
-			cfg := b.signConfig(spec)
-			if !spec.Unsigned {
-				// Keys now, signatures later: the delegation DS depends
-				// only on the child's KSK (RFC 4034 §5), so the chain of
-				// trust is complete before the zone ever signs.
-				var err error
-				if b.cache != nil && spec.Shared {
-					var keys cachedKeys
-					if keys, err = b.cache.keysFor(spec.Apex, signAlg(cfg), cfg.Rand); err != nil {
-						return nil, fmt.Errorf("testbed: keys for %s: %w", spec.Apex, err)
-					}
-					cfg.KSK, cfg.ZSK = keys.ksk, keys.zsk
-				} else {
-					if cfg.KSK, err = dnssec.GenerateKey(signAlg(cfg), true, cfg.Rand); err != nil {
-						return nil, fmt.Errorf("testbed: keys for %s: %w", spec.Apex, err)
-					}
-					if cfg.ZSK, err = dnssec.GenerateKey(signAlg(cfg), false, cfg.Rand); err != nil {
-						return nil, fmt.Errorf("testbed: keys for %s: %w", spec.Apex, err)
-					}
-				}
-				d, err := dnssec.NewDS(spec.Apex, cfg.KSK.DNSKEY(), dnswire.DigestSHA256)
-				if err != nil {
-					return nil, fmt.Errorf("testbed: DS for %s: %w", spec.Apex, err)
-				}
-				ds = &d
-			}
-			rec.cfg = cfg
-		} else if !spec.Unsigned {
-			z := raw[spec.Apex]
-			cfg := b.signConfig(spec)
-			var signed *zone.Signed
-			var err error
-			if b.cache != nil && spec.Shared {
-				var hit bool
-				signed, hit, err = b.cache.sign(z, cfg)
-				if hit {
-					h.ZonesReused++
-				} else if err == nil {
-					h.ZonesSigned++
-				}
-			} else {
-				signed, err = z.Sign(cfg)
-				h.ZonesSigned++
-			}
-			if err != nil {
-				return nil, fmt.Errorf("testbed: signing %s: %w", spec.Apex, err)
-			}
-			h.Zones[spec.Apex] = signed
-			d, err := signed.DSForChild()
-			if err != nil {
-				return nil, err
-			}
-			ds = &d
-		}
-		ds = spec.publishedDS(ds)
-		if parent, ok := b.parentOf(spec.Apex); ok {
-			rrs := delegationRRs(spec, ds)
-			if prec, ok := lazyRecs[parent.Apex]; ok {
-				prec.delegations = append(prec.delegations, rrs...)
-			} else {
-				pz := raw[parent.Apex]
-				for _, rr := range rrs {
-					pz.MustAdd(rr)
-				}
-			}
+		if spec.Apex.IsRoot() {
+			h.TrustAnchor = []dnswire.DS{*ds}
+		} else if parent, ok := b.parentOf(spec.Apex); ok {
+			pp := plans[parent.Apex]
+			pp.delegations = append(pp.delegations, delegationRRs(spec, spec.publishedDS(ds))...)
 		}
 	}
 
-	// Third pass: attach zones (or thunks) to servers and register on
-	// the network.
+	// Attach zones (or their thunks) to servers and register on the
+	// network.
 	for _, spec := range order {
 		srv, ok := h.Servers[spec.Server]
 		if !ok {
@@ -431,40 +356,29 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 			srv.Log = h.Log
 			h.Servers[spec.Server] = srv
 			net.Register(spec.Server, srv)
-			if spec.ServerV6.IsValid() {
-				net.Register(spec.ServerV6, srv)
-			}
-		} else if spec.ServerV6.IsValid() {
+		}
+		if spec.ServerV6.IsValid() {
 			net.Register(spec.ServerV6, srv)
 		}
 		h.hosts[spec.Apex] = srv
-		if rec, ok := lazyRecs[spec.Apex]; ok {
-			rec := rec
-			srv.AddLazyZone(spec.Apex, func() (*zone.Signed, error) {
-				return b.materializeLazy(h, rec)
-			})
-		} else if signed, ok := h.Zones[spec.Apex]; ok {
-			srv.AddZone(signed)
-		} else {
-			// Serve the unsigned zone without any DNSSEC material:
-			// no DNSKEYs, no RRSIGs, no denial records.
-			unsigned, err := raw[spec.Apex].Sign(zone.SignConfig{Denial: zone.DenialNone})
-			if err != nil {
-				return nil, fmt.Errorf("testbed: serving unsigned %s: %w", spec.Apex, err)
-			}
-			srv.AddZone(unsigned)
+		plan := plans[spec.Apex]
+		sign := func() (*zone.Signed, error) { return b.sign(h, plan) }
+		// The root is materialized even under WithLazySigning: it is
+		// the one zone every resolution crosses.
+		if b.lazy && !spec.Apex.IsRoot() {
+			srv.AddLazyZone(spec.Apex, sign)
+			continue
 		}
+		sz, err := sign()
+		if err != nil {
+			return nil, err
+		}
+		if !spec.Unsigned {
+			h.Zones[spec.Apex] = sz
+		}
+		srv.AddZone(sz)
 	}
 
-	rootSigned := h.Zones[dnswire.Root]
-	if rootSigned == nil {
-		return nil, fmt.Errorf("testbed: root must be signed")
-	}
-	ds, err := rootSigned.DSForChild()
-	if err != nil {
-		return nil, err
-	}
-	h.TrustAnchor = []dnswire.DS{ds}
 	h.Roots = []netip.AddrPort{rootSpec.Server}
 	if rootSpec.ServerV6.IsValid() {
 		h.Roots = append(h.Roots, rootSpec.ServerV6)
@@ -472,41 +386,77 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 	return h, nil
 }
 
-// materializeLazy is a lazy zone's sign thunk: build the raw zone now
-// (including the delegations deeper zones installed during Build),
-// then sign it with the keys resolved at build time — through the
-// SignCache for Shared specs, so identical content across shards still
-// signs once. Signing determinism is per zone, not per order of
-// arrival: the keys and records were fixed at build time, so a lazy
-// hierarchy serves byte-identical zones to an eager one.
-func (b *Builder) materializeLazy(h *Hierarchy, rec *lazyRec) (*zone.Signed, error) {
-	z := b.rawZone(rec.spec)
-	for _, rr := range rec.delegations {
+// resolveKeys fixes a planned zone's signing config and returns the DS
+// its KSK yields (nil for an Unsigned zone, which is served without any
+// DNSSEC material: no DNSKEYs, no RRSIGs, no denial records). Keys now,
+// signatures later: a delegation's DS depends only on the child's KSK
+// (RFC 4034 §5), so the chain of trust is complete before any zone
+// signs. Shared zones take their keys from the SignCache, so repeated
+// builds publish the same DS.
+func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
+	apex := p.spec.Apex
+	if p.spec.Unsigned {
+		p.cfg = zone.SignConfig{Denial: zone.DenialNone}
+		return nil, nil
+	}
+	p.cfg = b.signConfig(p.spec)
+	if b.cache != nil && p.spec.Shared {
+		p.cache = b.cache
+	}
+	var err error
+	if p.cache != nil {
+		var keys cachedKeys
+		if keys, err = p.cache.keysFor(apex, signAlg(p.cfg), p.cfg.Rand); err != nil {
+			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
+		}
+		p.cfg.KSK, p.cfg.ZSK = keys.ksk, keys.zsk
+	} else {
+		if p.cfg.KSK, err = dnssec.GenerateKey(signAlg(p.cfg), true, p.cfg.Rand); err != nil {
+			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
+		}
+		if p.cfg.ZSK, err = dnssec.GenerateKey(signAlg(p.cfg), false, p.cfg.Rand); err != nil {
+			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
+		}
+	}
+	ds, err := dnssec.NewDS(apex, p.cfg.KSK.DNSKEY(), dnswire.DigestSHA256)
+	if err != nil {
+		return nil, fmt.Errorf("testbed: DS for %s: %w", apex, err)
+	}
+	return &ds, nil
+}
+
+// sign is a planned zone's thunk, the only place a zone is built and
+// signed: construct the raw zone (including the delegations deeper
+// zones installed during planning), then sign it with the keys
+// resolveKeys fixed — through the SignCache for Shared zones, so
+// identical content across builds signs once. Signing determinism is
+// per zone, not per order of arrival: keys and records were fixed at
+// plan time, so a lazy hierarchy serves byte-identical zones to an
+// eager one.
+func (b *Builder) sign(h *Hierarchy, p *zonePlan) (*zone.Signed, error) {
+	z := b.rawZone(p.spec)
+	for _, rr := range p.delegations {
 		z.MustAdd(rr)
 	}
-	if rec.spec.Unsigned {
-		unsigned, err := z.Sign(zone.SignConfig{Denial: zone.DenialNone})
-		if err != nil {
-			return nil, fmt.Errorf("testbed: serving unsigned %s: %w", rec.spec.Apex, err)
-		}
-		return unsigned, nil
+	var (
+		sz  *zone.Signed
+		hit bool
+		err error
+	)
+	if p.cache != nil {
+		sz, hit, err = p.cache.sign(z, p.cfg)
+	} else {
+		sz, err = z.Sign(p.cfg)
 	}
-	if b.cache != nil && rec.spec.Shared {
-		signed, hit, err := b.cache.sign(z, rec.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("testbed: signing %s: %w", rec.spec.Apex, err)
-		}
-		if hit {
-			h.lazyReused.Add(1)
-		} else {
-			h.lazySigned.Add(1)
-		}
-		return signed, nil
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("testbed: signing %s: %w", p.spec.Apex, err)
+	case p.spec.Unsigned:
+		// Served, not signed: no signing work to count.
+	case hit:
+		h.reused.Add(1)
+	default:
+		h.signed.Add(1)
 	}
-	signed, err := z.Sign(rec.cfg)
-	if err != nil {
-		return nil, fmt.Errorf("testbed: signing %s: %w", rec.spec.Apex, err)
-	}
-	h.lazySigned.Add(1)
-	return signed, nil
+	return sz, nil
 }

@@ -112,3 +112,76 @@ func TestBuildLazySharedUsesCache(t *testing.T) {
 		t.Fatalf("second build SignStats = %d/%d, want 1/1 (shared zone from cache)", signed, reused)
 	}
 }
+
+// TestEagerAndLazyBuildsAreOneBuild: every delegation shape the builder
+// knows — unsigned child, broken DS, omitted DS, out-of-bailiwick name
+// server, dual-stack server, a three-level chain — built eagerly and
+// then lazily over one SignCache. The lazy build must sign nothing:
+// each zone it materializes content-addresses (records, config, keys)
+// to the very zone the eager build signed, under the same trust anchor.
+func TestEagerAndLazyBuildsAreOneBuild(t *testing.T) {
+	cache := NewSignCache()
+	n3 := zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 5}}
+	infra := netsim.Addr4(203, 0, 113, 1)
+	specs := []ZoneSpec{
+		{Apex: dnswire.Root, Sign: zone.SignConfig{Denial: zone.DenialNSEC},
+			Server: netsim.Addr4(198, 41, 0, 4), ServerV6: netsim.Addr6(0x30)},
+		{Apex: dnswire.MustParseName("com"), Sign: zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
+			Server: netsim.Addr4(192, 5, 6, 30)},
+		{Apex: dnswire.MustParseName("net"), Sign: zone.SignConfig{Denial: zone.DenialNSEC},
+			Server: netsim.Addr4(192, 5, 6, 31)},
+		{Apex: dnswire.MustParseName("infra.net"), Sign: zone.SignConfig{Denial: zone.DenialNSEC}, Server: infra,
+			Populate: func(z *zone.Zone) {
+				z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("ns1"), Class: dnswire.ClassIN, TTL: 3600,
+					Data: dnswire.A{Addr: infra.Addr()}})
+			}},
+		{Apex: dnswire.MustParseName("example.com"), Sign: n3, Server: netsim.Addr4(192, 0, 2, 53)},
+		{Apex: dnswire.MustParseName("deep.example.com"), Sign: n3, Server: netsim.Addr4(192, 0, 2, 54)},
+		{Apex: dnswire.MustParseName("broken.com"), Sign: n3, BreakDS: true, Server: netsim.Addr4(192, 0, 2, 55)},
+		{Apex: dnswire.MustParseName("island.com"), Sign: n3, OmitDS: true, Server: netsim.Addr4(192, 0, 2, 56)},
+		{Apex: dnswire.MustParseName("plain.com"), Unsigned: true, Server: netsim.Addr4(192, 0, 2, 57)},
+		{Apex: dnswire.MustParseName("hosted.com"), Sign: n3, Server: infra,
+			NSHost: dnswire.MustParseName("ns1.infra.net")},
+	}
+	build := func(opts ...BuilderOption) *Hierarchy {
+		b := NewBuilder(tInception, tExpiration, append(opts, WithCache(cache))...)
+		for _, spec := range specs {
+			spec.Shared = true
+			b.AddZone(spec)
+		}
+		h, err := b.Build(netsim.NewNetwork(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	signedZones := len(specs) - 1 // all but plain.com
+
+	eager := build()
+	if signed, reused := eager.SignStats(); signed != signedZones || reused != 0 {
+		t.Fatalf("eager SignStats = %d/%d, want %d/0", signed, reused, signedZones)
+	}
+	if m, u := eager.LazyStats(); m != 0 || u != 0 {
+		t.Fatalf("eager LazyStats = %d/%d, want 0/0 (zones Build signs are not lazy)", m, u)
+	}
+
+	lazy := build(WithLazySigning())
+	for _, spec := range specs {
+		sz, err := lazy.Materialize(context.Background(), spec.Apex)
+		if err != nil {
+			t.Fatalf("Materialize(%s): %v", spec.Apex, err)
+		}
+		if want, ok := eager.Zones[spec.Apex]; ok != !spec.Unsigned || (ok && sz != want) {
+			t.Errorf("%s: lazy build did not materialize the zone the eager build signed", spec.Apex)
+		}
+	}
+	if signed, reused := lazy.SignStats(); signed != 0 || reused != signedZones {
+		t.Fatalf("lazy SignStats = %d/%d, want 0/%d", signed, reused, signedZones)
+	}
+	if m, u := lazy.LazyStats(); m != len(specs)-1 || u != 0 {
+		t.Fatalf("lazy LazyStats = %d/%d, want %d/0 (every zone but the root)", m, u, len(specs)-1)
+	}
+	if len(lazy.TrustAnchor) != 1 || lazy.TrustAnchor[0].String() != eager.TrustAnchor[0].String() {
+		t.Fatalf("trust anchors diverged: %v vs %v", eager.TrustAnchor, lazy.TrustAnchor)
+	}
+}

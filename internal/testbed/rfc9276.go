@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"sync"
 
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
@@ -172,6 +173,40 @@ func ProbeResolver(ctx context.Context, ex netsim.Exchanger, addr netip.AddrPort
 		tr.Observations = append(tr.Observations, obs)
 	}
 	return tr, nil
+}
+
+// ProbeResult is one resolver's outcome in a ProbeResolvers batch.
+type ProbeResult struct {
+	Transcript *Transcript
+	Err        error
+}
+
+// ProbeResolvers runs ProbeResolver against n resolvers with at most
+// limit probes in flight. target names resolver i's address and its
+// cache-busting label; results are collected by that index, so their
+// order is the caller's order — never goroutine completion order. A
+// probe still queued when ctx is cancelled reports ctx.Err().
+func ProbeResolvers(ctx context.Context, ex netsim.Exchanger, limit, n int, target func(i int) (netip.AddrPort, string)) []ProbeResult {
+	results := make([]ProbeResult, n)
+	sem := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				results[i].Err = ctx.Err()
+				return
+			}
+			defer func() { <-sem }()
+			addr, unique := target(i)
+			results[i].Transcript, results[i].Err = ProbeResolver(ctx, ex, addr, unique)
+		}(i)
+	}
+	wg.Wait()
+	return results
 }
 
 // Find returns the observation for a label.

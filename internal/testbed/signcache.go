@@ -40,9 +40,6 @@ type SignCache struct {
 	keys     map[dnswire.Name]cachedKeys
 	zones    map[[sha256.Size]byte]*zone.Signed
 	inflight map[[sha256.Size]byte]*signFlight
-
-	signed int
-	reused int
 }
 
 type cachedKeys struct {
@@ -66,20 +63,9 @@ func NewSignCache() *SignCache {
 	}
 }
 
-// Stats reports how many shared zones were signed fresh and how many
-// were served from cache since the cache was created.
-func (c *SignCache) Stats() (signed, reused int) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.signed, c.reused
-}
-
 // keysFor returns the cached key pair for apex, generating (and
 // caching) one when absent or when the algorithm changed. The builder
-// calls this eagerly even for lazily-signed zones: a delegation's DS
+// calls this at plan time for every Shared zone: a delegation's DS
 // depends only on the child's KSK, so keys must exist at build time
 // while signing itself can wait for the first query.
 func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm, rnd io.Reader) (cachedKeys, error) {
@@ -128,7 +114,6 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 
 	c.mu.Lock()
 	if s, ok := c.zones[fp]; ok {
-		c.reused++
 		c.mu.Unlock()
 		return s, true, nil
 	}
@@ -140,9 +125,6 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 		if fl.err != nil {
 			return nil, false, fl.err
 		}
-		c.mu.Lock()
-		c.reused++
-		c.mu.Unlock()
 		return fl.sz, true, nil
 	}
 	fl := &signFlight{done: make(chan struct{})}
@@ -156,7 +138,6 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 	delete(c.inflight, fp)
 	if fl.err == nil {
 		c.zones[fp] = fl.sz
-		c.signed++
 	}
 	c.mu.Unlock()
 	close(fl.done)
