@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# ci.sh — the full local CI pipeline, mirrored by .github/workflows/ci.yml.
+# ci.sh — the full CI pipeline; .github/workflows/ci.yml runs this script.
 # Every leg must pass before a PR merges:
 #   build, vet, race-enabled tests, a short fuzz pass over the wire
 #   codec and NSEC3 hash, and the project's own static-analysis suite.

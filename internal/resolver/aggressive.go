@@ -26,29 +26,24 @@ type aggressiveZone struct {
 	// records are validated NSEC3 records, unordered (lookups are
 	// linear; caches hold few spans per zone in practice).
 	records []nsec3.Record
-	expiry  uint32
 }
 
-// aggressiveCache maps zone apex → cached spans.
+// aggressiveCache maps zone apex → cached spans. mu makes store's
+// read-modify-write of a zone's records atomic against synthesize.
 type aggressiveCache struct {
 	mu    sync.Mutex
-	zones map[dnswire.Name]*aggressiveZone
-}
-
-func newAggressiveCache() *aggressiveCache {
-	return &aggressiveCache{zones: make(map[dnswire.Name]*aggressiveZone)}
+	zones *ttlCache[dnswire.Name, *aggressiveZone]
 }
 
 // store records the validated NSEC3 set of a Secure negative response.
 func (c *aggressiveCache) store(apex dnswire.Name, set *nsec3.ResponseSet, now, ttl uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	z, ok := c.zones[apex]
-	if !ok || !serialLTE(now, z.expiry) ||
-		z.params.Iterations != set.Params.Iterations ||
+	z, ok := c.zones.get(apex, now)
+	if !ok || z.params.Iterations != set.Params.Iterations ||
 		!bytes.Equal(z.params.Salt, set.Params.Salt) {
-		z = &aggressiveZone{params: set.Params, expiry: now + ttl}
-		c.zones[apex] = z
+		z = &aggressiveZone{params: set.Params}
+		c.zones.put(apex, z, now, ttl)
 	}
 	for _, rec := range set.Records {
 		dup := false
@@ -75,7 +70,7 @@ func (c *aggressiveCache) synthesize(qname dnswire.Name, now uint32) (dnswire.Na
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for apex := qname.Parent(); ; apex = apex.Parent() {
-		if z, ok := c.zones[apex]; ok && serialLTE(now, z.expiry) {
+		if z, ok := c.zones.get(apex, now); ok {
 			set := &nsec3.ResponseSet{Zone: apex, Params: z.params, Records: z.records}
 			if _, _, err := set.VerifyNXDOMAIN(qname); err == nil {
 				return apex, true
@@ -90,7 +85,7 @@ func (c *aggressiveCache) synthesize(qname dnswire.Name, now uint32) (dnswire.Na
 // tryAggressive consults the cache before any network activity; on a
 // hit it fabricates the Secure NXDOMAIN result.
 func (r *Resolver) tryAggressive(qname dnswire.Name) (*Result, bool) {
-	if !r.cfg.Policy.AggressiveNSEC || r.aggressive == nil || !r.validating() {
+	if r.aggressive == nil || !r.validating() {
 		return nil, false
 	}
 	if _, ok := r.aggressive.synthesize(qname, r.cfg.Now()); !ok {
@@ -109,7 +104,7 @@ func (r *Resolver) tryAggressive(qname dnswire.Name) (*Result, bool) {
 // learnAggressive feeds a validated Secure negative answer's NSEC3
 // records into the cache.
 func (r *Resolver) learnAggressive(msg *dnswire.Message) {
-	if !r.cfg.Policy.AggressiveNSEC || r.aggressive == nil {
+	if r.aggressive == nil {
 		return
 	}
 	set, err := nsec3.ExtractResponseSet(msg.Authority)

@@ -31,7 +31,8 @@ func TestAggressiveNSEC3Synthesis(t *testing.T) {
 			t.Fatalf("prime %d: %v %+v", i, err, res)
 		}
 		r.aggressive.mu.Lock()
-		n := len(r.aggressive.zones[zoneApex].records)
+		z, _ := r.aggressive.zones.get(zoneApex, tNow)
+		n := len(z.records)
 		r.aggressive.mu.Unlock()
 		if n == 3 {
 			break

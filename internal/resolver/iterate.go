@@ -30,21 +30,44 @@ type authResponse struct {
 	apex dnswire.Name // deepest delegation followed (zone context)
 }
 
-// iterate walks the delegation tree from the roots to the zone
-// authoritative for qname and returns its response.
+// iterate is the one delegation walk: from the roots to the zone
+// authoritative for qname, returning that zone's response.
+//
+// With Policy.QNameMinimization (RFC 9156) each hop exposes only one
+// more label than is known to exist, probing with NS queries until the
+// full name and real type are reached. That composes cleanly with
+// DNSSEC validation: an NXDOMAIN for a minimized ancestor m of qname
+// carries a closest-encloser proof whose covered next-closer name is m
+// itself — exactly qname's next closer below the same encloser — so
+// nsec3.VerifyNXDOMAIN(qname) accepts the proof unchanged. Without
+// minimization every hop exposes the full name, and labels stays nil so
+// that path never pays for the split.
 func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int) (*authResponse, error) {
 	if depth > maxDepth {
 		return nil, ErrLoop
 	}
 	// DS queries keep the full-name walk: they are answered by the
 	// parent, which a minimized NS probe would skip past.
+	var labels []string
 	if r.cfg.Policy.QNameMinimization && qtype != dnswire.TypeDS {
-		return r.iterateMinimized(ctx, qname, qtype, depth)
+		labels = qname.Labels()
 	}
 	servers := append([]netip.AddrPort(nil), r.cfg.Roots...)
 	apex := dnswire.Root
-	for hop := 0; hop < maxReferrals; hop++ {
-		msg, err := r.queryAny(ctx, servers, qname, qtype)
+	// known counts the trailing labels of qname confirmed to exist or be
+	// delegated. Every hop follows a referral or confirms one more
+	// label, which bounds the loop.
+	known := 0
+	for hop := 0; hop < maxReferrals+len(labels); hop++ {
+		cur, curType := qname, qtype
+		if known+1 < len(labels) {
+			var err error
+			if cur, err = dnswire.FromLabels(labels[len(labels)-known-1:]...); err != nil {
+				return nil, err
+			}
+			curType = dnswire.TypeNS
+		}
+		msg, err := r.queryAny(ctx, servers, cur, curType)
 		if err != nil {
 			return nil, err
 		}
@@ -52,15 +75,20 @@ func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswir
 			return nil, fmt.Errorf("%w: %s from zone %s", ErrLame, msg.Header.RCode, apex)
 		}
 		if isReferral(msg) {
-			cut, nextServers, err := r.followReferral(ctx, msg, apex, depth)
-			if err != nil {
+			if apex, servers, err = r.followReferral(ctx, msg, apex, depth); err != nil {
 				return nil, err
 			}
-			apex = cut
-			servers = nextServers
+			known = max(known, apex.CountLabels())
 			continue
 		}
-		return &authResponse{msg: msg, apex: apex}, nil
+		// An NXDOMAIN for a minimized ancestor denies the whole subtree
+		// (RFC 8020), so it is as final as the answer for qname itself.
+		if cur == qname || msg.Header.RCode == dnswire.RCodeNXDomain {
+			return &authResponse{msg: msg, apex: apex}, nil
+		}
+		// The minimized name exists (NODATA or some data): expose one
+		// more label to the same servers.
+		known++
 	}
 	return nil, ErrLoop
 }
@@ -188,10 +216,9 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	status := StatusIndeterminate
 	limitHit := false
 	if r.validating() && !cd {
-		status, limitHit, err = r.validateResponse(ctx, qname, qtype, msg, auth.apex, depth)
-		if err != nil || status == StatusBogus {
-			res := r.servfail(limitHit)
-			return res, 30, nil
+		status, limitHit = r.validateResponse(ctx, qname, qtype, msg, auth.apex, depth)
+		if status == StatusBogus {
+			return r.servfail(limitHit), 30, nil
 		}
 	}
 

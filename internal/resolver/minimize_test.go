@@ -74,26 +74,44 @@ func TestQNameMinimizationHidesLabelsFromRoot(t *testing.T) {
 
 func TestQNameMinimizationResultsMatchFullWalk(t *testing.T) {
 	h := buildWorld(t)
-	min := compliantPolicy()
-	min.QNameMinimization = true
-	rMin := newTestResolver(t, h, min)
-	rFull := newTestResolver(t, h, compliantPolicy())
+	// A lame root answers every query REFUSED.
+	lameRoot := netsim.Addr4(198, 51, 100, 66)
+	h.Net.Register(lameRoot, netsim.HandlerFunc(func(_ context.Context, _ netip.AddrPort, q *dnswire.Message) *dnswire.Message {
+		return &dnswire.Message{
+			Header:    dnswire.Header{ID: q.Header.ID, Response: true, RCode: dnswire.RCodeRefused},
+			Questions: q.Questions,
+		}
+	}))
 	cases := []struct {
 		name  string
+		lame  bool // resolve from lameRoot with CD set, so only the walk can fail the query
 		rcode dnswire.RCode
 		ad    bool
 	}{
-		{"q1.valid.rfc9276-in-the-wild.com", dnswire.RCodeNoError, true},
-		{"q1.www.it-5.rfc9276-in-the-wild.com", dnswire.RCodeNXDomain, true},
-		{"q1.www.it-200.rfc9276-in-the-wild.com", dnswire.RCodeNXDomain, false},
-		{"q1.expired.rfc9276-in-the-wild.com", dnswire.RCodeServFail, false},
+		{"q1.valid.rfc9276-in-the-wild.com", false, dnswire.RCodeNoError, true},
+		{"q1.www.it-5.rfc9276-in-the-wild.com", false, dnswire.RCodeNXDomain, true},
+		{"q1.www.it-200.rfc9276-in-the-wild.com", false, dnswire.RCodeNXDomain, false},
+		{"q1.expired.rfc9276-in-the-wild.com", false, dnswire.RCodeServFail, false},
+		{"q1.valid.rfc9276-in-the-wild.com", true, dnswire.RCodeServFail, false},
 	}
 	for _, c := range cases {
-		for _, r := range []*Resolver{rMin, rFull} {
-			res := resolveA(t, r, c.name)
+		for _, minimize := range []bool{true, false} {
+			cfg := Config{
+				Roots: h.Roots, TrustAnchor: h.TrustAnchor,
+				Exchanger: h.Net, Policy: compliantPolicy(),
+				Now: func() uint32 { return tNow },
+			}
+			cfg.Policy.QNameMinimization = minimize
+			if c.lame {
+				cfg.Roots = []netip.AddrPort{lameRoot}
+			}
+			res, err := New(cfg).ResolveCD(context.Background(), dnswire.MustParseName(c.name), dnswire.TypeA, c.lame)
+			if err != nil {
+				t.Fatalf("resolve %s: %v", c.name, err)
+			}
 			if res.RCode != c.rcode || res.AD != c.ad {
-				t.Fatalf("%s (min=%v): rcode=%s ad=%v, want %s/%v",
-					c.name, r.cfg.Policy.QNameMinimization, res.RCode, res.AD, c.rcode, c.ad)
+				t.Fatalf("%s (min=%v lame=%v): rcode=%s ad=%v, want %s/%v",
+					c.name, minimize, c.lame, res.RCode, res.AD, c.rcode, c.ad)
 			}
 		}
 	}

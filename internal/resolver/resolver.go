@@ -10,6 +10,28 @@
 // Cloudflare and OpenDNS SERVFAILing above 150, Technitium SERVFAILing
 // above 100 with EDE 27, strict-zero boxes, and broken three-phase
 // resolvers violating Item 12.
+//
+// # Where things happen
+//
+// Each of the validator's four jobs has exactly one site, which is also
+// the one place to hook it:
+//
+//   - the walk — iterate (iterate.go) is the only loop that follows
+//     referrals; QNAME minimization is "how many labels does this hop
+//     expose" inside it, not a second walk.
+//   - the cache door — resolve (this file) is the only function that
+//     reads or writes the message cache; client queries and the
+//     validator's DS lookups both enter through it. All three caches
+//     (messages, zone trust, aggressive-NSEC zones) are one ttlCache
+//     shape, so resolver state is enumerable from here (ROADMAP 5a).
+//   - the verifier — verifyGroup (validate.go) is the only caller of
+//     dnssec.VerifyWithRRSIG; SOA, NSEC3, NSEC, answer and DNSKEY checks
+//     are filters over groupRRsets output. A signature-verification
+//     memo (ROADMAP 4a) goes here.
+//   - the policy gate — validateDenial (validate.go) is the only caller
+//     of applyIterationPolicy: the RFC 9276 Item 6/7/8 decision for
+//     negative answers and wildcard expansions alike. A per-query
+//     decision trace (ROADMAP 6c, -explain) renders this point.
 package resolver
 
 import (
@@ -126,9 +148,10 @@ type Config struct {
 type Resolver struct {
 	cfg Config
 
-	mu        sync.Mutex
-	msgCache  map[cacheKey]*cacheEntry
-	zoneCache map[dnswire.Name]*zoneTrust
+	// msgCache holds client results (touched only by resolve);
+	// zoneCache the chain-of-trust state per zone apex.
+	msgCache  *ttlCache[cacheKey, *Result]
+	zoneCache *ttlCache[dnswire.Name, zoneTrust]
 
 	// aggressive is the RFC 8198 validated-denial cache (nil unless
 	// the policy enables it).
@@ -145,16 +168,46 @@ type cacheKey struct {
 	cd    bool
 }
 
-type cacheEntry struct {
-	res    *Result
-	expiry uint32
-}
-
-// zoneTrust caches the validated key state of one zone.
+// zoneTrust is the validated key state of one zone.
 type zoneTrust struct {
 	status SecurityStatus
 	keys   []dnswire.DNSKEY
+}
+
+// ttlCache is the one cache shape of the package: entries expire in
+// RFC 1982 serial time, and a table that has reached max entries is
+// flushed whole before the next insert.
+type ttlCache[K comparable, V any] struct {
+	mu  sync.Mutex
+	max int
+	m   map[K]ttlEntry[V]
+}
+
+type ttlEntry[V any] struct {
+	v      V
 	expiry uint32
+}
+
+func newTTLCache[K comparable, V any](max int) *ttlCache[K, V] {
+	return &ttlCache[K, V]{max: max, m: make(map[K]ttlEntry[V])}
+}
+
+// get returns the entry for k if it is still live at now.
+func (c *ttlCache[K, V]) get(k K, now uint32) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	return e.v, ok && serialLTE(now, e.expiry)
+}
+
+// put stores v under k until now+ttl.
+func (c *ttlCache[K, V]) put(k K, v V, now, ttl uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) >= c.max {
+		c.m = make(map[K]ttlEntry[V]) // simple full flush
+	}
+	c.m[k] = ttlEntry[V]{v, now + ttl}
 }
 
 // Result is the outcome of one resolution as presented to a client.
@@ -183,12 +236,12 @@ func New(cfg Config) *Resolver {
 	}
 	r := &Resolver{
 		cfg:       cfg,
-		msgCache:  make(map[cacheKey]*cacheEntry),
-		zoneCache: make(map[dnswire.Name]*zoneTrust),
+		msgCache:  newTTLCache[cacheKey, *Result](cfg.MaxCacheEntries),
+		zoneCache: newTTLCache[dnswire.Name, zoneTrust](cfg.MaxCacheEntries),
 		met:       newMetrics(cfg.Obs),
 	}
 	if cfg.Policy.AggressiveNSEC {
-		r.aggressive = newAggressiveCache()
+		r.aggressive = &aggressiveCache{zones: newTTLCache[dnswire.Name, *aggressiveZone](cfg.MaxCacheEntries)}
 	}
 	return r
 }
@@ -206,26 +259,23 @@ func (r *Resolver) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswir
 // as-is (RFC 4035 §3.2.2) — how measurement scanners retrieve records
 // from zones a validator would reject.
 func (r *Resolver) ResolveCD(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, cd bool) (*Result, error) {
+	return r.resolve(ctx, qname, qtype, 0, cd)
+}
+
+// resolve is the cache door: the only function that reads or writes
+// the message cache. Client queries enter at depth 0; the validator's
+// DS lookups re-enter deeper and share the same entries and bound.
+func (r *Resolver) resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int, cd bool) (*Result, error) {
 	now := r.cfg.Now()
 	key := cacheKey{qname, qtype, cd}
-	r.mu.Lock()
-	if e, ok := r.msgCache[key]; ok && serialLTE(now, e.expiry) {
-		res := e.res
-		r.mu.Unlock()
+	if res, ok := r.msgCache.get(key, now); ok {
 		return res, nil
 	}
-	r.mu.Unlock()
-
-	res, ttl, err := r.resolveUncached(ctx, qname, qtype, 0, cd)
+	res, ttl, err := r.resolveUncached(ctx, qname, qtype, depth, cd)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	if len(r.msgCache) >= r.cfg.MaxCacheEntries {
-		r.msgCache = make(map[cacheKey]*cacheEntry) // simple full flush
-	}
-	r.msgCache[key] = &cacheEntry{res: res, expiry: now + ttl}
-	r.mu.Unlock()
+	r.msgCache.put(key, res, now, ttl)
 	return res, nil
 }
 
@@ -256,10 +306,8 @@ func (r *Resolver) Handle(ctx context.Context, from netip.AddrPort, query *dnswi
 	} else {
 		resp.Header.RecursionAvailable = true
 	}
-	var clientDO bool
-	if opt, ok := query.OPT(); ok {
-		clientDO = opt.DO
-	}
+	queryOPT, hasOPT := query.OPT()
+	clientDO := hasOPT && queryOPT.DO
 	if query.Header.Opcode != dnswire.OpcodeQuery || len(query.Questions) != 1 {
 		resp.Header.RCode = dnswire.RCodeNotImp
 		return resp
@@ -273,7 +321,7 @@ func (r *Resolver) Handle(ctx context.Context, from netip.AddrPort, query *dnswi
 	resp.Header.AuthenticatedData = res.AD
 	resp.Answers = res.Answers
 	resp.Authority = res.Authority
-	if _, hasOPT := query.OPT(); hasOPT {
+	if hasOPT {
 		opt := &dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: clientDO}
 		opt.EDEs = append(opt.EDEs, res.EDE...)
 		resp.Additional = append(resp.Additional, opt.AsRR())

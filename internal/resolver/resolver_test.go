@@ -248,6 +248,61 @@ func TestResolverCaching(t *testing.T) {
 	}
 }
 
+// TestCachesHonourMaxCacheEntries pins that every insert — client
+// answers and the validator's own DS lookups alike — counts against
+// Config.MaxCacheEntries: a validator walking more signed zones than
+// the bound never holds more than the bound, observed at every upstream
+// exchange so that growth inside one resolution is seen too.
+func TestCachesHonourMaxCacheEntries(t *testing.T) {
+	h := buildWorld(t)
+	const bound = 4
+	probe := &boundCheckExchanger{inner: h.Net, t: t, bound: bound}
+	probe.r = New(Config{
+		Roots: h.Roots, TrustAnchor: h.TrustAnchor,
+		Exchanger: probe, Policy: compliantPolicy(),
+		Now:             func() uint32 { return tNow },
+		MaxCacheEntries: bound,
+	})
+	subs := testbed.Subdomains()
+	if len(subs) <= bound {
+		t.Fatalf("%d zones cannot overflow a bound of %d", len(subs), bound)
+	}
+	for _, sub := range subs {
+		resolveA(t, probe.r, "q1.www."+sub.Label+".rfc9276-in-the-wild.com")
+	}
+	probe.check("the last resolution")
+}
+
+// boundCheckExchanger checks the resolver's cache sizes each time the
+// resolver goes upstream.
+type boundCheckExchanger struct {
+	inner netsim.Exchanger
+	t     *testing.T
+	r     *Resolver
+	bound int
+}
+
+func (x *boundCheckExchanger) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	x.check(q.Question().Name.String())
+	return x.inner.Exchange(ctx, server, q)
+}
+
+func (x *boundCheckExchanger) check(at string) {
+	x.t.Helper()
+	if n := cacheLen(x.r.msgCache); n > x.bound {
+		x.t.Fatalf("at %s: message cache holds %d entries, bound %d", at, n, x.bound)
+	}
+	if n := cacheLen(x.r.zoneCache); n > x.bound {
+		x.t.Fatalf("at %s: zone-trust cache holds %d entries, bound %d", at, n, x.bound)
+	}
+}
+
+func cacheLen[K comparable, V any](c *ttlCache[K, V]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
+}
+
 type countingExchanger struct {
 	inner netsim.Exchanger
 	count int

@@ -9,30 +9,24 @@ import (
 )
 
 // This file is the validation engine: chain-of-trust establishment
-// (zoneKeys), RRset signature checking, and denial-of-existence
-// verification with the NSEC3 iteration policy applied — the code path
-// whose behaviour Figure 3 of the paper measures across resolvers.
+// (zoneKeys), RRset signature checking (verifyGroup), and
+// denial-of-existence verification with the NSEC3 iteration policy
+// applied (validateDenial) — the code path whose behaviour Figure 3 of
+// the paper measures across resolvers.
 
 // validateResponse classifies a response from zone fallbackApex.
 // limitHit reports that the NSEC3 iteration policy (not a crypto
 // failure) determined the outcome, so the caller can attach EDE.
-func (r *Resolver) validateResponse(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, fallbackApex dnswire.Name, depth int) (SecurityStatus, bool, error) {
+func (r *Resolver) validateResponse(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, fallbackApex dnswire.Name, depth int) (SecurityStatus, bool) {
 	apex := responseZone(msg, fallbackApex)
-	zt, err := r.zoneKeys(ctx, apex, depth)
-	if err != nil {
-		return StatusBogus, false, nil
+	zt := r.zoneKeys(ctx, apex, depth)
+	if zt.status != StatusSecure {
+		return zt.status, false
 	}
-	switch zt.status {
-	case StatusInsecure:
-		return StatusInsecure, false, nil
-	case StatusBogus:
-		return StatusBogus, false, nil
-	}
-
 	if len(msg.Answers) > 0 {
-		return r.validatePositive(qname, msg, apex, zt)
+		return r.validatePositive(qname, msg, apex, zt.keys)
 	}
-	return r.validateNegative(qname, qtype, msg, apex, zt)
+	return r.validateNegative(qname, qtype, msg, apex, zt.keys)
 }
 
 // responseZone infers the answering zone: the SOA owner for negative
@@ -52,127 +46,103 @@ func responseZone(msg *dnswire.Message, fallback dnswire.Name) dnswire.Name {
 }
 
 // validatePositive checks every answer RRset signature; wildcard
-// expansions additionally need an NSEC3 proof, where the iteration
+// expansions additionally need a denial proof, where the iteration
 // policy applies.
-func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, zt *zoneTrust) (SecurityStatus, bool, error) {
-	groups := groupRRsets(msg.Answers)
-	if len(groups) == 0 {
-		return StatusBogus, false, nil
+func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) (SecurityStatus, bool) {
+	answers := groupRRsets(msg.Answers)
+	if len(answers) == 0 {
+		return StatusBogus, false
 	}
-	wildcard := false
-	var wildcardLabels int
-	for _, g := range groups {
-		sigs := g.sigs
-		if len(sigs) == 0 {
-			return StatusBogus, false, nil
+	wildcardLabels := -1
+	for _, g := range answers {
+		if !r.verifyGroup(g, apex, keys) {
+			return StatusBogus, false
 		}
-		set, err := dnssec.NewRRset(g.rrs)
-		if err != nil {
-			return StatusBogus, false, nil
-		}
-		if !r.verifyAnySig(set, sigs, apex, zt.keys) {
-			return StatusBogus, false, nil
-		}
-		for _, sigRR := range sigs {
+		for _, sigRR := range g.sigs {
 			sig := sigRR.Data.(dnswire.RRSIG)
-			if int(sig.Labels) < set.Name.CountLabels() {
-				wildcard = true
+			if int(sig.Labels) < g.rrs[0].Name.CountLabels() {
 				wildcardLabels = int(sig.Labels)
 			}
 		}
 	}
-	if !wildcard {
-		return StatusSecure, false, nil
+	if wildcardLabels < 0 {
+		return StatusSecure, false
 	}
-	// Wildcard answer: the NSEC3 (or NSEC) proof that qname itself does
-	// not exist must accompany it (RFC 5155 §8.8). The iteration policy
-	// applies to this proof.
-	set3, err := nsec3.ExtractResponseSet(msg.Authority)
-	if err == nil {
-		verdict, limitHit := r.applyIterationPolicy(int(set3.Params.Iterations))
-		switch verdict {
-		case verdictServfail:
-			return StatusBogus, true, nil
-		case verdictInsecure:
-			if r.cfg.Policy.VerifyInsecureNSEC3 && !r.verifyNSEC3Sigs(msg, apex, zt) {
-				return StatusBogus, false, nil
-			}
-			return StatusInsecure, limitHit, nil
+	// Wildcard answer: the proof that qname itself does not exist must
+	// accompany it (RFC 5155 §8.8).
+	return r.validateDenial(qname, msg, groupRRsets(msg.Authority), apex, keys, func(set3 *nsec3.ResponseSet) SecurityStatus {
+		if set3.VerifyWildcardAnswer(qname, wildcardLabels) != nil {
+			return StatusBogus
 		}
-		r.countNSEC3Work(qname, set3.Zone, int(set3.Params.Iterations))
-		if !r.verifyNSEC3Sigs(msg, apex, zt) {
-			return StatusBogus, false, nil
-		}
-		if err := set3.VerifyWildcardAnswer(qname, wildcardLabels); err != nil {
-			return StatusBogus, false, nil
-		}
-		return StatusSecure, false, nil
-	}
-	// NSEC fallback.
-	if r.verifyNSECDenialOfName(qname, msg, apex, zt) {
-		return StatusSecure, false, nil
-	}
-	return StatusBogus, false, nil
+		return StatusSecure
+	})
 }
 
 // validateNegative checks NXDOMAIN and NODATA responses: the SOA RRSIG
-// plus the denial proof, with the NSEC3 iteration policy applied before
-// (or after, per Item 7) signature checking.
-func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, apex dnswire.Name, zt *zoneTrust) (SecurityStatus, bool, error) {
+// plus the denial proof.
+func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) (SecurityStatus, bool) {
+	authority := groupRRsets(msg.Authority)
 	// The SOA RRset must be signed.
-	if !r.verifySection(msg.Authority, dnswire.TypeSOA, apex, zt) {
-		return StatusBogus, false, nil
+	if !r.verifyType(authority, dnswire.TypeSOA, apex, keys) {
+		return StatusBogus, false
 	}
-
-	set3, err := nsec3.ExtractResponseSet(msg.Authority)
-	if err != nil {
-		// No NSEC3 records: try NSEC, else the zone failed to prove
-		// the denial.
-		if r.verifyNSECDenialOfName(qname, msg, apex, zt) {
-			return StatusSecure, false, nil
-		}
-		return StatusBogus, false, nil
-	}
-
-	verdict, limitHit := r.applyIterationPolicy(int(set3.Params.Iterations))
-	switch verdict {
-	case verdictServfail:
-		// Item 8: SERVFAIL above the limit.
-		return StatusBogus, true, nil
-	case verdictInsecure:
-		// Item 6: insecure above the limit. Item 7: a compliant
-		// validator still authenticates the NSEC3 records before
-		// trusting their iteration field.
-		if r.cfg.Policy.VerifyInsecureNSEC3 && !r.verifyNSEC3Sigs(msg, apex, zt) {
-			return StatusBogus, false, nil
-		}
-		return StatusInsecure, limitHit, nil
-	}
-
-	// Within limits: full validation. The denial proof is about to be
-	// re-hashed, so charge its iteration cost to the work counter.
-	r.countNSEC3Work(qname, set3.Zone, int(set3.Params.Iterations))
-	if !r.verifyNSEC3Sigs(msg, apex, zt) {
-		return StatusBogus, false, nil
-	}
-	if msg.Header.RCode == dnswire.RCodeNXDomain {
-		if _, _, err := set3.VerifyNXDOMAIN(qname); err != nil {
-			return StatusBogus, false, nil
-		}
-	} else {
-		if err := set3.VerifyNODATA(qname, qtype); err != nil {
+	return r.validateDenial(qname, msg, authority, apex, keys, func(set3 *nsec3.ResponseSet) SecurityStatus {
+		if msg.Header.RCode == dnswire.RCodeNXDomain {
+			if _, _, err := set3.VerifyNXDOMAIN(qname); err != nil {
+				return StatusBogus
+			}
+		} else if set3.VerifyNODATA(qname, qtype) != nil {
 			// An insecure delegation excluded from an opt-out chain
 			// answers DS queries with the RFC 5155 §8.6 proof: closest
 			// provable encloser matched, next closer covered by an
 			// Opt-Out span. That proves an unsigned delegation —
 			// insecure, not bogus.
-			if _, err2 := set3.VerifyNoDS(qname); err2 == nil {
-				return StatusInsecure, false, nil
+			if _, err := set3.VerifyNoDS(qname); err == nil {
+				return StatusInsecure
 			}
-			return StatusBogus, false, nil
+			return StatusBogus
 		}
+		return StatusSecure
+	})
+}
+
+// validateDenial is the one iteration-policy gate: every denial proof
+// (negative answer or wildcard expansion) passes through it. authority
+// is msg.Authority grouped; prove runs the proof-specific NSEC3 check
+// once the policy admits full validation. limitHit is as for
+// validateResponse.
+func (r *Resolver) validateDenial(qname dnswire.Name, msg *dnswire.Message, authority []rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY, prove func(*nsec3.ResponseSet) SecurityStatus) (SecurityStatus, bool) {
+	set3, err := nsec3.ExtractResponseSet(msg.Authority)
+	if err != nil {
+		// No NSEC3 records: try NSEC, else the zone failed to prove
+		// the denial.
+		if r.verifyNSECDenialOfName(qname, authority, apex, keys) {
+			return StatusSecure, false
+		}
+		return StatusBogus, false
 	}
-	return StatusSecure, false, nil
+	iterations := int(set3.Params.Iterations)
+	verdict, limitHit := r.applyIterationPolicy(iterations)
+	switch verdict {
+	case verdictServfail:
+		// Item 8: SERVFAIL above the limit.
+		return StatusBogus, true
+	case verdictInsecure:
+		// Item 6: insecure above the limit. Item 7: a compliant
+		// validator still authenticates the NSEC3 records before
+		// trusting their iteration field.
+		if r.cfg.Policy.VerifyInsecureNSEC3 && !r.verifyType(authority, dnswire.TypeNSEC3, apex, keys) {
+			return StatusBogus, false
+		}
+		return StatusInsecure, limitHit
+	}
+	// Within limits: full validation. The denial proof is about to be
+	// re-hashed, so charge its iteration cost to the work counter.
+	r.countNSEC3Work(qname, set3.Zone, iterations)
+	if !r.verifyType(authority, dnswire.TypeNSEC3, apex, keys) {
+		return StatusBogus, false
+	}
+	return prove(set3), false
 }
 
 // policyVerdict is the outcome of the iteration limit check.
@@ -246,14 +216,16 @@ func groupRRsets(rrs []dnswire.RR) []rrGroup {
 	return kept
 }
 
-// verifyAnySig reports whether any of sigs validates set with any key.
-func (r *Resolver) verifyAnySig(set dnssec.RRset, sigs []dnswire.RR, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
+// verifyGroup is the one RRset verifier: it reports whether any of g's
+// RRSIGs validates g's records with any of keys.
+func (r *Resolver) verifyGroup(g rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
+	set, err := dnssec.NewRRset(g.rrs)
+	if err != nil {
+		return false
+	}
 	now := r.cfg.Now()
-	for _, sigRR := range sigs {
-		sig, ok := sigRR.Data.(dnswire.RRSIG)
-		if !ok {
-			continue
-		}
+	for _, sigRR := range g.sigs {
+		sig := sigRR.Data.(dnswire.RRSIG)
 		for _, key := range keys {
 			if dnssec.VerifyWithRRSIG(set, sig, key, apex, now) == nil {
 				return true
@@ -263,68 +235,37 @@ func (r *Resolver) verifyAnySig(set dnssec.RRset, sigs []dnswire.RR, apex dnswir
 	return false
 }
 
-// verifySection verifies the RRset of type t (owner = any) within rrs.
-func (r *Resolver) verifySection(rrs []dnswire.RR, t dnswire.Type, apex dnswire.Name, zt *zoneTrust) bool {
-	for _, g := range groupRRsets(rrs) {
+// verifyType reports whether groups holds at least one RRset of type t
+// and every such RRset verifies — the SOA check, and over NSEC3 the
+// Item 7 integrity check of the iteration field itself.
+func (r *Resolver) verifyType(groups []rrGroup, t dnswire.Type, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
+	found := false
+	for _, g := range groups {
 		if g.rrs[0].Type() != t {
 			continue
 		}
-		set, err := dnssec.NewRRset(g.rrs)
-		if err != nil {
+		if !r.verifyGroup(g, apex, keys) {
 			return false
-		}
-		if !r.verifyAnySig(set, g.sigs, apex, zt.keys) {
-			return false
-		}
-		return true
-	}
-	return false
-}
-
-// verifyNSEC3Sigs verifies the RRSIG over every NSEC3 RRset in the
-// authority section — the Item 7 integrity check over the iteration
-// field itself.
-func (r *Resolver) verifyNSEC3Sigs(msg *dnswire.Message, apex dnswire.Name, zt *zoneTrust) bool {
-	found := false
-	for _, g := range groupRRsets(msg.Authority) {
-		if g.rrs[0].Type() != dnswire.TypeNSEC3 {
-			continue
 		}
 		found = true
-		set, err := dnssec.NewRRset(g.rrs)
-		if err != nil {
-			return false
-		}
-		if !r.verifyAnySig(set, g.sigs, apex, zt.keys) {
-			return false
-		}
 	}
 	return found
 }
 
 // verifyNSECDenialOfName validates a plain-NSEC denial: signatures over
 // the NSEC records plus a covering or matching span for qname.
-func (r *Resolver) verifyNSECDenialOfName(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, zt *zoneTrust) bool {
-	proven := false
-	for _, g := range groupRRsets(msg.Authority) {
-		if g.rrs[0].Type() != dnswire.TypeNSEC {
-			continue
-		}
-		set, err := dnssec.NewRRset(g.rrs)
-		if err != nil {
-			return false
-		}
-		if !r.verifyAnySig(set, g.sigs, apex, zt.keys) {
-			return false
-		}
+func (r *Resolver) verifyNSECDenialOfName(qname dnswire.Name, authority []rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
+	if !r.verifyType(authority, dnswire.TypeNSEC, apex, keys) {
+		return false
+	}
+	for _, g := range authority {
 		for _, rr := range g.rrs {
-			nsec := rr.Data.(dnswire.NSEC)
-			if nsecCoversOrMatches(rr.Name, nsec.NextName, qname) {
-				proven = true
+			if nsec, ok := rr.Data.(dnswire.NSEC); ok && nsecCoversOrMatches(rr.Name, nsec.NextName, qname) {
+				return true
 			}
 		}
 	}
-	return proven
+	return false
 }
 
 // nsecCoversOrMatches implements the canonical-order span check for
@@ -341,54 +282,49 @@ func nsecCoversOrMatches(owner, next, q dnswire.Name) bool {
 	return oc < 0 || qn < 0
 }
 
+// Cache lifetimes of a zone's trust state: validated (or provably
+// unsigned) zones are kept, failures retried soon.
+const (
+	trustTTL = 3600
+	bogusTTL = 30
+)
+
 // zoneKeys establishes (and caches) the chain of trust for a zone apex:
 // Secure with its validated DNSKEYs, Insecure below an unsigned
 // delegation, or Bogus.
-func (r *Resolver) zoneKeys(ctx context.Context, apex dnswire.Name, depth int) (*zoneTrust, error) {
+func (r *Resolver) zoneKeys(ctx context.Context, apex dnswire.Name, depth int) zoneTrust {
 	now := r.cfg.Now()
-	r.mu.Lock()
-	if zt, ok := r.zoneCache[apex]; ok && serialLTE(now, zt.expiry) {
-		r.mu.Unlock()
-		return zt, nil
+	if zt, ok := r.zoneCache.get(apex, now); ok {
+		return zt
 	}
-	r.mu.Unlock()
 	if depth > maxDepth {
-		return nil, ErrLoop
+		return zoneTrust{status: StatusBogus}
 	}
-
-	zt, err := r.establishTrust(ctx, apex, depth)
-	if err != nil {
-		return nil, err
+	zt := r.establishTrust(ctx, apex, depth)
+	ttl := uint32(trustTTL)
+	if zt.status == StatusBogus {
+		ttl = bogusTTL
 	}
-	r.mu.Lock()
-	if len(r.zoneCache) >= r.cfg.MaxCacheEntries {
-		r.zoneCache = make(map[dnswire.Name]*zoneTrust)
-	}
-	r.zoneCache[apex] = zt
-	r.mu.Unlock()
-	return zt, nil
+	r.zoneCache.put(apex, zt, now, ttl)
+	return zt
 }
 
-func (r *Resolver) establishTrust(ctx context.Context, apex dnswire.Name, depth int) (*zoneTrust, error) {
-	now := r.cfg.Now()
-	const trustTTL = 3600
+func (r *Resolver) establishTrust(ctx context.Context, apex dnswire.Name, depth int) zoneTrust {
+	bogus := zoneTrust{status: StatusBogus}
 
 	// Obtain the DS set authenticating this zone's KSK.
 	var dsSet []dnswire.DS
 	if apex.IsRoot() {
 		dsSet = r.cfg.TrustAnchor
 	} else {
-		res, _, err := r.resolveDSInternal(ctx, apex, depth)
-		if err != nil {
-			return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
-		}
+		res, err := r.resolve(ctx, apex, dnswire.TypeDS, depth+1, false)
 		switch {
-		case res.RCode == dnswire.RCodeServFail || res.Status == StatusBogus:
-			return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
+		case err != nil || res.RCode == dnswire.RCodeServFail || res.Status == StatusBogus:
+			return bogus
 		case res.Status == StatusInsecure:
 			// The parent zone itself is insecure (e.g. its own denial
 			// exceeded the iteration limit): everything below is too.
-			return &zoneTrust{status: StatusInsecure, expiry: now + trustTTL}, nil
+			return zoneTrust{status: StatusInsecure}
 		}
 		for _, rr := range res.Answers {
 			if ds, ok := rr.Data.(dnswire.DS); ok && rr.Name == apex {
@@ -397,73 +333,31 @@ func (r *Resolver) establishTrust(ctx context.Context, apex dnswire.Name, depth 
 		}
 		if len(dsSet) == 0 {
 			// Authenticated denial of DS: unsigned delegation.
-			return &zoneTrust{status: StatusInsecure, expiry: now + trustTTL}, nil
+			return zoneTrust{status: StatusInsecure}
 		}
 	}
 
 	// Fetch and self-validate the DNSKEY RRset.
 	auth, err := r.iterate(ctx, apex, dnswire.TypeDNSKEY, depth+1)
 	if err != nil {
-		return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
+		return bogus
 	}
-	var keyRRs []dnswire.RR
-	var sigRRs []dnswire.RR
-	for _, rr := range auth.msg.Answers {
-		switch d := rr.Data.(type) {
-		case dnswire.DNSKEY:
-			if rr.Name == apex {
-				keyRRs = append(keyRRs, rr)
-			}
-			_ = d
-		case dnswire.RRSIG:
-			if rr.Name == apex && d.TypeCovered == dnswire.TypeDNSKEY {
-				sigRRs = append(sigRRs, rr)
-			}
+	for _, g := range groupRRsets(auth.msg.Answers) {
+		if g.rrs[0].Name != apex || g.rrs[0].Type() != dnswire.TypeDNSKEY {
+			continue
 		}
-	}
-	if len(keyRRs) == 0 {
-		return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
-	}
-	set, err := dnssec.NewRRset(keyRRs)
-	if err != nil {
-		return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
-	}
-	// Find a KSK matching a DS and use it to verify the DNSKEY RRset.
-	for _, rr := range keyRRs {
-		key := rr.Data.(dnswire.DNSKEY)
-		for _, ds := range dsSet {
-			if dnssec.VerifyDS(apex, key, ds) != nil {
-				continue
-			}
-			if r.verifyAnySig(set, sigRRs, apex, []dnswire.DNSKEY{key}) {
-				keys := make([]dnswire.DNSKEY, 0, len(keyRRs))
-				for _, krr := range keyRRs {
-					keys = append(keys, krr.Data.(dnswire.DNSKEY))
+		keys := make([]dnswire.DNSKEY, len(g.rrs))
+		for i, rr := range g.rrs {
+			keys[i] = rr.Data.(dnswire.DNSKEY)
+		}
+		// Find a KSK matching a DS and use it to verify the DNSKEY RRset.
+		for i, key := range keys {
+			for _, ds := range dsSet {
+				if dnssec.VerifyDS(apex, key, ds) == nil && r.verifyGroup(g, apex, keys[i:i+1]) {
+					return zoneTrust{status: StatusSecure, keys: keys}
 				}
-				return &zoneTrust{status: StatusSecure, keys: keys, expiry: now + trustTTL}, nil
 			}
 		}
 	}
-	return &zoneTrust{status: StatusBogus, expiry: now + 30}, nil
-}
-
-// resolveDSInternal resolves (apex, DS) through the normal cached path.
-func (r *Resolver) resolveDSInternal(ctx context.Context, apex dnswire.Name, depth int) (*Result, uint32, error) {
-	now := r.cfg.Now()
-	key := cacheKey{apex, dnswire.TypeDS, false}
-	r.mu.Lock()
-	if e, ok := r.msgCache[key]; ok && serialLTE(now, e.expiry) {
-		res := e.res
-		r.mu.Unlock()
-		return res, 0, nil
-	}
-	r.mu.Unlock()
-	res, ttl, err := r.resolveUncached(ctx, apex, dnswire.TypeDS, depth+1, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	r.mu.Lock()
-	r.msgCache[key] = &cacheEntry{res: res, expiry: now + ttl}
-	r.mu.Unlock()
-	return res, ttl, nil
+	return bogus
 }

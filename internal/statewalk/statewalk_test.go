@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/respop"
 	"repro/internal/scanner"
 )
 
@@ -59,6 +60,37 @@ func TestStatewalkNoUnexplainedDivergences(t *testing.T) {
 	}
 	t.Logf("statewalk: %d topologies × %d profiles = %d cells, %d divergences (%d unexplained)",
 		sum.Topologies, sum.Profiles, sum.Cells, sum.Divergences, sum.Unexplained)
+}
+
+// TestStatewalkMinimizationTransparent runs the whole matrix with RFC
+// 9156 QNAME minimization switched on in every profile and requires the
+// triple the model predicts for the unminimized profile: how many
+// labels each hop of the resolver's walk exposes must never change a
+// (RCODE, AD, EDE) verdict, under any vendor limit or response shape.
+func TestStatewalkMinimizationTransparent(t *testing.T) {
+	w, err := BuildWorld(1)
+	if err != nil {
+		t.Fatalf("BuildWorld: %v", err)
+	}
+	cell := 0
+	for _, topo := range w.Topologies {
+		for _, prof := range respop.Profiles() {
+			want := Expect(topo, prof.Policy)
+			prof.Policy.QNameMinimization = true
+			rec, err := runCell(context.Background(), w, cell, topo, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Observed != want.JSON() {
+				t.Errorf("%s × %s minimized: observed %+v, want %+v\ntrace: %v",
+					topo.ID(), prof.Policy.Name, rec.Observed, want.JSON(), rec.Trace)
+			}
+			cell++
+		}
+	}
+	if cell < 200 {
+		t.Fatalf("ran %d cells, want >= 200", cell)
+	}
 }
 
 // runRange executes [offset, offset+limit) with EmitCells and returns
