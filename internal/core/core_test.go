@@ -460,6 +460,21 @@ func TestResolverStudyShardEquivalence(t *testing.T) {
 	if counter(sreg, "resolverstudy_zones_reused_total") == 0 {
 		t.Error("sharded study never hit the sign cache")
 	}
+	// The verification memo is shared by the whole fleet, across shards:
+	// what is left to verify is a small multiple of the distinct
+	// signatures in the testbed. Neither counter joins the equality list
+	// above. Hits are scheduling-dependent (two workers may both miss one
+	// triple). Requests are fixed by the fleet for a given set of zone
+	// keys, but each run draws fresh keys, and a KSK/ZSK key-tag collision
+	// in one run's zone adds a doomed check per RRset there.
+	for _, reg := range []*obs.Registry{wreg, sreg} {
+		requests := counter(reg, "resolver_sig_verifications_total")
+		hits := counter(reg, "resolver_sig_verify_memo_hits_total")
+		if hits == 0 || requests-hits > requests/10 {
+			t.Errorf("%d signature checks requested, %d verified, %d answered from the memo: want verified far below requested",
+				requests, requests-hits, hits)
+		}
+	}
 
 	// Determinism pin for the ordering fix: the same sharded run twice
 	// is bit-for-bit reproducible.

@@ -155,7 +155,7 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 	}
 	dep.Hierarchy.Net.Instrument(run.reg)
 	dep.Hierarchy.Instrument(run.reg)
-	resolverAddr := installScanResolver(dep.Hierarchy, run.reg)
+	resolverAddr := installScanResolver(dep.Hierarchy, run.reg, run.memo)
 	sc := scanner.New(scanner.Config{
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/atlas"
 	"repro/internal/compliance"
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -29,8 +30,9 @@ import (
 
 // installScanResolver registers a Cloudflare-like recursive resolver
 // on a hierarchy's network (the measurement resolver of §4.1) and
-// returns its address. reg (nil ok) receives the resolver's metrics.
-func installScanResolver(h *testbed.Hierarchy, reg *obs.Registry) netip.AddrPort {
+// returns its address. reg (nil ok) receives the resolver's metrics;
+// memo (nil ok) answers its signature checks.
+func installScanResolver(h *testbed.Hierarchy, reg *obs.Registry, memo *dnssec.VerifyMemo) netip.AddrPort {
 	addr := netsim.Addr4(1, 1, 1, 1)
 	res := resolver.New(resolver.Config{
 		Roots:           h.Roots,
@@ -40,6 +42,7 @@ func installScanResolver(h *testbed.Hierarchy, reg *obs.Registry) netip.AddrPort
 		Now:             func() uint32 { return DefaultNow },
 		MaxCacheEntries: 1 << 16,
 		Obs:             reg,
+		VerifyMemo:      memo,
 	})
 	h.Net.Register(addr, res)
 	return addr
@@ -159,7 +162,7 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 	if err != nil {
 		return nil, err
 	}
-	instances, err := respop.DeployShard(h, run.planner, plan)
+	instances, err := respop.DeployShard(h, run.planner, plan, run.memo)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/dnssec"
 	"repro/internal/obs"
 	"repro/internal/testbed"
 )
@@ -71,12 +72,15 @@ type accum[O, R any] interface {
 }
 
 // env is the process-local attachment set shard execution runs with:
-// metrics and phase spans (both may be nil) and the sign cache
-// deduplicating zone signing across the shards one process executes.
+// metrics and phase spans (both may be nil), the sign cache
+// deduplicating zone signing across the shards one process executes,
+// and its read-side twin, the memo deduplicating signature checks
+// across every resolver those shards deploy.
 type env struct {
 	reg   *obs.Registry
 	trace *obs.Tracer
 	cache *testbed.SignCache
+	memo  *dnssec.VerifyMemo
 }
 
 // Job is the pure, serializable description of one unit of work: which
@@ -116,12 +120,13 @@ type Runner[S Study[P, O, R], P, O Sharded, R any] struct {
 
 // NewRunner prepares a runner whose metrics land in reg and whose phase
 // spans land in trace (both may be nil). The cache may be nil for a
-// fresh sign cache.
+// fresh sign cache. Every runner owns a fresh signature-verification
+// memo, so verdicts are shared within a run and never across runs.
 func NewRunner[S Study[P, O, R], P, O Sharded, R any](reg *obs.Registry, trace *obs.Tracer, cache *testbed.SignCache) *Runner[S, P, O, R] {
 	if cache == nil {
 		cache = testbed.NewSignCache()
 	}
-	return &Runner[S, P, O, R]{env: env{reg: reg, trace: trace, cache: cache}}
+	return &Runner[S, P, O, R]{env: env{reg: reg, trace: trace, cache: cache, memo: dnssec.NewVerifyMemo(reg)}}
 }
 
 // Execute runs one job end to end and returns the shard's serializable

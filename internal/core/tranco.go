@@ -67,7 +67,7 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 	if err != nil {
 		return nil, err
 	}
-	resolverAddr := installScanResolver(dep.Hierarchy, nil)
+	resolverAddr := installScanResolver(dep.Hierarchy, nil, nil)
 	sc := scanner.New(scanner.Config{
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,

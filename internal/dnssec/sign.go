@@ -112,6 +112,13 @@ func dedupBytes(in [][]byte) [][]byte {
 	return out
 }
 
+// signedData returns the octets sig signs over set: the RRSIG RDATA
+// minus its Signature field, then the canonical RRset (RFC 4034
+// §3.1.8.1).
+func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
+	return appendCanonicalRRset(sig.AppendSignedPart(nil), set, sig)
+}
+
 // ownerLabelCount returns the RRSIG Labels value for an owner: the
 // label count excluding a leading wildcard label (RFC 4034 §3.1.3).
 func ownerLabelCount(owner dnswire.Name) uint8 {
@@ -137,8 +144,7 @@ func Sign(set RRset, key *KeyPair, signer dnswire.Name, inception, expiration ui
 		KeyTag:      key.Tag(),
 		SignerName:  signer,
 	}
-	msg := sig.AppendSignedPart(nil)
-	msg, err := appendCanonicalRRset(msg, set, sig)
+	msg, err := signedData(set, sig)
 	if err != nil {
 		return dnswire.RRSIG{}, err
 	}
@@ -214,46 +220,82 @@ func CheckValidity(sig dnswire.RRSIG, now uint32) error {
 // that the key is a zone key whose tag and algorithm match the RRSIG —
 // VerifyWithRRSIG bundles all of it.
 func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
+	return (*VerifyMemo)(nil).verify(set, sig, key)
+}
+
+// verify is Verify in its two halves: build the signed data and reject
+// malformed wire shapes (every call), then check the signature over it
+// (through m, when there is one).
+func (m *VerifyMemo) verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 	if sig.TypeCovered != set.Type() {
 		return fmt.Errorf("%w: covers %s, set is %s", ErrSigMismatch, sig.TypeCovered, set.Type())
 	}
-	msg := sig.AppendSignedPart(nil)
-	msg, err := appendCanonicalRRset(msg, set, sig)
+	msg, err := signedData(set, sig)
 	if err != nil {
 		return err
 	}
-	digest := sha256.Sum256(msg)
+	if err := checkWireShape(key, sig.Signature); err != nil {
+		return err
+	}
+	return m.check(key.Algorithm, key.PublicKey, sig.Signature, msg)
+}
+
+// checkWireShape rejects what no signature check could accept and what
+// needs no curve or modular arithmetic to see: an unsupported
+// algorithm, a key or signature of the wrong length, broken RSA key
+// framing. It runs before the memo is consulted, so none of these ever
+// becomes an entry, and checkSignature may rely on the lengths.
+func checkWireShape(key dnswire.DNSKEY, signature []byte) error {
 	switch key.Algorithm {
 	case dnswire.AlgECDSAP256SHA256:
-		pub, err := ecdsaPublicFromWire(key.PublicKey)
-		if err != nil {
-			return err
+		if len(key.PublicKey) != 64 {
+			return fmt.Errorf("%w: ECDSA P-256 key length %d", ErrBadPublicKey, len(key.PublicKey))
 		}
-		if len(sig.Signature) != 64 {
-			return fmt.Errorf("%w: ECDSA signature length %d", ErrBadSignature, len(sig.Signature))
-		}
-		r := new(big.Int).SetBytes(sig.Signature[:32])
-		s := new(big.Int).SetBytes(sig.Signature[32:])
-		if !ecdsa.Verify(pub, digest[:], r, s) {
-			return ErrBadSignature
+		if len(signature) != 64 {
+			return fmt.Errorf("%w: ECDSA signature length %d", ErrBadSignature, len(signature))
 		}
 	case dnswire.AlgEd25519:
 		if len(key.PublicKey) != ed25519.PublicKeySize {
 			return fmt.Errorf("%w: Ed25519 key length %d", ErrBadPublicKey, len(key.PublicKey))
 		}
-		if !ed25519.Verify(ed25519.PublicKey(key.PublicKey), msg, sig.Signature) {
-			return ErrBadSignature
-		}
 	case dnswire.AlgRSASHA256:
-		pub, err := rsaPublicFromWire(key.PublicKey)
+		_, err := rsaPublicFromWire(key.PublicKey)
+		return err
+	default:
+		return fmt.Errorf("%w: %s", ErrUnsupportedAlg, key.Algorithm)
+	}
+	return nil
+}
+
+// checkSignature is the cryptographic half of Verify: whether signature
+// is pub's signature over msg (digest is SHA-256 of msg). It is a pure
+// function of its arguments' bytes — the property VerifyMemo rests on —
+// and expects inputs that passed checkWireShape.
+func checkSignature(alg dnswire.SecAlgorithm, pub, signature, msg []byte, digest [sha256.Size]byte) error {
+	switch alg {
+	case dnswire.AlgECDSAP256SHA256:
+		key, err := ecdsaPublicFromWire(pub)
 		if err != nil {
 			return err
 		}
-		if err := rsa.VerifyPKCS1v15(pub, crypto.SHA256, digest[:], sig.Signature); err != nil {
+		r := new(big.Int).SetBytes(signature[:32])
+		s := new(big.Int).SetBytes(signature[32:])
+		if !ecdsa.Verify(key, digest[:], r, s) {
 			return ErrBadSignature
 		}
-	default:
-		return fmt.Errorf("%w: %s", ErrUnsupportedAlg, key.Algorithm)
+	case dnswire.AlgEd25519:
+		// Ed25519 verifies the message itself, not a digest (RFC 8080 §4).
+		if !ed25519.Verify(ed25519.PublicKey(pub), msg, signature) {
+			return ErrBadSignature
+		}
+	case dnswire.AlgRSASHA256:
+		key, err := rsaPublicFromWire(pub)
+		if err != nil {
+			return err
+		}
+		if err := rsa.VerifyPKCS1v15(key, crypto.SHA256, digest[:], signature); err != nil {
+			return ErrBadSignature
+		}
 	}
 	return nil
 }
@@ -263,6 +305,14 @@ func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 // signer, zone-key flag, labels), temporal validity at now, and the
 // cryptographic signature.
 func VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dnswire.Name, now uint32) error {
+	return (*VerifyMemo)(nil).VerifyWithRRSIG(set, sig, key, signer, now)
+}
+
+// VerifyWithRRSIG is the package-level VerifyWithRRSIG with the
+// cryptographic step answered through m; a nil m verifies every time.
+// Every structural and temporal check runs on every call — only the
+// signature check itself, a pure function of bytes, is remembered.
+func (m *VerifyMemo) VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dnswire.Name, now uint32) error {
 	if !key.IsZoneKey() {
 		return errors.New("dnssec: DNSKEY is not a zone key")
 	}
@@ -287,7 +337,7 @@ func VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dn
 	if err := CheckValidity(sig, now); err != nil {
 		return err
 	}
-	return Verify(set, sig, key)
+	return m.verify(set, sig, key)
 }
 
 func ecdsaPublicFromWire(w []byte) (*ecdsa.PublicKey, error) {
@@ -310,9 +360,6 @@ func rsaPublicFromWire(w []byte) (*rsa.PublicKey, error) {
 	expLen := int(w[0])
 	off := 1
 	if expLen == 0 {
-		if len(w) < 3 {
-			return nil, ErrBadPublicKey
-		}
 		expLen = int(w[1])<<8 | int(w[2])
 		off = 3
 	}

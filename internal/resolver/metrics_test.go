@@ -3,8 +3,10 @@ package resolver
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/obs"
 )
@@ -70,5 +72,59 @@ func TestResolverMetrics(t *testing.T) {
 		// The priming loop reuses proven spans, so at least one later
 		// probe must synthesize from cache.
 		t.Error("aggressive cache never hit despite repeated NXDOMAIN probes")
+	}
+}
+
+// TestVerifyMemoTransparent sends one probe sequence through a resolver
+// that verifies everything itself and through two that share a
+// VerifyMemo (the second finds every verdict already there): same
+// Results, same NSEC3 hash work, same upstream queries — sharing
+// signature verdicts saves ECDSA and nothing else.
+func TestVerifyMemoTransparent(t *testing.T) {
+	h := buildWorld(t)
+	strict := compliantPolicy()
+	strict.Name, strict.InsecureLimit, strict.ServfailLimit = "test-strict", 50, 150
+	probes := []string{
+		"m.valid", "m.expired", "m.www.it-1", "m.www.it-50", "m.www.it-51",
+		"m.www.it-150", "m.www.it-151", "m.www.it-500", "m.www.it-2501-expired", "m.www.it-1",
+	}
+	type run struct {
+		results            []*Result
+		hashWork, upstream uint64
+	}
+	probe := func(p Policy, memo *dnssec.VerifyMemo) run {
+		t.Helper()
+		reg := obs.NewRegistry()
+		r := New(Config{
+			Roots: h.Roots, TrustAnchor: h.TrustAnchor, Exchanger: h.Net, Policy: p,
+			Now: func() uint32 { return tNow }, Obs: reg, VerifyMemo: memo,
+		})
+		var out run
+		for _, q := range probes {
+			out.results = append(out.results, resolveA(t, r, q+".rfc9276-in-the-wild.com"))
+		}
+		out.hashWork = reg.Counter("resolver_nsec3_hash_work_total", "").Value()
+		out.upstream = reg.Counter("resolver_upstream_queries_total", "").Value()
+		return out
+	}
+	for _, p := range []Policy{compliantPolicy(), strict} {
+		memoReg := obs.NewRegistry()
+		memo := dnssec.NewVerifyMemo(memoReg)
+		want := probe(p, nil)
+		if want.hashWork == 0 || want.upstream == 0 {
+			t.Fatalf("%s: reference run did no work: %+v", p.Name, want)
+		}
+		for _, name := range []string{"cold memo", "warm memo"} {
+			if got := probe(p, memo); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: differs from the memo-less resolver\n got: %+v\nwant: %+v", p.Name, name, got, want)
+			}
+		}
+		requests := memoReg.Counter("resolver_sig_verifications_total", "").Value()
+		hits := memoReg.Counter("resolver_sig_verify_memo_hits_total", "").Value()
+		// The warm resolver asked for exactly what the cold one did and
+		// verified none of it.
+		if requests == 0 || hits < requests/2 {
+			t.Errorf("%s: %d signature checks requested, %d answered from the memo", p.Name, requests, hits)
+		}
 	}
 }

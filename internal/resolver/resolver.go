@@ -26,8 +26,13 @@
 //     shape, so resolver state is enumerable from here (ROADMAP 5a).
 //   - the verifier — verifyGroup (validate.go) is the only caller of
 //     dnssec.VerifyWithRRSIG; SOA, NSEC3, NSEC, answer and DNSKEY checks
-//     are filters over groupRRsets output. A signature-verification
-//     memo (ROADMAP 4a) goes here.
+//     are filters over groupRRsets output. It verifies through
+//     Config.VerifyMemo: resolvers handed the same dnssec.VerifyMemo
+//     (a study's fleet, one per core.Runner) check each distinct
+//     (key, signature, signed data) once between them. Only that
+//     cryptographic verdict is shared — the structural and validity-
+//     window checks, NSEC3 hashing (countNSEC3Work), the three caches
+//     and every policy decision stay per resolver and per call.
 //   - the policy gate — validateDenial (validate.go) is the only caller
 //     of applyIterationPolicy: the RFC 9276 Item 6/7/8 decision for
 //     negative answers and wildcard expansions alike. A per-query
@@ -41,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -140,6 +146,10 @@ type Config struct {
 	// aggressive-cache hits/misses, NSEC3 hash work). Nil disables
 	// instrumentation.
 	Obs *obs.Registry
+	// VerifyMemo, when set, answers the cryptographic step of RRSIG
+	// verification from verdicts shared with every other resolver given
+	// the same memo. Nil verifies every signature every time.
+	VerifyMemo *dnssec.VerifyMemo
 }
 
 // Resolver is a validating recursive resolver. It implements

@@ -217,7 +217,8 @@ func groupRRsets(rrs []dnswire.RR) []rrGroup {
 }
 
 // verifyGroup is the one RRset verifier: it reports whether any of g's
-// RRSIGs validates g's records with any of keys.
+// RRSIGs validates g's records with any of keys, the signature check
+// itself going through Config.VerifyMemo (nil: verify every time).
 func (r *Resolver) verifyGroup(g rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
 	set, err := dnssec.NewRRset(g.rrs)
 	if err != nil {
@@ -227,7 +228,7 @@ func (r *Resolver) verifyGroup(g rrGroup, apex dnswire.Name, keys []dnswire.DNSK
 	for _, sigRR := range g.sigs {
 		sig := sigRR.Data.(dnswire.RRSIG)
 		for _, key := range keys {
-			if dnssec.VerifyWithRRSIG(set, sig, key, apex, now) == nil {
+			if r.cfg.VerifyMemo.VerifyWithRRSIG(set, sig, key, apex, now) == nil {
 				return true
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -154,7 +155,7 @@ acquire:
 			defer wg.Done()
 			defer func() { <-sem }()
 			cell := lo + i
-			records[i], errs[i] = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)])
+			records[i], errs[i] = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil)
 		}(i)
 	}
 	wg.Wait()
@@ -223,8 +224,9 @@ func topologyIndexOf(topos []TopologySpec, id string) int {
 // runCell probes one (topology × profile) cell: a fresh resolver with
 // the profile's policy, registered on the shared network, queried over
 // the wire so AD/EDE/extended-RCODE are observed exactly as a remote
-// classifier would see them.
-func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof respop.Profile) (*Record, error) {
+// classifier would see them. memo is the resolver's VerifyMemo; the
+// differential run passes nil so every cell verifies for itself.
+func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof respop.Profile, memo *dnssec.VerifyMemo) (*Record, error) {
 	h := w.Hierarchy
 	tr := &traceRecorder{inner: h.Net}
 	res := resolver.New(resolver.Config{
@@ -233,6 +235,7 @@ func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof re
 		Exchanger:   tr,
 		Policy:      prof.Policy,
 		Now:         func() uint32 { return simNow },
+		VerifyMemo:  memo,
 	})
 	addr := cellAddr(cell)
 	h.Net.Register(addr, res)

@@ -5,8 +5,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"repro/internal/dnssec"
 	"repro/internal/obs"
 	"repro/internal/respop"
 	"repro/internal/scanner"
@@ -77,7 +79,7 @@ func TestStatewalkMinimizationTransparent(t *testing.T) {
 		for _, prof := range respop.Profiles() {
 			want := Expect(topo, prof.Policy)
 			prof.Policy.QNameMinimization = true
-			rec, err := runCell(context.Background(), w, cell, topo, prof)
+			rec, err := runCell(context.Background(), w, cell, topo, prof, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,6 +92,46 @@ func TestStatewalkMinimizationTransparent(t *testing.T) {
 	}
 	if cell < 200 {
 		t.Fatalf("ran %d cells, want >= 200", cell)
+	}
+}
+
+// TestStatewalkVerifyMemoTransparent runs the whole matrix twice, once
+// with every cell verifying for itself and once with a single
+// dnssec.VerifyMemo shared by all cells: the observed triple and the
+// upstream query trace of every cell must be identical, whichever
+// profile's resolver first put a verdict there.
+func TestStatewalkVerifyMemoTransparent(t *testing.T) {
+	w, err := BuildWorld(1)
+	if err != nil {
+		t.Fatalf("BuildWorld: %v", err)
+	}
+	reg := obs.NewRegistry()
+	memo := dnssec.NewVerifyMemo(reg)
+	cell := 0
+	for _, topo := range w.Topologies {
+		for _, prof := range respop.Profiles() {
+			plain, err := runCell(context.Background(), w, cell, topo, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := runCell(context.Background(), w, cell, topo, prof, memo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(shared, plain) {
+				t.Errorf("%s × %s: shared memo changed the cell\n with: %+v\nwithout: %+v",
+					topo.ID(), prof.Policy.Name, shared, plain)
+			}
+			cell++
+		}
+	}
+	if cell != 33*14 {
+		t.Fatalf("ran %d cells, want %d", cell, 33*14)
+	}
+	requests := reg.Counter("resolver_sig_verifications_total", "").Value()
+	hits := reg.Counter("resolver_sig_verify_memo_hits_total", "").Value()
+	if hits == 0 || hits >= requests {
+		t.Fatalf("memo never shared or never missed: %d hits of %d checks", hits, requests)
 	}
 }
 
