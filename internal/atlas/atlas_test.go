@@ -41,7 +41,7 @@ func buildWorldWithResolvers(t testing.TB, n int) (*testbed.Hierarchy, []*respop
 	if err != nil {
 		t.Fatal(err)
 	}
-	instances, err := respop.DeployShard(h, planner, planner.Plan(1)[0], nil)
+	instances, err := respop.DeployShard(h, planner, planner.Plan(1)[0], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -242,10 +242,13 @@ func (s *Server) handleAXFR(resp *dnswire.Message, sz *zone.Signed, qname dnswir
 }
 
 // QueryLog is a bounded, concurrency-safe log of query sources — the
-// simulated equivalent of the paper's server-side logging.
+// simulated equivalent of the paper's server-side logging. Once max
+// entries are held it is a ring: entries[head] is the oldest, and Record
+// overwrites it in place.
 type QueryLog struct {
 	mu      sync.Mutex
 	max     int
+	head    int
 	entries []LogEntry
 }
 
@@ -255,7 +258,8 @@ type LogEntry struct {
 	QName dnswire.Name
 }
 
-// NewQueryLog creates a log keeping at most max entries (oldest dropped).
+// NewQueryLog creates a log keeping at most max entries (oldest
+// dropped); max <= 0 keeps everything.
 func NewQueryLog(max int) *QueryLog {
 	return &QueryLog{max: max}
 }
@@ -264,31 +268,37 @@ func NewQueryLog(max int) *QueryLog {
 func (l *QueryLog) Record(from netip.AddrPort, qname dnswire.Name) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.entries) >= l.max && l.max > 0 {
-		copy(l.entries, l.entries[1:])
-		l.entries = l.entries[:len(l.entries)-1]
+	e := LogEntry{From: from, QName: qname}
+	if l.max <= 0 || len(l.entries) < l.max {
+		l.entries = append(l.entries, e)
+		return
 	}
-	l.entries = append(l.entries, LogEntry{From: from, QName: qname})
+	l.entries[l.head] = e
+	if l.head++; l.head == l.max {
+		l.head = 0
+	}
 }
 
-// Entries returns a snapshot of the log.
+// Entries returns a snapshot of the log, oldest first.
 func (l *QueryLog) Entries() []LogEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]LogEntry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	out := make([]LogEntry, 0, len(l.entries))
+	out = append(out, l.entries[l.head:]...)
+	return append(out, l.entries[:l.head]...)
 }
 
 // SourcesFor returns the distinct source addresses that queried names
-// containing the given label — how the paper maps a per-resolver unique
-// subdomain back to the addresses that actually hit the name server.
+// containing the given label, in first-seen order — how the paper maps
+// a per-resolver unique subdomain back to the addresses that actually
+// hit the name server.
 func (l *QueryLog) SourcesFor(match func(dnswire.Name) bool) []netip.AddrPort {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seen := make(map[netip.AddrPort]bool)
 	var out []netip.AddrPort
-	for _, e := range l.entries {
+	for i := range l.entries {
+		e := l.entries[(l.head+i)%len(l.entries)]
 		if match(e.QName) && !seen[e.From] {
 			seen[e.From] = true
 			out = append(out, e.From)

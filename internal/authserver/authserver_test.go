@@ -2,7 +2,9 @@ package authserver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -192,5 +194,48 @@ func TestQueryLog(t *testing.T) {
 	srcs := s.Log.SourcesFor(func(n dnswire.Name) bool { return n == "www.example.com." })
 	if len(srcs) != 3 {
 		t.Fatalf("SourcesFor = %v", srcs)
+	}
+
+	// The ring's edges. Sources cycle over 4 addresses so that every one
+	// repeats on both sides of the wrap seam.
+	src := func(i int) netip.AddrPort {
+		return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, 1, byte(i % 4)}), 53)
+	}
+	name := func(i int) dnswire.Name { return dnswire.MustParseName(fmt.Sprintf("n%d.example.com", i)) }
+	const max = 10
+	const total = max*2 + max/2
+	l := NewQueryLog(max)
+	for i := 0; i < total; i++ {
+		l.Record(src(i), name(i))
+	}
+	got := l.Entries()
+	if len(got) != max {
+		t.Fatalf("after %d records the log holds %d entries, want %d", total, len(got), max)
+	}
+	for j, e := range got {
+		if i := total - max + j; e.QName != name(i) || e.From != src(i) {
+			t.Fatalf("Entries()[%d] = %v, want record %d (arrival order, oldest first)", j, e, i)
+		}
+	}
+	// total-max = 15 is the oldest survivor, so first-seen order starts
+	// at source 15%4 = 3 and runs across the seam: 3, 0, 1, 2.
+	all := l.SourcesFor(func(dnswire.Name) bool { return true })
+	if want := []netip.AddrPort{src(3), src(0), src(1), src(2)}; !slices.Equal(all, want) {
+		t.Fatalf("SourcesFor across the seam = %v, want %v", all, want)
+	}
+
+	unbounded := NewQueryLog(0)
+	for i := 0; i < 1000; i++ {
+		unbounded.Record(src(i), name(i))
+	}
+	if got := unbounded.Entries(); len(got) != 1000 || got[0].QName != name(0) || got[999].QName != name(999) {
+		t.Fatalf("NewQueryLog(0) kept %d entries, want all 1000 in order", len(got))
+	}
+
+	if !raceEnabled {
+		from, qname := src(0), name(0)
+		if a := testing.AllocsPerRun(100, func() { l.Record(from, qname) }); a != 0 {
+			t.Fatalf("Record on a full log: %v allocs, want 0", a)
+		}
 	}
 }

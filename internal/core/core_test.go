@@ -437,6 +437,10 @@ func TestResolverStudyShardEquivalence(t *testing.T) {
 		"resolverstudy_probed_closed_ipv4_total",
 		"resolverstudy_probed_closed_ipv6_total",
 		"resolverstudy_zones_signed_total",
+		// The fleet counts into the study's registry: the SHA-1 work a
+		// validator spends is fixed by its profile and its probes, not
+		// by which world it was deployed in.
+		"resolver_nsec3_hash_work_total",
 	} {
 		w, s := counter(wreg, name), counter(sreg, name)
 		if w != s {
@@ -459,6 +463,15 @@ func TestResolverStudyShardEquivalence(t *testing.T) {
 	}
 	if counter(sreg, "resolverstudy_zones_reused_total") == 0 {
 		t.Error("sharded study never hit the sign cache")
+	}
+	// Validators cache zone cuts, so most of their walks start below the
+	// root. Checked as non-zero only: the counter is kept out of every
+	// equality list because, on a resolver shared by concurrent clients,
+	// hits depend on worker interleaving.
+	for _, reg := range []*obs.Registry{wreg, sreg} {
+		if counter(reg, "resolver_delegation_cache_hits_total") == 0 {
+			t.Error("no validator ever started a walk at a cached cut")
+		}
 	}
 	// The verification memo is shared by the whole fleet, across shards:
 	// what is left to verify is a small multiple of the distinct

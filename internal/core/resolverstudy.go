@@ -35,14 +35,13 @@ import (
 func installScanResolver(h *testbed.Hierarchy, reg *obs.Registry, memo *dnssec.VerifyMemo) netip.AddrPort {
 	addr := netsim.Addr4(1, 1, 1, 1)
 	res := resolver.New(resolver.Config{
-		Roots:           h.Roots,
-		TrustAnchor:     h.TrustAnchor,
-		Exchanger:       h.Net,
-		Policy:          respop.Cloudflare.Policy,
-		Now:             func() uint32 { return DefaultNow },
-		MaxCacheEntries: 1 << 16,
-		Obs:             reg,
-		VerifyMemo:      memo,
+		Roots:       h.Roots,
+		TrustAnchor: h.TrustAnchor,
+		Exchanger:   h.Net,
+		Policy:      respop.Cloudflare.Policy,
+		Now:         func() uint32 { return DefaultNow },
+		Obs:         reg,
+		VerifyMemo:  memo,
 	})
 	h.Net.Register(addr, res)
 	return addr
@@ -162,7 +161,7 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 	if err != nil {
 		return nil, err
 	}
-	instances, err := respop.DeployShard(h, run.planner, plan, run.memo)
+	instances, err := respop.DeployShard(h, run.planner, plan, run.reg, run.memo)
 	if err != nil {
 		return nil, err
 	}

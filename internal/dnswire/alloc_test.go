@@ -20,6 +20,21 @@ func TestNameEncodeAllocFree(t *testing.T) {
 	}
 }
 
+// TestCanonicalCompareAllocFree pins the sort-comparator path of lazy
+// signing: label boundaries are walked in place, never split into
+// label strings — escaped labels included.
+func TestCanonicalCompareAllocFree(t *testing.T) {
+	a := MustParseName(`a\.b.\001long-ish.label.chain.example.org.`)
+	b := MustParseName(`a\.c.\001long-ish.label.chain.example.org.`)
+	if n := testing.AllocsPerRun(200, func() {
+		if CanonicalCompare(a, b) >= 0 || CanonicalCompare(b, a) <= 0 {
+			t.Fatal("wrong order")
+		}
+	}); n != 0 {
+		t.Errorf("CanonicalCompare allocates %.1f times per run, want 0", n)
+	}
+}
+
 // TestNameDecodeSingleAlloc pins the decode floor: a decoded Name owns
 // its memory by contract, so readName pays exactly one allocation —
 // the interned string — and nothing else (the presentation form is

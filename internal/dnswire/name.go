@@ -11,6 +11,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -351,28 +352,85 @@ func (n Name) IsWildcard() bool {
 	return len(s) >= 2 && s[0] == '*' && s[1] == '.'
 }
 
+// maxLabels bounds the labels of a wire-legal name: 255 octets less the
+// root byte, at two octets (length + one) per label.
+const maxLabels = (MaxNameWireLen - 1) / 2
+
+// labelStarts appends the offset of each label of s, leftmost first, to
+// buf[:0]. The result stays in buf, on the caller's stack, for any name
+// this package constructs; the presentation form of such a name is
+// under presBufLen bytes, so offsets fit uint16.
+func labelStarts(s string, buf *[maxLabels]uint16) []uint16 {
+	starts := buf[:0]
+	for pos := 0; pos < len(s); {
+		end := pos + labelEnd(s[pos:])
+		if end > pos {
+			starts = append(starts, uint16(pos))
+		}
+		pos = end + 1
+	}
+	return starts
+}
+
+// labelAt returns the i'th label of s given its label starts: up to the
+// dot before the next start, or for the last label up to its own end.
+func labelAt(s string, starts []uint16, i int) string {
+	if i+1 < len(starts) {
+		return s[starts[i] : starts[i+1]-1]
+	}
+	rest := s[starts[i]:]
+	return rest[:labelEnd(rest)]
+}
+
+// labelOctet decodes the raw octet at offset i of a presentation-form
+// label (one byte, \c or \DDD) and returns it with the offset after it.
+func labelOctet(lab string, i int) (byte, int) {
+	c := lab[i]
+	if c != '\\' || i+1 >= len(lab) {
+		return c, i + 1
+	}
+	next := lab[i+1]
+	if next >= '0' && next <= '9' && i+3 < len(lab) {
+		return byte(int(next-'0')*100 + int(lab[i+2]-'0')*10 + int(lab[i+3]-'0')), i + 4
+	}
+	return next, i + 2
+}
+
+// compareLabels orders two presentation-form labels by their raw
+// octets. Without escapes the presentation bytes are the raw octets.
+func compareLabels(a, b string) int {
+	if strings.IndexByte(a, '\\') < 0 && strings.IndexByte(b, '\\') < 0 {
+		return strings.Compare(a, b)
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		var ca, cb byte
+		ca, i = labelOctet(a, i)
+		cb, j = labelOctet(b, j)
+		if ca != cb {
+			return cmp.Compare(ca, cb)
+		}
+	}
+	return cmp.Compare(len(a)-i, len(b)-j)
+}
+
 // CanonicalCompare implements the canonical DNS name ordering of
 // RFC 4034 §6.1: names are compared right-to-left label by label, each
 // label as a left-justified octet string with uppercase US-ASCII mapped
 // to lowercase (our labels are already lowercase). It returns -1, 0, or
-// +1.
+// +1. Labels are compared where they stand in the two names — sort
+// comparators during signing call this per pair, so it allocates
+// nothing.
 func CanonicalCompare(a, b Name) int {
-	al, bl := a.Labels(), b.Labels()
-	i, j := len(al)-1, len(bl)-1
-	for i >= 0 && j >= 0 {
-		if c := strings.Compare(al[i], bl[j]); c != 0 {
+	var abuf, bbuf [maxLabels]uint16
+	as, bs := labelStarts(string(a), &abuf), labelStarts(string(b), &bbuf)
+	i, j := len(as)-1, len(bs)-1
+	for ; i >= 0 && j >= 0; i, j = i-1, j-1 {
+		if c := compareLabels(labelAt(string(a), as, i), labelAt(string(b), bs, j)); c != 0 {
 			return c
 		}
-		i--
-		j--
 	}
-	switch {
-	case i >= 0:
-		return 1
-	case j >= 0:
-		return -1
-	}
-	return 0
+	return cmp.Compare(i, j)
 }
 
 // WireLen returns the encoded length of n without compression.

@@ -280,6 +280,38 @@ func TestPropCanonicalCompareIsOrdering(t *testing.T) {
 	}
 }
 
+// TestPropCanonicalCompareMatchesLabelSplit checks the in-place
+// comparison against the definition it replaced: split both names into
+// raw labels and compare those right to left. Pairs share a random
+// suffix so that the comparison regularly runs several labels deep.
+func TestPropCanonicalCompareMatchesLabelSplit(t *testing.T) {
+	bySplit := func(a, b Name) int {
+		al, bl := a.Labels(), b.Labels()
+		for i, j := len(al)-1, len(bl)-1; i >= 0 || j >= 0; i, j = i-1, j-1 {
+			switch {
+			case i < 0:
+				return -1
+			case j < 0:
+				return 1
+			}
+			if c := strings.Compare(al[i], bl[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		suffix := randomName(r).Labels()
+		a, errA := fromLabels(append(randomName(r).Labels(), suffix...))
+		b, errB := fromLabels(append(randomName(r).Labels(), suffix...))
+		return errA != nil || errB != nil || CanonicalCompare(a, b) == bySplit(a, b)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestEscapeRoundTripBinaryLabel(t *testing.T) {
 	n, err := fromLabels([]string{string([]byte{0, 1, '.', '\\', 255, 'a'}), "example"})
 	if err != nil {

@@ -30,8 +30,46 @@ type authResponse struct {
 	apex dnswire.Name // deepest delegation followed (zone context)
 }
 
-// iterate is the one delegation walk: from the roots to the zone
-// authoritative for qname, returning that zone's response.
+// iterate is the one delegation walk: from the deepest cached zone cut
+// enclosing qname (the roots when none is cached) to the zone
+// authoritative for it, returning that zone's response. A walk that
+// started at a cached cut and failed — no server answered, a lame RCODE
+// or referral — evicts that cut and is retried once from the roots, so a
+// cached delegation can cost a retry but never change an outcome.
+func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int) (*authResponse, error) {
+	if depth > maxDepth {
+		return nil, ErrLoop
+	}
+	apex, servers := r.closestCut(qname, qtype)
+	auth, err := r.walk(ctx, qname, qtype, apex, servers, depth)
+	if err != nil && !apex.IsRoot() {
+		r.cuts.drop(apex)
+		auth, err = r.walk(ctx, qname, qtype, dnswire.Root, r.cfg.Roots, depth)
+	}
+	return auth, err
+}
+
+// closestCut is the delegation cache's one reader: the deepest cached
+// zone cut enclosing qname and its server addresses, or the roots. For
+// a DS query the cut must be strictly above qname — the parent side of
+// qname's own cut holds the DS RRset, the child's servers do not.
+func (r *Resolver) closestCut(qname dnswire.Name, qtype dnswire.Type) (dnswire.Name, []netip.AddrPort) {
+	now := r.cfg.Now()
+	n := qname
+	if qtype == dnswire.TypeDS {
+		n = n.Parent()
+	}
+	for ; !n.IsRoot(); n = n.Parent() {
+		if servers, ok := r.cuts.get(n, now); ok {
+			r.met.cutHits.Inc()
+			return n, servers
+		}
+	}
+	return dnswire.Root, r.cfg.Roots
+}
+
+// walk is iterate's loop, the only one that follows referrals: from the
+// zone apex served by servers down to the zone authoritative for qname.
 //
 // With Policy.QNameMinimization (RFC 9156) each hop exposes only one
 // more label than is known to exist, probing with NS queries until the
@@ -42,22 +80,17 @@ type authResponse struct {
 // nsec3.VerifyNXDOMAIN(qname) accepts the proof unchanged. Without
 // minimization every hop exposes the full name, and labels stays nil so
 // that path never pays for the split.
-func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int) (*authResponse, error) {
-	if depth > maxDepth {
-		return nil, ErrLoop
-	}
+func (r *Resolver) walk(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, apex dnswire.Name, servers []netip.AddrPort, depth int) (*authResponse, error) {
 	// DS queries keep the full-name walk: they are answered by the
 	// parent, which a minimized NS probe would skip past.
 	var labels []string
 	if r.cfg.Policy.QNameMinimization && qtype != dnswire.TypeDS {
 		labels = qname.Labels()
 	}
-	servers := append([]netip.AddrPort(nil), r.cfg.Roots...)
-	apex := dnswire.Root
 	// known counts the trailing labels of qname confirmed to exist or be
 	// delegated. Every hop follows a referral or confirms one more
 	// label, which bounds the loop.
-	known := 0
+	known := apex.CountLabels()
 	for hop := 0; hop < maxReferrals+len(labels); hop++ {
 		cur, curType := qname, qtype
 		if known+1 < len(labels) {
@@ -108,12 +141,17 @@ func isReferral(msg *dnswire.Message) bool {
 }
 
 // followReferral extracts the cut and next server addresses, resolving
-// glue-less NS hosts recursively.
+// glue-less NS hosts recursively (through the cache door, so a host's
+// address is looked up once), and is the delegation cache's one writer.
 func (r *Resolver) followReferral(ctx context.Context, msg *dnswire.Message, parent dnswire.Name, depth int) (dnswire.Name, []netip.AddrPort, error) {
 	var cut dnswire.Name
 	var hosts []dnswire.Name
+	var ttl uint32
 	for _, rr := range msg.Authority {
 		if ns, ok := rr.Data.(dnswire.NS); ok {
+			if len(hosts) == 0 || rr.TTL < ttl {
+				ttl = rr.TTL
+			}
 			cut = rr.Name
 			hosts = append(hosts, ns.Host)
 		}
@@ -136,7 +174,7 @@ func (r *Resolver) followReferral(ctx context.Context, msg *dnswire.Message, par
 	if len(addrs) == 0 {
 		// No glue: resolve the NS hosts ourselves.
 		for _, h := range hosts {
-			res, _, err := r.resolveUncached(ctx, h, dnswire.TypeA, depth+1, false)
+			res, err := r.resolve(ctx, h, dnswire.TypeA, depth+1, false)
 			if err != nil {
 				continue
 			}
@@ -153,6 +191,7 @@ func (r *Resolver) followReferral(ctx context.Context, msg *dnswire.Message, par
 	if len(addrs) == 0 {
 		return "", nil, fmt.Errorf("%w: no addresses for %s NS", ErrNoServers, cut)
 	}
+	r.cuts.put(cut, addrs, r.cfg.Now(), ttl)
 	return cut, addrs, nil
 }
 

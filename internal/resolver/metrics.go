@@ -12,6 +12,9 @@ type metrics struct {
 	// upstream counts queries the resolver sent to authoritative
 	// servers, including the small transport retry.
 	upstream *obs.Counter
+	// cutHits counts walks that started below the root, at a cached
+	// zone cut.
+	cutHits *obs.Counter
 	// aggrHits / aggrMisses count RFC 8198 aggressive-cache consults
 	// (only when the policy enables aggressive NSEC use).
 	aggrHits   *obs.Counter
@@ -31,6 +34,8 @@ func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
 		upstream: reg.Counter("resolver_upstream_queries_total",
 			"queries sent by the resolver to authoritative servers"),
+		cutHits: reg.Counter("resolver_delegation_cache_hits_total",
+			"delegation walks that started at a cached zone cut instead of the roots"),
 		aggrHits: reg.Counter("resolver_aggressive_hits_total",
 			"negative answers synthesized from the RFC 8198 cache"),
 		aggrMisses: reg.Counter("resolver_aggressive_misses_total",

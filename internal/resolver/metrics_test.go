@@ -63,6 +63,9 @@ func TestResolverMetrics(t *testing.T) {
 	if v := reg.Counter("resolver_nsec3_hash_work_total", "").Value(); v == 0 {
 		t.Error("no NSEC3 hash work counted despite validated denials")
 	}
+	if v := reg.Counter("resolver_delegation_cache_hits_total", "").Value(); v == 0 {
+		t.Error("no walk started at a cached zone cut despite eight probes under one zone")
+	}
 	hits := reg.Counter("resolver_aggressive_hits_total", "").Value()
 	misses := reg.Counter("resolver_aggressive_misses_total", "").Value()
 	if misses == 0 {
@@ -92,13 +95,18 @@ func TestVerifyMemoTransparent(t *testing.T) {
 		results            []*Result
 		hashWork, upstream uint64
 	}
-	probe := func(p Policy, memo *dnssec.VerifyMemo) run {
+	probe := func(p Policy, memo *dnssec.VerifyMemo, warm bool) run {
 		t.Helper()
 		reg := obs.NewRegistry()
 		r := New(Config{
 			Roots: h.Roots, TrustAnchor: h.TrustAnchor, Exchanger: h.Net, Policy: p,
 			Now: func() uint32 { return tNow }, Obs: reg, VerifyMemo: memo,
 		})
+		if warm {
+			for _, q := range probes {
+				warmCuts(t, r, q+".rfc9276-in-the-wild.com")
+			}
+		}
 		var out run
 		for _, q := range probes {
 			out.results = append(out.results, resolveA(t, r, q+".rfc9276-in-the-wild.com"))
@@ -110,14 +118,21 @@ func TestVerifyMemoTransparent(t *testing.T) {
 	for _, p := range []Policy{compliantPolicy(), strict} {
 		memoReg := obs.NewRegistry()
 		memo := dnssec.NewVerifyMemo(memoReg)
-		want := probe(p, nil)
+		want := probe(p, nil, false)
 		if want.hashWork == 0 || want.upstream == 0 {
 			t.Fatalf("%s: reference run did no work: %+v", p.Name, want)
 		}
 		for _, name := range []string{"cold memo", "warm memo"} {
-			if got := probe(p, memo); !reflect.DeepEqual(got, want) {
+			if got := probe(p, memo, false); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s, %s: differs from the memo-less resolver\n got: %+v\nwant: %+v", p.Name, name, got, want)
 			}
+		}
+		// Where a walk starts is as invisible to the results and to the
+		// hash-work meter as who verified a signature: a resolver whose
+		// delegation cache already holds every cut answers the same and
+		// hashes the same (its upstream count includes the warming).
+		if got := probe(p, nil, true); !reflect.DeepEqual(got.results, want.results) || got.hashWork != want.hashWork {
+			t.Errorf("%s, warm cuts: differs from the cold resolver\n got: %+v\nwant: %+v", p.Name, got, want)
 		}
 		requests := memoReg.Counter("resolver_sig_verifications_total", "").Value()
 		hits := memoReg.Counter("resolver_sig_verify_memo_hits_total", "").Value()

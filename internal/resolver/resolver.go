@@ -16,14 +16,23 @@
 // Each of the validator's four jobs has exactly one site, which is also
 // the one place to hook it:
 //
-//   - the walk — iterate (iterate.go) is the only loop that follows
-//     referrals; QNAME minimization is "how many labels does this hop
-//     expose" inside it, not a second walk.
+//   - the walk — iterate (iterate.go) owns the only loop that follows
+//     referrals (walk); QNAME minimization is "how many labels does this
+//     hop expose" inside it, not a second walk. iterate starts at the
+//     deepest cached zone cut enclosing the name — as every resolver the
+//     paper probed does — and the delegation cache (cuts) has exactly one
+//     writer, followReferral after its in-bailiwick check, and one
+//     reader, closestCut at the top of iterate. A walk that started at a
+//     cached cut and failed evicts it and is retried once from the
+//     roots, so the cache decides which server is asked first and never
+//     what the answer is (TestStatewalkDelegationCacheTransparent).
 //   - the cache door — resolve (this file) is the only function that
-//     reads or writes the message cache; client queries and the
-//     validator's DS lookups both enter through it. All three caches
-//     (messages, zone trust, aggressive-NSEC zones) are one ttlCache
-//     shape, so resolver state is enumerable from here (ROADMAP 5a).
+//     reads or writes the message cache; client queries, the validator's
+//     DS lookups and followReferral's glue-less NS address lookups all
+//     enter through it. All four caches (messages, zone trust,
+//     aggressive-NSEC zones, zone cuts) are one ttlCache shape bounded by
+//     Config.MaxCacheEntries, so resolver state is enumerable from here
+//     (ROADMAP 5a).
 //   - the verifier — verifyGroup (validate.go) is the only caller of
 //     dnssec.VerifyWithRRSIG; SOA, NSEC3, NSEC, answer and DNSKEY checks
 //     are filters over groupRRsets output. It verifies through
@@ -31,7 +40,7 @@
 //     (a study's fleet, one per core.Runner) check each distinct
 //     (key, signature, signed data) once between them. Only that
 //     cryptographic verdict is shared — the structural and validity-
-//     window checks, NSEC3 hashing (countNSEC3Work), the three caches
+//     window checks, NSEC3 hashing (countNSEC3Work), the four caches
 //     and every policy decision stay per resolver and per call.
 //   - the policy gate — validateDenial (validate.go) is the only caller
 //     of applyIterationPolicy: the RFC 9276 Item 6/7/8 decision for
@@ -159,9 +168,12 @@ type Resolver struct {
 	cfg Config
 
 	// msgCache holds client results (touched only by resolve);
-	// zoneCache the chain-of-trust state per zone apex.
+	// zoneCache the chain-of-trust state per zone apex; cuts the server
+	// addresses of each delegation followed (written by followReferral,
+	// read by closestCut at the top of iterate).
 	msgCache  *ttlCache[cacheKey, *Result]
 	zoneCache *ttlCache[dnswire.Name, zoneTrust]
+	cuts      *ttlCache[dnswire.Name, []netip.AddrPort]
 
 	// aggressive is the RFC 8198 validated-denial cache (nil unless
 	// the policy enables it).
@@ -220,6 +232,13 @@ func (c *ttlCache[K, V]) put(k K, v V, now, ttl uint32) {
 	c.m[k] = ttlEntry[V]{v, now + ttl}
 }
 
+// drop forgets k.
+func (c *ttlCache[K, V]) drop(k K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.m, k)
+}
+
 // Result is the outcome of one resolution as presented to a client.
 type Result struct {
 	RCode     dnswire.RCode
@@ -248,6 +267,7 @@ func New(cfg Config) *Resolver {
 		cfg:       cfg,
 		msgCache:  newTTLCache[cacheKey, *Result](cfg.MaxCacheEntries),
 		zoneCache: newTTLCache[dnswire.Name, zoneTrust](cfg.MaxCacheEntries),
+		cuts:      newTTLCache[dnswire.Name, []netip.AddrPort](cfg.MaxCacheEntries),
 		met:       newMetrics(cfg.Obs),
 	}
 	if cfg.Policy.AggressiveNSEC {

@@ -249,8 +249,8 @@ func TestResolverCaching(t *testing.T) {
 }
 
 // TestCachesHonourMaxCacheEntries pins that every insert — client
-// answers and the validator's own DS lookups alike — counts against
-// Config.MaxCacheEntries: a validator walking more signed zones than
+// answers, the validator's own DS lookups and the delegations followed
+// on the way alike — counts against Config.MaxCacheEntries: a validator walking more signed zones than
 // the bound never holds more than the bound, observed at every upstream
 // exchange so that growth inside one resolution is seen too.
 func TestCachesHonourMaxCacheEntries(t *testing.T) {
@@ -294,6 +294,9 @@ func (x *boundCheckExchanger) check(at string) {
 	}
 	if n := cacheLen(x.r.zoneCache); n > x.bound {
 		x.t.Fatalf("at %s: zone-trust cache holds %d entries, bound %d", at, n, x.bound)
+	}
+	if n := cacheLen(x.r.cuts); n > x.bound {
+		x.t.Fatalf("at %s: delegation cache holds %d entries, bound %d", at, n, x.bound)
 	}
 }
 

@@ -178,7 +178,7 @@ func TestDeployCreatesWorkingResolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instances, err := DeployShard(h, p, p.Plan(1)[0], nil)
+	instances, err := DeployShard(h, p, p.Plan(1)[0], nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,7 @@ acquire:
 			defer wg.Done()
 			defer func() { <-sem }()
 			cell := lo + i
-			records[i], errs[i] = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil)
+			records[i], errs[i] = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil, false)
 		}(i)
 	}
 	wg.Wait()
@@ -225,8 +225,12 @@ func topologyIndexOf(topos []TopologySpec, id string) int {
 // the profile's policy, registered on the shared network, queried over
 // the wire so AD/EDE/extended-RCODE are observed exactly as a remote
 // classifier would see them. memo is the resolver's VerifyMemo; the
-// differential run passes nil so every cell verifies for itself.
-func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof respop.Profile, memo *dnssec.VerifyMemo) (*Record, error) {
+// differential run passes nil so every cell verifies for itself. With
+// warmCuts the resolver first answers the cell's own question with
+// CD=1 — no validation, its own message-cache key — so that the probe
+// meets a warm delegation cache and nothing else; the trace then holds
+// only the probe's upstream queries.
+func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof respop.Profile, memo *dnssec.VerifyMemo, warmCuts bool) (*Record, error) {
 	h := w.Hierarchy
 	tr := &traceRecorder{inner: h.Net}
 	res := resolver.New(resolver.Config{
@@ -242,6 +246,14 @@ func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof re
 	defer h.Net.Unregister(addr)
 
 	qname, qtype := topo.Probe()
+	if warmCuts {
+		if _, err := res.ResolveCD(ctx, qname, qtype, true); err != nil {
+			return nil, fmt.Errorf("statewalk: cell %d (%s × %s): warming: %w", cell, topo.ID(), prof.Policy.Name, err)
+		}
+		tr.mu.Lock()
+		tr.events = nil
+		tr.mu.Unlock()
+	}
 	q := dnswire.NewQuery(uint16(0x5A00)^uint16(cell), qname, qtype, true)
 	resp, err := h.Net.Exchange(ctx, addr, q)
 	if err != nil {

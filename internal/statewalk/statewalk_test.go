@@ -79,7 +79,7 @@ func TestStatewalkMinimizationTransparent(t *testing.T) {
 		for _, prof := range respop.Profiles() {
 			want := Expect(topo, prof.Policy)
 			prof.Policy.QNameMinimization = true
-			rec, err := runCell(context.Background(), w, cell, topo, prof, nil)
+			rec, err := runCell(context.Background(), w, cell, topo, prof, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,11 +110,11 @@ func TestStatewalkVerifyMemoTransparent(t *testing.T) {
 	cell := 0
 	for _, topo := range w.Topologies {
 		for _, prof := range respop.Profiles() {
-			plain, err := runCell(context.Background(), w, cell, topo, prof, nil)
+			plain, err := runCell(context.Background(), w, cell, topo, prof, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared, err := runCell(context.Background(), w, cell, topo, prof, memo)
+			shared, err := runCell(context.Background(), w, cell, topo, prof, memo, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,6 +133,51 @@ func TestStatewalkVerifyMemoTransparent(t *testing.T) {
 	if hits == 0 || hits >= requests {
 		t.Fatalf("memo never shared or never missed: %d hits of %d checks", hits, requests)
 	}
+}
+
+// TestStatewalkDelegationCacheTransparent runs the whole matrix on
+// resolvers whose delegation cache already holds every cut on the way
+// to the cell's question, with and without QNAME minimization, and
+// requires the triple the model predicts for a cold resolver: where the
+// walk starts must never change a (RCODE, AD, EDE) verdict. The warm
+// probes must also have sent fewer upstream queries than cold ones, or
+// the cache was never consulted and the test proves nothing.
+func TestStatewalkDelegationCacheTransparent(t *testing.T) {
+	w, err := BuildWorld(1)
+	if err != nil {
+		t.Fatalf("BuildWorld: %v", err)
+	}
+	cell, coldQueries, warmQueries := 0, 0, 0
+	for _, topo := range w.Topologies {
+		for _, prof := range respop.Profiles() {
+			want := Expect(topo, prof.Policy)
+			for _, minimize := range []bool{false, true} {
+				prof.Policy.QNameMinimization = minimize
+				cold, err := runCell(context.Background(), w, cell, topo, prof, nil, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, err := runCell(context.Background(), w, cell, topo, prof, nil, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm.Observed != want.JSON() {
+					t.Errorf("%s × %s (minimized %v) with warm cuts: observed %+v, want %+v\ntrace: %v",
+						topo.ID(), prof.Policy.Name, minimize, warm.Observed, want.JSON(), warm.Trace)
+				}
+				coldQueries += len(cold.Trace)
+				warmQueries += len(warm.Trace)
+			}
+			cell++
+		}
+	}
+	if cell != 33*14 {
+		t.Fatalf("ran %d cells, want %d", cell, 33*14)
+	}
+	if warmQueries >= coldQueries {
+		t.Fatalf("warm cuts saved nothing: %d distinct upstream queries warm, %d cold", warmQueries, coldQueries)
+	}
+	t.Logf("distinct upstream queries over the matrix: %d cold, %d with warm cuts", coldQueries, warmQueries)
 }
 
 // runRange executes [offset, offset+limit) with EmitCells and returns

@@ -129,22 +129,16 @@ func (z *Zone) SOA() (dnswire.SOA, bool) {
 // is not the apex. Records at or below a delegation point (other than
 // the delegation NS and glue) are occluded.
 func (z *Zone) DelegationPoint(name dnswire.Name) (dnswire.Name, bool) {
-	// Walk from the apex side down: find the highest cut on the path.
-	labels := name.Labels()
-	apexCount := z.Apex.CountLabels()
-	for n := apexCount + 1; n <= len(labels); n++ {
-		candidate, err := dnswire.FromLabels(labels[len(labels)-n:]...)
-		if err != nil {
-			return "", false
+	// Every suffix of name longer than the apex is a candidate and the
+	// highest cut on the path wins: walk up, keeping the last hit.
+	var cut dnswire.Name
+	for n := name.CountLabels() - z.Apex.CountLabels(); n > 0; n-- {
+		if len(z.Lookup(name, dnswire.TypeNS)) > 0 {
+			cut = name
 		}
-		if candidate == z.Apex {
-			continue
-		}
-		if len(z.Lookup(candidate, dnswire.TypeNS)) > 0 {
-			return candidate, true
-		}
+		name = name.Parent()
 	}
-	return "", false
+	return cut, cut != ""
 }
 
 // IsDelegation reports whether name is a zone cut (NS below apex).

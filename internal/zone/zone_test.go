@@ -91,6 +91,22 @@ func TestDelegationClassification(t *testing.T) {
 	if _, ok := z.DelegationPoint(name("www.example.com")); ok {
 		t.Fatal("www wrongly under a cut")
 	}
+	// An (occluded) NS RRset below a cut does not move the cut: the one
+	// nearest the apex wins, at every depth, and finding it allocates
+	// nothing.
+	z.MustAdd(dnswire.RR{Name: name("below.sub.example.com"), Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: name("ns.sub.example.com")}})
+	for _, q := range []string{"sub.example.com", "below.sub.example.com", "deep.below.sub.example.com"} {
+		if cut, ok := z.DelegationPoint(name(q)); !ok || cut != name("sub.example.com") {
+			t.Fatalf("DelegationPoint(%s) = %q, %v", q, cut, ok)
+		}
+	}
+	if _, ok := z.DelegationPoint(z.Apex); ok {
+		t.Fatal("apex wrongly under a cut")
+	}
+	deep := name("deep.below.sub.example.com")
+	if n := testing.AllocsPerRun(100, func() { z.DelegationPoint(deep) }); n != 0 {
+		t.Fatalf("DelegationPoint allocates %.1f times per run, want 0", n)
+	}
 }
 
 func TestAuthoritativeNamesIncludesENTsExcludesGlue(t *testing.T) {
