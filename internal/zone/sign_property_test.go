@@ -11,6 +11,37 @@ import (
 	"repro/internal/nsec3"
 )
 
+// randomZone is the property test's zone generator: an apex with SOA,
+// NS and an in-zone name server, plus 2–13 random leaves, possibly
+// nested (leaving empty non-terminals) and possibly wildcards. It
+// returns the zone and the leaf owners it added.
+func randomZone(rng *rand.Rand, trial int) (*Zone, []dnswire.Name) {
+	apex := dnswire.MustParseName(fmt.Sprintf("prop%d.example", trial))
+	z := New(apex, 300)
+	z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOA{
+		MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"),
+		Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300,
+	}})
+	z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: apex.MustChild("ns")}})
+	z.MustAdd(dnswire.RR{Name: apex.MustChild("ns"), Class: dnswire.ClassIN, TTL: 300,
+		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.53")}})
+	// Random leaves, possibly nested, possibly with wildcards.
+	var owners []dnswire.Name
+	for i := 0; i < 2+rng.Intn(12); i++ {
+		owner := apex.MustChild(fmt.Sprintf("n%02d", i))
+		if rng.Intn(3) == 0 {
+			owner = owner.MustChild(fmt.Sprintf("sub%d", rng.Intn(4)))
+		}
+		if rng.Intn(6) == 0 {
+			owner = owner.Wildcard()
+		}
+		z.MustAdd(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})}})
+		owners = append(owners, owner)
+	}
+	return z, owners
+}
+
 // TestPropSignedZoneFullyVerifies is the zone signer's grand invariant:
 // for randomized zones and parameters, every signable RRset in the
 // signed zone verifies against the published DNSKEYs, every NSEC3
@@ -21,29 +52,8 @@ func TestPropSignedZoneFullyVerifies(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial)))
-			apex := dnswire.MustParseName(fmt.Sprintf("prop%d.example", trial))
-			z := New(apex, 300)
-			z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOA{
-				MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"),
-				Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300,
-			}})
-			z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: apex.MustChild("ns")}})
-			z.MustAdd(dnswire.RR{Name: apex.MustChild("ns"), Class: dnswire.ClassIN, TTL: 300,
-				Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.53")}})
-			// Random leaves, possibly nested, possibly with wildcards.
-			var owners []dnswire.Name
-			for i := 0; i < 2+rng.Intn(12); i++ {
-				owner := apex.MustChild(fmt.Sprintf("n%02d", i))
-				if rng.Intn(3) == 0 {
-					owner = owner.MustChild(fmt.Sprintf("sub%d", rng.Intn(4)))
-				}
-				if rng.Intn(6) == 0 {
-					owner = owner.Wildcard()
-				}
-				z.MustAdd(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300,
-					Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})}})
-				owners = append(owners, owner)
-			}
+			z, owners := randomZone(rng, trial)
+			apex := z.Apex
 			params := nsec3.Params{
 				Iterations: uint16(rng.Intn(30)),
 				Salt:       make([]byte, rng.Intn(9)),
