@@ -378,8 +378,9 @@ func benchChain(b *testing.B, iters uint16) (*nsec3.Chain, map[dnswire.Name]dnsw
 
 // BenchmarkAblationHashMemo compares serving proofs from a prebuilt
 // (hash-memoized) chain against rebuilding the chain per query — the
-// design choice that makes the authoritative side O(1) hashes per
-// negative answer.
+// design choice that makes the authoritative side one iterated hash
+// per negative answer (the next-closer name's; the closest encloser is
+// indexed and its wildcard remembered per record).
 func BenchmarkAblationHashMemo(b *testing.B) {
 	qname := dnswire.MustParseName("nope.bench.example")
 	b.Run("memoized-chain", func(b *testing.B) {

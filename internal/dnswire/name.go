@@ -307,10 +307,37 @@ func (n Name) Parent() Name {
 	return Name(s[end+1:])
 }
 
-// Child returns label + "." + n, validating the result.
+// Child returns label + "." + n, where label is one raw (unescaped)
+// label: the same name, or the same error, as FromLabels(label,
+// n.Labels()...). Only the new label is validated, ASCII-lowercased
+// (RFC 4343 — octets above 0x7F are not letters) and escaped; n is
+// already normalized, so it is appended as it stands and the result is
+// the call's one allocation.
 func (n Name) Child(label string) (Name, error) {
-	labels := append([]string{strings.ToLower(label)}, n.Labels()...)
-	return fromLabels(labels)
+	switch {
+	case len(label) == 0:
+		return "", ErrEmptyLabel
+	case len(label) > MaxLabelLen:
+		return "", ErrLabelTooLong
+	case 1+len(label)+n.WireLen() > MaxNameWireLen:
+		return "", ErrNameTooLong
+	}
+	var pres [presBufLen]byte
+	w := 0
+	for i := 0; i < len(label); i++ {
+		w = appendPresByte(&pres, w, lowerByte(label[i]))
+	}
+	pres[w] = '.'
+	w++
+	parent := string(n)
+	if n.IsRoot() {
+		parent = ""
+	}
+	var b strings.Builder
+	b.Grow(w + len(parent))
+	b.Write(pres[:w])
+	b.WriteString(parent)
+	return Name(b.String()), nil
 }
 
 // MustChild is Child that panics on error.

@@ -325,3 +325,100 @@ func TestEscapeRoundTripBinaryLabel(t *testing.T) {
 		t.Fatalf("escape round trip: %q != %q", back, n)
 	}
 }
+
+// TestChildFoldsASCIIOnly names the three ways Child's old Unicode
+// folding (strings.ToLower) disagreed with every other constructor:
+// an invalid UTF-8 octet became U+FFFD, a non-ASCII letter was folded,
+// and the Kelvin sign collapsed onto 'k' — two wire names became one.
+func TestChildFoldsASCIIOnly(t *testing.T) {
+	apex := MustParseName("example.com")
+	for _, label := range []string{"\xff", "É", "K\u212A", "Ab.C\\d", "*"} {
+		got, err := apex.Child(label)
+		want, wantErr := FromLabels(label, "example", "com")
+		if err != nil || wantErr != nil || got != want {
+			t.Errorf("Child(%q) = %q, %v; FromLabels gives %q, %v", label, got, err, want, wantErr)
+		}
+		if back := got.Labels()[0]; back != lowerLabel(label) {
+			t.Errorf("Child(%q) round-trips to label %q", label, back)
+		}
+	}
+	if a, b := apex.MustChild("K\u212A"), apex.MustChild("kk"); a == b {
+		t.Errorf("Child folds the Kelvin sign onto k: %q", a)
+	}
+	if n := apex.MustChild("\xff"); n != `\255.example.com.` {
+		t.Errorf(`Child("\xff") = %q`, n)
+	}
+}
+
+// TestPropChildMatchesFromLabels is Child's contract: the same name or
+// the same error as assembling the labels from scratch, over raw
+// labels with binary octets, dots, backslashes, upper case, the
+// 63/64-octet label boundary and parents at the 255-octet name
+// boundary.
+func TestPropChildMatchesFromLabels(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	randLabel := func(n int) string {
+		l := make([]byte, n)
+		for j := range l {
+			switch r.Intn(6) {
+			case 0:
+				l[j] = byte(0x80 + r.Intn(0x80))
+			case 1:
+				l[j] = ".\\ \x00*"[r.Intn(5)]
+			case 2:
+				l[j] = byte('A' + r.Intn(26))
+			default:
+				l[j] = "abcdefghijklmnopqrstuvwxyz0123456789-"[r.Intn(37)]
+			}
+		}
+		return string(l)
+	}
+	// Parents of every wire length up to the limit: 1 (root) … 255.
+	parents := []Name{Root, ""}
+	for i := 0; i < 300; i++ {
+		parents = append(parents, randomName(r))
+	}
+	for wire := 240; wire <= MaxNameWireLen; wire++ {
+		// Labels of 63 octets, then one sized to land on wire exactly.
+		var labels []string
+		for left := wire - 1; left > 0; {
+			n := min(left-1, MaxLabelLen)
+			if n == 0 { // one octet left cannot hold a label
+				labels[len(labels)-1] = labels[len(labels)-1][1:]
+				n = 1
+			}
+			labels = append(labels, randLabel(n))
+			left -= 1 + n
+		}
+		p, err := FromLabels(labels...)
+		if err != nil || p.WireLen() != wire {
+			t.Fatalf("building a %d-octet parent: %q (%d), %v", wire, p, p.WireLen(), err)
+		}
+		parents = append(parents, p)
+	}
+	for _, p := range parents {
+		for _, n := range []int{0, 1, 2, 5, 13, 62, 63, 64, 70} {
+			label := randLabel(n)
+			got, err := p.Child(label)
+			want, wantErr := FromLabels(append([]string{label}, p.Labels()...)...)
+			if got != want || err != wantErr {
+				t.Fatalf("%q.Child(%q) = %q, %v; FromLabels gives %q, %v", p, label, got, err, want, wantErr)
+			}
+		}
+	}
+}
+
+// TestChildSingleAlloc: the result string is the only allocation, even
+// when the label needs escaping and folding.
+func TestChildSingleAlloc(t *testing.T) {
+	apex := MustParseName("www.example.com")
+	for _, label := range []string{"probe", "A.b\xff"} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := apex.Child(label); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("Child(%q) allocates %.1f times per run, want 1", label, n)
+		}
+	}
+}

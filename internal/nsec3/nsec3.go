@@ -8,6 +8,35 @@
 // salt — are exactly the knobs whose real-world settings the paper
 // "Zeros Are Heroes" measures, and which RFC 9276 constrains (0
 // additional iterations, empty salt).
+//
+// # What the chain indexes
+//
+// RFC 9276 counts the iteration cost on both sides of a negative
+// answer. The two sides are kept apart here.
+//
+// The authoritative side (Chain) already hashed every owner name to
+// build and sort the chain, so it keeps the result instead of
+// recomputing it per query: BuildChain records which record belongs to
+// each original owner name, resolves every record's resource record
+// (owner name, TTL, boxed RDATA) once, and gives each record one slot
+// that remembers where the wildcard child of that record's name falls
+// in the chain. The slot is filled by the first ProveNXDOMAIN whose
+// closest encloser is that record — an atomic store of a value that is
+// a function of the zone alone, so concurrent fillers agree. Chain.locate
+// is the one lookup: an original owner name hits the index, any other
+// name takes the miss branch and is hashed and searched for. A warm
+// NXDOMAIN proof is therefore one iterated hash — the next-closer
+// name's, the only one of the three that depends on the query. That
+// hash is computed on every query and never remembered: nothing in a
+// Chain is keyed by what a client sends, and its state is bounded by
+// its length. A Proof points into Chain.Records; those records, and the
+// slices they share (one hash array, one salt, each NextHashedOwner
+// aliasing its successor's OwnerHash), are read-only.
+//
+// The validating side (ResponseSet) has no index and no memo: it hashes
+// every candidate closest encloser, the next-closer name and the
+// wildcard on every verification. That cost is what the paper's Figure 3
+// and CVE-2023-50868 are about, and it is never shared or skipped.
 package nsec3
 
 import (
@@ -18,6 +47,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/dnswire"
 )
@@ -127,12 +157,16 @@ func appendHashBigSalt(dst []byte, name dnswire.Name, p Params) ([]byte, error) 
 }
 
 // base32Hex is unpadded Base32 with the "extended hex" alphabet
-// (RFC 5155 §1.3), the encoding of NSEC3 owner labels.
-var base32Hex = base32.HexEncoding.WithPadding(base32.NoPadding)
+// (RFC 5155 §1.3), the encoding of NSEC3 owner labels; base32HexLower
+// is the same alphabet in the lower case normalized names use.
+var (
+	base32Hex      = base32.HexEncoding.WithPadding(base32.NoPadding)
+	base32HexLower = base32.NewEncoding("0123456789abcdefghijklmnopqrstuv").WithPadding(base32.NoPadding)
+)
 
 // EncodeHash renders a raw hash as the lowercase Base32hex owner label.
 func EncodeHash(h []byte) string {
-	return strings.ToLower(base32Hex.EncodeToString(h))
+	return base32HexLower.EncodeToString(h)
 }
 
 // DecodeHash parses a Base32hex owner label back to the raw hash.
@@ -184,17 +218,48 @@ func Covers(ownerHash, nextHash, h []byte) bool {
 
 // Record pairs a hashed owner with its NSEC3 payload inside one zone's
 // chain.
+//
+// The records of a Chain share their memory and are immutable once
+// BuildChain returns: every OwnerHash is a window into one backing
+// array, RR.Salt is one slice for the whole chain, and
+// RR.NextHashedOwner is the successor's OwnerHash, not a copy. Proofs,
+// answers and AXFR streams alias them for the life of the zone.
 type Record struct {
 	OwnerHash []byte // 20 raw octets decoded from the owner label
 	RR        dnswire.NSEC3
+
+	// Index and Full are set on a Chain's records only; a ResponseSet
+	// leaves them zero. Index is the record's position in
+	// Chain.Records. Full is the whole resource record, resolved once
+	// when the chain was built — the owner name base32hex(OwnerHash).zone,
+	// class IN, the TTL BuildChain was given, and RR boxed as RDATA —
+	// so that serving a denial constructs nothing.
+	Index int
+	Full  dnswire.RR
 }
 
 // Chain is a complete NSEC3 chain for one zone, sorted by owner hash.
 // It can answer match/cover queries and synthesize denial proofs.
+//
+// Besides the sorted records the chain keeps what signing already
+// knew and a server would otherwise recompute per negative answer:
+// which record belongs to each original owner name (index), and, per
+// record, where the wildcard child of that record's name falls (wild).
+// Neither is keyed by anything a client sends: the index holds the
+// zone's own names, and wild has one slot per record.
 type Chain struct {
 	Zone    dnswire.Name
 	Params  Params
 	Records []Record // sorted ascending by OwnerHash
+
+	// index maps each original owner name to its position in Records.
+	// The hash of an existing name is never computed twice.
+	index map[dnswire.Name]int32
+	// wild[i] remembers where "*.<original name of record i>" falls in
+	// the chain: k+1 when record k covers it, -(k+1) when record k
+	// matches it, zero until first asked. It is a function of the zone
+	// alone, so concurrent fillers store the same value.
+	wild []atomic.Int32
 }
 
 // ErrEmptyChain is returned when proof synthesis is attempted on a
@@ -205,7 +270,8 @@ var ErrEmptyChain = errors.New("nsec3: empty chain")
 // names and their type bitmaps. names maps each original name in the
 // zone (apex, delegations, leaf owners, empty non-terminals) to the
 // types present at it. optOut sets the Opt-Out flag on every record,
-// and ttl is the NSEC3 TTL (conventionally the SOA minimum).
+// and ttl is the TTL of the materialized NSEC3 RRs (conventionally the
+// SOA minimum).
 //
 // Hashing each owner once and sorting is the memoized strategy
 // benchmarked against naive per-proof hashing in the ablation benches.
@@ -213,45 +279,75 @@ func BuildChain(zone dnswire.Name, p Params, names map[dnswire.Name]dnswire.Type
 	if len(names) == 0 {
 		return nil, ErrEmptyChain
 	}
-	c := &Chain{Zone: zone, Params: p, Records: make([]Record, 0, len(names))}
-	var flags uint8
-	if optOut {
-		flags |= dnswire.NSEC3FlagOptOut
+	type hashed struct {
+		name  dnswire.Name
+		types dnswire.TypeBitmap
+		hash  []byte
 	}
+	// One backing array for every owner hash; each record's window is
+	// capped so an append through it cannot reach its neighbour.
+	hashes := make([]byte, 0, len(names)*HashLen)
+	byHash := make([]hashed, 0, len(names))
 	for name, types := range names {
-		h, err := Hash(name, p)
-		if err != nil {
+		var err error
+		off := len(hashes)
+		if hashes, err = AppendHash(hashes, name, p); err != nil {
 			return nil, err
 		}
-		c.Records = append(c.Records, Record{
-			OwnerHash: h,
-			RR: dnswire.NSEC3{
-				HashAlg:    p.Alg,
-				Flags:      flags,
-				Iterations: p.Iterations,
-				Salt:       append([]byte(nil), p.Salt...),
-				Types:      types,
-			},
-		})
+		byHash = append(byHash, hashed{name, types, hashes[off:len(hashes):len(hashes)]})
 	}
-	sort.Slice(c.Records, func(i, j int) bool {
-		return bytes.Compare(c.Records[i].OwnerHash, c.Records[j].OwnerHash) < 0
+	sort.Slice(byHash, func(i, j int) bool {
+		return bytes.Compare(byHash[i].hash, byHash[j].hash) < 0
 	})
 	// Reject hash collisions between distinct owners: the chain would
 	// be ambiguous (astronomically unlikely with SHA-1, but data from
 	// a parser could be adversarial).
-	for i := 1; i < len(c.Records); i++ {
-		if bytes.Equal(c.Records[i-1].OwnerHash, c.Records[i].OwnerHash) {
+	for i := 1; i < len(byHash); i++ {
+		if bytes.Equal(byHash[i-1].hash, byHash[i].hash) {
 			return nil, fmt.Errorf("nsec3: hash collision in zone %s", zone)
 		}
 	}
-	// Link next-hashed-owner pointers circularly.
-	for i := range c.Records {
-		next := c.Records[(i+1)%len(c.Records)].OwnerHash
-		c.Records[i].RR.NextHashedOwner = append([]byte(nil), next...)
+	c := &Chain{
+		Zone: zone, Params: p,
+		Records: make([]Record, len(byHash)),
+		index:   make(map[dnswire.Name]int32, len(byHash)),
+		wild:    make([]atomic.Int32, len(byHash)),
 	}
-	_ = ttl // TTL applies when materializing RRs; kept for signature clarity.
+	var flags uint8
+	if optOut {
+		flags |= dnswire.NSEC3FlagOptOut
+	}
+	salt := append([]byte(nil), p.Salt...)
+	for i, h := range byHash {
+		owner, err := ownerName(zone, h.hash)
+		if err != nil {
+			return nil, err
+		}
+		rr := dnswire.NSEC3{
+			HashAlg:    p.Alg,
+			Flags:      flags,
+			Iterations: p.Iterations,
+			Salt:       salt,
+			// Next-hashed-owner pointers link the chain circularly.
+			NextHashedOwner: byHash[(i+1)%len(byHash)].hash,
+			Types:           h.types,
+		}
+		c.Records[i] = Record{
+			OwnerHash: h.hash, RR: rr, Index: i,
+			Full: dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: ttl, Data: rr},
+		}
+		c.index[h.name] = int32(i)
+	}
 	return c, nil
+}
+
+// ownerName renders hash as the NSEC3 owner name in zone. It fails
+// only for a zone name so close to the 255-octet limit that a 32-octet
+// label no longer fits.
+func ownerName(zone dnswire.Name, hash []byte) (dnswire.Name, error) {
+	var label [32]byte // base32 of HashLen octets, unpadded
+	base32HexLower.Encode(label[:], hash)
+	return zone.Child(string(label[:]))
 }
 
 // find returns the index of the record whose owner hash matches h
@@ -269,51 +365,99 @@ func (c *Chain) find(h []byte) (idx int, match bool) {
 	return (i - 1 + n) % n, false
 }
 
-// Match returns the record whose owner hash is exactly the hash of
-// name, if any.
-func (c *Chain) Match(name dnswire.Name) (Record, bool, error) {
+// locate is the chain's one lookup: the index of the record matching
+// name (match=true) or of the record whose span covers it. An original
+// owner name is answered from the index with no hashing; the miss
+// branch hashes name and searches, which is what the same name would
+// have got before the index existed — a name that is not an original
+// owner can still match (a hash collision) or, far more likely, be
+// covered.
+func (c *Chain) locate(name dnswire.Name) (idx int, match bool, err error) {
 	if len(c.Records) == 0 {
-		return Record{}, false, ErrEmptyChain
+		return 0, false, ErrEmptyChain
+	}
+	if i, ok := c.index[name]; ok {
+		return int(i), true, nil
 	}
 	var hb [HashLen]byte
 	h, err := AppendHash(hb[:0], name, c.Params)
 	if err != nil {
-		return Record{}, false, err
+		return 0, false, err
 	}
-	i, ok := c.find(h)
-	if !ok {
-		return Record{}, false, nil
+	idx, match = c.find(h)
+	return idx, match, nil
+}
+
+// Match returns the record whose owner hash is exactly the hash of
+// name, if any. The record is the chain's own: read-only.
+func (c *Chain) Match(name dnswire.Name) (*Record, bool, error) {
+	i, match, err := c.locate(name)
+	if err != nil || !match {
+		return nil, false, err
 	}
-	return c.Records[i], true, nil
+	return &c.Records[i], true, nil
 }
 
 // Cover returns the record whose span covers the hash of name. When the
 // hash matches a record exactly there is no covering record and ok is
-// false.
-func (c *Chain) Cover(name dnswire.Name) (Record, bool, error) {
-	if len(c.Records) == 0 {
-		return Record{}, false, ErrEmptyChain
+// false. The record is the chain's own: read-only.
+func (c *Chain) Cover(name dnswire.Name) (*Record, bool, error) {
+	i, match, err := c.locate(name)
+	if err != nil || match {
+		return nil, false, err
 	}
-	var hb [HashLen]byte
-	h, err := AppendHash(hb[:0], name, c.Params)
-	if err != nil {
-		return Record{}, false, err
-	}
-	i, match := c.find(h)
-	if match {
-		return Record{}, false, nil
-	}
-	return c.Records[i], true, nil
+	return &c.Records[i], true, nil
 }
 
-// RRFor materializes the wire RR for record r with the given TTL.
-func (c *Chain) RRFor(r Record, ttl uint32) dnswire.RR {
-	owner, err := c.Zone.Child(EncodeHash(r.OwnerHash))
-	if err != nil {
-		// A base32hex label is ≤32 chars of [0-9a-v]; only a zone name
-		// near the 255-octet limit can fail, which BuildChain callers
-		// never construct.
-		panic(err)
+// locateWildcard is locate("*." + ce) for a closest encloser ce that
+// matched record i. The answer depends on the zone alone, so it is
+// computed — one iterated hash, unless the wildcard exists — the first
+// time record i is a closest encloser and read from the record's slot
+// after that. The slot belongs to the record's original name: a ce that
+// reached record i by hash only (the theoretical collision) is located
+// afresh.
+func (c *Chain) locateWildcard(i int, ce dnswire.Name) (idx int, match bool, err error) {
+	own := false
+	if j, ok := c.index[ce]; ok && int(j) == i {
+		own = true
+		if v := c.wild[i].Load(); v > 0 {
+			return int(v - 1), false, nil
+		} else if v < 0 {
+			return int(-v - 1), true, nil
+		}
 	}
-	return dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: ttl, Data: r.RR}
+	idx, match, err = c.locate(ce.Wildcard())
+	if err == nil && own {
+		v := int32(idx + 1)
+		if match {
+			v = -v
+		}
+		c.wild[i].Store(v)
+	}
+	return idx, match, err
+}
+
+// ByOwner returns the record owned by an NSEC3 owner name
+// (base32hex(hash).zone), if the chain has one.
+func (c *Chain) ByOwner(owner dnswire.Name) (*Record, bool) {
+	if len(c.Records) == 0 || owner.IsRoot() || owner.Parent() != c.Zone {
+		return nil, false
+	}
+	h, err := HashFromOwner(owner)
+	if err != nil {
+		return nil, false
+	}
+	i, match := c.find(h)
+	if !match {
+		return nil, false
+	}
+	return &c.Records[i], true
+}
+
+// RRFor returns r, one of c's records, as a resource record with the
+// given TTL.
+func (c *Chain) RRFor(r Record, ttl uint32) dnswire.RR {
+	rr := r.Full
+	rr.TTL = ttl
+	return rr
 }

@@ -16,7 +16,8 @@ import (
 // CVE-2023-50868 exist.
 
 // Proof is the set of NSEC3 records an authoritative server attaches to
-// a negative or wildcard response.
+// a negative or wildcard response. Its pointers alias Chain.Records —
+// the same record is the same pointer — and are read-only.
 type Proof struct {
 	// ClosestEncloser is the NSEC3 matching the closest encloser
 	// (NXDOMAIN and wildcard proofs).
@@ -28,25 +29,6 @@ type Proof struct {
 	Wildcard *Record
 	// Matching is the NSEC3 matching the query name (NODATA proofs).
 	Matching *Record
-}
-
-// Records returns the distinct records of the proof in a stable order.
-func (p Proof) Records() []Record {
-	var out []Record
-	seen := func(r *Record) bool {
-		for i := range out {
-			if bytes.Equal(out[i].OwnerHash, r.OwnerHash) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range []*Record{p.ClosestEncloser, p.NextCloser, p.Wildcard, p.Matching} {
-		if r != nil && !seen(r) {
-			out = append(out, *r)
-		}
-	}
-	return out
 }
 
 // ClosestEncloser walks qname's ancestors (within zone) from the
@@ -78,39 +60,45 @@ func ClosestEncloser(qname, zone dnswire.Name, exists func(dnswire.Name) bool) (
 // ProveNXDOMAIN synthesizes the three-record closest-encloser proof for
 // a name that does not exist (RFC 5155 §7.2.2). exists must report
 // original names present in the zone (including empty non-terminals).
+//
+// The server's cost is one iterated hash, of the next-closer name: the
+// only name of the three that depends on the query, so it is hashed on
+// every call and never remembered. The closest encloser is an original
+// owner name (the index knows its record) and its wildcard child is a
+// function of the zone (the record's slot remembers where it falls).
 func (c *Chain) ProveNXDOMAIN(qname dnswire.Name, exists func(dnswire.Name) bool) (Proof, error) {
 	ce, nextCloser, err := ClosestEncloser(qname, c.Zone, exists)
 	if err != nil {
 		return Proof{}, err
 	}
-	var p Proof
-	if r, ok, err := c.Match(ce); err != nil {
+	i, match, err := c.locate(ce)
+	if err != nil {
+		return Proof{}, err
+	}
+	if !match {
+		return Proof{}, fmt.Errorf("nsec3: no NSEC3 matches closest encloser %s", ce)
+	}
+	p := Proof{ClosestEncloser: &c.Records[i]}
+	var ok bool
+	if p.NextCloser, ok, err = c.Cover(nextCloser); err != nil {
 		return Proof{}, err
 	} else if !ok {
-		return Proof{}, fmt.Errorf("nsec3: no NSEC3 matches closest encloser %s", ce)
-	} else {
-		p.ClosestEncloser = &r
-	}
-	if r, ok, err := c.Cover(nextCloser); err != nil {
-		return Proof{}, err
-	} else if ok {
-		p.NextCloser = &r
-	} else {
 		return Proof{}, fmt.Errorf("nsec3: next closer %s unexpectedly matches", nextCloser)
-	}
-	if r, ok, err := c.Cover(ce.Wildcard()); err != nil {
-		return Proof{}, err
-	} else if ok {
-		p.Wildcard = &r
 	}
 	// If the wildcard matches instead of being covered, the server
 	// should have synthesized a wildcard answer, not an NXDOMAIN; the
 	// caller handles that branch.
+	if w, match, err := c.locateWildcard(i, ce); err != nil {
+		return Proof{}, err
+	} else if !match {
+		p.Wildcard = &c.Records[w]
+	}
 	return p, nil
 }
 
 // ProveNODATA synthesizes the NODATA proof: the NSEC3 matching qname
 // whose bitmap shows the queried type absent (RFC 5155 §7.2.3/7.2.4).
+// qname exists, so its record comes from the index: no hash.
 func (c *Chain) ProveNODATA(qname dnswire.Name) (Proof, error) {
 	r, ok, err := c.Match(qname)
 	if err != nil {
@@ -119,18 +107,17 @@ func (c *Chain) ProveNODATA(qname dnswire.Name) (Proof, error) {
 	if !ok {
 		return Proof{}, fmt.Errorf("nsec3: no NSEC3 matches %s for NODATA", qname)
 	}
-	return Proof{Matching: &r}, nil
+	return Proof{Matching: r}, nil
 }
 
 // ProveWildcard synthesizes the proof accompanying a wildcard-expanded
 // answer: the NSEC3 covering the next-closer name, showing qname itself
 // does not exist (RFC 5155 §7.2.6).
 func (c *Chain) ProveWildcard(qname dnswire.Name, exists func(dnswire.Name) bool) (Proof, error) {
-	ce, nextCloser, err := ClosestEncloser(qname, c.Zone, exists)
+	_, nextCloser, err := ClosestEncloser(qname, c.Zone, exists)
 	if err != nil {
 		return Proof{}, err
 	}
-	_ = ce
 	r, ok, err := c.Cover(nextCloser)
 	if err != nil {
 		return Proof{}, err
@@ -138,7 +125,7 @@ func (c *Chain) ProveWildcard(qname dnswire.Name, exists func(dnswire.Name) bool
 	if !ok {
 		return Proof{}, fmt.Errorf("nsec3: next closer %s matches, not covered", nextCloser)
 	}
-	return Proof{NextCloser: &r}, nil
+	return Proof{NextCloser: r}, nil
 }
 
 // ---------------------------------------------------------------------

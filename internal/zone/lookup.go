@@ -2,6 +2,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dnswire"
 	"repro/internal/nsec3"
@@ -139,7 +140,7 @@ func (s *Signed) appendWildcardProof(a *Answer, qname dnswire.Name) error {
 		if err != nil {
 			return err
 		}
-		s.appendNSEC3Proof(a, proof)
+		s.appendNSEC3Proof(a, proof.NextCloser)
 	default:
 		if rr, ok := s.nsecCovering(qname); ok {
 			a.Authority = append(a.Authority, rr)
@@ -165,35 +166,20 @@ func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, 
 				// deny DS with the closest-provable-encloser proof of
 				// RFC 5155 §7.2.4 instead.
 				if p2, err2 := s.proveOptOutNoDS(owner); err2 == nil {
-					s.appendNSEC3Proof(a, p2)
+					s.appendNSEC3Proof(a, p2.ClosestEncloser, p2.NextCloser)
 					return a, nil
 				}
 			}
-			if !wildcard {
-				return nil, fmt.Errorf("zone: NODATA proof for %s: %w", owner, err)
-			}
-			// Wildcard NODATA (RFC 5155 §7.2.5): closest-encloser proof
-			// plus the NSEC3 matching the wildcard.
-			ceProof, err := s.chain.ProveNXDOMAIN(qname, s.Exists)
-			if err != nil {
-				return nil, err
-			}
-			s.appendNSEC3Proof(a, ceProof)
-			proof, err = s.chain.ProveNODATA(owner)
-			if err != nil {
-				return nil, err
-			}
+			return nil, fmt.Errorf("zone: NODATA proof for %s: %w", owner, err)
 		}
-		s.appendNSEC3Proof(a, proof)
 		if wildcard {
-			ce, nc, err := nsec3.ClosestEncloser(qname, s.Zone.Apex, s.Exists)
-			if err == nil {
-				_ = ce
-				if rec, ok, _ := s.chain.Cover(nc); ok {
-					s.appendNSEC3Proof(a, nsec3.Proof{NextCloser: &rec})
-				}
+			// Wildcard NODATA (RFC 5155 §7.2.5): the NSEC3 matching the
+			// wildcard, then the one covering the next-closer name.
+			if p2, err := s.chain.ProveWildcard(qname, s.Exists); err == nil {
+				proof.NextCloser = p2.NextCloser
 			}
 		}
+		s.appendNSEC3Proof(a, proof.Matching, proof.NextCloser)
 	default:
 		if rr, ok := s.NSECRecord(owner); ok {
 			a.Authority = append(a.Authority, rr)
@@ -211,11 +197,8 @@ func (s *Signed) proveOptOutNoDS(owner dnswire.Name) (nsec3.Proof, error) {
 	nextCloser := owner
 	for cand := owner.Parent(); ; cand = cand.Parent() {
 		if rec, ok, err := s.chain.Match(cand); err == nil && ok {
-			var p nsec3.Proof
-			p.ClosestEncloser = &rec
 			if cov, ok, err := s.chain.Cover(nextCloser); err == nil && ok {
-				p.NextCloser = &cov
-				return p, nil
+				return nsec3.Proof{ClosestEncloser: rec, NextCloser: cov}, nil
 			}
 			return nsec3.Proof{}, fmt.Errorf("zone: next closer %s not covered", nextCloser)
 		}
@@ -239,7 +222,7 @@ func (s *Signed) nxdomain(qname dnswire.Name, do bool) (*Answer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("zone: NXDOMAIN proof for %s: %w", qname, err)
 		}
-		s.appendNSEC3Proof(a, proof)
+		s.appendNSEC3Proof(a, proof.ClosestEncloser, proof.NextCloser, proof.Wildcard)
 	default:
 		if rr, ok := s.nsecCovering(qname); ok {
 			a.Authority = append(a.Authority, rr)
@@ -296,16 +279,16 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 			// set proves the span may contain unsigned delegations
 			// (RFC 5155 §7.2.4).
 			if rec, ok, err := s.chain.Cover(cut); err == nil && ok {
-				s.appendNSEC3Proof(a, nsec3.Proof{NextCloser: &rec})
+				s.appendNSEC3Proof(a, rec)
 			} else if rec, ok, err := s.chain.Match(cut); err == nil && ok {
-				s.appendNSEC3Proof(a, nsec3.Proof{Matching: &rec})
+				s.appendNSEC3Proof(a, rec)
 			}
 		} else {
 			proof, err := s.chain.ProveNODATA(cut)
 			if err != nil {
 				return nil, err
 			}
-			s.appendNSEC3Proof(a, proof)
+			s.appendNSEC3Proof(a, proof.Matching)
 		}
 	default:
 		if rr, ok := s.NSECRecord(cut); ok {
@@ -320,6 +303,11 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 // authority section, as negative answers require (RFC 2308 §3).
 func (s *Signed) appendSOA(a *Answer, do bool) {
 	soaRRs := s.Zone.Lookup(s.Zone.Apex, dnswire.TypeSOA)
+	if a.Authority == nil && do {
+		// The largest negative answer — SOA, three NSEC3, an RRSIG
+		// each — in one allocation, not four doublings.
+		a.Authority = make([]dnswire.RR, 0, 8)
+	}
 	for _, rr := range soaRRs {
 		rr.TTL = min(rr.TTL, s.negTTL)
 		a.Authority = append(a.Authority, rr)
@@ -329,22 +317,16 @@ func (s *Signed) appendSOA(a *Answer, do bool) {
 	}
 }
 
-// appendNSEC3Proof attaches the proof records and their RRSIGs to the
-// authority section, deduplicating repeated NSEC3 owners.
-func (s *Signed) appendNSEC3Proof(a *Answer, proof nsec3.Proof) {
-	for _, rec := range proof.Records() {
-		rr := s.chain.RRFor(rec, s.negTTL)
-		dup := false
-		for _, have := range a.Authority {
-			if have.Name == rr.Name && have.Type() == dnswire.TypeNSEC3 {
-				dup = true
-				break
-			}
-		}
-		if dup {
+// appendNSEC3Proof attaches the proof's records, in the order given,
+// each followed by its RRSIG, to the authority section. Nothing is
+// built: the RR was resolved when the chain was, and its RRSIG sits at
+// the same index. A proof's records alias the chain's, so a record
+// that plays two roles (or none: nil) is recognized by its pointer.
+func (s *Signed) appendNSEC3Proof(a *Answer, recs ...*nsec3.Record) {
+	for i, rec := range recs {
+		if rec == nil || slices.Contains(recs[:i], rec) {
 			continue
 		}
-		a.Authority = append(a.Authority, rr)
-		a.Authority = append(a.Authority, s.RRSIGsFor(rr.Name, dnswire.TypeNSEC3)...)
+		a.Authority = append(a.Authority, rec.Full, s.nsec3Sigs[rec.Index])
 	}
 }

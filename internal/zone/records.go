@@ -23,23 +23,33 @@ func (s *Signed) AllRecords() []dnswire.RR {
 		out = append(out, rr)
 	}
 
-	// RRSIGs, grouped per owner/type in a stable order.
-	owners := make([]dnswire.Name, 0, len(s.rrsigs))
+	// RRSIGs, grouped per owner/type in a stable order. The NSEC3
+	// RRSIGs are kept beside the chain, not in s.rrsigs, and their
+	// owners sort in among the zone's own names.
+	owners := make([]dnswire.Name, 0, len(s.rrsigs)+len(s.nsec3Sigs))
 	for owner := range s.rrsigs {
 		owners = append(owners, owner)
+	}
+	for _, sig := range s.nsec3Sigs {
+		if _, listed := s.rrsigs[sig.Name]; !listed {
+			owners = append(owners, sig.Name)
+		}
 	}
 	sort.Slice(owners, func(i, j int) bool {
 		return dnswire.CanonicalCompare(owners[i], owners[j]) < 0
 	})
 	for _, owner := range owners {
 		byType := s.rrsigs[owner]
-		types := make([]dnswire.Type, 0, len(byType))
+		types := make([]dnswire.Type, 0, len(byType)+1)
 		for t := range byType {
 			types = append(types, t)
 		}
+		if len(s.RRSIGsFor(owner, dnswire.TypeNSEC3)) > 0 {
+			types = append(types, dnswire.TypeNSEC3)
+		}
 		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
 		for _, t := range types {
-			out = append(out, byType[t]...)
+			out = append(out, s.RRSIGsFor(owner, t)...)
 		}
 	}
 
@@ -47,8 +57,8 @@ func (s *Signed) AllRecords() []dnswire.RR {
 	switch s.Config.Denial {
 	case DenialNSEC3:
 		if s.chain != nil {
-			for _, rec := range s.chain.Records {
-				out = append(out, s.chain.RRFor(rec, s.negTTL))
+			for i := range s.chain.Records {
+				out = append(out, s.chain.Records[i].Full)
 			}
 		}
 	case DenialNSEC:

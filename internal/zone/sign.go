@@ -69,10 +69,15 @@ type Signed struct {
 
 	// names is the authoritative name set with post-signing bitmaps.
 	names map[dnswire.Name]dnswire.TypeBitmap
-	// rrsigs maps owner -> covered type -> RRSIG records.
+	// rrsigs maps owner -> covered type -> RRSIG records, for every
+	// RRset but the NSEC3 chain's.
 	rrsigs map[dnswire.Name]map[dnswire.Type][]dnswire.RR
 	// chain is the NSEC3 chain (DenialNSEC3 only).
 	chain *nsec3.Chain
+	// nsec3Sigs[i] is the RRSIG over chain.Records[i]: one array beside
+	// the records, found by index, where a map entry per NSEC3 owner
+	// would cost more memory than the signature it holds.
+	nsec3Sigs []dnswire.RR
 	// nsecOrder is the canonical owner order (DenialNSEC only).
 	nsecOrder []dnswire.Name
 	// nsecRRs maps owner -> its NSEC record (DenialNSEC only).
@@ -228,6 +233,13 @@ func (s *Signed) addRRSIG(name dnswire.Name, covered dnswire.Type, sig dnswire.R
 
 // RRSIGsFor returns the RRSIG records covering (name, type).
 func (s *Signed) RRSIGsFor(name dnswire.Name, covered dnswire.Type) []dnswire.RR {
+	if covered == dnswire.TypeNSEC3 && s.chain != nil {
+		rec, ok := s.chain.ByOwner(name)
+		if !ok {
+			return nil
+		}
+		return s.nsec3Sigs[rec.Index : rec.Index+1 : rec.Index+1]
+	}
 	return s.rrsigs[name][covered]
 }
 
@@ -246,14 +258,13 @@ func (s *Signed) buildNSEC3() error {
 	}
 	s.chain = chain
 	// Sign every NSEC3 RR.
+	s.nsec3Sigs = make([]dnswire.RR, len(chain.Records))
 	inc, exp := s.window(true)
-	for _, rec := range chain.Records {
-		rr := chain.RRFor(rec, s.negTTL)
-		sig, err := dnssec.SignRR([]dnswire.RR{rr}, s.ZSK, s.Zone.Apex, inc, exp)
+	for i := range chain.Records {
+		s.nsec3Sigs[i], err = dnssec.SignRR([]dnswire.RR{chain.Records[i].Full}, s.ZSK, s.Zone.Apex, inc, exp)
 		if err != nil {
 			return err
 		}
-		s.addRRSIG(rr.Name, dnswire.TypeNSEC3, sig)
 	}
 	return nil
 }
