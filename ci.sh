@@ -27,6 +27,9 @@ go test -race ./...
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/
+# Unpack against the test-only field-by-field reference decoder: the
+# same Message (or the same error text) for whatever the fuzzer finds.
+go test -run='^$' -fuzz=FuzzUnpackDifferential -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzHash -fuzztime=5s ./internal/nsec3/
 

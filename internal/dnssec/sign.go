@@ -61,62 +61,81 @@ func (s RRset) RRs() []dnswire.RR {
 // canonicalOwner returns the owner name used in canonical form: if the
 // RRSIG Labels field is smaller than the owner's label count, the name
 // was synthesized from a wildcard and the canonical owner is
-// "*.<last Labels labels>" (RFC 4035 §5.3.2).
+// "*.<last Labels labels>" (RFC 4035 §5.3.2). The common case — not
+// synthesized — counts the labels where they stand.
 func canonicalOwner(owner dnswire.Name, rrsigLabels uint8) (dnswire.Name, error) {
-	labels := owner.Labels()
-	if int(rrsigLabels) > len(labels) {
+	n := owner.CountLabels()
+	if int(rrsigLabels) > n {
 		return "", fmt.Errorf("dnssec: RRSIG labels %d exceeds owner %s", rrsigLabels, owner)
 	}
-	if int(rrsigLabels) == len(labels) {
+	if int(rrsigLabels) == n {
 		return owner, nil
 	}
-	suffix := labels[len(labels)-int(rrsigLabels):]
-	return dnswire.FromLabels(append([]string{"*"}, suffix...)...)
+	suffix := owner
+	for ; n > int(rrsigLabels); n-- {
+		suffix = suffix.Parent()
+	}
+	return suffix.Child("*")
 }
 
-// appendCanonicalRRset appends the canonical wire form of the RRset as
-// covered by sig: each record as owner|type|class|OrigTTL|rdlen|rdata,
-// records sorted by canonical RDATA (RFC 4034 §6.3).
-func appendCanonicalRRset(dst []byte, set RRset, sig dnswire.RRSIG) ([]byte, error) {
-	owner, err := canonicalOwner(set.Name, sig.Labels)
-	if err != nil {
-		return nil, err
+// appendCanonicalRRset appends the canonical wire form of the RRset
+// under its canonical owner: each record as
+// owner|type|class|OrigTTL|rdlen|rdata, records sorted by canonical
+// RDATA, duplicates counted once (RFC 4034 §6.3).
+func appendCanonicalRRset(dst []byte, owner dnswire.Name, set RRset, origTTL uint32) []byte {
+	var ownerBuf [dnswire.MaxNameWireLen]byte
+	ownerWire := owner.AppendWire(ownerBuf[:0])
+	t := set.Type()
+	// record appends one record's fixed part and an RDLENGTH to fill in,
+	// and returns where the RDATA starts.
+	record := func() int {
+		dst = append(dst, ownerWire...)
+		dst = append(dst, byte(t>>8), byte(t), byte(set.Class>>8), byte(set.Class))
+		dst = append(dst, byte(origTTL>>24), byte(origTTL>>16), byte(origTTL>>8), byte(origTTL), 0, 0)
+		return len(dst)
+	}
+	setLength := func(start int) {
+		rdlen := len(dst) - start
+		dst[start-2], dst[start-1] = byte(rdlen>>8), byte(rdlen)
+	}
+	if len(set.Datas) == 1 {
+		// Nothing to sort or de-duplicate: render in place.
+		start := record()
+		dst = dnswire.AppendRData(dst, set.Datas[0])
+		setLength(start)
+		return dst
 	}
 	rdatas := make([][]byte, len(set.Datas))
 	for i, d := range set.Datas {
 		rdatas[i] = dnswire.AppendRData(nil, d)
 	}
 	sort.Slice(rdatas, func(i, j int) bool { return bytes.Compare(rdatas[i], rdatas[j]) < 0 })
-	// Duplicate RDATAs must be counted once (RFC 4034 §6.3).
-	rdatas = dedupBytes(rdatas)
-	ownerWire := owner.AppendWire(nil)
-	for _, rd := range rdatas {
-		dst = append(dst, ownerWire...)
-		dst = append(dst, byte(set.Type()>>8), byte(set.Type()))
-		dst = append(dst, byte(set.Class>>8), byte(set.Class))
-		dst = append(dst, byte(sig.OrigTTL>>24), byte(sig.OrigTTL>>16), byte(sig.OrigTTL>>8), byte(sig.OrigTTL))
-		dst = append(dst, byte(len(rd)>>8), byte(len(rd)))
-		dst = append(dst, rd...)
-	}
-	return dst, nil
-}
-
-func dedupBytes(in [][]byte) [][]byte {
-	out := in[:0]
-	for i, b := range in {
-		if i > 0 && bytes.Equal(in[i-1], b) {
+	for i, rd := range rdatas {
+		if i > 0 && bytes.Equal(rdatas[i-1], rd) {
 			continue
 		}
-		out = append(out, b)
+		start := record()
+		dst = append(dst, rd...)
+		setLength(start)
 	}
-	return out
+	return dst
 }
+
+// signedDataCap holds the signed octets of a typical RRset — an RRSIG
+// prefix and one NSEC3, A or DS record under a mid-length owner — so
+// building them does not grow a slice from nothing.
+const signedDataCap = 256
 
 // signedData returns the octets sig signs over set: the RRSIG RDATA
 // minus its Signature field, then the canonical RRset (RFC 4034
 // §3.1.8.1).
 func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
-	return appendCanonicalRRset(sig.AppendSignedPart(nil), set, sig)
+	owner, err := canonicalOwner(set.Name, sig.Labels)
+	if err != nil {
+		return nil, err
+	}
+	buf := sig.AppendSignedPart(make([]byte, 0, signedDataCap))
+	return appendCanonicalRRset(buf, owner, set, sig.OrigTTL), nil
 }
 
 // ownerLabelCount returns the RRSIG Labels value for an owner: the

@@ -134,3 +134,98 @@ func TestUnpackOwnsItsMemory(t *testing.T) {
 		t.Errorf("NSEC3PARAM salt aliased the read buffer: %x", p.Salt)
 	}
 }
+
+// benchResponses builds the two responses the repository benchmark's
+// dnswire.unpack_ns.* layers decode, octet count for octet count: the
+// signed NSEC3 NXDOMAIN (SOA + RRSIG and three NSEC3 + RRSIG in the
+// authority section; 784 octets) and the signed TXT answer (199) that
+// its 20,000-name iterations-0 zone serves to a DO query.
+func benchResponses(t testing.TB) (nxdomain, positive []byte) {
+	t.Helper()
+	apex := MustParseName("bench.example")
+	sig := func(owner Name, covered Type, ttl uint32) RR {
+		return RR{Name: owner, Class: ClassIN, TTL: ttl, Data: RRSIG{
+			TypeCovered: covered, Algorithm: AlgECDSAP256SHA256, Labels: uint8(owner.CountLabels()),
+			OrigTTL: ttl, Expiration: 1717200000, Inception: 1709251200, KeyTag: 4711,
+			SignerName: apex, Signature: make([]byte, 64),
+		}}
+	}
+	nx := &Message{
+		Header:    Header{ID: 1, Response: true, Authoritative: true, RCode: RCodeNXDomain},
+		Questions: []Question{{Name: apex.MustChild("u0123456789abcdef"), Type: TypeA, Class: ClassIN}},
+		Authority: []RR{
+			{Name: apex, Class: ClassIN, TTL: 300, Data: SOA{
+				MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"),
+				Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300}},
+			sig(apex, TypeSOA, 300),
+		},
+		Additional: []RR{(&OPT{UDPSize: DefaultUDPSize, DO: true}).AsRR()},
+	}
+	for i, h := range []string{
+		"0p9mhaveqvm6t7vbl5lop2u3t2rp3tom", "b4um86eghhds6nea196smvmlo4ors995", "q04jkcevqvmu85r014c7dkba38o0ji5r",
+	} {
+		owner := apex.MustChild(h)
+		types := NewTypeBitmap(TypeTXT, TypeRRSIG)
+		if i == 0 {
+			types = NewTypeBitmap(TypeNS, TypeSOA, TypeRRSIG, TypeDNSKEY, TypeNSEC3PARAM)
+		}
+		nx.Authority = append(nx.Authority,
+			RR{Name: owner, Class: ClassIN, TTL: 300, Data: NSEC3{
+				HashAlg: NSEC3HashSHA1, NextHashedOwner: make([]byte, 20), Types: types}},
+			sig(owner, TypeNSEC3, 300))
+	}
+	host := apex.MustChild("h00001-abcdef")
+	pos := &Message{
+		Header:    Header{ID: 2, Response: true, Authoritative: true},
+		Questions: []Question{{Name: host, Type: TypeTXT, Class: ClassIN}},
+		Answers: []RR{
+			{Name: host, Class: ClassIN, TTL: 300, Data: TXT{Strings: []string{"v=bench h00001-abcdef"}}},
+			sig(host, TypeTXT, 300),
+		},
+		Additional: []RR{(&OPT{UDPSize: DefaultUDPSize, DO: true}).AsRR()},
+	}
+	var err error
+	if nxdomain, err = nx.Pack(); err != nil {
+		t.Fatal(err)
+	}
+	if positive, err = pos.Pack(); err != nil {
+		t.Fatal(err)
+	}
+	if len(nxdomain) != 784 || len(positive) != 199 {
+		t.Fatalf("benchmark-shaped responses are %d and %d octets, want 784 and 199", len(nxdomain), len(positive))
+	}
+	return nxdomain, positive
+}
+
+// TestUnpackAllocCeiling pins what decoding costs in allocations: one
+// copy of the wire for the byte fields, one record slab, one string per
+// distinct name, one boxed RDATA per record (and one bitmap per NSEC3)
+// — not one allocation per field. The NXDOMAIN response cost 45 when
+// every byte field, every repeated name and every slice growth step
+// allocated.
+func TestUnpackAllocCeiling(t *testing.T) {
+	nxdomain, positive := benchResponses(t)
+	query, err := NewQuery(3, MustParseName("u0123456789abcdef.bench.example"), TypeA, true).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		max  float64
+	}{
+		{"784-octet NXDOMAIN", nxdomain, 23},
+		{"199-octet positive", positive, 11},
+		{"query", query, 5},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := Unpack(tc.wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", tc.name, got)
+		if got > tc.max {
+			t.Errorf("Unpack of the %s allocates %.0f times, ceiling %.0f", tc.name, got, tc.max)
+		}
+	}
+}

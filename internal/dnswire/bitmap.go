@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -67,16 +68,19 @@ func appendBitmap(dst []byte, tb TypeBitmap) []byte {
 	return dst
 }
 
-// readBitmap decodes a window-block bitmap occupying data entirely.
+// readBitmap decodes a window-block bitmap occupying data entirely,
+// reading it where it lies: one pass checks the window blocks and
+// counts the set bits, a second fills a slice of exactly that size. A
+// bitmap with no bit set is nil.
 func readBitmap(data []byte) (TypeBitmap, error) {
-	var tb TypeBitmap
+	types := 0
 	lastWindow := -1
-	for len(data) > 0 {
-		if len(data) < 2 {
+	for rest := data; len(rest) > 0; {
+		if len(rest) < 2 {
 			return nil, fmt.Errorf("dnswire: truncated type bitmap")
 		}
-		window := int(data[0])
-		length := int(data[1])
+		window := int(rest[0])
+		length := int(rest[1])
 		if length == 0 || length > 32 {
 			return nil, fmt.Errorf("dnswire: bad bitmap window length %d", length)
 		}
@@ -84,18 +88,30 @@ func readBitmap(data []byte) (TypeBitmap, error) {
 			return nil, fmt.Errorf("dnswire: bitmap windows out of order")
 		}
 		lastWindow = window
-		data = data[2:]
-		if len(data) < length {
+		rest = rest[2:]
+		if len(rest) < length {
 			return nil, fmt.Errorf("dnswire: truncated bitmap window")
 		}
-		for octet := 0; octet < length; octet++ {
-			for bit := 0; bit < 8; bit++ {
-				if data[octet]&(0x80>>bit) != 0 {
-					tb = append(tb, Type(window<<8|octet*8+bit))
-				}
+		for _, b := range rest[:length] {
+			types += bits.OnesCount8(b)
+		}
+		rest = rest[length:]
+	}
+	if types == 0 {
+		return nil, nil
+	}
+	tb := make(TypeBitmap, 0, types)
+	for rest := data; len(rest) >= 2; {
+		window, length := int(rest[0]), int(rest[1])
+		rest = rest[2:]
+		for octet, b := range rest[:length] {
+			for b != 0 {
+				bit := bits.LeadingZeros8(b) // bit 0 is the most significant
+				tb = append(tb, Type(window<<8|octet*8+bit))
+				b &^= 0x80 >> bit
 			}
 		}
-		data = data[length:]
+		rest = rest[length:]
 	}
 	return tb, nil
 }

@@ -69,21 +69,45 @@ func (e *encoder) name(n Name, compressible bool) {
 	e.buf = append(e.buf, 0)
 }
 
-// decoder walks a wire-format message.
+// decoder is the state of one Unpack call, on that call's stack: the
+// caller's message, a cursor, the one private copy decoded byte fields
+// are cut from, and the names decoded so far.
 type decoder struct {
-	msg []byte
-	off int
-	end int // exclusive bound for RDATA-scoped decoding (len(msg) otherwise)
+	msg  []byte // the caller's buffer: read, never retained
+	own  []byte // private copy of msg, made when the first byte field is decoded
+	off  int
+	end  int // exclusive bound: the RDATA being decoded, len(msg) otherwise
+	memo nameMemo
 }
 
 func (d *decoder) remaining() int { return d.end - d.off }
 
+// view returns the next n octets where they lie in the caller's
+// buffer, for fields that are converted (addresses, strings, type
+// bitmaps) rather than kept.
+func (d *decoder) view(n int) ([]byte, error) {
+	if n < 0 || d.off+n > d.end {
+		return nil, fmt.Errorf("dnswire: need %d octets, have %d", n, d.remaining())
+	}
+	out := d.msg[d.off : d.off+n]
+	d.off += n
+	return out, nil
+}
+
+// bytes returns the next n octets as a byte field the Message keeps: a
+// slice of the private copy — made here, once, so a message without
+// byte fields costs none — whose capacity ends where the field does,
+// so an append to one decoded field reallocates instead of writing
+// into its neighbour. A zero-length field is empty, not nil.
 func (d *decoder) bytes(n int) ([]byte, error) {
 	if n < 0 || d.off+n > d.end {
 		return nil, fmt.Errorf("dnswire: need %d octets, have %d", n, d.remaining())
 	}
-	out := make([]byte, n)
-	copy(out, d.msg[d.off:d.off+n])
+	if d.own == nil {
+		d.own = make([]byte, len(d.msg))
+		copy(d.own, d.msg)
+	}
+	out := d.own[d.off : d.off+n : d.off+n]
 	d.off += n
 	return out, nil
 }
@@ -117,10 +141,42 @@ func (d *decoder) u32() (uint32, error) {
 
 // name decodes a possibly-compressed name; pointers may refer anywhere
 // earlier in the full message, even outside the current RDATA bounds.
+//
+// A name that is nothing but a compression pointer — an RRSIG's owner,
+// every pointer to the apex — is looked up in the memo by the offset it
+// points at, and the walk is skipped when that offset was decoded
+// before. The answer is the one a walk from d.off would give: the
+// same Name, ErrBadPointer when this pointer plus those the remembered
+// walk followed exceed the budget, and the same overrun check.
 func (d *decoder) name() (Name, error) {
-	n, next, err := readName(d.msg, d.off)
-	if err != nil {
-		return "", err
+	start, next, lead := d.off, -1, 0
+	if d.off+1 < len(d.msg) {
+		if c := d.msg[d.off]; c&0xC0 == 0xC0 {
+			if ptr := int(c&0x3F)<<8 | int(d.msg[d.off+1]); ptr < d.off {
+				start, next, lead = ptr, d.off+2, 1
+			}
+		}
+	}
+	var n Name
+	var e *memoEntry
+	if lead == 1 {
+		e = d.memo.at(start)
+	}
+	if e != nil {
+		if lead+int(e.hops) > maxPointers {
+			return "", ErrBadPointer
+		}
+		n = e.name
+	} else {
+		var end, hops int
+		var err error
+		if n, end, hops, err = d.memo.walk(d.msg, start, maxPointers-lead); err != nil {
+			return "", err
+		}
+		if next < 0 {
+			next = end
+		}
+		d.memo.add(start, hops, n)
 	}
 	if next > d.end {
 		return "", fmt.Errorf("dnswire: name overruns field")
@@ -135,7 +191,7 @@ func (d *decoder) charString() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b, err := d.bytes(int(l))
+	b, err := d.view(int(l))
 	return string(b), err
 }
 

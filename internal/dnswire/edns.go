@@ -145,12 +145,12 @@ func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := d.bytes(int(olen))
-		if err != nil {
-			return nil, err
-		}
 		switch code {
 		case optCodeEDE:
+			data, err := d.view(int(olen))
+			if err != nil {
+				return nil, err
+			}
 			if len(data) < 2 {
 				return nil, fmt.Errorf("dnswire: EDE option shorter than 2 octets")
 			}
@@ -159,6 +159,10 @@ func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
 				Text: string(data[2:]),
 			})
 		default:
+			data, err := d.bytes(int(olen))
+			if err != nil {
+				return nil, err
+			}
 			o.Unknown = append(o.Unknown, OptOption{Code: code, Data: data})
 		}
 	}

@@ -263,11 +263,31 @@ func packRR(e *encoder, rr RR) error {
 	return nil
 }
 
+// headerLen is the fixed DNS message header; minQuestionLen and
+// minRRLen are the shortest question (root name, type, class) and
+// record (root owner, type, class, TTL, RDLENGTH) the wire can carry,
+// which bound how many of each a message of a given length can hold
+// whatever its header claims.
+const (
+	headerLen      = 12
+	minQuestionLen = 5
+	minRRLen       = 11
+)
+
 // Unpack decodes a wire-format message. The returned Message owns all
 // of its memory: no field aliases msg, so callers may recycle the read
-// buffer the moment Unpack returns (the UDP serve loop does).
+// buffer the moment Unpack returns (the UDP serve loop and
+// Network.Exchange do).
 //
-//repro:allocok decoding materializes a fresh Message by contract; the serve path amortizes it by recycling read buffers, not messages
+// The fields of one Message share allocations: every byte field
+// (signatures, keys, digests, salts, hashes, option data, opaque
+// RDATA) is a slice of one private copy of msg, and the three record
+// sections are slices of one []RR. Holding any one of them retains
+// that allocation. All are cap-limited — appending to a field or a
+// section reallocates it and never writes into its neighbour — but,
+// as with any Message, writing through one changes that Message only.
+//
+//repro:allocok decoding materializes a fresh Message by contract — one copy of the wire, one record slab, one string per distinct name, one boxed RDATA per record; the serve path amortizes the rest by recycling read buffers, not messages
 func Unpack(msg []byte) (*Message, error) {
 	d := &decoder{msg: msg, end: len(msg)}
 	var m Message
@@ -287,6 +307,16 @@ func Unpack(msg []byte) (*Message, error) {
 			return nil, err
 		}
 	}
+	// Sized from the header counts, bounded by what the rest of the
+	// message can hold: hostile counts allocate nothing they cannot fill.
+	body := len(msg) - headerLen
+	if n := min(int(counts[0]), body/minQuestionLen); n > 0 {
+		m.Questions = make([]Question, 0, n)
+	}
+	var slab []RR
+	if n := min(int(counts[1])+int(counts[2])+int(counts[3]), body/minRRLen); n > 0 {
+		slab = make([]RR, 0, n)
+	}
 	for i := 0; i < int(counts[0]); i++ {
 		var q Question
 		if q.Name, err = d.name(); err != nil {
@@ -303,13 +333,17 @@ func Unpack(msg []byte) (*Message, error) {
 		q.Type, q.Class = Type(t), Class(c)
 		m.Questions = append(m.Questions, q)
 	}
-	for s, dstp := range []*[]RR{&m.Answers, &m.Authority, &m.Additional} {
+	for s, section := range [...]*[]RR{&m.Answers, &m.Authority, &m.Additional} {
+		first := len(slab)
 		for i := 0; i < int(counts[s+1]); i++ {
 			rr, err := unpackRR(d)
 			if err != nil {
 				return nil, fmt.Errorf("dnswire: section %d record %d: %w", s, i, err)
 			}
-			*dstp = append(*dstp, rr)
+			slab = append(slab, rr)
+		}
+		if last := len(slab); last > first {
+			*section = slab[first:last:last]
 		}
 	}
 	if d.off != len(msg) {
@@ -349,12 +383,8 @@ func unpackRR(d *decoder) (RR, error) {
 		rr.Data = opt
 		return rr, nil
 	}
-	rr.Data, err = parseRData(t, d.msg, d.off, int(rdlen))
-	if err != nil {
-		return rr, err
-	}
-	d.off += int(rdlen)
-	return rr, nil
+	rr.Data, err = parseRData(t, d, int(rdlen))
+	return rr, err
 }
 
 // String renders the message in a dig-like multi-section dump,

@@ -520,27 +520,98 @@ func appendPresByte(pres *[presBufLen]byte, w int, c byte) int {
 	}
 }
 
-// internName converts an assembled presentation buffer into a Name.
-// This is the single allocation of the name decode path: a Name must
-// own its bytes, so the stack buffer is copied into a fresh string.
-//
-//repro:allocok a decoded Name owns its memory by contract; one string per decoded name is the floor
-func internName(pres []byte) Name { return Name(pres) }
+// plainOctet marks the label octets whose presentation form is the
+// octet itself: printable ASCII that is neither a letter to fold nor a
+// character to escape. A label made only of these is copied whole.
+var plainOctet = func() (t [256]bool) {
+	for c := '!'; c <= '~'; c++ {
+		t[c] = c != '.' && c != '\\' && (c < 'A' || c > 'Z')
+	}
+	return t
+}()
 
-// readName decodes a possibly-compressed name starting at off in msg.
-// It returns the name and the offset just past the name's first
-// occurrence (i.e. past the pointer if the name was compressed).
-// The presentation form is assembled in a stack buffer; the only
-// allocation is the final string conversion in internName.
-func readName(msg []byte, off int) (Name, int, error) {
-	var pres [presBufLen]byte
-	w := 0          // bytes of presentation form written
-	ptrBudget := 64 // generous loop guard; real messages chain a few at most
-	end := -1       // offset to return (set at first pointer)
+// maxPointers bounds the compression pointers one name may follow: a
+// generous loop guard, real messages chain a few at most.
+const maxPointers = 64
+
+// memoSize is the number of names one Unpack remembers. A signed
+// NXDOMAIN response holds eleven distinct (offset, name) pairs.
+const memoSize = 16
+
+// nameMemo remembers, for the one Unpack call whose stack it lives on,
+// the names already decoded from this message: each with the wire
+// offset its walk began at — where a literal name starts, or what a
+// bare compression pointer points at — and the pointers that walk
+// followed. It serves two lookups. By offset (at), a later bare pointer
+// to a remembered offset is answered without walking. By content
+// (intern), a name spelled out again elsewhere — the signer name of
+// every RRSIG — shares the first occurrence's string. Once full it
+// stops learning; nothing in it outlives Unpack or comes from anywhere
+// but the message being decoded. It also lends every walk the buffer a
+// presentation form is assembled in, cleared once per message rather
+// than once per name.
+type nameMemo struct {
+	n    int
+	e    [memoSize]memoEntry
+	pres [presBufLen]byte
+}
+
+type memoEntry struct {
+	name Name
+	off  uint16
+	hops uint8
+}
+
+// at returns the entry remembered for wire offset off, if there is one.
+func (m *nameMemo) at(off int) *memoEntry {
+	for i := range m.e[:m.n] {
+		if int(m.e[i].off) == off {
+			return &m.e[i]
+		}
+	}
+	return nil
+}
+
+// add remembers that the walk from off followed hops pointers and gave
+// name. Only offsets a compression pointer can express are worth
+// remembering.
+func (m *nameMemo) add(off, hops int, name Name) {
+	if m.n < memoSize && off < 0x4000 {
+		m.e[m.n] = memoEntry{name: name, off: uint16(off), hops: uint8(hops)}
+		m.n++
+	}
+}
+
+// intern converts an assembled presentation buffer into a Name: the
+// remembered Name with these bytes when this message already produced
+// one, a fresh string otherwise. A Name must own its bytes, so the
+// stack buffer is copied — once per distinct name of a message.
+//
+//repro:allocok a decoded Name owns its memory by contract; one string per distinct name of a message is the floor
+func (m *nameMemo) intern(pres []byte) Name {
+	for i := range m.e[:m.n] {
+		if string(m.e[i].name) == string(pres) {
+			return m.e[i].name
+		}
+	}
+	return Name(pres)
+}
+
+// walk decodes a possibly-compressed name starting at off in msg,
+// following at most budget compression pointers. It returns the name,
+// the offset just past the name's first occurrence (i.e. past the
+// pointer if the name was compressed) and the pointers followed. The
+// presentation form is assembled in m.pres; the only allocation is the
+// string conversion in intern.
+func (m *nameMemo) walk(msg []byte, off, budget int) (Name, int, int, error) {
+	pres := &m.pres
+	w := 0    // bytes of presentation form written
+	hops := 0 // pointers followed
+	end := -1 // offset to return (set at first pointer)
 	wireLen := 1
 	for {
 		if off < 0 || off >= len(msg) {
-			return "", 0, ErrNameTrunc
+			return "", 0, 0, ErrNameTrunc
 		}
 		c := msg[off]
 		switch {
@@ -549,36 +620,45 @@ func readName(msg []byte, off int) (Name, int, error) {
 				end = off + 1
 			}
 			if w == 0 {
-				return Root, end, nil
+				return Root, end, hops, nil
 			}
-			return internName(pres[:w]), end, nil
+			return m.intern(pres[:w]), end, hops, nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return "", 0, ErrNameTrunc
+				return "", 0, 0, ErrNameTrunc
 			}
-			if ptrBudget--; ptrBudget < 0 {
-				return "", 0, ErrBadPointer
+			if hops++; hops > budget {
+				return "", 0, 0, ErrBadPointer
 			}
 			ptr := int(c&0x3F)<<8 | int(msg[off+1])
 			if end < 0 {
 				end = off + 2
 			}
 			if ptr >= off {
-				return "", 0, ErrBadPointer
+				return "", 0, 0, ErrBadPointer
 			}
 			off = ptr
 		case c&0xC0 != 0:
-			return "", 0, fmt.Errorf("dnswire: reserved label type 0x%02x", c&0xC0)
+			return "", 0, 0, fmt.Errorf("dnswire: reserved label type 0x%02x", c&0xC0)
 		default:
 			if off+1+int(c) > len(msg) {
-				return "", 0, ErrNameTrunc
+				return "", 0, 0, ErrNameTrunc
 			}
 			wireLen += 1 + int(c)
 			if wireLen > MaxNameWireLen {
-				return "", 0, ErrNameTooLong
+				return "", 0, 0, ErrNameTooLong
 			}
-			for i := 0; i < int(c); i++ {
-				w = appendPresByte(&pres, w, lowerByte(msg[off+1+i]))
+			label := msg[off+1 : off+1+int(c)]
+			plain := true
+			for _, b := range label {
+				plain = plain && plainOctet[b]
+			}
+			if plain {
+				w += copy(pres[w:], label)
+			} else {
+				for _, b := range label {
+					w = appendPresByte(pres, w, lowerByte(b))
+				}
 			}
 			pres[w] = '.'
 			w++

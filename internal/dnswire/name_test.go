@@ -9,6 +9,14 @@ import (
 	"testing/quick"
 )
 
+// readName decodes one name with no message around it: a walk with the
+// full pointer budget and a memo of its own.
+func readName(msg []byte, off int) (Name, int, error) {
+	var memo nameMemo
+	n, next, _, err := memo.walk(msg, off, maxPointers)
+	return n, next, err
+}
+
 func TestParseNameBasics(t *testing.T) {
 	cases := []struct {
 		in      string

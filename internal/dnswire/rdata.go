@@ -27,7 +27,12 @@ type RData interface {
 // AppendRData appends the canonical (uncompressed, lowercase) wire
 // encoding of rd to dst. This is the form hashed and signed by DNSSEC.
 func AppendRData(dst []byte, rd RData) []byte {
-	e := &encoder{buf: dst}
+	// The encoder escapes through the RData interface, so it is borrowed
+	// from the message encoders' pool rather than allocated per call;
+	// one fresh from the pool does not compress.
+	e := encPool.Get().(*encoder)
+	defer releaseEncoder(e)
+	e.buf = dst
 	rd.appendRData(e)
 	return e.buf
 }
@@ -258,9 +263,12 @@ func (r RRSIG) appendRData(e *encoder) {
 // AppendSignedPart appends the RRSIG RDATA with the Signature field
 // omitted — the prefix covered by the signature (RFC 4034 §3.1.8.1).
 func (r RRSIG) AppendSignedPart(dst []byte) []byte {
-	withoutSig := r
-	withoutSig.Signature = nil
-	return AppendRData(dst, withoutSig)
+	r.Signature = nil
+	e := encPool.Get().(*encoder)
+	defer releaseEncoder(e)
+	e.buf = dst
+	r.appendRData(e) // called on the value: nothing is boxed
+	return e.buf
 }
 
 // ---------------------------------------------------------------- DS
@@ -412,26 +420,28 @@ func (r Generic) String() string {
 
 func (r Generic) appendRData(e *encoder) { e.buf = append(e.buf, r.Data...) }
 
-// parseRData decodes the RDATA of type t occupying msg[off:off+rdlen].
-// Compressed names inside RDATA (legal only for the classic types) are
-// resolved against the whole message.
-func parseRData(t Type, msg []byte, off, rdlen int) (RData, error) {
-	end := off + rdlen
-	if end > len(msg) {
+// parseRData decodes the RDATA of type t occupying the next rdlen
+// octets, with d's bound narrowed to them for the duration: no field
+// may read past its RDATA, while compressed names inside it (legal
+// only for the classic types) still resolve against the whole message.
+func parseRData(t Type, d *decoder, rdlen int) (RData, error) {
+	end := d.off + rdlen
+	if end > d.end {
 		return nil, fmt.Errorf("dnswire: RDATA overruns message")
 	}
-	d := &decoder{msg: msg, off: off, end: end}
+	msgEnd := d.end
+	d.end = end
 	var rd RData
 	var err error
 	switch t {
 	case TypeA:
 		var raw []byte
-		if raw, err = d.bytes(4); err == nil {
+		if raw, err = d.view(4); err == nil {
 			rd = A{Addr: netip.AddrFrom4([4]byte(raw))}
 		}
 	case TypeAAAA:
 		var raw []byte
-		if raw, err = d.bytes(16); err == nil {
+		if raw, err = d.view(16); err == nil {
 			rd = AAAA{Addr: netip.AddrFrom16([16]byte(raw))}
 		}
 	case TypeNS:
@@ -492,6 +502,7 @@ func parseRData(t Type, msg []byte, off, rdlen int) (RData, error) {
 	if d.off != end {
 		return nil, fmt.Errorf("dnswire: %s RDATA has %d trailing octets", t, end-d.off)
 	}
+	d.end = msgEnd
 	return rd, nil
 }
 
@@ -590,7 +601,7 @@ func parseNSEC(d *decoder) (RData, error) {
 	if r.NextName, err = d.name(); err != nil {
 		return nil, err
 	}
-	raw, err := d.bytes(d.end - d.off)
+	raw, err := d.view(d.end - d.off)
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +628,7 @@ func parseNSEC3(d *decoder) (RData, error) {
 	if r.NextHashedOwner, err = d.lenPrefixed(); err != nil {
 		return nil, err
 	}
-	raw, err := d.bytes(d.end - d.off)
+	raw, err := d.view(d.end - d.off)
 	if err != nil {
 		return nil, err
 	}

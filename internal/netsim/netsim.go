@@ -124,6 +124,15 @@ func (n *Network) NumHosts() int {
 	return len(n.hosts)
 }
 
+// wirePool holds the buffers Exchange renders messages into: one per
+// exchange in flight, returned with whatever capacity it grew to.
+var wirePool = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, 2*dnswire.DefaultUDPSize)
+		return &b
+	},
+}
+
 // Exchange implements Exchanger: the query round-trips through the wire
 // codec (so size limits, truncation, and parse errors behave like real
 // packets), honoring loss, latency, and context cancellation.
@@ -153,13 +162,33 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	} else if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	wire := wirePool.Get().(*[]byte)
+	out, err := roundTrip(ctx, h, server, query, wire)
+	wirePool.Put(wire)
+	return out, err
+}
+
+// roundTrip carries query to h and its response back through the wire
+// codec. Every rendering — the query, the response, the response again
+// when it has to go over "TCP" — is packed into *wire and decoded out of
+// it before the next one overwrites it, which is safe because Unpack's
+// Message owns its memory. *wire keeps the capacity it grew to.
+func roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
+	// pack renders m into the exchange's buffer.
+	pack := func(m *dnswire.Message, maxSize int) ([]byte, error) {
+		b, err := m.PackBuffer((*wire)[:0], maxSize, true)
+		if err == nil {
+			*wire = b
+		}
+		return b, err
+	}
 	// Serialize and reparse the query: the server must see exactly what
 	// the wire would carry.
-	wire, err := query.Pack()
+	qwire, err := pack(query, 0)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: packing query: %w", err)
 	}
-	parsed, err := dnswire.Unpack(wire)
+	parsed, err := dnswire.Unpack(qwire)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: query corrupt: %w", err)
 	}
@@ -170,12 +199,15 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	if resp == nil {
 		return nil, fmt.Errorf("%w: %s dropped query", ErrPacketLost, server)
 	}
-	// Round-trip the response too, honoring the client's UDP budget.
+	// Round-trip the response too, honoring the client's UDP budget: 512
+	// octets without EDNS, and with it never less — a requestor
+	// advertising under 512 is treated as having asked for 512 (RFC 6891
+	// §6.2.3), as Server.servePacket treats it.
 	size := 512
 	if opt, ok := parsed.OPT(); ok {
-		size = int(opt.UDPSize)
+		size = max(int(opt.UDPSize), size)
 	}
-	rwire, err := resp.PackBuffer(nil, size, true)
+	rwire, err := pack(resp, size)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: packing response: %w", err)
 	}
@@ -187,8 +219,7 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 		// Retry over simulated TCP: no size limit. PackBuffer set the
 		// TC bit on the handler's message; clear it for the full copy.
 		resp.Header.Truncated = false
-		rwire, err = resp.PackBuffer(nil, 0, true)
-		if err != nil {
+		if rwire, err = pack(resp, 0); err != nil {
 			return nil, err
 		}
 		if out, err = dnswire.Unpack(rwire); err != nil {

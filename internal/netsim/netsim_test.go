@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -354,5 +355,86 @@ func TestRealServerParentCtxReachesHandlers(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("handler observed %v, want context.Canceled", err)
+	}
+}
+
+// TestUDPSizeClampSimMatchesReal pins that a client's advertised EDNS
+// payload size means the same on the simulated network as on real
+// sockets: anything under 512 is treated as 512 (RFC 6891 §6.2.3), so
+// an answer of ~900 octets to a question of ~140 is truncated and
+// re-fetched over TCP for every size below 1232 and sent directly at
+// 1232 — and never, as the simulation once did, sent unlimited at 0 or
+// refused at 100 because the question alone does not fit.
+func TestUDPSizeClampSimMatchesReal(t *testing.T) {
+	var calls atomic.Int32
+	h := HandlerFunc(func(ctx context.Context, from netip.AddrPort, q *dnswire.Message) *dnswire.Message {
+		calls.Add(1)
+		resp := &dnswire.Message{
+			Header:    dnswire.Header{ID: q.Header.ID, Response: true},
+			Questions: q.Questions,
+		}
+		for i := 0; i < 7; i++ {
+			resp.Answers = append(resp.Answers, dnswire.RR{
+				Name: q.Question().Name, Class: dnswire.ClassIN, TTL: 1,
+				Data: dnswire.TXT{Strings: []string{strings.Repeat("z", 100)}},
+			})
+		}
+		if o, ok := q.OPT(); ok {
+			resp.Additional = append(resp.Additional, (&dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: o.DO}).AsRR())
+		}
+		return resp
+	})
+	sim := NewNetwork(1)
+	simAddr := Addr4(192, 0, 2, 9)
+	sim.Register(simAddr, h)
+	srv := &Server{Handler: h}
+	realAddr, err := srv.Listen(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := &UDPExchanger{Timeout: 2 * time.Second}
+
+	// Four 30-octet labels: the question alone is over 100 octets.
+	label := strings.Repeat("q", 30)
+	qname := dnswire.MustParseName(strings.Join([]string{label, label, label, label, "example"}, "."))
+	full, err := h.Handle(context.Background(), simAddr, dnswire.NewQuery(1, qname, dnswire.TypeTXT, true)).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) <= 512 || len(full) > dnswire.DefaultUDPSize {
+		t.Fatalf("the answer is %d octets; the table below needs one over 512 that fits 1232", len(full))
+	}
+	for _, tc := range []struct {
+		udpSize uint16
+		viaTCP  bool
+	}{{0, true}, {100, true}, {511, true}, {512, true}, {1232, false}} {
+		query := func() *dnswire.Message {
+			q := dnswire.NewQuery(uint16(1000+tc.udpSize), qname, dnswire.TypeTXT, true)
+			opt, _ := q.OPT()
+			opt.UDPSize = tc.udpSize
+			q.Additional[0] = opt.AsRR()
+			return q
+		}
+		calls.Store(0)
+		real, err := client.Exchange(context.Background(), realAddr, query())
+		if err != nil {
+			t.Fatalf("UDPSize %d over real sockets: %v", tc.udpSize, err)
+		}
+		// The real client asks again over TCP when the UDP answer came
+		// back truncated, so the handler ran twice.
+		if viaTCP := calls.Load() == 2; viaTCP != tc.viaTCP {
+			t.Errorf("UDPSize %d over real sockets: %d handler calls, want TCP retry = %v", tc.udpSize, calls.Load(), tc.viaTCP)
+		}
+		simResp, err := sim.Exchange(context.Background(), simAddr, query())
+		if err != nil {
+			t.Fatalf("UDPSize %d over the simulated network: %v", tc.udpSize, err)
+		}
+		for _, r := range []*dnswire.Message{real, simResp} {
+			if r.Header.Truncated || len(r.Answers) != 7 || len(r.Additional) != 1 {
+				t.Errorf("UDPSize %d: final response TC=%v with %d answers, %d additional; want the full 7 + 1",
+					tc.udpSize, r.Header.Truncated, len(r.Answers), len(r.Additional))
+			}
+		}
 	}
 }

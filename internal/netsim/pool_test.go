@@ -76,3 +76,62 @@ func TestPooledBuffersConcurrentQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExchangeAllocatesOnlyTheDecodes pins the simulated network's own
+// cost at zero: an exchange whose handler returns a prebuilt response
+// allocates what decoding the query and decoding the response
+// allocate, and nothing for the wire buffers both directions are
+// rendered into — they come from the pool, already grown.
+func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; steady-state alloc counts are nondeterministic")
+	}
+	apex := dnswire.MustParseName("bench.example")
+	qname := apex.MustChild("u0123456789abcdef")
+	query := dnswire.NewQuery(7, qname, dnswire.TypeA, true)
+	sig := func(owner dnswire.Name, covered dnswire.Type) dnswire.RR {
+		return dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.RRSIG{
+			TypeCovered: covered, Algorithm: dnswire.AlgECDSAP256SHA256, Labels: uint8(owner.CountLabels()),
+			OrigTTL: 300, KeyTag: 4711, SignerName: apex, Signature: make([]byte, 64)}}
+	}
+	resp := &dnswire.Message{
+		Header:    dnswire.Header{ID: 7, Response: true, Authoritative: true, RCode: dnswire.RCodeNXDomain},
+		Questions: query.Questions,
+		Authority: []dnswire.RR{
+			{Name: apex, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.SOA{MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster")}},
+			sig(apex, dnswire.TypeSOA),
+		},
+		Additional: []dnswire.RR{(&dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: true}).AsRR()},
+	}
+	for _, h := range []string{"0p9mhaveqvm6t7vbl5lop2u3t2rp3tom", "b4um86eghhds6nea196smvmlo4ors995", "q04jkcevqvmu85r014c7dkba38o0ji5r"} {
+		owner := apex.MustChild(h)
+		resp.Authority = append(resp.Authority, dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.NSEC3{
+			HashAlg: dnswire.NSEC3HashSHA1, NextHashedOwner: make([]byte, 20), Types: dnswire.NewTypeBitmap(dnswire.TypeTXT, dnswire.TypeRRSIG)}},
+			sig(owner, dnswire.TypeNSEC3))
+	}
+	n := NewNetwork(1)
+	addr := Addr4(192, 0, 2, 53)
+	n.Register(addr, HandlerFunc(func(context.Context, netip.AddrPort, *dnswire.Message) *dnswire.Message { return resp }))
+
+	decode := func(m *dnswire.Message) float64 {
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, err := dnswire.Unpack(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := decode(query) + decode(resp)
+	ctx := context.Background()
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := n.Exchange(ctx, addr, query); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != want {
+		t.Errorf("Exchange allocates %.0f times per query, the two decodes %.0f: the difference is the network's own", got, want)
+	}
+}

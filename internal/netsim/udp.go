@@ -203,32 +203,43 @@ func (s *Server) serveTCP(ctx context.Context) {
 	}
 }
 
+// readTCPMessage reads one length-framed message into a pooled packet
+// buffer and decodes it; the buffer recycles once Unpack has taken
+// what it keeps.
+//
 //repro:ctxexempt framed reads are deadline-armed by every caller (serveTCP and exchangeTCP set conn deadlines before the first read)
 func readTCPMessage(r io.Reader) (*dnswire.Message, error) {
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	msgLen := binary.BigEndian.Uint16(lenBuf[:])
-	buf := make([]byte, msgLen)
+	bp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(bp)
+	buf := (*bp)[:binary.BigEndian.Uint16(lenBuf[:])] // a packet buffer holds any 16-bit length
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return dnswire.Unpack(buf)
 }
 
+// writeTCPMessage renders m into a pooled packet buffer behind the two
+// length octets of its frame and writes the frame in one call.
 func writeTCPMessage(w io.Writer, m *dnswire.Message) error {
-	wire, err := m.Pack()
+	bp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(bp) // strictly after the write: the frame aliases *bp
+	frame := (*bp)[:2]
+	wire, err := m.PackBuffer(frame[2:], 0, true)
 	if err != nil {
 		return err
 	}
 	if len(wire) > 65535 {
 		return fmt.Errorf("netsim: message too large for TCP framing")
 	}
-	out := make([]byte, 2+len(wire))
-	binary.BigEndian.PutUint16(out, uint16(len(wire)))
-	copy(out[2:], wire)
-	_, err = w.Write(out)
+	binary.BigEndian.PutUint16(frame, uint16(len(wire)))
+	// wire was rendered in place behind the prefix, so this extends frame
+	// over it (a copy onto itself) — unless a 65,534- or 65,535-octet
+	// message outgrew the packet buffer, and then it moves it in.
+	_, err = w.Write(append(frame, wire...))
 	return err
 }
 
@@ -294,13 +305,14 @@ func (u *UDPExchanger) exchangeUDPOnce(ctx context.Context, server netip.AddrPor
 	if _, err := conn.Write(wire); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 65535)
+	bp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(bp)
 	for {
-		n, err := conn.Read(buf)
+		n, err := conn.Read(*bp)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := dnswire.Unpack(buf[:n])
+		resp, err := dnswire.Unpack((*bp)[:n])
 		if err != nil {
 			continue // garbage datagram; keep waiting
 		}
