@@ -413,60 +413,109 @@ func referenceParams() []nsec3.Params {
 	return out
 }
 
-func TestEvaluateMatchesReferenceProver(t *testing.T) {
-	seen := kindsSeen{}
-	t.Run("canonical", func(t *testing.T) {
+// signers are the ways a raw zone becomes a signed one; every pin over
+// the fixture zones runs once per entry.
+var signers = []struct {
+	name string
+	sign func(*zone.Zone, zone.SignConfig) (*zone.Signed, error)
+}{
+	{"Sign", (*zone.Zone).Sign},
+}
+
+// fixtureGroups names the zones fixtureZones builds, in the order the
+// tests walk them.
+var fixtureGroups = []string{"canonical", "generator", "nsec", "statewalk"}
+
+// fixtureZones is the one place the tests of this package get signed
+// zones from: the canonical zone over the parameter grid × opt-out on
+// and off; the property test's generator, 12 trials over the same
+// grid; NSEC-mode zones (the canonical one valid, fully expired and
+// with expired denial signatures, then the generator's); and every
+// signed zone of the statewalk world, NSEC3 and NSEC alike, as the
+// testbed signed it (sign is not consulted for that group).
+func fixtureZones(t testing.TB, group string, sign func(*zone.Zone, zone.SignConfig) (*zone.Signed, error)) []*zone.Signed {
+	t.Helper()
+	var out []*zone.Signed
+	add := func(z *zone.Zone, cfg zone.SignConfig) {
+		cfg.Inception, cfg.Expiration = zone.TestInception, zone.TestExpiration
+		s, err := sign(z, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	generated := func(trial int) *zone.Zone {
+		z, _ := zone.RandomZone(rand.New(rand.NewSource(int64(trial))), trial)
+		return z
+	}
+	switch group {
+	case "canonical":
 		for _, p := range referenceParams() {
 			for _, optOut := range []bool{false, true} {
-				s, err := referenceZone(t).Sign(zone.SignConfig{
-					Denial: zone.DenialNSEC3, NSEC3: p, OptOut: optOut,
-					Inception: zone.TestInception, Expiration: zone.TestExpiration,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareAll(t, s, seen)
+				add(referenceZone(t), zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: p, OptOut: optOut})
 			}
 		}
-	})
-	t.Run("generator", func(t *testing.T) {
+	case "generator":
 		for trial := 0; trial < 12; trial++ {
 			for pi, p := range referenceParams() {
-				z, _ := zone.RandomZone(rand.New(rand.NewSource(int64(trial))), trial)
-				s, err := z.Sign(zone.SignConfig{
-					Denial: zone.DenialNSEC3, NSEC3: p, OptOut: (trial+pi)%2 == 0,
-					Inception: zone.TestInception, Expiration: zone.TestExpiration,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareAll(t, s, seen)
+				add(generated(trial), zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: p, OptOut: (trial+pi)%2 == 0})
 			}
 		}
-	})
-	t.Run("statewalk", func(t *testing.T) {
+	case "nsec":
+		add(referenceZone(t), zone.SignConfig{Denial: zone.DenialNSEC})
+		add(referenceZone(t), zone.SignConfig{Denial: zone.DenialNSEC, ExpireAll: true})
+		add(referenceZone(t), zone.SignConfig{Denial: zone.DenialNSEC, ExpireDenialSigs: true})
+		for trial := 0; trial < 13; trial++ {
+			add(generated(trial), zone.SignConfig{Denial: zone.DenialNSEC})
+		}
+	case "statewalk":
 		w, err := statewalk.BuildWorld(7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zones := 0
 		for _, srv := range w.Hierarchy.Servers {
 			for _, apex := range srv.Zones() {
 				s, err := srv.Materialize(context.Background(), apex)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.Config.Denial != zone.DenialNSEC3 {
-					continue // no NSEC3 chain: nothing this reference models
+				if s.Config.Denial != zone.DenialNone {
+					out = append(out, s)
 				}
-				zones++
-				compareAll(t, s, seen)
 			}
 		}
-		if zones < len(w.Topologies) {
-			t.Fatalf("compared %d NSEC3 zones for %d topologies", zones, len(w.Topologies))
-		}
-	})
+	default:
+		t.Fatalf("no fixture group %q", group)
+	}
+	return out
+}
+
+func TestEvaluateMatchesReferenceProver(t *testing.T) {
+	seen := kindsSeen{}
+	for _, group := range []string{"canonical", "generator", "statewalk"} {
+		t.Run(group, func(t *testing.T) {
+			for _, sg := range signers {
+				zones := 0
+				for _, s := range fixtureZones(t, group, sg.sign) {
+					if s.Config.Denial != zone.DenialNSEC3 {
+						continue // no NSEC3 chain: nothing this reference models
+					}
+					zones++
+					compareAll(t, s, seen)
+				}
+				want := 12
+				if group == "statewalk" {
+					want = len(statewalk.Enumerate())
+				}
+				if zones < want {
+					t.Fatalf("%s: compared %d NSEC3 zones, want at least %d", sg.name, zones, want)
+				}
+				if group == "statewalk" {
+					break // signed by the testbed, the same whoever asks
+				}
+			}
+		})
+	}
 	// Every proof shape the issue names must have been compared.
 	for _, k := range []string{
 		"NXDOMAIN", "NXDOMAIN/3-nsec3", "NXDOMAIN/2-nsec3",
