@@ -114,6 +114,8 @@ wait "$REPRO_PID" || { echo "repro exited nonzero"; cat "$SMOKE_DIR/repro.log"; 
 REPRO_PID=""
 grep -q '^survey_zones_signed_lazily_total ' "$SNAP"
 grep -q '^survey_zones_untouched_total ' "$SNAP"
+grep -q '^survey_rrsigs_signed_total [1-9]' "$SNAP"
+grep -q '^survey_rrsigs_deferred_total [1-9]' "$SNAP"
 grep -q '^authserver_sign_wait_ns_count ' "$SNAP"
 echo "survey metrics smoke OK ($SURVEY_URL)"
 

@@ -111,7 +111,11 @@ func run() (retErr error) {
 	fmt.Fprintln(out, "; RRSIGs")
 	for name, bitmap := range signed.AuthNames() {
 		for _, t := range bitmap {
-			for _, sig := range signed.RRSIGsFor(name, t) {
+			sigs, err := signed.RRSIGsFor(name, t)
+			if err != nil {
+				return err
+			}
+			for _, sig := range sigs {
 				fmt.Fprintln(out, sig)
 			}
 		}
@@ -122,7 +126,11 @@ func run() (retErr error) {
 		for _, rec := range signed.Chain().Records {
 			rr := signed.Chain().RRFor(rec, signed.NegativeTTL())
 			fmt.Fprintln(out, rr)
-			for _, sig := range signed.RRSIGsFor(rr.Name, dnswire.TypeNSEC3) {
+			sigs, err := signed.RRSIGsFor(rr.Name, dnswire.TypeNSEC3)
+			if err != nil {
+				return err
+			}
+			for _, sig := range sigs {
 				fmt.Fprintln(out, sig)
 			}
 		}

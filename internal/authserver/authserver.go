@@ -236,8 +236,13 @@ func (s *Server) handleAXFR(resp *dnswire.Message, sz *zone.Signed, qname dnswir
 		resp.Header.RCode = dnswire.RCodeRefused
 		return resp
 	}
+	rrs, err := sz.AllRecords()
+	if err != nil {
+		resp.Header.RCode = dnswire.RCodeServFail
+		return resp
+	}
 	resp.Header.Authoritative = true
-	resp.Answers = sz.AllRecords()
+	resp.Answers = rrs
 	return resp
 }
 

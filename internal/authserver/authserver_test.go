@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/nsec3"
 	"repro/internal/zone"
@@ -19,6 +20,17 @@ const (
 
 func buildZone(t *testing.T, apex string, denial zone.DenialMode) *zone.Signed {
 	t.Helper()
+	s, err := rawZone(apex).Sign(zone.SignConfig{
+		Denial: denial, NSEC3: nsec3.Params{Iterations: 3},
+		Inception: tInception, Expiration: tExpiration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func rawZone(apex string) *zone.Zone {
 	apexN := dnswire.MustParseName(apex)
 	z := zone.New(apexN, 300)
 	z.MustAdd(dnswire.RR{Name: apexN, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOA{
@@ -30,14 +42,7 @@ func buildZone(t *testing.T, apex string, denial zone.DenialMode) *zone.Signed {
 		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.53")}})
 	z.MustAdd(dnswire.RR{Name: apexN.MustChild("www"), Class: dnswire.ClassIN, TTL: 300,
 		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}})
-	s, err := z.Sign(zone.SignConfig{
-		Denial: denial, NSEC3: nsec3.Params{Iterations: 3},
-		Inception: tInception, Expiration: tExpiration,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return z
 }
 
 func query(t *testing.T, s *Server, name string, qt dnswire.Type, do bool) *dnswire.Message {
@@ -92,6 +97,39 @@ func TestHandleNXDOMAINWithProof(t *testing.T) {
 	}
 	if _, _, err := set.VerifyNXDOMAIN(dnswire.MustParseName("missing.example.com")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandleFailedSignatureIsServFail: a zone signed on demand whose
+// ZSK cannot sign answers SERVFAIL wherever an answer or a transfer
+// needs a signature it cannot make, and answers the rest.
+func TestHandleFailedSignatureIsServFail(t *testing.T) {
+	sz, err := rawZone("example.com").SignOnDemand(zone.SignConfig{
+		Denial: zone.DenialNSEC3, ZSK: &dnssec.KeyPair{Algorithm: 99, Flags: dnswire.DNSKEYFlagZone},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	s.AddZone(sz)
+	s.SetTransferPolicy(sz.Zone.Apex, zone.TransferOpen)
+	for _, c := range []struct {
+		qname string
+		qtype dnswire.Type
+		do    bool
+		want  dnswire.RCode
+	}{
+		{"www.example.com", dnswire.TypeA, true, dnswire.RCodeServFail},
+		{"nope.example.com", dnswire.TypeA, true, dnswire.RCodeServFail},
+		{"example.com", dnswire.TypeAXFR, false, dnswire.RCodeServFail},
+		{"www.example.com", dnswire.TypeA, false, dnswire.RCodeNoError},
+		{"example.com", dnswire.TypeDNSKEY, true, dnswire.RCodeNoError},
+	} {
+		resp := query(t, s, c.qname, c.qtype, c.do)
+		if resp.Header.RCode != c.want || (c.want == dnswire.RCodeServFail && len(resp.Answers)+len(resp.Authority) > 0) {
+			t.Errorf("%s %s do=%v: rcode %s with %d+%d records, want %s", c.qname, c.qtype, c.do,
+				resp.Header.RCode, len(resp.Answers), len(resp.Authority), c.want)
+		}
 	}
 }
 

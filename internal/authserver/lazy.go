@@ -54,7 +54,7 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		return
 	}
 	s.mSignWait = reg.Histogram("authserver_sign_wait_ns",
-		"nanoseconds a query spent blocked on lazy zone signing", obs.NanosecondBuckets())
+		"nanoseconds a query spent blocked on a lazy zone's build and denial chain", obs.NanosecondBuckets())
 	s.mLazySigned = reg.Counter("authserver_zones_signed_lazily_total",
 		"zones materialized by their first query instead of at deploy time")
 }

@@ -95,6 +95,8 @@ type surveyExec struct {
 	mReused   *obs.Counter
 	mLazy     *obs.Counter
 	mUntouch  *obs.Counter
+	mRRSIGs   *obs.Counter
+	mDeferred *obs.Counter
 	mShards   *obs.Counter
 	mRate     *obs.Gauge
 
@@ -120,6 +122,8 @@ func (s SurveySpec) newExecutor(e env) (executor[population.ShardPlan, *ShardOut
 		mReused:   reg.Counter("survey_zones_reused_total", "zones served from the sign cache"),
 		mLazy:     reg.Counter("survey_zones_signed_lazily_total", "zones materialized by their first query instead of at deploy time"),
 		mUntouch:  reg.Counter("survey_zones_untouched_total", "deployed zones never queried during their shard — work lazy signing skipped entirely"),
+		mRRSIGs:   reg.Counter("survey_rrsigs_signed_total", "RRSIGs made — by the first answer that carried them under lazy signing, all at deploy time otherwise"),
+		mDeferred: reg.Counter("survey_rrsigs_deferred_total", "RRSIGs of signed zones that no answer needed, and so were never made"),
 		mShards:   reg.Counter("survey_shards_completed_total", "survey shards executed to completion"),
 		mRate:     reg.Gauge("survey_domains_per_second", "cumulative registered-domain scan throughput"),
 	}, nil
@@ -254,6 +258,9 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 	materialized, untouched := dep.Hierarchy.LazyStats()
 	run.mLazy.Add(uint64(materialized))
 	run.mUntouch.Add(uint64(untouched))
+	made, total := dep.Hierarchy.SigStats()
+	run.mRRSIGs.Add(uint64(made))
+	run.mDeferred.Add(uint64(max(total-made, 0)))
 
 	// The tracer owns the wall clock: throughput is derived from span
 	// durations rather than read directly, keeping core deterministic.

@@ -95,3 +95,44 @@ func TestSurveyEagerLazyEquivalence(t *testing.T) {
 		t.Error("lazy run: authserver_sign_wait_ns never observed")
 	}
 }
+
+// TestSurveySignsWhatIsServed counts signatures on the benchmark's
+// sharded survey: under lazy signing the RRSIGs made are those some
+// answer carried, and made + deferred is what the zones the scan
+// reached hold in all — every one of which was made before signatures
+// became on-demand. About 0.74 of them are made: a domain zone holds
+// nine RRSIGs and the scanner's questions touch five or six, but shard
+// 0 also scans the TLD registry, and a small TLD zone asked the same
+// questions serves nearly everything it holds (as does the root, whose
+// every DS that scan fetches). The count moves by a handful between
+// runs — which TLD denial records the scan resolver still has to ask
+// for depends on worker interleaving — so the bound has room. An eager
+// run defers nothing.
+func TestSurveySignsWhatIsServed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end survey is slow")
+	}
+	counters := func(mode SigningMode, registered int) (made, deferred, zones uint64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		if _, err := RunSurvey(context.Background(), SurveyConfig{
+			Registered: registered, Seed: 1, Shards: 4, Workers: 2, Signing: mode, Obs: reg,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c := func(name string) uint64 { return reg.Counter(name, "").Value() }
+		return c("survey_rrsigs_signed_total"), c("survey_rrsigs_deferred_total"),
+			c("survey_zones_signed_total") + c("survey_zones_reused_total")
+	}
+	made, deferred, zones := counters(SigningLazy, 12000)
+	t.Logf("lazy: %d RRSIGs made, %d deferred, over %d zones", made, deferred, zones)
+	if made == 0 || deferred == 0 {
+		t.Fatalf("lazy run: %d RRSIGs made, %d deferred", made, deferred)
+	}
+	if ratio := float64(made) / float64(made+deferred); ratio > 0.76 {
+		t.Errorf("lazy run made %d of %d RRSIGs (%.3f), want at most 0.76", made, made+deferred, ratio)
+	}
+	if made, deferred, _ := counters(SigningEager, 600); made == 0 || deferred != 0 {
+		t.Errorf("eager run: %d RRSIGs made, %d deferred, want every one made", made, deferred)
+	}
+}

@@ -38,13 +38,15 @@ func WithSignCache(c *testbed.SignCache) DeployOption {
 	return func(o *deployOptions) { o.cache = c }
 }
 
-// WithLazySigning defers all non-root zone signing to first query
-// (testbed.WithLazySigning): each zone is registered on its server as
-// a spec plus a sign thunk, so a deployment's peak memory is O(zones
-// the scanner actually touches) instead of O(universe). Transfer-open
-// TLD zones stay lazy too — an AXFR request materializes its zone on
-// demand, and callers that want a zone pre-signed (the authd serving
-// path) force it with Hierarchy.Materialize.
+// WithLazySigning defers all signing to first use
+// (testbed.WithLazySigning): each non-root zone is registered on its
+// server as a spec plus a sign thunk, so a deployment's peak memory is
+// O(zones the scanner actually touches) instead of O(universe), and a
+// built zone makes each RRSIG when an answer first carries it.
+// Transfer-open TLD zones stay lazy too — an AXFR request materializes
+// its zone on demand and the transfer makes whatever signatures are
+// still missing; callers that want a zone built ahead of its first
+// query use Hierarchy.Materialize.
 func WithLazySigning() DeployOption {
 	return func(o *deployOptions) { o.lazy = true }
 }

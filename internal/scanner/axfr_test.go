@@ -62,7 +62,11 @@ func TestTransferOpenZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The transfer carries the full signed zone minus the SOA markers.
-	want := len(signed.AllRecords()) - 2
+	all, err := signed.AllRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(all) - 2
 	if len(rrs) != want {
 		t.Fatalf("transferred %d records, want %d", len(rrs), want)
 	}
@@ -90,7 +94,10 @@ func TestTransferNonApexNotImplemented(t *testing.T) {
 
 func TestAllRecordsSOADelimited(t *testing.T) {
 	_, _, _, signed := axfrWorld(t)
-	all := signed.AllRecords()
+	all, err := signed.AllRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if all[0].Type() != dnswire.TypeSOA || all[len(all)-1].Type() != dnswire.TypeSOA {
 		t.Fatal("AllRecords not SOA-delimited")
 	}

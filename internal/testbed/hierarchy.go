@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/authserver"
@@ -85,13 +86,29 @@ type Hierarchy struct {
 	// from the builder's SignCache. Atomic — lazy zones sign on
 	// query-handling goroutines.
 	signed, reused atomic.Int64
+	// sigs lists the signed zones this hierarchy has built or been
+	// handed by the SignCache so far (SigStats); mu guards it.
+	mu   sync.Mutex
+	sigs []hostedSigs
 }
 
-// Materialize forces signing of the zone with the given apex —
-// idempotent, and a cheap lookup for zones Build already signed. AXFR
-// setup and tests use it to force-sign a lazy zone without synthesizing
+// hostedSigs is a signed zone a hierarchy serves and how many of its
+// signatures were made before the hierarchy got it — none, unless the
+// zone was a SignCache hit.
+type hostedSigs struct {
+	sz     *zone.Signed
+	hit    bool
+	before int
+}
+
+// Materialize forces the build of the zone with the given apex —
+// idempotent, and a cheap lookup for zones Build already built. It
+// builds the zone (records, keys, denial chain); in a lazy hierarchy
+// the zone's signatures are still made as answers carry them, and what
+// forces every one is zone.Signed.AllRecords (a transfer) or SignAll.
+// AXFR setup and tests use it to reach a lazy zone without synthesizing
 // a query. ctx bounds the wait when another goroutine is already
-// signing the apex. The materialized zone is NOT added to h.Zones
+// building the apex. The materialized zone is NOT added to h.Zones
 // (which is a plain map, read concurrently); it lives on the serving
 // server.
 func (h *Hierarchy) Materialize(ctx context.Context, apex dnswire.Name) (*zone.Signed, error) {
@@ -106,6 +123,25 @@ func (h *Hierarchy) Materialize(ctx context.Context, apex dnswire.Name) (*zone.S
 // and on first queries alike — as fresh signs versus sign-cache hits.
 func (h *Hierarchy) SignStats() (signed, reused int) {
 	return int(h.signed.Load()), int(h.reused.Load())
+}
+
+// SigStats reports signature work so far: made is the number of RRSIGs
+// made since this hierarchy got their zones, whoever asked; total is
+// the number of RRSIGs the zones it signed fresh hold when complete.
+// total − made is what signing on first serve has saved so far. A
+// SignCache hit adds only what was made since to made and nothing to
+// total, so both stay sums over the hierarchies that share a cache.
+func (h *Hierarchy) SigStats() (made, total int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, hs := range h.sigs {
+		m, t := hs.sz.SigStats()
+		made += m - hs.before
+		if !hs.hit {
+			total += t
+		}
+	}
+	return made, total
 }
 
 // LazyStats reports how many lazily-registered zones were materialized
@@ -154,13 +190,16 @@ func WithCache(c *SignCache) BuilderOption {
 	return func(b *Builder) { b.cache = c }
 }
 
-// WithLazySigning defers non-root zone signing to first query: Build
-// hands each zone's sign thunk to its server instead of running it, and
-// the first query to reach the zone materializes it under a per-zone
-// singleflight. Keys are resolved (and DS records published) at build
-// time either way — a delegation's DS depends only on the child's KSK —
-// so the hierarchy validates identically to an eager build. Peak memory
-// becomes O(zones touched) instead of O(zones hosted).
+// WithLazySigning defers signing to first use, at two grains. A zone
+// other than the root is not built until a query reaches it: Build
+// hands its sign thunk to its server instead of running it, and the
+// first query materializes the zone under a per-zone singleflight. And
+// no built zone, the root included, makes an RRSIG before an answer
+// carries it (zone.SignOnDemand) — an eager build calls SignAll on
+// every zone instead. KSKs are resolved (and DS records published) at
+// build time either way — a delegation's DS depends only on the child's
+// KSK — so the hierarchy validates identically to an eager build. Peak
+// memory becomes O(zones touched) instead of O(zones hosted).
 func WithLazySigning() BuilderOption {
 	return func(b *Builder) { b.lazy = true }
 }
@@ -300,9 +339,10 @@ type zonePlan struct {
 // (NS + glue + DS) appended to the parent's plan, content and
 // signatures deferred to the plan's sign thunk — then registers
 // authoritative servers on net and returns the hierarchy with the root
-// trust anchor. Building eagerly runs each thunk here; with
-// WithLazySigning only the root's runs, and every other zone's is
-// handed to its server to run on first query.
+// trust anchor. Building eagerly runs each thunk here and makes every
+// signature; with WithLazySigning only the root's runs, every other
+// zone's is handed to its server to run on first query, and signatures
+// are made as answers carry them.
 func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 	rootSpec, ok := b.specs[dnswire.Root]
 	if !ok {
@@ -392,7 +432,8 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 // signatures later: a delegation's DS depends only on the child's KSK
 // (RFC 4034 §5), so the chain of trust is complete before any zone
 // signs. Shared zones take their keys from the SignCache, so repeated
-// builds publish the same DS.
+// builds publish the same DS; any other zone gets its KSK here and its
+// ZSK when it is signed, if it ever is.
 func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
 	apex := p.spec.Apex
 	if p.spec.Unsigned {
@@ -406,17 +447,12 @@ func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
 	var err error
 	if p.cache != nil {
 		var keys cachedKeys
-		if keys, err = p.cache.keysFor(apex, signAlg(p.cfg), p.cfg.Rand); err != nil {
+		if keys, err = p.cache.keysFor(apex, signAlg(p.cfg)); err != nil {
 			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
 		}
 		p.cfg.KSK, p.cfg.ZSK = keys.ksk, keys.zsk
-	} else {
-		if p.cfg.KSK, err = dnssec.GenerateKey(signAlg(p.cfg), true, p.cfg.Rand); err != nil {
-			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
-		}
-		if p.cfg.ZSK, err = dnssec.GenerateKey(signAlg(p.cfg), false, p.cfg.Rand); err != nil {
-			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
-		}
+	} else if p.cfg.KSK, err = dnssec.GenerateKey(signAlg(p.cfg), true, nil); err != nil {
+		return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
 	}
 	ds, err := dnssec.NewDS(apex, p.cfg.KSK.DNSKEY(), dnswire.DigestSHA256)
 	if err != nil {
@@ -427,12 +463,12 @@ func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
 
 // sign is a planned zone's thunk, the only place a zone is built and
 // signed: construct the raw zone (including the delegations deeper
-// zones installed during planning), then sign it with the keys
-// resolveKeys fixed — through the SignCache for Shared zones, so
-// identical content across builds signs once. Signing determinism is
-// per zone, not per order of arrival: keys and records were fixed at
-// plan time, so a lazy hierarchy serves byte-identical zones to an
-// eager one.
+// zones installed during planning), then prepare it for signed serving
+// with the keys resolveKeys fixed — through the SignCache for Shared
+// zones, so identical content across builds is prepared once and keeps
+// the signatures earlier builds' answers made. What a zone serves is
+// fixed per zone, not per order of arrival: KSK and records were fixed
+// at plan time, so a lazy hierarchy validates exactly as an eager one.
 func (b *Builder) sign(h *Hierarchy, p *zonePlan) (*zone.Signed, error) {
 	z := b.rawZone(p.spec)
 	for _, rr := range p.delegations {
@@ -446,17 +482,30 @@ func (b *Builder) sign(h *Hierarchy, p *zonePlan) (*zone.Signed, error) {
 	if p.cache != nil {
 		sz, hit, err = p.cache.sign(z, p.cfg)
 	} else {
-		sz, err = z.Sign(p.cfg)
+		sz, err = z.SignOnDemand(p.cfg)
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, fmt.Errorf("testbed: signing %s: %w", p.spec.Apex, err)
-	case p.spec.Unsigned:
-		// Served, not signed: no signing work to count.
-	case hit:
+	}
+	if p.spec.Unsigned {
+		return sz, nil // served, not signed: no signing work to count
+	}
+	hs := hostedSigs{sz: sz, hit: hit}
+	if hit {
 		h.reused.Add(1)
-	default:
+		hs.before, _ = sz.SigStats()
+	} else {
 		h.signed.Add(1)
+	}
+	h.mu.Lock()
+	h.sigs = append(h.sigs, hs)
+	h.mu.Unlock()
+	if !b.lazy {
+		// An eager hierarchy serves zones whose every signature
+		// exists; a lazy one leaves each to the first answer it is on.
+		if err := sz.SignAll(); err != nil {
+			return nil, fmt.Errorf("testbed: signing %s: %w", p.spec.Apex, err)
+		}
 	}
 	return sz, nil
 }

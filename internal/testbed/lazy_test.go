@@ -185,3 +185,63 @@ func TestEagerAndLazyBuildsAreOneBuild(t *testing.T) {
 		t.Fatalf("trust anchors diverged: %v vs %v", eager.TrustAnchor, lazy.TrustAnchor)
 	}
 }
+
+// TestSigStats: an eager hierarchy serves zones whose every signature
+// exists; a lazy one makes the DNSKEY signature when it builds a zone
+// and the rest as answers carry them; and over one SignCache the
+// counts are sums — a zone handed on by the cache adds to the second
+// hierarchy's count only what the second hierarchy made.
+func TestSigStats(t *testing.T) {
+	eager := NewBuilder(tInception, tExpiration)
+	for _, apex := range []string{".", "com"} {
+		eager.AddZone(ZoneSpec{Apex: dnswire.MustParseName(apex), Server: netsim.Addr4(198, 41, 0, 4),
+			Sign: zone.SignConfig{Denial: zone.DenialNSEC3}})
+	}
+	h, err := eager.Build(netsim.NewNetwork(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if made, total := h.SigStats(); made != total || total == 0 {
+		t.Fatalf("eager SigStats = %d of %d, want all", made, total)
+	}
+
+	cache := NewSignCache()
+	shared := dnswire.MustParseName("shared.com")
+	h1 := buildLazyWorld(t, WithCache(cache))
+	if made, total := h1.SigStats(); made != 1 || total <= made {
+		t.Fatalf("lazy SigStats after Build = %d of %d, want the root's DNSKEY signature alone", made, total)
+	}
+	sz, err := h1.Materialize(context.Background(), shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rootTotal := h1.Zones[dnswire.Root].SigStats()
+	_, sharedTotal := sz.SigStats()
+	if made, total := h1.SigStats(); made != 2 || total != rootTotal+sharedTotal {
+		t.Fatalf("SigStats after Materialize = %d of %d, want 2 of %d", made, total, rootTotal+sharedTotal)
+	}
+	if _, err := sz.Evaluate(shared.MustChild("nope"), dnswire.TypeA, true); err != nil {
+		t.Fatal(err)
+	}
+	made1, _ := h1.SigStats()
+	if made1 <= 2 {
+		t.Fatalf("a signed NXDOMAIN made no signature: SigStats = %d", made1)
+	}
+
+	h2 := buildLazyWorld(t, WithCache(cache))
+	if got, err := h2.Materialize(context.Background(), shared); err != nil || got != sz {
+		t.Fatalf("second hierarchy did not get the cached zone: %v", err)
+	}
+	if made, total := h2.SigStats(); made != 1 || total != rootTotal {
+		t.Fatalf("second hierarchy SigStats = %d of %d, want 1 of %d (its own root)", made, total, rootTotal)
+	}
+	if _, err := sz.Evaluate(shared, dnswire.TypeNS, true); err != nil {
+		t.Fatal(err)
+	}
+	if made, _ := h2.SigStats(); made != 2 {
+		t.Fatalf("second hierarchy SigStats after one new signature = %d, want 2", made)
+	}
+	if made, _ := h1.SigStats(); made != made1+1 {
+		t.Fatalf("first hierarchy SigStats = %d, want %d: it still serves the shared zone", made, made1+1)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/dnssec"
@@ -26,7 +25,9 @@ import (
 //     parents of unchanged children byte-identical.
 //  2. Content-addressed signed zones: a zone whose apex, signing
 //     config, keys, and full record set fingerprint-match a previous
-//     build is served from cache without any signing at all.
+//     build is served from cache without any signing at all — and
+//     with every signature earlier builds' answers made: a cached
+//     zone (zone.SignOnDemand) accumulates signatures across builds.
 //
 // Only zones marked Shared in their ZoneSpec consult the cache, so
 // per-shard leaf zones don't accumulate (memory stays O(shared set)).
@@ -68,7 +69,7 @@ func NewSignCache() *SignCache {
 // calls this at plan time for every Shared zone: a delegation's DS
 // depends only on the child's KSK, so keys must exist at build time
 // while signing itself can wait for the first query.
-func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm, rnd io.Reader) (cachedKeys, error) {
+func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cachedKeys, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	keys, ok := c.keys[apex]
@@ -76,10 +77,10 @@ func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm, rnd io.
 		return keys, nil
 	}
 	var err error
-	if keys.ksk, err = dnssec.GenerateKey(alg, true, rnd); err != nil {
+	if keys.ksk, err = dnssec.GenerateKey(alg, true, nil); err != nil {
 		return cachedKeys{}, err
 	}
-	if keys.zsk, err = dnssec.GenerateKey(alg, false, rnd); err != nil {
+	if keys.zsk, err = dnssec.GenerateKey(alg, false, nil); err != nil {
 		return cachedKeys{}, err
 	}
 	c.keys[apex] = keys
@@ -103,7 +104,7 @@ func signAlg(cfg zone.SignConfig) dnswire.SecAlgorithm {
 //
 //repro:ctxexempt the singleflight wait is bounded by the in-flight signer, which is CPU-bound ECDSA over a finite zone, not I/O
 func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool, error) {
-	keys, err := c.keysFor(z.Apex, signAlg(cfg), cfg.Rand)
+	keys, err := c.keysFor(z.Apex, signAlg(cfg))
 	if err != nil {
 		return nil, false, err
 	}
@@ -132,7 +133,7 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 	c.mu.Unlock()
 
 	// Sign outside the lock so distinct zones sign in parallel.
-	fl.sz, fl.err = z.Sign(cfg)
+	fl.sz, fl.err = z.SignOnDemand(cfg)
 
 	c.mu.Lock()
 	delete(c.inflight, fp)

@@ -53,7 +53,9 @@ type Answer struct {
 // Evaluate answers (qname, qtype) against the signed zone, following
 // RFC 1034 §4.3.2 adapted for DNSSEC (RFC 4035 §3.1) and NSEC3
 // (RFC 5155 §7.2). When do is false, DNSSEC records (RRSIG, NSEC,
-// NSEC3) are omitted, as for a query without the DO bit.
+// NSEC3) are omitted, as for a query without the DO bit. An RRSIG the
+// answer carries is made here if no earlier answer carried it; when
+// that fails the error is returned and the answer is not to be served.
 //
 //repro:allocok answer synthesis walks the zone and builds RR sets per query today; the ROADMAP answer cache precompiles these at Materialize time
 func (s *Signed) Evaluate(qname dnswire.Name, qtype dnswire.Type, do bool) (*Answer, error) {
@@ -84,32 +86,25 @@ func (s *Signed) Evaluate(qname dnswire.Name, qtype dnswire.Type, do bool) (*Ans
 // answerExisting answers from records at owner; when wildcard is true,
 // owner is the "*" node and qname the synthesized name.
 func (s *Signed) answerExisting(owner, qname dnswire.Name, qtype dnswire.Type, do, wildcard bool) (*Answer, error) {
-	rrs := s.Zone.Lookup(owner, qtype)
-	if len(rrs) == 0 {
-		// CNAME redirection applies for any type but CNAME itself.
-		if cn := s.Zone.Lookup(owner, dnswire.TypeCNAME); len(cn) > 0 && qtype != dnswire.TypeCNAME {
-			a := &Answer{Kind: KindCNAME, RCode: dnswire.RCodeNoError}
-			a.Answer = s.expand(cn, qname, wildcard)
-			if do {
-				a.Answer = append(a.Answer, s.expand(s.RRSIGsFor(owner, dnswire.TypeCNAME), qname, wildcard)...)
-				if wildcard {
-					if err := s.appendWildcardProof(a, qname); err != nil {
-						return nil, err
-					}
-				}
-			}
-			return a, nil
-		}
-		return s.nodata(owner, qname, do, wildcard)
-	}
-	kind := KindSuccess
+	rrs, kind := s.Zone.Lookup(owner, qtype), KindSuccess
 	if wildcard {
 		kind = KindWildcard
+	}
+	if len(rrs) == 0 {
+		// CNAME redirection applies for any type but CNAME itself.
+		if rrs = s.Zone.Lookup(owner, dnswire.TypeCNAME); len(rrs) == 0 || qtype == dnswire.TypeCNAME {
+			return s.nodata(owner, qname, do, wildcard)
+		}
+		qtype, kind = dnswire.TypeCNAME, KindCNAME
 	}
 	a := &Answer{Kind: kind, RCode: dnswire.RCodeNoError}
 	a.Answer = s.expand(rrs, qname, wildcard)
 	if do {
-		a.Answer = append(a.Answer, s.expand(s.RRSIGsFor(owner, qtype), qname, wildcard)...)
+		sigs, err := s.RRSIGsFor(owner, qtype)
+		if err != nil {
+			return nil, err
+		}
+		a.Answer = append(a.Answer, s.expand(sigs, qname, wildcard)...)
 		if wildcard {
 			if err := s.appendWildcardProof(a, qname); err != nil {
 				return nil, err
@@ -140,11 +135,10 @@ func (s *Signed) appendWildcardProof(a *Answer, qname dnswire.Name) error {
 		if err != nil {
 			return err
 		}
-		s.appendNSEC3Proof(a, proof.NextCloser)
+		return s.appendNSEC3Proof(a, proof.NextCloser)
 	default:
 		if rr, ok := s.nsecCovering(qname); ok {
-			a.Authority = append(a.Authority, rr)
-			a.Authority = append(a.Authority, s.RRSIGsFor(rr.Name, dnswire.TypeNSEC)...)
+			return s.appendNSEC(a, rr)
 		}
 	}
 	return nil
@@ -153,9 +147,9 @@ func (s *Signed) appendWildcardProof(a *Answer, qname dnswire.Name) error {
 // nodata builds a NOERROR/empty-answer response with its proof.
 func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, error) {
 	a := &Answer{Kind: KindNODATA, RCode: dnswire.RCodeNoError}
-	s.appendSOA(a, do)
-	if !do {
-		return a, nil
+	err := s.appendSOA(a, do)
+	if err != nil || !do {
+		return a, err
 	}
 	switch s.Config.Denial {
 	case DenialNSEC3:
@@ -166,8 +160,7 @@ func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, 
 				// deny DS with the closest-provable-encloser proof of
 				// RFC 5155 §7.2.4 instead.
 				if p2, err2 := s.proveOptOutNoDS(owner); err2 == nil {
-					s.appendNSEC3Proof(a, p2.ClosestEncloser, p2.NextCloser)
-					return a, nil
+					return a, s.appendNSEC3Proof(a, p2.ClosestEncloser, p2.NextCloser)
 				}
 			}
 			return nil, fmt.Errorf("zone: NODATA proof for %s: %w", owner, err)
@@ -179,11 +172,10 @@ func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, 
 				proof.NextCloser = p2.NextCloser
 			}
 		}
-		s.appendNSEC3Proof(a, proof.Matching, proof.NextCloser)
+		return a, s.appendNSEC3Proof(a, proof.Matching, proof.NextCloser)
 	default:
 		if rr, ok := s.NSECRecord(owner); ok {
-			a.Authority = append(a.Authority, rr)
-			a.Authority = append(a.Authority, s.RRSIGsFor(owner, dnswire.TypeNSEC)...)
+			return a, s.appendNSEC(a, rr)
 		}
 	}
 	return a, nil
@@ -212,9 +204,9 @@ func (s *Signed) proveOptOutNoDS(owner dnswire.Name) (nsec3.Proof, error) {
 // nxdomain builds the NXDOMAIN response with the closest-encloser proof.
 func (s *Signed) nxdomain(qname dnswire.Name, do bool) (*Answer, error) {
 	a := &Answer{Kind: KindNXDOMAIN, RCode: dnswire.RCodeNXDomain}
-	s.appendSOA(a, do)
-	if !do {
-		return a, nil
+	err := s.appendSOA(a, do)
+	if err != nil || !do {
+		return a, err
 	}
 	switch s.Config.Denial {
 	case DenialNSEC3:
@@ -222,29 +214,22 @@ func (s *Signed) nxdomain(qname dnswire.Name, do bool) (*Answer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("zone: NXDOMAIN proof for %s: %w", qname, err)
 		}
-		s.appendNSEC3Proof(a, proof.ClosestEncloser, proof.NextCloser, proof.Wildcard)
+		return a, s.appendNSEC3Proof(a, proof.ClosestEncloser, proof.NextCloser, proof.Wildcard)
 	default:
-		if rr, ok := s.nsecCovering(qname); ok {
-			a.Authority = append(a.Authority, rr)
-			a.Authority = append(a.Authority, s.RRSIGsFor(rr.Name, dnswire.TypeNSEC)...)
+		covering, ok := s.nsecCovering(qname)
+		if ok {
+			if err := s.appendNSEC(a, covering); err != nil {
+				return nil, err
+			}
 		}
-		// Prove the wildcard absent too (RFC 4035 §3.1.3.2).
+		// Prove the wildcard absent too (RFC 4035 §3.1.3.2), unless
+		// the same NSEC just did.
 		ce := qname.Parent()
 		for !s.Exists(ce) && ce != s.Zone.Apex {
 			ce = ce.Parent()
 		}
-		if rr, ok := s.nsecCovering(ce.Wildcard()); ok {
-			already := false
-			for _, have := range a.Authority {
-				if have.Name == rr.Name && have.Type() == dnswire.TypeNSEC {
-					already = true
-					break
-				}
-			}
-			if !already {
-				a.Authority = append(a.Authority, rr)
-				a.Authority = append(a.Authority, s.RRSIGsFor(rr.Name, dnswire.TypeNSEC)...)
-			}
+		if rr, wok := s.nsecCovering(ce.Wildcard()); wok && !(ok && rr.Name == covering.Name) {
+			return a, s.appendNSEC(a, rr)
 		}
 	}
 	return a, nil
@@ -267,9 +252,9 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 		return a, nil
 	}
 	if ds := s.Zone.Lookup(cut, dnswire.TypeDS); len(ds) > 0 {
-		a.Authority = append(a.Authority, ds...)
-		a.Authority = append(a.Authority, s.RRSIGsFor(cut, dnswire.TypeDS)...)
-		return a, nil
+		sigs, err := s.RRSIGsFor(cut, dnswire.TypeDS)
+		a.Authority = append(append(a.Authority, ds...), sigs...)
+		return a, err
 	}
 	// Insecure delegation: prove DS absence.
 	switch s.Config.Denial {
@@ -279,21 +264,20 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 			// set proves the span may contain unsigned delegations
 			// (RFC 5155 §7.2.4).
 			if rec, ok, err := s.chain.Cover(cut); err == nil && ok {
-				s.appendNSEC3Proof(a, rec)
+				return a, s.appendNSEC3Proof(a, rec)
 			} else if rec, ok, err := s.chain.Match(cut); err == nil && ok {
-				s.appendNSEC3Proof(a, rec)
+				return a, s.appendNSEC3Proof(a, rec)
 			}
 		} else {
 			proof, err := s.chain.ProveNODATA(cut)
 			if err != nil {
 				return nil, err
 			}
-			s.appendNSEC3Proof(a, proof.Matching)
+			return a, s.appendNSEC3Proof(a, proof.Matching)
 		}
 	default:
 		if rr, ok := s.NSECRecord(cut); ok {
-			a.Authority = append(a.Authority, rr)
-			a.Authority = append(a.Authority, s.RRSIGsFor(cut, dnswire.TypeNSEC)...)
+			return a, s.appendNSEC(a, rr)
 		}
 	}
 	return a, nil
@@ -301,7 +285,7 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 
 // appendSOA attaches the apex SOA (and its RRSIG when do) to the
 // authority section, as negative answers require (RFC 2308 §3).
-func (s *Signed) appendSOA(a *Answer, do bool) {
+func (s *Signed) appendSOA(a *Answer, do bool) error {
 	soaRRs := s.Zone.Lookup(s.Zone.Apex, dnswire.TypeSOA)
 	if a.Authority == nil && do {
 		// The largest negative answer — SOA, three NSEC3, an RRSIG
@@ -312,21 +296,38 @@ func (s *Signed) appendSOA(a *Answer, do bool) {
 		rr.TTL = min(rr.TTL, s.negTTL)
 		a.Authority = append(a.Authority, rr)
 	}
-	if do {
-		a.Authority = append(a.Authority, s.RRSIGsFor(s.Zone.Apex, dnswire.TypeSOA)...)
+	if !do {
+		return nil
 	}
+	sigs, err := s.RRSIGsFor(s.Zone.Apex, dnswire.TypeSOA)
+	a.Authority = append(a.Authority, sigs...)
+	return err
+}
+
+// appendNSEC attaches an NSEC record and its RRSIG to the authority
+// section.
+func (s *Signed) appendNSEC(a *Answer, rr dnswire.RR) error {
+	sigs, err := s.RRSIGsFor(rr.Name, dnswire.TypeNSEC)
+	a.Authority = append(append(a.Authority, rr), sigs...)
+	return err
 }
 
 // appendNSEC3Proof attaches the proof's records, in the order given,
-// each followed by its RRSIG, to the authority section. Nothing is
-// built: the RR was resolved when the chain was, and its RRSIG sits at
-// the same index. A proof's records alias the chain's, so a record
-// that plays two roles (or none: nil) is recognized by its pointer.
-func (s *Signed) appendNSEC3Proof(a *Answer, recs ...*nsec3.Record) {
+// each followed by its RRSIG, to the authority section. No record is
+// built: the RR was resolved when the chain was, and its RRSIG — made
+// the first time a proof needs it — sits at the same index. A proof's
+// records alias the chain's, so a record that plays two roles (or none:
+// nil) is recognized by its pointer.
+func (s *Signed) appendNSEC3Proof(a *Answer, recs ...*nsec3.Record) error {
 	for i, rec := range recs {
 		if rec == nil || slices.Contains(recs[:i], rec) {
 			continue
 		}
-		a.Authority = append(a.Authority, rec.Full, s.nsec3Sigs[rec.Index])
+		sigs, err := s.fillNSEC3(rec)
+		if err != nil {
+			return err
+		}
+		a.Authority = append(append(a.Authority, rec.Full), sigs...)
 	}
+	return nil
 }

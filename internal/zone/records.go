@@ -9,8 +9,10 @@ import (
 // AllRecords returns the complete signed zone contents in AXFR order:
 // the apex SOA first, then every data record, every RRSIG, and the
 // denial chain (NSEC or NSEC3), and the apex SOA again last — the
-// transfer format of RFC 5936 §2.2.
-func (s *Signed) AllRecords() []dnswire.RR {
+// transfer format of RFC 5936 §2.2. A transfer carries every signature,
+// so the ones no answer has needed yet are made here; the error is the
+// first that could not be.
+func (s *Signed) AllRecords() ([]dnswire.RR, error) {
 	var out []dnswire.RR
 	soaRRs := s.Zone.Lookup(s.Zone.Apex, dnswire.TypeSOA)
 	out = append(out, soaRRs...)
@@ -23,34 +25,30 @@ func (s *Signed) AllRecords() []dnswire.RR {
 		out = append(out, rr)
 	}
 
-	// RRSIGs, grouped per owner/type in a stable order. The NSEC3
+	// RRSIGs, by owner in canonical order and covered type. The NSEC3
 	// RRSIGs are kept beside the chain, not in s.rrsigs, and their
 	// owners sort in among the zone's own names.
-	owners := make([]dnswire.Name, 0, len(s.rrsigs)+len(s.nsec3Sigs))
-	for owner := range s.rrsigs {
-		owners = append(owners, owner)
+	keys := make([]sigKey, 0, len(s.rrsigs)+len(s.nsec3Sigs))
+	for k := range s.rrsigs {
+		keys = append(keys, k)
 	}
-	for _, sig := range s.nsec3Sigs {
-		if _, listed := s.rrsigs[sig.Name]; !listed {
-			owners = append(owners, sig.Name)
+	if s.chain != nil {
+		for i := range s.chain.Records {
+			keys = append(keys, sigKey{s.chain.Records[i].Full.Name, dnswire.TypeNSEC3})
 		}
 	}
-	sort.Slice(owners, func(i, j int) bool {
-		return dnswire.CanonicalCompare(owners[i], owners[j]) < 0
+	sort.Slice(keys, func(i, j int) bool {
+		if c := dnswire.CanonicalCompare(keys[i].owner, keys[j].owner); c != 0 {
+			return c < 0
+		}
+		return keys[i].covered < keys[j].covered
 	})
-	for _, owner := range owners {
-		byType := s.rrsigs[owner]
-		types := make([]dnswire.Type, 0, len(byType)+1)
-		for t := range byType {
-			types = append(types, t)
+	for _, k := range keys {
+		sigs, err := s.RRSIGsFor(k.owner, k.covered)
+		if err != nil {
+			return nil, err
 		}
-		if len(s.RRSIGsFor(owner, dnswire.TypeNSEC3)) > 0 {
-			types = append(types, dnswire.TypeNSEC3)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			out = append(out, s.RRSIGsFor(owner, t)...)
-		}
+		out = append(out, sigs...)
 	}
 
 	// Denial chain.
@@ -71,7 +69,7 @@ func (s *Signed) AllRecords() []dnswire.RR {
 
 	// Closing SOA.
 	out = append(out, soaRRs...)
-	return out
+	return out, nil
 }
 
 // TransferPolicy controls who may AXFR a zone from the authoritative

@@ -31,7 +31,7 @@ func TestAllRecordsSequence(t *testing.T) {
 		s := signTestZone(t, c.cfg)
 		fmt.Fprintf(&b, "== %s ==\n", c.name)
 		var nsec3s, nsec3Sigs int
-		for _, rr := range s.AllRecords() {
+		for _, rr := range s.MustAllRecords(t) {
 			fmt.Fprintf(&b, "%s %s", rr.Name, rr.Type())
 			if sig, ok := rr.Data.(dnswire.RRSIG); ok {
 				fmt.Fprintf(&b, " %s", sig.TypeCovered)

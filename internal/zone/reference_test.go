@@ -90,7 +90,7 @@ func (r refProver) appendProof(a *zone.Answer, idx ...int) {
 			continue
 		}
 		a.Authority = append(a.Authority, rr)
-		a.Authority = append(a.Authority, r.s.RRSIGsFor(rr.Name, dnswire.TypeNSEC3)...)
+		a.Authority = append(a.Authority, r.s.MustRRSIGs(r.t, rr.Name, dnswire.TypeNSEC3)...)
 	}
 }
 
@@ -153,7 +153,7 @@ func (r refProver) answerExisting(owner, qname dnswire.Name, qtype dnswire.Type,
 	a := &zone.Answer{Kind: kind, RCode: dnswire.RCodeNoError}
 	a.Answer = expand(rrs, qname, wildcard)
 	if do {
-		a.Answer = append(a.Answer, expand(s.RRSIGsFor(owner, t), qname, wildcard)...)
+		a.Answer = append(a.Answer, expand(s.MustRRSIGs(r.t, owner, t), qname, wildcard)...)
 		if wildcard {
 			// RFC 5155 §7.2.6: the NSEC3 covering the next-closer name.
 			_, nc, err := r.closestEncloser(qname)
@@ -177,7 +177,7 @@ func (r refProver) appendSOA(a *zone.Answer, do bool) {
 		a.Authority = append(a.Authority, rr)
 	}
 	if do {
-		a.Authority = append(a.Authority, s.RRSIGsFor(s.Zone.Apex, dnswire.TypeSOA)...)
+		a.Authority = append(a.Authority, s.MustRRSIGs(r.t, s.Zone.Apex, dnswire.TypeSOA)...)
 	}
 }
 
@@ -262,7 +262,7 @@ func (r refProver) referral(cut dnswire.Name, do bool) (*zone.Answer, error) {
 	}
 	if ds := s.Zone.Lookup(cut, dnswire.TypeDS); len(ds) > 0 {
 		a.Authority = append(a.Authority, ds...)
-		a.Authority = append(a.Authority, s.RRSIGsFor(cut, dnswire.TypeDS)...)
+		a.Authority = append(a.Authority, s.MustRRSIGs(r.t, cut, dnswire.TypeDS)...)
 		return a, nil
 	}
 	if i, ok := r.cover(cut); ok && s.Config.OptOut {
@@ -420,6 +420,7 @@ var signers = []struct {
 	sign func(*zone.Zone, zone.SignConfig) (*zone.Signed, error)
 }{
 	{"Sign", (*zone.Zone).Sign},
+	{"SignOnDemand", (*zone.Zone).SignOnDemand},
 }
 
 // fixtureGroups names the zones fixtureZones builds, in the order the

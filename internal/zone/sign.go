@@ -3,8 +3,9 @@ package zone
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
@@ -54,13 +55,14 @@ type SignConfig struct {
 	// expired window (the "it-2501-expired" subdomain, probing
 	// RFC 9276 Item 7).
 	ExpireDenialSigs bool
-	// KSK and ZSK, when nil, are generated with Rand.
+	// KSK and ZSK, when nil, are generated.
 	KSK, ZSK *dnssec.KeyPair
-	// Rand seeds key generation; nil means crypto/rand.
-	Rand io.Reader
 }
 
-// Signed is a fully signed zone ready to be served.
+// Signed is a signed zone ready to be served. Its keys, bitmaps and
+// denial chain exist from the start; each RRSIG is made by the first
+// reader that needs it (see sigCell) — all of them at once by SignAll,
+// which is how Sign hands out a zone whose every signature exists.
 type Signed struct {
 	Zone   *Zone
 	Config SignConfig
@@ -69,15 +71,17 @@ type Signed struct {
 
 	// names is the authoritative name set with post-signing bitmaps.
 	names map[dnswire.Name]dnswire.TypeBitmap
-	// rrsigs maps owner -> covered type -> RRSIG records, for every
-	// RRset but the NSEC3 chain's.
-	rrsigs map[dnswire.Name]map[dnswire.Type][]dnswire.RR
+	// rrsigs holds the RRSIG over every signable RRset and, in NSEC
+	// mode, over every NSEC record — everything but the NSEC3 chain's.
+	rrsigs map[sigKey]*sigCell
 	// chain is the NSEC3 chain (DenialNSEC3 only).
 	chain *nsec3.Chain
 	// nsec3Sigs[i] is the RRSIG over chain.Records[i]: one array beside
 	// the records, found by index, where a map entry per NSEC3 owner
 	// would cost more memory than the signature it holds.
-	nsec3Sigs []dnswire.RR
+	nsec3Sigs []sigCell
+	// made counts the cells filled so far (SigStats).
+	made atomic.Int64
 	// nsecOrder is the canonical owner order (DenialNSEC only).
 	nsecOrder []dnswire.Name
 	// nsecRRs maps owner -> its NSEC record (DenialNSEC only).
@@ -86,11 +90,47 @@ type Signed struct {
 	negTTL uint32
 }
 
+// sigKey names the RRset a signature covers.
+type sigKey struct {
+	owner   dnswire.Name
+	covered dnswire.Type
+}
+
+// sigCell is one RRSIG, made at most once. It holds the result and
+// nothing it is made from: the RRset, the key and the validity window
+// all follow from what the signature covers (see fill). A failure is
+// kept like a signature, so a cell that could not be signed fails the
+// same way for every reader. Cells contain a lock: they are reached by
+// pointer or index, never copied.
+type sigCell struct {
+	once sync.Once
+	sig  [1]dnswire.RR
+	err  error
+}
+
 // ErrNoSOA is returned when signing a zone without an apex SOA.
 var ErrNoSOA = errors.New("zone: apex SOA required before signing")
 
-// Sign signs the zone. The zone must contain an apex SOA and NS.
+// Sign signs the zone: every RRSIG exists when it returns. The zone
+// must contain an apex SOA and NS.
 func (z *Zone) Sign(cfg SignConfig) (*Signed, error) {
+	s, err := z.SignOnDemand(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.SignAll(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// SignOnDemand prepares the zone for signed serving — keys, DNSKEY and
+// NSEC3PARAM publication, bitmaps, the denial chain — and leaves each
+// RRSIG to the first answer (or SignAll, or AllRecords) that carries
+// it, the way an online signer does. Only the apex DNSKEY RRset, which
+// every validator fetches, is signed here, so a key that cannot sign
+// is reported now rather than by the first query.
+func (z *Zone) SignOnDemand(cfg SignConfig) (*Signed, error) {
 	soa, ok := z.SOA()
 	if !ok {
 		return nil, ErrNoSOA
@@ -106,7 +146,6 @@ func (z *Zone) Sign(cfg SignConfig) (*Signed, error) {
 		Config: cfg,
 		KSK:    cfg.KSK,
 		ZSK:    cfg.ZSK,
-		rrsigs: make(map[dnswire.Name]map[dnswire.Type][]dnswire.RR),
 		negTTL: soa.Minimum,
 	}
 	if cfg.Denial == DenialNone {
@@ -116,12 +155,12 @@ func (z *Zone) Sign(cfg SignConfig) (*Signed, error) {
 	}
 	var err error
 	if s.KSK == nil {
-		if s.KSK, err = dnssec.GenerateKey(cfg.Algorithm, true, cfg.Rand); err != nil {
+		if s.KSK, err = dnssec.GenerateKey(cfg.Algorithm, true, nil); err != nil {
 			return nil, err
 		}
 	}
 	if s.ZSK == nil {
-		if s.ZSK, err = dnssec.GenerateKey(cfg.Algorithm, false, cfg.Rand); err != nil {
+		if s.ZSK, err = dnssec.GenerateKey(cfg.Algorithm, false, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -141,18 +180,101 @@ func (z *Zone) Sign(cfg SignConfig) (*Signed, error) {
 	s.names = z.AuthoritativeNames()
 	s.addDenialTypesToBitmaps()
 
-	if err := s.signRRsets(); err != nil {
+	s.rrsigs = make(map[sigKey]*sigCell, len(s.names))
+	for name, bitmap := range s.names {
+		for _, t := range s.signableTypes(name, bitmap) {
+			if len(z.Lookup(name, t)) > 0 {
+				s.rrsigs[sigKey{name, t}] = new(sigCell)
+			}
+		}
+	}
+	if cfg.Denial != DenialNSEC3 {
+		s.buildNSEC()
+	} else if err := s.buildNSEC3(); err != nil {
 		return nil, err
 	}
-	if cfg.Denial == DenialNSEC3 {
-		err = s.buildNSEC3()
-	} else {
-		err = s.buildNSEC()
-	}
-	if err != nil {
+	if _, err := s.RRSIGsFor(z.Apex, dnswire.TypeDNSKEY); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// fill returns the cell's RRSIG, making it if this is the first time
+// anything asked. What is signed, with which key and for which window
+// is decided here from what the signature covers: the NSEC3 record rec
+// when the cell is the chain's, the owner's NSEC record for NSEC, the
+// zone's RRset otherwise; the KSK for the DNSKEY RRset and the ZSK for
+// the rest; the denial window for NSEC3 and NSEC.
+func (s *Signed) fill(c *sigCell, k sigKey, rec *nsec3.Record) ([]dnswire.RR, error) {
+	c.once.Do(func() {
+		var rrs []dnswire.RR
+		key, denial := s.ZSK, true
+		switch {
+		case rec != nil:
+			rrs = []dnswire.RR{rec.Full}
+		case k.covered == dnswire.TypeNSEC:
+			rrs = []dnswire.RR{s.nsecRRs[k.owner]}
+		default:
+			rrs, denial = s.Zone.Lookup(k.owner, k.covered), false
+			if k.covered == dnswire.TypeDNSKEY {
+				key = s.KSK
+			}
+		}
+		inc, exp := s.window(denial)
+		if c.sig[0], c.err = dnssec.SignRR(rrs, key, s.Zone.Apex, inc, exp); c.err != nil {
+			c.err = fmt.Errorf("zone: signing %s/%s: %w", k.owner, k.covered, c.err)
+			return
+		}
+		s.made.Add(1)
+	})
+	if c.err != nil {
+		return nil, c.err
+	}
+	return c.sig[:], nil
+}
+
+// fillNSEC3 is fill for the signature over a record of the chain.
+func (s *Signed) fillNSEC3(rec *nsec3.Record) ([]dnswire.RR, error) {
+	return s.fill(&s.nsec3Sigs[rec.Index], sigKey{rec.Full.Name, dnswire.TypeNSEC3}, rec)
+}
+
+// RRSIGsFor returns the RRSIG covering (name, type), signing it if
+// nothing has yet; no records and no error where the zone signs no such
+// RRset.
+func (s *Signed) RRSIGsFor(name dnswire.Name, covered dnswire.Type) ([]dnswire.RR, error) {
+	if covered == dnswire.TypeNSEC3 && s.chain != nil {
+		if rec, ok := s.chain.ByOwner(name); ok {
+			return s.fillNSEC3(rec)
+		}
+		return nil, nil
+	}
+	k := sigKey{name, covered}
+	if c, ok := s.rrsigs[k]; ok {
+		return s.fill(c, k, nil)
+	}
+	return nil, nil
+}
+
+// SignAll makes every signature that does not exist yet and reports
+// the first that cannot be made.
+func (s *Signed) SignAll() error {
+	for k, c := range s.rrsigs {
+		if _, err := s.fill(c, k, nil); err != nil {
+			return err
+		}
+	}
+	for i := range s.nsec3Sigs {
+		if _, err := s.fillNSEC3(&s.chain.Records[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SigStats reports how many of the zone's signatures have been made so
+// far and how many it has in all.
+func (s *Signed) SigStats() (made, total int) {
+	return int(s.made.Load()), len(s.rrsigs) + len(s.nsec3Sigs)
 }
 
 // window returns the RRSIG validity window, honoring ExpireAll.
@@ -198,52 +320,7 @@ func (s *Signed) signableTypes(name dnswire.Name, bitmap dnswire.TypeBitmap) []d
 	return out
 }
 
-// signRRsets produces RRSIGs for every signable RRset. The DNSKEY
-// RRset is signed by the KSK; everything else by the ZSK.
-func (s *Signed) signRRsets() error {
-	for name, bitmap := range s.names {
-		for _, t := range s.signableTypes(name, bitmap) {
-			rrs := s.Zone.Lookup(name, t)
-			if len(rrs) == 0 {
-				continue
-			}
-			key := s.ZSK
-			if t == dnswire.TypeDNSKEY {
-				key = s.KSK
-			}
-			inc, exp := s.window(false)
-			sigRR, err := dnssec.SignRR(rrs, key, s.Zone.Apex, inc, exp)
-			if err != nil {
-				return fmt.Errorf("zone: signing %s/%s: %w", name, t, err)
-			}
-			s.addRRSIG(name, t, sigRR)
-		}
-	}
-	return nil
-}
-
-func (s *Signed) addRRSIG(name dnswire.Name, covered dnswire.Type, sig dnswire.RR) {
-	byType, ok := s.rrsigs[name]
-	if !ok {
-		byType = make(map[dnswire.Type][]dnswire.RR)
-		s.rrsigs[name] = byType
-	}
-	byType[covered] = append(byType[covered], sig)
-}
-
-// RRSIGsFor returns the RRSIG records covering (name, type).
-func (s *Signed) RRSIGsFor(name dnswire.Name, covered dnswire.Type) []dnswire.RR {
-	if covered == dnswire.TypeNSEC3 && s.chain != nil {
-		rec, ok := s.chain.ByOwner(name)
-		if !ok {
-			return nil
-		}
-		return s.nsec3Sigs[rec.Index : rec.Index+1 : rec.Index+1]
-	}
-	return s.rrsigs[name][covered]
-}
-
-// buildNSEC3 constructs and signs the NSEC3 chain.
+// buildNSEC3 constructs the NSEC3 chain and a signature cell per record.
 func (s *Signed) buildNSEC3() error {
 	chainNames := make(map[dnswire.Name]dnswire.TypeBitmap, len(s.names))
 	for name, bitmap := range s.names {
@@ -257,15 +334,7 @@ func (s *Signed) buildNSEC3() error {
 		return err
 	}
 	s.chain = chain
-	// Sign every NSEC3 RR.
-	s.nsec3Sigs = make([]dnswire.RR, len(chain.Records))
-	inc, exp := s.window(true)
-	for i := range chain.Records {
-		s.nsec3Sigs[i], err = dnssec.SignRR([]dnswire.RR{chain.Records[i].Full}, s.ZSK, s.Zone.Apex, inc, exp)
-		if err != nil {
-			return err
-		}
-	}
+	s.nsec3Sigs = make([]sigCell, len(chain.Records))
 	return nil
 }
 
@@ -274,8 +343,9 @@ func (s *Signed) isInsecureDelegation(name dnswire.Name) bool {
 	return s.Zone.IsDelegation(name) && len(s.Zone.Lookup(name, dnswire.TypeDS)) == 0
 }
 
-// buildNSEC constructs and signs the plain NSEC chain.
-func (s *Signed) buildNSEC() error {
+// buildNSEC constructs the plain NSEC chain and a signature cell per
+// record.
+func (s *Signed) buildNSEC() {
 	order := make([]dnswire.Name, 0, len(s.names))
 	for n := range s.names {
 		order = append(order, n)
@@ -285,7 +355,6 @@ func (s *Signed) buildNSEC() error {
 	})
 	s.nsecOrder = order
 	s.nsecRRs = make(map[dnswire.Name]dnswire.RR, len(order))
-	inc, exp := s.window(true)
 	for i, owner := range order {
 		next := order[(i+1)%len(order)]
 		rr := dnswire.RR{
@@ -293,13 +362,8 @@ func (s *Signed) buildNSEC() error {
 			Data: dnswire.NSEC{NextName: next, Types: s.names[owner]},
 		}
 		s.nsecRRs[owner] = rr
-		sig, err := dnssec.SignRR([]dnswire.RR{rr}, s.ZSK, s.Zone.Apex, inc, exp)
-		if err != nil {
-			return err
-		}
-		s.addRRSIG(owner, dnswire.TypeNSEC, sig)
+		s.rrsigs[sigKey{owner, dnswire.TypeNSEC}] = new(sigCell)
 	}
-	return nil
 }
 
 // Chain exposes the NSEC3 chain (nil in NSEC mode).

@@ -97,7 +97,7 @@ func TestPropSignedZoneFullyVerifies(t *testing.T) {
 						continue
 					}
 					rrs := z.Lookup(name, typ)
-					sigs := s.RRSIGsFor(name, typ)
+					sigs := s.MustRRSIGs(t, name, typ)
 					if len(rrs) == 0 {
 						continue
 					}
@@ -110,7 +110,7 @@ func TestPropSignedZoneFullyVerifies(t *testing.T) {
 			// 2. Every NSEC3 record verifies.
 			for _, rec := range s.Chain().Records {
 				rr := s.Chain().RRFor(rec, 300)
-				verify([]dnswire.RR{rr}, s.RRSIGsFor(rr.Name, dnswire.TypeNSEC3))
+				verify([]dnswire.RR{rr}, s.MustRRSIGs(t, rr.Name, dnswire.TypeNSEC3))
 			}
 			// 3. Random negative queries produce verifiable proofs.
 			for i := 0; i < 10; i++ {

@@ -158,11 +158,6 @@ func signaturesOf(rrs []dnswire.RR, into map[string]bool) {
 	}
 }
 
-// allRecords is s.AllRecords.
-func allRecords(t testing.TB, s *zone.Signed) []dnswire.RR {
-	return s.AllRecords()
-}
-
 // TestAllRecordsAfterPartialServing: a zone that has answered a few
 // questions transfers complete — exactly one valid RRSIG per signable
 // RRset, per NSEC and per NSEC3 record — and the signatures it already
@@ -186,7 +181,7 @@ func TestAllRecordsAfterPartialServing(t *testing.T) {
 			if len(served) == 0 {
 				t.Fatalf("%s: nothing served", s.Zone.Apex)
 			}
-			all := allRecords(t, s)
+			all := s.MustAllRecords(t)
 			transferred := make(map[string]bool)
 			signaturesOf(all, transferred)
 			for sig := range served {

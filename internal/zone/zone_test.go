@@ -158,7 +158,7 @@ func TestSignNSEC3PublishesParamAndChain(t *testing.T) {
 	// Every chain record has an RRSIG.
 	for _, rec := range s.Chain().Records {
 		rr := s.Chain().RRFor(rec, 300)
-		if len(s.RRSIGsFor(rr.Name, dnswire.TypeNSEC3)) == 0 {
+		if len(s.MustRRSIGs(t, rr.Name, dnswire.TypeNSEC3)) == 0 {
 			t.Fatalf("NSEC3 at %s unsigned", rr.Name)
 		}
 	}
@@ -403,7 +403,7 @@ func TestNSECModeLookups(t *testing.T) {
 
 func TestExpireAllProducesExpiredRRSIGs(t *testing.T) {
 	s := signTestZone(t, SignConfig{Denial: DenialNSEC3, ExpireAll: true})
-	sigs := s.RRSIGsFor(name("www.example.com"), dnswire.TypeA)
+	sigs := s.MustRRSIGs(t, name("www.example.com"), dnswire.TypeA)
 	if len(sigs) == 0 {
 		t.Fatal("no RRSIG")
 	}
@@ -415,13 +415,13 @@ func TestExpireAllProducesExpiredRRSIGs(t *testing.T) {
 
 func TestExpireDenialSigsOnlyAffectsNSEC3(t *testing.T) {
 	s := signTestZone(t, SignConfig{Denial: DenialNSEC3, ExpireDenialSigs: true})
-	aSig := s.RRSIGsFor(name("www.example.com"), dnswire.TypeA)[0].Data.(dnswire.RRSIG)
+	aSig := s.MustRRSIGs(t, name("www.example.com"), dnswire.TypeA)[0].Data.(dnswire.RRSIG)
 	if int32(aSig.Expiration-tInception) < 0 {
 		t.Fatal("A RRSIG wrongly expired")
 	}
 	for _, rec := range s.Chain().Records {
 		rr := s.Chain().RRFor(rec, 300)
-		n3sig := s.RRSIGsFor(rr.Name, dnswire.TypeNSEC3)[0].Data.(dnswire.RRSIG)
+		n3sig := s.MustRRSIGs(t, rr.Name, dnswire.TypeNSEC3)[0].Data.(dnswire.RRSIG)
 		if int32(tInception-n3sig.Expiration) <= 0 {
 			t.Fatal("NSEC3 RRSIG not expired")
 		}
