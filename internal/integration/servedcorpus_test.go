@@ -83,22 +83,25 @@ func serve(t testing.TB, h netsim.Handler, qname dnswire.Name, qtype dnswire.Typ
 	return out
 }
 
-// servedResponses is the capture: every response the canonical NSEC,
-// NSEC3 and opt-out zones serve for eleven names (apex, hosts, an
-// empty non-terminal, a wildcard expansion, both delegations and a
-// name below one, the CNAME, two missing names) × {A, TXT, NS, DS,
-// DNSKEY, NSEC3PARAM, AXFR} × DO on/off, then one NXDOMAIN and one
-// referral per statewalk topology.
-func servedResponses(t testing.TB) [][]byte {
-	t.Helper()
-	var out [][]byte
-	qnames := []string{
+// The corpus questions: eleven names (apex, hosts, an empty
+// non-terminal, a wildcard expansion, both delegations and a name below
+// one, the CNAME, two missing names) × seven types.
+var (
+	corpusQNames = []string{
 		"example.com", "www.example.com", "mail.example.com", "b.example.com", "x.wild.example.com",
 		"sub.example.com", "below.sub.example.com", "secure.example.com", "alias.example.com",
 		"gone.example.com", "gone.www.example.com",
 	}
-	qtypes := []dnswire.Type{dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeNS, dnswire.TypeDS,
+	corpusQTypes = []dnswire.Type{dnswire.TypeA, dnswire.TypeTXT, dnswire.TypeNS, dnswire.TypeDS,
 		dnswire.TypeDNSKEY, dnswire.TypeNSEC3PARAM, dnswire.TypeAXFR}
+)
+
+// corpusServers signs the canonical zone three ways — NSEC, NSEC3 with
+// one iteration and a salt, NSEC3 opt-out — and hosts each on a server
+// of its own with transfers open.
+func corpusServers(t testing.TB) []*authserver.Server {
+	t.Helper()
+	var out []*authserver.Server
 	for _, cfg := range []zone.SignConfig{
 		{Denial: zone.DenialNSEC},
 		{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 1, Salt: []byte{0xAA, 0xBB}}},
@@ -112,8 +115,20 @@ func servedResponses(t testing.TB) [][]byte {
 		as := authserver.New()
 		as.AddZone(sz)
 		as.SetTransferPolicy(sz.Zone.Apex, zone.TransferOpen)
-		for _, qn := range qnames {
-			for _, qt := range qtypes {
+		out = append(out, as)
+	}
+	return out
+}
+
+// servedResponses is the capture: every response the corpus servers
+// give the corpus questions × DO on/off, then one NXDOMAIN and one
+// referral per statewalk topology.
+func servedResponses(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, as := range corpusServers(t) {
+		for _, qn := range corpusQNames {
+			for _, qt := range corpusQTypes {
 				for _, do := range []bool{true, false} {
 					out = append(out, serve(t, as, dnswire.MustParseName(qn), qt, do)...)
 				}

@@ -1,0 +1,349 @@
+package integration
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"net/netip"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/authserver"
+	"repro/internal/dnswire"
+	"repro/internal/netsim"
+	"repro/internal/zone"
+)
+
+// This file pins "simulated ≡ real" (ROADMAP 2c): one server reached
+// through Network.Exchange, loopback UDP (UDPExchanger, with its TCP
+// retry), loopback TCP and a StreamNet conn must leave the caller with
+// the same decoded Message, and the UDP client must need its TCP retry
+// exactly when the answer does not fit the datagram RFC 1035 / RFC 6891
+// allow the query.
+
+// transports is one authoritative server reachable four ways.
+type transports struct {
+	as      *authserver.Server
+	sim     *netsim.Network
+	simAddr netip.AddrPort
+	real    netip.AddrPort
+	stream  *netsim.StreamNet
+}
+
+// openTransports registers as on a simulated network, binds it to a
+// loopback UDP+TCP listener and serves it on a StreamNet listener, all
+// torn down with the test. The server logs its queries, which is how
+// the test sees a UDP client come back over TCP.
+func openTransports(t *testing.T, as *authserver.Server) *transports {
+	t.Helper()
+	as.Log = authserver.NewQueryLog(0)
+	tr := &transports{as: as, sim: netsim.NewNetwork(1), simAddr: netsim.Addr4(192, 0, 2, 53), stream: netsim.NewStreamNet()}
+	tr.sim.Register(tr.simAddr, as)
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	srv := &netsim.Server{Handler: as}
+	addr, err := srv.Listen(ctx, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	tr.real = addr
+	ln, err := tr.stream.Listen("dns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serveStream(ctx, as, conn)
+		}
+	}()
+	return tr
+}
+
+// serveStream answers the length-framed queries arriving on conn until
+// it fails or a query is dropped — what netsim.Server does with a TCP
+// connection, for a conn netsim has no listener for.
+func serveStream(ctx context.Context, h netsim.Handler, conn net.Conn) {
+	defer conn.Close()
+	for {
+		frame, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		query, err := dnswire.Unpack(frame)
+		if err != nil {
+			return
+		}
+		resp := h.Handle(ctx, netsim.Addr4(10, 0, 0, 2), query)
+		if resp == nil {
+			return
+		}
+		wire, err := resp.Pack()
+		if err != nil || writeFrame(conn, wire) != nil {
+			return
+		}
+	}
+}
+
+func readFrame(r io.Reader) ([]byte, error) {
+	var l [2]byte
+	if _, err := io.ReadFull(r, l[:]); err != nil {
+		return nil, err
+	}
+	frame := make([]byte, binary.BigEndian.Uint16(l[:]))
+	_, err := io.ReadFull(r, frame)
+	return frame, err
+}
+
+func writeFrame(w io.Writer, msg []byte) error {
+	_, err := w.Write(append(binary.BigEndian.AppendUint16(nil, uint16(len(msg))), msg...))
+	return err
+}
+
+// askStream sends q length-framed over conn and decodes the reply.
+func askStream(conn net.Conn, q *dnswire.Message) (*dnswire.Message, error) {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	if err := writeFrame(conn, wire); err != nil {
+		return nil, err
+	}
+	frame, err := readFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	return dnswire.Unpack(frame)
+}
+
+// observed is what one question's askers ended up with: the decoded
+// Message per transport (nil when the query was dropped) and whether
+// the UDP client had to come back over TCP.
+type observed struct {
+	sim, udp, tcp, stream *dnswire.Message
+	udpRetried            bool
+}
+
+// String is the behaviour in one line, for the expected-to-differ list.
+func (o observed) String() string {
+	one := func(m *dnswire.Message) string {
+		if m == nil {
+			return "drop"
+		}
+		return m.Header.RCode.String()
+	}
+	return fmt.Sprintf("sim=%s udp=%s tcp=%s stream=%s retried=%v", one(o.sim), one(o.udp), one(o.tcp), one(o.stream), o.udpRetried)
+}
+
+// ask puts the query mk builds to the server over all four transports.
+// timeout bounds each UDP attempt: a dropped datagram costs two of them.
+func (tr *transports) ask(t *testing.T, mk func() *dnswire.Message, timeout time.Duration) observed {
+	t.Helper()
+	ctx := context.Background()
+	var o observed
+	o.sim, _ = tr.sim.Exchange(ctx, tr.simAddr, mk())
+	before := len(tr.as.Log.Entries())
+	o.udp, _ = (&netsim.UDPExchanger{Timeout: timeout}).Exchange(ctx, tr.real, mk())
+	o.udpRetried = len(tr.as.Log.Entries())-before == 2
+	if conn, err := net.Dial("tcp", tr.real.String()); err != nil {
+		t.Fatal(err)
+	} else {
+		o.tcp, _ = askStream(conn, mk())
+	}
+	if conn, err := tr.stream.DialStream(ctx, "dns"); err != nil {
+		t.Fatal(err)
+	} else {
+		o.stream, _ = askStream(conn, mk())
+	}
+	return o
+}
+
+// datagramBudget is the largest UDP response a query may be sent: 512
+// octets without EDNS (RFC 1035 §4.2.1); with it what the requestor
+// advertises, never less than 512 (RFC 6891 §6.2.3) nor more than the
+// server's own ceiling.
+func datagramBudget(q *dnswire.Message) int {
+	opt, ok := q.OPT()
+	if !ok {
+		return 512
+	}
+	return min(max(int(opt.UDPSize), 512), dnswire.DefaultUDPSize)
+}
+
+// agree returns what is wrong with o for a query whose reference
+// answer — Handle, rendered without limit, decoded — is want, full
+// octets long; "" when all four transports delivered want and the UDP
+// client retried over TCP exactly when want does not fit the budget.
+func (o observed) agree(want *dnswire.Message, full, budget int) string {
+	for _, got := range []struct {
+		via string
+		m   *dnswire.Message
+	}{{"Network.Exchange", o.sim}, {"loopback UDP", o.udp}, {"loopback TCP", o.tcp}, {"StreamNet", o.stream}} {
+		if !reflect.DeepEqual(got.m, want) {
+			return fmt.Sprintf("%s delivered\n%v\nwant\n%v", got.via, got.m, want)
+		}
+	}
+	if needTCP := full > budget; o.udpRetried != needTCP {
+		return fmt.Sprintf("UDP client retried over TCP = %v for a %d-octet answer and a %d-octet budget", o.udpRetried, full, budget)
+	}
+	return ""
+}
+
+// reference is the answer h gives q, as a caller would decode it from
+// a stream, and its length on the wire.
+func reference(t *testing.T, h netsim.Handler, q *dnswire.Message) (*dnswire.Message, int) {
+	t.Helper()
+	wire, err := h.Handle(context.Background(), netsim.Addr4(10, 0, 0, 1), q).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dnswire.Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, len(wire)
+}
+
+// ednsVariants are the ways each question is asked: without EDNS, and
+// advertising 512, 1232 and 4096 octets with DO off and on.
+type ednsVariant struct {
+	edns bool
+	size uint16
+	do   bool
+}
+
+var ednsVariants = []ednsVariant{
+	{}, {true, 512, false}, {true, 512, true}, {true, 1232, false}, {true, 1232, true}, {true, 4096, false}, {true, 4096, true},
+}
+
+func (v ednsVariant) query(id uint16, qname dnswire.Name, qtype dnswire.Type) *dnswire.Message {
+	q := dnswire.NewQuery(id, qname, qtype, v.do)
+	if !v.edns {
+		q.Additional = nil
+		return q
+	}
+	q.Additional[0] = (&dnswire.OPT{UDPSize: v.size, DO: v.do}).AsRR()
+	return q
+}
+
+// expectedToDiffer lists the hand-made queries the transports are known
+// to treat differently, each with the behaviour observed. An entry is a
+// bug with a name: the change that gives the four one serving path
+// deletes the entries it fixes, and the test fails on an entry that no
+// longer describes what happens.
+var expectedToDiffer = map[string]string{
+	// servePacket drops a query with no question or with QR set as
+	// garbage; roundTrip and serveTCP hand both to the handler.
+	"no question": "sim=NOTIMP udp=drop tcp=NOTIMP stream=NOTIMP retried=false",
+	"QR set":      "sim=NOERROR udp=drop tcp=NOERROR stream=NOERROR retried=false",
+	// servePacket budgets a query without EDNS the server's own ceiling
+	// (1232), roundTrip the 512 octets RFC 1035 gives it.
+	"no EDNS, answer between 512 and 1232 octets": "sim=NOERROR udp=NOERROR tcp=NOERROR stream=NOERROR retried=false",
+}
+
+// TestTransportsAgree asks every corpus question every way over all
+// four transports.
+func TestTransportsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket integration")
+	}
+	asked, retried := 0, 0
+	for i, as := range corpusServers(t) {
+		tr := openTransports(t, as)
+		for _, qn := range corpusQNames {
+			for _, qt := range corpusQTypes {
+				for _, v := range ednsVariants {
+					qname := dnswire.MustParseName(qn)
+					mk := func() *dnswire.Message { return v.query(uint16(0x1000+asked), qname, qt) }
+					want, full := reference(t, as, mk())
+					o := tr.ask(t, mk, 2*time.Second)
+					if diff := o.agree(want, full, datagramBudget(mk())); diff != "" {
+						t.Fatalf("zone %d, %s %s %+v: %s", i, qn, qt, v, diff)
+					}
+					asked++
+					if o.udpRetried {
+						retried++
+					}
+				}
+			}
+		}
+	}
+	if retried == 0 || retried == asked {
+		t.Errorf("%d of %d questions needed TCP: the corpus should hold both kinds", retried, asked)
+	}
+	t.Logf("%d questions × 4 transports agree; %d needed TCP after UDP", asked, retried)
+}
+
+// TestTransportsAgreeAtTheEdges asks what the corpus does not hold:
+// queries a server may refuse to look at, and an answer sized between
+// the two budgets a query without EDNS has been given.
+func TestTransportsAgreeAtTheEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-socket integration")
+	}
+	// One name with a TXT RRset of ~900 octets: over 512, under 1232.
+	apex := dnswire.MustParseName("fat.example")
+	z := zone.New(apex, 300)
+	z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.SOA{
+		MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"), Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300}})
+	z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.NS{Host: apex.MustChild("ns")}})
+	for i := 0; i < 4; i++ {
+		z.MustAdd(dnswire.RR{Name: apex.MustChild("txt"), Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.TXT{Strings: []string{string(bytes.Repeat([]byte{'a' + byte(i)}, 200))}}})
+	}
+	sz, err := z.Sign(zone.SignConfig{Denial: zone.DenialNSEC, Inception: 1709251200, Expiration: 1717200000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := authserver.New()
+	as.AddZone(sz)
+	tr := openTransports(t, as)
+
+	for _, tc := range []struct {
+		name string
+		drop bool // garbage: every transport should drop it
+		mk   func() *dnswire.Message
+	}{
+		{"no question", true, func() *dnswire.Message {
+			return &dnswire.Message{Header: dnswire.Header{ID: 0x2001, RecursionDesired: true}}
+		}},
+		{"QR set", true, func() *dnswire.Message {
+			q := dnswire.NewQuery(0x2002, apex, dnswire.TypeSOA, true)
+			q.Header.Response = true
+			return q
+		}},
+		{"no EDNS, answer between 512 and 1232 octets", false, func() *dnswire.Message {
+			return ednsVariant{}.query(0x2003, apex.MustChild("txt"), dnswire.TypeTXT)
+		}},
+	} {
+		want, full := reference(t, as, tc.mk())
+		if tc.name == "no EDNS, answer between 512 and 1232 octets" && (full <= 512 || full > dnswire.DefaultUDPSize) {
+			t.Fatalf("%s: the answer is %d octets", tc.name, full)
+		}
+		// A dropped datagram is waited for twice; keep that wait short.
+		o := tr.ask(t, tc.mk, 150*time.Millisecond)
+		if known, ok := expectedToDiffer[tc.name]; ok {
+			if o.String() != known {
+				t.Errorf("%s: the transports now behave\n  %s\nnot, as expectedToDiffer has it,\n  %s", tc.name, o, known)
+			}
+			continue
+		}
+		if tc.drop {
+			want, full = nil, 0
+		}
+		if diff := o.agree(want, full, datagramBudget(tc.mk())); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
+		}
+	}
+}
