@@ -2,7 +2,8 @@
 # ci.sh — the full CI pipeline; .github/workflows/ci.yml runs this script.
 # Every leg must pass before a PR merges:
 #   build, vet, race-enabled tests, a short fuzz pass over the wire
-#   codec and NSEC3 hash, and the project's own static-analysis suite.
+#   codec, the NSEC3 hash and the authoritative server's wire-level
+#   door, and the project's own static-analysis suite.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,6 +33,10 @@ go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzUnpackDifferential -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzHash -fuzztime=5s ./internal/nsec3/
+# The authoritative server's wire-level door against the adapter around
+# its own Handle, each input asked three times (miss, admitted, hit):
+# the same octets or the same drop, and garbage never admitted.
+go test -run='^$' -fuzz=FuzzServeWire -fuzztime=5s ./internal/netsim/
 
 echo "== bench smoke (sharded survey, lazy + eager, 1 iteration) =="
 go test -run='^$' -bench=Survey -benchtime=1x .
@@ -81,7 +86,13 @@ done
 [ -n "$METRICS_URL" ] || { echo "authd never exposed /metrics"; cat "$SMOKE_DIR/authd.log"; exit 1; }
 curl -fsS "${METRICS_URL%/metrics}/healthz" | grep -qx 'ok'
 curl -fsS "$METRICS_URL" | grep -q '^authd_zones '
-curl -fsS "$METRICS_URL" | grep -q '^authd_queries_total '
+# The server counts its own queries and what its answer memo did with
+# them (authd no longer wraps it in a counting Handler, which would have
+# hidden ServeWire from the listener).
+for m in authserver_queries_total authserver_answer_memo_hits_total \
+  authserver_answer_memo_admitted_total authserver_answer_memo_flushes_total; do
+  curl -fsS "$METRICS_URL" | grep -q "^$m " || { echo "authd /metrics lacks $m"; exit 1; }
+done
 echo "metrics smoke OK ($METRICS_URL)"
 
 # scrape_until_exit <pid> <metrics url> <snapshot file> snapshots

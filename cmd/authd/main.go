@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"net/netip"
 	"os"
 	"os/signal"
 	"strings"
@@ -122,16 +121,12 @@ func run() error {
 		return fmt.Errorf("one of -zone or -testbed is required")
 	}
 
-	var handler netsim.Handler = srv
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		reg.Gauge("authd_zones", "signed zones currently served").Set(float64(len(srv.Zones())))
-		queries := reg.Counter("authd_queries_total", "DNS queries handled over UDP and TCP")
-		inner := handler
-		handler = netsim.HandlerFunc(func(ctx context.Context, from netip.AddrPort, q *dnswire.Message) *dnswire.Message {
-			queries.Inc()
-			return inner.Handle(ctx, from, q)
-		})
+		// The server counts its own queries: a counting Handler around it
+		// would hide ServeWire from the listener below.
+		srv.Instrument(reg)
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
 			return err
@@ -141,7 +136,7 @@ func run() error {
 		fmt.Printf("authd: metrics on http://%s/metrics\n", bound)
 	}
 
-	real := &netsim.Server{Handler: handler}
+	real := &netsim.Server{Handler: srv}
 	addr, err := real.Listen(context.Background(), *listen)
 	if err != nil {
 		return err

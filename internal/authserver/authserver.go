@@ -3,7 +3,10 @@
 // query to the deepest matching zone, evaluates it (positive answers,
 // referrals, NSEC/NSEC3-proven negatives, wildcard expansion), and
 // shapes the wire response (AA bit, EDNS echo, DO-conditional DNSSEC
-// records).
+// records). Handle is the only answer path; ServeWire (wire.go) is the
+// door the transports use, Handle between a decode and a rendering,
+// with a bounded memo of renderings keyed by the query's own octets in
+// front of it for the questions a server is asked over and over.
 //
 // It plays the role the paper's own name servers played for
 // rfc9276-in-the-wild.com, including the server-side query log used to
@@ -31,10 +34,15 @@ type Server struct {
 	mu       sync.RWMutex
 	zones    map[dnswire.Name]*hostedZone
 	transfer map[dnswire.Name]zone.TransferPolicy
+	memo     answerMemo // wire.go; its own lock
 
 	// Instrumentation (nil without Instrument; obs types are nil-safe).
-	mSignWait   *obs.Histogram
-	mLazySigned *obs.Counter
+	mSignWait     *obs.Histogram
+	mLazySigned   *obs.Counter
+	mQueries      *obs.Counter
+	mMemoHits     *obs.Counter
+	mMemoAdmitted *obs.Counter
+	mMemoFlushes  *obs.Counter
 
 	// Log, when non-nil, records every query source (forwarder
 	// detection in the resolver experiment).
@@ -59,6 +67,7 @@ func (s *Server) SetTransferPolicy(apex dnswire.Name, p zone.TransferPolicy) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.transfer[apex] = p
+	s.invalidateMemo()
 }
 
 // signedDone is the done channel of every zone installed already
@@ -75,6 +84,7 @@ func (s *Server) AddZone(sz *zone.Signed) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[sz.Zone.Apex] = &hostedZone{done: signedDone, sz: sz}
+	s.invalidateMemo()
 }
 
 // apexFor finds the deepest hosted apex that is an ancestor of (or
@@ -185,6 +195,7 @@ func finishAnswer(resp *dnswire.Message, ans *zone.Answer) *dnswire.Message {
 //
 //repro:hotpath every authoritative answer — testbed surveys, resolver studies, authd — dispatches through here
 func (s *Server) Handle(ctx context.Context, from netip.AddrPort, query *dnswire.Message) *dnswire.Message {
+	s.mQueries.Inc()
 	resp, do := s.newResponse(query)
 	if query.Header.Opcode != dnswire.OpcodeQuery || len(query.Questions) != 1 {
 		resp.Header.RCode = dnswire.RCodeNotImp

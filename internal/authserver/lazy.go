@@ -42,11 +42,13 @@ func (s *Server) AddLazyZone(apex dnswire.Name, sign SignFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[apex] = &hostedZone{lazy: true, sign: sign, done: make(chan struct{})}
+	s.invalidateMemo()
 }
 
 // Instrument attaches observability: a histogram of nanoseconds
 // queries spend blocked on lazy signing (signer and waiters both
-// observe), and a counter of zones signed lazily. Call it before
+// observe), a counter of zones signed lazily, and counters of queries
+// answered and of what the answer memo did with them. Call it before
 // serving; the fields are read concurrently afterwards. Metrics are
 // registered by name, so every server of a hierarchy shares them.
 func (s *Server) Instrument(reg *obs.Registry) {
@@ -57,6 +59,14 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		"nanoseconds a query spent blocked on a lazy zone's build and denial chain", obs.NanosecondBuckets())
 	s.mLazySigned = reg.Counter("authserver_zones_signed_lazily_total",
 		"zones materialized by their first query instead of at deploy time")
+	s.mQueries = reg.Counter("authserver_queries_total",
+		"queries answered, by Handle or from the answer memo")
+	s.mMemoHits = reg.Counter("authserver_answer_memo_hits_total",
+		"queries answered with a stored rendering of Handle's response to the same octets")
+	s.mMemoAdmitted = reg.Counter("authserver_answer_memo_admitted_total",
+		"renderings stored on the second sight of their query")
+	s.mMemoFlushes = reg.Counter("authserver_answer_memo_flushes_total",
+		"times a server's answer memo was emptied: full, or a zone or transfer policy changed")
 }
 
 // Materialize forces lazy signing of the hosted zone with the given

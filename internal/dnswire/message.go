@@ -352,6 +352,25 @@ func Unpack(msg []byte) (*Message, error) {
 	return &m, nil
 }
 
+// errNoQuestion reports a message too short for a header, or whose
+// header counts no question.
+var errNoQuestion = errors.New("dnswire: message has no question")
+
+// QuestionName decodes the name of msg's first question and nothing
+// else: the Name Unpack gives Questions[0], for a caller that answers
+// from the query's octets and wants one name of them for its log.
+func QuestionName(msg []byte) (Name, error) {
+	if len(msg) < headerLen {
+		return "", errNoQuestion
+	}
+	if msg[4]|msg[5] == 0 { // QDCOUNT
+		return "", errNoQuestion
+	}
+	var memo nameMemo
+	name, _, _, err := memo.walk(msg, headerLen, maxPointers)
+	return name, err
+}
+
 func unpackRR(d *decoder) (RR, error) {
 	var rr RR
 	var err error

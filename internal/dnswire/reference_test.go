@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -540,6 +541,13 @@ func checkAgainstReference(t testing.TB, wire []byte) (*Message, error) {
 	case !reflect.DeepEqual(got, want):
 		t.Fatalf("Unpack differs from the reference\n got  %#v\n want %#v\n wire %x", got, want, wire)
 	}
+	// QuestionName reads one field of what Unpack reads: where the whole
+	// message decodes and has a question, the same first name.
+	if gotErr == nil && len(got.Questions) > 0 {
+		if name, err := QuestionName(wire); err != nil || name != got.Questions[0].Name {
+			t.Fatalf("QuestionName = %q, %v; Unpack's first question is %q\n wire %x", name, err, got.Questions[0].Name, wire)
+		}
+	}
 	return got, gotErr
 }
 
@@ -814,6 +822,42 @@ func hostileMessages() map[string][]byte {
 	}
 	out["name too long"] = long.raw(0).u16(1).u16(1).b
 	return out
+}
+
+// hostileCorpusPath holds hostileMessages as a file, one "name: hex"
+// line each in name order, so a package that cannot see this one's
+// test code (netsim's FuzzServeWire) seeds from the same wire.
+const hostileCorpusPath = "testdata/hostile.hex"
+
+// TestHostileCorpusFile keeps the file equal to hostileMessages;
+// HOSTILE_WRITE_CORPUS=1 rewrites it.
+func TestHostileCorpusFile(t *testing.T) {
+	msgs := hostileMessages()
+	var b strings.Builder
+	b.WriteString("# internal/dnswire's hostile wire (reference_test.go hostileMessages), one\n")
+	b.WriteString("# \"name: hex\" line each. Regenerate with\n")
+	b.WriteString("# HOSTILE_WRITE_CORPUS=1 go test -run TestHostileCorpusFile ./internal/dnswire\n")
+	names := make([]string, 0, len(msgs))
+	for name := range msgs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s: %x\n", name, msgs[name])
+	}
+	if os.Getenv("HOSTILE_WRITE_CORPUS") != "" {
+		if err := os.WriteFile(hostileCorpusPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(hostileCorpusPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != b.String() {
+		t.Errorf("%s differs from hostileMessages: regenerate it", hostileCorpusPath)
+	}
 }
 
 // servedCorpus reads testdata/served.hex: one hex-encoded response per

@@ -9,10 +9,17 @@
 // property that matters for the study — which bytes each resolver and
 // authoritative server returns — while making a 15.5 M-domain-scale
 // methodology runnable on one machine.
+//
+// Every transport — the simulation, the UDP read loop, a TCP
+// connection — hands a query's octets to one function, serve, and
+// carries away the octets it returns. A WireHandler answers from the
+// octets; any other Handler is reached through serve's adapter, which
+// decodes the query, calls Handle and renders the response.
 package netsim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -43,6 +50,102 @@ type HandlerFunc func(ctx context.Context, from netip.AddrPort, query *dnswire.M
 // Handle implements Handler.
 func (f HandlerFunc) Handle(ctx context.Context, from netip.AddrPort, q *dnswire.Message) *dnswire.Message {
 	return f(ctx, from, q)
+}
+
+// WireHandler is a Handler that answers a query from its octets. The
+// transports prefer ServeWire to Handle, and the two must agree:
+// ServeWire is Handle with the decoding and rendering around it, or a
+// shortcut to the same octets.
+type WireHandler interface {
+	Handler
+	// ServeWire appends the response to the wire-format query to dst
+	// and returns the extended slice; nil drops the query. maxSize is
+	// the datagram the response must fit — over it, records are dropped
+	// and TC set as PackBuffer does — and 0 when it travels a stream.
+	// query is valid during the call only and may be the octets dst
+	// already holds.
+	ServeWire(ctx context.Context, dst []byte, from netip.AddrPort, query []byte, maxSize int) []byte
+}
+
+// serve is the one serving path under the simulation, UDP and TCP: it
+// appends h's response to query to dst, or returns nil when the query
+// is dropped. udpSize is the server's own datagram ceiling, 0 when the
+// response travels a stream. A datagram carries what the requestor can
+// take: 512 octets without EDNS (RFC 1035 §4.2.1), with it what the
+// OPT advertises, and one advertising less than 512 is treated as
+// having asked for 512 (RFC 6891 §6.2.3).
+func serve(ctx context.Context, h Handler, dst []byte, from netip.AddrPort, query []byte, udpSize int) []byte {
+	maxSize := 0
+	if udpSize > 0 {
+		maxSize = max(min(advertisedSize(query), udpSize), 512)
+	}
+	if wh, ok := h.(WireHandler); ok {
+		return wh.ServeWire(ctx, dst, from, query, maxSize)
+	}
+	q, err := dnswire.Unpack(query)
+	if err != nil || len(q.Questions) == 0 || q.Header.Response {
+		return nil // garbage: drop, like most servers
+	}
+	resp := h.Handle(ctx, from, q)
+	if resp == nil {
+		return nil
+	}
+	// Rendered in place behind dst when it has the room, moved in by the
+	// append when it has not. A response that cannot be rendered is a
+	// response never sent: the requestor's retry logic covers it.
+	wire, err := resp.PackBuffer(dst[len(dst):], maxSize, true)
+	if err != nil {
+		return nil
+	}
+	return append(dst, wire...)
+}
+
+// advertisedSize reads the UDP payload size the query's OPT record
+// advertises straight off the wire — the CLASS field of the first OPT
+// of the additional section, which is where Message.OPT looks — and is
+// 0 for a query without one (or too malformed to have its records
+// walked: that one no handler will decode either).
+func advertisedSize(q []byte) int {
+	const header = 12
+	if len(q) < header {
+		return 0
+	}
+	u16 := binary.BigEndian.Uint16
+	off, ok := header, true
+	for n := u16(q[4:]); n > 0; n-- {
+		if off, ok = skipName(q, off); !ok {
+			return 0
+		}
+		off += 4 // QTYPE, QCLASS
+	}
+	additional := int(u16(q[10:]))
+	for n := int(u16(q[6:])) + int(u16(q[8:])) + additional; n > 0; n-- {
+		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
+		if off, ok = skipName(q, off); !ok || off+10 > len(q) {
+			return 0
+		}
+		if n <= additional && dnswire.Type(u16(q[off:])) == dnswire.TypeOPT {
+			return int(u16(q[off+2:]))
+		}
+		off += 10 + int(u16(q[off+8:]))
+	}
+	return 0
+}
+
+// skipName returns the offset past the name at off: past its root
+// label, or past the compression pointer that ends it.
+func skipName(q []byte, off int) (int, bool) {
+	for off < len(q) {
+		switch c := int(q[off]); {
+		case c == 0:
+			return off + 1, true
+		case c >= 0xC0:
+			return off + 2, true
+		default:
+			off += 1 + c
+		}
+	}
+	return 0, false
 }
 
 // Errors surfaced by the simulated network.
@@ -124,7 +227,7 @@ func (n *Network) NumHosts() int {
 	return len(n.hosts)
 }
 
-// wirePool holds the buffers Exchange renders messages into: one per
+// wirePool holds the buffers Exchange carries messages in: one per
 // exchange in flight, returned with whatever capacity it grew to.
 var wirePool = sync.Pool{
 	New: func() any {
@@ -133,9 +236,10 @@ var wirePool = sync.Pool{
 	},
 }
 
-// Exchange implements Exchanger: the query round-trips through the wire
-// codec (so size limits, truncation, and parse errors behave like real
-// packets), honoring loss, latency, and context cancellation.
+// Exchange implements Exchanger: the query crosses as octets and so
+// does the response (so what the codec refuses, a real packet would
+// have been refused for), honoring loss, latency, and context
+// cancellation.
 func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	h, ok := n.Lookup(server)
 	if !ok {
@@ -168,63 +272,30 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	return out, err
 }
 
-// roundTrip carries query to h and its response back through the wire
-// codec. Every rendering — the query, the response, the response again
-// when it has to go over "TCP" — is packed into *wire and decoded out of
-// it before the next one overwrites it, which is safe because Unpack's
-// Message owns its memory. *wire keeps the capacity it grew to.
+// roundTrip carries query to h and its response back as octets. The
+// response is rendered for a stream at once: a datagram that would
+// arrive truncated is never observable here — it only triggers the
+// retry over "TCP" — so the handler runs once and its response is
+// rendered once. Both directions share *wire, the response behind the
+// query, which keeps the capacity it grew to; Unpack's Message owns its
+// memory, so the buffer is free again when roundTrip returns.
 func roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
-	// pack renders m into the exchange's buffer.
-	pack := func(m *dnswire.Message, maxSize int) ([]byte, error) {
-		b, err := m.PackBuffer((*wire)[:0], maxSize, true)
-		if err == nil {
-			*wire = b
-		}
-		return b, err
-	}
-	// Serialize and reparse the query: the server must see exactly what
-	// the wire would carry.
-	qwire, err := pack(query, 0)
+	qwire, err := query.PackBuffer((*wire)[:0], 0, true)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: packing query: %w", err)
 	}
-	parsed, err := dnswire.Unpack(qwire)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: query corrupt: %w", err)
-	}
+	*wire = qwire
 	// The "source address" of a simulated client is synthesized from
 	// the query ID; servers use it only for logging.
 	from := netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(query.Header.ID >> 8), byte(query.Header.ID)}), 53000)
-	resp := h.Handle(ctx, from, parsed)
-	if resp == nil {
+	both := serve(ctx, h, qwire, from, qwire, 0)
+	if both == nil {
 		return nil, fmt.Errorf("%w: %s dropped query", ErrPacketLost, server)
 	}
-	// Round-trip the response too, honoring the client's UDP budget: 512
-	// octets without EDNS, and with it never less — a requestor
-	// advertising under 512 is treated as having asked for 512 (RFC 6891
-	// §6.2.3), as Server.servePacket treats it.
-	size := 512
-	if opt, ok := parsed.OPT(); ok {
-		size = max(int(opt.UDPSize), size)
-	}
-	rwire, err := pack(resp, size)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: packing response: %w", err)
-	}
-	out, err := dnswire.Unpack(rwire)
+	*wire = both
+	out, err := dnswire.Unpack(both[len(qwire):])
 	if err != nil {
 		return nil, fmt.Errorf("netsim: response corrupt: %w", err)
-	}
-	if out.Header.Truncated {
-		// Retry over simulated TCP: no size limit. PackBuffer set the
-		// TC bit on the handler's message; clear it for the full copy.
-		resp.Header.Truncated = false
-		if rwire, err = pack(resp, 0); err != nil {
-			return nil, err
-		}
-		if out, err = dnswire.Unpack(rwire); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

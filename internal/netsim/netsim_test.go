@@ -426,9 +426,15 @@ func TestUDPSizeClampSimMatchesReal(t *testing.T) {
 		if viaTCP := calls.Load() == 2; viaTCP != tc.viaTCP {
 			t.Errorf("UDPSize %d over real sockets: %d handler calls, want TCP retry = %v", tc.udpSize, calls.Load(), tc.viaTCP)
 		}
+		calls.Store(0)
 		simResp, err := sim.Exchange(context.Background(), simAddr, query())
 		if err != nil {
 			t.Fatalf("UDPSize %d over the simulated network: %v", tc.udpSize, err)
+		}
+		// The simulation never shows its caller a truncated datagram, so
+		// it asks for the stream rendering at once: one handler call.
+		if got := calls.Load(); got != 1 {
+			t.Errorf("UDPSize %d over the simulated network: %d handler calls, want 1", tc.udpSize, got)
 		}
 		for _, r := range []*dnswire.Message{real, simResp} {
 			if r.Header.Truncated || len(r.Answers) != 7 || len(r.Additional) != 1 {

@@ -12,12 +12,12 @@ import (
 )
 
 // TestPooledBuffersConcurrentQueries is the regression test for the
-// pooled UDP read loop: read buffers are recycled through a sync.Pool
-// the moment Unpack returns, and write buffers the moment WriteTo
-// does. If either window were wrong — a buffer Put while a packet
-// goroutine still reads it, or a response rendered into a buffer
-// another packet already claimed — concurrent queries would bleed into
-// each other's names and payloads. Every response must match its own
+// pooled UDP read loop: each datagram's buffer carries the query, has
+// the response appended behind it, and is recycled through a sync.Pool
+// the moment WriteTo returns. If that window were wrong — a buffer Put
+// while a packet goroutine still reads it, or a response rendered into
+// a buffer another packet already claimed — concurrent queries would
+// bleed into each other's names and payloads. Every response must match its own
 // query exactly; run under -race (CI does) this also catches the
 // textbook use-after-Put data race.
 func TestPooledBuffersConcurrentQueries(t *testing.T) {
@@ -79,9 +79,10 @@ func TestPooledBuffersConcurrentQueries(t *testing.T) {
 
 // TestExchangeAllocatesOnlyTheDecodes pins the simulated network's own
 // cost at zero: an exchange whose handler returns a prebuilt response
-// allocates what decoding the query and decoding the response
-// allocate, and nothing for the wire buffers both directions are
-// rendered into — they come from the pool, already grown.
+// allocates what the adapter's decoding of the query and the caller's
+// decoding of the response allocate, and nothing for the one buffer
+// both directions are rendered into — it comes from the pool, already
+// grown.
 func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; steady-state alloc counts are nondeterministic")

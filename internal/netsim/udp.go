@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -15,9 +14,10 @@ import (
 )
 
 // This file is the real-socket implementation of the same Exchanger /
-// Handler contracts: a UDP+TCP DNS server and a UDP client with TCP
-// fallback on truncation. The cmd/ binaries and the loopback
-// integration tests run on it; everything else is transport-agnostic.
+// Handler contracts: a UDP+TCP DNS server, whose two loops answer
+// through serve, and a UDP client with TCP fallback on truncation. The
+// cmd/ binaries and the loopback integration tests run on it;
+// everything else is transport-agnostic.
 
 // Server serves a Handler over UDP and TCP on the same address.
 type Server struct {
@@ -45,16 +45,11 @@ func (s *Server) Listen(ctx context.Context, addr string) (netip.AddrPort, error
 	if s.shutdown != nil {
 		return netip.AddrPort{}, errors.New("netsim: server already listening")
 	}
-	pc, err := net.ListenPacket("udp", addr)
+	pc, ln, err := listenBoth(ctx, addr)
 	if err != nil {
 		return netip.AddrPort{}, err
 	}
 	bound := pc.LocalAddr().(*net.UDPAddr).AddrPort()
-	ln, err := net.Listen("tcp", bound.String())
-	if err != nil {
-		_ = pc.Close() // best-effort cleanup on the error path
-		return netip.AddrPort{}, err
-	}
 	s.pc, s.ln = pc, ln
 	s.shutdown = make(chan struct{})
 	ctx, s.cancel = context.WithCancel(ctx)
@@ -62,6 +57,29 @@ func (s *Server) Listen(ctx context.Context, addr string) (netip.AddrPort, error
 	go s.serveUDP(ctx)
 	go s.serveTCP(ctx)
 	return bound, nil
+}
+
+// listenBoth binds addr's UDP port and the TCP port of the same number.
+// Asked for an ephemeral port, it takes the UDP port the kernel hands
+// out, and when a TCP conversation somewhere on the host still holds
+// that number it asks for another.
+func listenBoth(ctx context.Context, addr string) (net.PacketConn, net.Listener, error) {
+	_, port, _ := net.SplitHostPort(addr) // a malformed addr fails ListenPacket below
+	var lc net.ListenConfig
+	for try := 0; ; try++ {
+		pc, err := lc.ListenPacket(ctx, "udp", addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		ln, err := lc.Listen(ctx, "tcp", pc.LocalAddr().String())
+		if err == nil {
+			return pc, ln, nil
+		}
+		_ = pc.Close() // best-effort cleanup on the error path
+		if port != "0" || try == 4 {
+			return nil, nil, err
+		}
+	}
 }
 
 // Close stops the server and waits for in-flight handlers.
@@ -92,11 +110,11 @@ func (s *Server) udpSize() int {
 	return dnswire.DefaultUDPSize
 }
 
-// pktPool recycles 65535-octet packet buffers between UDP reads and
-// response writes. Each datagram is read into a pooled buffer which is
-// handed whole to the handling goroutine (ownership transfer, no copy)
-// and returned to the pool the moment Unpack has materialized the query
-// — dnswire.Unpack guarantees the Message aliases none of its input.
+// pktPool recycles 65535-octet packet buffers, the size a read needs
+// before the length of what arrives is known. Nothing decoded from one
+// aliases it (dnswire.Unpack's Message owns its memory; a WireHandler
+// may not keep its query), so it recycles as soon as its octets are
+// decoded, copied out or answered.
 var pktPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 65535)
@@ -129,42 +147,29 @@ func (s *Server) serveUDP(ctx context.Context) {
 	}
 }
 
-// servePacket decodes one datagram, dispatches it to the handler, and
-// writes the response, recycling pooled buffers at both ends. It owns
-// bp from the moment it is spawned and must Put it exactly once.
+// servePacket answers one datagram. It owns bp from the moment it is
+// spawned and must Put it exactly once — at once: the query is copied
+// into an exchange buffer, where the response is appended behind it,
+// because a handler may block (lazy signing, a resolver's upstream
+// queries) and must not hold 64 KB per query in flight while it does.
 func (s *Server) servePacket(ctx context.Context, bp *[]byte, n int, from net.Addr) {
 	defer s.wg.Done()
-	query, err := dnswire.Unpack((*bp)[:n])
-	// The Message owns all its memory (no aliasing into *bp), so the
-	// read buffer can recycle before the handler runs.
+	wire := wirePool.Get().(*[]byte)
+	refill(wire, (*bp)[:n])
 	pktPool.Put(bp)
-	if err != nil || len(query.Questions) == 0 || query.Header.Response {
-		return // garbage: drop, like most servers
+	query := *wire
+	if both := serve(ctx, s.Handler, query, from.(*net.UDPAddr).AddrPort(), query, s.udpSize()); both != nil {
+		*wire = both
+		// A dropped response is indistinguishable from UDP loss; the
+		// client's retry logic covers it.
+		_, _ = s.pc.WriteTo(both[n:], from)
 	}
-	fromAP := from.(*net.UDPAddr).AddrPort()
-	resp := s.Handler.Handle(ctx, fromAP, query)
-	if resp == nil {
-		return
-	}
-	size := s.udpSize()
-	if opt, ok := query.OPT(); ok && int(opt.UDPSize) < size {
-		size = int(opt.UDPSize)
-	}
-	if size < 512 {
-		size = 512
-	}
-	wbp := pktPool.Get().(*[]byte)
-	wire, err := resp.PackBuffer((*wbp)[:0], size, true)
-	if err != nil {
-		pktPool.Put(wbp)
-		return
-	}
-	// A dropped response is indistinguishable from UDP loss;
-	// the client's retry logic covers it. wire may alias *wbp, hence
-	// the Put strictly after the write.
-	_, _ = s.pc.WriteTo(wire, from)
-	pktPool.Put(wbp)
+	wirePool.Put(wire)
 }
+
+// refill makes *buf hold octets and nothing else, in the memory it has
+// when that is enough.
+func refill(buf *[]byte, octets []byte) { *buf = append((*buf)[:0], octets...) }
 
 func (s *Server) serveTCP(ctx context.Context) {
 	defer s.wg.Done()
@@ -185,22 +190,56 @@ func (s *Server) serveTCP(ctx context.Context) {
 			// SetDeadline on a live TCP conn cannot fail; a stale conn
 			// surfaces as a read error on the next loop iteration.
 			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-			for {
-				query, err := readTCPMessage(conn)
-				if err != nil {
-					return
-				}
-				from := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
-				resp := s.Handler.Handle(ctx, from, query)
-				if resp == nil {
-					return
-				}
-				if err := writeTCPMessage(conn, resp); err != nil {
-					return
-				}
+			from := conn.RemoteAddr().(*net.TCPAddr).AddrPort()
+			for s.serveFrame(ctx, conn, from) == nil {
 			}
 		}()
 	}
+}
+
+// errDropped ends a connection whose query the handler dropped.
+var errDropped = errors.New("netsim: query dropped")
+
+// errFrameTooLarge reports a message the 16-bit length of a TCP frame
+// cannot describe.
+var errFrameTooLarge = errors.New("netsim: message too large for TCP framing")
+
+// serveFrame answers one length-framed query from conn: the response
+// is appended behind the query and its own two length octets in one
+// pooled buffer, and the frame written in one call.
+func (s *Server) serveFrame(ctx context.Context, conn net.Conn, from netip.AddrPort) error {
+	n, err := readFrameLen(conn)
+	if err != nil {
+		return err
+	}
+	bp := pktPool.Get().(*[]byte)
+	defer pktPool.Put(bp) // strictly after the write: the frame lies in *bp
+	query := (*bp)[:n]
+	if _, err := io.ReadFull(conn, query); err != nil {
+		return err
+	}
+	both := serve(ctx, s.Handler, append(query, 0, 0), from, query, 0)
+	if both == nil {
+		return errDropped
+	}
+	frame := both[n:]
+	if len(frame)-2 > 65535 {
+		return errFrameTooLarge
+	}
+	binary.BigEndian.PutUint16(frame, uint16(len(frame)-2))
+	_, err = conn.Write(frame)
+	return err
+}
+
+// readFrameLen reads the two length octets of the next frame: any
+// length they give, a packet buffer holds. It blocks until the peer
+// sends, so callers take their buffer after it returns.
+//
+//repro:ctxexempt framed reads are deadline-armed by every caller (serveTCP and exchangeTCP set conn deadlines before the first read)
+func readFrameLen(r io.Reader) (int, error) {
+	var lenBuf [2]byte
+	_, err := io.ReadFull(r, lenBuf[:])
+	return int(binary.BigEndian.Uint16(lenBuf[:])), err
 }
 
 // readTCPMessage reads one length-framed message into a pooled packet
@@ -209,17 +248,16 @@ func (s *Server) serveTCP(ctx context.Context) {
 //
 //repro:ctxexempt framed reads are deadline-armed by every caller (serveTCP and exchangeTCP set conn deadlines before the first read)
 func readTCPMessage(r io.Reader) (*dnswire.Message, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	n, err := readFrameLen(r)
+	if err != nil {
 		return nil, err
 	}
 	bp := pktPool.Get().(*[]byte)
 	defer pktPool.Put(bp)
-	buf := (*bp)[:binary.BigEndian.Uint16(lenBuf[:])] // a packet buffer holds any 16-bit length
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if _, err := io.ReadFull(r, (*bp)[:n]); err != nil {
 		return nil, err
 	}
-	return dnswire.Unpack(buf)
+	return dnswire.Unpack((*bp)[:n])
 }
 
 // writeTCPMessage renders m into a pooled packet buffer behind the two
@@ -233,7 +271,7 @@ func writeTCPMessage(w io.Writer, m *dnswire.Message) error {
 		return err
 	}
 	if len(wire) > 65535 {
-		return fmt.Errorf("netsim: message too large for TCP framing")
+		return errFrameTooLarge
 	}
 	binary.BigEndian.PutUint16(frame, uint16(len(wire)))
 	// wire was rendered in place behind the prefix, so this extends frame
