@@ -126,7 +126,7 @@ func run() error {
 	fmt.Println("growth on the patched path is the *authoritative server's* own per-query hashing,")
 	fmt.Println("which is why Items 1–3 target zone owners too. These end-to-end numbers include")
 	fmt.Println("signature verification and transport; run")
-	fmt.Println("  go test -bench=BenchmarkCVE202350868ProofCost")
+	fmt.Println("  go test -run='^$' -bench=BenchmarkCVE202350868ProofCost ./internal/nsec3")
 	fmt.Println("for the isolated denial-validation cost (~45x from it-1 to it-500).")
 	return nil
 }

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -369,6 +370,53 @@ func QuestionName(msg []byte) (Name, error) {
 	var memo nameMemo
 	name, _, _, err := memo.walk(msg, headerLen, maxPointers)
 	return name, err
+}
+
+// AdvertisedUDPSize reads the UDP payload size the query's OPT record
+// advertises straight off the wire — the CLASS field of the first OPT
+// of the additional section, which is where Message.OPT looks — and is
+// 0 for a query without one (or too malformed to have its records
+// walked: that one Unpack refuses too).
+func AdvertisedUDPSize(q []byte) int {
+	if len(q) < headerLen {
+		return 0
+	}
+	u16 := binary.BigEndian.Uint16
+	off, ok := headerLen, true
+	for n := u16(q[4:]); n > 0; n-- {
+		if off, ok = skipName(q, off); !ok {
+			return 0
+		}
+		off += 4 // QTYPE, QCLASS
+	}
+	additional := int(u16(q[10:]))
+	for n := int(u16(q[6:])) + int(u16(q[8:])) + additional; n > 0; n-- {
+		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
+		if off, ok = skipName(q, off); !ok || off+10 > len(q) {
+			return 0
+		}
+		if n <= additional && Type(u16(q[off:])) == TypeOPT {
+			return int(u16(q[off+2:]))
+		}
+		off += 10 + int(u16(q[off+8:]))
+	}
+	return 0
+}
+
+// skipName returns the offset past the name at off: past its root
+// label, or past the compression pointer that ends it.
+func skipName(q []byte, off int) (int, bool) {
+	for off < len(q) {
+		switch c := int(q[off]); {
+		case c == 0:
+			return off + 1, true
+		case c >= 0xC0:
+			return off + 2, true
+		default:
+			off += 1 + c
+		}
+	}
+	return 0, false
 }
 
 func unpackRR(d *decoder) (RR, error) {

@@ -860,6 +860,56 @@ func TestHostileCorpusFile(t *testing.T) {
 	}
 }
 
+// TestAdvertisedUDPSize: the OPT is looked for where Message.OPT looks,
+// in the additional section, whatever precedes it; and on hostile wire
+// (hostileMessages, which TestHostileCorpusFile keeps equal to
+// testdata/hostile.hex) and on every prefix of it the reader finds what
+// Unpack finds, or nothing, without reading past the slice.
+func TestAdvertisedUDPSize(t *testing.T) {
+	name := MustParseName("www.example.com")
+	a := RR{Name: name, Class: ClassIN, TTL: 1, Data: A{Addr: netip.MustParseAddr("192.0.2.1")}}
+	opt := func(size uint16) RR { return (&OPT{UDPSize: size}).AsRR() }
+	wires := hostileMessages()
+	for _, tc := range []struct {
+		name string
+		m    Message
+		size int
+	}{
+		{"no EDNS", Message{Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}}}, 0},
+		{"OPT alone", Message{Additional: []RR{opt(4096)}}, 4096},
+		{"OPT behind answer, authority and additional records", Message{
+			Questions: []Question{{Name: name, Type: TypeA, Class: ClassIN}},
+			Answers:   []RR{a, a}, Authority: []RR{a}, Additional: []RR{a, opt(700), opt(900)}}, 700},
+		{"an OPT in the answer section is not the query's", Message{Answers: []RR{opt(4096)}}, 0},
+	} {
+		wire, err := tc.m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := AdvertisedUDPSize(wire); size != tc.size {
+			t.Errorf("%s: %d, want %d", tc.name, size, tc.size)
+		}
+		wires[tc.name] = wire
+	}
+	for name, wire := range wires {
+		for cut := 0; cut <= len(wire); cut++ {
+			prefix := wire[:cut] // a read past it panics
+			size := AdvertisedUDPSize(prefix)
+			m, err := Unpack(prefix)
+			if err != nil {
+				continue
+			}
+			want := 0
+			if o, ok := m.OPT(); ok {
+				want = int(o.UDPSize)
+			}
+			if size != want {
+				t.Errorf("%s cut at %d: AdvertisedUDPSize = %d, Unpack finds %d", name, cut, size, want)
+			}
+		}
+	}
+}
+
 // servedCorpus reads testdata/served.hex: one hex-encoded response per
 // line, captured from the canonical NSEC, NSEC3 and opt-out zones and
 // the statewalk world by internal/integration's generator test

@@ -19,7 +19,6 @@ package netsim
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -77,7 +76,7 @@ type WireHandler interface {
 func serve(ctx context.Context, h Handler, dst []byte, from netip.AddrPort, query []byte, udpSize int) []byte {
 	maxSize := 0
 	if udpSize > 0 {
-		maxSize = max(min(advertisedSize(query), udpSize), 512)
+		maxSize = max(min(dnswire.AdvertisedUDPSize(query), udpSize), 512)
 	}
 	if wh, ok := h.(WireHandler); ok {
 		return wh.ServeWire(ctx, dst, from, query, maxSize)
@@ -98,54 +97,6 @@ func serve(ctx context.Context, h Handler, dst []byte, from netip.AddrPort, quer
 		return nil
 	}
 	return append(dst, wire...)
-}
-
-// advertisedSize reads the UDP payload size the query's OPT record
-// advertises straight off the wire — the CLASS field of the first OPT
-// of the additional section, which is where Message.OPT looks — and is
-// 0 for a query without one (or too malformed to have its records
-// walked: that one no handler will decode either).
-func advertisedSize(q []byte) int {
-	const header = 12
-	if len(q) < header {
-		return 0
-	}
-	u16 := binary.BigEndian.Uint16
-	off, ok := header, true
-	for n := u16(q[4:]); n > 0; n-- {
-		if off, ok = skipName(q, off); !ok {
-			return 0
-		}
-		off += 4 // QTYPE, QCLASS
-	}
-	additional := int(u16(q[10:]))
-	for n := int(u16(q[6:])) + int(u16(q[8:])) + additional; n > 0; n-- {
-		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
-		if off, ok = skipName(q, off); !ok || off+10 > len(q) {
-			return 0
-		}
-		if n <= additional && dnswire.Type(u16(q[off:])) == dnswire.TypeOPT {
-			return int(u16(q[off+2:]))
-		}
-		off += 10 + int(u16(q[off+8:]))
-	}
-	return 0
-}
-
-// skipName returns the offset past the name at off: past its root
-// label, or past the compression pointer that ends it.
-func skipName(q []byte, off int) (int, bool) {
-	for off < len(q) {
-		switch c := int(q[off]); {
-		case c == 0:
-			return off + 1, true
-		case c >= 0xC0:
-			return off + 2, true
-		default:
-			off += 1 + c
-		}
-	}
-	return 0, false
 }
 
 // Errors surfaced by the simulated network.
@@ -176,10 +127,11 @@ type Network struct {
 // NewNetwork creates a lossless, zero-latency network with a seeded RNG
 // for deterministic loss experiments.
 func NewNetwork(seed uint64) *Network {
-	return &Network{
-		hosts: make(map[netip.AddrPort]Handler),
-		rng:   rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15)),
-	}
+	return &Network{hosts: make(map[netip.AddrPort]Handler), rng: newLossRNG(seed)}
+}
+
+func newLossRNG(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
 }
 
 // Instrument attaches fault-injection counters from reg: every
@@ -247,6 +199,9 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	}
 	if n.LossRate > 0 {
 		n.rngMu.Lock()
+		if n.rng == nil { // the zero value draws what NewNetwork(0) draws
+			n.rng = newLossRNG(0)
+		}
 		lost := n.rng.Float64() < n.LossRate
 		n.rngMu.Unlock()
 		if lost {

@@ -96,6 +96,35 @@ func TestNetworkLoss(t *testing.T) {
 	}
 }
 
+// TestZeroValueNetwork: "the zero value is usable" — with no loss, and
+// with loss, where it draws what NewNetwork(0) draws.
+func TestZeroValueNetwork(t *testing.T) {
+	addr := Addr4(192, 0, 2, 4)
+	q := dnswire.NewQuery(1, dnswire.MustParseName("x."), dnswire.TypeA, false)
+	var zero Network
+	zero.Register(addr, echoHandler{})
+	if _, err := zero.Exchange(context.Background(), addr, q); err != nil {
+		t.Fatalf("lossless zero-value network: %v", err)
+	}
+	seeded := NewNetwork(0)
+	seeded.Register(addr, echoHandler{})
+	zero.LossRate, seeded.LossRate = 0.5, 0.5
+	lost := 0
+	for i := 0; i < 400; i++ {
+		_, err := zero.Exchange(context.Background(), addr, q)
+		_, want := seeded.Exchange(context.Background(), addr, q)
+		if (err == nil) != (want == nil) || (err != nil && !errors.Is(err, ErrPacketLost)) {
+			t.Fatalf("draw %d: zero value %v, NewNetwork(0) %v", i, err, want)
+		}
+		if err != nil {
+			lost++
+		}
+	}
+	if lost < 120 || lost > 280 {
+		t.Fatalf("lost %d/400 at 50 %% loss", lost)
+	}
+}
+
 func TestNetworkFaultInjectionMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	n := NewNetwork(7)
@@ -203,6 +232,50 @@ func TestRealUDPServerAndClient(t *testing.T) {
 	}
 	if len(resp.Answers) != 1 || resp.Answers[0].Data.(dnswire.TXT).Strings[0] != "real-socket" {
 		t.Fatalf("resp = %v", resp)
+	}
+}
+
+// TestUDPExchangerAttempts counts the datagrams a silent server sees:
+// Retries is the retries after the first attempt, zero means one, and
+// negative means none — one attempt and its error, never (nil, nil).
+func TestUDPExchangerAttempts(t *testing.T) {
+	for _, tc := range []struct{ retries, attempts int }{{0, 2}, {2, 3}, {-1, 1}, {-5, 1}} {
+		silent, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &UDPExchanger{Timeout: 50 * time.Millisecond, Retries: tc.retries}
+		q := dnswire.NewQuery(79, dnswire.MustParseName("silent.example"), dnswire.TypeA, false)
+		resp, err := client.Exchange(context.Background(), netip.MustParseAddrPort(silent.LocalAddr().String()), q)
+		if resp != nil || err == nil {
+			t.Errorf("Retries %d against a silent server: (%v, %v), want an error", tc.retries, resp, err)
+		}
+		// Every attempt has been written by the time Exchange gives up;
+		// the read after the last one times out.
+		seen, buf := 0, make([]byte, 512)
+		for {
+			silent.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+			if _, _, err := silent.ReadFrom(buf); err != nil {
+				break
+			}
+			seen++
+		}
+		silent.Close()
+		if seen != tc.attempts {
+			t.Errorf("Retries %d: %d datagrams sent, want %d", tc.retries, seen, tc.attempts)
+		}
+	}
+	// One attempt is enough when the server answers.
+	srv := &Server{Handler: echoHandler{txt: "once"}}
+	addr, err := srv.Listen(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := &UDPExchanger{Timeout: 2 * time.Second, Retries: -1}
+	q := dnswire.NewQuery(80, dnswire.MustParseName("udp.example"), dnswire.TypeTXT, true)
+	if resp, err := client.Exchange(context.Background(), addr, q); err != nil || len(resp.Answers) != 1 {
+		t.Fatalf("Retries -1 against a live server: (%v, %v)", resp, err)
 	}
 }
 

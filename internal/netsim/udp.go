@@ -286,7 +286,7 @@ func writeTCPMessage(w io.Writer, m *dnswire.Message) error {
 type UDPExchanger struct {
 	// Timeout per attempt; zero means 3s.
 	Timeout time.Duration
-	// Retries after the first attempt; default 1.
+	// Retries after the first attempt; zero means 1, negative none.
 	Retries int
 }
 
@@ -305,9 +305,9 @@ func (u *UDPExchanger) Exchange(ctx context.Context, server netip.AddrPort, quer
 	if err != nil {
 		return nil, err
 	}
-	attempts := 1 + u.Retries
-	if u.Retries == 0 {
-		attempts = 2
+	attempts := 2
+	if u.Retries != 0 {
+		attempts = 1 + max(u.Retries, 0)
 	}
 	var lastErr error
 	for i := 0; i < attempts; i++ {

@@ -72,8 +72,8 @@ func serveThrice(t *testing.T, srv *authserver.Server, reg *obs.Registry, query 
 		if opt, ok := q.OPT(); ok {
 			want = int(opt.UDPSize)
 		}
-		if adv := advertisedSize(query); adv != want {
-			t.Fatalf("advertisedSize = %d, Unpack finds %d\n %x", adv, want, query)
+		if adv := dnswire.AdvertisedUDPSize(query); adv != want {
+			t.Fatalf("AdvertisedUDPSize = %d, Unpack finds %d\n %x", adv, want, query)
 		}
 	}
 }
@@ -136,35 +136,4 @@ func FuzzServeWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, query []byte) {
 		serveThrice(t, srv, reg, query)
 	})
-}
-
-// TestAdvertisedSize: the OPT is looked for where Message.OPT looks,
-// in the additional section, whatever precedes it.
-func TestAdvertisedSize(t *testing.T) {
-	name := dnswire.MustParseName("www.example.com")
-	a := dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 1, Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}}
-	opt := func(size uint16) dnswire.RR { return (&dnswire.OPT{UDPSize: size}).AsRR() }
-	for _, tc := range []struct {
-		name string
-		m    dnswire.Message
-		size int
-	}{
-		{"no EDNS", dnswire.Message{Questions: []dnswire.Question{{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN}}}, 0},
-		{"OPT alone", dnswire.Message{Additional: []dnswire.RR{opt(4096)}}, 4096},
-		{"OPT behind answer, authority and additional records", dnswire.Message{
-			Questions: []dnswire.Question{{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN}},
-			Answers:   []dnswire.RR{a, a}, Authority: []dnswire.RR{a}, Additional: []dnswire.RR{a, opt(700), opt(900)}}, 700},
-		{"an OPT in the answer section is not the query's", dnswire.Message{Answers: []dnswire.RR{opt(4096)}}, 0},
-	} {
-		wire, err := tc.m.Pack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if size := advertisedSize(wire); size != tc.size {
-			t.Errorf("%s: %d, want %d", tc.name, size, tc.size)
-		}
-		for cut := 0; cut < len(wire); cut++ {
-			advertisedSize(wire[:cut]) // must not panic
-		}
-	}
 }

@@ -283,12 +283,13 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	res.Authority = append(res.Authority, msg.Authority...)
 
 	// CNAME chase: if the answer is an alias and the query wanted
-	// something else, continue at the target.
+	// something else, continue at the target — through the cache door,
+	// so two aliases of one target resolve it once.
 	if cname, ok := answerCNAME(msg, qname); ok && qtype != dnswire.TypeCNAME && !hasType(msg.Answers, qname, qtype) {
 		if depth >= maxCNAME {
 			return r.servfail(false), 30, nil
 		}
-		chained, _, err := r.resolveUncached(ctx, cname, qtype, depth+1, cd)
+		chained, err := r.resolve(ctx, cname, qtype, depth+1, cd)
 		if err != nil {
 			return r.servfail(false), 30, nil
 		}

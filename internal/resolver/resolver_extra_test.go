@@ -50,6 +50,8 @@ func buildMixedWorld(t testing.TB) *testbed.Hierarchy {
 		Populate: func(z *zone.Zone) {
 			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("cn"), Class: dnswire.ClassIN, TTL: 300,
 				Data: dnswire.CNAME{Target: dnswire.MustParseName("www.nsec-zone.com")}})
+			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("cn2"), Class: dnswire.ClassIN, TTL: 300,
+				Data: dnswire.CNAME{Target: dnswire.MustParseName("www.nsec-zone.com")}})
 			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("loop"), Class: dnswire.ClassIN, TTL: 300,
 				Data: dnswire.CNAME{Target: dnswire.MustParseName("loop.alias.com")}})
 		},
@@ -117,6 +119,45 @@ func TestResolveCNAMEChase(t *testing.T) {
 	}
 	if !res.AD {
 		t.Fatalf("secure chain lost AD (status=%s)", res.Status)
+	}
+}
+
+// perServerExchanger counts the upstream queries each server is sent.
+type perServerExchanger struct {
+	inner netsim.Exchanger
+	sent  map[netip.AddrPort]int
+}
+
+func (c *perServerExchanger) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	c.sent[server]++
+	return c.inner.Exchange(ctx, server, q)
+}
+
+// TestCNAMEChaseSharesTheTarget: the chase goes through the cache door,
+// so a second alias of a target already resolved asks the target's
+// servers nothing and still returns the whole, secure chain.
+func TestCNAMEChaseSharesTheTarget(t *testing.T) {
+	h := buildMixedWorld(t)
+	counter := &perServerExchanger{inner: h.Net, sent: make(map[netip.AddrPort]int)}
+	r := New(Config{
+		Roots: h.Roots, TrustAnchor: h.TrustAnchor, Exchanger: counter,
+		Policy: compliantPolicy(), Now: func() uint32 { return tNow },
+	})
+	target := netsim.Addr4(203, 0, 113, 21) // nsec-zone.com
+	first := resolveA(t, r, "cn.alias.com")
+	once := counter.sent[target]
+	if once == 0 {
+		t.Fatal("the first alias resolved its target without asking the target's server")
+	}
+	second := resolveA(t, r, "cn2.alias.com")
+	if again := counter.sent[target] - once; again != 0 {
+		t.Errorf("the second alias cost the target's server %d more queries (the first cost %d), want 0", again, once)
+	}
+	if second.RCode != dnswire.RCodeNoError || !second.AD || len(second.Answers) != len(first.Answers) {
+		t.Fatalf("second alias: rcode=%s ad=%v answers=%v, want the first's shape %v", second.RCode, second.AD, second.Answers, first.Answers)
+	}
+	if c, ok := second.Answers[0].Data.(dnswire.CNAME); !ok || second.Answers[0].Name != "cn2.alias.com." || c.Target != "www.nsec-zone.com." {
+		t.Fatalf("second alias leads with %v, want its own CNAME", second.Answers[0])
 	}
 }
 
