@@ -70,3 +70,65 @@ func TestHandleAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestServeWireMissAllocations pins what the wire-level door allocates
+// for a question it has never seen — what every survey, resolver-study
+// and authd_unique query is. The 4,096 questions of each kind are all
+// different, so none is a memo hit and none is admitted; the table of
+// queries seen once is at its full size before counting starts.
+func TestServeWireMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under -race")
+	}
+	const distinct = 4096
+	apex := dnswire.MustParseName("qps.example.")
+	z := rawZone("qps.example.")
+	for i := 0; i < distinct; i++ {
+		z.MustAdd(dnswire.RR{Name: apex.MustChild(fmt.Sprintf("h%04d", i)), Class: dnswire.ClassIN,
+			TTL: 300, Data: dnswire.TXT{Strings: []string{"x"}}})
+	}
+	signed, err := z.Sign(zone.SignConfig{
+		Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 0},
+		Inception: tInception, Expiration: tExpiration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New()
+	srv.AddZone(signed)
+
+	ctx := context.Background()
+	dst := make([]byte, 0, 2*dnswire.DefaultUDPSize)
+	for i := 0; i < memoLimit; i++ {
+		srv.ServeWire(ctx, dst, wireFrom, wireQuery(t, 0, fmt.Sprintf("warm-%04d.qps.example.", i), dnswire.TypeA, true), dnswire.DefaultUDPSize)
+	}
+	for _, tc := range []struct {
+		name    string
+		label   string
+		qtype   dnswire.Type
+		rcode   dnswire.RCode
+		ceiling float64
+	}{
+		{"positive", "h%04d", dnswire.TypeTXT, dnswire.RCodeNoError, 13},
+		{"NXDOMAIN with its NSEC3 proof", "missing-%04d", dnswire.TypeA, dnswire.RCodeNXDomain, 12},
+	} {
+		queries := make([][]byte, distinct)
+		for i := range queries {
+			queries[i] = wireQuery(t, uint16(i), fmt.Sprintf(tc.label+".qps.example.", i), tc.qtype, true)
+		}
+		i := 0
+		serve := func() {
+			out := srv.ServeWire(ctx, dst, wireFrom, queries[i], dnswire.DefaultUDPSize)
+			i++
+			if len(out) < 12 || dnswire.RCode(out[3]&0x0F) != tc.rcode {
+				t.Fatalf("%s: response %x", tc.name, out)
+			}
+		}
+		if got := testing.AllocsPerRun(distinct-1, serve); got != tc.ceiling {
+			t.Errorf("%s: a first-sight ServeWire allocates %.0f times, want %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+	if a, _ := memoSize(srv); a != 0 {
+		t.Errorf("%d answers admitted; every question was to be new", a)
+	}
+}

@@ -392,3 +392,116 @@ func TestQueryLogSeesMemoHits(t *testing.T) {
 		t.Errorf("sources %v lack %s, whose only query was a memo hit", srcs, late)
 	}
 }
+
+// TestServedAnswersOutliveTheirQuery scribbles, by serving, over whatever
+// the server reuses between queries: the Message Handle returned, the
+// octets ServeWire appended and the rendering the memo admitted must read
+// the same after 1,000 further queries of other shapes on 8 goroutines as
+// when they were handed out (the -race leg is where a shared buffer
+// shows first).
+func TestServedAnswersOutliveTheirQuery(t *testing.T) {
+	s := New()
+	s.Log = NewQueryLog(64)
+	s.AddZone(buildZone(t, "example.com", zone.DenialNSEC3))
+	s.SetTransferPolicy(dnswire.MustParseName("example.com"), zone.TransferOpen)
+	ctx := context.Background()
+	pack := func(m *dnswire.Message) []byte {
+		t.Helper()
+		wire, err := m.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+
+	held := s.Handle(ctx, wireFrom, dnswire.NewQuery(1, dnswire.MustParseName("gone.example.com"), dnswire.TypeA, true))
+	heldWire := pack(held)
+	query := wireQuery(t, 2, "www.example.com", dnswire.TypeA, true)
+	octets := s.ServeWire(ctx, nil, wireFrom, query, 0)
+	octetsWant := bytes.Clone(octets)
+	s.ServeWire(ctx, nil, wireFrom, query, 0) // second sight: admitted
+	s.memo.mu.Lock()
+	admitted := s.memo.answers[maphash.Bytes(memoSeed, query[2:])]
+	s.memo.mu.Unlock()
+	if admitted.response == nil {
+		t.Fatal("the second sight of a query was not admitted")
+	}
+	admittedWant := memoEntry{query: bytes.Clone(admitted.query), response: bytes.Clone(admitted.response)}
+
+	// Other shapes: every answer kind, with and without EDNS and DO, a
+	// transfer, a refusal, an opcode and a class the server does not
+	// implement — each under names the three above never used.
+	shapes := []func(i int) *dnswire.Message{
+		func(i int) *dnswire.Message {
+			return dnswire.NewQuery(uint16(i), dnswire.MustParseName(fmt.Sprintf("a.b.n%d.example.com", i)), dnswire.TypeTXT, true)
+		},
+		func(i int) *dnswire.Message {
+			return dnswire.NewQuery(uint16(i), dnswire.MustParseName("ns.example.com"), dnswire.Type(256+i), true)
+		},
+		func(i int) *dnswire.Message {
+			return dnswire.NewQuery(uint16(i), dnswire.MustParseName("example.com"), dnswire.TypeDNSKEY, i%2 == 0)
+		},
+		func(i int) *dnswire.Message {
+			return dnswire.NewQuery(uint16(i), dnswire.MustParseName("example.com"), dnswire.TypeAXFR, false)
+		},
+		func(i int) *dnswire.Message {
+			return dnswire.NewQuery(uint16(i), dnswire.MustParseName(fmt.Sprintf("n%d.elsewhere.test", i)), dnswire.TypeA, true)
+		},
+		func(i int) *dnswire.Message {
+			q := dnswire.NewQuery(uint16(i), dnswire.MustParseName(fmt.Sprintf("n%d.example.com", i)), dnswire.TypeA, false)
+			q.Additional = nil // no EDNS
+			return q
+		},
+		func(i int) *dnswire.Message {
+			q := dnswire.NewQuery(uint16(i), dnswire.MustParseName("www.example.com"), dnswire.TypeA, true)
+			q.Header.Opcode = dnswire.Opcode(4 + i%2)
+			return q
+		},
+		func(i int) *dnswire.Message {
+			q := dnswire.NewQuery(uint16(i), dnswire.MustParseName("www.example.com"), dnswire.TypeA, true)
+			q.Questions[0].Class = dnswire.Class(3)
+			return q
+		},
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 125; i++ {
+				q := shapes[(g+i)%len(shapes)](g<<8 | i)
+				if i%2 == 0 {
+					if resp := s.Handle(ctx, wireFrom, q); resp == nil {
+						t.Errorf("goroutine %d query %d: no response", g, i)
+						return
+					}
+					continue
+				}
+				wire, err := q.Pack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if buf = s.ServeWire(ctx, buf[:0], wireFrom, wire, 0); len(buf) < 12 {
+					t.Errorf("goroutine %d query %d: no response", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if got := pack(held); !bytes.Equal(got, heldWire) {
+		t.Errorf("the Message Handle returned changed under later queries:\n %x\nwas\n %x", got, heldWire)
+	}
+	if !bytes.Equal(octets, octetsWant) {
+		t.Errorf("the octets ServeWire returned changed under later queries:\n %x\nwas\n %x", octets, octetsWant)
+	}
+	if !bytes.Equal(admitted.query, admittedWant.query) || !bytes.Equal(admitted.response, admittedWant.response) {
+		t.Error("what the memo admitted changed under later queries")
+	}
+	if got := s.ServeWire(ctx, nil, wireFrom, query, 0); !bytes.Equal(got, octetsWant) {
+		t.Errorf("the memo hit after them:\n %x\nwant\n %x", got, octetsWant)
+	}
+}
