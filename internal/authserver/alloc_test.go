@@ -10,14 +10,17 @@ import (
 	"repro/internal/zone"
 )
 
-// TestHandleAllocations pins what the Message-level serving path — Handle
-// dispatch plus PackBuffer into a reused buffer, what netsim's adapter
-// and a memo miss inside ServeWire both run — allocates per query on a
-// 16-name iterations-0 NSEC3 zone: the response Message and its section
-// slices, nothing per record. bench/ reads the same path as
-// authserver.handle_allocs.{positive,nxdomain}; this is the ceiling that
-// fails tier-1 when a regression slips past the static analyzers (an
-// NXDOMAIN cost 66 when every proof RR was rebuilt per query).
+// TestHandleAllocations pins what the Message-level door — Handle plus
+// PackBuffer into a reused buffer, what netsim's adapter runs for a
+// wrapped server — allocates per query on a 16-name iterations-0 NSEC3
+// zone: the scratch its Message lives in and the sections of an Answer
+// that is not reused (two growths for an RRset and its RRSIG, one
+// presized authority section for a denial), nothing per record. bench/
+// reads the same path as authserver.handle_allocs.{positive,nxdomain};
+// this is the ceiling that fails tier-1 when a regression slips past the
+// static analyzers (it was 8 / 7 while Handle built its response piece by
+// piece, and an NXDOMAIN cost 66 when every proof RR was rebuilt per
+// query). ServeWire's own path is TestServeWireMissAllocations below.
 func TestHandleAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
@@ -47,8 +50,8 @@ func TestHandleAllocations(t *testing.T) {
 		rcode   dnswire.RCode
 		ceiling float64
 	}{
-		{"positive", "h%02d", dnswire.TypeTXT, dnswire.RCodeNoError, 8},
-		{"NXDOMAIN with its NSEC3 proof", "missing-%02d", dnswire.TypeA, dnswire.RCodeNXDomain, 7},
+		{"positive", "h%02d", dnswire.TypeTXT, dnswire.RCodeNoError, 3},
+		{"NXDOMAIN with its NSEC3 proof", "missing-%02d", dnswire.TypeA, dnswire.RCodeNXDomain, 2},
 	} {
 		queries := make([]*dnswire.Message, 16)
 		for i := range queries {
@@ -109,8 +112,8 @@ func TestServeWireMissAllocations(t *testing.T) {
 		rcode   dnswire.RCode
 		ceiling float64
 	}{
-		{"positive", "h%04d", dnswire.TypeTXT, dnswire.RCodeNoError, 13},
-		{"NXDOMAIN with its NSEC3 proof", "missing-%04d", dnswire.TypeA, dnswire.RCodeNXDomain, 12},
+		{"positive", "h%04d", dnswire.TypeTXT, dnswire.RCodeNoError, 1},
+		{"NXDOMAIN with its NSEC3 proof", "missing-%04d", dnswire.TypeA, dnswire.RCodeNXDomain, 1},
 	} {
 		queries := make([][]byte, distinct)
 		for i := range queries {

@@ -3,10 +3,13 @@
 // query to the deepest matching zone, evaluates it (positive answers,
 // referrals, NSEC/NSEC3-proven negatives, wildcard expansion), and
 // shapes the wire response (AA bit, EDNS echo, DO-conditional DNSSEC
-// records). Handle is the only answer path; ServeWire (wire.go) is the
-// door the transports use, Handle between a decode and a rendering,
-// with a bounded memo of renderings keyed by the query's own octets in
-// front of it for the questions a server is asked over and over.
+// records). respond is the only answer path, behind two doors: Handle
+// for a caller with a Message, and ServeWire (wire.go) for the
+// transports — the query read off the wire, the response shaped in a
+// pooled scratch and rendered, one allocation (the question's name) for
+// a question never seen before — with a bounded memo of renderings keyed
+// by the query's own octets in front of it for the questions a server
+// is asked over and over.
 //
 // It plays the role the paper's own name servers played for
 // rfc9276-in-the-wild.com, including the server-side query log used to
@@ -148,60 +151,65 @@ func (s *Server) Zones() []dnswire.Name {
 	return out
 }
 
-// newResponse builds the response skeleton for a query: header echo,
-// question echo, and the EDNS OPT reply when the query carried one.
-// It reports whether the query requested DNSSEC records (DO).
-//
-//repro:allocok one response Message per query is the Handler contract; the ROADMAP answer cache replaces this with precompiled wire images
-func (s *Server) newResponse(query *dnswire.Message) (*dnswire.Message, bool) {
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               query.Header.ID,
-			Response:         true,
-			Opcode:           query.Header.Opcode,
-			RecursionDesired: query.Header.RecursionDesired,
-		},
-		Questions: query.Questions,
-	}
-	do := false
-	if opt, ok := query.OPT(); ok {
-		do = opt.DO
-		resp.Additional = append(resp.Additional, (&dnswire.OPT{
-			UDPSize: dnswire.DefaultUDPSize,
-			DO:      do,
-		}).AsRR())
-	}
-	return resp, do
+// scratch is everything shaping one response needs that is not a record
+// of a zone: the response Message, the array its one question sits in
+// when the query was read off the wire, the reply OPT and the record
+// that carries it, and the evaluated Answer, whose three sections keep
+// their capacity from one query to the next. ServeWire's miss path
+// borrows one from scratchPool for as long as it takes to render
+// scratch.msg; Handle makes one per query, because its Message is the
+// caller's to keep.
+type scratch struct {
+	msg      dnswire.Message
+	question [1]dnswire.Question
+	opt      dnswire.OPT
+	optRR    [1]dnswire.RR
+	ans      zone.Answer
 }
 
-// finishAnswer copies an evaluated zone answer into the response
-// sections, keeping the OPT (already in resp.Additional) last. The
-// section slices are handed over wholesale — the merge itself does not
-// allocate; growth of ans.Additional is charged to the evaluator that
-// built it.
-func finishAnswer(resp *dnswire.Message, ans *zone.Answer) *dnswire.Message {
-	resp.Header.RCode = ans.RCode
-	resp.Header.Authoritative = ans.Kind != zone.KindDelegation && ans.Kind != zone.KindNotInZone
-	resp.Answers = ans.Answer
-	resp.Authority = ans.Authority
-	resp.Additional = append(ans.Additional, resp.Additional...)
-	return resp
-}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// Handle implements netsim.Handler: validate, route to the deepest
-// hosted zone, evaluate, shape the wire response. Everything on this
-// path runs once per query, so routing itself must not allocate;
-// answer assembly is explicitly waived pending the answer cache.
+// Handle implements netsim.Handler: respond in a scratch of the
+// response's own.
 //
-//repro:hotpath every authoritative answer — testbed surveys, resolver studies, authd — dispatches through here
+//repro:allocok one scratch — the response Message and what shapes it — per query is the Handler contract: the Message is the caller's to keep, so it cannot come from the pool ServeWire's miss path renders out of
 func (s *Server) Handle(ctx context.Context, from netip.AddrPort, query *dnswire.Message) *dnswire.Message {
+	opt, edns := query.OPT()
+	return s.respond(ctx, from, new(scratch), query.Header, query.Questions, edns, edns && opt.DO)
+}
+
+// respond is the only answer path: validate, route to the deepest
+// hosted zone, evaluate, shape the response in sc.msg. The query comes
+// as what either door read of it — Handle from a Message, ServeWire's
+// miss path off the wire: its header, its questions, whether it carried
+// an OPT and that OPT's DO bit. The response echoes ID, opcode, RD and
+// the questions, answers an OPT with an OPT (kept last in the
+// additional section), and carries DNSSEC records only when do.
+// Everything here runs once per query and none of it allocates: routing
+// does not, the sections are sc.ans's, and what evaluation still may is
+// waived where it happens.
+func (s *Server) respond(ctx context.Context, from netip.AddrPort, sc *scratch, h dnswire.Header, questions []dnswire.Question, edns, do bool) *dnswire.Message {
 	s.mQueries.Inc()
-	resp, do := s.newResponse(query)
-	if query.Header.Opcode != dnswire.OpcodeQuery || len(query.Questions) != 1 {
+	resp := &sc.msg
+	*resp = dnswire.Message{
+		Header: dnswire.Header{
+			ID:               h.ID,
+			Response:         true,
+			Opcode:           h.Opcode,
+			RecursionDesired: h.RecursionDesired,
+		},
+		Questions: questions,
+	}
+	if edns {
+		sc.opt = dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: do}
+		sc.optRR[0] = sc.opt.AsRR()
+		resp.Additional = sc.optRR[:]
+	}
+	if h.Opcode != dnswire.OpcodeQuery || len(questions) != 1 {
 		resp.Header.RCode = dnswire.RCodeNotImp
 		return resp
 	}
-	q := query.Questions[0]
+	q := questions[0]
 	if q.Class != dnswire.ClassIN {
 		resp.Header.RCode = dnswire.RCodeRefused
 		return resp
@@ -222,12 +230,20 @@ func (s *Server) Handle(ctx context.Context, from netip.AddrPort, query *dnswire
 	if q.Type == dnswire.TypeAXFR {
 		return s.handleAXFR(resp, sz, q.Name)
 	}
-	ans, err := sz.Evaluate(q.Name, q.Type, do)
-	if err != nil {
+	if err := sz.EvaluateInto(&sc.ans, q.Name, q.Type, do); err != nil {
 		resp.Header.RCode = dnswire.RCodeServFail
 		return resp
 	}
-	return finishAnswer(resp, ans)
+	resp.Header.RCode = sc.ans.RCode
+	resp.Header.Authoritative = sc.ans.Kind != zone.KindDelegation && sc.ans.Kind != zone.KindNotInZone
+	resp.Answers = sc.ans.Answer
+	resp.Authority = sc.ans.Authority
+	if len(sc.ans.Additional) > 0 {
+		// Glue goes in front of the OPT.
+		sc.ans.Additional = append(sc.ans.Additional, resp.Additional...)
+		resp.Additional = sc.ans.Additional
+	}
+	return resp
 }
 
 // handleAXFR answers a zone transfer request (RFC 5936): the complete

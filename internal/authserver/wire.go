@@ -12,10 +12,13 @@ import (
 
 // This file is the server's wire-level door (netsim.WireHandler) and
 // the answer memo in front of it. The memo is not a second answer
-// path: every response in it was rendered by Handle, for a query with
-// the very octets — flags, question as spelled, OPT with its size and
-// DO bit, everything but the ID — of the query it is now given to, and
-// the table is emptied whenever what Handle would say can change.
+// path: every response in it was shaped by respond and rendered by
+// PackBuffer, for a query with the very octets — flags, question as
+// spelled, OPT with its size and DO bit, everything but the ID — of the
+// query it is now given to, and the table is emptied whenever what
+// respond would say can change. A miss costs one visit to the memo, one
+// read of the query off the wire, one evaluation into a pooled scratch
+// and one rendering: a single allocation, the question's name.
 
 // memoLimit bounds the answer memo and the table of queries seen once,
 // each flushed whole when full (the idiom of resolver.ttlCache and
@@ -26,7 +29,7 @@ import (
 const memoLimit = 1024
 
 // answerMemo has a lock of its own, taken once per query for a map
-// operation or two and never held across Handle. Every query of every
+// operation or two and never held across respond. Every query of every
 // worker passes here and every miss writes (to seen): on Server.mu
 // those writes stalled the routing reads of all the other queries (a
 // 32-worker resolver study ran a fifth slower for it).
@@ -69,10 +72,9 @@ func (s *Server) invalidateMemo() {
 
 // ServeWire implements netsim.WireHandler: the response to query's
 // octets appended to dst, from the memo when it holds one that fits
-// maxSize, through Unpack → Handle → PackBuffer otherwise — which, with
-// one visit to the memo, is all a query it has not seen twice ever
-// costs. Octets that do not decode, answer nothing (QR set) or ask
-// nothing are dropped.
+// maxSize, through serveMiss otherwise — which, with one visit to the
+// memo, is all a query it has not seen twice ever costs. Octets that do
+// not decode, answer nothing (QR set) or ask nothing are dropped.
 func (s *Server) ServeWire(ctx context.Context, dst []byte, from netip.AddrPort, query []byte, maxSize int) []byte {
 	if len(query) < 2 {
 		return nil
@@ -96,25 +98,58 @@ func (s *Server) ServeWire(ctx context.Context, dst []byte, from netip.AddrPort,
 		}
 		return append(append(dst, query[:2]...), e.response...)
 	}
-	q, err := dnswire.Unpack(query)
-	if err != nil || len(q.Questions) == 0 || q.Header.Response {
-		return nil // garbage: drop, like most servers
+	out, keep := s.serveMiss(ctx, dst, from, query, maxSize)
+	if again && keep {
+		s.admit(epoch, h, key, out[len(dst)+2:])
 	}
-	resp := s.Handle(ctx, from, q)
+	return out
+}
+
+// serveMiss is a miss's whole cost past the memo, in a function of its
+// own so that a hit's code stays what it was: the query read off the
+// wire (dnswire.PlainQuery; a query of any other shape is decoded by
+// Unpack, and what is dropped is what it was), the response shaped by
+// respond in a scratch from the pool, and PackBuffer's rendering of it
+// appended to dst. Nothing but the question's name is allocated, and
+// nothing of the scratch outlives the call. keep reports a rendering
+// the memo may hold; never a truncated one (the next asker may have
+// room for all of it), anything past the default datagram (a zone
+// transfer), or SERVFAIL — a cancelled wait on a lazy signer is not the
+// zone's answer.
+//
+//repro:hotpath every authoritative answer to a question not asked twice — testbed surveys, resolver studies, authd — is made here
+func (s *Server) serveMiss(ctx context.Context, dst []byte, from netip.AddrPort, query []byte, maxSize int) (out []byte, keep bool) {
+	h, q, edns, do, plain := dnswire.PlainQuery(query)
+	var questions []dnswire.Question
+	if !plain {
+		m, err := dnswire.Unpack(query)
+		if err != nil || len(m.Questions) == 0 {
+			return nil, false // garbage: drop, like most servers
+		}
+		opt, has := m.OPT()
+		h, questions, edns, do = m.Header, m.Questions, has, has && opt.DO
+	}
+	if h.Response {
+		return nil, false
+	}
+	sc := scratchPool.Get().(*scratch)
+	if plain {
+		sc.question[0] = q
+		questions = sc.question[:]
+	}
+	resp := s.respond(ctx, from, sc, h, questions, edns, do)
 	// Rendered in place behind dst when it has the room, moved in by the
 	// append when it has not.
 	out, err := resp.PackBuffer(dst[len(dst):], maxSize, true)
+	keep = err == nil && !resp.Header.Truncated && len(out) <= dnswire.DefaultUDPSize && resp.Header.RCode != dnswire.RCodeServFail
+	// Back it goes with its sections' capacity and without the records: a
+	// transfer's Answers are a whole zone.
+	sc.msg = dnswire.Message{}
+	scratchPool.Put(sc)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	// Never kept: a truncated rendering (the next asker may have room for
-	// all of it), anything past the default datagram (a zone transfer),
-	// and SERVFAIL — a cancelled wait on a lazy signer is not the zone's
-	// answer.
-	if again && !resp.Header.Truncated && len(out) <= dnswire.DefaultUDPSize && resp.Header.RCode != dnswire.RCodeServFail {
-		s.admit(epoch, h, key, out[2:])
-	}
-	return append(dst, out...)
+	return append(dst, out...), keep
 }
 
 // sight notes that a query hashing to h missed and reports whether one

@@ -505,3 +505,28 @@ func TestServedAnswersOutliveTheirQuery(t *testing.T) {
 		t.Errorf("the memo hit after them:\n %x\nwant\n %x", got, octetsWant)
 	}
 }
+
+// A transfer's Answers are the whole zone: the scratch that shaped it
+// goes back to the pool without them, and shapes a small answer next.
+func TestTransferLeavesNoRecordsInTheScratch(t *testing.T) {
+	s := New()
+	s.AddZone(buildZone(t, "example.com", zone.DenialNSEC3))
+	s.SetTransferPolicy(dnswire.MustParseName("example.com"), zone.TransferOpen)
+	query := wireQuery(t, 1, "example.com", dnswire.TypeAXFR, false)
+	xfr, err := dnswire.Unpack(s.ServeWire(context.Background(), nil, wireFrom, query, 0))
+	if err != nil || len(xfr.Answers) < 10 {
+		t.Fatalf("transfer: %v (%v)", xfr, err)
+	}
+	// The pool hands back what was just put (under -race it may drop it
+	// and make a new one, which holds nothing either way).
+	sc := scratchPool.Get().(*scratch)
+	if sc.msg.Answers != nil || sc.msg.Questions != nil || cap(sc.ans.Answer) >= len(xfr.Answers) {
+		t.Errorf("the pooled scratch still holds a response: %d answers, %d questions, answer section capacity %d",
+			len(sc.msg.Answers), len(sc.msg.Questions), cap(sc.ans.Answer))
+	}
+	scratchPool.Put(sc)
+	small := ask(t, s, 1, "www.example.com", dnswire.TypeA, true, 0)
+	if m, err := dnswire.Unpack(small); err != nil || len(m.Answers) != 2 {
+		t.Errorf("the query after the transfer: %v (%v)", m, err)
+	}
+}

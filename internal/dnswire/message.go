@@ -181,7 +181,7 @@ func (m *Message) Pack() ([]byte, error) { return m.PackBuffer(nil, 0, true) }
 func (m *Message) PackBuffer(dst []byte, maxSize int, compress bool) ([]byte, error) {
 	counts := [3]int{len(m.Answers), len(m.Authority), len(m.Additional)}
 	for {
-		buf, err := m.packCounts(dst, counts, compress)
+		buf, err := m.packCounts(dst, counts, compress && m.hasPointerTargets(counts))
 		if err == nil {
 			if maxSize > 0 && len(buf) > maxSize {
 				err = errTruncate
@@ -237,6 +237,23 @@ func (m *Message) packCounts(dst []byte, counts [3]int, compress bool) ([]byte, 
 		}
 	}
 	return e.buf, nil
+}
+
+// hasPointerTargets reports whether any name of the message, cut to
+// counts, could be rendered as a pointer to an earlier one. None can
+// when at most one question is followed by nothing but root-owned OPT
+// records — every query NewQuery builds — and then the same octets come
+// out without the compression table being filled and cleared.
+func (m *Message) hasPointerTargets(counts [3]int) bool {
+	if len(m.Questions) > 1 || counts[0] > 0 || counts[1] > 0 {
+		return true
+	}
+	for _, rr := range m.Additional[:counts[2]] {
+		if _, isOPT := rr.Data.(*OPT); !isOPT || !rr.Name.IsRoot() {
+			return true
+		}
+	}
+	return false
 }
 
 func packRR(e *encoder, rr RR) error {
@@ -370,6 +387,48 @@ func QuestionName(msg []byte) (Name, error) {
 	var memo nameMemo
 	name, _, _, err := memo.walk(msg, headerLen, maxPointers)
 	return name, err
+}
+
+// PlainQuery reads a query of the plain shape straight off the wire:
+// one question spelled without compression, no answer or authority
+// record, at most one additional record and that a root-owned OPT
+// without options, and not an octet after it — what NewQuery renders
+// and what resolvers send. For such a message ok is true and h, q, edns
+// (an OPT is present) and do (its DO bit) are what Unpack would give its
+// Header, Questions[0] and OPT; the question's Name is the call's one
+// allocation. Any other message, well-formed or not, reports !ok and is
+// Unpack's to judge.
+func PlainQuery(msg []byte) (h Header, q Question, edns, do, ok bool) {
+	if len(msg) < headerLen {
+		return
+	}
+	u16 := binary.BigEndian.Uint16
+	additional := u16(msg[10:])
+	if u16(msg[4:]) != 1 || u16(msg[6:]) != 0 || u16(msg[8:]) != 0 || additional > 1 {
+		return
+	}
+	var memo nameMemo
+	name, off, _, err := memo.walk(msg, headerLen, 0) // no pointer followed
+	if err != nil || off+4 > len(msg) {
+		return
+	}
+	q = Question{Name: name, Type: Type(u16(msg[off:])), Class: Class(u16(msg[off+2:]))}
+	off += 4
+	if additional == 1 {
+		// Root owner, TYPE, CLASS, TTL (extended RCODE, version, DO and
+		// fifteen zero bits), RDLENGTH 0: eleven octets.
+		if off+minRRLen != len(msg) || msg[off] != 0 || Type(u16(msg[off+1:])) != TypeOPT || u16(msg[off+9:]) != 0 {
+			return
+		}
+		edns, do = true, msg[off+7]&0x80 != 0
+		off += minRRLen
+	}
+	if off != len(msg) {
+		return
+	}
+	h = headerFromFlags(u16(msg[2:]))
+	h.ID = u16(msg)
+	return h, q, edns, do, true
 }
 
 // AdvertisedUDPSize reads the UDP payload size the query's OPT record

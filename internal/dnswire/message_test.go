@@ -84,6 +84,47 @@ func TestCompressionShrinksMessage(t *testing.T) {
 	}
 }
 
+// TestQueriesRenderWithoutTheCompressionTable: where PackBuffer leaves
+// the compression table out — no name of the message can point at an
+// earlier one — it renders the octets the table would have.
+func TestQueriesRenderWithoutTheCompressionTable(t *testing.T) {
+	ede := &OPT{UDPSize: 1232, DO: true, EDEs: []EDE{{Code: EDEOther, Text: "x"}}}
+	skipped := 0
+	for i, m := range []*Message{
+		NewQuery(1, MustParseName("www.example.com"), TypeA, true),
+		NewQuery(2, MustParseName("a.a.a.example.a"), TypeTXT, false),
+		NewQuery(3, Root, TypeNS, true),
+		{Questions: []Question{{Name: MustParseName("no.edns.example"), Type: TypeA, Class: ClassIN}}},
+		{Additional: []RR{ede.AsRR(), (&OPT{UDPSize: 512}).AsRR()}},
+		{Header: Header{ID: 6}},
+		sampleMessage(),
+		{Questions: []Question{{Name: MustParseName("x.example"), Type: TypeA, Class: ClassIN}, {Name: MustParseName("x.example"), Type: TypeAAAA, Class: ClassIN}}},
+		{Questions: []Question{{Name: MustParseName("x.example"), Type: TypeA, Class: ClassIN}},
+			Additional: []RR{{Name: MustParseName("x.example"), Class: ClassIN, Data: A{Addr: netip.MustParseAddr("192.0.2.1")}}}},
+	} {
+		counts := [3]int{len(m.Answers), len(m.Authority), len(m.Additional)}
+		got, err := m.PackBuffer(nil, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.packCounts(nil, counts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("message %d: without the table %x, with it %x", i, got, want)
+		}
+		if plain, _ := m.PackBuffer(nil, 0, false); !m.hasPointerTargets(counts) {
+			skipped++
+		} else if i >= 6 && len(plain) <= len(got) {
+			t.Errorf("message %d has names to compress and was not compressed", i)
+		}
+	}
+	if skipped != 6 {
+		t.Errorf("the table was left out for %d of the messages, want the first 6", skipped)
+	}
+}
+
 func TestTruncationDropsRecordsAndSetsTC(t *testing.T) {
 	m := &Message{
 		Header:    Header{ID: 1, Response: true},

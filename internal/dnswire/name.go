@@ -530,6 +530,15 @@ var plainOctet = func() (t [256]bool) {
 	return t
 }()
 
+// errReservedLabel reports a label whose two high bits are 01 or 10
+// (RFC 1035 §4.1.4 reserves both), indexed by the higher of them. Made
+// once: the walk is on the serving path and hostile wire is where it
+// fails.
+var errReservedLabel = [2]error{
+	errors.New("dnswire: reserved label type 0x40"),
+	errors.New("dnswire: reserved label type 0x80"),
+}
+
 // maxPointers bounds the compression pointers one name may follow: a
 // generous loop guard, real messages chain a few at most.
 const maxPointers = 64
@@ -639,7 +648,7 @@ func (m *nameMemo) walk(msg []byte, off, budget int) (Name, int, int, error) {
 			}
 			off = ptr
 		case c&0xC0 != 0:
-			return "", 0, 0, fmt.Errorf("dnswire: reserved label type 0x%02x", c&0xC0)
+			return "", 0, 0, errReservedLabel[c>>7]
 		default:
 			if off+1+int(c) > len(msg) {
 				return "", 0, 0, ErrNameTrunc

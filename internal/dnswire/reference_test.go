@@ -1051,6 +1051,149 @@ func FuzzUnpackDifferential(f *testing.F) {
 	})
 }
 
+// checkPlainQuery is PlainQuery's differential property against Unpack:
+// whatever the reader accepts Unpack accepts too, and the two agree on
+// the ID, every header flag, the one question, whether an OPT is present
+// and its DO bit — and the message has the plain shape and nothing more.
+// What Unpack rejects the reader must not accept. It reports whether
+// the reader accepted.
+func checkPlainQuery(t testing.TB, wire []byte) bool {
+	t.Helper()
+	in := bytes.Clone(wire)
+	h, q, edns, do, ok := PlainQuery(in)
+	if !bytes.Equal(in, wire) {
+		t.Fatalf("PlainQuery wrote to its input\n in  %x\n now %x", wire, in)
+	}
+	if !ok {
+		return false
+	}
+	m, err := Unpack(wire)
+	if err != nil {
+		t.Fatalf("PlainQuery accepted what Unpack rejects (%v)\n wire %x", err, wire)
+	}
+	opt, has := m.OPT()
+	switch {
+	case h != m.Header:
+		t.Fatalf("PlainQuery header %+v, Unpack %+v\n wire %x", h, m.Header, wire)
+	case len(m.Questions) != 1 || q != m.Questions[0]:
+		t.Fatalf("PlainQuery question %v, Unpack %v\n wire %x", q, m.Questions, wire)
+	case edns != has || do != (has && opt.DO):
+		t.Fatalf("PlainQuery edns=%v do=%v, Unpack's OPT %v (present %v)\n wire %x", edns, do, opt, has, wire)
+	case len(m.Answers) != 0 || len(m.Authority) != 0 || len(m.Additional) > 1 ||
+		(len(m.Additional) == 1 && (!has || m.Additional[0].Name != Root || len(opt.EDEs) != 0 || len(opt.Unknown) != 0)):
+		t.Fatalf("PlainQuery accepted a message that is not of the plain shape: %v\n wire %x", m, wire)
+	}
+	return true
+}
+
+// plainQuerySeeds is every question of the served corpus asked the four
+// ways NewQuery can ask it (the three with EDNS as rendered, the fourth
+// with the OPT cut off), the served responses themselves and the hostile
+// wire.
+func plainQuerySeeds(t testing.TB) (queries, others [][]byte) {
+	t.Helper()
+	asked := map[Question]bool{}
+	for _, wire := range servedCorpus(t) {
+		others = append(others, wire)
+		m, err := Unpack(wire)
+		if err != nil || len(m.Questions) != 1 || asked[m.Questions[0]] {
+			continue
+		}
+		q := m.Questions[0]
+		asked[q] = true
+		for i, do := range []bool{true, false} {
+			query := NewQuery(uint16(len(queries)), q.Name, q.Type, do)
+			query.Header.CheckingDisabled = i == 0
+			queries = append(queries, mustPack(t, query))
+		}
+		bare := NewQuery(uint16(len(queries)), q.Name, q.Type, false)
+		bare.Additional = nil
+		queries = append(queries, mustPack(t, bare))
+	}
+	for _, wire := range hostileMessages() {
+		others = append(others, wire)
+	}
+	return queries, others
+}
+
+// TestPlainQueryMatchesUnpack: every query NewQuery renders is read, a
+// message of any other shape is left to Unpack, and on every prefix of
+// both the reader agrees with Unpack or declines.
+func TestPlainQueryMatchesUnpack(t *testing.T) {
+	queries, others := plainQuerySeeds(t)
+	if len(queries) < 300 {
+		t.Fatalf("%d seed queries; the served corpus asks more questions than that", len(queries))
+	}
+	for _, wire := range queries {
+		if !checkPlainQuery(t, wire) {
+			t.Fatalf("a query NewQuery rendered was not read: %x", wire)
+		}
+	}
+	name := MustParseName("www.example.com")
+	opt := func(o OPT) RR { return o.AsRR() }
+	a := RR{Name: name, Class: ClassIN, TTL: 1, Data: A{Addr: netip.MustParseAddr("192.0.2.1")}}
+	question := []Question{{Name: name, Type: TypeA, Class: ClassIN}}
+	for what, m := range map[string]*Message{
+		"no question":           {Additional: []RR{opt(OPT{UDPSize: 1232})}},
+		"two questions":         {Questions: append(question, question...)},
+		"an answer record":      {Questions: question, Answers: []RR{a}},
+		"an authority record":   {Questions: question, Authority: []RR{a}},
+		"a non-OPT additional":  {Questions: question, Additional: []RR{a}},
+		"two OPT records":       {Questions: question, Additional: []RR{opt(OPT{UDPSize: 512}), opt(OPT{UDPSize: 4096})}},
+		"an OPT with an EDE":    {Questions: question, Additional: []RR{opt(OPT{UDPSize: 1232, EDEs: []EDE{{Code: EDEOther}}})}},
+		"an OPT with an option": {Questions: question, Additional: []RR{opt(OPT{UDPSize: 1232, Unknown: []OptOption{{Code: 10, Data: []byte{1}}}})}},
+	} {
+		if wire := mustPack(t, m); checkPlainQuery(t, wire) {
+			t.Errorf("%s: read as a plain query: %x", what, wire)
+		}
+	}
+	// Accepted all the same, as Unpack and Handle take them: a response,
+	// any opcode and RCODE, an EDNS version and extended RCODE.
+	odd := NewQuery(7, name, TypeA, true)
+	odd.Header = Header{ID: 7, Response: true, Opcode: 5, Authoritative: true, Truncated: true, RecursionAvailable: true, AuthenticatedData: true, RCode: RCodeRefused}
+	odd.Additional[0].Data.(*OPT).Version = 1
+	odd.Additional[0].Data.(*OPT).ExtRCodeHigh = 3
+	if !checkPlainQuery(t, mustPack(t, odd)) {
+		t.Error("a plain-shaped message with every header flag set was not read")
+	}
+	// A question spelled through a compression pointer, an OPT owned by a
+	// pointer to a root octet, and a trailing octet are Unpack's.
+	w := newWire(1, 0, 0, 0)
+	w.labels("x").ptr(4).u16(uint16(TypeA)).u16(uint16(ClassIN)) // points at QDCOUNT's 0x00 0x01
+	others = append(others, w.b)
+	if checkPlainQuery(t, w.b) {
+		t.Errorf("a question name ending in a pointer was read: %x", w.b)
+	}
+	w = newWire(1, 0, 0, 1)
+	w.labels("x").raw(0).u16(uint16(TypeA)).u16(uint16(ClassIN))
+	w.ptr(14).u16(uint16(TypeOPT)).u16(1232).u32(0x8000).u16(0)
+	others = append(others, w.b)
+	if _, err := Unpack(w.b); err != nil || checkPlainQuery(t, w.b) {
+		t.Errorf("an OPT owned by a pointer to the root: Unpack %v; must decode and not be read plain: %x", err, w.b)
+	}
+	trailing := append(bytes.Clone(queries[0]), 0)
+	if checkPlainQuery(t, trailing) {
+		t.Errorf("a query with an octet after it was read: %x", trailing)
+	}
+	for _, wire := range append(others, queries[:12]...) {
+		for cut := 0; cut <= len(wire); cut++ {
+			checkPlainQuery(t, wire[:cut:cut]) // a read past it panics
+		}
+	}
+}
+
+// FuzzPlainQueryDifferential holds PlainQuery to Unpack on whatever the
+// fuzzer finds.
+func FuzzPlainQueryDifferential(f *testing.F) {
+	queries, others := plainQuerySeeds(f)
+	for _, wire := range append(queries, others...) {
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPlainQuery(t, data)
+	})
+}
+
 // nxdomainResponse is a signed NSEC3 NXDOMAIN response of the shape the
 // authoritative server sends: SOA + RRSIG and three NSEC3 + RRSIG in
 // the authority section, OPT with DO in the additional section.

@@ -56,36 +56,58 @@ type Answer struct {
 // NSEC3) are omitted, as for a query without the DO bit. An RRSIG the
 // answer carries is made here if no earlier answer carried it; when
 // that fails the error is returned and the answer is not to be served.
-//
-//repro:allocok answer synthesis walks the zone and builds RR sets per query today; the ROADMAP answer cache precompiles these at Materialize time
+// It is EvaluateInto a new Answer.
 func (s *Signed) Evaluate(qname dnswire.Name, qtype dnswire.Type, do bool) (*Answer, error) {
+	a := new(Answer)
+	if err := s.EvaluateInto(a, qname, qtype, do); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// EvaluateInto is Evaluate into an Answer the caller owns: a is
+// overwritten, its three sections refilled from their start within the
+// capacity they have, so a caller that reuses one Answer pays for the
+// sections once and for nothing per query — every record appended is
+// the zone's own, resolved when it was signed. After an error a holds
+// nothing to serve.
+//
+//repro:allocok what is left allocates off the per-query path: the error a failed proof or signature is reported with, the signature cell an answer fills the first time anything carries it, and the cold proof branches (opt-out, NSEC-mode wildcard candidates); sections grow only in an Answer that is not reused
+func (s *Signed) EvaluateInto(a *Answer, qname dnswire.Name, qtype dnswire.Type, do bool) error {
+	*a = Answer{Answer: a.Answer[:0], Authority: a.Authority[:0], Additional: a.Additional[:0]}
 	if !qname.IsSubdomainOf(s.Zone.Apex) {
-		return &Answer{Kind: KindNotInZone, RCode: dnswire.RCodeRefused}, nil
+		a.Kind, a.RCode = KindNotInZone, dnswire.RCodeRefused
+		return nil
 	}
 
 	// Delegation handling: a query at or below a zone cut is referred,
-	// except a DS query exactly at the cut, which the parent answers.
-	if cut, ok := s.Zone.DelegationPoint(qname); ok {
-		if !(qname == cut && qtype == dnswire.TypeDS) {
-			return s.referral(cut, do)
+	// except a DS query exactly at the cut, which the parent answers. A
+	// zone without a cut has no label to walk for one.
+	if s.hasCuts {
+		if cut, ok := s.Zone.DelegationPoint(qname); ok {
+			if !(qname == cut && qtype == dnswire.TypeDS) {
+				return s.referral(a, cut, do)
+			}
 		}
 	}
 
 	if s.Exists(qname) {
-		return s.answerExisting(qname, qname, qtype, do, false)
+		return s.answerExisting(a, qname, qname, qtype, do, false)
 	}
 
-	// Wildcard synthesis (RFC 4592).
-	if w, ok := s.Zone.WildcardAt(qname); ok {
-		return s.answerExisting(w, qname, qtype, do, true)
+	// Wildcard synthesis (RFC 4592), in a zone that owns a wildcard.
+	if s.hasWildcards {
+		if w, ok := s.Zone.WildcardAt(qname); ok {
+			return s.answerExisting(a, w, qname, qtype, do, true)
+		}
 	}
 
-	return s.nxdomain(qname, do)
+	return s.nxdomain(a, qname, do)
 }
 
 // answerExisting answers from records at owner; when wildcard is true,
 // owner is the "*" node and qname the synthesized name.
-func (s *Signed) answerExisting(owner, qname dnswire.Name, qtype dnswire.Type, do, wildcard bool) (*Answer, error) {
+func (s *Signed) answerExisting(a *Answer, owner, qname dnswire.Name, qtype dnswire.Type, do, wildcard bool) error {
 	rrs, kind := s.Zone.Lookup(owner, qtype), KindSuccess
 	if wildcard {
 		kind = KindWildcard
@@ -93,37 +115,36 @@ func (s *Signed) answerExisting(owner, qname dnswire.Name, qtype dnswire.Type, d
 	if len(rrs) == 0 {
 		// CNAME redirection applies for any type but CNAME itself.
 		if rrs = s.Zone.Lookup(owner, dnswire.TypeCNAME); len(rrs) == 0 || qtype == dnswire.TypeCNAME {
-			return s.nodata(owner, qname, do, wildcard)
+			return s.nodata(a, owner, qname, do, wildcard)
 		}
 		qtype, kind = dnswire.TypeCNAME, KindCNAME
 	}
-	a := &Answer{Kind: kind, RCode: dnswire.RCodeNoError}
-	a.Answer = s.expand(rrs, qname, wildcard)
+	a.Kind, a.RCode = kind, dnswire.RCodeNoError
+	a.Answer = expand(a.Answer, rrs, qname, wildcard)
 	if do {
 		sigs, err := s.RRSIGsFor(owner, qtype)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		a.Answer = append(a.Answer, s.expand(sigs, qname, wildcard)...)
+		a.Answer = expand(a.Answer, sigs, qname, wildcard)
 		if wildcard {
-			if err := s.appendWildcardProof(a, qname); err != nil {
-				return nil, err
-			}
+			return s.appendWildcardProof(a, qname)
 		}
 	}
-	return a, nil
+	return nil
 }
 
-// expand rewrites the owner name of wildcard records to the query name.
-func (s *Signed) expand(rrs []dnswire.RR, qname dnswire.Name, wildcard bool) []dnswire.RR {
-	out := make([]dnswire.RR, len(rrs))
-	copy(out, rrs)
+// expand appends rrs to dst, the owner name of wildcard records
+// rewritten to the query name.
+func expand(dst, rrs []dnswire.RR, qname dnswire.Name, wildcard bool) []dnswire.RR {
+	first := len(dst)
+	dst = append(dst, rrs...)
 	if wildcard {
-		for i := range out {
-			out[i].Name = qname
+		for i := first; i < len(dst); i++ {
+			dst[i].Name = qname
 		}
 	}
-	return out
+	return dst
 }
 
 // appendWildcardProof attaches the denial record proving qname itself
@@ -145,11 +166,11 @@ func (s *Signed) appendWildcardProof(a *Answer, qname dnswire.Name) error {
 }
 
 // nodata builds a NOERROR/empty-answer response with its proof.
-func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, error) {
-	a := &Answer{Kind: KindNODATA, RCode: dnswire.RCodeNoError}
+func (s *Signed) nodata(a *Answer, owner, qname dnswire.Name, do, wildcard bool) error {
+	a.Kind, a.RCode = KindNODATA, dnswire.RCodeNoError
 	err := s.appendSOA(a, do)
 	if err != nil || !do {
-		return a, err
+		return err
 	}
 	switch s.Config.Denial {
 	case DenialNSEC3:
@@ -160,10 +181,10 @@ func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, 
 				// deny DS with the closest-provable-encloser proof of
 				// RFC 5155 §7.2.4 instead.
 				if p2, err2 := s.proveOptOutNoDS(owner); err2 == nil {
-					return a, s.appendNSEC3Proof(a, p2.ClosestEncloser, p2.NextCloser)
+					return s.appendNSEC3Proof(a, p2.ClosestEncloser, p2.NextCloser)
 				}
 			}
-			return nil, fmt.Errorf("zone: NODATA proof for %s: %w", owner, err)
+			return fmt.Errorf("zone: NODATA proof for %s: %w", owner, err)
 		}
 		if wildcard {
 			// Wildcard NODATA (RFC 5155 §7.2.5): the NSEC3 matching the
@@ -172,13 +193,13 @@ func (s *Signed) nodata(owner, qname dnswire.Name, do, wildcard bool) (*Answer, 
 				proof.NextCloser = p2.NextCloser
 			}
 		}
-		return a, s.appendNSEC3Proof(a, proof.Matching, proof.NextCloser)
+		return s.appendNSEC3Proof(a, proof.Matching, proof.NextCloser)
 	default:
 		if rr, ok := s.NSECRecord(owner); ok {
-			return a, s.appendNSEC(a, rr)
+			return s.appendNSEC(a, rr)
 		}
 	}
-	return a, nil
+	return nil
 }
 
 // proveOptOutNoDS synthesizes the RFC 5155 §7.2.4 proof for an
@@ -202,24 +223,24 @@ func (s *Signed) proveOptOutNoDS(owner dnswire.Name) (nsec3.Proof, error) {
 }
 
 // nxdomain builds the NXDOMAIN response with the closest-encloser proof.
-func (s *Signed) nxdomain(qname dnswire.Name, do bool) (*Answer, error) {
-	a := &Answer{Kind: KindNXDOMAIN, RCode: dnswire.RCodeNXDomain}
+func (s *Signed) nxdomain(a *Answer, qname dnswire.Name, do bool) error {
+	a.Kind, a.RCode = KindNXDOMAIN, dnswire.RCodeNXDomain
 	err := s.appendSOA(a, do)
 	if err != nil || !do {
-		return a, err
+		return err
 	}
 	switch s.Config.Denial {
 	case DenialNSEC3:
 		proof, err := s.chain.ProveNXDOMAIN(qname, s.Exists)
 		if err != nil {
-			return nil, fmt.Errorf("zone: NXDOMAIN proof for %s: %w", qname, err)
+			return fmt.Errorf("zone: NXDOMAIN proof for %s: %w", qname, err)
 		}
-		return a, s.appendNSEC3Proof(a, proof.ClosestEncloser, proof.NextCloser, proof.Wildcard)
+		return s.appendNSEC3Proof(a, proof.ClosestEncloser, proof.NextCloser, proof.Wildcard)
 	default:
 		covering, ok := s.nsecCovering(qname)
 		if ok {
 			if err := s.appendNSEC(a, covering); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		// Prove the wildcard absent too (RFC 4035 §3.1.3.2), unless
@@ -229,15 +250,15 @@ func (s *Signed) nxdomain(qname dnswire.Name, do bool) (*Answer, error) {
 			ce = ce.Parent()
 		}
 		if rr, wok := s.nsecCovering(ce.Wildcard()); wok && !(ok && rr.Name == covering.Name) {
-			return a, s.appendNSEC(a, rr)
+			return s.appendNSEC(a, rr)
 		}
 	}
-	return a, nil
+	return nil
 }
 
 // referral builds a delegation response for the zone cut.
-func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
-	a := &Answer{Kind: KindDelegation, RCode: dnswire.RCodeNoError}
+func (s *Signed) referral(a *Answer, cut dnswire.Name, do bool) error {
+	a.Kind, a.RCode = KindDelegation, dnswire.RCodeNoError
 	nsRRs := s.Zone.Lookup(cut, dnswire.TypeNS)
 	a.Authority = append(a.Authority, nsRRs...)
 	// Glue below the cut.
@@ -249,12 +270,12 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 		}
 	}
 	if !do {
-		return a, nil
+		return nil
 	}
 	if ds := s.Zone.Lookup(cut, dnswire.TypeDS); len(ds) > 0 {
 		sigs, err := s.RRSIGsFor(cut, dnswire.TypeDS)
 		a.Authority = append(append(a.Authority, ds...), sigs...)
-		return a, err
+		return err
 	}
 	// Insecure delegation: prove DS absence.
 	switch s.Config.Denial {
@@ -264,23 +285,23 @@ func (s *Signed) referral(cut dnswire.Name, do bool) (*Answer, error) {
 			// set proves the span may contain unsigned delegations
 			// (RFC 5155 §7.2.4).
 			if rec, ok, err := s.chain.Cover(cut); err == nil && ok {
-				return a, s.appendNSEC3Proof(a, rec)
+				return s.appendNSEC3Proof(a, rec)
 			} else if rec, ok, err := s.chain.Match(cut); err == nil && ok {
-				return a, s.appendNSEC3Proof(a, rec)
+				return s.appendNSEC3Proof(a, rec)
 			}
 		} else {
 			proof, err := s.chain.ProveNODATA(cut)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			return a, s.appendNSEC3Proof(a, proof.Matching)
+			return s.appendNSEC3Proof(a, proof.Matching)
 		}
 	default:
 		if rr, ok := s.NSECRecord(cut); ok {
-			return a, s.appendNSEC(a, rr)
+			return s.appendNSEC(a, rr)
 		}
 	}
-	return a, nil
+	return nil
 }
 
 // appendSOA attaches the apex SOA (and its RRSIG when do) to the

@@ -71,6 +71,10 @@ type Signed struct {
 
 	// names is the authoritative name set with post-signing bitmaps.
 	names map[dnswire.Name]dnswire.TypeBitmap
+	// hasCuts and hasWildcards say whether any owner the zone held when
+	// it was signed is a delegation point or a wildcard; where none is,
+	// an answer walks no label looking for one.
+	hasCuts, hasWildcards bool
 	// rrsigs holds the RRSIG over every signable RRset and, in NSEC
 	// mode, over every NSEC record — everything but the NSEC3 chain's.
 	rrsigs map[sigKey]*sigCell
@@ -150,7 +154,7 @@ func (z *Zone) SignOnDemand(cfg SignConfig) (*Signed, error) {
 	}
 	if cfg.Denial == DenialNone {
 		// Unsigned serving: no keys, no signatures, no denial chain.
-		s.names = z.AuthoritativeNames()
+		s.names, s.hasCuts, s.hasWildcards = z.authoritativeNames()
 		return s, nil
 	}
 	var err error
@@ -177,7 +181,7 @@ func (z *Zone) SignOnDemand(cfg SignConfig) (*Signed, error) {
 		}})
 	}
 
-	s.names = z.AuthoritativeNames()
+	s.names, s.hasCuts, s.hasWildcards = z.authoritativeNames()
 	s.addDenialTypesToBitmaps()
 
 	s.rrsigs = make(map[sigKey]*sigCell, len(s.names))

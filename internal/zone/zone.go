@@ -159,8 +159,20 @@ func (z *Zone) IsGlue(owner dnswire.Name) bool {
 // (they own NS and possibly DS). This is exactly the name set the NSEC
 // and NSEC3 chains must cover (RFC 5155 §7.1 step 2 includes ENTs).
 func (z *Zone) AuthoritativeNames() map[dnswire.Name]dnswire.TypeBitmap {
-	out := make(map[dnswire.Name]dnswire.TypeBitmap, len(z.records))
+	names, _, _ := z.authoritativeNames()
+	return names
+}
+
+// authoritativeNames is AuthoritativeNames and, from the same pass over
+// the owners, whether any of them is a zone cut and whether any is a
+// wildcard: in a zone with neither, DelegationPoint and WildcardAt find
+// nothing for any name.
+func (z *Zone) authoritativeNames() (names map[dnswire.Name]dnswire.TypeBitmap, cuts, wildcards bool) {
+	names = make(map[dnswire.Name]dnswire.TypeBitmap, len(z.records))
 	for owner, byType := range z.records {
+		cut := z.IsDelegation(owner)
+		cuts = cuts || cut
+		wildcards = wildcards || owner.IsWildcard()
 		if z.IsGlue(owner) {
 			continue
 		}
@@ -168,22 +180,22 @@ func (z *Zone) AuthoritativeNames() map[dnswire.Name]dnswire.TypeBitmap {
 		for t := range byType {
 			// At a delegation point only NS and DS are authoritative
 			// enough to appear in the bitmap (NS appears but unsigned).
-			if z.IsDelegation(owner) && t != dnswire.TypeNS && t != dnswire.TypeDS {
+			if cut && t != dnswire.TypeNS && t != dnswire.TypeDS {
 				continue
 			}
 			types = append(types, t)
 		}
-		out[owner] = dnswire.NewTypeBitmap(types...)
+		names[owner] = dnswire.NewTypeBitmap(types...)
 		// Walk up to the apex inserting empty non-terminals.
 		for p := owner.Parent(); p != z.Apex && p.IsSubdomainOf(z.Apex) && !p.IsRoot(); p = p.Parent() {
-			if _, exists := out[p]; !exists {
+			if _, exists := names[p]; !exists {
 				if _, hasRecords := z.records[p]; !hasRecords {
-					out[p] = dnswire.NewTypeBitmap()
+					names[p] = dnswire.NewTypeBitmap()
 				}
 			}
 		}
 	}
-	return out
+	return names, cuts, wildcards
 }
 
 // WildcardAt returns the closest wildcard owner applicable to qname: a
