@@ -38,6 +38,10 @@ go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/
 # Unpack against the test-only field-by-field reference decoder: the
 # same Message (or the same error text) for whatever the fuzzer finds.
 go test -run='^$' -fuzz=FuzzUnpackDifferential -fuzztime=5s ./internal/dnswire/
+# The plain-shape query reader ServeWire's miss path uses against Unpack:
+# what it accepts Unpack accepts and reads the same (ID, flags, the one
+# question, OPT presence, DO); what Unpack rejects it never accepts.
+go test -run='^$' -fuzz=FuzzPlainQueryDifferential -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzHash -fuzztime=5s ./internal/nsec3/
 # The authoritative server's wire-level door against the adapter around

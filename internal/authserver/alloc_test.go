@@ -10,6 +10,29 @@ import (
 	"repro/internal/zone"
 )
 
+// qpsServer serves qps.example., an iterations-0 NSEC3 zone with the
+// given number of TXT owners, labelled by format, and every signature
+// made.
+func qpsServer(t *testing.T, names int, format string) (*Server, dnswire.Name) {
+	t.Helper()
+	apex := dnswire.MustParseName("qps.example.")
+	z := rawZone("qps.example.")
+	for i := 0; i < names; i++ {
+		z.MustAdd(dnswire.RR{Name: apex.MustChild(fmt.Sprintf(format, i)), Class: dnswire.ClassIN,
+			TTL: 300, Data: dnswire.TXT{Strings: []string{"x"}}})
+	}
+	signed, err := z.Sign(zone.SignConfig{
+		Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 0},
+		Inception: tInception, Expiration: tExpiration,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New()
+	srv.AddZone(signed)
+	return srv, apex
+}
+
 // TestHandleAllocations pins what the Message-level door — Handle plus
 // PackBuffer into a reused buffer, what netsim's adapter runs for a
 // wrapped server — allocates per query on a 16-name iterations-0 NSEC3
@@ -25,22 +48,8 @@ func TestHandleAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
 	}
-	apex := dnswire.MustParseName("qps.example.")
-	z := rawZone("qps.example.")
-	for i := 0; i < 16; i++ {
-		z.MustAdd(dnswire.RR{Name: apex.MustChild(fmt.Sprintf("h%02d", i)), Class: dnswire.ClassIN,
-			TTL: 300, Data: dnswire.TXT{Strings: []string{"x"}}})
-	}
-	signed, err := z.Sign(zone.SignConfig{
-		Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 0},
-		Inception: tInception, Expiration: tExpiration,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New()
-	srv.AddZone(signed)
-
+	srv, apex := qpsServer(t, 16, "h%02d")
+	var err error
 	ctx := context.Background()
 	buf := make([]byte, 0, dnswire.DefaultUDPSize)
 	for _, tc := range []struct {
@@ -84,22 +93,7 @@ func TestServeWireMissAllocations(t *testing.T) {
 		t.Skip("allocation counts are nondeterministic under -race")
 	}
 	const distinct = 4096
-	apex := dnswire.MustParseName("qps.example.")
-	z := rawZone("qps.example.")
-	for i := 0; i < distinct; i++ {
-		z.MustAdd(dnswire.RR{Name: apex.MustChild(fmt.Sprintf("h%04d", i)), Class: dnswire.ClassIN,
-			TTL: 300, Data: dnswire.TXT{Strings: []string{"x"}}})
-	}
-	signed, err := z.Sign(zone.SignConfig{
-		Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 0},
-		Inception: tInception, Expiration: tExpiration,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New()
-	srv.AddZone(signed)
-
+	srv, _ := qpsServer(t, distinct, "h%04d")
 	ctx := context.Background()
 	dst := make([]byte, 0, 2*dnswire.DefaultUDPSize)
 	for i := 0; i < memoLimit; i++ {

@@ -114,9 +114,9 @@ func TestQueriesRenderWithoutTheCompressionTable(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("message %d: without the table %x, with it %x", i, got, want)
 		}
-		if plain, _ := m.PackBuffer(nil, 0, false); !m.hasPointerTargets(counts) {
+		if !m.hasPointerTargets(counts) {
 			skipped++
-		} else if i >= 6 && len(plain) <= len(got) {
+		} else if plain, _ := m.PackBuffer(nil, 0, false); len(plain) <= len(got) {
 			t.Errorf("message %d has names to compress and was not compressed", i)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -258,14 +259,18 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-// TestLedgerCanFail puts a copy of the newest entry, doctored one way at
-// a time, in that entry's place and requires the check to name what was
-// done to it. The entry is PR 22's: it claims throughput_ops_s on
-// authd_hot, where the parent's median is 228,764 and its quartiles are
-// 11,241 apart.
+// TestLedgerCanFail puts a copy of PR 22's entry, doctored one way at a
+// time, at the end of the ledger as it stood when that entry was the
+// newest, and requires the check to name what was done to it. The entry
+// claims throughput_ops_s on authd_hot, where the parent's median is
+// 228,764 and its quartiles are 11,241 apart.
 func TestLedgerCanFail(t *testing.T) {
 	m, entries, lines := loadLedger(t)
-	newest := lines[len(lines)-1]
+	at := slices.IndexFunc(entries, func(e entry) bool { return e.PR == 22 })
+	if at < 0 {
+		t.Fatal("BENCH.ndjson has no pr 22 entry")
+	}
+	newest, entries := lines[at], entries[:at+1]
 	// scale sets the change's median to by × the parent's.
 	scale := func(workload, metric string, by float64) func(*entry) {
 		return func(e *entry) {
