@@ -123,9 +123,17 @@ func (k *KeyPair) DNSKEYRR(owner dnswire.Name, ttl uint32) dnswire.RR {
 
 // KeyTag computes the RFC 4034 Appendix B key tag over the DNSKEY RDATA.
 func KeyTag(key dnswire.DNSKEY) uint16 {
-	rdata := dnswire.AppendRData(nil, key)
-	var acc uint32
-	for i, b := range rdata {
+	return keyTag(key.Flags, key.Protocol, key.Algorithm, key.PublicKey)
+}
+
+// keyTag is the Appendix B checksum of the RDATA flags | protocol |
+// algorithm | public key, summed field by field where the octets would
+// stand: the four fixed octets put flags and protocol in high bytes and
+// the algorithm in a low one, so the public key's first octet is a high
+// byte again.
+func keyTag(flags uint16, protocol uint8, alg dnswire.SecAlgorithm, pub []byte) uint16 {
+	acc := uint32(flags) + uint32(protocol)<<8 + uint32(alg)
+	for i, b := range pub {
 		if i&1 == 0 {
 			acc += uint32(b) << 8
 		} else {
@@ -137,7 +145,7 @@ func KeyTag(key dnswire.DNSKEY) uint16 {
 }
 
 // Tag returns the key tag of this key pair's DNSKEY.
-func (k *KeyPair) Tag() uint16 { return KeyTag(k.DNSKEY()) }
+func (k *KeyPair) Tag() uint16 { return keyTag(k.Flags, 3, k.Algorithm, k.publicKey) }
 
 // NewDS builds the DS record data for a child's DNSKEY at owner,
 // digesting owner-wire || DNSKEY-RDATA (RFC 4034 §5.1.4).

@@ -126,24 +126,29 @@ func appendCanonicalRRset(dst []byte, owner dnswire.Name, set RRset, origTTL uin
 // building them does not grow a slice from nothing.
 const signedDataCap = 256
 
-// signedData returns the octets sig signs over set: the RRSIG RDATA
-// minus its Signature field, then the canonical RRset (RFC 4034
-// §3.1.8.1).
+// signedData returns the octets sig signs over set (appendSignedData)
+// in a slice of its own.
 func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
+	return appendSignedData(make([]byte, 0, signedDataCap), set, sig)
+}
+
+// appendSignedData appends the octets sig signs over set to dst: the
+// RRSIG RDATA minus its Signature field, then the canonical RRset
+// (RFC 4034 §3.1.8.1).
+func appendSignedData(dst []byte, set RRset, sig dnswire.RRSIG) ([]byte, error) {
 	owner, err := canonicalOwner(set.Name, sig.Labels)
 	if err != nil {
 		return nil, err
 	}
-	buf := sig.AppendSignedPart(make([]byte, 0, signedDataCap))
-	return appendCanonicalRRset(buf, owner, set, sig.OrigTTL), nil
+	dst = sig.AppendSignedPart(dst)
+	return appendCanonicalRRset(dst, owner, set, sig.OrigTTL), nil
 }
 
 // ownerLabelCount returns the RRSIG Labels value for an owner: the
 // label count excluding a leading wildcard label (RFC 4034 §3.1.3).
 func ownerLabelCount(owner dnswire.Name) uint8 {
-	labels := owner.Labels()
-	n := len(labels)
-	if n > 0 && labels[0] == "*" {
+	n := owner.CountLabels()
+	if owner.IsWildcard() {
 		n--
 	}
 	return uint8(n)
@@ -151,7 +156,11 @@ func ownerLabelCount(owner dnswire.Name) uint8 {
 
 // Sign produces an RRSIG over set using key, valid from inception to
 // expiration (Unix seconds, serial arithmetic). The signer name is the
-// zone apex the key belongs to.
+// zone apex the key belongs to. ECDSA signatures are randomized
+// (crypto/rand), so signing the same RRset twice gives two signatures.
+// What Sign allocates beyond the signature algorithm's own work is the
+// signature it returns: the signed octets of a typical RRset are built
+// on its stack.
 func Sign(set RRset, key *KeyPair, signer dnswire.Name, inception, expiration uint32) (dnswire.RRSIG, error) {
 	sig := dnswire.RRSIG{
 		TypeCovered: set.Type(),
@@ -163,22 +172,21 @@ func Sign(set RRset, key *KeyPair, signer dnswire.Name, inception, expiration ui
 		KeyTag:      key.Tag(),
 		SignerName:  signer,
 	}
-	msg, err := signedData(set, sig)
+	var buf [signedDataCap]byte
+	msg, err := appendSignedData(buf[:0], set, sig)
 	if err != nil {
 		return dnswire.RRSIG{}, err
 	}
 	digest := sha256.Sum256(msg)
 	switch key.Algorithm {
 	case dnswire.AlgECDSAP256SHA256:
-		priv := key.priv.(*ecdsa.PrivateKey)
-		r, s, err := ecdsa.Sign(rand.Reader, priv, digest[:])
+		der, err := ecdsa.SignASN1(rand.Reader, key.priv.(*ecdsa.PrivateKey), digest[:])
 		if err != nil {
 			return dnswire.RRSIG{}, err
 		}
-		out := make([]byte, 64)
-		r.FillBytes(out[:32])
-		s.FillBytes(out[32:])
-		sig.Signature = out
+		if sig.Signature, err = ecdsaSigFromDER(der); err != nil {
+			return dnswire.RRSIG{}, err
+		}
 	case dnswire.AlgEd25519:
 		// Ed25519 signs the message itself, not a digest (RFC 8080 §4).
 		sig.Signature = ed25519.Sign(key.priv.(ed25519.PrivateKey), msg)
@@ -193,6 +201,53 @@ func Sign(set RRset, key *KeyPair, signer dnswire.Name, inception, expiration ui
 		return dnswire.RRSIG{}, fmt.Errorf("%w: %s", ErrUnsupportedAlg, key.Algorithm)
 	}
 	return sig, nil
+}
+
+// errECDSADER is what ecdsaSigFromDER says of octets that are not an
+// ECDSA P-256 signature in DER.
+var errECDSADER = errors.New("dnssec: malformed DER ECDSA signature")
+
+// ecdsaSigFromDER unpacks the DER ECDSA-Sig-Value SEQUENCE { r INTEGER,
+// s INTEGER } that crypto/ecdsa signs into into the 64 octets r || s of
+// RFC 6605 §4, each left-padded to 32 octets. A P-256 signature is under
+// 128 octets, so every length is in DER's one-octet short form; anything
+// else — another tag, a long-form or overrunning length, trailing
+// octets, an empty or negative integer, one wider than 32 octets — is
+// refused.
+func ecdsaSigFromDER(der []byte) ([]byte, error) {
+	n, ok := derLength(der, 0x30)
+	if !ok || 2+n != len(der) {
+		return nil, errECDSADER
+	}
+	body := der[2:]
+	out := make([]byte, 64)
+	for half := 0; half < 2; half++ {
+		if n, ok = derLength(body, 0x02); !ok || n == 0 || body[2]&0x80 != 0 {
+			return nil, errECDSADER
+		}
+		v := body[2 : 2+n]
+		body = body[2+n:]
+		for len(v) > 0 && v[0] == 0 {
+			v = v[1:]
+		}
+		if len(v) > 32 {
+			return nil, errECDSADER
+		}
+		copy(out[32*half+32-len(v):], v)
+	}
+	if len(body) != 0 {
+		return nil, errECDSADER
+	}
+	return out, nil
+}
+
+// derLength returns the content length of the DER element at the front
+// of b if it has the given tag and a short-form length that fits in b.
+func derLength(b []byte, tag byte) (int, bool) {
+	if len(b) < 2 || b[0] != tag || b[1] >= 0x80 || int(b[1]) > len(b)-2 {
+		return 0, false
+	}
+	return int(b[1]), true
 }
 
 // SignRR is a convenience that signs the RRset formed by rrs and

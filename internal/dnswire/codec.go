@@ -14,7 +14,9 @@ import (
 // releaseEncoder returns it with the compression table cleared, so the
 // steady-state encode path allocates neither the struct nor the map.
 type encoder struct {
-	buf      []byte
+	buf []byte
+	// scratch is AppendRData's own buffer, kept across pool round trips.
+	scratch  []byte
 	table    map[Name]int // name -> absolute offset of its first encoding
 	compress bool
 }

@@ -3,6 +3,7 @@ package dnswire
 import (
 	"encoding/base32"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"net/netip"
@@ -29,12 +30,17 @@ type RData interface {
 func AppendRData(dst []byte, rd RData) []byte {
 	// The encoder escapes through the RData interface, so it is borrowed
 	// from the message encoders' pool rather than allocated per call;
-	// one fresh from the pool does not compress.
+	// one fresh from the pool does not compress. It renders into a
+	// scratch of its own, kept with it in the pool, and the octets are
+	// copied to dst: dst is never stored where the pool can reach it, so
+	// a caller's buffer may live on the caller's stack.
 	e := encPool.Get().(*encoder)
-	defer releaseEncoder(e)
-	e.buf = dst
+	e.buf = e.scratch[:0]
 	rd.appendRData(e)
-	return e.buf
+	dst = append(dst, e.buf...)
+	e.scratch = e.buf
+	releaseEncoder(e)
+	return dst
 }
 
 // base32Hex is the unpadded Base32 "extended hex" alphabet used by
@@ -250,25 +256,21 @@ func (r RRSIG) String() string {
 }
 
 func (r RRSIG) appendRData(e *encoder) {
-	e.u16(uint16(r.TypeCovered))
-	e.buf = append(e.buf, byte(r.Algorithm), r.Labels)
-	e.u32(r.OrigTTL)
-	e.u32(r.Expiration)
-	e.u32(r.Inception)
-	e.u16(r.KeyTag)
-	e.name(r.SignerName, false) // never compressed (RFC 4034 §3.1.7)
+	e.buf = r.AppendSignedPart(e.buf)
 	e.buf = append(e.buf, r.Signature...)
 }
 
 // AppendSignedPart appends the RRSIG RDATA with the Signature field
 // omitted — the prefix covered by the signature (RFC 4034 §3.1.8.1).
+// No encoder is involved, so dst may live on the caller's stack.
 func (r RRSIG) AppendSignedPart(dst []byte) []byte {
-	r.Signature = nil
-	e := encPool.Get().(*encoder)
-	defer releaseEncoder(e)
-	e.buf = dst
-	r.appendRData(e) // called on the value: nothing is boxed
-	return e.buf
+	dst = binary.BigEndian.AppendUint16(dst, uint16(r.TypeCovered))
+	dst = append(dst, byte(r.Algorithm), r.Labels)
+	dst = binary.BigEndian.AppendUint32(dst, r.OrigTTL)
+	dst = binary.BigEndian.AppendUint32(dst, r.Expiration)
+	dst = binary.BigEndian.AppendUint32(dst, r.Inception)
+	dst = binary.BigEndian.AppendUint16(dst, r.KeyTag)
+	return appendName(dst, r.SignerName) // never compressed (RFC 4034 §3.1.7)
 }
 
 // ---------------------------------------------------------------- DS

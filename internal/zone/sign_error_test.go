@@ -2,6 +2,7 @@ package zone
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/dnssec"
@@ -133,5 +134,44 @@ func TestSigStats(t *testing.T) {
 	full := signTestZone(t, SignConfig{Denial: DenialNSEC3})
 	if made, tot := full.SigStats(); made != tot || tot != total {
 		t.Fatalf("Sign: SigStats = %d of %d, want %d of %d", made, tot, total, total)
+	}
+}
+
+// TestSignAllReportsTheFailedCell: in a zone where one RRset of many
+// cannot be signed — its records mix two classes — SignAll returns that
+// cell's error, the one its readers get, alone and not joined with
+// anything, however many goroutines it signs on; Sign refuses the zone
+// with it.
+func TestSignAllReportsTheFailedCell(t *testing.T) {
+	bad := name("mixed.example.com")
+	mixed := func(t *testing.T) *Zone {
+		z := testZone(t)
+		for i := 0; i < 40; i++ {
+			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild(fmt.Sprintf("h%02d", i)), Class: dnswire.ClassIN, TTL: 300, Data: mustA("192.0.2.9")})
+		}
+		z.MustAdd(dnswire.RR{Name: bad, Class: dnswire.ClassIN, TTL: 300, Data: mustA("192.0.2.10")})
+		z.MustAdd(dnswire.RR{Name: bad, Class: dnswire.Class(3), TTL: 300, Data: mustA("192.0.2.11")})
+		return z
+	}
+	for _, denial := range []DenialMode{DenialNSEC3, DenialNSEC} {
+		cfg := SignConfig{Denial: denial, Inception: tInception, Expiration: tExpiration}
+		s, err := mixed(t).SignOnDemand(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", denial, err)
+		}
+		err = s.SignAll()
+		if err == nil {
+			t.Fatalf("%s: SignAll signed an RRset that mixes classes", denial)
+		}
+		if _, joined := err.(interface{ Unwrap() []error }); joined {
+			t.Errorf("%s: SignAll joined errors: %v", denial, err)
+		}
+		_, cellErr := s.RRSIGsFor(bad, dnswire.TypeA)
+		if err != cellErr {
+			t.Errorf("%s: SignAll = %v, the cell's error is %v", denial, err, cellErr)
+		}
+		if _, err := mixed(t).Sign(cfg); err == nil || err.Error() != cellErr.Error() {
+			t.Errorf("%s: Sign = %v, want %v", denial, err, cellErr)
+		}
 	}
 }

@@ -189,56 +189,138 @@ func TestAllRecordsAfterPartialServing(t *testing.T) {
 					t.Fatalf("%s: a served signature is not in the transfer: %x", s.Zone.Apex, sig)
 				}
 			}
+			checkTransfer(t, s, memo, all)
+		}
+	})
+}
 
-			// What must be signed, derived from the zone: every
-			// authoritative RRset but a delegation's NS, plus the
-			// denial chain.
-			type rrset struct {
-				owner dnswire.Name
-				typ   dnswire.Type
+// checkTransfer requires all, s's AXFR stream, to carry exactly one
+// valid RRSIG per signable RRset, per NSEC and per NSEC3 record.
+func checkTransfer(t *testing.T, s *zone.Signed, memo *dnssec.VerifyMemo, all []dnswire.RR) {
+	t.Helper()
+	// What must be signed, derived from the zone: every authoritative
+	// RRset but a delegation's NS, plus the denial chain.
+	type rrset struct {
+		owner dnswire.Name
+		typ   dnswire.Type
+	}
+	want := make(map[rrset][]dnswire.RR)
+	for owner, bitmap := range s.AuthNames() {
+		for _, typ := range bitmap {
+			if typ == dnswire.TypeRRSIG || typ == dnswire.TypeNSEC ||
+				(typ == dnswire.TypeNS && s.Zone.IsDelegation(owner)) {
+				continue
 			}
-			want := make(map[rrset][]dnswire.RR)
-			for owner, bitmap := range s.AuthNames() {
-				for _, typ := range bitmap {
-					if typ == dnswire.TypeRRSIG || typ == dnswire.TypeNSEC ||
-						(typ == dnswire.TypeNS && s.Zone.IsDelegation(owner)) {
-						continue
+			if rrs := s.Zone.Lookup(owner, typ); len(rrs) > 0 {
+				want[rrset{owner, typ}] = rrs
+			}
+		}
+		if rr, ok := s.NSECRecord(owner); ok {
+			want[rrset{owner, dnswire.TypeNSEC}] = []dnswire.RR{rr}
+		}
+	}
+	if chain := s.Chain(); chain != nil {
+		for _, rec := range chain.Records {
+			want[rrset{rec.Full.Name, dnswire.TypeNSEC3}] = []dnswire.RR{rec.Full}
+		}
+	}
+	c := newSigChecker(t, s, memo)
+	got := make(map[rrset]int)
+	for _, rr := range all {
+		sig, ok := rr.Data.(dnswire.RRSIG)
+		if !ok {
+			continue
+		}
+		key := rrset{rr.Name, sig.TypeCovered}
+		got[key]++
+		rrs, signable := want[key]
+		if !signable {
+			t.Fatalf("%s: RRSIG(%s) at %s covers nothing that is signed", s.Zone.Apex, sig.TypeCovered, rr.Name)
+		}
+		c.check("transfer", rrs, rr)
+	}
+	for key := range want {
+		if got[key] != 1 {
+			t.Fatalf("%s: %d RRSIGs over %s/%s, want 1", s.Zone.Apex, got[key], key.owner, key.typ)
+		}
+	}
+}
+
+// TestSignAllWhileServing: SignAll runs on a zone signed on demand
+// while eight goroutines ask the same zone for signatures, answers and
+// transfers. Afterwards SigStats counts every cell once — made equals
+// total — the transfer is complete and every signature in it verifies,
+// and each signature a reader was handed is the one transferred. Run
+// under -race.
+func TestSignAllWhileServing(t *testing.T) {
+	memo := dnssec.NewVerifyMemo(nil)
+	var zones []*zone.Signed
+	for _, group := range []string{"canonical", "nsec"} {
+		zones = append(zones, fixtureZones(t, group, (*zone.Zone).SignOnDemand)...)
+	}
+	for _, s := range zones {
+		probes := probesFor(s)
+		const readers = 8
+		var (
+			wg    sync.WaitGroup
+			start = make(chan struct{})
+			seen  [readers]map[string]bool
+		)
+		for g := 0; g < readers; g++ {
+			seen[g] = make(map[string]bool)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if g < 2 {
+					all, err := s.AllRecords()
+					if err != nil {
+						t.Error(err)
 					}
-					if rrs := s.Zone.Lookup(owner, typ); len(rrs) > 0 {
-						want[rrset{owner, typ}] = rrs
+					signaturesOf(all, seen[g])
+					return
+				}
+				for i := g; i < len(probes); i += readers {
+					p := probes[i]
+					sigs, err := s.RRSIGsFor(p.qname, p.qtype)
+					if err != nil {
+						t.Error(err)
+						return
 					}
+					signaturesOf(sigs, seen[g])
+					a, err := s.Evaluate(p.qname, p.qtype, true)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					signaturesOf(a.Answer, seen[g])
+					signaturesOf(a.Authority, seen[g])
 				}
-				if rr, ok := s.NSECRecord(owner); ok {
-					want[rrset{owner, dnswire.TypeNSEC}] = []dnswire.RR{rr}
-				}
-			}
-			if chain := s.Chain(); chain != nil {
-				for _, rec := range chain.Records {
-					want[rrset{rec.Full.Name, dnswire.TypeNSEC3}] = []dnswire.RR{rec.Full}
-				}
-			}
-			c := newSigChecker(t, s, memo)
-			got := make(map[rrset]int)
-			for _, rr := range all {
-				sig, ok := rr.Data.(dnswire.RRSIG)
-				if !ok {
-					continue
-				}
-				key := rrset{rr.Name, sig.TypeCovered}
-				got[key]++
-				rrs, signable := want[key]
-				if !signable {
-					t.Fatalf("%s: RRSIG(%s) at %s covers nothing that is signed", s.Zone.Apex, sig.TypeCovered, rr.Name)
-				}
-				c.check("transfer", rrs, rr)
-			}
-			for key := range want {
-				if got[key] != 1 {
-					t.Fatalf("%s: %d RRSIGs over %s/%s, want 1", s.Zone.Apex, got[key], key.owner, key.typ)
+			}()
+		}
+		close(start)
+		if err := s.SignAll(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		if made, total := s.SigStats(); made != total {
+			t.Fatalf("%s: SigStats = %d of %d after SignAll", s.Zone.Apex, made, total)
+		}
+		all := s.MustAllRecords(t)
+		checkTransfer(t, s, memo, all)
+		transferred := make(map[string]bool)
+		signaturesOf(all, transferred)
+		for g := range seen {
+			for sig := range seen[g] {
+				if !transferred[sig] {
+					t.Fatalf("%s: reader %d was handed a signature the transfer does not carry: %x", s.Zone.Apex, g, sig)
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestColdQuestionRace: eight goroutines put the same question to a

@@ -12,6 +12,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dnswire"
@@ -22,8 +23,12 @@ type Zone struct {
 	Apex dnswire.Name
 	// TTL is the default TTL applied by convenience adders.
 	TTL uint32
-	// records maps owner name -> type -> records.
-	records map[dnswire.Name]map[dnswire.Type][]dnswire.RR
+	// records maps each owner name to all of its records, grouped by
+	// type in ascending type order and, within a type, in the order they
+	// were added: one slice per owner, where a map per owner would cost
+	// more than the records it holds. A slice Lookup has handed out never
+	// changes: Add writes past it or into a new slice.
+	records map[dnswire.Name][]dnswire.RR
 }
 
 // New creates an empty zone rooted at apex with a default TTL.
@@ -31,7 +36,7 @@ func New(apex dnswire.Name, ttl uint32) *Zone {
 	return &Zone{
 		Apex:    apex,
 		TTL:     ttl,
-		records: make(map[dnswire.Name]map[dnswire.Type][]dnswire.RR),
+		records: make(map[dnswire.Name][]dnswire.RR),
 	}
 }
 
@@ -40,12 +45,20 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	if !rr.Name.IsSubdomainOf(z.Apex) {
 		return fmt.Errorf("zone: %s outside zone %s", rr.Name, z.Apex)
 	}
-	byType, ok := z.records[rr.Name]
-	if !ok {
-		byType = make(map[dnswire.Type][]dnswire.RR)
-		z.records[rr.Name] = byType
+	rrs, t := z.records[rr.Name], rr.Type()
+	i := len(rrs)
+	for i > 0 && rrs[i-1].Type() > t {
+		i--
 	}
-	byType[rr.Type()] = append(byType[rr.Type()], rr)
+	if i == len(rrs) {
+		z.records[rr.Name] = append(rrs, rr)
+		return nil
+	}
+	// Before a later type: into a new slice, so the records after i do
+	// not move under a reader holding them.
+	grown := make([]dnswire.RR, 0, len(rrs)+1)
+	grown = append(append(grown, rrs[:i]...), rr)
+	z.records[rr.Name] = append(grown, rrs[i:]...)
 	return nil
 }
 
@@ -62,20 +75,39 @@ func (z *Zone) AddData(owner dnswire.Name, data dnswire.RData) error {
 	return z.Add(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: z.TTL, Data: data})
 }
 
-// Lookup returns the records of the given type at owner.
+// Lookup returns the records of the given type at owner: the zone's own,
+// capacity-limited, so appending to them copies.
 func (z *Zone) Lookup(owner dnswire.Name, t dnswire.Type) []dnswire.RR {
-	return z.records[owner][t]
+	rrs := z.records[owner]
+	i := 0
+	for i < len(rrs) && rrs[i].Type() < t {
+		i++
+	}
+	j := i
+	for j < len(rrs) && rrs[j].Type() == t {
+		j++
+	}
+	if i == j {
+		return nil
+	}
+	return rrs[i:j:j]
 }
 
 // TypesAt returns the set of types present at owner.
 func (z *Zone) TypesAt(owner dnswire.Name) []dnswire.Type {
-	byType := z.records[owner]
-	out := make([]dnswire.Type, 0, len(byType))
-	for t := range byType {
-		out = append(out, t)
+	rrs := z.records[owner]
+	return appendTypes(make([]dnswire.Type, 0, len(rrs)), rrs)
+}
+
+// appendTypes appends the distinct types of rrs, records grouped by
+// type, to dst.
+func appendTypes(dst []dnswire.Type, rrs []dnswire.RR) []dnswire.Type {
+	for i, rr := range rrs {
+		if i == 0 || rr.Type() != rrs[i-1].Type() {
+			dst = append(dst, rr.Type())
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // HasName reports whether any record exists exactly at owner.
@@ -101,15 +133,7 @@ func (z *Zone) Names() []dnswire.Name {
 func (z *Zone) Records() []dnswire.RR {
 	var out []dnswire.RR
 	for _, n := range z.Names() {
-		byType := z.records[n]
-		types := make([]dnswire.Type, 0, len(byType))
-		for t := range byType {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			out = append(out, byType[t]...)
-		}
+		out = append(out, z.records[n]...)
 	}
 	return out
 }
@@ -169,21 +193,21 @@ func (z *Zone) AuthoritativeNames() map[dnswire.Name]dnswire.TypeBitmap {
 // nothing for any name.
 func (z *Zone) authoritativeNames() (names map[dnswire.Name]dnswire.TypeBitmap, cuts, wildcards bool) {
 	names = make(map[dnswire.Name]dnswire.TypeBitmap, len(z.records))
-	for owner, byType := range z.records {
+	var types []dnswire.Type
+	for owner, rrs := range z.records {
 		cut := z.IsDelegation(owner)
 		cuts = cuts || cut
 		wildcards = wildcards || owner.IsWildcard()
 		if z.IsGlue(owner) {
 			continue
 		}
-		types := make([]dnswire.Type, 0, len(byType))
-		for t := range byType {
+		types = appendTypes(types[:0], rrs)
+		if cut {
 			// At a delegation point only NS and DS are authoritative
 			// enough to appear in the bitmap (NS appears but unsigned).
-			if cut && t != dnswire.TypeNS && t != dnswire.TypeDS {
-				continue
-			}
-			types = append(types, t)
+			types = slices.DeleteFunc(types, func(t dnswire.Type) bool {
+				return t != dnswire.TypeNS && t != dnswire.TypeDS
+			})
 		}
 		names[owner] = dnswire.NewTypeBitmap(types...)
 		// Walk up to the apex inserting empty non-terminals.
