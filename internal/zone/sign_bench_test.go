@@ -75,8 +75,8 @@ func (h *heapSampler) stop() uint64 {
 }
 
 // BenchmarkSignAll times SignAll over the 20,000-name hero zone
-// prepared by SignOnDemand — every RRSIG but the DNSKEY RRset's, 40,007
-// in all — and reports signatures per second and the heap high-water
+// prepared by SignOnDemand — every RRSIG but the DNSKEY RRset's, 40,006
+// of 40,007 — and reports signatures per second and the heap high-water
 // mark while signing. It is the per-layer reading of Sign's share of
 // bench/'s authd set-up; ci.sh runs it once (-benchtime=1x).
 func BenchmarkSignAll(b *testing.B) {
