@@ -8,7 +8,7 @@
 #   package-local benchmark once; the smokes over built binaries (authd
 #   /metrics, survey metrics, distributed survey and resolver study,
 #   resolver study sharded and one-world, statewalk); reprolint's
-#   fixture self-check and its baseline ratchet.
+#   fixture self-check, then reprolint over the tree (any finding fails).
 # No leg measures speed: the numbers are bench/'s, committed in
 # BENCH.ndjson, and allocation ceilings are AllocsPerRun pins in tier-1.
 set -euo pipefail
@@ -22,7 +22,7 @@ go vet ./...
 # bench/ is a module of its own (replace repro => ../), so the root
 # ./... never compiles it: vet it here, or an API slip in what it calls
 # surfaces only when the benchmark pipeline runs. Same for reprolint:
-# bench/README.md promises the module is clean with no baseline. Its
+# bench/README.md promises the module is clean. Its
 # tests run too (~40 s): bench/layers.go probes AddLazyZone/ZoneFor and
 # the deploy options directly, so a behavioural slip in that surface
 # would otherwise show up only as a benchmark failure.
@@ -241,12 +241,10 @@ go run ./cmd/reprolint -selfcheck internal/lint/testdata > reprolint-selfcheck.j
 grep -q '"elapsed_ms"' reprolint-selfcheck.json \
   || { echo "self-check report lacks elapsed_ms timings"; exit 1; }
 
-echo "== reprolint (baseline ratchet) =="
-# The baseline is the tolerated-findings ratchet. MAX_BASELINE pins the
-# ceiling at the committed entry count; it may only ever be decreased.
-# One load-and-analyze pass both gates the build and writes the JSON
-# report kept as a CI artifact for triage.
-MAX_BASELINE=0
-go run ./cmd/reprolint -json -baseline lint.baseline.json -max-baseline "$MAX_BASELINE" ./... > reprolint-report.json
+echo "== reprolint =="
+# One load-and-analyze pass both gates the build — reprolint exits 1 on
+# any finding — and writes the JSON report kept as a CI artifact for
+# triage.
+go run ./cmd/reprolint -json ./... > reprolint-report.json
 
 echo "CI: all legs passed"

@@ -100,42 +100,6 @@ func parseDirectives(doc *ast.CommentGroup) map[string]string {
 	return out
 }
 
-// ParseExcludes splits a -exclude flag value into path fragments,
-// dropping empties so "a,,b," behaves like "a,b".
-func ParseExcludes(flagValue string) []string {
-	var out []string
-	for _, part := range strings.Split(flagValue, ",") {
-		part = strings.TrimSpace(part)
-		if part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-// Suppress drops diagnostics whose file path contains any of the
-// exclude fragments. Matching is substring-based: "internal/netsim"
-// suppresses the whole package, "rdata.go" one file.
-func Suppress(diags []Diagnostic, excludes []string) []Diagnostic {
-	if len(excludes) == 0 {
-		return diags
-	}
-	var kept []Diagnostic
-	for _, d := range diags {
-		suppressed := false
-		for _, ex := range excludes {
-			if strings.Contains(d.Pos.Filename, ex) {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
 // JSONDiagnostic is the stable -json output shape of one finding.
 type JSONDiagnostic struct {
 	Analyzer string `json:"analyzer"`

@@ -9,44 +9,6 @@ import (
 	"repro/internal/lint"
 )
 
-func fakeDiags() []lint.Diagnostic {
-	return []lint.Diagnostic{
-		{Analyzer: "wiresafety", Pos: token.Position{Filename: "internal/dnswire/rdata.go", Line: 10, Column: 3}, Message: "unguarded index"},
-		{Analyzer: "errdiscard", Pos: token.Position{Filename: "internal/netsim/udp.go", Line: 20, Column: 2}, Message: "dropped error"},
-		{Analyzer: "rfcconst", Pos: token.Position{Filename: "cmd/nsec3scan/main.go", Line: 30, Column: 1}, Message: "magic number"},
-	}
-}
-
-func TestParseExcludes(t *testing.T) {
-	if got := lint.ParseExcludes(""); got != nil {
-		t.Errorf("ParseExcludes(%q) = %v, want nil", "", got)
-	}
-	got := lint.ParseExcludes(" internal/netsim , ,rdata.go,")
-	want := []string{"internal/netsim", "rdata.go"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ParseExcludes = %v, want %v", got, want)
-	}
-}
-
-func TestSuppress(t *testing.T) {
-	diags := fakeDiags()
-	if got := lint.Suppress(diags, nil); len(got) != 3 {
-		t.Errorf("no excludes: kept %d diagnostics, want 3", len(got))
-	}
-	got := lint.Suppress(diags, []string{"internal/netsim"})
-	if len(got) != 2 {
-		t.Fatalf("suppressing internal/netsim: kept %d diagnostics, want 2", len(got))
-	}
-	for _, d := range got {
-		if d.Pos.Filename == "internal/netsim/udp.go" {
-			t.Errorf("diagnostic in excluded path survived: %s", d)
-		}
-	}
-	if got := lint.Suppress(diags, []string{"rdata.go", "cmd/"}); len(got) != 1 || got[0].Analyzer != "errdiscard" {
-		t.Errorf("multi-fragment suppression kept %v, want only the errdiscard finding", got)
-	}
-}
-
 // TestJSONShape pins the -json wire format: an array (never null) of
 // objects with exactly the analyzer/file/line/column/message keys.
 func TestJSONShape(t *testing.T) {
@@ -58,7 +20,11 @@ func TestJSONShape(t *testing.T) {
 		t.Errorf("empty diagnostics encode as %s, want []", empty)
 	}
 
-	out, err := json.Marshal(lint.ToJSON(fakeDiags()[:1]))
+	out, err := json.Marshal(lint.ToJSON([]lint.Diagnostic{{
+		Analyzer: "wiresafety",
+		Pos:      token.Position{Filename: "internal/dnswire/rdata.go", Line: 10, Column: 3},
+		Message:  "unguarded index",
+	}}))
 	if err != nil {
 		t.Fatal(err)
 	}
