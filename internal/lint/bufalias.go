@@ -86,22 +86,10 @@ type bufAliaser struct {
 	fnScope map[types.Object]bool
 }
 
-// isByteSliceOrPtr reports whether t is []byte or *[]byte (pooled
-// buffers are typically stored behind a pointer to avoid boxing the
-// header on Put).
-func isByteSliceOrPtr(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return isByteSlice(t)
-}
-
 // seedParams registers every []byte / *[]byte parameter as a
-// caller-provided buffer and records the function's param/receiver
-// objects.
+// caller-provided buffer (pooled buffers are typically held behind a
+// pointer, so both forms count everywhere) and records the function's
+// param/receiver objects.
 func (a *bufAliaser) seedParams(fd *ast.FuncDecl) {
 	a.fnScope = map[types.Object]bool{}
 	seed := func(fl *ast.FieldList) {
@@ -115,7 +103,7 @@ func (a *bufAliaser) seedParams(fd *ast.FuncDecl) {
 					continue
 				}
 				a.fnScope[obj] = true
-				if isByteSliceOrPtr(obj.Type()) {
+				if isByteSlice(deref(obj.Type())) {
 					a.bufs[obj] = bufInfo{origin: originParam}
 				}
 			}
@@ -125,31 +113,14 @@ func (a *bufAliaser) seedParams(fd *ast.FuncDecl) {
 	seed(fd.Type.Params)
 }
 
-// bufRoot resolves an expression to a tracked buffer, unwrapping
-// parens, derefs, and slice expressions. sub reports whether any slice
-// expression was crossed (the result aliases part of the buffer rather
-// than being the variable itself).
+// bufRoot resolves an expression to a tracked buffer through derefs
+// and slice expressions. sub reports whether a slice expression was
+// crossed (the result aliases part of the buffer rather than being the
+// variable itself).
 func (a *bufAliaser) bufRoot(e ast.Expr) (obj types.Object, info bufInfo, sub, ok bool) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			sub = true
-			e = x.X
-		case *ast.Ident:
-			o := a.info.Uses[x]
-			if o == nil {
-				return nil, bufInfo{}, false, false
-			}
-			bi, tracked := a.bufs[o]
-			return o, bi, sub || bi.sub, tracked
-		default:
-			return nil, bufInfo{}, false, false
-		}
-	}
+	obj, crossed := rootVar(a.info, e, hopDeref|hopSlice)
+	info, ok = a.bufs[obj]
+	return obj, info, crossed&hopSlice != 0 || info.sub, ok
 }
 
 // walkBody runs the alias scan over the function body in source order:
@@ -193,7 +164,7 @@ func (a *bufAliaser) assign(s *ast.AssignStmt) {
 		// New pooled buffers: bp := pool.Get().(*[]byte).
 		if isSyncPoolGet(a.info, rhs) {
 			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-				if obj := a.info.Defs[id]; obj != nil && isByteSliceOrPtr(obj.Type()) {
+				if obj := a.info.Defs[id]; obj != nil && isByteSlice(deref(obj.Type())) {
 					a.bufs[obj] = bufInfo{origin: originPooled}
 				}
 			}
@@ -204,16 +175,9 @@ func (a *bufAliaser) assign(s *ast.AssignStmt) {
 			continue
 		}
 		// Propagate through a plain local copy: y := x, y := x[i:j].
-		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-			var lobj types.Object = a.info.Defs[id]
-			if lobj == nil {
-				lobj = a.info.Uses[id]
-			}
-			if lobj == nil {
-				continue
-			}
+		if lobj, _ := rootVar(a.info, lhs, 0); lobj != nil {
 			// A store into a package-level variable survives every call.
-			if lobj.Parent() != nil && lobj.Parent().Parent() == types.Universe {
+			if isPackageLevel(lobj) {
 				a.pass.Reportf(lhs.Pos(),
 					"%s of the %s buffer %s is stored in package-level variable %s and outlives the call — copy it instead",
 					aliasNoun(sub), bi.origin, obj.Name(), lobj.Name())
@@ -243,37 +207,16 @@ func (a *bufAliaser) assign(s *ast.AssignStmt) {
 // through locals are invisible escapes only if the local itself
 // escapes, which is beyond this analysis — they are accepted.
 func (a *bufAliaser) storeTarget(lhs ast.Expr) (types.Object, string) {
-	e := lhs
-	crossed := false
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-			crossed = true
-		case *ast.SelectorExpr:
-			e = x.X
-			crossed = true
-		case *ast.IndexExpr:
-			e = x.X
-			crossed = true
-		case *ast.Ident:
-			obj := a.info.Uses[e.(*ast.Ident)]
-			if obj == nil || !crossed {
-				return nil, ""
-			}
-			if a.fnScope[obj] {
-				return obj, "a field of"
-			}
-			if obj.Parent() != nil && obj.Parent().Parent() == types.Universe {
-				return obj, "package-level"
-			}
-			return nil, ""
-		default:
-			return nil, ""
-		}
+	obj, crossed := rootVar(a.info, lhs, hopDeref|hopField|hopIndex)
+	switch {
+	case obj == nil || crossed == 0:
+		return nil, ""
+	case a.fnScope[obj]:
+		return obj, "a field of"
+	case isPackageLevel(obj):
+		return obj, "package-level"
 	}
+	return nil, ""
 }
 
 // checkReturn flags returned subslices of tracked buffers. Whole
@@ -300,33 +243,6 @@ func (a *bufAliaser) checkReturn(s *ast.ReturnStmt) {
 	}
 }
 
-// readCallTarget matches a read-into-buffer call (net.Conn Read,
-// PacketConn ReadFrom*, io.ReadFull/ReadAtLeast) and returns the
-// buffer argument expression, or nil.
-func readCallTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return nil
-	}
-	switch fn.Name() {
-	case "Read", "ReadFrom", "ReadFromUDP", "ReadMsgUDP":
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil || len(call.Args) == 0 {
-			return nil
-		}
-		if !isByteSliceOrPtr(sig.Params().At(0).Type()) {
-			return nil
-		}
-		return call.Args[0]
-	case "ReadFull", "ReadAtLeast":
-		if fn.Pkg() == nil || fn.Pkg().Path() != "io" || len(call.Args) < 2 {
-			return nil
-		}
-		return call.Args[1]
-	}
-	return nil
-}
-
 // checkLoopReads finds buffers declared before the loop that a read
 // call refills inside it, then flags escapes of those buffers from
 // within the loop body: goroutine arguments, function-literal
@@ -335,16 +251,11 @@ func readCallTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
 func (a *bufAliaser) checkLoopReads(body *ast.BlockStmt, loopPos token.Pos) {
 	reused := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		target := readCallTarget(a.info, call)
-		if target == nil {
-			return true
-		}
-		if obj := rootIdentObj(a.info, target); obj != nil && obj.Pos() < loopPos && isByteSliceOrPtr(obj.Type()) {
-			reused[obj] = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			obj, _ := rootVar(a.info, readInto(a.info, call), hopDeref|hopSlice)
+			if obj != nil && obj.Pos() < loopPos && isByteSlice(deref(obj.Type())) {
+				reused[obj] = true
+			}
 		}
 		return true
 	})
@@ -384,7 +295,7 @@ func (a *bufAliaser) checkLoopReads(body *ast.BlockStmt, loopPos token.Pos) {
 			// append(dst, buf...) copies the bytes and is clean.
 			if builtinCall(a.info, s) == "append" && s.Ellipsis == token.NoPos {
 				for _, arg := range s.Args[1:] {
-					if isByteSliceOrPtr(a.info.TypeOf(arg)) {
+					if isByteSlice(deref(a.info.TypeOf(arg))) {
 						escape(arg, "is retained by a growing slice")
 					}
 				}
@@ -392,23 +303,4 @@ func (a *bufAliaser) checkLoopReads(body *ast.BlockStmt, loopPos token.Pos) {
 		}
 		return true
 	})
-}
-
-// rootIdentObj resolves an expression through parens, derefs, and
-// slices to its root identifier's object.
-func rootIdentObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.Ident:
-			return info.Uses[x]
-		default:
-			return nil
-		}
-	}
 }

@@ -159,26 +159,19 @@ func isSignalChan(t types.Type) bool {
 	return ok && st.NumFields() == 0
 }
 
-// blockingNetFuncs are the net package functions and methods whose
-// call blocks on the network (or on kernel accept queues). Resolution
-// is by name within package net, which covers both the concrete
-// methods ((*UDPConn).ReadFrom) and the interface methods
-// (net.Conn.Read, net.Listener.Accept).
-var blockingNetFuncs = map[string]bool{
-	"Dial": true, "DialContext": true, "DialTimeout": true,
-	"Listen": true, "ListenPacket": true, "ListenUDP": true,
-	"ListenTCP": true, "ListenIP": true, "ListenMulticastUDP": true,
-	"Accept": true, "AcceptTCP": true, "AcceptUDP": true,
-	"Read": true, "ReadFrom": true, "ReadFromUDP": true,
-	"ReadMsgUDP": true, "Write": true, "WriteTo": true,
-	"WriteToUDP": true, "WriteMsgUDP": true,
-}
-
-// blockingIOFuncs are the io package fill/drain helpers that loop on
-// Read until satisfied.
-var blockingIOFuncs = map[string]bool{
-	"ReadFull": true, "ReadAtLeast": true, "Copy": true,
-	"CopyN": true, "ReadAll": true,
+// blockingCalls are the net and io calls besides the reads readInto
+// knows that block: dialing, listening, accepting and writing on the
+// network (or on kernel accept queues), and the io helpers that loop
+// on Read until satisfied. Resolution is by name within the package,
+// which covers both the concrete methods ((*UDPConn).WriteTo) and the
+// interface methods (net.Conn.Write, net.Listener.Accept).
+var blockingCalls = map[string]bool{
+	"net.Dial": true, "net.DialContext": true, "net.DialTimeout": true,
+	"net.Listen": true, "net.ListenPacket": true, "net.ListenUDP": true,
+	"net.ListenTCP": true, "net.ListenIP": true, "net.ListenMulticastUDP": true,
+	"net.Accept": true, "net.AcceptTCP": true, "net.AcceptUDP": true,
+	"net.Write": true, "net.WriteTo": true, "net.WriteToUDP": true, "net.WriteMsgUDP": true,
+	"io.Copy": true, "io.CopyN": true, "io.ReadAll": true,
 }
 
 // blockingSource describes the first blocking operation in node's own
@@ -190,48 +183,18 @@ func blockingSource(node *CallNode) string {
 
 	// Channel ops inside select comm clauses are not seeds: the select
 	// is the cancellation mechanism (rule 3 checks it has one).
-	inComm := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		cc, ok := n.(*ast.CommClause)
-		if !ok || cc.Comm == nil {
-			return true
-		}
-		inComm[cc.Comm] = true
-		switch s := cc.Comm.(type) {
-		case *ast.ExprStmt:
-			inComm[ast.Unparen(s.X)] = true
-		case *ast.AssignStmt:
-			for _, rhs := range s.Rhs {
-				inComm[ast.Unparen(rhs)] = true
-			}
-		}
-		return true
-	})
+	inComm := selectComms(body)
 
 	found := ""
-	ast.Inspect(body, func(n ast.Node) bool {
+	inspectOwn(body, func(n ast.Node) bool {
 		if found != "" {
 			return false
 		}
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.CallExpr:
-			fn := calleeFunc(info, n)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "net":
-				if blockingNetFuncs[fn.Name()] {
-					found = "net." + fn.Name()
-				}
-			case "io":
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil && blockingIOFuncs[fn.Name()] {
-					found = "io." + fn.Name()
+			if fn := calleeFunc(info, n); fn != nil && fn.Pkg() != nil {
+				if name := fn.Pkg().Path() + "." + fn.Name(); blockingCalls[name] || readInto(info, n) != nil {
+					found = name
 				}
 			}
 		case *ast.UnaryExpr:
@@ -248,14 +211,34 @@ func blockingSource(node *CallNode) string {
 	return found
 }
 
+// selectComms returns the communication of every select case under
+// root outside function literals — each case's statement and the
+// channel operation in it. Such an operation has the other cases as
+// alternatives: it is not a bare send or receive.
+func selectComms(root ast.Node) map[ast.Node]bool {
+	comms := map[ast.Node]bool{}
+	inspectOwn(root, func(n ast.Node) bool {
+		if cc, ok := n.(*ast.CommClause); ok && cc.Comm != nil {
+			comms[cc.Comm] = true
+			switch s := cc.Comm.(type) {
+			case *ast.ExprStmt:
+				comms[ast.Unparen(s.X)] = true
+			case *ast.AssignStmt:
+				for _, rhs := range s.Rhs {
+					comms[ast.Unparen(rhs)] = true
+				}
+			}
+		}
+		return true
+	})
+	return comms
+}
+
 // checkCtxRoots reports context.Background / context.TODO calls (rule
 // 2): library code must inherit its context, not mint a root.
 func checkCtxRoots(pass *ProjectPass, node *CallNode) {
 	info := node.Pkg.Info
-	ast.Inspect(node.Body(), func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectOwn(node.Body(), func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -277,10 +260,7 @@ func checkCtxRoots(pass *ProjectPass, node *CallNode) {
 // than block and are exempt (goleak separately proves loop exits).
 func checkSelectLoops(pass *ProjectPass, node *CallNode) {
 	info := node.Pkg.Info
-	ast.Inspect(node.Body(), func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectOwn(node.Body(), func(n ast.Node) bool {
 		loop, ok := n.(*ast.ForStmt)
 		if !ok || loop.Cond != nil {
 			return true

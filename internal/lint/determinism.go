@@ -230,7 +230,10 @@ func nondetSources(info *types.Info, root ast.Node, intoLits bool) []nondetSourc
 							"output written inside range over map " + exprString(rs.X) + " depends on map iteration order; collect and sort first"})
 					}
 				case *ast.AssignStmt:
-					if len(n.Lhs) != 1 || len(n.Rhs) != 1 || builtinCall(info, n.Rhs[0]) != "append" || declaredWithin(info, n.Lhs[0], rs) {
+					if len(n.Lhs) != 1 || len(n.Rhs) != 1 || builtinCall(info, n.Rhs[0]) != "append" {
+						return
+					}
+					if root, _ := rootVar(info, n.Lhs[0], hopDeref|hopField|hopIndex); declaredIn(root, rs) {
 						return
 					}
 					if target := exprString(n.Lhs[0]); !sortedAfter(info, target, list[i+1:]) {
@@ -244,27 +247,6 @@ func nondetSources(info *types.Info, root ast.Node, intoLits bool) []nondetSourc
 	return out
 }
 
-// declaredWithin reports whether the root variable of expr (the base
-// identifier under any selectors, indexes, or dereferences) is declared
-// inside the range statement's extent.
-func declaredWithin(info *types.Info, expr ast.Expr, rs *ast.RangeStmt) bool {
-	for {
-		switch e := ast.Unparen(expr).(type) {
-		case *ast.SelectorExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.Ident:
-			obj := info.ObjectOf(e)
-			return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()
-		default:
-			return false
-		}
-	}
-}
-
 // isOutputCall reports whether the call writes to an output sink:
 // a fmt print function or a Write*/print method on any receiver.
 func isOutputCall(info *types.Info, call *ast.CallExpr) bool {
@@ -272,11 +254,8 @@ func isOutputCall(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if fn.Pkg().Path() == "fmt" {
-		switch fn.Name() {
-		case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
-			return true
-		}
+	if isFmtPrint(fn) {
+		return true
 	}
 	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
 		switch fn.Name() {

@@ -138,21 +138,14 @@ func errExempt(info *types.Info, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	if fn.Pkg().Path() == "fmt" {
-		switch fn.Name() {
-		case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
-			return true
-		}
+	if isFmtPrint(fn) {
+		return true
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	named, ok := recv.(*types.Named)
+	named, ok := deref(sig.Recv().Type()).(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
@@ -162,6 +155,16 @@ func errExempt(info *types.Info, call *ast.CallExpr) bool {
 		case "Write", "WriteString", "WriteByte", "WriteRune":
 			return true
 		}
+	}
+	return false
+}
+
+// isFmtPrint reports whether fn is one of fmt's Print and Fprint
+// functions, the ones that write output.
+func isFmtPrint(fn *types.Func) bool {
+	switch fn.Name() {
+	case "Print", "Printf", "Println", "Fprint", "Fprintf", "Fprintln":
+		return fn.Pkg() != nil && fn.Pkg().Path() == "fmt"
 	}
 	return false
 }

@@ -154,24 +154,30 @@ func (f *flow[S]) stmt(stmt ast.Stmt, s S) (S, bool) {
 
 // exitsFlow is the one notion of "control does not continue past this
 // leaf": a return, a branch (break, continue, goto, fallthrough), or a
-// panic-like call.
+// call that never returns.
 func exitsFlow(stmt ast.Stmt) bool {
 	switch s := stmt.(type) {
 	case *ast.ReturnStmt, *ast.BranchStmt:
 		return true
 	case *ast.ExprStmt:
 		call, ok := s.X.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			return fun.Name == "panic"
-		case *ast.SelectorExpr:
-			switch fun.Sel.Name {
-			case "Exit", "Fatal", "Fatalf", "Panic", "Panicf":
-				return true
-			}
+		return ok && neverReturns(call)
+	}
+	return false
+}
+
+// neverReturns is the one notion of a call that does not come back to
+// its caller: panic, or a selector call named like os.Exit,
+// runtime.Goexit, the Fatal family of log and testing, or log's Panic
+// family. The match is by name, whatever the receiver or package.
+func neverReturns(call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name == "panic"
+	case *ast.SelectorExpr:
+		switch fun.Sel.Name {
+		case "Exit", "Goexit", "Fatal", "Fatalf", "Fatalln", "Panic", "Panicf", "Panicln":
+			return true
 		}
 	}
 	return false

@@ -13,8 +13,8 @@ import (
 // provably-unterminating shapes are reported:
 //
 //   - an unconditional `for { ... }` loop in the spawned function with
-//     no way out: no return, no break that targets it, no panic or
-//     runtime.Goexit/os.Exit — the goroutine can never finish, and
+//     no way out: no return, no break or goto that leaves it, no call
+//     that never returns — the goroutine can never finish, and
 //     there is no cancellation case to add one (the netsim servers'
 //     accept loops pass because their shutdown select returns);
 //
@@ -45,10 +45,7 @@ func runGoLeak(pass *ProjectPass) {
 		if body == nil {
 			continue
 		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false // nested literals are their own nodes
-			}
+		inspectOwn(body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
@@ -87,24 +84,11 @@ func checkGoroutineBody(pass *ProjectPass, node *CallNode, gs *ast.GoStmt, body 
 	goPos := fset.Position(gs.Pos())
 	// A send that is a select communication clause has, by
 	// construction, alternative cases (or a deliberate single-case
-	// select); collect them so the walk below exempts them.
-	selectComms := map[ast.Stmt]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, clause := range sel.Body.List {
-				if cc, ok := clause.(*ast.CommClause); ok && cc.Comm != nil {
-					selectComms[cc.Comm] = true
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
+	// select). A literal inside the spawned body runs in its own right;
+	// its own go statements are checked when its node walks.
+	comms := selectComms(body)
+	inspectOwn(body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			// A literal inside the spawned body runs in its own right;
-			// its own go statements are checked when its node walks.
-			return false
 		case *ast.ForStmt:
 			if n.Cond == nil && !loopCanExit(n) && !reported[n.Pos()] {
 				reported[n.Pos()] = true
@@ -113,7 +97,7 @@ func checkGoroutineBody(pass *ProjectPass, node *CallNode, gs *ast.GoStmt, body 
 					shortPath(goPos.Filename), goPos.Line)
 			}
 		case *ast.SendStmt:
-			if selectComms[n] || reported[n.Pos()] {
+			if comms[n] || reported[n.Pos()] {
 				return true
 			}
 			reported[n.Pos()] = true
@@ -128,9 +112,9 @@ func checkGoroutineBody(pass *ProjectPass, node *CallNode, gs *ast.GoStmt, body 
 // loopCanExit reports whether an unconditional for loop contains a
 // statement that leaves it: a return, a break targeting this loop
 // (unlabeled breaks inside nested for/switch/select target those
-// instead; a labeled break whose label is declared outside the loop
-// body exits the loop or an ancestor, either way leaving it), panic,
-// runtime.Goexit, os.Exit, or log.Fatal*.
+// instead), a break or goto to a label declared outside the loop body
+// (it exits the loop or an ancestor, either way leaving it), or a call
+// that never returns.
 func loopCanExit(loop *ast.ForStmt) bool {
 	innerLabels := map[string]bool{}
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
@@ -150,35 +134,15 @@ func loopCanExit(loop *ast.ForStmt) bool {
 			return false // break/return inside a literal exits the literal
 		case *ast.ReturnStmt:
 			exits = true
-			return false
 		case *ast.BranchStmt:
-			if n.Tok != token.BREAK {
-				return true
+			switch {
+			case n.Tok == token.BREAK && n.Label == nil:
+				exits = depth == 0
+			case n.Tok == token.BREAK, n.Tok == token.GOTO:
+				exits = !innerLabels[n.Label.Name]
 			}
-			if n.Label == nil && depth == 0 {
-				exits = true
-			}
-			if n.Label != nil && !innerLabels[n.Label.Name] {
-				exits = true
-			}
-			return false
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				exits = true
-				return false
-			}
-			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok {
-					switch {
-					case x.Name == "runtime" && sel.Sel.Name == "Goexit",
-						x.Name == "os" && sel.Sel.Name == "Exit",
-						x.Name == "log" && (sel.Sel.Name == "Fatal" || sel.Sel.Name == "Fatalf" || sel.Sel.Name == "Fatalln"):
-						exits = true
-						return false
-					}
-				}
-			}
-			return true
+			exits = neverReturns(n)
 		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 			// One breakable level deeper: unlabeled breaks inside no
 			// longer target our loop.
@@ -190,7 +154,7 @@ func loopCanExit(loop *ast.ForStmt) bool {
 			})
 			return false
 		}
-		return true
+		return !exits
 	}
 	ast.Inspect(loop.Body, func(n ast.Node) bool { return walk(n, 0) })
 	return exits

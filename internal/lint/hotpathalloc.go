@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // HotPathAllocAnalyzer is the static twin of -benchmem: functions
@@ -185,7 +186,7 @@ func allocSites(node *CallNode) []allocSite {
 				}
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringType(info.TypeOf(n)) {
+			if n.Op == token.ADD && isBasic(info.TypeOf(n), types.IsString) {
 				if tv, ok := info.Types[ast.Expr(n)]; !ok || tv.Value == nil {
 					add(n.Pos(), "a string concatenation")
 				}
@@ -226,9 +227,9 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, owned map[types.Object
 	// Conversions: string <-> []byte / []rune.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		to, from := tv.Type, info.TypeOf(call.Args[0])
-		if isStringType(to) && isByteOrRuneSlice(from) {
+		if isBasic(to, types.IsString) && isSliceOf(from, types.Uint8, types.Int32) {
 			add(call.Pos(), "a []byte/[]rune-to-string conversion")
-		} else if isByteOrRuneSlice(to) && isStringType(from) {
+		} else if isSliceOf(to, types.Uint8, types.Int32) && isBasic(from, types.IsString) {
 			add(call.Pos(), "a string-to-[]byte/[]rune conversion")
 		}
 		return
@@ -283,39 +284,17 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, owned map[types.Object
 	}
 }
 
-// isByteOrRuneSlice reports whether t is []byte or []rune.
-func isByteOrRuneSlice(t types.Type) bool {
-	return isByteSlice(t) || isSliceOf(t, types.Int32)
-}
-
 // capturesVariables reports whether the literal references objects
 // declared outside its own body (other than package-level ones):
 // exactly the captures that force a heap-allocated closure context.
 func capturesVariables(info *types.Info, lit *ast.FuncLit) bool {
 	captured := false
 	ast.Inspect(lit, func(n ast.Node) bool {
-		if captured {
-			return false
+		if id, ok := n.(*ast.Ident); ok {
+			v, ok := info.Uses[id].(*types.Var)
+			captured = ok && !v.IsField() && !isPackageLevel(v) && !declaredIn(v, lit)
 		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		if v.Parent() != nil && v.Parent().Parent() == types.Universe {
-			return true // package-level: no capture
-		}
-		if v.Pos() < lit.Pos() || v.Pos() > lit.End() {
-			captured = true
-		}
-		return true
+		return !captured
 	})
 	return captured
 }
@@ -327,62 +306,25 @@ func capturesVariables(info *types.Info, lit *ast.FuncLit) bool {
 // buffer through an append-style call that also receives it).
 func ownedBuffers(node *CallNode) map[types.Object]bool {
 	owned := map[types.Object]bool{}
-	if node.Func != nil {
-		if sig, ok := node.Func.Type().(*types.Signature); ok {
-			if r := sig.Recv(); r != nil {
-				owned[r] = true
-			}
-			for i := 0; i < sig.Params().Len(); i++ {
-				owned[sig.Params().At(i)] = true
-			}
-		}
-	}
-	if node.Lit != nil {
-		if sig, ok := node.Pkg.Info.TypeOf(node.Lit).(*types.Signature); ok {
-			for i := 0; i < sig.Params().Len(); i++ {
-				owned[sig.Params().At(i)] = true
-			}
-		}
-	}
-	body := node.Body()
-	if body == nil {
-		return owned
-	}
 	info := node.Pkg.Info
-	// Fixpoint: assignments propagate ownedness left-to-right; two
-	// passes handle the occasional use-before-later-def in loops.
-	for pass := 0; pass < 2; pass++ {
-		changed := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || owned[obj] {
-					continue
-				}
-				if ownedExpr(info, as.Rhs[i], owned) {
-					owned[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-		if !changed {
-			break
+	var sig *types.Signature
+	if node.Func != nil {
+		sig, _ = node.Func.Type().(*types.Signature)
+	} else if node.Lit != nil {
+		sig, _ = info.TypeOf(node.Lit).(*types.Signature)
+	}
+	if sig != nil {
+		if r := sig.Recv(); r != nil {
+			owned[r] = true
 		}
+		for i := 0; i < sig.Params().Len(); i++ {
+			owned[sig.Params().At(i)] = true
+		}
+	}
+	if body := node.Body(); body != nil {
+		growLocals(info, body, false, owned, func(_ types.Object, rhs ast.Expr) bool {
+			return ownedExpr(info, rhs, owned)
+		})
 	}
 	return owned
 }
@@ -393,35 +335,21 @@ func ownedBuffers(node *CallNode) map[types.Object]bool {
 // call that was handed one (the `buf = f(buf)` append-style threading
 // idiom).
 func ownedExpr(info *types.Info, e ast.Expr, owned map[types.Object]bool) bool {
-	switch e := ast.Unparen(e).(type) {
+	// A field of an owned object (e.buf on a receiver) shares its
+	// owner's capacity budget.
+	root, _ := rootOf(e, hopDeref|hopField|hopIndex)
+	switch e := root.(type) {
 	case *ast.Ident:
-		obj := info.Uses[e]
-		return obj != nil && owned[obj]
-	case *ast.SelectorExpr:
-		// A field of an owned object (e.buf on a receiver) shares its
-		// owner's capacity budget.
-		return ownedExpr(info, e.X, owned)
-	case *ast.StarExpr:
-		return ownedExpr(info, e.X, owned)
+		return owned[info.ObjectOf(e)]
 	case *ast.SliceExpr:
-		if isLocalArray(info, e.X) {
-			return true
-		}
-		return ownedExpr(info, e.X, owned)
-	case *ast.IndexExpr:
-		return ownedExpr(info, e.X, owned)
+		return isLocalArray(info, e.X) || ownedExpr(info, e.X, owned)
 	case *ast.CallExpr:
 		if builtinCall(info, e) == "append" && len(e.Args) > 0 {
 			return ownedExpr(info, e.Args[0], owned)
 		}
 		// Append-style call: the buffer is threaded through as an
 		// argument and (by the idiom's contract) returned.
-		for _, arg := range e.Args {
-			if ownedExpr(info, arg, owned) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(e.Args, func(arg ast.Expr) bool { return ownedExpr(info, arg, owned) })
 	}
 	return false
 }
@@ -430,12 +358,9 @@ func ownedExpr(info *types.Info, e ast.Expr, owned map[types.Object]bool) bool {
 // one) of fixed-size array type: slicing it yields a stack-backed
 // buffer whose capacity is compile-time bounded.
 func isLocalArray(info *types.Info, e ast.Expr) bool {
-	t := info.TypeOf(ast.Unparen(e))
+	t := deref(info.TypeOf(ast.Unparen(e)))
 	if t == nil {
 		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
 	}
 	_, ok := t.Underlying().(*types.Array)
 	return ok

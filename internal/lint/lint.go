@@ -23,19 +23,23 @@
 // The framework intentionally mirrors the shape of
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) without
 // depending on it, honoring the repository's stdlib-only constraint.
-// Analyzers share three pieces instead of each growing its own: the
+// Analyzers share their pieces instead of each growing its own: the
 // call graph with its one search (callgraph.go: Reach), the
-// statement-flow walker (flow.go), and the //repro: directive table
-// (suppress.go). The cmd/reprolint driver loads packages and runs
-// Analyzers().
+// statement-flow walker with its one notion of a call that never
+// returns (flow.go), the //repro: directive table (suppress.go), and
+// the syntactic primitives at the end of this file — the buffer a read
+// fills (readInto), the variable an expression is rooted in (rootOf,
+// rootVar), and the assignment fixpoint over locals (growLocals). The
+// cmd/reprolint driver loads packages and runs Analyzers().
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -83,7 +87,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzer is one named check over a type-checked package, or — when
 // RunProject is set — over the whole loaded package set at once.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and suppressions.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -247,21 +251,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.RunProject(&ProjectPass{Analyzer: a, Project: project, diags: &diags})
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
 	})
 	return diags
 }
@@ -348,10 +344,31 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-// isSliceOf reports whether t is a slice whose element is the basic
-// kind elem; isByteSlice is the wire-buffer case (arrays and strings
-// are out of scope everywhere it is asked).
-func isSliceOf(t types.Type, elem types.BasicKind) bool {
+// isBasic reports whether t is a basic type with any of the properties
+// in is (types.IsString, types.IsFloat, types.IsInteger, ...).
+func isBasic(t types.Type, is types.BasicInfo) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&is != 0
+}
+
+// deref returns the element type of a pointer type and t itself for
+// any other type.
+func deref(t types.Type) types.Type {
+	if t != nil {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			return p.Elem()
+		}
+	}
+	return t
+}
+
+// isSliceOf reports whether t is a slice whose element is one of the
+// basic kinds elems; isByteSlice is the wire-buffer case (arrays and
+// strings are out of scope everywhere it is asked).
+func isSliceOf(t types.Type, elems ...types.BasicKind) bool {
 	if t == nil {
 		return false
 	}
@@ -360,7 +377,125 @@ func isSliceOf(t types.Type, elem types.BasicKind) bool {
 		return false
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == elem
+	return ok && slices.Contains(elems, b.Kind())
 }
 
 func isByteSlice(t types.Type) bool { return isSliceOf(t, types.Uint8) }
+
+// isPackageLevel reports whether obj is declared at package scope.
+func isPackageLevel(obj types.Object) bool {
+	return obj.Parent() != nil && obj.Parent().Parent() == types.Universe
+}
+
+// declaredIn reports whether obj is declared inside n's extent.
+func declaredIn(obj types.Object, n ast.Node) bool {
+	return obj != nil && n.Pos() <= obj.Pos() && obj.Pos() <= n.End()
+}
+
+// inspectOwn is ast.Inspect over one call-graph node's own code: it
+// does not enter function literals, which are nodes of their own.
+func inspectOwn(root ast.Node, visit func(ast.Node) bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		return visit(n)
+	})
+}
+
+// hop is one step from an expression toward the variable it is rooted
+// in. A set of hops is what a caller lets rootOf cross.
+type hop uint8
+
+const (
+	hopDeref hop = 1 << iota // *x
+	hopField                 // x.f
+	hopIndex                 // x[i]
+	hopSlice                 // x[i:j]
+)
+
+// rootOf is the one descent from an expression toward its root: it
+// strips parens and the hops in through, and returns what is left — an
+// identifier when e is rooted in a variable — with the hops it crossed.
+// Which hops keep an expression "the same buffer" or "the same state"
+// is each analyzer's own contract, so the caller names them.
+func rootOf(e ast.Expr, through hop) (ast.Expr, hop) {
+	var crossed hop
+	for {
+		e = ast.Unparen(e)
+		var h hop
+		var inner ast.Expr
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			h, inner = hopDeref, x.X
+		case *ast.SelectorExpr:
+			h, inner = hopField, x.X
+		case *ast.IndexExpr:
+			h, inner = hopIndex, x.X
+		case *ast.SliceExpr:
+			h, inner = hopSlice, x.X
+		}
+		if h&through == 0 {
+			return e, crossed
+		}
+		e, crossed = inner, crossed|h
+	}
+}
+
+// rootVar is the object of the identifier rootOf ends at, nil when it
+// ends anywhere else (a call, a literal, a hop not in through).
+func rootVar(info *types.Info, e ast.Expr, through hop) (types.Object, hop) {
+	root, crossed := rootOf(e, through)
+	if id, ok := root.(*ast.Ident); ok {
+		return info.ObjectOf(id), crossed
+	}
+	return nil, crossed
+}
+
+// growLocals is the one assignment fixpoint: every variable assigned,
+// in a one-to-one assignment under body, a right-hand side admit
+// accepts joins set, until no more do. Function literals are searched
+// only when lits is set.
+func growLocals(info *types.Info, body ast.Node, lits bool, set map[types.Object]bool, admit func(v types.Object, rhs ast.Expr) bool) {
+	for changed := true; changed; {
+		changed = false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return lits
+			case *ast.AssignStmt:
+				if len(n.Lhs) != len(n.Rhs) {
+					return true
+				}
+				for i, lhs := range n.Lhs {
+					if v, _ := rootVar(info, lhs, 0); v != nil && v.Name() != "_" && !set[v] && admit(v, n.Rhs[i]) {
+						set[v], changed = true, true
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// readInto returns the buffer a call fills from the network or io —
+// the first argument of a net Read, ReadFrom, ReadFromUDP or
+// ReadMsgUDP (functions and methods, interface methods included), the
+// second of io.ReadFull or io.ReadAtLeast — and nil for any other call.
+func readInto(info *types.Info, call *ast.CallExpr) ast.Expr {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return nil
+	}
+	arg := -1
+	switch fn.Pkg().Path() + "." + fn.Name() {
+	case "net.Read", "net.ReadFrom", "net.ReadFromUDP", "net.ReadMsgUDP":
+		arg = 0
+	case "io.ReadFull", "io.ReadAtLeast":
+		arg = 1
+	}
+	if arg < 0 || arg >= len(call.Args) {
+		return nil
+	}
+	return call.Args[arg]
+}

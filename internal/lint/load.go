@@ -71,7 +71,13 @@ type exportImporter struct {
 	cache   map[string]*types.Package
 }
 
-func newExportImporter(fset *token.FileSet, exports map[string]string) *exportImporter {
+func newExportImporter(fset *token.FileSet, listed []*listPackage) *exportImporter {
+	exports := make(map[string]string, len(listed))
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
 	imp := &exportImporter{exports: exports, cache: make(map[string]*types.Package)}
 	imp.base = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
@@ -120,14 +126,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
+	imp := newExportImporter(fset, listed)
 	var out []*Package
 	for _, p := range listed {
 		if p.DepOnly || p.Standard {
@@ -169,11 +169,5 @@ func StdImporter(fset *token.FileSet, pkgs ...string) (types.Importer, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return newExportImporter(fset, exports), nil
+	return newExportImporter(fset, listed), nil
 }

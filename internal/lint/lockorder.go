@@ -100,11 +100,11 @@ func runLockOrder(pass *ProjectPass) {
 
 	for _, tn := range typeOrder {
 		methods := byType[tn]
-		propagateAcquires(methods)
 		byFunc := map[*types.Func]*methodInfo{}
 		for _, mi := range methods {
 			byFunc[mi.node.Func] = mi
 		}
+		propagateAcquires(methods, byFunc)
 		for _, mi := range methods {
 			checkMethodPaths(pass, mi, byFunc)
 		}
@@ -113,10 +113,7 @@ func runLockOrder(pass *ProjectPass) {
 
 // receiverTypeName resolves the named type behind a method receiver.
 func receiverTypeName(t types.Type) *types.TypeName {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := deref(t).(*types.Named); ok {
 		return named.Obj()
 	}
 	return nil
@@ -142,10 +139,7 @@ func summarizeMethod(node *CallNode) *methodInfo {
 		calls:    map[*types.Func][]ast.Node{},
 	}
 	info := node.Pkg.Info
-	ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectOwn(node.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -231,11 +225,7 @@ func siblingCall(info *types.Info, recv *types.Var, call *ast.CallExpr) *types.F
 
 // propagateAcquires closes each method's acquire set over
 // same-receiver calls (fixpoint; the graphs are tiny).
-func propagateAcquires(methods []*methodInfo) {
-	byFunc := map[*types.Func]*methodInfo{}
-	for _, mi := range methods {
-		byFunc[mi.node.Func] = mi
-	}
+func propagateAcquires(methods []*methodInfo, byFunc map[*types.Func]*methodInfo) {
 	for changed := true; changed; {
 		changed = false
 		for _, mi := range methods {
@@ -314,10 +304,7 @@ func checkMethodPaths(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]
 					}
 				}
 			}
-			ast.Inspect(of, func(n ast.Node) bool {
-				if _, ok := n.(*ast.FuncLit); ok {
-					return false
-				}
+			inspectOwn(of, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
 					if path, _, acquire, ok := receiverLockOp(info, mi.recv, call); ok && !acquire {
 						delete(held, path)
@@ -355,10 +342,7 @@ func checkLocks(pass *ProjectPass, mi *methodInfo, byFunc map[*types.Func]*metho
 		return
 	}
 	info := mi.node.Pkg.Info
-	ast.Inspect(root, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+	inspectOwn(root, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

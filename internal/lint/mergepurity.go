@@ -109,14 +109,14 @@ func checkMergeBody(pass *ProjectPass, node *CallNode) {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
 			if (n.Op == token.SUB || n.Op == token.QUO) &&
-				(isFloatType(info.TypeOf(n.X)) || isFloatType(info.TypeOf(n.Y))) {
+				(isBasic(info.TypeOf(n.X), types.IsFloat) || isBasic(info.TypeOf(n.Y), types.IsFloat)) {
 				pass.Reportf(node.Pkg.Fset, n.Pos(),
 					"non-commutative float arithmetic (%s) in %s: the result depends on merge order; restructure as sums, products, or max/min",
 					n.Op, node.Name())
 			}
 		case *ast.AssignStmt:
 			if (n.Tok == token.SUB_ASSIGN || n.Tok == token.QUO_ASSIGN) &&
-				len(n.Lhs) == 1 && isFloatType(info.TypeOf(n.Lhs[0])) {
+				len(n.Lhs) == 1 && isBasic(info.TypeOf(n.Lhs[0]), types.IsFloat) {
 				pass.Reportf(node.Pkg.Fset, n.Pos(),
 					"non-commutative float accumulation (%s) in %s: the result depends on merge order; restructure as sums, products, or max/min",
 					n.Tok, node.Name())
@@ -143,22 +143,12 @@ func checkMergeBody(pass *ProjectPass, node *CallNode) {
 	checkFieldOverwrites(pass, node, recv, params)
 }
 
-func isFloatType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
 // rangeVarObjs returns the key/value loop variables of a range.
 func rangeVarObjs(info *types.Info, rs *ast.RangeStmt) map[types.Object]bool {
 	out := make(map[types.Object]bool)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				out[obj] = true
-			} else if obj := info.Uses[id]; obj != nil {
+			if obj := info.ObjectOf(id); obj != nil {
 				out[obj] = true
 			}
 		}
@@ -186,21 +176,11 @@ func mentionsAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool 
 	return found
 }
 
-// rootIdent returns the base identifier of an lvalue chain
+// stateRoot returns the variable an lvalue chain is rooted in
 // (a.b.c → a, (*p).f → p), nil for indexed or otherwise keyed forms.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
+func stateRoot(info *types.Info, e ast.Expr) types.Object {
+	obj, _ := rootVar(info, e, hopDeref|hopField)
+	return obj
 }
 
 // checkMapRangeBody reports order-dependent writes inside one map
@@ -208,9 +188,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 // the loop from a range-var-dependent value, and string concatenation.
 func checkMapRangeBody(pass *ProjectPass, node *CallNode, rs *ast.RangeStmt, rangeVars map[types.Object]bool) {
 	info := node.Pkg.Info
-	loopLocal := func(obj types.Object) bool {
-		return obj != nil && obj.Pos() >= rs.Pos() && obj.Pos() <= rs.End()
-	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -220,20 +197,10 @@ func checkMapRangeBody(pass *ProjectPass, node *CallNode, rs *ast.RangeStmt, ran
 			return true // loop-local temporaries are order-safe
 		}
 		for i, lhs := range as.Lhs {
-			lhs = ast.Unparen(lhs)
-			if _, keyed := lhs.(*ast.IndexExpr); keyed {
-				continue // keyed writes commute across iteration orders
-			}
-			root := rootIdent(lhs)
-			if root == nil {
+			// Keyed writes commute across iteration orders and have no
+			// state root; blank lvalues and loop locals hold no state.
+			if obj := stateRoot(info, lhs); obj == nil || declaredIn(obj, rs) {
 				continue
-			}
-			obj := info.Uses[root]
-			if obj == nil {
-				obj = info.Defs[root]
-			}
-			if obj == nil || loopLocal(obj) {
-				continue // blank or unresolvable lvalues hold no state
 			}
 			var rhs ast.Expr
 			if i < len(as.Rhs) {
@@ -250,7 +217,7 @@ func checkMapRangeBody(pass *ProjectPass, node *CallNode, rs *ast.RangeStmt, ran
 				pass.Reportf(node.Pkg.Fset, as.Pos(),
 					"map-iteration-order dependence in %s: the last key visited wins this assignment; use a keyed write (m[k] op= v) or a commutative fold",
 					node.Name())
-			case as.Tok == token.ADD_ASSIGN && isStringType(info.TypeOf(lhs)):
+			case as.Tok == token.ADD_ASSIGN && isBasic(info.TypeOf(lhs), types.IsString):
 				pass.Reportf(node.Pkg.Fset, as.Pos(),
 					"map-iteration-order dependence in %s: string concatenation inside a map range records visit order; collect and sort keys first",
 					node.Name())
@@ -258,14 +225,6 @@ func checkMapRangeBody(pass *ProjectPass, node *CallNode, rs *ast.RangeStmt, ran
 		}
 		return true
 	})
-}
-
-func isStringType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
 }
 
 // isAppendOf reports whether e is append(..., x...) with a
@@ -333,12 +292,10 @@ func checkOneOverwrite(pass *ProjectPass, node *CallNode, recv types.Object, par
 
 	// *recv = *param: wholesale overwrite of the receiver's shard.
 	if star, ok := lhs.(*ast.StarExpr); ok {
-		if root := rootIdent(star.X); root != nil && info.Uses[root] == recv {
-			if rstar, ok := ast.Unparen(rhs).(*ast.StarExpr); ok {
-				if rroot := rootIdent(rstar.X); rroot != nil && params[info.Uses[rroot]] {
-					pass.Reportf(node.Pkg.Fset, lhs.Pos(),
-						"%s overwrites the whole receiver with the argument: the merge keeps only the last shard; fold both sides instead", node.Name())
-				}
+		if recv != nil && stateRoot(info, star.X) == recv {
+			if rstar, ok := ast.Unparen(rhs).(*ast.StarExpr); ok && params[stateRoot(info, rstar.X)] {
+				pass.Reportf(node.Pkg.Fset, lhs.Pos(),
+					"%s overwrites the whole receiver with the argument: the merge keeps only the last shard; fold both sides instead", node.Name())
 			}
 		}
 		return
@@ -348,8 +305,7 @@ func checkOneOverwrite(pass *ProjectPass, node *CallNode, recv types.Object, par
 	if !ok {
 		return
 	}
-	root := rootIdent(sel.X)
-	if root == nil || recv == nil || info.Uses[root] != recv {
+	if recv == nil || stateRoot(info, sel.X) != recv {
 		return
 	}
 
@@ -365,11 +321,9 @@ func checkOneOverwrite(pass *ProjectPass, node *CallNode, recv types.Object, par
 	if guarded {
 		return
 	}
-	if rsel, ok := ast.Unparen(rhs).(*ast.SelectorExpr); ok && rsel.Sel.Name == sel.Sel.Name {
-		if rroot := rootIdent(rsel.X); rroot != nil && params[info.Uses[rroot]] {
-			pass.Reportf(node.Pkg.Fset, lhs.Pos(),
-				"%s copies field %s straight from the argument: the last shard merged wins; fold commutatively or guard with a comparison (max/min)",
-				node.Name(), sel.Sel.Name)
-		}
+	if rsel, ok := ast.Unparen(rhs).(*ast.SelectorExpr); ok && rsel.Sel.Name == sel.Sel.Name && params[stateRoot(info, rsel.X)] {
+		pass.Reportf(node.Pkg.Fset, lhs.Pos(),
+			"%s copies field %s straight from the argument: the last shard merged wins; fold commutatively or guard with a comparison (max/min)",
+			node.Name(), sel.Sel.Name)
 	}
 }

@@ -117,11 +117,7 @@ func isSyncPoolMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
+	named, ok := deref(sig.Recv().Type()).(*types.Named)
 	return ok && named.Obj().Name() == "Pool"
 }
 
@@ -139,17 +135,7 @@ func isSyncPoolGet(info *types.Info, e ast.Expr) bool {
 // trackedIdent resolves an expression to a tracked object, unwrapping
 // parens only — derivations (slices, derefs) are uses, not the value.
 func (w *poolWalker) trackedIdent(e ast.Expr, st *poolFacts) (types.Object, bool) {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil, false
-	}
-	obj := w.info.Uses[id]
-	if obj == nil {
-		obj = w.info.Defs[id]
-	}
-	if obj == nil {
-		return nil, false
-	}
+	obj, _ := rootVar(w.info, e, 0)
 	_, tracked := st.state[obj]
 	return obj, tracked
 }
@@ -206,7 +192,7 @@ func (w *poolWalker) flagLive(st *poolFacts) {
 // still owed at an iteration boundary.
 func (w *poolWalker) flagLoopLive(st *poolFacts, body *ast.BlockStmt) {
 	for obj, s := range st.state {
-		if s == poolLive && body.Pos() <= obj.Pos() && obj.Pos() < body.End() {
+		if s == poolLive && declaredIn(obj, body) {
 			w.pass.Reportf(obj.Pos(),
 				"sync.Pool Get result %s leaks once per loop iteration; Put it (or transfer ownership) before the iteration ends", obj.Name())
 			st.state[obj] = poolGone
@@ -257,10 +243,8 @@ func (w *poolWalker) visit(n ast.Node, st *poolFacts) {
 			if i >= len(s.Lhs) || !isSyncPoolGet(w.info, rhs) {
 				continue
 			}
-			if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok && id.Name != "_" {
-				if obj := w.info.ObjectOf(id); obj != nil {
-					st.state[obj] = poolLive
-				}
+			if obj, _ := rootVar(w.info, s.Lhs[i], 0); obj != nil && obj.Name() != "_" {
+				st.state[obj] = poolLive
 			}
 		}
 		// Stores of tracked values into fields, globals, maps, or

@@ -182,36 +182,11 @@ func (w *wireTaint) analyze(node *CallNode) {
 		tainted[p] = true
 	}
 
-	// Read-buffer sources: the argument a net read or io fill writes
-	// attacker bytes into.
+	// Read-buffer sources: the variable a net read or io fill writes
+	// attacker bytes into, when the call names it bare.
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil {
-			return true
-		}
-		var bufArg ast.Expr
-		switch fn.Pkg().Path() {
-		case "net":
-			switch fn.Name() {
-			case "Read", "ReadFrom", "ReadFromUDP", "ReadMsgUDP":
-				if len(call.Args) > 0 {
-					bufArg = call.Args[0]
-				}
-			}
-		case "io":
-			switch fn.Name() {
-			case "ReadFull", "ReadAtLeast":
-				if len(call.Args) > 1 {
-					bufArg = call.Args[1]
-				}
-			}
-		}
-		if id, ok := ast.Unparen(bufArg).(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && !tainted[obj] {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if obj, _ := rootVar(info, readInto(info, call), 0); obj != nil && !tainted[obj] {
 				tainted[obj] = true
 				if !w.prov.Has(node) {
 					w.prov.via[node], w.readRoot[node] = nil, true
@@ -224,34 +199,10 @@ func (w *wireTaint) analyze(node *CallNode) {
 		return
 	}
 
-	// Fixpoint: assignments spread taint to locals.
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := info.Defs[id]
-				if obj == nil {
-					obj = info.Uses[id]
-				}
-				if obj == nil || tainted[obj] || wtNarrow(obj.Type()) {
-					continue
-				}
-				if wtExprTainted(info, as.Rhs[i], tainted, nil) {
-					tainted[obj] = true
-					changed = true
-				}
-			}
-			return true
-		})
-	}
+	// Assignments spread taint to locals.
+	growLocals(info, body, true, tainted, func(v types.Object, rhs ast.Expr) bool {
+		return !wtNarrow(v.Type()) && wtExprTainted(info, rhs, tainted, nil)
+	})
 
 	// Flow walk over the shared walker: the state is the set of
 	// integers a dominating comparison has sanitized. Every leaf and
@@ -287,10 +238,7 @@ func wtExprTainted(info *types.Info, e ast.Expr, tainted, guarded map[types.Obje
 	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
+		obj := info.ObjectOf(e)
 		return obj != nil && tainted[obj] && !guarded[obj] && !wtNarrow(obj.Type())
 	case *ast.IndexExpr:
 		// A value read out of a tainted buffer is attacker-chosen —
@@ -356,11 +304,7 @@ func wtCondGuards(info *types.Info, cond ast.Expr, tainted map[types.Object]bool
 				if !ok {
 					return true
 				}
-				obj := info.Uses[id]
-				if obj == nil || !tainted[obj] {
-					return true
-				}
-				if b, ok := obj.Type().Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
+				if obj := info.Uses[id]; tainted[obj] && isBasic(obj.Type(), types.IsInteger) {
 					out = append(out, obj)
 				}
 				return true
