@@ -22,7 +22,7 @@ import (
 //     flagged; poolsafe checks the Put discipline itself, bufalias
 //     checks that no alias survives it.
 //   - loop-read buffers (declared outside a loop, filled by a net or
-//     io read inside it): valid for one iteration. Handing the buffer
+//     io.Reader-style read inside it): valid for one iteration. Handing the buffer
 //     or a subslice to a goroutine, a channel, or a growing slice from
 //     inside the loop races with the next iteration's read.
 //
@@ -243,6 +243,26 @@ func (a *bufAliaser) checkReturn(s *ast.ReturnStmt) {
 	}
 }
 
+// refillTarget is readInto widened to every Read, ReadFrom,
+// ReadFromUDP or ReadMsgUDP method whose first parameter is a byte
+// slice: a buffer an io.Reader, *os.File or *bufio.Reader refills each
+// iteration races with an escaped alias exactly as a socket read does.
+// ctxprop and wiretaint keep readInto alone — a file or in-memory read
+// neither blocks on a peer nor carries wire input.
+func refillTarget(info *types.Info, call *ast.CallExpr) ast.Expr {
+	fn := calleeFunc(info, call)
+	if fn == nil || len(call.Args) == 0 {
+		return nil
+	}
+	switch fn.Name() {
+	case "Read", "ReadFrom", "ReadFromUDP", "ReadMsgUDP":
+		if sig := fn.Type().(*types.Signature); sig.Recv() != nil && isByteSlice(deref(sig.Params().At(0).Type())) {
+			return call.Args[0]
+		}
+	}
+	return readInto(info, call)
+}
+
 // checkLoopReads finds buffers declared before the loop that a read
 // call refills inside it, then flags escapes of those buffers from
 // within the loop body: goroutine arguments, function-literal
@@ -252,7 +272,7 @@ func (a *bufAliaser) checkLoopReads(body *ast.BlockStmt, loopPos token.Pos) {
 	reused := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			obj, _ := rootVar(a.info, readInto(a.info, call), hopDeref|hopSlice)
+			obj, _ := rootVar(a.info, refillTarget(a.info, call), hopDeref|hopSlice)
 			if obj != nil && obj.Pos() < loopPos && isByteSlice(deref(obj.Type())) {
 				reused[obj] = true
 			}

@@ -87,10 +87,15 @@ func checkGoroutineBody(pass *ProjectPass, node *CallNode, gs *ast.GoStmt, body 
 	// select). A literal inside the spawned body runs in its own right;
 	// its own go statements are checked when its node walks.
 	comms := selectComms(body)
+	labels := map[*ast.ForStmt]string{}
 	inspectOwn(body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.LabeledStmt:
+			if loop, ok := n.Stmt.(*ast.ForStmt); ok {
+				labels[loop] = n.Label.Name
+			}
 		case *ast.ForStmt:
-			if n.Cond == nil && !loopCanExit(n) && !reported[n.Pos()] {
+			if n.Cond == nil && !loopCanExit(n, labels[n]) && !reported[n.Pos()] {
 				reported[n.Pos()] = true
 				pass.Reportf(fset, n.Pos(),
 					"unconditional loop in goroutine spawned at %s:%d has no termination path; add a return under a <-ctx.Done() or done-channel select case",
@@ -114,8 +119,9 @@ func checkGoroutineBody(pass *ProjectPass, node *CallNode, gs *ast.GoStmt, body 
 // (unlabeled breaks inside nested for/switch/select target those
 // instead), a break or goto to a label declared outside the loop body
 // (it exits the loop or an ancestor, either way leaving it), or a call
-// that never returns.
-func loopCanExit(loop *ast.ForStmt) bool {
+// that never returns. A goto to self, the loop's own label, restarts
+// the loop and does not count.
+func loopCanExit(loop *ast.ForStmt, self string) bool {
 	innerLabels := map[string]bool{}
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
 		if ls, ok := n.(*ast.LabeledStmt); ok {
@@ -138,7 +144,7 @@ func loopCanExit(loop *ast.ForStmt) bool {
 			switch {
 			case n.Tok == token.BREAK && n.Label == nil:
 				exits = depth == 0
-			case n.Tok == token.BREAK, n.Tok == token.GOTO:
+			case n.Tok == token.BREAK, n.Tok == token.GOTO && n.Label.Name != self:
 				exits = !innerLabels[n.Label.Name]
 			}
 		case *ast.CallExpr:

@@ -290,7 +290,7 @@ func checkCallAlloc(info *types.Info, call *ast.CallExpr, owned map[types.Object
 func capturesVariables(info *types.Info, lit *ast.FuncLit) bool {
 	captured := false
 	ast.Inspect(lit, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
+		if id, ok := n.(*ast.Ident); ok && !captured {
 			v, ok := info.Uses[id].(*types.Var)
 			captured = ok && !v.IsField() && !isPackageLevel(v) && !declaredIn(v, lit)
 		}

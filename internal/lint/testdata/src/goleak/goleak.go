@@ -149,3 +149,15 @@ func signer(fl *flight) {
 	work()
 	close(fl.done)
 }
+
+// gotoSelf still leaks: a goto to the loop's own label restarts it.
+func gotoSelf() {
+	go func() {
+	again:
+		for { // want `unconditional loop in goroutine spawned at`
+			if tired() {
+				goto again
+			}
+		}
+	}()
+}

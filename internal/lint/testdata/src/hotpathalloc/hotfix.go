@@ -114,3 +114,14 @@ func Idle(n int) int { // want `//repro:allocok on hotfix\.Idle waives nothing`
 func Misspelled() { // want `unknown directive //repro:hotpaht; known: //repro:allocok, //repro:ctxexempt, //repro:hotpath, //repro:nondeterministic, //repro:wiretrusted`
 	_ = make([]byte, 8)
 }
+
+const step = 2
+
+// Stride's literal reads the captured n and then the constant step:
+// the capture counts whatever identifiers follow it.
+//
+//repro:hotpath fixture: callbacks must not capture
+func Stride(n int) {
+	g := func() int { return n * step } // want `a variable-capturing closure`
+	_ = g()
+}
