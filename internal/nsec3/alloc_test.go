@@ -12,19 +12,26 @@ import (
 // query name into a caller-provided buffer must not allocate, at any
 // realistic iteration count. The //repro:hotpath annotation on
 // AppendHash is enforced statically by hotpathalloc; this test is the
-// dynamic half of the same contract.
+// dynamic half of the same contract. The shapes are a short salt, the
+// testbed's (empty salt, 2,500 iterations) and the longest salt whose
+// rehash input still fits one SHA-1 block (35 octets).
 func TestAppendHashAllocFree(t *testing.T) {
 	name := dnswire.MustParseName("www.example.org.")
-	p := Params{Alg: dnswire.NSEC3HashSHA1, Iterations: 10, Salt: []byte{0xab, 0xcd}}
 	dst := make([]byte, 0, HashLen)
-	if n := testing.AllocsPerRun(100, func() {
-		var err error
-		dst, err = AppendHash(dst[:0], name, p)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []Params{
+		{Alg: dnswire.NSEC3HashSHA1, Iterations: 10, Salt: []byte{0xab, 0xcd}},
+		{Alg: dnswire.NSEC3HashSHA1, Iterations: RFC5155MaxIterations},
+		{Alg: dnswire.NSEC3HashSHA1, Iterations: 150, Salt: make([]byte, 35)},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			var err error
+			dst, err = AppendHash(dst[:0], name, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("AppendHash(%v) into spare capacity allocates %.1f times per run, want 0", p, n)
 		}
-	}); n != 0 {
-		t.Errorf("AppendHash into spare capacity allocates %.1f times per run, want 0", n)
 	}
 }
 

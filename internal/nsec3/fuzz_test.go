@@ -9,7 +9,8 @@ import (
 
 // FuzzHash throws arbitrary presentation names, iteration counts, and
 // salts at the iterated hash. Any name the parser accepts must hash
-// without panicking, deterministically, and to exactly HashLen octets.
+// without panicking, deterministically, to exactly HashLen octets, and
+// to the octets referenceHash computes.
 // Iterations are capped so a fuzz worker never burns seconds on one
 // input (the CPU-exhaustion behavior itself is what the paper measures,
 // not what the fuzzer should rediscover).
@@ -18,6 +19,8 @@ func FuzzHash(f *testing.F) {
 	f.Add("*.example.com.", uint16(0), []byte{})
 	f.Add(".", uint16(1), []byte{0xFF})
 	f.Add("xn--nxasmq6b.example.", uint16(150), []byte("salt"))
+	f.Add("it-2500.rfc9276-in-the-wild.com.", uint16(499), bytes.Repeat([]byte{0x5a}, 35))
+	f.Add("it-2500.rfc9276-in-the-wild.com.", uint16(3), bytes.Repeat([]byte{0x5a}, 36))
 	f.Fuzz(func(t *testing.T, s string, iterations uint16, salt []byte) {
 		name, err := dnswire.ParseName(s)
 		if err != nil {
@@ -38,6 +41,9 @@ func FuzzHash(f *testing.F) {
 		again, err := Hash(name, p)
 		if err != nil || !bytes.Equal(h, again) {
 			t.Fatalf("Hash(%q, %v) is not deterministic: %x vs %x (err %v)", name, p, h, again, err)
+		}
+		if want := referenceHash(name, p); !bytes.Equal(h, want) {
+			t.Fatalf("Hash(%q, %v) = %x, reference %x", name, p, h, want)
 		}
 	})
 }

@@ -26,23 +26,7 @@ func mustHex(s string) []byte {
 // RFC 5155 Appendix A: zone "example", 12 iterations, salt aabbccdd.
 func TestHashRFC5155Vectors(t *testing.T) {
 	p := Params{Alg: dnswire.NSEC3HashSHA1, Iterations: 12, Salt: mustHex("aabbccdd")}
-	cases := []struct {
-		name string
-		want string // base32hex owner label, lowercase
-	}{
-		{"example", "0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"},
-		{"a.example", "35mthgpgcu1qg68fab165klnsnk3dpvl"},
-		{"ai.example", "gjeqe526plbf1g8mklp59enfd789njgi"},
-		{"ns1.example", "2t7b4g4vsa5smi47k61mv5bv1a22bojr"},
-		{"ns2.example", "q04jkcevqvmu85r014c7dkba38o0ji5r"},
-		{"w.example", "k8udemvp1j2f7eg6jebps17vp3n8i58h"},
-		{"*.w.example", "r53bq7cc2uvmubfu5ocmm6pers9tk9en"},
-		{"x.w.example", "b4um86eghhds6nea196smvmlo4ors995"},
-		{"y.w.example", "ji6neoaepv8b5o6k4ev33abha8ht9fgc"},
-		{"x.y.w.example", "2vptu5timamqttgl4luu9kg21e0aor3s"},
-		{"xx.example", "t644ebqk9bibcna874givr6joj62mlhv"},
-	}
-	for _, c := range cases {
+	for _, c := range rfc5155Vectors {
 		h, err := Hash(dnswire.MustParseName(c.name), p)
 		if err != nil {
 			t.Fatal(err)
@@ -51,6 +35,25 @@ func TestHashRFC5155Vectors(t *testing.T) {
 			t.Errorf("Hash(%q) = %s, want %s", c.name, got, c.want)
 		}
 	}
+}
+
+// rfc5155Vectors are RFC 5155 Appendix A's owner names and their hashes
+// (base32hex, lowercase) under 12 iterations and salt aabbccdd.
+var rfc5155Vectors = []struct {
+	name string
+	want string
+}{
+	{"example", "0p9mhaveqvm6t7vbl5lop2u3t2rp3tom"},
+	{"a.example", "35mthgpgcu1qg68fab165klnsnk3dpvl"},
+	{"ai.example", "gjeqe526plbf1g8mklp59enfd789njgi"},
+	{"ns1.example", "2t7b4g4vsa5smi47k61mv5bv1a22bojr"},
+	{"ns2.example", "q04jkcevqvmu85r014c7dkba38o0ji5r"},
+	{"w.example", "k8udemvp1j2f7eg6jebps17vp3n8i58h"},
+	{"*.w.example", "r53bq7cc2uvmubfu5ocmm6pers9tk9en"},
+	{"x.w.example", "b4um86eghhds6nea196smvmlo4ors995"},
+	{"y.w.example", "ji6neoaepv8b5o6k4ev33abha8ht9fgc"},
+	{"x.y.w.example", "2vptu5timamqttgl4luu9kg21e0aor3s"},
+	{"xx.example", "t644ebqk9bibcna874givr6joj62mlhv"},
 }
 
 func TestHashZeroIterationsNoSalt(t *testing.T) {
