@@ -10,7 +10,8 @@ import (
 // FuzzHash throws arbitrary presentation names, iteration counts, and
 // salts at the iterated hash. Any name the parser accepts must hash
 // without panicking, deterministically, to exactly HashLen octets, and
-// to the octets referenceHash computes.
+// to the octets referenceHash computes, with the SHA-1 kernel selected
+// (where the CPU has it) and with the crypto/sha1 loop.
 // Iterations are capped so a fuzz worker never burns seconds on one
 // input (the CPU-exhaustion behavior itself is what the paper measures,
 // not what the fuzzer should rediscover).
@@ -42,8 +43,17 @@ func FuzzHash(f *testing.F) {
 		if err != nil || !bytes.Equal(h, again) {
 			t.Fatalf("Hash(%q, %v) is not deterministic: %x vs %x (err %v)", name, p, h, again, err)
 		}
-		if want := referenceHash(name, p); !bytes.Equal(h, want) {
-			t.Fatalf("Hash(%q, %v) = %x, reference %x", name, p, h, want)
+		want := referenceHash(name, p)
+		if !bytes.Equal(h, want) {
+			t.Fatalf("Hash(%q, %v) = %x, reference %x (SHA-1 kernel selected: %t)", name, p, h, want, useSHA1Block)
+		}
+		if useSHA1Block {
+			useSHA1Block = false
+			h, err = Hash(name, p)
+			useSHA1Block = true
+			if err != nil || !bytes.Equal(h, want) {
+				t.Fatalf("Hash(%q, %v) on the crypto/sha1 loop = %x, reference %x (err %v)", name, p, h, want, err)
+			}
 		}
 	})
 }

@@ -43,6 +43,7 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"encoding/base32"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -99,6 +100,10 @@ var ErrUnknownAlg = errors.New("nsec3: unknown hash algorithm")
 // applied to the canonical (lowercase, uncompressed) wire form of name,
 // with k = p.Iterations. The per-iteration rehash over a 20-octet
 // digest plus salt is exactly the CPU cost CVE-2023-50868 weaponizes.
+// Every one of the k rehashes is computed on every call; nothing is
+// remembered between calls. Where the CPU has the SHA-1 instructions
+// and digest ‖ salt fits one block, each rehash is one compression on
+// them (rehashOneBlock), which makes a rehash cheaper, not rarer.
 //
 //repro:allocok convenience wrapper: the one make is the returned hash; zero-allocation callers use AppendHash with a reused dst
 func Hash(name dnswire.Name, p Params) ([]byte, error) {
@@ -130,12 +135,58 @@ func AppendHash(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
 	buf = name.AppendWire(buf)
 	buf = append(buf, p.Salt...)
 	digest := sha1.Sum(buf)
+	if useSHA1Block && p.Iterations > 0 && len(p.Salt) <= maxOneBlockSalt {
+		rehashOneBlock(&digest, p)
+		return append(dst, digest[:]...), nil
+	}
 	for i := uint16(0); i < p.Iterations; i++ {
 		buf = append(buf[:0], digest[:]...)
 		buf = append(buf, p.Salt...)
 		digest = sha1.Sum(buf)
 	}
 	return append(dst, digest[:]...), nil
+}
+
+// useSHA1Block selects rehashOneBlock for the additional iterations. It
+// is set once, from a CPUID probe, when the package initializes; tests
+// switch it off to cover the crypto/sha1 loop on any CPU.
+var useSHA1Block = haveSHA1Block()
+
+// maxOneBlockSalt is the longest salt for which a rehash input — the
+// 20-octet digest and the salt, then SHA-1's 0x80 pad octet and 8-octet
+// bit length — fits one 64-octet block.
+const maxOneBlockSalt = 64 - HashLen - 1 - 8
+
+// sha1IV is SHA-1's initial state (FIPS 180-4 §5.3.1).
+var sha1IV = [5]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0}
+
+// rehashOneBlock applies p.Iterations additional rounds to digest, one
+// sha1block compression each. A round's input, digest ‖ salt padded, is
+// one block whose words 5–15 (salt, padding, length) are the same every
+// round, so the block is laid out once and each round only copies the
+// previous digest's five words into words 0–4. Every iteration is
+// computed; only the per-call setup of crypto/sha1 is left out.
+func rehashOneBlock(digest *[HashLen]byte, p Params) {
+	var pad [64]byte
+	n := HashLen + copy(pad[HashLen:], p.Salt)
+	pad[n] = 0x80
+	binary.BigEndian.PutUint64(pad[56:], uint64(n)*8)
+	var block [16]uint32
+	for i := 5; i < len(block); i++ {
+		block[i] = binary.BigEndian.Uint32(pad[4*i:])
+	}
+	var state [5]uint32
+	for i := range state {
+		state[i] = binary.BigEndian.Uint32(digest[4*i:])
+	}
+	for i := uint16(0); i < p.Iterations; i++ {
+		copy(block[:5], state[:])
+		state = sha1IV
+		sha1block(&state, &block)
+	}
+	for i, w := range state {
+		binary.BigEndian.PutUint32(digest[4*i:], w)
+	}
 }
 
 // appendHashBigSalt is AppendHash for salts too long for the stack

@@ -33,6 +33,25 @@ var longestName = dnswire.MustParseName(strings.Join([]string{
 // Appendix A's vectors pin both to the published hashes, so a mistake
 // shared by the two cannot pass as agreement.
 func TestHashMatchesReference(t *testing.T) {
+	forEachRehashLoop(t, testHashMatchesReference)
+}
+
+// forEachRehashLoop runs f once with the SHA-1 kernel selected, on a CPU
+// that has it, and once with useSHA1Block forced off, so the crypto/sha1
+// loop stays covered on every CPU.
+func forEachRehashLoop(t *testing.T, f func(t *testing.T)) {
+	kernel := useSHA1Block
+	t.Cleanup(func() { useSHA1Block = kernel })
+	if kernel {
+		t.Run("sha1block", f)
+	} else {
+		t.Log("this CPU has no SHA-1 kernel: only the crypto/sha1 loop runs")
+	}
+	useSHA1Block = false
+	t.Run("crypto-sha1", f)
+}
+
+func testHashMatchesReference(t *testing.T) {
 	if got := longestName.WireLen(); got != dnswire.MaxNameWireLen {
 		t.Fatalf("longestName is %d octets in wire form, want %d", got, dnswire.MaxNameWireLen)
 	}
