@@ -3,7 +3,6 @@ package testbed
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sync"
 
 	"repro/internal/dnssec"
@@ -151,34 +150,53 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 // fingerprint hashes everything that determines a signed zone's bytes:
 // the apex, the full signing config (keys included — they decide every
 // RRSIG and the DS), and the canonical record set of the raw zone.
-// It must run before Sign, which mutates the raw zone.
+// It must run before Sign, which mutates the raw zone. Every field is
+// written self-delimiting — fixed-width integers, length-prefixed salt
+// and keys, each record in its uncompressed wire form (owner, type,
+// class, TTL, RDLENGTH, RDATA) — so different inputs never hash the
+// same octets. One buffer is reused for every record.
 func fingerprint(z *zone.Zone, cfg zone.SignConfig) [sha256.Size]byte {
 	h := sha256.New()
-	put := func(b []byte) {
-		_, _ = h.Write(b) // sha256.Hash.Write never fails (hash.Hash contract)
-	}
-	write := func(s string) {
-		put([]byte(s))
-		put([]byte{0}) // NUL separator so "a"+"bc" != "ab"+"c"
-	}
-	write(string(z.Apex))
-	write(fmt.Sprintf("alg=%d denial=%d optout=%t expall=%t expden=%t",
-		cfg.Algorithm, cfg.Denial, cfg.OptOut, cfg.ExpireAll, cfg.ExpireDenialSigs))
-	write(fmt.Sprintf("n3=%d/%d/%x", cfg.NSEC3.Alg, cfg.NSEC3.Iterations, cfg.NSEC3.Salt))
-	var window [8]byte
-	binary.BigEndian.PutUint32(window[:4], cfg.Inception)
-	binary.BigEndian.PutUint32(window[4:], cfg.Expiration)
-	put(window[:])
-	if cfg.KSK != nil {
-		put(cfg.KSK.DNSKEY().PublicKey)
-	}
-	if cfg.ZSK != nil {
-		put(cfg.ZSK.DNSKEY().PublicKey)
+	buf := z.Apex.AppendWire(make([]byte, 0, 512))
+	buf = append(buf, byte(cfg.Algorithm), byte(cfg.Denial), boolOctet(cfg.OptOut),
+		boolOctet(cfg.ExpireAll), boolOctet(cfg.ExpireDenialSigs), byte(cfg.NSEC3.Alg))
+	buf = binary.BigEndian.AppendUint16(buf, cfg.NSEC3.Iterations)
+	buf = appendField(buf, cfg.NSEC3.Salt)
+	buf = binary.BigEndian.AppendUint32(buf, cfg.Inception)
+	buf = binary.BigEndian.AppendUint32(buf, cfg.Expiration)
+	for _, k := range [...]*dnssec.KeyPair{cfg.KSK, cfg.ZSK} {
+		var pub []byte
+		if k != nil {
+			pub = k.DNSKEY().PublicKey
+		}
+		buf = appendField(buf, pub)
 	}
 	for _, rr := range z.Records() {
-		write(rr.String())
+		_, _ = h.Write(buf) // sha256.Hash.Write never fails (hash.Hash contract)
+		buf = rr.Name.AppendWire(buf[:0])
+		buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type()))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Class))
+		buf = binary.BigEndian.AppendUint32(buf, rr.TTL)
+		rdlen := len(buf)
+		buf = dnswire.AppendRData(append(buf, 0, 0), rr.Data)
+		binary.BigEndian.PutUint16(buf[rdlen:], uint16(len(buf)-rdlen-2))
 	}
+	_, _ = h.Write(buf) // never fails, as above
 	var fp [sha256.Size]byte
 	h.Sum(fp[:0])
 	return fp
+}
+
+// appendField appends b behind its two-octet length.
+func appendField(dst, b []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(b)))
+	return append(dst, b...)
+}
+
+// boolOctet is 1 for true and 0 for false.
+func boolOctet(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
