@@ -2,8 +2,9 @@
 # ci.sh — the full CI pipeline; .github/workflows/ci.yml runs this script.
 # Every leg must pass before a PR merges:
 #   build; vet (root module and bench/, plus bench/'s reprolint and
-#   tests); race-enabled tests (TestLedger among them: BENCH.ndjson held
-#   to BENCHMARK.json's bounds); a 5 s fuzz pass over the wire codec, the
+#   tests, plus an arm64 vet and build for the non-amd64 SHA-1 stub);
+#   race-enabled tests (TestLedger among them: BENCH.ndjson held to
+#   BENCHMARK.json's bounds); a 5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
 #   /metrics, survey metrics, distributed survey and resolver study,
@@ -19,6 +20,12 @@ go build ./...
 
 echo "== vet =="
 go vet ./...
+# internal/nsec3's SHA-1 kernel is amd64 assembly; other architectures
+# build a stub instead, which nothing above compiles. (go vet's asmdecl
+# already checks the .s file against its Go declaration.) Two lines,
+# not an && list: set -e does not stop on a failure left of an &&.
+GOARCH=arm64 go vet ./internal/nsec3/
+GOARCH=arm64 go build ./...
 # bench/ is a module of its own (replace repro => ../), so the root
 # ./... never compiles it: vet it here, or an API slip in what it calls
 # surfaces only when the benchmark pipeline runs. Same for reprolint:
