@@ -165,7 +165,8 @@ var sha1IV = [5]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f
 // one block whose words 5–15 (salt, padding, length) are the same every
 // round, so the block is laid out once and each round only copies the
 // previous digest's five words into words 0–4. Every iteration is
-// computed; only the per-call setup of crypto/sha1 is left out.
+// computed; what changes is the cost of one — no per-call crypto/sha1
+// setup, and the compression runs on the SHA instructions.
 func rehashOneBlock(digest *[HashLen]byte, p Params) {
 	var pad [64]byte
 	n := HashLen + copy(pad[HashLen:], p.Salt)
