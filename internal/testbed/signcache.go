@@ -171,8 +171,8 @@ func fingerprint(z *zone.Zone, cfg zone.SignConfig) [sha256.Size]byte {
 		}
 		buf = appendField(buf, pub)
 	}
+	_, _ = h.Write(buf) // sha256.Hash.Write never fails (hash.Hash contract)
 	for _, rr := range z.Records() {
-		_, _ = h.Write(buf) // sha256.Hash.Write never fails (hash.Hash contract)
 		buf = rr.Name.AppendWire(buf[:0])
 		buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type()))
 		buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Class))
@@ -180,8 +180,8 @@ func fingerprint(z *zone.Zone, cfg zone.SignConfig) [sha256.Size]byte {
 		rdlen := len(buf)
 		buf = dnswire.AppendRData(append(buf, 0, 0), rr.Data)
 		binary.BigEndian.PutUint16(buf[rdlen:], uint16(len(buf)-rdlen-2))
+		_, _ = h.Write(buf) // never fails, as above
 	}
-	_, _ = h.Write(buf) // never fails, as above
 	var fp [sha256.Size]byte
 	h.Sum(fp[:0])
 	return fp
