@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/population"
 )
 
 // The engine contract tests are written once, generically, and run
@@ -190,4 +192,64 @@ func checkRejectsForeignJob[S Study[P, O, R], P, O Sharded, R any](t *testing.T,
 func TestShardRunnerRejectsForeignJob(t *testing.T) {
 	t.Run("survey", func(t *testing.T) { checkRejectsForeignJob(t, surveyTestSpec(t, 1)) })
 	t.Run("resolverstudy", func(t *testing.T) { checkRejectsForeignJob(t, resolverTestSpec(t, 1)) })
+}
+
+// TestSurveyIDTLDCountsMatchReference pins the AXFR pass at seeds 1
+// and 7: shard 0 of a three-shard survey transfers every open Identity
+// Digital TLD (TransferredTLDs, sorted) and counts the shard's domains
+// under Identity Digital TLDs — each TLD's zone delegates exactly the
+// shard's domains under it, so the count equals the universe's own.
+func TestSurveyIDTLDCountsMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end survey shard is slow")
+	}
+	for _, seed := range []uint64{1, 7} {
+		spec, err := SurveyConfig{Registered: 600, Seed: seed, Shards: 3}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := Plan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := NewShardRunner(nil, nil, nil).Execute(context.Background(), jobs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		planner, err := population.NewShardPlanner(spec.populationConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := planner.GenerateShard(jobs[0].Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idTLD := make(map[string]bool)
+		var open []string
+		for _, tld := range shard.Universe.TLDs {
+			if tld.Registry == population.IdentityDigitalName {
+				idTLD[tld.Name] = true
+				if tld.OpenZoneData {
+					open = append(open, tld.Name)
+				}
+			}
+		}
+		sort.Strings(open)
+		under := 0
+		for _, d := range shard.Universe.Domains {
+			if idTLD[d.TLD] {
+				under++
+			}
+		}
+		if len(open) == 0 || under == 0 {
+			t.Fatalf("seed %d: reference is vacuous (%d open TLDs, %d domains)", seed, len(open), under)
+		}
+		if !reflect.DeepEqual(out.TransferredTLDs, open) {
+			t.Errorf("seed %d: transferred %v, want %v", seed, out.TransferredTLDs, open)
+		}
+		if out.DomainsUnderIDTLDs != under {
+			t.Errorf("seed %d: %d domains under Identity Digital TLDs, want %d", seed, out.DomainsUnderIDTLDs, under)
+		}
+	}
 }

@@ -311,7 +311,9 @@ func TestVerifyMemoHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if hit > build {
+	// sync.Pool drops Puts at random under -race, so a pooled scratch
+	// is sometimes rebuilt: the pin is exact everywhere else.
+	if hit > build && !raceEnabled {
 		t.Errorf("a memo hit allocates %.0f, building the signed data alone %.0f", hit, build)
 	}
 	if f.hits() < 100 {

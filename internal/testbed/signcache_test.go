@@ -1,6 +1,9 @@
 package testbed
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -86,5 +89,102 @@ func TestSignCacheMissesOnContentChange(t *testing.T) {
 	// derived from its cached KSK.
 	if signed, reused := h2.SignStats(); signed != 1 || reused != 1 {
 		t.Fatalf("changed build: signed %d reused %d, want 1/1", signed, reused)
+	}
+}
+
+// buildWide stands up a wide Shared world against cache: the root, 64
+// TLDs (every eighth unsigned, the rest alternating NSEC and NSEC3),
+// and two second-level zones under each signed TLD. Only the root is
+// built; every other zone is planned (keys, DS) and left lazy.
+func buildWide(t testing.TB, cache *SignCache) *Hierarchy {
+	t.Helper()
+	b := NewBuilder(tInception, tExpiration, WithCache(cache), WithLazySigning())
+	b.AddZone(ZoneSpec{
+		Apex: dnswire.Root, Shared: true,
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+		Server: netsim.Addr4(198, 41, 0, 4),
+	})
+	for i := range 64 {
+		tld := dnswire.MustParseName(fmt.Sprintf("tld%02d", i))
+		cfg := zone.SignConfig{Denial: zone.DenialNSEC}
+		if i%2 == 1 {
+			cfg = zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true}
+		}
+		unsigned := i%8 == 7
+		b.AddZone(ZoneSpec{
+			Apex: tld, Shared: true, Sign: cfg, Unsigned: unsigned,
+			Server: netsim.Addr4(192, 6, 0, byte(i)),
+		})
+		if unsigned {
+			continue
+		}
+		for j := range 2 {
+			b.AddZone(ZoneSpec{
+				Apex: tld.MustChild(fmt.Sprintf("d%d", j)), Shared: true,
+				Sign:   zone.SignConfig{Denial: zone.DenialNSEC3},
+				Server: netsim.Addr4(203, 0, byte(j), byte(i)),
+			})
+		}
+	}
+	h, err := b.Build(netsim.NewNetwork(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestBuildIndependentOfGOMAXPROCS builds one world twice over one
+// SignCache, first on one P and then on four. The trust anchors must
+// be equal, and the second build's root — built in Build, its
+// fingerprint covering every delegation's NS and DS in wiring order —
+// must be the very zone the first build signed.
+func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
+	cache := NewSignCache()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h1 := buildWide(t, cache)
+	runtime.GOMAXPROCS(4)
+	h2 := buildWide(t, cache)
+	if len(h1.TrustAnchor) != 1 || len(h2.TrustAnchor) != 1 || h1.TrustAnchor[0].String() != h2.TrustAnchor[0].String() {
+		t.Fatalf("trust anchors diverged: %v vs %v", h1.TrustAnchor, h2.TrustAnchor)
+	}
+	if h2.Zones[dnswire.Root] != h1.Zones[dnswire.Root] {
+		t.Fatal("second build's root is not the first build's signed root")
+	}
+	if signed, reused := h2.SignStats(); signed != 0 || reused != 1 {
+		t.Fatalf("second build SignStats = %d/%d, want 0/1 (root from cache)", signed, reused)
+	}
+}
+
+// TestKeysForConcurrent asks for one apex's keys from eight goroutines
+// at once: every caller must get the same key pair.
+func TestKeysForConcurrent(t *testing.T) {
+	cache := NewSignCache()
+	apex := dnswire.MustParseName("example.com")
+	const callers = 8
+	got := make([]cachedKeys, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = cache.keysFor(apex, dnswire.AlgECDSAP256SHA256)
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].ksk != got[0].ksk || got[i].zsk != got[0].zsk {
+			t.Fatalf("caller %d got a different key pair than caller 0", i)
+		}
+	}
+	again, err := cache.keysFor(apex, dnswire.AlgECDSAP256SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != got[0] {
+		t.Fatal("the cache kept a different key pair than its callers got")
 	}
 }
