@@ -4,7 +4,9 @@
 #   build; vet (root module and bench/, plus bench/'s reprolint and
 #   tests, plus an arm64 vet and build for the non-amd64 SHA-1 stub);
 #   race-enabled tests (TestLedger among them: BENCH.ndjson held to
-#   BENCHMARK.json's bounds); a 5 s fuzz pass over the wire codec, the
+#   BENCHMARK.json's bounds), then ten -race runs of the concurrency
+#   tests (fan-out, build keys phase, keysFor, the memo alloc pin); a
+#   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
 #   /metrics, survey metrics, distributed survey and resolver study,
@@ -39,6 +41,14 @@ go -C bench test ./...
 
 echo "== test (-race) =="
 go test -race ./...
+
+echo "== concurrency tests (-race, 10 runs each) =="
+# One -race pass over ./... misses what only some interleavings show:
+# repeat the tests of state several goroutines reach at once — the
+# fan-out helper, the build's keys phase, SignCache.keysFor — and the
+# allocation pin whose race guard once was missing.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestVerifyMemoHitAllocs$' \
+  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/

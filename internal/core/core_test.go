@@ -218,7 +218,8 @@ func TestSurveyMetricsShardMerge(t *testing.T) {
 }
 
 // TestSurveyTraceSpans checks the tracer emits one generate/deploy/
-// scan/merge span per shard over the scanner's NDJSON encoder.
+// scan/transfer/merge span per shard, and shard 0's tld_scan, over the
+// scanner's NDJSON encoder. tld_scan and transfer nest inside scan.
 func TestSurveyTraceSpans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end survey is slow")
@@ -237,18 +238,35 @@ func TestSurveyTraceSpans(t *testing.T) {
 	type span struct {
 		Span  string `json:"span"`
 		Shard int    `json:"shard"`
+		Start int64  `json:"start_unix_ns"`
+		Dur   int64  `json:"duration_ns"`
 	}
 	got := map[string]int{}
+	scans := map[int]span{}
+	var nested []span
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var sp span
 		if err := json.Unmarshal([]byte(line), &sp); err != nil {
 			t.Fatalf("bad span line %q: %v", line, err)
 		}
 		got[sp.Span]++
+		switch sp.Span {
+		case "scan":
+			scans[sp.Shard] = sp
+		case "tld_scan", "transfer":
+			nested = append(nested, sp)
+		}
 	}
 	// generate runs once per cursor call including the exhausted one.
-	if got["generate"] < 2 || got["deploy"] != 2 || got["scan"] != 2 || got["merge"] != 2 {
+	if got["generate"] < 2 || got["deploy"] != 2 || got["scan"] != 2 || got["merge"] != 2 ||
+		got["tld_scan"] != 1 || got["transfer"] != 2 {
 		t.Errorf("span counts: %v", got)
+	}
+	for _, sp := range nested {
+		outer, ok := scans[sp.Shard]
+		if !ok || sp.Start < outer.Start || sp.Start+sp.Dur > outer.Start+outer.Dur {
+			t.Errorf("shard %d %s span [%d, +%d] outside its scan span %+v", sp.Shard, sp.Span, sp.Start, sp.Dur, outer)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/compliance"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/population"
@@ -190,62 +191,19 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 		return nil, err
 	}
 	if shard.Index == 0 {
-		if err := run.scanTLDs(ctx, sc, u.TLDs, out); err != nil {
+		tldSpan := run.trace.Start("tld_scan", shard.Index)
+		err := run.scanTLDs(ctx, sc, u.TLDs, out)
+		tldSpan.End()
+		if err != nil {
 			return nil, err
 		}
 	}
-
-	// The ≥12.6 M-domains estimate: count delegations in Identity
-	// Digital TLD zones obtained via AXFR where the registry opens its
-	// zone data (the paper's CZDS/AXFR path), and fall back to our
-	// registered-domain list — "necessarily incomplete and therefore
-	// only a lower bound" (§5.1) — for the rest.
-	idTLD := make(map[string]bool)
-	for _, t := range planner.TLDs() {
-		if t.Registry == population.IdentityDigitalName {
-			idTLD[t.Name] = true
-		}
+	transferSpan := run.trace.Start("transfer", shard.Index)
+	err = run.countIDTLDDomains(ctx, dep, shard.Index, out)
+	transferSpan.End()
+	if err != nil {
+		return nil, err
 	}
-	listCounts := make(map[string]int)
-	for i := range u.Domains {
-		if idTLD[u.Domains[i].TLD] {
-			listCounts[u.Domains[i].TLD]++
-		}
-	}
-	for _, t := range u.TLDs {
-		if !idTLD[t.Name] {
-			continue
-		}
-		counted := false
-		// A shard-local zone delegates exactly the shard's domains, so
-		// for a TLD with none of them the transfer is vacuous: it
-		// counts zero delegations and would only force-sign a zone
-		// nothing else touches. Shard 0 still transfers every open
-		// zone, keeping the transferred set — and the report — exactly
-		// what a single-shard run produces.
-		if t.OpenZoneData && (shard.Index == 0 || listCounts[t.Name] > 0) {
-			apex, err := dnswire.FromLabels(t.Name)
-			if err != nil {
-				return nil, err
-			}
-			// The AXFR path force-signs its zone explicitly: under lazy
-			// signing a transfer must serve the complete signed zone, so
-			// materialize it rather than relying on the query to do it.
-			if _, err := dep.Hierarchy.Materialize(ctx, apex); err != nil {
-				return nil, err
-			}
-			rrs, err := scanner.Transfer(ctx, dep.Hierarchy.Net, dep.TLDServers[t.Name], apex)
-			if err == nil {
-				out.DomainsUnderIDTLDs += scanner.CountDelegations(apex, rrs)
-				out.TransferredTLDs = append(out.TransferredTLDs, t.Name)
-				counted = true
-			}
-		}
-		if !counted {
-			out.DomainsUnderIDTLDs += listCounts[t.Name]
-		}
-	}
-	sort.Strings(out.TransferredTLDs)
 
 	// Signing-work accounting happens once the shard's traffic has
 	// drained: lazy thunks run from query-handling goroutines, so the
@@ -279,6 +237,77 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 	}
 	run.mShards.Inc()
 	return out, nil
+}
+
+// countIDTLDDomains is the ≥12.6 M-domains estimate: it counts
+// delegations in Identity Digital TLD zones obtained via AXFR where the
+// registry opens its zone data (the paper's CZDS/AXFR path), and falls
+// back to the shard's registered-domain list — "necessarily incomplete
+// and therefore only a lower bound" (§5.1) — for the rest. Transfers
+// run on the survey's scan workers into per-TLD slots, folded in the
+// universe's TLD order.
+func (run *surveyExec) countIDTLDDomains(ctx context.Context, dep *population.Deployment, shardIndex int, out *ShardOutcome) error {
+	u := dep.Universe
+	idTLD := make(map[string]bool)
+	for _, t := range run.planner.TLDs() {
+		if t.Registry == population.IdentityDigitalName {
+			idTLD[t.Name] = true
+		}
+	}
+	listCounts := make(map[string]int)
+	for i := range u.Domains {
+		if idTLD[u.Domains[i].TLD] {
+			listCounts[u.Domains[i].TLD]++
+		}
+	}
+	// A shard-local zone delegates exactly the shard's domains, so for
+	// a TLD with none of them the transfer is vacuous: it counts zero
+	// delegations and would only force-sign a zone nothing else
+	// touches. Shard 0 still transfers every open zone, keeping the
+	// transferred set — and the report — exactly what a single-shard
+	// run produces.
+	// delegations[i] counts u.TLDs[i]'s delegations, or is −1 when
+	// that zone was not transferred.
+	delegations := make([]int, len(u.TLDs))
+	var open []int
+	for i, t := range u.TLDs {
+		delegations[i] = -1
+		if idTLD[t.Name] && t.OpenZoneData && (shardIndex == 0 || listCounts[t.Name] > 0) {
+			open = append(open, i)
+		}
+	}
+	err := fanout.Each(len(open), run.spec.Workers, func(k int) error {
+		t := u.TLDs[open[k]]
+		apex, err := dnswire.FromLabels(t.Name)
+		if err != nil {
+			return err
+		}
+		// The AXFR path force-signs its zone explicitly: under lazy
+		// signing a transfer must serve the complete signed zone, so
+		// materialize it rather than relying on the query to do it.
+		if _, err := dep.Hierarchy.Materialize(ctx, apex); err != nil {
+			return err
+		}
+		if rrs, err := scanner.Transfer(ctx, dep.Hierarchy.Net, dep.TLDServers[t.Name], apex); err == nil {
+			delegations[open[k]] = scanner.CountDelegations(apex, rrs)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for i, t := range u.TLDs {
+		switch {
+		case !idTLD[t.Name]:
+		case delegations[i] >= 0:
+			out.DomainsUnderIDTLDs += delegations[i]
+			out.TransferredTLDs = append(out.TransferredTLDs, t.Name)
+		default:
+			out.DomainsUnderIDTLDs += listCounts[t.Name]
+		}
+	}
+	sort.Strings(out.TransferredTLDs)
+	return nil
 }
 
 // scanTLDs pushes the TLD registry through the same scan pipeline,

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/zone"
@@ -326,7 +328,9 @@ func delegationRRs(spec *ZoneSpec, ds *dnswire.DS) []dnswire.RR {
 // until sign runs.
 type zonePlan struct {
 	spec *ZoneSpec
-	cfg  zone.SignConfig
+	// depth is the apex's label count, Build's order key.
+	depth int
+	cfg   zone.SignConfig
 	// cache is the builder's SignCache when the zone is Shared and
 	// signed, nil otherwise: the one place that decision is made.
 	cache *SignCache
@@ -339,10 +343,13 @@ type zonePlan struct {
 // (NS + glue + DS) appended to the parent's plan, content and
 // signatures deferred to the plan's sign thunk — then registers
 // authoritative servers on net and returns the hierarchy with the root
-// trust anchor. Building eagerly runs each thunk here and makes every
-// signature; with WithLazySigning only the root's runs, every other
-// zone's is handed to its server to run on first query, and signatures
-// are made as answers carry them.
+// trust anchor. Planning runs in two phases: every plan's keys and DS
+// are minted on runtime.GOMAXPROCS(0) goroutines, then delegations are
+// wired to parents one by one in build order, so a parent's records
+// arrive in the same order whatever the width. Building eagerly runs
+// each thunk here and makes every signature; with WithLazySigning only
+// the root's runs, every other zone's is handed to its server to run
+// on first query, and signatures are made as answers carry them.
 func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 	rootSpec, ok := b.specs[dnswire.Root]
 	if !ok {
@@ -352,18 +359,18 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 		return nil, fmt.Errorf("testbed: root must be signed")
 	}
 	// Deepest zones first so DS records exist before parents are planned.
-	order := make([]*ZoneSpec, 0, len(b.specs))
+	order := make([]*zonePlan, 0, len(b.specs))
 	plans := make(map[dnswire.Name]*zonePlan, len(b.specs))
 	for _, s := range b.specs {
-		order = append(order, s)
-		plans[s.Apex] = &zonePlan{spec: s}
+		p := &zonePlan{spec: s, depth: s.Apex.CountLabels()}
+		order = append(order, p)
+		plans[s.Apex] = p
 	}
 	sort.Slice(order, func(i, j int) bool {
-		di, dj := order[i].Apex.CountLabels(), order[j].Apex.CountLabels()
-		if di != dj {
-			return di > dj
+		if order[i].depth != order[j].depth {
+			return order[i].depth > order[j].depth
 		}
-		return order[i].Apex < order[j].Apex
+		return order[i].spec.Apex < order[j].spec.Apex
 	})
 
 	h := &Hierarchy{
@@ -374,22 +381,29 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 		hosts:   make(map[dnswire.Name]*authserver.Server, len(b.specs)),
 	}
 
-	for _, spec := range order {
-		ds, err := b.resolveKeys(plans[spec.Apex])
-		if err != nil {
-			return nil, err
-		}
+	// Keys phase: each plan's keys and DS into its own slot.
+	dss := make([]*dnswire.DS, len(order))
+	if err := fanout.Each(len(order), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		dss[i], err = b.resolveKeys(order[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	// Wiring phase: delegations into parents, in build order.
+	for i, p := range order {
+		spec := p.spec
 		if spec.Apex.IsRoot() {
-			h.TrustAnchor = []dnswire.DS{*ds}
+			h.TrustAnchor = []dnswire.DS{*dss[i]}
 		} else if parent, ok := b.parentOf(spec.Apex); ok {
 			pp := plans[parent.Apex]
-			pp.delegations = append(pp.delegations, delegationRRs(spec, spec.publishedDS(ds))...)
+			pp.delegations = append(pp.delegations, delegationRRs(spec, spec.publishedDS(dss[i]))...)
 		}
 	}
 
 	// Attach zones (or their thunks) to servers and register on the
 	// network.
-	for _, spec := range order {
+	for _, plan := range order {
+		spec := plan.spec
 		srv, ok := h.Servers[spec.Server]
 		if !ok {
 			srv = authserver.New()
@@ -401,7 +415,6 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 			net.Register(spec.ServerV6, srv)
 		}
 		h.hosts[spec.Apex] = srv
-		plan := plans[spec.Apex]
 		sign := func() (*zone.Signed, error) { return b.sign(h, plan) }
 		// The root is materialized even under WithLazySigning: it is
 		// the one zone every resolution crosses.

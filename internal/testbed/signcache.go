@@ -67,12 +67,16 @@ func NewSignCache() *SignCache {
 // caching) one when absent or when the algorithm changed. The builder
 // calls this at plan time for every Shared zone: a delegation's DS
 // depends only on the child's KSK, so keys must exist at build time
-// while signing itself can wait for the first query.
+// while signing itself can wait for the first query. Keys are
+// generated outside the lock, so plans mint in parallel; a pair is
+// stored only if no caller stored one meanwhile, and a losing pair is
+// dropped before anything is made from it — an apex has one key pair
+// per cache.
 func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cachedKeys, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	keys, ok := c.keys[apex]
-	if ok && keys.ksk.DNSKEY().Algorithm == alg {
+	c.mu.Unlock()
+	if ok && keys.ksk.Algorithm == alg {
 		return keys, nil
 	}
 	var err error
@@ -81,6 +85,11 @@ func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cached
 	}
 	if keys.zsk, err = dnssec.GenerateKey(alg, false, nil); err != nil {
 		return cachedKeys{}, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if won, ok := c.keys[apex]; ok && won.ksk.Algorithm == alg {
+		return won, nil
 	}
 	c.keys[apex] = keys
 	return keys, nil

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/nsec3"
 )
 
@@ -262,49 +263,25 @@ func (s *Signed) RRSIGsFor(name dnswire.Name, covered dnswire.Type) ([]dnswire.R
 
 // SignAll makes every signature that does not exist yet and reports
 // the first that cannot be made. It signs on runtime.GOMAXPROCS(0)
-// goroutines (no more than there are signatures, the caller's among
-// them), which take cells in turn from one shared index over the
-// zone's cells and the NSEC3 chain's; after a failure each stops at the
-// cell it is on, and the error is that cell's. Every cell is made once
-// whoever reaches it, so answers may be served meanwhile.
+// goroutines (fanout.Each over the zone's cells, then the NSEC3
+// chain's); after a failure no further cell starts, and the error is
+// the lowest failing cell's. Every cell is made once whoever reaches
+// it, so answers may be served meanwhile.
 func (s *Signed) SignAll() error {
 	keys := make([]sigKey, 0, len(s.rrsigs))
 	for k := range s.rrsigs {
 		keys = append(keys, k)
 	}
-	total := int64(len(keys) + len(s.nsec3Sigs))
-	var (
-		next     atomic.Int64
-		failOnce sync.Once
-		failed   error
-	)
-	sign := func() {
-		for i := next.Add(1) - 1; i < total; i = next.Add(1) - 1 {
-			var err error
-			if i < int64(len(keys)) {
-				k := keys[i]
-				_, err = s.fill(s.rrsigs[k], k, nil)
-			} else {
-				_, err = s.fillNSEC3(&s.chain.Records[i-int64(len(keys))])
-			}
-			if err != nil {
-				failOnce.Do(func() { failed = err })
-				next.Store(total)
-				return
-			}
+	return fanout.Each(len(keys)+len(s.nsec3Sigs), runtime.GOMAXPROCS(0), func(i int) error {
+		var err error
+		if i < len(keys) {
+			k := keys[i]
+			_, err = s.fill(s.rrsigs[k], k, nil)
+		} else {
+			_, err = s.fillNSEC3(&s.chain.Records[i-len(keys)])
 		}
-	}
-	var wg sync.WaitGroup
-	for w := int64(1); w < min(int64(runtime.GOMAXPROCS(0)), total); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sign()
-		}()
-	}
-	sign()
-	wg.Wait()
-	return failed
+		return err
+	})
 }
 
 // SigStats reports how many of the zone's signatures have been made so
