@@ -265,9 +265,8 @@ func (run *surveyExec) countIDTLDDomains(ctx context.Context, dep *population.De
 	// delegations and would only force-sign a zone nothing else
 	// touches. Shard 0 still transfers every open zone, keeping the
 	// transferred set — and the report — exactly what a single-shard
-	// run produces.
-	// delegations[i] counts u.TLDs[i]'s delegations, or is −1 when
-	// that zone was not transferred.
+	// run produces. delegations[i] counts u.TLDs[i]'s delegations, or
+	// is −1 when that zone was not transferred.
 	delegations := make([]int, len(u.TLDs))
 	var open []int
 	for i, t := range u.TLDs {

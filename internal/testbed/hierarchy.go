@@ -358,7 +358,8 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 	if rootSpec.Unsigned {
 		return nil, fmt.Errorf("testbed: root must be signed")
 	}
-	// Deepest zones first so DS records exist before parents are planned.
+	// Deepest zones first: the order delegations are wired and zones
+	// attached in.
 	order := make([]*zonePlan, 0, len(b.specs))
 	plans := make(map[dnswire.Name]*zonePlan, len(b.specs))
 	for _, s := range b.specs {
