@@ -32,9 +32,9 @@ import (
 // per-shard leaf zones don't accumulate (memory stays O(shared set)).
 // The cache is safe for concurrent signers: lazy hierarchies sign
 // shared zones from query-handling goroutines, so sign runs as a
-// singleflight — the mutex only guards the maps, never a Sign call,
-// and concurrent requests for the same content block on one signer
-// while different zones sign in parallel.
+// singleflight — the mutex only guards the maps, never a Sign call or a
+// key generation, and concurrent requests for the same content block
+// on one signer while different zones sign in parallel.
 type SignCache struct {
 	mu       sync.Mutex
 	keys     map[dnswire.Name]cachedKeys
