@@ -5,7 +5,8 @@
 #   tests, plus an arm64 vet and build for the non-amd64 SHA-1 stub);
 #   race-enabled tests (TestLedger among them: BENCH.ndjson held to
 #   BENCHMARK.json's bounds), then ten -race runs of the concurrency
-#   tests (fan-out, build keys phase, keysFor, the memo alloc pin); a
+#   tests (fan-out, build keys phase, keysFor, concurrent same-content
+#   signs through one SignCache, the memo alloc pin); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
@@ -45,9 +46,10 @@ go test -race ./...
 echo "== concurrency tests (-race, 10 runs each) =="
 # One -race pass over ./... misses what only some interleavings show:
 # repeat the tests of state several goroutines reach at once — the
-# fan-out helper, the build's keys phase, SignCache.keysFor — and the
-# allocation pin whose race guard once was missing.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestVerifyMemoHitAllocs$' \
+# fan-out helper, the build's keys phase, SignCache.keysFor and
+# SignCache.sign — and the allocation pin whose race guard once was
+# missing.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$' \
   ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/
 
 echo "== fuzz (5s per target) =="

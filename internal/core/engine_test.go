@@ -151,6 +151,24 @@ func TestReportBuilderRejectsDuplicate(t *testing.T) {
 	})
 }
 
+// TestSurveySpecHashStable pins one spec's hash to the value state
+// directories already carry, and decodes a job spec in the older wire
+// form, which still has a "qps" field, to the same spec and hash.
+func TestSurveySpecHashStable(t *testing.T) {
+	const want = "4517efb0f821054d991ae779d1fa3b9a"
+	spec := surveyTestSpec(t, 4)
+	if got := spec.Hash(); got != want {
+		t.Fatalf("Hash() = %s, want %s: every recorded lease and state directory would be refused", got, want)
+	}
+	var old SurveySpec
+	if err := json.Unmarshal([]byte(`{"registered":600,"seed":5,"workers":64,"qps":0,"shards":4,"signing":1}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old != spec || old.Hash() != want {
+		t.Fatalf("older job spec decoded to %+v (hash %s), want %+v (hash %s)", old, old.Hash(), spec, want)
+	}
+}
+
 // TestSurveySpecHash: the hash pins exactly the result-affecting
 // fields — runtime throttles may change across a resume.
 func TestSurveySpecHash(t *testing.T) {

@@ -40,6 +40,15 @@ func randomRegistry(seed uint64) *Registry {
 	return r
 }
 
+// merge folds src into dst through a snapshot — the path a worker's
+// metrics take to the coordinator.
+func merge(t *testing.T, dst, src *Registry) {
+	t.Helper()
+	if err := dst.AddSnapshot(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRegistryMergeOrderIndependence is the property the sharded
 // pipeline depends on (mirroring TestSurveyShardEquivalence): merging
 // per-shard registries must be commutative and associative, so the
@@ -48,33 +57,21 @@ func TestRegistryMergeOrderIndependence(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		// Commutativity: a+b == b+a.
 		ab := randomRegistry(seed)
-		if err := ab.Merge(randomRegistry(seed + 100)); err != nil {
-			t.Fatal(err)
-		}
+		merge(t, ab, randomRegistry(seed+100))
 		ba := randomRegistry(seed + 100)
-		if err := ba.Merge(randomRegistry(seed)); err != nil {
-			t.Fatal(err)
-		}
+		merge(t, ba, randomRegistry(seed))
 		if got, want := render(t, ab), render(t, ba); got != want {
 			t.Errorf("seed %d: merge not commutative:\na+b:\n%s\nb+a:\n%s", seed, got, want)
 		}
 
 		// Associativity: (a+b)+c == a+(b+c).
 		left := randomRegistry(seed)
-		if err := left.Merge(randomRegistry(seed + 100)); err != nil {
-			t.Fatal(err)
-		}
-		if err := left.Merge(randomRegistry(seed + 200)); err != nil {
-			t.Fatal(err)
-		}
+		merge(t, left, randomRegistry(seed+100))
+		merge(t, left, randomRegistry(seed+200))
 		bc := randomRegistry(seed + 100)
-		if err := bc.Merge(randomRegistry(seed + 200)); err != nil {
-			t.Fatal(err)
-		}
+		merge(t, bc, randomRegistry(seed+200))
 		right := randomRegistry(seed)
-		if err := right.Merge(bc); err != nil {
-			t.Fatal(err)
-		}
+		merge(t, right, bc)
 		if got, want := render(t, left), render(t, right); got != want {
 			t.Errorf("seed %d: merge not associative:\n(a+b)+c:\n%s\na+(b+c):\n%s", seed, got, want)
 		}
@@ -134,7 +131,7 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram should stay empty")
 	}
-	if err := r.Merge(NewRegistry()); err != nil {
+	if err := r.AddSnapshot(NewRegistry().Snapshot()); err != nil {
 		t.Errorf("nil registry merge: %v", err)
 	}
 	var buf bytes.Buffer
@@ -176,7 +173,7 @@ func TestHistogramMergeBucketMismatch(t *testing.T) {
 	ra, rb := NewRegistry(), NewRegistry()
 	ra.Histogram("h", "", []float64{1, 2})
 	rb.Histogram("h", "", []float64{1, 3})
-	if err := ra.Merge(rb); err == nil {
+	if err := ra.AddSnapshot(rb.Snapshot()); err == nil {
 		t.Fatal("registry merge of mismatched buckets should fail")
 	}
 }
@@ -185,11 +182,13 @@ func TestGaugeMergeIsMax(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Gauge("g", "").Set(3)
 	b.Gauge("g", "").Set(7)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	merge(t, a, b)
 	if got := a.Gauge("g", "").Value(); got != 7 {
 		t.Errorf("gauge merge: got %g want 7", got)
+	}
+	merge(t, b, a)
+	if got := b.Gauge("g", "").Value(); got != 7 {
+		t.Errorf("gauge merge, other order: got %g want 7", got)
 	}
 }
 

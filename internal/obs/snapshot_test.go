@@ -18,8 +18,8 @@ func populated() *Registry {
 }
 
 // TestSnapshotMergeEqualsRegistryMerge pins the distributed-metrics
-// contract: merging snapshots (possibly through JSON) renders the
-// exact same /metrics text as merging the live registries.
+// contract: merging snapshots that went through JSON renders the exact
+// same /metrics text as merging them in memory.
 func TestSnapshotMergeEqualsRegistryMerge(t *testing.T) {
 	a, b := populated(), populated()
 	b.Counter("c_total", "").Add(3)
@@ -27,12 +27,8 @@ func TestSnapshotMergeEqualsRegistryMerge(t *testing.T) {
 	b.Counter("b_only_total", "only in b").Inc()
 
 	direct := NewRegistry()
-	if err := direct.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.Merge(b); err != nil {
-		t.Fatal(err)
-	}
+	merge(t, direct, a)
+	merge(t, direct, b)
 
 	viaSnap := NewRegistry()
 	for _, src := range []*Registry{b, a} { // reversed order on purpose

@@ -188,3 +188,57 @@ func TestKeysForConcurrent(t *testing.T) {
 		t.Fatal("the cache kept a different key pair than its callers got")
 	}
 }
+
+// TestSignCacheSameContentConcurrent signs identical content from eight
+// goroutines at once, fifty times over: every caller must get the same
+// signed zone, and exactly one of them may have signed it.
+func TestSignCacheSameContentConcurrent(t *testing.T) {
+	apex := dnswire.MustParseName("same.example")
+	raw := func() *zone.Zone {
+		z := zone.New(apex, 300)
+		z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOA{
+			MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"),
+			Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300,
+		}})
+		z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: apex.MustChild("ns")}})
+		z.MustAdd(dnswire.RR{Name: apex.MustChild("www"), Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.TXT{Strings: []string{"same"}}})
+		return z
+	}
+	cfg := zone.SignConfig{Denial: zone.DenialNSEC3, Inception: tInception, Expiration: tExpiration}
+	const callers = 8
+	for round := range 50 {
+		cache := NewSignCache()
+		zones := make([]*zone.Zone, callers)
+		for i := range zones {
+			zones[i] = raw()
+		}
+		got := make([]*zone.Signed, callers)
+		hits := make([]bool, callers)
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], hits[i], errs[i] = cache.sign(zones[i], cfg)
+			}()
+		}
+		wg.Wait()
+		misses := 0
+		for i := range callers {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got[i] != got[0] {
+				t.Fatalf("round %d: caller %d got a different signed zone than caller 0", round, i)
+			}
+			if !hits[i] {
+				misses++
+			}
+		}
+		if misses != 1 {
+			t.Fatalf("round %d: %d callers report signing, want exactly 1", round, misses)
+		}
+	}
+}
