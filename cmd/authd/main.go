@@ -52,7 +52,6 @@ func run() error {
 	flag.Parse()
 
 	srv := authserver.New()
-	srv.Log = authserver.NewQueryLog(4096)
 	inception := uint32(time.Now().Add(-time.Hour).Unix())
 	expiration := uint32(time.Now().Add(30 * 24 * time.Hour).Unix())
 

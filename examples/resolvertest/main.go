@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/authserver"
 	"repro/internal/compliance"
 	"repro/internal/core"
 	"repro/internal/dnswire"
@@ -33,6 +34,11 @@ func run() error {
 	}
 	fmt.Printf("testbed up: %d zones under %s (49 subdomains + it-2501-expired)\n\n",
 		len(h.Zones), testbed.TestbedDomain)
+	// The server-side query log (§4.2) is this program's to attach.
+	qlog := authserver.NewQueryLog(1 << 16)
+	for _, srv := range h.Servers {
+		srv.Log = qlog
+	}
 
 	profiles := []respop.Profile{
 		respop.BIND2021, respop.BINDPatched, respop.GooglePublicDNS,
@@ -86,7 +92,7 @@ func run() error {
 	}
 
 	// Forwarder detection via the server-side query log (§4.2).
-	srcs := h.Log.SourcesFor(func(n dnswire.Name) bool {
+	srcs := qlog.SourcesFor(func(n dnswire.Name) bool {
 		return n.IsSubdomainOf(dnswire.MustParseName(testbed.TestbedDomain))
 	})
 	fmt.Printf("server-side log saw %d distinct sources hit the testbed name servers\n", len(srcs))

@@ -47,8 +47,8 @@ type Server struct {
 	mMemoAdmitted *obs.Counter
 	mMemoFlushes  *obs.Counter
 
-	// Log, when non-nil, records every query source (forwarder
-	// detection in the resolver experiment).
+	// Log, when non-nil, records every query source (§4.2 forwarder
+	// detection). Only a program that reads the sources attaches one.
 	Log *QueryLog
 }
 

@@ -59,9 +59,6 @@ func (c SurveyConfig) Validate() error {
 	if c.Workers < 0 {
 		return &ConfigError{Field: "Workers", Reason: fmt.Sprintf("negative worker count %d", c.Workers)}
 	}
-	if c.QPS < 0 {
-		return &ConfigError{Field: "QPS", Reason: fmt.Sprintf("negative rate limit %d", c.QPS)}
-	}
 	if c.Signing < SigningDefault || c.Signing > SigningEager {
 		return &ConfigError{Field: "Signing", Reason: fmt.Sprintf("unknown signing mode %d", int(c.Signing))}
 	}
@@ -77,7 +74,6 @@ type SurveySpec struct {
 	Registered int         `json:"registered"`
 	Seed       uint64      `json:"seed"`
 	Workers    int         `json:"workers"`
-	QPS        int         `json:"qps"`
 	Shards     int         `json:"shards"`
 	Signing    SigningMode `json:"signing"`
 }
@@ -94,7 +90,6 @@ func (c SurveyConfig) Resolve() (SurveySpec, error) {
 		Registered: d.Registered,
 		Seed:       d.Seed,
 		Workers:    d.Workers,
-		QPS:        d.QPS,
 		Shards:     d.Shards,
 		Signing:    d.Signing,
 	}, nil
@@ -109,7 +104,7 @@ const specHashVersion = 2
 // job, checkpoint, or state directory belongs to. Only result- and
 // plan-affecting fields participate: Registered, Seed, Shards, and
 // Signing pin the shard decomposition and its outcomes, while Workers
-// and QPS are runtime throttles a resumed run may legitimately change.
+// is a runtime throttle a resumed run may legitimately change.
 func (s SurveySpec) Hash() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("repro-survey-v%d:r=%d:s=%d:sh=%d:sg=%d",
 		specHashVersion, s.Registered, s.Seed, s.Shards, int(s.Signing))))

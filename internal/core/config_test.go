@@ -19,7 +19,6 @@ func TestSurveyConfigValidate(t *testing.T) {
 		{"negative shards", SurveyConfig{Registered: 10, Shards: -2}, "Shards"},
 		{"shards without registered", SurveyConfig{Shards: 4}, "Shards"},
 		{"negative workers", SurveyConfig{Registered: 10, Workers: -1}, "Workers"},
-		{"negative qps", SurveyConfig{Registered: 10, QPS: -5}, "QPS"},
 		{"unknown signing mode", SurveyConfig{Registered: 10, Signing: SigningMode(99)}, "Signing"},
 	}
 	for _, tc := range cases {

@@ -48,9 +48,6 @@ type SurveyConfig struct {
 	Seed uint64
 	// Workers is the scanner concurrency.
 	Workers int
-	// QPS rate-limits the scanner (0 = unlimited; the paper used
-	// 14.7 K qps against 1.1.1.1).
-	QPS int
 	// Shards splits the run into bounded generate→deploy→scan→merge
 	// batches: peak memory is O(Registered/Shards) instead of
 	// O(Registered). The shard decomposition never changes the report

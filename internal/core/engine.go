@@ -165,7 +165,6 @@ func (run *surveyExec) execute(ctx context.Context, plan population.ShardPlan) (
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,
 		Workers:   spec.Workers,
-		QPS:       spec.QPS,
 		Seed:      spec.Seed + 1 + uint64(shard.Index),
 		Obs:       run.reg,
 	})

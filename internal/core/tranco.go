@@ -18,7 +18,6 @@ type TrancoConfig struct {
 	// 10,000).
 	ListSize int
 	Seed     uint64
-	Workers  int
 }
 
 // TrancoReport is the Figure 2 output: how popular domains fare
@@ -46,9 +45,6 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 	if cfg.ListSize == 0 {
 		cfg.ListSize = 10000
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 64
-	}
 	// A dedicated universe where every domain is ranked: the ranked
 	// marginals then drive all parameters.
 	u, err := population.Generate(population.Config{
@@ -71,10 +67,9 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 	sc := scanner.New(scanner.Config{
 		Exchanger: dep.Hierarchy.Net,
 		Resolver:  resolverAddr,
-		Workers:   cfg.Workers,
+		Workers:   64,
 		Seed:      cfg.Seed + 3,
 	})
-
 	defer sc.Close()
 
 	rankByName := make(map[dnswire.Name]int, len(u.Domains))

@@ -131,7 +131,7 @@ func NewCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](cfg Coordin
 			if err := c.builder.Add(cp.Outcome); err != nil {
 				return nil, fmt.Errorf("distsurvey: replaying checkpoint for shard %d: %w", index, err)
 			}
-			if err := c.reg.AddSnapshot(cp.Obs); err != nil {
+			if err := c.reg.Merge(cp.Obs); err != nil {
 				return nil, fmt.Errorf("distsurvey: replaying checkpoint metrics for shard %d: %w", index, err)
 			}
 			delete(c.jobs, index)
@@ -428,7 +428,7 @@ func (c *Coordinator[O, R]) complete(f *Frame) (bool, error) {
 	if len(c.jobs) == 0 {
 		close(c.done)
 	}
-	if err := c.reg.AddSnapshot(f.Obs); err != nil {
+	if err := c.reg.Merge(f.Obs); err != nil {
 		// The shard is merged and checkpointed; losing its metrics is a
 		// loud error but must not strand the shard as forever-pending.
 		return true, err

@@ -149,7 +149,7 @@ func executeLease[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.C
 	}
 	// Fold the shard into the worker's own cumulative registry last, so
 	// a shard whose result write failed is never half-counted locally.
-	if err := cfg.Obs.AddSnapshot(reg.Snapshot()); err != nil {
+	if err := cfg.Obs.Merge(reg.Snapshot()); err != nil {
 		return err
 	}
 	return nil

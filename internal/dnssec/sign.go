@@ -49,15 +49,6 @@ func NewRRset(rrs []dnswire.RR) (RRset, error) {
 // Type returns the RRset's record type.
 func (s RRset) Type() dnswire.Type { return s.Datas[0].Type() }
 
-// RRs materializes the set back into resource records.
-func (s RRset) RRs() []dnswire.RR {
-	out := make([]dnswire.RR, len(s.Datas))
-	for i, d := range s.Datas {
-		out[i] = dnswire.RR{Name: s.Name, Class: s.Class, TTL: s.TTL, Data: d}
-	}
-	return out
-}
-
 // canonicalOwner returns the owner name used in canonical form: if the
 // RRSIG Labels field is smaller than the owner's label count, the name
 // was synthesized from a wildcard and the canonical owner is

@@ -219,10 +219,6 @@ func (r DNSKEY) String() string {
 // IsZoneKey reports whether the ZONE flag bit is set.
 func (r DNSKEY) IsZoneKey() bool { return r.Flags&DNSKEYFlagZone != 0 }
 
-// IsSEP reports whether the Secure Entry Point bit (conventionally the
-// KSK marker) is set.
-func (r DNSKEY) IsSEP() bool { return r.Flags&DNSKEYFlagSEP != 0 }
-
 func (r DNSKEY) appendRData(e *encoder) {
 	e.u16(r.Flags)
 	e.buf = append(e.buf, r.Protocol, byte(r.Algorithm))

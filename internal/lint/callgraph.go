@@ -213,12 +213,6 @@ func (g *CallGraph) FuncNode(fn *types.Func) *CallNode {
 	return g.funcs[funcKey(fn)]
 }
 
-// LitNode returns the node for a function literal in the loaded
-// packages, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *CallNode {
-	return g.lits[lit]
-}
-
 // waived reports whether the declaration carries the named //repro:
 // directive with a reason — a bare directive is never a waiver.
 // Literals carry nothing: only declared functions can be annotated,

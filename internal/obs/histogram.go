@@ -11,7 +11,7 @@ import (
 // Histogram is a fixed-bucket histogram: cumulative-style observation
 // counts per upper bound plus a running sum, all updated atomically.
 // Buckets are fixed at construction, which is what makes two
-// histograms mergeable — the Merge that lets per-worker and per-shard
+// histograms mergeable — Registry.Merge lets per-worker and per-shard
 // observations combine order-independently, mirroring analysis.CDF.
 type Histogram struct {
 	// bounds are the ascending bucket upper bounds; a final implicit
@@ -88,35 +88,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Merge folds o's buckets, count, and sum into h. Bucket-wise addition
-// is commutative and associative, so shard histograms combine in any
-// order; histograms with different bounds cannot be combined and
-// return ErrBucketMismatch.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return ErrBucketMismatch
-	}
-	for i, b := range h.bounds {
-		if o.bounds[i] != b {
-			return ErrBucketMismatch
-		}
-	}
-	for i := range o.counts {
-		h.counts[i].Add(o.counts[i].Load())
-	}
-	h.count.Add(o.count.Load())
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + o.Sum())
-		if h.sum.CompareAndSwap(old, next) {
-			return nil
-		}
-	}
 }
 
 // writePrometheus renders the histogram in the text exposition format:

@@ -1,8 +1,8 @@
 // Package obs is the observability substrate for the whole pipeline:
 // an atomic metrics registry (counters, gauges, fixed-bucket
-// histograms) whose aggregates carry Merge methods like the analysis
-// types — per-shard and per-worker metrics combine order-independently
-// — plus a lightweight span tracer (trace.go) and a Prometheus-text
+// histograms) that merges other registries' snapshots the way the
+// analysis types merge — per-shard and per-worker metrics combine
+// order-independently (snapshot.go) — plus a lightweight span tracer (trace.go) and a Prometheus-text
 // /metrics + /healthz HTTP endpoint (http.go). Everything is standard
 // library only.
 //
@@ -52,14 +52,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Merge folds o into c by summation — commutative and associative, so
-// per-shard counters combine in any order. A nil o is a no-op.
-func (c *Counter) Merge(o *Counter) {
-	if o != nil {
-		c.Add(o.Value())
-	}
-}
-
 // Gauge is an instantaneous float value (a rate, a level).
 type Gauge struct {
 	bits atomic.Uint64 // float64 bits
@@ -79,18 +71,6 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// Merge folds o into g by taking the maximum — the only fold over
-// last-value semantics that stays commutative and associative. A nil o
-// is a no-op.
-func (g *Gauge) Merge(o *Gauge) {
-	if g == nil || o == nil {
-		return
-	}
-	if v := o.Value(); v > g.Value() {
-		g.Set(v)
-	}
 }
 
 // Registry holds named metrics. The zero value is not usable; create
@@ -182,49 +162,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	h := newHistogram(buckets)
 	r.histograms[name] = h
 	return h
-}
-
-// Merge folds every metric of o into r, creating missing ones:
-// counters and histograms sum, gauges take the maximum. Merging shard
-// registries in any order yields the same totals — the property
-// TestRegistryMergeOrderIndependence pins. It fails only when the same
-// histogram name carries different bucket bounds in r and o.
-func (r *Registry) Merge(o *Registry) error {
-	if r == nil || o == nil {
-		return nil
-	}
-	// Snapshot o's tables so the fold never holds both locks at once.
-	o.mu.Lock()
-	counters := make(map[string]*Counter, len(o.counters))
-	for n, c := range o.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(o.gauges))
-	for n, g := range o.gauges {
-		gauges[n] = g
-	}
-	histograms := make(map[string]*Histogram, len(o.histograms))
-	for n, h := range o.histograms {
-		histograms[n] = h
-	}
-	help := make(map[string]string, len(o.help))
-	for n, t := range o.help {
-		help[n] = t
-	}
-	o.mu.Unlock()
-
-	for n, c := range counters {
-		r.Counter(n, help[n]).Merge(c)
-	}
-	for n, g := range gauges {
-		r.Gauge(n, help[n]).Merge(g)
-	}
-	for n, h := range histograms {
-		if err := r.Histogram(n, help[n], h.bounds).Merge(h); err != nil {
-			return fmt.Errorf("obs: merging histogram %q: %w", n, err)
-		}
-	}
-	return nil
 }
 
 // WritePrometheus renders every metric in the Prometheus text

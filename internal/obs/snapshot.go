@@ -7,9 +7,9 @@ import (
 
 // Snapshot is the serializable point-in-time state of a Registry: the
 // form worker processes ship their per-shard metrics back to the
-// coordinator in. AddSnapshot folds one in with the same semantics as
-// Registry.Merge — counters and histogram buckets sum, gauges take the
-// maximum — so snapshots merge order-independently too.
+// coordinator in. Registry.Merge folds one in: counters and histogram
+// buckets sum, gauges take the maximum, so snapshots merge
+// order-independently.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
@@ -30,7 +30,7 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot captures the registry's current state. A nil registry
-// yields a nil snapshot (which AddSnapshot treats as a no-op).
+// yields a nil snapshot (which Merge treats as a no-op).
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -80,12 +80,14 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// AddSnapshot folds a snapshot into the registry: counters and
-// histogram buckets sum, gauges take the maximum, missing metrics are
-// created with the snapshot's help text. It fails only when a
-// histogram name carries different bucket bounds, or a snapshot metric
-// collides with an existing metric of another type.
-func (r *Registry) AddSnapshot(s *Snapshot) (err error) {
+// Merge folds a snapshot into the registry: counters and histogram
+// buckets sum, gauges take the maximum, missing metrics are created
+// with the snapshot's help text. Folding snapshots in any order yields
+// the same totals — the property TestRegistryMergeOrderIndependence
+// pins. It fails only when a histogram name carries different bucket
+// bounds, or a snapshot metric collides with an existing metric of
+// another type.
+func (r *Registry) Merge(s *Snapshot) (err error) {
 	if r == nil || s == nil {
 		return nil
 	}

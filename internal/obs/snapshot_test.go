@@ -40,7 +40,7 @@ func TestSnapshotMergeEqualsRegistryMerge(t *testing.T) {
 		if err := json.Unmarshal(data, &s); err != nil {
 			t.Fatal(err)
 		}
-		if err := viaSnap.AddSnapshot(&s); err != nil {
+		if err := viaSnap.Merge(&s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,11 +64,11 @@ func TestSnapshotNilSafety(t *testing.T) {
 	if s := nilReg.Snapshot(); s != nil {
 		t.Fatalf("nil registry snapshotted to %+v", s)
 	}
-	if err := nilReg.AddSnapshot(&Snapshot{Counters: map[string]uint64{"x": 1}}); err != nil {
+	if err := nilReg.Merge(&Snapshot{Counters: map[string]uint64{"x": 1}}); err != nil {
 		t.Fatal(err)
 	}
 	r := NewRegistry()
-	if err := r.AddSnapshot(nil); err != nil {
+	if err := r.Merge(nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,22 +77,22 @@ func TestSnapshotNilSafety(t *testing.T) {
 // violations are errors, not panics.
 func TestSnapshotRejectsMalformed(t *testing.T) {
 	r := populated()
-	if err := r.AddSnapshot(&Snapshot{
+	if err := r.Merge(&Snapshot{
 		Histograms: map[string]HistogramSnapshot{"h_lat": {Bounds: []float64{1, 10}, Counts: []uint64{1}}},
 	}); err == nil {
 		t.Error("count/bounds length mismatch accepted")
 	}
-	if err := r.AddSnapshot(&Snapshot{
+	if err := r.Merge(&Snapshot{
 		Histograms: map[string]HistogramSnapshot{"h_lat": {Bounds: []float64{1, 99}, Counts: []uint64{0, 0, 0}}},
 	}); err == nil {
 		t.Error("bucket bounds mismatch accepted")
 	}
-	if err := r.AddSnapshot(&Snapshot{
+	if err := r.Merge(&Snapshot{
 		Histograms: map[string]HistogramSnapshot{"bad": {Bounds: []float64{10, 1}, Counts: []uint64{0, 0, 0}}},
 	}); err == nil {
 		t.Error("non-ascending bounds accepted")
 	}
-	if err := r.AddSnapshot(&Snapshot{
+	if err := r.Merge(&Snapshot{
 		Counters: map[string]uint64{"g_rate": 1}, // registered as a gauge
 	}); err == nil {
 		t.Error("type collision accepted")

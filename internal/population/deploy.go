@@ -25,9 +25,8 @@ type Deployment struct {
 type DeployOption func(*deployOptions)
 
 type deployOptions struct {
-	cache    *testbed.SignCache
-	lazy     bool
-	transfer func(TLDSpec) zone.TransferPolicy
+	cache *testbed.SignCache
+	lazy  bool
 }
 
 // WithSignCache reuses signing keys and signed zones for the
@@ -49,13 +48,6 @@ func WithSignCache(c *testbed.SignCache) DeployOption {
 // query use Hierarchy.Materialize.
 func WithLazySigning() DeployOption {
 	return func(o *deployOptions) { o.lazy = true }
-}
-
-// WithTransferPolicy overrides the per-TLD AXFR policy. The default
-// mirrors the paper's methodology: zones whose registry publishes zone
-// data (CZDS/AXFR) are TransferOpen, everything else refuses.
-func WithTransferPolicy(pol func(TLDSpec) zone.TransferPolicy) DeployOption {
-	return func(o *deployOptions) { o.transfer = pol }
 }
 
 // signConfig maps a TLD's or a domain's DNSSEC parameters to the zone
@@ -89,14 +81,6 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 	var o deployOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.transfer == nil {
-		o.transfer = func(t TLDSpec) zone.TransferPolicy {
-			if t.OpenZoneData {
-				return zone.TransferOpen
-			}
-			return zone.TransferRefused
-		}
 	}
 	bopts := []testbed.BuilderOption{testbed.WithCache(o.cache)}
 	if o.lazy {
@@ -190,21 +174,18 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 	if err != nil {
 		return nil, fmt.Errorf("population: deploying universe: %w", err)
 	}
-	// Apply the AXFR policy (default: open on the TLDs that publish
-	// their zone data — CZDS/AXFR in the paper's methodology;
-	// everything else refuses transfers).
+	// Open AXFR on the TLDs that publish their zone data (CZDS/AXFR in
+	// the paper's methodology); everything else refuses transfers.
 	for _, tld := range u.TLDs {
-		pol := o.transfer(tld)
-		if pol != zone.TransferOpen {
+		if !tld.OpenZoneData {
 			continue
 		}
-		addr := tldAddrs[tld.Name]
-		if srv, ok := h.Servers[addr]; ok {
+		if srv, ok := h.Servers[tldAddrs[tld.Name]]; ok {
 			apex, err := dnswire.FromLabels(tld.Name)
 			if err != nil {
 				return nil, err
 			}
-			srv.SetTransferPolicy(apex, pol)
+			srv.SetTransferPolicy(apex, zone.TransferOpen)
 		}
 	}
 	return &Deployment{Universe: u, Hierarchy: h, OperatorServers: opServers, TLDServers: tldAddrs}, nil

@@ -276,9 +276,6 @@ func New(cfg Config) *Resolver {
 	return r
 }
 
-// Policy returns the resolver's policy profile.
-func (r *Resolver) Policy() Policy { return r.cfg.Policy }
-
 // Resolve answers (qname, qtype) for a client, consulting the cache.
 func (r *Resolver) Resolve(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	return r.ResolveCD(ctx, qname, qtype, false)

@@ -152,15 +152,6 @@ func NewPlanner(cfg DeployConfig) (*Planner, error) {
 // Total is the fleet size across all quadrants.
 func (p *Planner) Total() int { return p.total }
 
-// Counts returns a copy of the per-quadrant fleet sizes.
-func (p *Planner) Counts() map[Quadrant]int {
-	out := make(map[Quadrant]int, len(p.quads))
-	for _, qp := range p.quads {
-		out[qp.q] = qp.n
-	}
-	return out
-}
-
 // Assignment is one resolver's planned identity: everything DeployShard
 // needs to instantiate it, derived purely from (Seed, Index).
 type Assignment struct {

@@ -78,8 +78,6 @@ type Hierarchy struct {
 	Zones map[dnswire.Name]*zone.Signed
 	// Servers maps listen address to the server instance.
 	Servers map[netip.AddrPort]*authserver.Server
-	// Log records queries on every server (shared).
-	Log *authserver.QueryLog
 
 	// hosts maps every apex to its serving server, so Materialize can
 	// reach a zone without knowing the topology.
@@ -378,7 +376,6 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 		Net:     net,
 		Zones:   make(map[dnswire.Name]*zone.Signed),
 		Servers: make(map[netip.AddrPort]*authserver.Server),
-		Log:     authserver.NewQueryLog(1 << 16),
 		hosts:   make(map[dnswire.Name]*authserver.Server, len(b.specs)),
 	}
 
@@ -408,7 +405,6 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 		srv, ok := h.Servers[spec.Server]
 		if !ok {
 			srv = authserver.New()
-			srv.Log = h.Log
 			h.Servers[spec.Server] = srv
 			net.Register(spec.Server, srv)
 		}

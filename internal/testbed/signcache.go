@@ -31,35 +31,25 @@ import (
 // Only zones marked Shared in their ZoneSpec consult the cache, so
 // per-shard leaf zones don't accumulate (memory stays O(shared set)).
 // The cache is safe for concurrent signers: lazy hierarchies sign
-// shared zones from query-handling goroutines, so sign runs as a
-// singleflight — the mutex only guards the maps, never a Sign call or a
-// key generation, and concurrent requests for the same content block
-// on one signer while different zones sign in parallel.
+// shared zones from query-handling goroutines. The mutex only guards
+// the maps, never a sign or a key generation; both run outside it and
+// store only if absent, so when two callers race on one apex or one
+// content, the first to store wins and the other takes its result.
 type SignCache struct {
-	mu       sync.Mutex
-	keys     map[dnswire.Name]cachedKeys
-	zones    map[[sha256.Size]byte]*zone.Signed
-	inflight map[[sha256.Size]byte]*signFlight
+	mu    sync.Mutex
+	keys  map[dnswire.Name]cachedKeys
+	zones map[[sha256.Size]byte]*zone.Signed
 }
 
 type cachedKeys struct {
 	ksk, zsk *dnssec.KeyPair
 }
 
-// signFlight is one in-progress signing: waiters block on done and
-// read sz/err afterwards (written before close, so reads are ordered).
-type signFlight struct {
-	done chan struct{}
-	sz   *zone.Signed
-	err  error
-}
-
 // NewSignCache creates an empty cache.
 func NewSignCache() *SignCache {
 	return &SignCache{
-		keys:     make(map[dnswire.Name]cachedKeys),
-		zones:    make(map[[sha256.Size]byte]*zone.Signed),
-		inflight: make(map[[sha256.Size]byte]*signFlight),
+		keys:  make(map[dnswire.Name]cachedKeys),
+		zones: make(map[[sha256.Size]byte]*zone.Signed),
 	}
 }
 
@@ -106,11 +96,11 @@ func signAlg(cfg zone.SignConfig) dnswire.SecAlgorithm {
 
 // sign signs z under cfg, reusing cached keys for the apex and a
 // cached signed zone when the content fingerprint matches a previous
-// build. The returned hit reports whether signing was skipped (either
-// a cache hit or a wait on another goroutine's in-flight signing of
-// the same content).
-//
-//repro:ctxexempt the singleflight wait is bounded by the in-flight signer, which is CPU-bound ECDSA over a finite zone, not I/O
+// build. The returned hit reports whether this caller's signing was
+// skipped or discarded: the content was cached, or another caller
+// stored the same content while this one signed. Signing runs outside
+// the lock, like keysFor's key generation, so distinct zones sign in
+// parallel.
 func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool, error) {
 	keys, err := c.keysFor(z.Apex, signAlg(cfg))
 	if err != nil {
@@ -122,38 +112,21 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 	fp := fingerprint(z, cfg)
 
 	c.mu.Lock()
-	if s, ok := c.zones[fp]; ok {
-		c.mu.Unlock()
+	s, ok := c.zones[fp]
+	c.mu.Unlock()
+	if ok {
 		return s, true, nil
 	}
-	if fl, ok := c.inflight[fp]; ok {
-		// Another goroutine is signing identical content right now:
-		// wait for it rather than signing twice.
-		c.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, false, fl.err
-		}
-		return fl.sz, true, nil
+	if s, err = z.SignOnDemand(cfg); err != nil {
+		return nil, false, err
 	}
-	fl := &signFlight{done: make(chan struct{})}
-	c.inflight[fp] = fl
-	c.mu.Unlock()
-
-	// Sign outside the lock so distinct zones sign in parallel.
-	fl.sz, fl.err = z.SignOnDemand(cfg)
-
 	c.mu.Lock()
-	delete(c.inflight, fp)
-	if fl.err == nil {
-		c.zones[fp] = fl.sz
+	defer c.mu.Unlock()
+	if won, ok := c.zones[fp]; ok {
+		return won, true, nil
 	}
-	c.mu.Unlock()
-	close(fl.done)
-	if fl.err != nil {
-		return nil, false, fl.err
-	}
-	return fl.sz, false, nil
+	c.zones[fp] = s
+	return s, false, nil
 }
 
 // fingerprint hashes everything that determines a signed zone's bytes:

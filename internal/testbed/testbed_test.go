@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/authserver"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/nsec3"
@@ -163,14 +164,16 @@ func TestTranscriptHelpers(t *testing.T) {
 }
 
 func TestServerSideQueryLogIdentifiesSources(t *testing.T) {
-	// The §4.2 forwarder-detection mechanism: the shared query log
-	// records which source asked for which unique label.
+	// The §4.2 forwarder-detection mechanism: a query log attached to
+	// the testbed's server records which source asked for which unique
+	// label.
 	h := buildWorld(t)
 	srv := h.Servers[netsim.Addr4(203, 0, 113, 10)]
+	srv.Log = authserver.NewQueryLog(16)
 	from := netsim.Addr4(10, 9, 9, 9)
 	q := dnswire.NewQuery(9, Subdomains()[5].QName("forwardee-42"), dnswire.TypeA, true)
 	srv.Handle(context.Background(), from, q)
-	srcs := h.Log.SourcesFor(func(n dnswire.Name) bool {
+	srcs := srv.Log.SourcesFor(func(n dnswire.Name) bool {
 		for _, l := range n.Labels() {
 			if l == "forwardee-42" {
 				return true

@@ -69,12 +69,6 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	}
 }
 
-// AddData is a convenience wrapper building the RR from parts with the
-// zone default TTL.
-func (z *Zone) AddData(owner dnswire.Name, data dnswire.RData) error {
-	return z.Add(dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: z.TTL, Data: data})
-}
-
 // Lookup returns the records of the given type at owner: the zone's own,
 // capacity-limited, so appending to them copies.
 func (z *Zone) Lookup(owner dnswire.Name, t dnswire.Type) []dnswire.RR {
