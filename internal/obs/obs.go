@@ -2,9 +2,9 @@
 // an atomic metrics registry (counters, gauges, fixed-bucket
 // histograms) that merges other registries' snapshots the way the
 // analysis types merge — per-shard and per-worker metrics combine
-// order-independently (snapshot.go) — plus a lightweight span tracer (trace.go) and a Prometheus-text
-// /metrics + /healthz HTTP endpoint (http.go). Everything is standard
-// library only.
+// order-independently (snapshot.go) — plus a lightweight span tracer
+// (trace.go) and a Prometheus-text /metrics + /healthz HTTP endpoint
+// (http.go). Everything is standard library only.
 //
 // Every metric type is safe for concurrent use and safe as a nil
 // receiver: an uninstrumented component holds nil metrics and every
