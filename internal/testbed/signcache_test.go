@@ -193,25 +193,15 @@ func TestKeysForConcurrent(t *testing.T) {
 // goroutines at once, fifty times over: every caller must get the same
 // signed zone, and exactly one of them may have signed it.
 func TestSignCacheSameContentConcurrent(t *testing.T) {
-	apex := dnswire.MustParseName("same.example")
-	raw := func() *zone.Zone {
-		z := zone.New(apex, 300)
-		z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.SOA{
-			MName: apex.MustChild("ns"), RName: apex.MustChild("hostmaster"),
-			Serial: 1, Refresh: 1, Retry: 1, Expire: 1, Minimum: 300,
-		}})
-		z.MustAdd(dnswire.RR{Name: apex, Class: dnswire.ClassIN, TTL: 3600, Data: dnswire.NS{Host: apex.MustChild("ns")}})
-		z.MustAdd(dnswire.RR{Name: apex.MustChild("www"), Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.TXT{Strings: []string{"same"}}})
-		return z
-	}
+	b := NewBuilder(tInception, tExpiration)
+	spec := &ZoneSpec{Apex: dnswire.MustParseName("same.example"), Server: netsim.Addr4(203, 0, 113, 9)}
 	cfg := zone.SignConfig{Denial: zone.DenialNSEC3, Inception: tInception, Expiration: tExpiration}
 	const callers = 8
 	for round := range 50 {
 		cache := NewSignCache()
 		zones := make([]*zone.Zone, callers)
 		for i := range zones {
-			zones[i] = raw()
+			zones[i] = b.rawZone(spec)
 		}
 		got := make([]*zone.Signed, callers)
 		hits := make([]bool, callers)
