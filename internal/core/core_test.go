@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -394,6 +396,40 @@ func TestResolverStudyCancelled(t *testing.T) {
 	}
 	if report == nil {
 		t.Fatal("nil report without error")
+	}
+}
+
+// TestResolverStudyReportPinned pins the resolver study's report to a
+// digest recorded from a known-good tree: the SHA-256 of its JSON at
+// ScaleDen 2000, unsharded and in three shards, at seeds 1 and 7. All
+// four runs share one digest on purpose. At this scale the respop
+// planner's largest-remainder profile counts are exact, so the seed
+// only permutes which fleet index gets which profile, and every report
+// field is a sum or a histogram of sums. Do not "fix" the equality: a
+// seed that changed the report here would be the bug.
+func TestResolverStudyReportPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end resolver study is slow")
+	}
+	const want = "9281c453d83ea94b83ef2c8a5d6768c6a125b3e151a576935987e62d069edfba"
+	for _, seed := range []uint64{1, 7} {
+		for _, shards := range []int{1, 3} {
+			report, err := RunResolverStudy(context.Background(), ResolverStudyConfig{
+				ScaleDen: 2000,
+				Seed:     seed,
+				Shards:   shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+				t.Errorf("seed %d, shards %d: report digest %s, want %s", seed, shards, got, want)
+			}
+		}
 	}
 }
 

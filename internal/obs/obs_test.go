@@ -204,3 +204,43 @@ func TestWritePrometheusFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestWritePrometheusExact pins the whole exposition text of a small
+// registry: names sorted, HELP only where help was given, TYPE lines,
+// cumulative histogram buckets, then _sum and _count.
+func TestWritePrometheusExact(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("b_total", "second counter").Add(7)
+	r.Counter("a_total", "").Add(3)
+	r.Gauge("c_level", "a gauge").Set(2.5)
+	h := r.Histogram("d_seconds", "a histogram", DurationBuckets())
+	for _, v := range []float64{0.25, 0.5, 2, 10} {
+		h.Observe(v)
+	}
+	const want = `# TYPE a_total counter
+a_total 3
+# HELP b_total second counter
+# TYPE b_total counter
+b_total 7
+# HELP c_level a gauge
+# TYPE c_level gauge
+c_level 2.5
+# HELP d_seconds a histogram
+# TYPE d_seconds histogram
+d_seconds_bucket{le="1e-06"} 0
+d_seconds_bucket{le="1e-05"} 0
+d_seconds_bucket{le="0.0001"} 0
+d_seconds_bucket{le="0.001"} 0
+d_seconds_bucket{le="0.01"} 0
+d_seconds_bucket{le="0.1"} 0
+d_seconds_bucket{le="0.5"} 2
+d_seconds_bucket{le="1"} 2
+d_seconds_bucket{le="5"} 3
+d_seconds_bucket{le="+Inf"} 4
+d_seconds_sum 12.75
+d_seconds_count 4
+`
+	if got := render(t, r); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -3,6 +3,7 @@ package statewalk
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,5 +286,20 @@ func TestSeedsForTopologyDeterministic(t *testing.T) {
 	}
 	if _, err := SeedsForTopology(TopologySpec{Index: 99, Shape: ShapeSecureNX, Iterations: 2501}); err != nil {
 		t.Fatalf("seed for synthetic boundary topology: %v", err)
+	}
+}
+
+// TestRunCancelled: a run whose context is already cancelled returns
+// context.Canceled and writes no record, whatever cells had started.
+func TestRunCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	sum, err := Run(ctx, Config{Seed: 1, Workers: 4, EmitCells: true, Out: scanner.NewEncoder(&buf)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, %v; want context.Canceled", sum, err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("cancelled run wrote records:\n%s", buf.String())
 	}
 }
