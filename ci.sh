@@ -6,7 +6,9 @@
 #   race-enabled tests (TestLedger among them: BENCH.ndjson held to
 #   BENCHMARK.json's bounds), then ten -race runs of the concurrency
 #   tests (fan-out, build keys phase, keysFor, concurrent same-content
-#   signs through one SignCache, the memo alloc pin); a
+#   signs through one SignCache, the memo alloc pin, and the fan-out's
+#   users Atlas Measure, the resolver study's cancelled probe pass and
+#   statewalk's cancelled run); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
@@ -47,10 +49,12 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # One -race pass over ./... misses what only some interleavings show:
 # repeat the tests of state several goroutines reach at once — the
 # fan-out helper, the build's keys phase, SignCache.keysFor and
-# SignCache.sign — and the allocation pin whose race guard once was
-# missing.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$' \
-  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/
+# SignCache.sign — the allocation pin whose race guard once was
+# missing, and the batches that run on fanout.Each: Atlas's Measure
+# (ordering, EDE strip, cancel), the resolver study's probe pass and
+# statewalk's cell loop under a cancelled context.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$' \
+  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/

@@ -138,8 +138,8 @@ func TestRunSelfCheck(t *testing.T) {
 // tree: the packages rewired to thread context (atlas's probe path into
 // testbed/netsim/authserver, and respop) plus the distributed-survey
 // wire path (distsurvey's codec, coordinator, and worker loops) and the
-// statewalk differential runner (ctx-guarded semaphore acquire, joined
-// workers) stay clean under the full suite, call graph included, as do
+// statewalk differential runner (cells on fanout.Each, ctx checked
+// before each cell) stay clean under the full suite, call graph included, as do
 // the resolver-study plan/execute/merge layers (core's shard runners
 // and report builders, analysis and compliance merge methods). A
 // regression that drops a ctx parameter, reintroduces

@@ -110,20 +110,6 @@ func RenderCDF(w io.Writer, title string, c *CDF, probes []int) {
 	fmt.Fprintf(w, "  %-10s %d\n", "max", c.Max())
 }
 
-// Bucket is one row of a share table.
-type Bucket struct {
-	Label string
-	Count int
-}
-
-// ShareTable renders labeled counts with percentages of a denominator.
-func ShareTable(w io.Writer, title string, buckets []Bucket, denom int) {
-	fmt.Fprintln(w, title)
-	for _, b := range buckets {
-		fmt.Fprintf(w, "  %-44s %9d  (%5.1f %%)\n", b.Label, b.Count, pct(b.Count, denom))
-	}
-}
-
 func pct(n, d int) float64 {
 	if d == 0 {
 		return 0

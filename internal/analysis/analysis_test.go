@@ -205,11 +205,6 @@ func TestRenderers(t *testing.T) {
 	if !strings.Contains(sb.String(), "10.00 %") {
 		t.Fatalf("CDF render:\n%s", sb.String())
 	}
-	sb.Reset()
-	ShareTable(&sb, "shares", []Bucket{{"compliant", 25}}, 100)
-	if !strings.Contains(sb.String(), "25.0 %") {
-		t.Fatalf("share table:\n%s", sb.String())
-	}
 }
 
 // TestOperatorStatsMergeEquivalence: per-worker accumulators merged in

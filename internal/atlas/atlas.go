@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/testbed"
 )
@@ -45,24 +46,29 @@ type MeasurementResult struct {
 
 // Measure runs the full rfc9276 probe sequence from each vantage point
 // in probes against its local resolver, under the platform's
-// concurrency limit. Results are returned in probe order. EDE options
-// are stripped from every observation, mirroring the real platform's
+// concurrency limit. Results are returned in probe order; a probe
+// still queued when ctx is done reports ctx.Err(). EDE options are
+// stripped from every observation, mirroring the real platform's
 // reporting.
 func (p *Platform) Measure(ctx context.Context, probes []Probe, uniquePrefix string) []MeasurementResult {
 	limit := p.MaxConcurrent
 	if limit <= 0 {
 		limit = 100
 	}
-	probed := testbed.ProbeResolvers(ctx, p.Exchanger, limit, len(probes), func(i int) (netip.AddrPort, string) {
-		return probes[i].Resolver, fmt.Sprintf("%s-atlas-%d", uniquePrefix, probes[i].ID)
-	})
 	results := make([]MeasurementResult, len(probes))
-	for i, r := range probed {
+	// f never fails: each probe's error is its result's.
+	_ = fanout.Each(len(probes), limit, func(i int) error {
+		r := &results[i]
+		r.Probe = probes[i]
+		if r.Err = ctx.Err(); r.Err != nil {
+			return nil
+		}
+		r.Transcript, r.Err = testbed.ProbeResolver(ctx, p.Exchanger, r.Probe.Resolver, fmt.Sprintf("%s-atlas-%d", uniquePrefix, r.Probe.ID))
 		if r.Transcript != nil {
 			stripEDE(r.Transcript)
 		}
-		results[i] = MeasurementResult{Probe: probes[i], Transcript: r.Transcript, Err: r.Err}
-	}
+		return nil
+	})
 	return results
 }
 

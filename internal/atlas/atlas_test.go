@@ -146,10 +146,9 @@ func (blockingExchanger) Exchange(ctx context.Context, _ netip.AddrPort, _ *dnsw
 	return nil, ctx.Err()
 }
 
-// TestMeasureCancel pins the fix for the goleak finding in the measure
-// path: a probe goroutine waiting for a semaphore slot must also watch
-// ctx, so cancellation drains the pool instead of leaving goroutines
-// parked on the send forever.
+// TestMeasureCancel pins Measure under cancellation: a probe not yet
+// started when ctx dies records ctx.Err(), so the batch drains and
+// returns instead of probing on against a dead context.
 func TestMeasureCancel(t *testing.T) {
 	p := &Platform{Exchanger: blockingExchanger{}, MaxConcurrent: 1}
 	probes := make([]Probe, 8)
@@ -166,9 +165,9 @@ func TestMeasureCancel(t *testing.T) {
 			t.Fatalf("results = %d, want 8", len(results))
 		}
 		for i, r := range results {
-			// Every goroutine must have run to completion and filled
-			// its slot, whether it probed (transcript, possibly with
-			// per-probe errors folded in) or bailed on cancellation.
+			// Every slot must be filled, whether its probe ran
+			// (transcript, possibly with per-probe errors folded in)
+			// or was skipped on cancellation.
 			if r.Probe.ID == 0 {
 				t.Errorf("result %d: slot never filled", i)
 			}

@@ -368,10 +368,9 @@ func TestResolverStudyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestResolverStudyCancelled pins the fix for the goleak finding in
-// the open-resolver worker pool: a worker waiting for a semaphore slot
-// watches ctx, so a cancelled study drains its pool and returns
-// instead of parking goroutines on the send forever.
+// TestResolverStudyCancelled: under a cancelled context the shard's
+// probe pass records ctx.Err() for every probe not yet started, so the
+// study drains and returns instead of leaving probes parked.
 func TestResolverStudyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

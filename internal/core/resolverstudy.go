@@ -10,6 +10,7 @@ import (
 	"repro/internal/compliance"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/resolver"
@@ -173,48 +174,45 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 		PerQuadrant: make(map[respop.Quadrant]*compliance.ResolverAggregate),
 		Deployed:    make(map[respop.Quadrant]int),
 	}
-	var open, closed []*respop.Instance
-	for _, inst := range instances {
-		out.Deployed[inst.Quadrant]++
-		switch inst.Quadrant {
-		case respop.OpenIPv4, respop.OpenIPv6:
-			open = append(open, inst)
-		default:
-			// Closed resolvers are reachable only from their own
-			// network: measured through the Atlas platform.
-			closed = append(closed, inst)
-		}
-	}
 
 	probeSpan := run.trace.Start("probe", plan.Index)
-	// Open resolvers: probed directly. The fleet index makes the
-	// cache-busting label unique across shards and processes.
-	direct := testbed.ProbeResolvers(ctx, h.Net, spec.Workers, len(open), func(i int) (netip.AddrPort, string) {
-		return open[i].Addr, fmt.Sprintf("open-%d", open[i].Index)
-	})
-
-	// Closed resolvers via the Atlas platform (EDE-less transcripts),
-	// probe IDs pinned to fleet indexes so labels and result order are
-	// shard-independent.
-	platform := &atlas.Platform{Exchanger: h.Net, MaxConcurrent: spec.Workers}
-	probes := make([]atlas.Probe, len(closed))
-	for i, inst := range closed {
-		probes[i] = atlas.Probe{
-			ID:       inst.Index,
-			Resolver: inst.Addr,
-			IPv6:     inst.Quadrant == respop.ClosedIPv6,
+	// One pass over the shard in fleet order. Open resolvers are
+	// probed directly; closed ones are reachable only from their own
+	// network, so they are measured through the Atlas platform
+	// (EDE-less transcripts). Probe IDs and labels are fleet indexes,
+	// unique across shards and processes.
+	platform := &atlas.Platform{Exchanger: h.Net, MaxConcurrent: 1}
+	transcripts := make([]*testbed.Transcript, len(instances))
+	errs := make([]error, len(instances))
+	// f never fails: each probe's error is its slot's.
+	_ = fanout.Each(len(instances), spec.Workers, func(i int) error {
+		inst := instances[i]
+		switch {
+		case ctx.Err() != nil:
+			errs[i] = ctx.Err()
+		case inst.Quadrant == respop.OpenIPv4 || inst.Quadrant == respop.OpenIPv6:
+			transcripts[i], errs[i] = testbed.ProbeResolver(ctx, h.Net, inst.Addr, fmt.Sprintf("open-%d", inst.Index))
+		default:
+			m := platform.Measure(ctx, []atlas.Probe{{
+				ID: inst.Index, Resolver: inst.Addr, IPv6: inst.Quadrant == respop.ClosedIPv6,
+			}}, "closed")
+			transcripts[i], errs[i] = m[0].Transcript, m[0].Err
 		}
-	}
-	measured := platform.Measure(ctx, probes, "closed")
+		return nil
+	})
 	probeSpan.End()
 
 	mergeSpan := run.trace.Start("merge", plan.Index)
 	defer mergeSpan.End()
-	classify := func(inst *respop.Instance, tr *testbed.Transcript, err error) {
-		if err != nil || tr == nil {
+	// Every aggregate is a sum or a histogram of sums, so the report
+	// does not depend on the order this loop classifies in.
+	for i, inst := range instances {
+		out.Deployed[inst.Quadrant]++
+		tr := transcripts[i]
+		if errs[i] != nil || tr == nil {
 			out.ProbeFailures++
 			run.mProbeFail.Inc()
-			return
+			continue
 		}
 		run.mProbed[inst.Quadrant].Inc()
 		agg := out.PerQuadrant[inst.Quadrant]
@@ -225,7 +223,7 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 		c := compliance.ClassifyResolver(tr)
 		agg.Add(c)
 		if !c.IsValidator {
-			return
+			continue
 		}
 		s := out.Series[inst.Quadrant]
 		if s == nil {
@@ -233,12 +231,6 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 			out.Series[inst.Quadrant] = s
 		}
 		s.Observe(tr)
-	}
-	for i, inst := range open {
-		classify(inst, direct[i].Transcript, direct[i].Err)
-	}
-	for i, inst := range closed {
-		classify(inst, measured[i].Transcript, measured[i].Err)
 	}
 
 	// Signing-work accounting once the shard's traffic has drained:

@@ -79,28 +79,30 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 		rankByName[u.Domains[i].Name] = u.Domains[i].Rank
 	}
 
-	// Per-worker sinks: each worker classifies into its own counters,
+	// Per-worker sinks: each worker classifies into its own aggregate,
 	// merged after the scan drains — the same lock-free shape as
 	// RunSurvey.
 	var sinks []*trancoSink
 	err = sc.ScanAll(ctx, scanner.Names(names), func(int) scanner.Sink {
-		s := &trancoSink{ranks: rankByName}
+		s := &trancoSink{ranks: rankByName, agg: compliance.NewAggregate()}
 		sinks = append(sinks, s)
 		return s
 	})
 	if err != nil {
 		return nil, err
 	}
+	agg := compliance.NewAggregate()
 	report := &TrancoReport{ListSize: cfg.ListSize}
 	for _, s := range sinks {
-		report.DNSSECEnabled += s.dnssec
-		report.NSEC3Enabled += s.nsec3
-		report.ZeroIter += s.zeroIter
-		report.NoSalt += s.noSalt
-		report.Both += s.both
+		agg.Merge(s.agg)
 		report.ScanErrors += s.scanErrors
 		report.NSEC3Ranks = append(report.NSEC3Ranks, s.nsec3Ranks...)
 	}
+	report.DNSSECEnabled = agg.DNSSECEnabled
+	report.NSEC3Enabled = agg.NSEC3Enabled
+	report.ZeroIter = agg.Item2OK
+	report.NoSalt = agg.Item3OK
+	report.Both = agg.BothOK
 	sort.Ints(report.NSEC3Ranks)
 	rankHist := make(map[int]int, len(report.NSEC3Ranks))
 	for _, r := range report.NSEC3Ranks {
@@ -113,11 +115,7 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 // trancoSink is one worker's private Figure 2 accumulator.
 type trancoSink struct {
 	ranks      map[dnswire.Name]int // read-only rank lookup, shared
-	dnssec     int
-	nsec3      int
-	zeroIter   int
-	noSalt     int
-	both       int
+	agg        *compliance.Aggregate
 	scanErrors int
 	nsec3Ranks []int
 }
@@ -129,21 +127,8 @@ func (s *trancoSink) Consume(r scanner.Result) {
 		return
 	}
 	c := compliance.Classify(r.Facts)
-	if c.DNSSECEnabled {
-		s.dnssec++
-	}
-	if !c.NSEC3Enabled {
-		return
-	}
-	s.nsec3++
-	s.nsec3Ranks = append(s.nsec3Ranks, s.ranks[r.Facts.Domain])
-	if c.Item2OK {
-		s.zeroIter++
-	}
-	if c.Item3OK {
-		s.noSalt++
-	}
-	if c.BothOK {
-		s.both++
+	s.agg.Add(c)
+	if c.NSEC3Enabled {
+		s.nsec3Ranks = append(s.nsec3Ranks, s.ranks[r.Facts.Domain])
 	}
 }

@@ -1,6 +1,10 @@
 // Package fanout runs index-addressed work on a fixed set of
 // goroutines: the shape of signing every RRSIG of a zone, minting every
-// key of a hierarchy, and transferring every open TLD zone.
+// key of a hierarchy, transferring every open TLD zone, probing every
+// resolver of a resolver-study shard, measuring every Atlas probe
+// (atlas.Platform.Measure) and running every statewalk cell
+// (statewalk.Run). It is the one place a batch of independent work is
+// spread over goroutines.
 package fanout
 
 import (

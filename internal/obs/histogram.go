@@ -19,9 +19,8 @@ type Histogram struct {
 	bounds []float64
 	// counts[i] counts observations ≤ bounds[i]; counts[len(bounds)]
 	// is the +Inf bucket. Stored non-cumulatively; rendering and
-	// Quantile accumulate.
+	// Count accumulate.
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-added
 }
 
@@ -64,7 +63,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -74,12 +72,17 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations (0 for nil).
+// Count returns the total number of observations (0 for nil): the
+// sum of the buckets.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // Sum returns the sum of all observed values (0 for nil).
@@ -92,25 +95,23 @@ func (h *Histogram) Sum() float64 {
 
 // writePrometheus renders the histogram in the text exposition format:
 // cumulative le-labelled buckets, then _sum and _count.
-func (h *Histogram) writePrometheus(w io.Writer, name string) error {
+func (h HistogramSnapshot) writePrometheus(w io.Writer, name string) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}
 	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
+	for i, b := range h.Bounds {
+		cum += h.Counts[i]
 		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatBound(b), cum); err != nil {
 			return err
 		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += h.Counts[len(h.Bounds)]
 	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum(), name, h.Count()); err != nil {
-		return err
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, h.Sum, name, cum)
+	return err
 }
 
 func formatBound(b float64) string {

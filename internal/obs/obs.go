@@ -165,60 +165,35 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 }
 
 // WritePrometheus renders every metric in the Prometheus text
-// exposition format, sorted by name so the output is stable.
+// exposition format, sorted by name so the output is stable. It
+// renders a Snapshot, so the registry is read one way only.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
+	s := r.Snapshot()
+	if s == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
+	// Every registered name has a Help entry, empty or not.
+	names := make([]string, 0, len(s.Help))
+	for n := range s.Help {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	histograms := make(map[string]*Histogram, len(r.histograms))
-	for n, h := range r.histograms {
-		histograms[n] = h
-	}
-	help := make(map[string]string, len(r.help))
-	for n, t := range r.help {
-		help[n] = t
-	}
-	r.mu.Unlock()
-
 	for _, n := range names {
-		if t := help[n]; t != "" {
+		if t := s.Help[n]; t != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", n, t); err != nil {
 				return err
 			}
 		}
-		switch {
-		case counters[n] != nil:
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, counters[n].Value()); err != nil {
-				return err
-			}
-		case gauges[n] != nil:
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, gauges[n].Value()); err != nil {
-				return err
-			}
-		case histograms[n] != nil:
-			if err := histograms[n].writePrometheus(w, n); err != nil {
-				return err
-			}
+		var err error
+		if c, ok := s.Counters[n]; ok {
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, c)
+		} else if g, ok := s.Gauges[n]; ok {
+			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, g)
+		} else if h, ok := s.Histograms[n]; ok {
+			err = h.writePrometheus(w, n)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

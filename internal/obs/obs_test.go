@@ -146,11 +146,7 @@ func TestHistogramBucketing(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 1.5, 3, 100} {
 		h.Observe(v)
 	}
-	var buf bytes.Buffer
-	if err := h.writePrometheus(&buf, "d"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, r)
 	for _, want := range []string{
 		`d_bucket{le="1"} 2`,    // 0.5 and the boundary value 1
 		`d_bucket{le="2"} 3`,    // + 1.5

@@ -120,12 +120,9 @@ func (r *Registry) Merge(s *Snapshot) (err error) {
 				return fmt.Errorf("obs: snapshot histogram %q: %w", n, ErrBucketMismatch)
 			}
 		}
-		var total uint64
 		for i, c := range hs.Counts {
 			h.counts[i].Add(c)
-			total += c
 		}
-		h.count.Add(total)
 		for {
 			old := h.sum.Load()
 			next := math.Float64bits(math.Float64frombits(old) + hs.Sum)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/core"
 	"repro/internal/dnswire"
 	"repro/internal/nsec3"
 )
@@ -88,7 +89,7 @@ func denialMessage(t TopologySpec) (*dnswire.Message, error) {
 				Data: dnswire.RRSIG{
 					TypeCovered: dnswire.TypeNSEC3, Algorithm: dnswire.AlgECDSAP256SHA256,
 					Labels: 2, OrigTTL: 300,
-					Expiration: simExpiration, Inception: simInception,
+					Expiration: core.DefaultExpiration, Inception: core.DefaultInception,
 					KeyTag: 0x5A5A, SignerName: apex,
 					Signature: []byte("statewalk-fixed-placeholder-signature-64-bytes-padding-xxxxxxxxx"),
 				}})

@@ -6,8 +6,10 @@ import (
 	"net/netip"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dnssec"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/resolver"
@@ -140,32 +142,18 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		workers = 8
 	}
 	records := make([]*Record, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-acquire:
-	for i := 0; i < n; i++ {
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break acquire
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
+	err = fanout.Each(n, workers, func(i int) (err error) {
+		if err = ctx.Err(); err == nil {
 			cell := lo + i
-			records[i], errs[i] = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil, false)
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			records[i], err = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil, false)
 		}
+		return err
+	})
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	var cellsC, divC *obs.Counter
@@ -238,7 +226,7 @@ func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof re
 		TrustAnchor: h.TrustAnchor,
 		Exchanger:   tr,
 		Policy:      prof.Policy,
-		Now:         func() uint32 { return simNow },
+		Now:         func() uint32 { return core.DefaultNow },
 		VerifyMemo:  memo,
 	})
 	addr := cellAddr(cell)

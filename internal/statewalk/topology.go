@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"repro/internal/core"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/nsec3"
@@ -268,15 +269,6 @@ func (t TopologySpec) install(b *testbed.Builder, server netip.AddrPort) {
 	}
 }
 
-// Simulation clock: the paper's scan window (2024-03 .. 2024-06), the
-// probe in between — matching the core experiment constants so expired
-// signatures are expired and everything else is valid.
-const (
-	simInception  = 1709251200
-	simExpiration = 1717200000
-	simNow        = 1712000000
-)
-
 // Fixed infrastructure addresses.
 var (
 	rootAddr = netsim.Addr4(198, 41, 0, 4)
@@ -296,7 +288,7 @@ type World struct {
 // seed only parameterizes the network (content is seed-independent).
 func BuildWorld(seed uint64) (*World, error) {
 	topos := Enumerate()
-	b := testbed.NewBuilder(simInception, simExpiration)
+	b := testbed.NewBuilder(core.DefaultInception, core.DefaultExpiration)
 	b.AddZone(testbed.ZoneSpec{
 		Apex:   dnswire.Root,
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
