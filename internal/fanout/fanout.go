@@ -3,8 +3,8 @@
 // key of a hierarchy, transferring every open TLD zone, probing every
 // resolver of a resolver-study shard, measuring every Atlas probe
 // (atlas.Platform.Measure) and running every statewalk cell
-// (statewalk.Run). It is the one place a batch of independent work is
-// spread over goroutines.
+// (statewalk.Run). scanner.ScanAll keeps workers of its own because it
+// streams an unbounded Source rather than n indices.
 package fanout
 
 import (
