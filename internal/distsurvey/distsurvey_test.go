@@ -576,6 +576,148 @@ func TestLeaseExpiryReLeasesSilentWorker(t *testing.T) {
 	}
 }
 
+// heartbeatFrame builds the heartbeat a worker sends while it runs
+// shard, leased by job frame f.
+func heartbeatFrame(f *Frame, shard int) *Frame {
+	return &Frame{Type: TypeHeartbeat, Shard: shard, Lease: f.Lease}
+}
+
+// TestResultForUnheldShardRefused: a result for a shard the sending
+// connection never leased is refused and counted, never merged; an
+// honest worker then finishes the study with the identical report.
+func TestResultForUnheldShardRefused(t *testing.T) {
+	r1, _, _ := golden(t)
+	spec := goldenSpec(t)
+	ctx := context.Background()
+
+	sn := netsim.NewStreamNet()
+	ln, err := sn.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator(Config{Spec: spec, Obs: reg, LeaseTTL: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveCh := serveAsync(ctx, coord, ln)
+
+	// A valid result for shard 0, computed without ever leasing it.
+	forger := dialHello(ctx, t, sn, spec.Hash())
+	if err := forger.write(ctx, resultFrame(ctx, t, &Frame{}, coordJobs(t, spec)[0], nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := forger.read(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := forger.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	wch := runWorkerAsync(ctx, sn, spec, "honest")
+	res := <-serveCh
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if err := <-wch; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.report, r1) {
+		t.Errorf("report after a forged result differs from single-process run")
+	}
+	if got := counterValue(reg, "distsurvey_results_rejected_total"); got != 1 {
+		t.Errorf("results_rejected = %d, want 1", got)
+	}
+	if got := counterValue(reg, "survey_shards_completed_total"); got != goldenShards {
+		t.Errorf("survey_shards_completed_total = %d, want %d (the forged result must not merge)", got, goldenShards)
+	}
+	if got := counterValue(reg, "distsurvey_leases_granted_total"); got != goldenShards {
+		t.Errorf("leases_granted = %d, want %d", got, goldenShards)
+	}
+}
+
+// TestHeartbeatKeepsLeasePastTTL: a worker that heartbeats keeps its
+// lease for several TTLs and its late result still merges.
+func TestHeartbeatKeepsLeasePastTTL(t *testing.T) {
+	r1, _, _ := golden(t)
+	spec := goldenSpec(t)
+	ctx := context.Background()
+	const ttl = time.Second
+
+	sn := netsim.NewStreamNet()
+	ln, err := sn.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator(Config{Spec: spec, Obs: reg, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveCh := serveAsync(ctx, coord, ln)
+
+	w := dialHello(ctx, t, sn, spec.Hash())
+	f, job := leaseJob[core.SurveySpec](ctx, t, w)
+	if job.Plan.Index != 0 {
+		t.Fatalf("first lease granted shard %d, want 0", job.Plan.Index)
+	}
+	stop := make(chan struct{})
+	var hbWG sync.WaitGroup
+	hbWG.Add(1)
+	go func() {
+		defer hbWG.Done()
+		tick := time.NewTicker(ttl / 5)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				if err := w.write(ctx, heartbeatFrame(f, job.Plan.Index)); err != nil {
+					t.Error(err)
+					return
+				}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	wch := runWorkerAsync(ctx, sn, spec, "survivor")
+
+	result := resultFrame(ctx, t, f, job, nil)
+	time.Sleep(3 * ttl)
+	close(stop)
+	hbWG.Wait()
+	if err := w.write(ctx, result); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := w.read(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.Type != TypeResultOK {
+		t.Fatalf("result after %v of heartbeats answered %+v", 3*ttl, ack)
+	}
+	if err := w.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res := <-serveCh
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if err := <-wch; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.report, r1) {
+		t.Errorf("report after a heartbeated lease differs from single-process run")
+	}
+	if got := counterValue(reg, "distsurvey_leases_expired_total"); got != 0 {
+		t.Errorf("leases_expired = %d, want 0", got)
+	}
+	if got := counterValue(reg, "distsurvey_leases_granted_total"); got != goldenShards {
+		t.Errorf("leases_granted = %d, want %d", got, goldenShards)
+	}
+}
+
 // checkKilledAndResumed is the crash-safety half of the golden test,
 // written once for both studies: all shards but one complete and
 // checkpoint, the coordinator is killed, and a resumed coordinator
