@@ -8,7 +8,8 @@
 #   tests (fan-out, build keys phase, keysFor, concurrent same-content
 #   signs through one SignCache, the memo alloc pin, and the fan-out's
 #   users Atlas Measure, the resolver study's cancelled probe pass and
-#   statewalk's cancelled run); a
+#   statewalk's cancelled run, plus the distributed coordinator's
+#   cancel with a silent worker and its two abandoned-lease cases); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
@@ -52,9 +53,12 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # SignCache.sign — the allocation pin whose race guard once was
 # missing, and the batches that run on fanout.Each: Atlas's Measure
 # (ordering, EDE strip, cancel), the resolver study's probe pass and
-# statewalk's cell loop under a cancelled context.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$' \
-  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/
+# statewalk's cell loop under a cancelled context — and the distributed
+# coordinator, where a lease lives as long as its connection: Serve
+# cancelled while a worker holds a lease in silence, a job write that
+# fails, and a second lease asked for on one connection.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$' \
+  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/

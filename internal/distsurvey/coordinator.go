@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,9 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultLeaseTTL is how long a leased shard may go without a
-// heartbeat before the coordinator re-leases it. Workers heartbeat at
-// a third of this.
+// DefaultLeaseTTL is how long a worker's connection may stay silent —
+// no heartbeat, no result — before the coordinator drops it and
+// re-leases its shard. Workers heartbeat at a third of this.
 const DefaultLeaseTTL = 10 * time.Second
 
 // CoordinatorConfig describes one coordinated run of the study S.
@@ -37,14 +36,6 @@ type CoordinatorConfig[S any] struct {
 // module (bench/) compiles against.
 type Config = CoordinatorConfig[core.SurveySpec]
 
-// lease tracks one outstanding shard grant. Epochs make grants
-// distinguishable: a result stamped with a superseded epoch is stale
-// and rejected, so a re-leased shard can never merge twice.
-type lease struct {
-	epoch    uint64
-	deadline time.Time
-}
-
 // Coordinator leases a study's shard jobs to workers, merges their
 // outcomes (O) into the study's report (R), and checkpoints every
 // completed shard before acknowledging it.
@@ -54,14 +45,13 @@ type Coordinator[O core.Sharded, R any] struct {
 	store    *Store[O]
 	leaseTTL time.Duration
 
-	mu        sync.Mutex
-	jobs      map[int]json.RawMessage // encoded core.Jobs, not yet merged
-	leases    map[int]*lease          // currently granted
-	nextEpoch uint64
-	builder   *core.Builder[O, R]
-	loaded    int           // shards recovered from checkpoints at startup
-	wake      chan struct{} // closed+replaced when a shard becomes grantable
-	done      chan struct{} // closed once every shard is merged
+	mu      sync.Mutex
+	jobs    map[int]json.RawMessage // encoded core.Jobs, not yet merged
+	leased  map[int]bool            // held by a live connection
+	builder *core.Builder[O, R]
+	loaded  int           // shards recovered from checkpoints at startup
+	wake    chan struct{} // closed+replaced when a shard becomes grantable
+	done    chan struct{} // closed once every shard is merged
 
 	mGranted  *obs.Counter
 	mExpired  *obs.Counter
@@ -97,13 +87,13 @@ func NewCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](cfg Coordin
 		reg:       reg,
 		leaseTTL:  ttl,
 		jobs:      make(map[int]json.RawMessage, len(jobs)),
-		leases:    make(map[int]*lease),
+		leased:    make(map[int]bool),
 		builder:   core.NewBuilder(cfg.Spec),
 		wake:      make(chan struct{}),
 		done:      make(chan struct{}),
 		mGranted:  reg.Counter("distsurvey_leases_granted_total", "shard leases granted to workers (including re-leases)"),
 		mExpired:  reg.Counter("distsurvey_leases_expired_total", "shard leases reclaimed after heartbeat timeout or worker disconnect"),
-		mRejected: reg.Counter("distsurvey_results_rejected_total", "shard results refused as stale or duplicate"),
+		mRejected: reg.Counter("distsurvey_results_rejected_total", "results for a shard the sending connection does not hold"),
 		mLoaded:   reg.Counter("distsurvey_checkpoints_loaded_total", "completed shards recovered from the state dir on startup"),
 		mSkipped:  reg.Counter("distsurvey_checkpoints_skipped_total", "corrupt or mismatched checkpoint files ignored on startup"),
 		mWorkers:  reg.Counter("distsurvey_workers_connected_total", "workers that completed the hello handshake"),
@@ -194,21 +184,27 @@ func (c *Coordinator[O, R]) Serve(ctx context.Context, ln net.Listener) (R, erro
 	return none, fmt.Errorf("distsurvey: listener closed with %d shard(s) unmerged", remaining)
 }
 
-// handleConn speaks the worker protocol on one connection. Every read
-// is armed with a lease-TTL deadline, so a silent worker — no
-// heartbeat, no result — unblocks the handler, which then releases any
-// lease the worker still holds for re-granting.
+// handleConn speaks the worker protocol on one connection, which holds
+// at most one lease and holds it until the handler exits or its result
+// merges. Every read re-arms a lease-TTL deadline on the connection, so
+// a silent worker — no heartbeat, no result — unblocks the handler, and
+// cancelling ctx closes the connection; either way the handler exits
+// and releases the lease for re-granting.
 func (c *Coordinator[O, R]) handleConn(ctx context.Context, conn net.Conn) {
 	defer func() {
 		// Connection death is the fast re-lease path: no need to wait
 		// for the TTL when the socket already told us the worker is gone.
 		_ = conn.Close()
 	}()
+	stop := context.AfterFunc(ctx, func() {
+		_ = conn.Close() // Serve is ending: this only fails the handler's blocked read or write
+	})
+	defer stop()
 	w := &wireConn{conn: conn}
-	heldShard, heldEpoch := -1, uint64(0)
+	held := -1
 	defer func() {
-		if heldShard >= 0 {
-			c.release(heldShard, heldEpoch)
+		if held >= 0 {
+			c.release(held)
 		}
 	}()
 
@@ -240,30 +236,40 @@ func (c *Coordinator[O, R]) handleConn(ctx context.Context, conn net.Conn) {
 		}
 		switch f.Type {
 		case TypeLease:
-			g, err := c.acquire(ctx)
+			if held >= 0 {
+				return // one lease per connection: a second request is a broken worker
+			}
+			// Held from the grant on: any failure below releases it on exit.
+			var job json.RawMessage
+			held, job, err = c.acquire(ctx)
 			if err != nil {
 				return
 			}
-			if g == nil {
+			// acquire may have waited longer than a TTL for a free shard.
+			if err := c.arm(conn); err != nil {
+				return
+			}
+			if job == nil {
 				_ = w.write(ctx, &Frame{Type: TypeDone}) // worker is leaving either way
 				return
 			}
-			if err := w.write(ctx, &Frame{Type: TypeJob, Lease: g.epoch, Job: g.job}); err != nil {
+			if err := w.write(ctx, &Frame{Type: TypeJob, Job: job}); err != nil {
 				return
 			}
-			heldShard, heldEpoch = g.shard, g.epoch
 		case TypeHeartbeat:
-			c.extend(f.Shard, f.Lease)
+			// The read itself re-armed the deadline.
 		case TypeResult:
-			accepted, err := c.complete(f)
-			if heldShard == f.Shard {
-				heldShard, heldEpoch = -1, 0
+			if held < 0 || f.Shard != held {
+				c.mRejected.Inc()
+				_ = w.write(ctx, &Frame{Type: TypeError, Err: fmt.Sprintf("result for shard %d, which this connection does not hold", f.Shard)}) // refusal best-effort: the conn is being dropped
+				return
 			}
-			if err != nil {
+			if err := c.complete(f); err != nil {
 				_ = w.write(ctx, &Frame{Type: TypeError, Err: err.Error()}) // coordinator-side failure; conn is dropped
 				return
 			}
-			if err := w.write(ctx, &Frame{Type: TypeResultOK, Shard: f.Shard, Accepted: accepted}); err != nil {
+			held = -1
+			if err := w.write(ctx, &Frame{Type: TypeResultOK, Shard: f.Shard}); err != nil {
 				return
 			}
 		default:
@@ -272,168 +278,95 @@ func (c *Coordinator[O, R]) handleConn(ctx context.Context, conn net.Conn) {
 	}
 }
 
-// readDeadline reads one frame with a lease-TTL deadline armed, so a
-// dead-but-connected worker cannot pin its handler (or its lease)
-// forever. Heartbeats arrive at a third of the TTL, keeping live
-// workers comfortably inside it.
+// arm gives the connection one lease TTL to make progress, reading or
+// writing. A dead-but-connected worker cannot pin its handler (or its
+// lease) forever; heartbeats arrive at a third of the TTL, keeping
+// live workers comfortably inside it.
+func (c *Coordinator[O, R]) arm(conn net.Conn) error {
+	return conn.SetDeadline(time.Now().Add(c.leaseTTL))
+}
+
+// readDeadline arms the connection's deadline and reads one frame.
 func (c *Coordinator[O, R]) readDeadline(ctx context.Context, w *wireConn) (*Frame, error) {
-	if err := w.conn.SetReadDeadline(time.Now().Add(c.leaseTTL)); err != nil {
+	if err := c.arm(w.conn); err != nil {
 		return nil, err
 	}
 	return w.read(ctx)
 }
 
-// grant is one lease as handed to a worker: the shard, its fresh epoch,
-// and the encoded job to send.
-type grant struct {
-	shard int
-	epoch uint64
-	job   json.RawMessage
-}
-
-// acquire blocks until a shard is grantable, every shard is merged
-// (nil grant), or ctx is cancelled. Grants go lowest-index-first so
+// acquire blocks until a shard is grantable, every shard is merged (nil
+// job), or ctx is cancelled. It leases the lowest-index free shard so
 // runs are easy to reason about.
-func (c *Coordinator[O, R]) acquire(ctx context.Context) (*grant, error) {
+func (c *Coordinator[O, R]) acquire(ctx context.Context) (int, json.RawMessage, error) {
 	for {
 		c.mu.Lock()
-		now := time.Now()
-		c.expireLocked(now)
-		if g := c.grantLocked(now); g != nil {
-			c.mu.Unlock()
-			return g, nil
+		free := -1
+		for index := range c.jobs {
+			if !c.leased[index] && (free < 0 || index < free) {
+				free = index
+			}
 		}
-		if len(c.jobs) == 0 {
+		if free >= 0 {
+			c.leased[free] = true
+			c.mGranted.Inc()
+			job := c.jobs[free]
 			c.mu.Unlock()
-			return nil, nil
+			return free, job, nil
 		}
 		wake := c.wake
-		wait := c.nextDeadlineLocked(now)
 		c.mu.Unlock()
 
-		timer := time.NewTimer(wait)
 		select {
 		case <-wake: // a release or merge changed the board
 		case <-c.done:
-			timer.Stop()
-			return nil, nil
-		case <-timer.C: // earliest lease deadline passed; re-scan
+			return -1, nil, nil
 		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		}
-		timer.Stop()
-	}
-}
-
-// expireLocked reclaims leases whose deadline has passed. The lease
-// row is deleted but its epoch stays burned: a result from the expired
-// grant no longer matches any live lease and is rejected.
-func (c *Coordinator[O, R]) expireLocked(now time.Time) {
-	for index, l := range c.leases {
-		if now.After(l.deadline) {
-			delete(c.leases, index)
-			c.mExpired.Inc()
+			return -1, nil, ctx.Err()
 		}
 	}
 }
 
-// grantLocked leases the lowest-index unleased, unmerged shard, or
-// returns nil when none is free.
-func (c *Coordinator[O, R]) grantLocked(now time.Time) *grant {
-	indexes := make([]int, 0, len(c.jobs))
-	for index := range c.jobs {
-		if c.leases[index] == nil {
-			indexes = append(indexes, index)
-		}
-	}
-	if len(indexes) == 0 {
-		return nil
-	}
-	sort.Ints(indexes)
-	index := indexes[0]
-	c.nextEpoch++
-	c.leases[index] = &lease{epoch: c.nextEpoch, deadline: now.Add(c.leaseTTL)}
-	c.mGranted.Inc()
-	return &grant{shard: index, epoch: c.nextEpoch, job: c.jobs[index]}
-}
-
-// nextDeadlineLocked returns how long acquire may sleep before a lease
-// could expire. With no leases outstanding the wake channel is the
-// only signal, so sleep a full TTL and re-scan.
-func (c *Coordinator[O, R]) nextDeadlineLocked(now time.Time) time.Duration {
-	wait := c.leaseTTL
-	for _, l := range c.leases {
-		if d := l.deadline.Sub(now); d < wait {
-			wait = d
-		}
-	}
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return wait
-}
-
-// extend pushes a live lease's deadline out by one TTL. Stale epochs
-// (the shard was re-leased) and unknown shards are ignored.
-func (c *Coordinator[O, R]) extend(shard int, epoch uint64) {
+// release returns a connection's lease to the pool when its handler
+// exits without the result merged.
+func (c *Coordinator[O, R]) release(shard int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if l := c.leases[shard]; l != nil && l.epoch == epoch {
-		l.deadline = time.Now().Add(c.leaseTTL)
-	}
-}
-
-// release returns a still-held lease to the pool (worker disconnected
-// mid-shard). The epoch check means a release races safely with the
-// same shard's re-lease to another worker.
-func (c *Coordinator[O, R]) release(shard int, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l := c.leases[shard]; l != nil && l.epoch == epoch {
-		delete(c.leases, shard)
+	if c.leased[shard] {
+		delete(c.leased, shard)
 		c.mExpired.Inc()
 		c.wakeLocked()
 	}
 }
 
-// complete checkpoints and merges one shard result. Ordering is the
-// crash-safety contract: the checkpoint hits disk before the merge, so
-// a coordinator that dies between the two replays the checkpoint on
-// resume rather than losing the shard. Stale-epoch and duplicate
-// results are rejected (accepted=false) without touching the report.
-func (c *Coordinator[O, R]) complete(f *Frame) (bool, error) {
+// complete checkpoints and merges the result for a shard the sending
+// connection holds. Ordering is the crash-safety contract: the
+// checkpoint hits disk before the merge, so a coordinator that dies
+// between the two replays the checkpoint on resume rather than losing
+// the shard.
+func (c *Coordinator[O, R]) complete(f *Frame) error {
 	cp := &ShardCheckpoint[O]{Obs: f.Obs}
 	if err := json.Unmarshal(f.Outcome, &cp.Outcome); err != nil || absent(cp.Outcome) || cp.Outcome.ShardIndex() != f.Shard {
-		return false, fmt.Errorf("distsurvey: result frame for shard %d carries no matching outcome", f.Shard)
+		return fmt.Errorf("distsurvey: result frame for shard %d carries no matching outcome", f.Shard)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	l := c.leases[f.Shard]
-	if l == nil || l.epoch != f.Lease || c.builder.Merged(f.Shard) {
-		c.mRejected.Inc()
-		return false, nil
-	}
 	if c.store != nil {
 		if err := c.store.Write(cp); err != nil {
-			return false, err
+			return err
 		}
 	}
 	if err := c.builder.Add(cp.Outcome); err != nil {
-		return false, err
+		return err
 	}
-	delete(c.leases, f.Shard)
+	delete(c.leased, f.Shard)
 	delete(c.jobs, f.Shard)
 	c.wakeLocked()
 	if len(c.jobs) == 0 {
 		close(c.done)
 	}
-	if err := c.reg.Merge(f.Obs); err != nil {
-		// The shard is merged and checkpointed; losing its metrics is a
-		// loud error but must not strand the shard as forever-pending.
-		return true, err
-	}
-	return true, nil
+	// The shard is merged and checkpointed; losing its metrics is a loud
+	// error but must not strand the shard as forever-pending.
+	return c.reg.Merge(f.Obs)
 }
 
 // wakeLocked broadcasts a board change to every blocked acquire.

@@ -297,7 +297,7 @@ func leaseJob[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Conte
 
 // resultFrame executes a leased job exactly the way RunWorker does —
 // fresh per-job registry, shared cache — and builds its result frame.
-func resultFrame[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, f *Frame, job core.Job[S, P], cache *testbed.SignCache) *Frame {
+func resultFrame[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, job core.Job[S, P], cache *testbed.SignCache) *Frame {
 	t.Helper()
 	reg := obs.NewRegistry()
 	out, err := core.NewRunner[S](reg, nil, cache).Execute(ctx, job)
@@ -308,15 +308,15 @@ func resultFrame[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Frame{Type: TypeResult, Shard: out.ShardIndex(), Lease: f.Lease, Outcome: data, Obs: reg.Snapshot()}
+	return &Frame{Type: TypeResult, Shard: out.ShardIndex(), Outcome: data, Obs: reg.Snapshot()}
 }
 
 // executeShardAsWorker leases one shard, executes it, streams the
 // result, and returns the shard index the coordinator accepted.
 func executeShardAsWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, t *testing.T, w *wireConn, cache *testbed.SignCache) int {
 	t.Helper()
-	f, job := leaseJob[S](ctx, t, w)
-	result := resultFrame(ctx, t, f, job, cache)
+	_, job := leaseJob[S](ctx, t, w)
+	result := resultFrame(ctx, t, job, cache)
 	if err := w.write(ctx, result); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func executeShardAsWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Type != TypeResultOK || !ack.Accepted {
+	if ack.Type != TypeResultOK {
 		t.Fatalf("result answered %+v", ack)
 	}
 	return result.Shard
@@ -509,8 +509,8 @@ func TestPartialResultFrameReLease(t *testing.T) {
 	}) + frameBytes(&Frame{Type: TypeLease}) + 10
 
 	cut := dialHello(ctx, t, sn, spec.Hash(), netsim.WithWriteLimit(budget))
-	f, job := leaseJob[core.SurveySpec](ctx, t, cut)
-	if werr := cut.write(ctx, resultFrame(ctx, t, f, job, nil)); werr == nil {
+	_, job := leaseJob[core.SurveySpec](ctx, t, cut)
+	if werr := cut.write(ctx, resultFrame(ctx, t, job, nil)); werr == nil {
 		t.Fatal("result write survived a 10-byte budget; the fault injection did not fire")
 	}
 
@@ -576,10 +576,124 @@ func TestLeaseExpiryReLeasesSilentWorker(t *testing.T) {
 	}
 }
 
+// serveSurvey starts a coordinator for the golden survey with the
+// given lease TTL on a fresh stream network.
+func serveSurvey(ctx context.Context, t *testing.T, ttl time.Duration) (*netsim.StreamNet, *obs.Registry, chan serveResult[*core.SurveyReport]) {
+	t.Helper()
+	sn := netsim.NewStreamNet()
+	ln, err := sn.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	coord, err := NewCoordinator(Config{Spec: goldenSpec(t), Obs: reg, LeaseTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn, reg, serveAsync(ctx, coord, ln)
+}
+
+// checkAbandonedShardReLeased has a fresh worker finish the golden
+// survey after another connection abandoned one lease. The study must
+// end well inside the 30 s TTL the callers serve with, with the
+// single-process report, one release and one re-lease.
+func checkAbandonedShardReLeased(ctx context.Context, t *testing.T, sn *netsim.StreamNet, reg *obs.Registry, serveCh chan serveResult[*core.SurveyReport]) {
+	t.Helper()
+	r1, _, _ := golden(t)
+	wch := runWorkerAsync(ctx, sn, goldenSpec(t), "survivor")
+	var res serveResult[*core.SurveyReport]
+	select {
+	case res = <-serveCh:
+	case <-time.After(10 * time.Second):
+		t.Fatal("study stranded: not finished 10 s after the survivor started")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if err := <-wch; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.report, r1) {
+		t.Errorf("report after an abandoned lease differs from single-process run")
+	}
+	if got := counterValue(reg, "distsurvey_leases_expired_total"); got != 1 {
+		t.Errorf("leases_expired = %d, want 1", got)
+	}
+	if got := counterValue(reg, "distsurvey_leases_granted_total"); got != goldenShards+1 {
+		t.Errorf("leases_granted = %d, want %d (one re-lease)", got, goldenShards+1)
+	}
+}
+
+// TestJobWriteFailureReleasesLease: a worker asks for a lease and hangs
+// up before the job frame reaches it. The shard the coordinator picked
+// for it must go back to the pool at once, not after a TTL.
+func TestJobWriteFailureReleasesLease(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sn, reg, serveCh := serveSurvey(ctx, t, 30*time.Second)
+
+	w := dialHello(ctx, t, sn, goldenSpec(t).Hash())
+	// The stream is synchronous: this write returns once the
+	// coordinator has read the frame, so the job write meets a closed
+	// connection.
+	if err := w.write(ctx, &Frame{Type: TypeLease}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkAbandonedShardReLeased(ctx, t, sn, reg, serveCh)
+}
+
+// TestSecondLeaseOnOneConnection: a connection holds at most one lease.
+// A worker that asks for a second one while holding shard 0, then hangs
+// up, must strand neither shard.
+func TestSecondLeaseOnOneConnection(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sn, reg, serveCh := serveSurvey(ctx, t, 30*time.Second)
+
+	w := dialHello(ctx, t, sn, goldenSpec(t).Hash())
+	if _, job := leaseJob[core.SurveySpec](ctx, t, w); job.Plan.Index != 0 {
+		t.Fatalf("first lease granted shard %d, want 0", job.Plan.Index)
+	}
+	if err := w.write(ctx, &Frame{Type: TypeLease}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkAbandonedShardReLeased(ctx, t, sn, reg, serveCh)
+}
+
+// TestServeCancelWithSilentWorker: cancelling Serve's context ends it
+// promptly even while a connected worker holds a lease and says
+// nothing, rather than after that connection's TTL.
+func TestServeCancelWithSilentWorker(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sn, _, serveCh := serveSurvey(ctx, t, 30*time.Second)
+
+	silent := dialHello(ctx, t, sn, goldenSpec(t).Hash())
+	defer silent.conn.Close()
+	leaseJob[core.SurveySpec](ctx, t, silent)
+	// Let the handler settle into its read before the cancel.
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	select {
+	case res := <-serveCh:
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("cancelled Serve returned %v, want context.Canceled", res.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve still running 2 s after its context was cancelled")
+	}
+}
+
 // heartbeatFrame builds the heartbeat a worker sends while it runs
 // shard, leased by job frame f.
 func heartbeatFrame(f *Frame, shard int) *Frame {
-	return &Frame{Type: TypeHeartbeat, Shard: shard, Lease: f.Lease}
+	return &Frame{Type: TypeHeartbeat}
 }
 
 // TestResultForUnheldShardRefused: a result for a shard the sending
@@ -604,7 +718,7 @@ func TestResultForUnheldShardRefused(t *testing.T) {
 
 	// A valid result for shard 0, computed without ever leasing it.
 	forger := dialHello(ctx, t, sn, spec.Hash())
-	if err := forger.write(ctx, resultFrame(ctx, t, &Frame{}, coordJobs(t, spec)[0], nil)); err != nil {
+	if err := forger.write(ctx, resultFrame(ctx, t, coordJobs(t, spec)[0], nil)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := forger.read(ctx); err != nil {
@@ -682,7 +796,7 @@ func TestHeartbeatKeepsLeasePastTTL(t *testing.T) {
 	}()
 	wch := runWorkerAsync(ctx, sn, spec, "survivor")
 
-	result := resultFrame(ctx, t, f, job, nil)
+	result := resultFrame(ctx, t, job, nil)
 	time.Sleep(3 * ttl)
 	close(stop)
 	hbWG.Wait()

@@ -6,8 +6,10 @@
 // merges the streamed-back outcomes and obs snapshots through the same
 // core.Builder — so a distributed run's report is byte-identical to a
 // single-process one. Everything here is generic over core.Study; the
-// study kinds differ only in the spec a run is started with. Heartbeats
-// and lease epochs re-lease shards from dead workers; crash-safe
+// study kinds differ only in the spec a run is started with. A lease
+// lives as long as the connection that holds it: a worker that dies,
+// or stays silent (no heartbeat) for the lease TTL, loses its
+// connection and with it its shard, which is leased again; crash-safe
 // per-shard checkpoints (checkpoint.go) make a study resumable after
 // coordinator or worker death without redoing completed shards.
 package distsurvey
@@ -25,9 +27,11 @@ import (
 )
 
 // ProtocolVersion is bumped on incompatible frame changes; the hello
-// exchange refuses a mismatch. Version 2 carries both study kinds under
-// the same job/outcome keys.
-const ProtocolVersion = 2
+// exchange refuses a mismatch. Version 2 carried both study kinds under
+// the same job/outcome keys; version 3 drops lease epochs and result
+// acceptance: a connection holds at most one lease, heartbeats carry no
+// fields, and result_ok always means merged.
+const ProtocolVersion = 3
 
 // MaxFrame bounds one frame's payload: a shard outcome is aggregate
 // histograms and counters, far below this even at full scale. The
@@ -38,6 +42,8 @@ const MaxFrame = 64 << 20
 // Frame types. The protocol is strictly worker-initiated
 // request/response plus unsolicited worker heartbeats: hello→hello_ok,
 // lease→job|done, result→result_ok; error terminates either direction.
+// A connection asks for its next lease only after its result is
+// answered.
 const (
 	TypeHello     = "hello"
 	TypeHelloOK   = "hello_ok"
@@ -68,16 +74,8 @@ type Frame struct {
 	// have disjoint preimages, so a worker can never hold a lease of
 	// the wrong kind past the hello exchange.
 	Job json.RawMessage `json:"job,omitempty"`
-	// Lease is the lease epoch (job, heartbeat, result): a re-leased
-	// shard gets a new epoch, so results from the dead lease are
-	// recognizably stale.
-	Lease uint64 `json:"lease,omitempty"`
-	// Shard is the shard index (heartbeat, result, result_ok).
+	// Shard is the shard index (result, result_ok).
 	Shard int `json:"shard,omitempty"`
-	// Accepted reports whether a result was merged (result_ok); false
-	// means the lease was stale or the shard already done — not an
-	// error, the worker just moves on.
-	Accepted bool `json:"accepted,omitempty"`
 	// Outcome and Obs carry the shard's encoded outcome and the worker's
 	// per-shard metrics snapshot (result).
 	Outcome json.RawMessage `json:"outcome,omitempty"`
@@ -100,7 +98,7 @@ func (e *HandshakeError) Error() string {
 // readFrame decodes one length-prefixed frame. The length word is
 // untrusted wire input: it is bounds-checked before any allocation.
 // Cancellation reaches the blocking reads through the conn itself —
-// callers arm read deadlines or close the conn from a context hook.
+// callers arm deadlines or close the conn from a context hook.
 func readFrame(ctx context.Context, conn net.Conn) (*Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	want := &Frame{
 		Type:       TypeJob,
-		Lease:      42,
+		Shard:      42,
 		ConfigHash: "abc",
 		Job:        json.RawMessage(`{"config_hash":"abc"}`),
 	}

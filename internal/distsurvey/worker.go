@@ -93,7 +93,6 @@ func executeLease[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.C
 	if err := json.Unmarshal(f.Job, &job); err != nil {
 		return fmt.Errorf("distsurvey: undecodable job frame: %w", err)
 	}
-	shard := job.Plan.ShardIndex()
 	// A fresh registry per job: its snapshot is exactly this shard's
 	// metrics delta, so the coordinator's merge is order-independent.
 	reg := obs.NewRegistry()
@@ -110,7 +109,7 @@ func executeLease[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.C
 			case <-t.C:
 				// A failed heartbeat is not fatal here: the result write
 				// will surface the dead conn to the main loop.
-				_ = w.write(ctx, &Frame{Type: TypeHeartbeat, Shard: shard, Lease: f.Lease})
+				_ = w.write(ctx, &Frame{Type: TypeHeartbeat})
 			case <-hbDone:
 				return
 			case <-ctx.Done():
@@ -129,7 +128,7 @@ func executeLease[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.C
 		return err
 	}
 	if err := w.write(ctx, &Frame{
-		Type: TypeResult, Shard: shard, Lease: f.Lease, Outcome: outcome, Obs: reg.Snapshot(),
+		Type: TypeResult, Shard: job.Plan.ShardIndex(), Outcome: outcome, Obs: reg.Snapshot(),
 	}); err != nil {
 		return err
 	}
@@ -139,9 +138,6 @@ func executeLease[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.C
 	}
 	switch ack.Type {
 	case TypeResultOK:
-		// Accepted=false means the lease went stale (the shard was
-		// re-leased and finished elsewhere); the work is simply discarded
-		// and the worker moves on to the next lease.
 	case TypeError:
 		return &HandshakeError{Reason: ack.Err}
 	default:
