@@ -317,7 +317,7 @@ func (c *Coordinator[O, R]) acquire(ctx context.Context) (int, json.RawMessage, 
 		c.mu.Unlock()
 
 		select {
-		case <-wake: // a release or merge changed the board
+		case <-wake: // a release freed a shard
 		case <-c.done:
 			return -1, nil, nil
 		case <-ctx.Done():
@@ -334,7 +334,9 @@ func (c *Coordinator[O, R]) release(shard int) {
 	if c.leased[shard] {
 		delete(c.leased, shard)
 		c.mExpired.Inc()
-		c.wakeLocked()
+		// Broadcast to every blocked acquire: the shard is grantable.
+		close(c.wake)
+		c.wake = make(chan struct{})
 	}
 }
 
@@ -358,19 +360,13 @@ func (c *Coordinator[O, R]) complete(f *Frame) error {
 	if err := c.builder.Add(cp.Outcome); err != nil {
 		return err
 	}
+	// No wake: a merge frees no shard, and the last one closes done.
 	delete(c.leased, f.Shard)
 	delete(c.jobs, f.Shard)
-	c.wakeLocked()
 	if len(c.jobs) == 0 {
 		close(c.done)
 	}
 	// The shard is merged and checkpointed; losing its metrics is a loud
 	// error but must not strand the shard as forever-pending.
 	return c.reg.Merge(f.Obs)
-}
-
-// wakeLocked broadcasts a board change to every blocked acquire.
-func (c *Coordinator[O, R]) wakeLocked() {
-	close(c.wake)
-	c.wake = make(chan struct{})
 }
