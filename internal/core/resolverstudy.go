@@ -156,9 +156,10 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 	deploySpan := run.trace.Start("deploy", plan.Index)
 	// Each shard gets its own simulated network, so peak memory is one
 	// shard's resolvers; the testbed zones are identical across shards
-	// and signed once through the shared cache.
+	// and signed once through the shared cache, under keys derived from
+	// the study's seed, not the shard's.
 	h, err := BuildTestbedWorld(spec.Seed+uint64(plan.Index),
-		testbed.WithLazySigning(), testbed.WithCache(run.cache))
+		testbed.WithSeed(spec.Seed), testbed.WithLazySigning(), testbed.WithCache(run.cache))
 	if err != nil {
 		return nil, err
 	}
@@ -314,12 +315,13 @@ func RunResolverStudy(ctx context.Context, cfg ResolverStudyConfig) (*ResolverSt
 }
 
 // BuildTestbedWorld assembles root + com + the rfc9276 testbed on a
-// fresh simulated network — the §4.2 infrastructure. The zones are
-// identical across builds for the same constants, so they are marked
-// Shared: with a sign cache attached (WithCache), repeated shard
-// worlds reuse one signing of each zone.
+// fresh simulated network seeded with seed — the §4.2 infrastructure.
+// Its keys are derived from seed too (testbed.WithSeed; an option in
+// opts overrides it). The zones are identical across builds for the
+// same constants, so they are marked Shared: with a sign cache attached
+// (WithCache), repeated shard worlds reuse one signing of each zone.
 func BuildTestbedWorld(seed uint64, opts ...testbed.BuilderOption) (*testbed.Hierarchy, error) {
-	b := testbed.NewBuilder(DefaultInception, DefaultExpiration, opts...)
+	b := testbed.NewBuilder(DefaultInception, DefaultExpiration, append([]testbed.BuilderOption{testbed.WithSeed(seed)}, opts...)...)
 	b.AddZone(testbed.ZoneSpec{
 		Apex:   dnswire.Root,
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},

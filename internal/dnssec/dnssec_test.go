@@ -23,7 +23,7 @@ var allAlgorithms = []dnswire.SecAlgorithm{
 
 func genKey(t testing.TB, alg dnswire.SecAlgorithm, ksk bool) *KeyPair {
 	t.Helper()
-	k, err := GenerateKey(alg, ksk, nil)
+	k, err := GenerateKey(alg, ksk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestNewRRsetValidation(t *testing.T) {
 }
 
 func TestGenerateKeyUnsupported(t *testing.T) {
-	if _, err := GenerateKey(dnswire.SecAlgorithm(200), false, nil); err == nil {
+	if _, err := GenerateKey(dnswire.SecAlgorithm(200), false); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

@@ -11,9 +11,11 @@ package dnssec
 
 import (
 	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/ed25519"
 	"crypto/elliptic"
+	"crypto/hmac"
 	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha1"
@@ -34,6 +36,10 @@ type KeyPair struct {
 	Flags     uint16 // DNSKEYFlagZone, optionally |DNSKEYFlagSEP for a KSK
 	priv      crypto.Signer
 	publicKey []byte // DNSKEY Public Key field, wire format
+	// nonce is where an ECDSA signature's per-signature secret comes
+	// from: crypto/rand for a generated key (a hedged signature), nil
+	// for a derived one (RFC 6979: a function of key and digest).
+	nonce io.Reader
 }
 
 // Errors from key handling.
@@ -43,35 +49,28 @@ var (
 	ErrBadSignature   = errors.New("dnssec: signature verification failed")
 )
 
-// GenerateKey creates a fresh key pair for alg. ksk sets the SEP flag
-// (the conventional KSK marker). rng may be nil, in which case
-// crypto/rand.Reader is used; tests pass a deterministic reader.
-func GenerateKey(alg dnswire.SecAlgorithm, ksk bool, rng io.Reader) (*KeyPair, error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	flags := uint16(dnswire.DNSKEYFlagZone)
-	if ksk {
-		flags |= dnswire.DNSKEYFlagSEP
-	}
-	kp := &KeyPair{Algorithm: alg, Flags: flags}
+// GenerateKey creates a fresh key pair for alg from crypto/rand. ksk
+// sets the SEP flag (the conventional KSK marker). Its ECDSA signatures
+// are hedged: each draws a fresh nonce from crypto/rand.
+func GenerateKey(alg dnswire.SecAlgorithm, ksk bool) (*KeyPair, error) {
+	kp := &KeyPair{Algorithm: alg, Flags: keyFlags(ksk), nonce: rand.Reader}
 	switch alg {
 	case dnswire.AlgECDSAP256SHA256:
-		priv, err := ecdsa.GenerateKey(elliptic.P256(), rng)
+		priv, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 		if err != nil {
 			return nil, err
 		}
 		kp.priv = priv
 		kp.publicKey = ecdsaPublicWire(&priv.PublicKey)
 	case dnswire.AlgEd25519:
-		pub, priv, err := ed25519.GenerateKey(rng)
+		pub, priv, err := ed25519.GenerateKey(rand.Reader)
 		if err != nil {
 			return nil, err
 		}
 		kp.priv = priv
 		kp.publicKey = append([]byte(nil), pub...)
 	case dnswire.AlgRSASHA256:
-		priv, err := rsa.GenerateKey(rng, 2048)
+		priv, err := rsa.GenerateKey(rand.Reader, 2048)
 		if err != nil {
 			return nil, err
 		}
@@ -81,6 +80,53 @@ func GenerateKey(alg dnswire.SecAlgorithm, ksk bool, rng io.Reader) (*KeyPair, e
 		return nil, fmt.Errorf("%w: %s", ErrUnsupportedAlg, alg)
 	}
 	return kp, nil
+}
+
+// DeriveKey returns the ECDSA P-256 key pair that is a function of
+// secret, apex and role (ksk): the private scalar is HMAC-SHA-256,
+// keyed by secret, over apex's wire form, the role's DNSKEY flags and
+// a four-octet counter, the first output in [1, n−1] as the counter
+// counts up from zero. Its signatures are deterministic (RFC 6979), so
+// the same inputs sign the same RRset to the same octets. This is for
+// simulated worlds that must be reproducible from a seed; a key that
+// guards anything real comes from GenerateKey.
+func DeriveKey(alg dnswire.SecAlgorithm, ksk bool, secret []byte, apex dnswire.Name) (*KeyPair, error) {
+	if alg != dnswire.AlgECDSAP256SHA256 {
+		return nil, fmt.Errorf("%w: derived %s key", ErrUnsupportedAlg, alg)
+	}
+	flags := keyFlags(ksk)
+	n := elliptic.P256().Params().N
+	msg := binary.BigEndian.AppendUint16(apex.AppendWire(nil), flags)
+	mac := hmac.New(sha256.New, secret)
+	for counter := uint32(0); ; counter++ {
+		mac.Reset()
+		_, _ = mac.Write(binary.BigEndian.AppendUint32(msg, counter)) // hash.Hash.Write never fails
+		scalar := mac.Sum(nil)
+		d := new(big.Int).SetBytes(scalar)
+		if d.Sign() == 0 || d.Cmp(n) >= 0 {
+			continue
+		}
+		ek, err := ecdh.P256().NewPrivateKey(scalar)
+		if err != nil {
+			return nil, err
+		}
+		// The uncompressed point 0x04 || x || y is the DNSKEY's x || y.
+		point := ek.PublicKey().Bytes()[1:]
+		priv := &ecdsa.PrivateKey{
+			PublicKey: ecdsa.PublicKey{Curve: elliptic.P256(),
+				X: new(big.Int).SetBytes(point[:32]), Y: new(big.Int).SetBytes(point[32:])},
+			D: d,
+		}
+		return &KeyPair{Algorithm: alg, Flags: flags, priv: priv, publicKey: point}, nil
+	}
+}
+
+// keyFlags is a zone key's DNSKEY flags, with the SEP bit for a KSK.
+func keyFlags(ksk bool) uint16 {
+	if ksk {
+		return dnswire.DNSKEYFlagZone | dnswire.DNSKEYFlagSEP
+	}
+	return dnswire.DNSKEYFlagZone
 }
 
 // ecdsaPublicWire encodes Q = x || y, each coordinate left-padded to 32

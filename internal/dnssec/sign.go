@@ -6,7 +6,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/ed25519"
 	"crypto/elliptic"
-	"crypto/rand"
 	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
@@ -147,8 +146,10 @@ func ownerLabelCount(owner dnswire.Name) uint8 {
 
 // Sign produces an RRSIG over set using key, valid from inception to
 // expiration (Unix seconds, serial arithmetic). The signer name is the
-// zone apex the key belongs to. ECDSA signatures are randomized
-// (crypto/rand), so signing the same RRset twice gives two signatures.
+// zone apex the key belongs to. An ECDSA signature takes its nonce
+// from the key: a GenerateKey key hedges each signature with
+// crypto/rand, so signing the same RRset twice gives two signatures; a
+// DeriveKey key signs by RFC 6979, so it gives the same one.
 // What Sign allocates beyond the signature algorithm's own work is the
 // signature it returns: the signed octets of a typical RRset are built
 // on its stack.
@@ -171,7 +172,7 @@ func Sign(set RRset, key *KeyPair, signer dnswire.Name, inception, expiration ui
 	digest := sha256.Sum256(msg)
 	switch key.Algorithm {
 	case dnswire.AlgECDSAP256SHA256:
-		der, err := ecdsa.SignASN1(rand.Reader, key.priv.(*ecdsa.PrivateKey), digest[:])
+		der, err := key.priv.(*ecdsa.PrivateKey).Sign(key.nonce, digest[:], crypto.SHA256)
 		if err != nil {
 			return dnswire.RRSIG{}, err
 		}

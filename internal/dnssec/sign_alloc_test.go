@@ -2,6 +2,7 @@ package dnssec
 
 import (
 	"bytes"
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
@@ -20,15 +21,21 @@ import (
 const signRROverAlgorithm = 3
 
 // TestSignAllocs pins SignRR over a one-record RRset at exactly what
-// ecdsa.SignASN1 costs on the same box plus signRROverAlgorithm — the
-// stdlib's count moves with the Go release, the overhead must not.
-// Signatures made the same way verify.
+// its ECDSA call costs on the same box plus signRROverAlgorithm, for
+// both kinds of key: a derived key against (*ecdsa.PrivateKey).Sign
+// with a nil reader (RFC 6979), a generated one against
+// ecdsa.SignASN1 over crypto/rand (hedged) — the stdlib's counts move
+// with the Go release, the overhead must not. Signatures made the same
+// way verify.
 func TestSignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
 	}
-	key := genKey(t, dnswire.AlgECDSAP256SHA256, false)
 	zone := dnswire.MustParseName("example.com")
+	derived, err := DeriveKey(dnswire.AlgECDSAP256SHA256, false, []byte("seed"), zone)
+	if err != nil {
+		t.Fatal(err)
+	}
 	owner := zone.MustChild("www")
 	rrs := []dnswire.RR{{Name: owner, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")}}}
 	set, err := NewRRset(rrs)
@@ -36,35 +43,48 @@ func TestSignAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := sha256.Sum256([]byte("any message"))
-	priv := key.priv.(*ecdsa.PrivateKey)
-	stdlib := testing.AllocsPerRun(200, func() {
-		if _, err := ecdsa.SignASN1(rand.Reader, priv, digest[:]); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		key    *KeyPair
+		stdlib func(priv *ecdsa.PrivateKey) ([]byte, error)
+	}{
+		{"derived, Sign(nil)", derived, func(priv *ecdsa.PrivateKey) ([]byte, error) {
+			return priv.Sign(nil, digest[:], crypto.SHA256)
+		}},
+		{"generated, SignASN1(rand.Reader)", genKey(t, dnswire.AlgECDSAP256SHA256, false), func(priv *ecdsa.PrivateKey) ([]byte, error) {
+			return ecdsa.SignASN1(rand.Reader, priv, digest[:])
+		}},
+	} {
+		priv := tc.key.priv.(*ecdsa.PrivateKey)
+		stdlib := testing.AllocsPerRun(200, func() {
+			if _, err := tc.stdlib(priv); err != nil {
+				t.Fatal(err)
+			}
+		})
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := SignRR(rrs, tc.key, zone, testInception, testExpiration); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := stdlib + signRROverAlgorithm; got != want {
+			t.Errorf("%s: SignRR allocates %.0f times, want %.0f (stdlib %.0f + %d)", tc.name, got, want, stdlib, signRROverAlgorithm)
 		}
-	})
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := SignRR(rrs, key, zone, testInception, testExpiration); err != nil {
-			t.Fatal(err)
+		sigs := make([]dnswire.RR, 0, 50)
+		testing.AllocsPerRun(50, func() {
+			rr, err := SignRR(rrs, tc.key, zone, testInception, testExpiration)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sigs = append(sigs, rr)
+		})
+		for i, rr := range sigs {
+			if err := VerifyWithRRSIG(set, rr.Data.(dnswire.RRSIG), tc.key.DNSKEY(), zone, testNow); err != nil {
+				t.Fatalf("%s: signature %d: %v", tc.name, i, err)
+			}
 		}
-	})
-	if want := stdlib + signRROverAlgorithm; got != want {
-		t.Errorf("SignRR allocates %.0f times, want %.0f (ecdsa.SignASN1 %.0f + %d)", got, want, stdlib, signRROverAlgorithm)
-	}
-	sigs := make([]dnswire.RR, 0, 50)
-	testing.AllocsPerRun(50, func() {
-		rr, err := SignRR(rrs, key, zone, testInception, testExpiration)
-		if err != nil {
-			t.Fatal(err)
+		if len(sigs) < 50 {
+			t.Fatalf("%s: checked %d signatures, want 50", tc.name, len(sigs))
 		}
-		sigs = append(sigs, rr)
-	})
-	for i, rr := range sigs {
-		if err := VerifyWithRRSIG(set, rr.Data.(dnswire.RRSIG), key.DNSKEY(), zone, testNow); err != nil {
-			t.Fatalf("signature %d: %v", i, err)
-		}
-	}
-	if len(sigs) < 50 {
-		t.Fatalf("checked %d signatures, want 50", len(sigs))
 	}
 }
 

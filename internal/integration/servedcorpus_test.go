@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/authserver"
+	"repro/internal/dnssec"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/nsec3"
@@ -97,18 +98,28 @@ var (
 )
 
 // corpusServers signs the canonical zone three ways — NSEC, NSEC3 with
-// one iteration and a salt, NSEC3 opt-out — and hosts each on a server
-// of its own with transfers open.
+// one iteration and a salt, NSEC3 opt-out — under derived keys, so every
+// signature is a function of the zone, and hosts each on a server of its
+// own with transfers open.
 func corpusServers(t testing.TB) []*authserver.Server {
 	t.Helper()
 	var out []*authserver.Server
-	for _, cfg := range []zone.SignConfig{
+	for i, cfg := range []zone.SignConfig{
 		{Denial: zone.DenialNSEC},
 		{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 1, Salt: []byte{0xAA, 0xBB}}},
 		{Denial: zone.DenialNSEC3, OptOut: true},
 	} {
 		cfg.Inception, cfg.Expiration = 1709251200, 1717200000
-		sz, err := canonicalZone().Sign(cfg)
+		z := canonicalZone()
+		var err error
+		secret := []byte{byte(i)}
+		if cfg.KSK, err = dnssec.DeriveKey(dnswire.AlgECDSAP256SHA256, true, secret, z.Apex); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.ZSK, err = dnssec.DeriveKey(dnswire.AlgECDSAP256SHA256, false, secret, z.Apex); err != nil {
+			t.Fatal(err)
+		}
+		sz, err := z.Sign(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +174,12 @@ func servedResponses(t testing.TB) [][]byte {
 }
 
 // TestServedCorpus regenerates the responses the committed corpus was
-// captured from and checks what must hold of served bytes whatever the
-// signatures in them (ECDSA signing is randomized, so the octets
-// differ run to run): each decodes, and the decoded Message packs
-// back to the very octets served. SERVED_WRITE_CORPUS=1 rewrites the
-// corpus — a deliberate act, done on the commit whose decoder is the
-// reference.
+// captured from and checks them: each decodes, the decoded Message
+// packs back to the very octets served, and the capture is the
+// committed corpus octet for octet — every key is derived and every
+// signature RFC 6979, so what the zones serve is a function of the
+// code. SERVED_WRITE_CORPUS=1 rewrites the corpus — a deliberate act,
+// done on the commit whose served octets are the reference.
 func TestServedCorpus(t *testing.T) {
 	served := servedResponses(t)
 	kinds := map[string]int{}
@@ -232,13 +243,18 @@ func TestServedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := 0
+	var committed []string
 	for _, line := range strings.Split(string(data), "\n") {
 		if line != "" && line[0] != '#' {
-			lines++
+			committed = append(committed, line)
 		}
 	}
-	if lines != len(served) {
-		t.Errorf("%s holds %d messages, the generator serves %d: regenerate it", servedCorpusPath, lines, len(served))
+	if len(committed) != len(served) {
+		t.Fatalf("%s holds %d messages, the generator serves %d: regenerate it", servedCorpusPath, len(committed), len(served))
+	}
+	for i, wire := range served {
+		if got := hex.EncodeToString(wire); got != committed[i] {
+			t.Fatalf("message %d differs from %s:\n got  %s\n want %s", i+1, servedCorpusPath, got, committed[i])
+		}
 	}
 }

@@ -77,12 +77,14 @@ func signConfig(dnssec, hashed bool, iterations uint16, saltLen int, optOut bool
 //
 // Every domain zone gets: apex A, "www" A, and an MX — enough surface
 // that a random-subdomain probe triggers a genuine negative response.
+// Every key is derived from the universe's seed (testbed.WithSeed), so
+// a deployment serves the same octets each time it is built.
 func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts ...DeployOption) (*Deployment, error) {
 	var o deployOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	bopts := []testbed.BuilderOption{testbed.WithCache(o.cache)}
+	bopts := []testbed.BuilderOption{testbed.WithCache(o.cache), testbed.WithSeed(u.Config.Seed)}
 	if o.lazy {
 		bopts = append(bopts, testbed.WithLazySigning())
 	}

@@ -285,10 +285,11 @@ type World struct {
 // BuildWorld realizes every topology under a root + "test" TLD
 // hierarchy on a fresh simulated network. The TLD signs NSEC3 at zero
 // iterations so no profile's limit ever fires on infrastructure zones;
-// seed only parameterizes the network (content is seed-independent).
+// seed parameterizes the network and the keys (testbed.WithSeed), so
+// one seed serves the same octets every build.
 func BuildWorld(seed uint64) (*World, error) {
 	topos := Enumerate()
-	b := testbed.NewBuilder(core.DefaultInception, core.DefaultExpiration)
+	b := testbed.NewBuilder(core.DefaultInception, core.DefaultExpiration, testbed.WithSeed(seed))
 	b.AddZone(testbed.ZoneSpec{
 		Apex:   dnswire.Root,
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},

@@ -9,6 +9,7 @@ package testbed
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -179,6 +180,9 @@ type Builder struct {
 
 	cache *SignCache
 	lazy  bool
+	// secret keys every key the builder mints (WithSeed); nil mints
+	// from crypto/rand.
+	secret []byte
 }
 
 // BuilderOption configures a Builder at construction.
@@ -188,6 +192,16 @@ type BuilderOption func(*Builder)
 // across repeated builds (the sharded survey's deployment loop).
 func WithCache(c *SignCache) BuilderOption {
 	return func(b *Builder) { b.cache = c }
+}
+
+// WithSeed makes every key the builder mints a function of seed and
+// the zone (dnssec.DeriveKey): each KSK and ZSK, also those a SignCache
+// mints for a Shared zone. Their signatures are RFC 6979, so two builds
+// with one seed serve the same octets. Without it keys come from
+// crypto/rand and every signature is hedged — what a hierarchy served
+// on real sockets uses.
+func WithSeed(seed uint64) BuilderOption {
+	return func(b *Builder) { b.secret = binary.BigEndian.AppendUint64(nil, seed) }
 }
 
 // WithLazySigning defers signing to first use, at two grains. A zone
@@ -443,7 +457,7 @@ func (b *Builder) Build(net *netsim.Network) (*Hierarchy, error) {
 // (RFC 4034 §5), so the chain of trust is complete before any zone
 // signs. Shared zones take their keys from the SignCache, so repeated
 // builds publish the same DS; any other zone gets its KSK here and its
-// ZSK when it is signed, if it ever is.
+// ZSK in the sign thunk, when it is signed, if it ever is.
 func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
 	apex := p.spec.Apex
 	if p.spec.Unsigned {
@@ -457,11 +471,11 @@ func (b *Builder) resolveKeys(p *zonePlan) (*dnswire.DS, error) {
 	var err error
 	if p.cache != nil {
 		var keys cachedKeys
-		if keys, err = p.cache.keysFor(apex, signAlg(p.cfg)); err != nil {
+		if keys, err = p.cache.keysFor(apex, signAlg(p.cfg), b.secret); err != nil {
 			return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
 		}
 		p.cfg.KSK, p.cfg.ZSK = keys.ksk, keys.zsk
-	} else if p.cfg.KSK, err = dnssec.GenerateKey(signAlg(p.cfg), true, nil); err != nil {
+	} else if p.cfg.KSK, err = mintKey(signAlg(p.cfg), true, b.secret, apex); err != nil {
 		return nil, fmt.Errorf("testbed: keys for %s: %w", apex, err)
 	}
 	ds, err := dnssec.NewDS(apex, p.cfg.KSK.DNSKEY(), dnswire.DigestSHA256)
@@ -489,10 +503,18 @@ func (b *Builder) sign(h *Hierarchy, p *zonePlan) (*zone.Signed, error) {
 		hit bool
 		err error
 	)
+	cfg := p.cfg
+	if cfg.ZSK == nil && !p.spec.Unsigned {
+		// Minted here, not at plan time: a lazy zone no query reaches
+		// never pays for its ZSK.
+		if cfg.ZSK, err = mintKey(signAlg(cfg), false, b.secret, p.spec.Apex); err != nil {
+			return nil, fmt.Errorf("testbed: keys for %s: %w", p.spec.Apex, err)
+		}
+	}
 	if p.cache != nil {
-		sz, hit, err = p.cache.sign(z, p.cfg)
+		sz, hit, err = p.cache.sign(z, cfg)
 	} else {
-		sz, err = z.SignOnDemand(p.cfg)
+		sz, err = z.SignOnDemand(cfg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("testbed: signing %s: %w", p.spec.Apex, err)

@@ -17,11 +17,14 @@ import (
 //
 // The cache operates at two levels:
 //
-//  1. Per-apex key reuse: the first build of a zone generates its
-//     KSK/ZSK; later builds of the same apex sign with the same keys.
-//     Because a DS record depends only on the child's KSK, this makes
-//     delegation DS sets stable across builds, which in turn makes
-//     parents of unchanged children byte-identical.
+//  1. Per-apex key reuse: the first build of a zone mints its KSK/ZSK
+//     (derived from the build's seed under WithSeed, generated
+//     otherwise); later builds of the same apex sign with the same
+//     keys, whatever their own seed — builds that share a cache share
+//     a seed when their octets must be a function of it. Because a DS
+//     record depends only on the child's KSK, this makes delegation DS
+//     sets stable across builds, which in turn makes parents of
+//     unchanged children byte-identical.
 //  2. Content-addressed signed zones: a zone whose apex, signing
 //     config, keys, and full record set fingerprint-match a previous
 //     build is served from cache without any signing at all — and
@@ -32,9 +35,9 @@ import (
 // per-shard leaf zones don't accumulate (memory stays O(shared set)).
 // The cache is safe for concurrent signers: lazy hierarchies sign
 // shared zones from query-handling goroutines. The mutex only guards
-// the maps, never a sign or a key generation; both run outside it and
-// store only if absent, so when two callers race on one apex or one
-// content, the first to store wins and the other takes its result.
+// the maps, never a sign or a key mint; both run outside it and store
+// only if absent, so when two callers race on one apex or one content,
+// the first to store wins and the other takes its result.
 type SignCache struct {
 	mu    sync.Mutex
 	keys  map[dnswire.Name]cachedKeys
@@ -53,16 +56,16 @@ func NewSignCache() *SignCache {
 	}
 }
 
-// keysFor returns the cached key pair for apex, generating (and
-// caching) one when absent or when the algorithm changed. The builder
-// calls this at plan time for every Shared zone: a delegation's DS
-// depends only on the child's KSK, so keys must exist at build time
-// while signing itself can wait for the first query. Keys are
-// generated outside the lock, so plans mint in parallel; a pair is
+// keysFor returns the cached key pair for apex, minting (and caching)
+// one from secret (mintKey) when absent or when the algorithm changed.
+// The builder calls this at plan time for every Shared zone: a
+// delegation's DS depends only on the child's KSK, so keys must exist
+// at build time while signing itself can wait for the first query. Keys
+// are minted outside the lock, so plans mint in parallel; a pair is
 // stored only if no caller stored one meanwhile, and a losing pair is
 // dropped before anything is made from it — an apex has one key pair
 // per cache.
-func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cachedKeys, error) {
+func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm, secret []byte) (cachedKeys, error) {
 	c.mu.Lock()
 	keys, ok := c.keys[apex]
 	c.mu.Unlock()
@@ -70,10 +73,10 @@ func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cached
 		return keys, nil
 	}
 	var err error
-	if keys.ksk, err = dnssec.GenerateKey(alg, true, nil); err != nil {
+	if keys.ksk, err = mintKey(alg, true, secret, apex); err != nil {
 		return cachedKeys{}, err
 	}
-	if keys.zsk, err = dnssec.GenerateKey(alg, false, nil); err != nil {
+	if keys.zsk, err = mintKey(alg, false, secret, apex); err != nil {
 		return cachedKeys{}, err
 	}
 	c.mu.Lock()
@@ -85,6 +88,16 @@ func (c *SignCache) keysFor(apex dnswire.Name, alg dnswire.SecAlgorithm) (cached
 	return keys, nil
 }
 
+// mintKey returns a zone key for apex in the given role: derived from
+// secret (dnssec.DeriveKey) when there is one, from crypto/rand
+// (dnssec.GenerateKey) when secret is nil.
+func mintKey(alg dnswire.SecAlgorithm, ksk bool, secret []byte, apex dnswire.Name) (*dnssec.KeyPair, error) {
+	if secret == nil {
+		return dnssec.GenerateKey(alg, ksk)
+	}
+	return dnssec.DeriveKey(alg, ksk, secret, apex)
+}
+
 // signAlg resolves the effective algorithm of a config (mirroring
 // zone.Sign's default).
 func signAlg(cfg zone.SignConfig) dnswire.SecAlgorithm {
@@ -94,20 +107,14 @@ func signAlg(cfg zone.SignConfig) dnswire.SecAlgorithm {
 	return cfg.Algorithm
 }
 
-// sign signs z under cfg, reusing cached keys for the apex and a
-// cached signed zone when the content fingerprint matches a previous
-// build. The returned hit reports whether this caller's signing was
-// skipped or discarded: the content was cached, or another caller
-// stored the same content while this one signed. Signing runs outside
-// the lock, like keysFor's key generation, so distinct zones sign in
-// parallel.
+// sign signs z under cfg, whose keys are the apex's cached pair
+// (keysFor), reusing a cached signed zone when the content fingerprint
+// matches a previous build. The returned hit reports whether this
+// caller's signing was skipped or discarded: the content was cached, or
+// another caller stored the same content while this one signed. Signing
+// runs outside the lock, like keysFor's key mint, so distinct zones
+// sign in parallel.
 func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool, error) {
-	keys, err := c.keysFor(z.Apex, signAlg(cfg))
-	if err != nil {
-		return nil, false, err
-	}
-	cfg.KSK, cfg.ZSK = keys.ksk, keys.zsk
-
 	// Fingerprint before Sign: signing mutates the raw zone.
 	fp := fingerprint(z, cfg)
 
@@ -117,7 +124,8 @@ func (c *SignCache) sign(z *zone.Zone, cfg zone.SignConfig) (*zone.Signed, bool,
 	if ok {
 		return s, true, nil
 	}
-	if s, err = z.SignOnDemand(cfg); err != nil {
+	s, err := z.SignOnDemand(cfg)
+	if err != nil {
 		return nil, false, err
 	}
 	c.mu.Lock()

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -133,11 +135,39 @@ func buildWide(t testing.TB, cache *SignCache) *Hierarchy {
 	return h
 }
 
+// buildSeeded stands up root, com and the RFC 9276 testbed, all
+// Shared and lazy, under WithSeed(seed) on a SignCache of its own.
+func buildSeeded(t *testing.T, seed uint64) *Hierarchy {
+	t.Helper()
+	b := NewBuilder(tInception, tExpiration, WithSeed(seed), WithCache(NewSignCache()), WithLazySigning())
+	b.AddZone(ZoneSpec{
+		Apex: dnswire.Root, Shared: true,
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+		Server: netsim.Addr4(198, 41, 0, 4),
+	})
+	b.AddZone(ZoneSpec{
+		Apex: dnswire.MustParseName("com"), Shared: true,
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
+		Server: netsim.Addr4(192, 5, 6, 30),
+	})
+	InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	h, err := b.Build(netsim.NewNetwork(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestBuildIndependentOfGOMAXPROCS builds one world twice over one
 // SignCache, first on one P and then on four. The trust anchors must
 // be equal, and the second build's root — built in Build, its
 // fingerprint covering every delegation's NS and DS in wiring order —
-// must be the very zone the first build signed.
+// must be the very zone the first build signed. Then it builds a
+// seeded world twice, on one P and on four, each on a SignCache of its
+// own: nothing is shared, so what must be equal is what the seed
+// alone decides — the trust anchor and the octets served at the
+// testbed apex, a DNSKEY answer and an NXDOMAIN proof, signatures
+// included.
 func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 	cache := NewSignCache()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -152,6 +182,54 @@ func TestBuildIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	if signed, reused := h2.SignStats(); signed != 0 || reused != 1 {
 		t.Fatalf("second build SignStats = %d/%d, want 0/1 (root from cache)", signed, reused)
+	}
+
+	apex := dnswire.MustParseName(TestbedDomain)
+	serve := func(h *Hierarchy) [][]byte {
+		t.Helper()
+		var out [][]byte
+		for _, q := range []struct {
+			name  dnswire.Name
+			qtype dnswire.Type
+			rcode dnswire.RCode
+		}{
+			{apex, dnswire.TypeDNSKEY, dnswire.RCodeNoError},
+			{apex.MustChild("gone"), dnswire.TypeA, dnswire.RCodeNXDomain},
+		} {
+			resp, err := h.Net.Exchange(context.Background(), netsim.Addr4(203, 0, 113, 10),
+				dnswire.NewQuery(0x5EED, q.name, q.qtype, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sigs := 0
+			for _, rr := range append(resp.Answers, resp.Authority...) {
+				if rr.Type() == dnswire.TypeRRSIG {
+					sigs++
+				}
+			}
+			if resp.Header.RCode != q.rcode || sigs == 0 {
+				t.Fatalf("%s %s: %s with %d RRSIGs, want %s and signatures", q.name, q.qtype, resp.Header.RCode, sigs, q.rcode)
+			}
+			wire, err := resp.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, wire)
+		}
+		return out
+	}
+	runtime.GOMAXPROCS(1)
+	s1 := buildSeeded(t, 7)
+	runtime.GOMAXPROCS(4)
+	s4 := buildSeeded(t, 7)
+	if len(s1.TrustAnchor) != 1 || len(s4.TrustAnchor) != 1 || s1.TrustAnchor[0].String() != s4.TrustAnchor[0].String() {
+		t.Fatalf("seeded trust anchors diverged: %v vs %v", s1.TrustAnchor, s4.TrustAnchor)
+	}
+	w1, w4 := serve(s1), serve(s4)
+	for i := range w1 {
+		if !bytes.Equal(w1[i], w4[i]) {
+			t.Errorf("seeded builds serve different octets for question %d:\n P=1 %x\n P=4 %x", i, w1[i], w4[i])
+		}
 	}
 }
 
@@ -168,7 +246,7 @@ func TestKeysForConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i], errs[i] = cache.keysFor(apex, dnswire.AlgECDSAP256SHA256)
+			got[i], errs[i] = cache.keysFor(apex, dnswire.AlgECDSAP256SHA256, nil)
 		}()
 	}
 	wg.Wait()
@@ -180,7 +258,7 @@ func TestKeysForConcurrent(t *testing.T) {
 			t.Fatalf("caller %d got a different key pair than caller 0", i)
 		}
 	}
-	again, err := cache.keysFor(apex, dnswire.AlgECDSAP256SHA256)
+	again, err := cache.keysFor(apex, dnswire.AlgECDSAP256SHA256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +277,12 @@ func TestSignCacheSameContentConcurrent(t *testing.T) {
 	const callers = 8
 	for round := range 50 {
 		cache := NewSignCache()
+		keys, err := cache.keysFor(spec.Apex, dnswire.AlgECDSAP256SHA256, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyed := cfg
+		keyed.KSK, keyed.ZSK = keys.ksk, keys.zsk
 		zones := make([]*zone.Zone, callers)
 		for i := range zones {
 			zones[i] = b.rawZone(spec)
@@ -211,7 +295,7 @@ func TestSignCacheSameContentConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], hits[i], errs[i] = cache.sign(zones[i], cfg)
+				got[i], hits[i], errs[i] = cache.sign(zones[i], keyed)
 			}()
 		}
 		wg.Wait()

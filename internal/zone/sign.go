@@ -161,12 +161,12 @@ func (z *Zone) SignOnDemand(cfg SignConfig) (*Signed, error) {
 	}
 	var err error
 	if s.KSK == nil {
-		if s.KSK, err = dnssec.GenerateKey(cfg.Algorithm, true, nil); err != nil {
+		if s.KSK, err = dnssec.GenerateKey(cfg.Algorithm, true); err != nil {
 			return nil, err
 		}
 	}
 	if s.ZSK == nil {
-		if s.ZSK, err = dnssec.GenerateKey(cfg.Algorithm, false, nil); err != nil {
+		if s.ZSK, err = dnssec.GenerateKey(cfg.Algorithm, false); err != nil {
 			return nil, err
 		}
 	}
