@@ -518,8 +518,8 @@ func TestResolverStudyShardEquivalence(t *testing.T) {
 	// signatures in the testbed. Neither counter joins the equality list
 	// above. Hits are scheduling-dependent (two workers may both miss one
 	// triple). Requests are fixed by the fleet for a given set of zone
-	// keys, but each run draws fresh keys, and a KSK/ZSK key-tag collision
-	// in one run's zone adds a doomed check per RRset there.
+	// keys, and a KSK/ZSK key-tag collision in a zone adds a doomed check
+	// per RRset there.
 	for _, reg := range []*obs.Registry{wreg, sreg} {
 		requests := counter(reg, "resolver_sig_verifications_total")
 		hits := counter(reg, "resolver_sig_verify_memo_hits_total")

@@ -321,7 +321,8 @@ func RunResolverStudy(ctx context.Context, cfg ResolverStudyConfig) (*ResolverSt
 // same constants, so they are marked Shared: with a sign cache attached
 // (WithCache), repeated shard worlds reuse one signing of each zone.
 func BuildTestbedWorld(seed uint64, opts ...testbed.BuilderOption) (*testbed.Hierarchy, error) {
-	b := testbed.NewBuilder(DefaultInception, DefaultExpiration, append([]testbed.BuilderOption{testbed.WithSeed(seed)}, opts...)...)
+	opts = append([]testbed.BuilderOption{testbed.WithSeed(seed)}, opts...)
+	b := testbed.NewBuilder(DefaultInception, DefaultExpiration, opts...)
 	b.AddZone(testbed.ZoneSpec{
 		Apex:   dnswire.Root,
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},

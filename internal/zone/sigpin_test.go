@@ -119,8 +119,8 @@ func forEachFixtureZone(t *testing.T, f func(t *testing.T, zones []*zone.Signed)
 // over the RRset it covers in that same answer under the zone's
 // published keys — KSK for DNSKEY, ZSK for the rest — with exactly the
 // window the configuration gives it, and the same question asked again
-// gets the same answer down to the signature bytes (ECDSA signatures
-// are randomized: a signature made twice would differ).
+// gets the same answer down to the signature bytes (a generated key's
+// ECDSA signatures are hedged: a signature made twice would differ).
 func TestServedSignaturesVerify(t *testing.T) {
 	memo := dnssec.NewVerifyMemo(nil)
 	forEachFixtureZone(t, func(t *testing.T, zones []*zone.Signed) {
