@@ -89,14 +89,22 @@ func TestProveNXDOMAINAllocFree(t *testing.T) {
 	}
 }
 
-// minOf returns the fastest of n timings of f: the run least disturbed
-// by the scheduler.
-func minOf(n int, f func()) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		f()
-		best = min(best, time.Since(start))
+// minOfRounds times each of fs once per round, for n rounds, and
+// returns each one's fastest timing: the run least disturbed by the
+// scheduler. Interleaving the timings means a slow spell of the
+// machine (another process, a clock change) reaches every f alike
+// instead of whichever happened to be timed during it.
+func minOfRounds(n int, fs ...func()) []time.Duration {
+	best := make([]time.Duration, len(fs))
+	for i := range best {
+		best[i] = time.Duration(math.MaxInt64)
+	}
+	for r := 0; r < n; r++ {
+		for i, f := range fs {
+			start := time.Now()
+			f()
+			best[i] = min(best[i], time.Since(start))
+		}
 	}
 	return best
 }
@@ -117,17 +125,15 @@ func TestServerHashCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hb [HashLen]byte
-	hash := minOf(9, func() {
+	times := minOfRounds(25, func() {
 		if _, err := AppendHash(hb[:0], nx, c.Params); err != nil {
 			t.Fatal(err)
 		}
-	})
-	nxdomain := minOf(9, func() {
+	}, func() {
 		if _, err := c.ProveNXDOMAIN(nx, exists); err != nil {
 			t.Fatal(err)
 		}
-	})
-	nodata := minOf(9, func() {
+	}, func() {
 		if _, err := c.ProveNODATA(www); err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +141,7 @@ func TestServerHashCount(t *testing.T) {
 			t.Fatalf("Cover(www) = %v, %v", ok, err)
 		}
 	})
+	hash, nxdomain, nodata := times[0], times[1], times[2]
 	t.Logf("it-2500: one hash %v, warm NXDOMAIN proof %v, NODATA proof + Cover of an existing name %v", hash, nxdomain, nodata)
 	if nxdomain*2 >= hash*3 {
 		t.Errorf("warm NXDOMAIN proof took %v, one hash %v: more than one iterated hash per proof", nxdomain, hash)
