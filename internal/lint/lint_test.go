@@ -71,9 +71,22 @@ func TestGolden(t *testing.T) {
 	for _, line := range strings.SplitAfter(string(data), "\n") {
 		if heading, ok := strings.CutPrefix(line, "# "); ok {
 			block = strings.TrimSpace(heading)
+			want[block] += ""
 		} else {
 			want[block] += line
 		}
+	}
+	cases := map[string]bool{"": true}
+	for _, gc := range lint.GoldenCases() {
+		cases[goldenName(gc)] = true
+	}
+	for name := range want {
+		if !cases[name] {
+			t.Errorf("%s has a block %q that no golden case checks", diagnosticsGolden, "# "+name)
+		}
+	}
+	if want[""] != "" {
+		t.Errorf("%s has lines before its first heading: %q", diagnosticsGolden, want[""])
 	}
 	for _, gc := range lint.GoldenCases() {
 		name := goldenName(gc)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -134,5 +135,63 @@ func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 	})
 	if got != want {
 		t.Errorf("Exchange allocates %.0f times per query, the two decodes %.0f: the difference is the network's own", got, want)
+	}
+}
+
+// echoWire answers a query with its own octets, QR set. It allocates
+// nothing, so what a loopback exchange with it allocates is the
+// transport's.
+type echoWire struct{ echoHandler }
+
+func (echoWire) ServeWire(_ context.Context, dst []byte, _ netip.AddrPort, query []byte, _ int) []byte {
+	dst = append(dst, query...)
+	dst[len(dst)-len(query)+2] |= 0x80
+	return dst
+}
+
+// TestServeUDPAllocs pins what the real-socket UDP loop (serveUDP and
+// servePacket) allocates per query, exactly: the *net.UDPAddr that
+// ReadFrom returns and its IP, and the closure the go statement hands
+// servePacket's arguments in. Both packet buffers come from their
+// pools already grown, and a connected client socket allocates
+// nothing, so a fourth allocation is the loop's.
+func TestServeUDPAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; steady-state alloc counts are nondeterministic")
+	}
+	srv := &Server{Handler: echoWire{}}
+	addr, err := srv.Listen(context.Background(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	query, err := dnswire.NewQuery(9, dnswire.MustParseName("udp.pool.example"), dnswire.TypeA, true).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := make([]byte, 512)
+	const want = 3
+	got := testing.AllocsPerRun(500, func() {
+		if _, err := conn.Write(query); err != nil {
+			t.Fatal(err)
+		}
+		n, err := conn.Read(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(query) || resp[2]&0x80 == 0 {
+			t.Fatalf("response %x to query %x", resp[:n], query)
+		}
+	})
+	if got != want {
+		t.Errorf("a UDP query costs the serve loop %.0f allocations, want %d", got, want)
 	}
 }
