@@ -14,8 +14,9 @@
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
 #   /metrics, survey metrics, distributed survey and resolver study,
-#   resolver study sharded and one-world, statewalk); reprolint's
-#   fixture self-check, then reprolint over the tree (any finding fails).
+#   resolver study sharded and one-world, statewalk); reprolint over
+#   the tree (any finding fails). The analyzers' own fixtures are the
+#   tier-1 TestGolden, part of the race-enabled test leg.
 # No leg measures speed: the numbers are bench/'s, committed in
 # BENCH.ndjson, and allocation ceilings are AllocsPerRun pins in tier-1.
 set -euo pipefail
@@ -256,17 +257,6 @@ SW_CELLS=$(sed -n 's/^  cells executed  *\([0-9]*\)$/\1/p' "$SMOKE_DIR/statewalk
   exit 1
 }
 echo "statewalk smoke OK ($SW_CELLS cells, report in statewalk-report.ndjson)"
-
-echo "== reprolint self-check (golden fixtures) =="
-# Replays every analyzer's golden fixture and publishes the per-analyzer
-# JSON report (findings, want-marker mismatches, timing) as an artifact.
-# A diagnostic drifting from its fixture markers fails this leg even if
-# the real tree stays clean.
-go run ./cmd/reprolint -selfcheck internal/lint/testdata > reprolint-selfcheck.json
-# That every analyzer in the suite has a fixture in the report is a
-# test (TestSelfCheckReports), not a list to keep in sync here.
-grep -q '"elapsed_ms"' reprolint-selfcheck.json \
-  || { echo "self-check report lacks elapsed_ms timings"; exit 1; }
 
 echo "== reprolint =="
 # One load-and-analyze pass both gates the build — reprolint exits 1 on

@@ -103,37 +103,6 @@ func Spin() {
 	}
 }
 
-// TestRunSelfCheck drives the -selfcheck leg CI runs: every golden
-// fixture replays clean and the JSON artifact carries one report per
-// analyzer with its timing.
-func TestRunSelfCheck(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-selfcheck", "../../internal/lint/testdata"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("selfcheck exited %d, stderr: %s", code, stderr.String())
-	}
-	var reps []struct {
-		Analyzer  string   `json:"analyzer"`
-		Findings  int      `json:"findings"`
-		Missing   []string `json:"missing"`
-		ElapsedMS *float64 `json:"elapsed_ms"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &reps); err != nil {
-		t.Fatalf("stdout is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(reps) == 0 {
-		t.Fatal("selfcheck emitted no reports")
-	}
-	for _, r := range reps {
-		if r.Analyzer == "" {
-			t.Errorf("report lacks an analyzer name: %+v", r)
-		}
-		if r.ElapsedMS == nil {
-			t.Errorf("%s: report lacks elapsed_ms", r.Analyzer)
-		}
-	}
-}
-
 // TestRunCleanCtxPropTargets pins the interprocedural fixes on the real
 // tree: the packages rewired to thread context (atlas's probe path into
 // testbed/netsim/authserver, and respop) plus the distributed-survey

@@ -171,8 +171,6 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Handle implements netsim.Handler: respond in a scratch of the
 // response's own.
-//
-//repro:allocok one scratch — the response Message and what shapes it — per query is the Handler contract: the Message is the caller's to keep, so it cannot come from the pool ServeWire's miss path renders out of
 func (s *Server) Handle(ctx context.Context, from netip.AddrPort, query *dnswire.Message) *dnswire.Message {
 	opt, edns := query.OPT()
 	return s.respond(ctx, from, new(scratch), query.Header, query.Questions, edns, edns && opt.DO)
@@ -249,8 +247,6 @@ func (s *Server) respond(ctx context.Context, from netip.AddrPort, sc *scratch, 
 // handleAXFR answers a zone transfer request (RFC 5936): the complete
 // signed zone between two copies of the apex SOA, or REFUSED when the
 // zone's transfer policy (the default) forbids it.
-//
-//repro:allocok AXFR materializes the whole zone by definition; bulk transfer is not the per-packet serving path
 func (s *Server) handleAXFR(resp *dnswire.Message, sz *zone.Signed, qname dnswire.Name) *dnswire.Message {
 	if qname != sz.Zone.Apex {
 		resp.Header.RCode = dnswire.RCodeNotImp

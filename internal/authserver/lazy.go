@@ -127,7 +127,6 @@ func (s *Server) signed(ctx context.Context, hz *hostedZone) (*zone.Signed, erro
 // failed to sign keeps answering ServFail rather than retrying).
 //
 //repro:nondeterministic sign-wait timing is telemetry (authserver_sign_wait_ns), never response content
-//repro:allocok first-query zone materialization is the lazy-signing cold path; every later query reads the memoized zone off its closed done channel without entering here
 func (s *Server) materialize(ctx context.Context, hz *hostedZone) (*zone.Signed, error) {
 	if s.mSignWait != nil {
 		// Signer, waiter and cancelled waiter alike: the time spent in

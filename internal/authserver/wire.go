@@ -116,8 +116,6 @@ func (s *Server) ServeWire(ctx context.Context, dst []byte, from netip.AddrPort,
 // room for all of it), anything past the default datagram (a zone
 // transfer), or SERVFAIL — a cancelled wait on a lazy signer is not the
 // zone's answer.
-//
-//repro:hotpath every authoritative answer to a question not asked twice — testbed surveys, resolver studies, authd — is made here
 func (s *Server) serveMiss(ctx context.Context, dst []byte, from netip.AddrPort, query []byte, maxSize int) (out []byte, keep bool) {
 	h, q, edns, do, plain := dnswire.PlainQuery(query)
 	var questions []dnswire.Question

@@ -10,10 +10,7 @@ import (
 )
 
 // TestNameEncodeAllocFree pins the hot encode path: AppendWire into a
-// buffer with spare capacity must not allocate. The //repro:hotpath
-// annotation on PackBuffer is enforced statically by hotpathalloc;
-// this test enforces the same contract dynamically, so a regression
-// the analyzer's conservative rules happen to miss still fails here.
+// buffer with spare capacity must not allocate.
 func TestNameEncodeAllocFree(t *testing.T) {
 	name := MustParseName("a.long-ish.label.chain.example.org.")
 	buf := make([]byte, 0, MaxNameWireLen)

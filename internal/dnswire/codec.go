@@ -43,8 +43,6 @@ func (e *encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v
 // earlier occurrence. A suffix of a normalized Name starting at a label
 // boundary is itself a normalized Name, so suffixes are string slices
 // of n — no label splitting, no per-suffix rebuild.
-//
-//repro:allocok the compression table write is the one unavoidable map insert of the encode path; the table itself is pooled
 func (e *encoder) name(n Name, compressible bool) {
 	if !e.compress || !compressible {
 		e.buf = appendName(e.buf, n)

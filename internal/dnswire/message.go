@@ -176,8 +176,6 @@ func (m *Message) Pack() ([]byte, error) { return m.PackBuffer(nil, 0, true) }
 // section from the tail, the TC bit is set, and the shortened message is
 // returned (standard UDP truncation behaviour). compress toggles name
 // compression (the ablation benches flip it).
-//
-//repro:hotpath every outbound message — authserver answers, scanner probes — is rendered here; with a caller-provided dst it must not allocate
 func (m *Message) PackBuffer(dst []byte, maxSize int, compress bool) ([]byte, error) {
 	counts := [3]int{len(m.Answers), len(m.Authority), len(m.Additional)}
 	for {
@@ -308,8 +306,6 @@ const (
 // — appending to a field or a section reallocates it and never writes
 // into its neighbour — but, as with any Message, writing through one
 // changes that Message only. Nothing is pooled or shared between calls.
-//
-//repro:allocok decoding materializes a fresh Message by contract — one block, one record slab, one copy of the wire from the first byte field, one bitmap slab, the first distinct name and one arena for the rest, one boxed RDATA per record; the serve path amortizes the rest by recycling read buffers, not messages
 func Unpack(msg []byte) (*Message, error) {
 	d := &decoder{msg: msg, end: len(msg)}
 	id, err := d.u16()

@@ -607,8 +607,6 @@ func (m *nameMemo) at(off int) *memoEntry {
 // take, or, if that is more, room for three names as long as this one —
 // enough for an unsigned negative answer's two SOA names. When a name
 // does not fit, a fresh arena takes over.
-//
-//repro:allocok a decoded Name owns its memory by contract; a message's first distinct name as its own string and one arena for the rest is the floor
 func (m *nameMemo) intern(pres []byte, left int) Name {
 	for i := range m.e[:m.n] {
 		if string(m.e[i].name) == string(pres) {

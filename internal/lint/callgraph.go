@@ -11,13 +11,13 @@ import (
 )
 
 // This file is the interprocedural substrate of the suite: a static
-// call graph over every loaded package. The intraprocedural analyzers
-// (PR 1) see one function body at a time, which forced the determinism
+// call graph over every loaded package. An intraprocedural analyzer
+// sees one function body at a time, which once forced the determinism
 // guarantee onto a hand-maintained file exemption list; the graph lets
-// determinism, goleak, and lockorder reason about whole call chains
-// instead — "core reaches time.Now through the scanner" rather than
-// "this file may read the clock". Reach is the one search every
-// chain-reporting analyzer runs over it.
+// determinism, mergepurity, goleak, ctxprop and wiretaint reason about
+// whole call chains instead — "core reaches time.Now through the
+// scanner" rather than "this file may read the clock". Reach is the one
+// search every chain-reporting analyzer runs over it.
 //
 // Resolution is deliberately static and conservative:
 //

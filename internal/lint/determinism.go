@@ -233,7 +233,7 @@ func nondetSources(info *types.Info, root ast.Node, intoLits bool) []nondetSourc
 					if len(n.Lhs) != 1 || len(n.Rhs) != 1 || builtinCall(info, n.Rhs[0]) != "append" {
 						return
 					}
-					if root, _ := rootVar(info, n.Lhs[0], hopDeref|hopField|hopIndex); declaredIn(root, rs) {
+					if root := rootVar(info, n.Lhs[0], hopDeref|hopField|hopIndex); declaredIn(root, rs) {
 						return
 					}
 					if target := exprString(n.Lhs[0]); !sortedAfter(info, target, list[i+1:]) {

@@ -11,19 +11,14 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"time"
 )
 
-// This file is the golden-fixture harness, shared by the package's own
-// tests and by `reprolint -selfcheck` in CI. Each analyzer owns a
-// fixture tree under testdata/src/<root> whose files carry
-// analysistest-style `// want `regex`` markers; checking a fixture
-// type-checks it under a fake import path (so package scoping applies),
-// runs exactly one analyzer, and requires the diagnostics and the
-// markers to match one-to-one by line. Running the same comparison in
-// CI turns the fixtures from test inputs into a self-check: a toolchain
-// or refactor that silently changes analyzer behavior fails the build
-// even if no unit test names the changed shape.
+// This file is the golden-fixture harness behind the package's tests.
+// Each analyzer owns a fixture tree under testdata/src/<root> whose
+// files carry analysistest-style `// want `regex`` markers; checking a
+// fixture type-checks it under a fake import path (so package scoping
+// applies), runs exactly one analyzer, and requires the diagnostics and
+// the markers to match one-to-one by line.
 
 // FixturePkg is one package of a golden fixture.
 type FixturePkg struct {
@@ -61,7 +56,6 @@ func GoldenCases() []GoldenCase {
 			{"core", "repro/internal/core"},
 		}},
 		{GoLeakAnalyzer, "goleak", []FixturePkg{{"", "repro/internal/lintfixture"}}},
-		{LockOrderAnalyzer, "lockorder", []FixturePkg{{"", "repro/internal/lintfixture"}}},
 		{CtxPropAnalyzer, "ctxprop", []FixturePkg{
 			{"iolib", "repro/internal/iolib"},
 			{"svc", "repro/internal/svc"},
@@ -71,9 +65,6 @@ func GoldenCases() []GoldenCase {
 			{"srv", "repro/internal/srv"},
 		}},
 		{MergePurityAnalyzer, "mergepurity", []FixturePkg{{"", "repro/internal/mergefix"}}},
-		{HotPathAllocAnalyzer, "hotpathalloc", []FixturePkg{{"", "repro/internal/hotfix"}}},
-		{BufAliasAnalyzer, "bufalias", []FixturePkg{{"", "repro/internal/buffix"}}},
-		{PoolSafeAnalyzer, "poolsafe", []FixturePkg{{"", "repro/internal/poolfix"}}},
 		// The generic fixture is one engine checked twice: each consumer
 		// package carries the want markers of one analyzer.
 		{DeterminismAnalyzer, "generic", []FixturePkg{
@@ -87,25 +78,12 @@ func GoldenCases() []GoldenCase {
 	}
 }
 
-// FixtureReport is the outcome of checking one golden fixture — the
-// JSON shape `reprolint -selfcheck` publishes per analyzer.
+// FixtureReport is the outcome of checking one golden fixture.
 type FixtureReport struct {
-	Analyzer string `json:"analyzer"`
-	Fixture  string `json:"fixture"`
-	// Findings is how many diagnostics the analyzer produced.
-	Findings int `json:"findings"`
 	// Missing lists want markers no diagnostic matched; Unexpected
 	// lists diagnostics no want marker expected. Both empty == pass.
-	Missing    []string `json:"missing"`
-	Unexpected []string `json:"unexpected"`
-	// ElapsedMS is the analyzer's run time over the type-checked
-	// fixture (loading and type-checking excluded).
-	ElapsedMS float64 `json:"elapsed_ms"`
-}
-
-// OK reports whether the fixture check passed.
-func (r FixtureReport) OK() bool {
-	return len(r.Missing) == 0 && len(r.Unexpected) == 0
+	Missing    []string
+	Unexpected []string
 }
 
 var wantMarkerRE = regexp.MustCompile("// want `([^`]+)`")
@@ -249,16 +227,12 @@ func RunFixture(testdataDir string, gc GoldenCase) ([]Diagnostic, error) {
 // fixture, type-check errors); expectation mismatches are reported in
 // the FixtureReport, not the error.
 func CheckFixture(testdataDir string, gc GoldenCase) (FixtureReport, error) {
-	rep := FixtureReport{Analyzer: gc.Analyzer.Name, Fixture: gc.Root}
+	var rep FixtureReport
 	pkgs, wants, err := loadFixture(testdataDir, gc)
 	if err != nil {
 		return rep, err
 	}
-	start := time.Now()
-	diags := Run(pkgs, []*Analyzer{gc.Analyzer})
-	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	rep.Findings = len(diags)
-	for _, d := range diags {
+	for _, d := range Run(pkgs, []*Analyzer{gc.Analyzer}) {
 		w := wants[d.Pos.Filename][d.Pos.Line]
 		if w == nil {
 			rep.Unexpected = append(rep.Unexpected, d.String())
@@ -282,19 +256,4 @@ func CheckFixture(testdataDir string, gc GoldenCase) (FixtureReport, error) {
 	sort.Strings(missing)
 	rep.Missing = missing
 	return rep, nil
-}
-
-// SelfCheck checks every golden fixture and returns the per-analyzer
-// reports in suite order. The error is the first infrastructure
-// failure; expectation mismatches live in the reports.
-func SelfCheck(testdataDir string) ([]FixtureReport, error) {
-	var out []FixtureReport
-	for _, gc := range GoldenCases() {
-		rep, err := CheckFixture(testdataDir, gc)
-		if err != nil {
-			return out, fmt.Errorf("%s: %v", gc.Root, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }

@@ -47,11 +47,11 @@ func goldenDiagnostics(t *testing.T, gc lint.GoldenCase) string {
 const diagnosticsGolden = "testdata/diagnostics.golden"
 
 // TestGolden checks every analyzer's fixture against its `// want`
-// markers through the same harness CI's self-check runs, so a fixture
-// that fails here fails `reprolint -selfcheck` identically — and then
-// against the committed full diagnostic text, one "# <case>" block per
-// golden case. LINT_WRITE_GOLDEN=1 regenerates that file after a
-// deliberate change; its diff is the review artefact.
+// markers and then against the committed full diagnostic text, one
+// "# <case>" block per golden case. Every analyzer in the suite has a
+// case, every case reports at least one finding, and every block in the
+// file belongs to a case. LINT_WRITE_GOLDEN=1 regenerates that file
+// after a deliberate change; its diff is the review artefact.
 func TestGolden(t *testing.T) {
 	if os.Getenv("LINT_WRITE_GOLDEN") == "1" {
 		var b strings.Builder
@@ -77,8 +77,15 @@ func TestGolden(t *testing.T) {
 		}
 	}
 	cases := map[string]bool{"": true}
+	covered := map[*lint.Analyzer]bool{}
 	for _, gc := range lint.GoldenCases() {
 		cases[goldenName(gc)] = true
+		covered[gc.Analyzer] = true
+	}
+	for _, a := range lint.Analyzers() {
+		if !covered[a] {
+			t.Errorf("analyzer %s ships without a golden fixture", a.Name)
+		}
 	}
 	for name := range want {
 		if !cases[name] {
@@ -101,7 +108,11 @@ func TestGolden(t *testing.T) {
 			for _, u := range rep.Unexpected {
 				t.Errorf("unexpected diagnostic: %s", u)
 			}
-			if got := goldenDiagnostics(t, gc); got != want[name] {
+			got := goldenDiagnostics(t, gc)
+			if got == "" {
+				t.Errorf("fixture produced no findings at all — positive cases missing?")
+			}
+			if got != want[name] {
 				t.Errorf("diagnostics differ from %s (LINT_WRITE_GOLDEN=1 regenerates)\n--- got\n%s--- want\n%s", diagnosticsGolden, got, want[name])
 			}
 		})
@@ -167,117 +178,5 @@ func TestWireTrustedPropagatesTaint(t *testing.T) {
 	}
 	if !throughWaived {
 		t.Errorf("taint did not propagate through the waived function to wire.allocT")
-	}
-}
-
-// TestAllocOKWaiverSemantics pins the hotpathalloc waiver contract:
-// bare directives in both directions are findings, a reasoned waiver
-// absorbs (the waived callee's allocation sites stay silent even on a
-// hot chain), a contradiction of root and waiver on one declaration
-// reports, and a waiver that silences nothing is itself a finding.
-func TestAllocOKWaiverSemantics(t *testing.T) {
-	diags, err := lint.RunFixture("testdata", goldenCase(t, "hotpathalloc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bareRoot, bareWaiver, contradiction, stale bool
-	for _, d := range diags {
-		switch {
-		case strings.Contains(d.Message, lint.HotPathDirective+" directive without a reason"):
-			bareRoot = true
-		case strings.Contains(d.Message, lint.AllocOKDirective+" directive without a reason"):
-			bareWaiver = true
-		case strings.Contains(d.Message, "contradict each other"):
-			contradiction = true
-		case strings.Contains(d.Message, "waives nothing"):
-			stale = true
-			if !strings.Contains(d.Message, "hotfix.Idle") {
-				t.Errorf("stale-waiver finding names the wrong function: %s", d)
-			}
-		}
-		if strings.Contains(d.Message, "hotfix.fill") {
-			t.Errorf("waiver failed to absorb the waived callee's allocation: %s", d)
-		}
-	}
-	if !bareRoot {
-		t.Errorf("bare %s directive was not reported", lint.HotPathDirective)
-	}
-	if !bareWaiver {
-		t.Errorf("bare %s directive was not reported", lint.AllocOKDirective)
-	}
-	if !contradiction {
-		t.Errorf("contradictory root+waiver declaration was not reported")
-	}
-	if !stale {
-		t.Errorf("stale %s waiver was not reported", lint.AllocOKDirective)
-	}
-}
-
-// TestBufAliasWaiverSkips pins that a reasoned //repro:allocok on a
-// function silences bufalias for that whole function — Trusted returns
-// a parameter subslice by documented contract and must stay quiet.
-func TestBufAliasWaiverSkips(t *testing.T) {
-	diags, err := lint.RunFixture("testdata", goldenCase(t, "bufalias"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trusted returns b[:n] exactly like Window does; if the waiver were
-	// ignored the fixture would report one more subslice-return finding
-	// than its 9 marked violations.
-	if len(diags) != 9 {
-		t.Errorf("got %d findings, want exactly the 9 marked violations — the %s waiver on Trusted may not be honored",
-			len(diags), lint.AllocOKDirective)
-	}
-}
-
-// TestPoolSafeDefiniteOnly pins poolsafe's conservatism: the
-// disciplined twins — deferred Put, goroutine handoff, both-branch
-// Put, per-iteration channel transfer — produce no findings.
-func TestPoolSafeDefiniteOnly(t *testing.T) {
-	diags, err := lint.RunFixture("testdata", goldenCase(t, "poolsafe"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 5 {
-		t.Errorf("got %d findings, want exactly the 5 marked violations", len(diags))
-	}
-	for _, d := range diags {
-		for _, clean := range []string{"DeferPut", "Handoff", "ErrPath", "LoopTransfer"} {
-			if strings.Contains(d.Message, clean) {
-				t.Errorf("disciplined twin %s reported: %s", clean, d)
-			}
-		}
-	}
-}
-
-// TestSelfCheckReports exercises the CI entry point end to end: every
-// fixture passes and carries its analyzer name and a timing.
-func TestSelfCheckReports(t *testing.T) {
-	reps, err := lint.SelfCheck("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != len(lint.GoldenCases()) {
-		t.Fatalf("got %d reports, want %d", len(reps), len(lint.GoldenCases()))
-	}
-	covered := map[string]bool{}
-	for _, r := range reps {
-		covered[r.Analyzer] = true
-	}
-	for _, a := range lint.Analyzers() {
-		if !covered[a.Name] {
-			t.Errorf("analyzer %s ships without a golden fixture", a.Name)
-		}
-	}
-	for _, r := range reps {
-		if !r.OK() {
-			t.Errorf("%s: missing=%v unexpected=%v", r.Analyzer, r.Missing, r.Unexpected)
-		}
-		if r.Analyzer == "" || r.Fixture == "" {
-			t.Errorf("report lacks identity: %+v", r)
-		}
-		if r.Findings == 0 {
-			t.Errorf("%s: fixture produced no findings at all — positive cases missing?", r.Analyzer)
-		}
 	}
 }

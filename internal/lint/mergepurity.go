@@ -179,8 +179,7 @@ func mentionsAny(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool 
 // stateRoot returns the variable an lvalue chain is rooted in
 // (a.b.c → a, (*p).f → p), nil for indexed or otherwise keyed forms.
 func stateRoot(info *types.Info, e ast.Expr) types.Object {
-	obj, _ := rootVar(info, e, hopDeref|hopField)
-	return obj
+	return rootVar(info, e, hopDeref|hopField)
 }
 
 // checkMapRangeBody reports order-dependent writes inside one map

@@ -27,15 +27,6 @@ const (
 	// sites are bounded by means the taint analysis cannot see (e.g.
 	// fuzz-verified framing). Taint still flows through it.
 	WireTrustedDirective = "//repro:wiretrusted"
-	// HotPathDirective roots the hotpathalloc analysis: everything
-	// statically reachable from an annotated function must be free of
-	// allocation sites. The reason states why the path is hot.
-	HotPathDirective = "//repro:hotpath"
-	// AllocOKDirective waives allocation findings on one function and
-	// absorbs: hotpathalloc stops propagating through it, and bufalias
-	// skips its buffer-escape checks. The reason must say why the
-	// allocation (or retention) is acceptable on a hot path.
-	AllocOKDirective = "//repro:allocok"
 )
 
 // directives is the one table of //repro: directives: which analyzer
@@ -44,16 +35,13 @@ var directives = map[string]struct{ owner, reason string }{
 	NondetDirective:      {"determinism", "state why this nondeterminism root is sanctioned"},
 	CtxExemptDirective:   {"ctxprop", "state why this blocking path needs no context"},
 	WireTrustedDirective: {"wiretaint", "state why these wire-derived values are bounded"},
-	HotPathDirective:     {"hotpathalloc", "state why this path must serve allocation-free"},
-	AllocOKDirective:     {"hotpathalloc", "state why this allocation is acceptable on a hot path"},
 }
 
 // directiveHygiene reports, for the running analyzer, every directive
 // it owns that lacks a reason — a waiver must be reviewable. The owner
-// of HotPathDirective also reports names missing from the table: a
-// misspelled waiver still leaves its finding standing, but a misspelled
-// root silently drops a function out of the proof, so that analyzer is
-// the one that must not stay quiet.
+// of NondetDirective also reports names missing from the table, so a
+// misspelled waiver is named where it stands instead of passing for a
+// waiver that failed to absorb.
 func directiveHygiene(pass *ProjectPass) {
 	self := pass.Analyzer.Name
 	var known []string
@@ -65,7 +53,7 @@ func directiveHygiene(pass *ProjectPass) {
 		for name, reason := range node.Directives {
 			d, ok := directives[name]
 			switch {
-			case !ok && self == directives[HotPathDirective].owner:
+			case !ok && self == directives[NondetDirective].owner:
 				pass.Reportf(node.Pkg.Fset, node.Pos(), "unknown directive %s; known: %s", name, strings.Join(known, ", "))
 			case ok && d.owner == self && reason == "":
 				pass.Reportf(node.Pkg.Fset, node.Pos(), "%s directive without a reason; %s", name, d.reason)

@@ -104,3 +104,9 @@ func annotatedRoot() time.Time {
 func bareAnnotation() time.Time { // want `//repro:nondeterministic directive without a reason`
 	return time.Now() // want `call to time.Now leaks the wall clock`
 }
+
+// misspelled carries a directive no analyzer owns: it waives nothing,
+// and the misspelling is a finding of its own.
+//
+//repro:nondeterminstic fixture: a typo of //repro:nondeterministic
+func misspelled() {} // want `unknown directive //repro:nondeterminstic; known: //repro:ctxexempt, //repro:nondeterministic, //repro:wiretrusted`

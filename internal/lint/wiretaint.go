@@ -186,7 +186,7 @@ func (w *wireTaint) analyze(node *CallNode) {
 	// attacker bytes into, when the call names it bare.
 	ast.Inspect(body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if obj, _ := rootVar(info, readInto(info, call), 0); obj != nil && !tainted[obj] {
+			if obj := rootVar(info, readInto(info, call), 0); obj != nil && !tainted[obj] {
 				tainted[obj] = true
 				if !w.prov.Has(node) {
 					w.prov.via[node], w.readRoot[node] = nil, true
@@ -200,7 +200,7 @@ func (w *wireTaint) analyze(node *CallNode) {
 	}
 
 	// Assignments spread taint to locals.
-	growLocals(info, body, true, tainted, func(v types.Object, rhs ast.Expr) bool {
+	growLocals(info, body, tainted, func(v types.Object, rhs ast.Expr) bool {
 		return !wtNarrow(v.Type()) && wtExprTainted(info, rhs, tainted, nil)
 	})
 

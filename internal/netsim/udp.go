@@ -126,8 +126,6 @@ var pktPool = sync.Pool{
 // hand it to a per-packet goroutine, repeat. Handlers may block on
 // lazy zone signing or cross-server queries, so packets must not be
 // handled serially here.
-//
-//repro:hotpath every real-socket UDP query is read, decoded, dispatched, and answered through this loop
 func (s *Server) serveUDP(ctx context.Context) {
 	defer s.wg.Done()
 	for {

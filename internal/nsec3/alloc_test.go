@@ -10,9 +10,7 @@ import (
 
 // TestAppendHashAllocFree pins the denial-proof hot path: hashing a
 // query name into a caller-provided buffer must not allocate, at any
-// realistic iteration count. The //repro:hotpath annotation on
-// AppendHash is enforced statically by hotpathalloc; this test is the
-// dynamic half of the same contract. The shapes are a short salt, the
+// realistic iteration count. The shapes are a short salt, the
 // testbed's (empty salt, 2,500 iterations) and the longest salt whose
 // rehash input still fits one SHA-1 block (35 octets).
 func TestAppendHashAllocFree(t *testing.T) {

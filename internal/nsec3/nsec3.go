@@ -104,8 +104,6 @@ var ErrUnknownAlg = errors.New("nsec3: unknown hash algorithm")
 // remembered between calls. Where the CPU has the SHA-1 instructions
 // and digest ‖ salt fits one block, each rehash is one compression on
 // them (rehashOneBlock), which makes a rehash cheaper, not rarer.
-//
-//repro:allocok convenience wrapper: the one make is the returned hash; zero-allocation callers use AppendHash with a reused dst
 func Hash(name dnswire.Name, p Params) ([]byte, error) {
 	out := make([]byte, 0, HashLen)
 	return AppendHash(out, name, p)
@@ -116,8 +114,6 @@ func Hash(name dnswire.Name, p Params) ([]byte, error) {
 // stack scratch buffer, so with a dst of sufficient capacity the call
 // performs zero heap allocations — this is the form the denial-proof
 // serving path uses per query.
-//
-//repro:hotpath every NSEC3 denial proof hashes the query name; negative answers at line rate must not allocate per hash
 func AppendHash(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
 	if p.Alg != dnswire.NSEC3HashSHA1 {
 		return nil, ErrUnknownAlg
@@ -192,8 +188,6 @@ func rehashOneBlock(digest *[HashLen]byte, p Params) {
 
 // appendHashBigSalt is AppendHash for salts too long for the stack
 // scratch buffer.
-//
-//repro:allocok oversized salts cannot occur in a valid NSEC3PARAM; this robustness path is never on the serving side
 func appendHashBigSalt(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
 	buf := make([]byte, 0, name.WireLen()+len(p.Salt))
 	buf = name.AppendWire(buf)

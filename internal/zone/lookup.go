@@ -71,8 +71,6 @@ func (s *Signed) Evaluate(qname dnswire.Name, qtype dnswire.Type, do bool) (*Ans
 // sections once and for nothing per query — every record appended is
 // the zone's own, resolved when it was signed. After an error a holds
 // nothing to serve.
-//
-//repro:allocok what is left allocates off the per-query path: the error a failed proof or signature is reported with, the signature cell an answer fills the first time anything carries it, and the cold proof branches (opt-out, NSEC-mode wildcard candidates); sections grow only in an Answer that is not reused
 func (s *Signed) EvaluateInto(a *Answer, qname dnswire.Name, qtype dnswire.Type, do bool) error {
 	*a = Answer{Answer: a.Answer[:0], Authority: a.Authority[:0], Additional: a.Additional[:0]}
 	if !qname.IsSubdomainOf(s.Zone.Apex) {
