@@ -93,12 +93,7 @@ func (r *Resolver) tryAggressive(qname dnswire.Name) (*Result, bool) {
 		return nil, false
 	}
 	r.met.aggrHits.Inc()
-	res := &Result{
-		RCode:  dnswire.RCodeNXDomain,
-		Status: StatusSecure,
-		AD:     !r.cfg.Policy.NoNegativeAD,
-	}
-	return res, true
+	return r.decide(dnswire.RCodeNXDomain, true, verdict{status: StatusSecure}), true
 }
 
 // learnAggressive feeds a validated Secure negative answer's NSEC3

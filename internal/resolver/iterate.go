@@ -248,36 +248,20 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	auth, err := r.iterate(ctx, qname, qtype, depth)
 	if err != nil {
 		// Unreachable/lame: SERVFAIL, cached briefly.
-		return r.servfail(false), 30, nil
+		return r.decide(dnswire.RCodeServFail, false, failed), 30, nil
 	}
 	msg := auth.msg
 
-	status := StatusIndeterminate
-	limitHit := false
+	var v verdict // CD or a non-validating profile: Indeterminate
 	if r.validating() && !cd {
-		status, limitHit = r.validateResponse(ctx, qname, qtype, msg, auth.apex, depth)
-		if status == StatusBogus {
-			return r.servfail(limitHit), 30, nil
-		}
+		v = r.validateResponse(ctx, qname, qtype, msg, auth.apex, depth)
 	}
-
-	res := &Result{
-		RCode:  msg.Header.RCode,
-		Status: status,
-		AD:     status == StatusSecure,
+	res := r.decide(msg.Header.RCode, msg.Header.RCode == dnswire.RCodeNXDomain || len(msg.Answers) == 0, v)
+	if v.status == StatusBogus {
+		return res, 30, nil
 	}
-	if r.cfg.Policy.NoNegativeAD && (msg.Header.RCode == dnswire.RCodeNXDomain || len(msg.Answers) == 0) {
-		// Negative responses never carry AD for this profile: NXDOMAIN
-		// and NODATA alike (the statewalk NODATA topologies caught the
-		// NODATA half missing).
-		res.AD = false
-	}
-	if status == StatusSecure && msg.Header.RCode == dnswire.RCodeNXDomain {
+	if v.status == StatusSecure && msg.Header.RCode == dnswire.RCodeNXDomain {
 		r.learnAggressive(msg)
-	}
-	if limitHit && r.cfg.Policy.EDE != 0 {
-		// Item 10: insecure responses caused by the limit carry EDE.
-		res.EDE = append(res.EDE, dnswire.EDE{Code: r.cfg.Policy.EDE, Text: r.cfg.Policy.EDEText})
 	}
 	res.Answers = append(res.Answers, msg.Answers...)
 	res.Authority = append(res.Authority, msg.Authority...)
@@ -287,23 +271,21 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	// so two aliases of one target resolve it once.
 	if cname, ok := answerCNAME(msg, qname); ok && qtype != dnswire.TypeCNAME && !hasType(msg.Answers, qname, qtype) {
 		if depth >= maxCNAME {
-			return r.servfail(false), 30, nil
+			return r.decide(dnswire.RCodeServFail, false, failed), 30, nil
 		}
 		chained, err := r.resolve(ctx, cname, qtype, depth+1, cd)
 		if err != nil {
-			return r.servfail(false), 30, nil
+			return r.decide(dnswire.RCodeServFail, false, failed), 30, nil
+		}
+		if chained.Status == StatusBogus {
+			// The alias owner cannot mask why the target failed: its
+			// SERVFAIL stands with its EDE (e.g. the iteration-limit
+			// code when the target zone's denial exceeded ServfailLimit).
+			return chained, 30, nil
 		}
 		res.RCode = chained.RCode
 		res.Answers = append(res.Answers, chained.Answers...)
 		res.Authority = chained.Authority
-		if chained.Status == StatusBogus || chained.RCode == dnswire.RCodeServFail {
-			// The alias owner cannot mask why the target failed: keep
-			// the chained EDE (e.g. the iteration-limit code when the
-			// target zone's denial exceeded ServfailLimit).
-			sf := r.servfail(false)
-			sf.EDE = append(sf.EDE, chained.EDE...)
-			return sf, 30, nil
-		}
 		// The chain is only as secure as its weakest link.
 		if chained.Status != StatusSecure {
 			res.Status = chained.Status

@@ -13,7 +13,7 @@
 //
 // # Where things happen
 //
-// Each of the validator's four jobs has exactly one site, which is also
+// Each of the validator's five jobs has exactly one site, which is also
 // the one place to hook it:
 //
 //   - the walk — iterate (iterate.go) owns the only loop that follows
@@ -42,10 +42,18 @@
 //     cryptographic verdict is shared — the structural and validity-
 //     window checks, NSEC3 hashing (countNSEC3Work), the four caches
 //     and every policy decision stay per resolver and per call.
-//   - the policy gate — validateDenial (validate.go) is the only caller
-//     of applyIterationPolicy: the RFC 9276 Item 6/7/8 decision for
-//     negative answers and wildcard expansions alike. A per-query
-//     decision trace (ROADMAP 6c, -explain) renders this point.
+//   - the policy gate — applyIterationPolicy (validate.go) is the RFC
+//     9276 Item 6/8 decision for negative answers and wildcard
+//     expansions alike; validateDenial, its only caller, adds Item 7.
+//     Validation yields a verdict: the security status, and whether a
+//     limit decided it.
+//   - the triple — decide (this file) is the only place a verdict
+//     becomes what a client sees: bogus is SERVFAIL, AD needs a secure
+//     verdict (and a positive answer under Policy.NoNegativeAD), a
+//     limit's verdict carries Policy.EDE (Item 10). A CNAME chase
+//     composes the alias hop's result with the target's instead of
+//     deciding again. A per-query decision trace (ROADMAP 6c,
+//     -explain) renders these two points.
 package resolver
 
 import (
@@ -306,12 +314,24 @@ func (r *Resolver) resolve(ctx context.Context, qname dnswire.Name, qtype dnswir
 	return res, nil
 }
 
-// servfail builds a SERVFAIL result, attaching the policy EDE when the
-// failure was caused by the iteration limit (limitHit).
-func (r *Resolver) servfail(limitHit bool) *Result {
-	res := &Result{RCode: dnswire.RCodeServFail, Status: StatusBogus}
-	if limitHit && r.cfg.Policy.EDE != 0 {
-		res.EDE = append(res.EDE, dnswire.EDE{Code: r.cfg.Policy.EDE, Text: r.cfg.Policy.EDEText})
+// failed is the verdict on a query that could not be answered at all
+// (unreachable or lame servers, loops): SERVFAIL without an EDE.
+var failed = verdict{status: StatusBogus}
+
+// decide is the one place a verdict becomes the (RCODE, AD, EDE)
+// triple a client sees — the triple the paper's Figure 3 classifies.
+// rcode is the zone's answer and negative marks NXDOMAIN or NODATA.
+// Bogus is SERVFAIL; AD needs a secure verdict, and a positive answer
+// when the profile strips AD from negative ones; a verdict a limit
+// decided carries the profile's EDE (RFC 9276 Item 10).
+func (r *Resolver) decide(rcode dnswire.RCode, negative bool, v verdict) *Result {
+	p := &r.cfg.Policy
+	if v.status == StatusBogus {
+		rcode = dnswire.RCodeServFail
+	}
+	res := &Result{RCode: rcode, Status: v.status, AD: v.status == StatusSecure && !(negative && p.NoNegativeAD)}
+	if v.byLimit && p.EDE != 0 {
+		res.EDE = []dnswire.EDE{{Code: p.EDE, Text: p.EDEText}}
 	}
 	return res
 }
@@ -342,7 +362,7 @@ func (r *Resolver) Handle(ctx context.Context, from netip.AddrPort, query *dnswi
 	q := query.Questions[0]
 	res, err := r.ResolveCD(ctx, q.Name, q.Type, query.Header.CheckingDisabled)
 	if err != nil {
-		res = r.servfail(false)
+		res = r.decide(dnswire.RCodeServFail, false, failed)
 	}
 	resp.Header.RCode = res.RCode
 	resp.Header.AuthenticatedData = res.AD

@@ -14,14 +14,21 @@ import (
 // applied (validateDenial) — the code path whose behaviour Figure 3 of
 // the paper measures across resolvers.
 
+// verdict is the validator's finding on one response: its security
+// status, and whether a configured NSEC3 iteration limit decided it
+// (RFC 9276 Items 6 and 8) — the case Item 10's EDE reports. The zero
+// verdict is Indeterminate: nothing was validated.
+type verdict struct {
+	status  SecurityStatus
+	byLimit bool
+}
+
 // validateResponse classifies a response from zone fallbackApex.
-// limitHit reports that the NSEC3 iteration policy (not a crypto
-// failure) determined the outcome, so the caller can attach EDE.
-func (r *Resolver) validateResponse(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, fallbackApex dnswire.Name, depth int) (SecurityStatus, bool) {
+func (r *Resolver) validateResponse(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, fallbackApex dnswire.Name, depth int) verdict {
 	apex := responseZone(msg, fallbackApex)
 	zt := r.zoneKeys(ctx, apex, depth)
 	if zt.status != StatusSecure {
-		return zt.status, false
+		return verdict{status: zt.status}
 	}
 	if len(msg.Answers) > 0 {
 		return r.validatePositive(qname, msg, apex, zt.keys)
@@ -48,15 +55,15 @@ func responseZone(msg *dnswire.Message, fallback dnswire.Name) dnswire.Name {
 // validatePositive checks every answer RRset signature; wildcard
 // expansions additionally need a denial proof, where the iteration
 // policy applies.
-func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) (SecurityStatus, bool) {
+func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) verdict {
 	answers := groupRRsets(msg.Answers)
 	if len(answers) == 0 {
-		return StatusBogus, false
+		return verdict{status: StatusBogus}
 	}
 	wildcardLabels := -1
 	for _, g := range answers {
 		if !r.verifyGroup(g, apex, keys) {
-			return StatusBogus, false
+			return verdict{status: StatusBogus}
 		}
 		for _, sigRR := range g.sigs {
 			sig := sigRR.Data.(dnswire.RRSIG)
@@ -66,7 +73,7 @@ func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, ap
 		}
 	}
 	if wildcardLabels < 0 {
-		return StatusSecure, false
+		return verdict{status: StatusSecure}
 	}
 	// Wildcard answer: the proof that qname itself does not exist must
 	// accompany it (RFC 5155 §8.8).
@@ -80,11 +87,11 @@ func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, ap
 
 // validateNegative checks NXDOMAIN and NODATA responses: the SOA RRSIG
 // plus the denial proof.
-func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) (SecurityStatus, bool) {
+func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) verdict {
 	authority := groupRRsets(msg.Authority)
 	// The SOA RRset must be signed.
 	if !r.verifyType(authority, dnswire.TypeSOA, apex, keys) {
-		return StatusBogus, false
+		return verdict{status: StatusBogus}
 	}
 	return r.validateDenial(qname, msg, authority, apex, keys, func(set3 *nsec3.ResponseSet) SecurityStatus {
 		if msg.Header.RCode == dnswire.RCodeNXDomain {
@@ -109,68 +116,55 @@ func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg 
 // validateDenial is the one iteration-policy gate: every denial proof
 // (negative answer or wildcard expansion) passes through it. authority
 // is msg.Authority grouped; prove runs the proof-specific NSEC3 check
-// once the policy admits full validation. limitHit is as for
-// validateResponse.
-func (r *Resolver) validateDenial(qname dnswire.Name, msg *dnswire.Message, authority []rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY, prove func(*nsec3.ResponseSet) SecurityStatus) (SecurityStatus, bool) {
+// once the policy admits full validation.
+func (r *Resolver) validateDenial(qname dnswire.Name, msg *dnswire.Message, authority []rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY, prove func(*nsec3.ResponseSet) SecurityStatus) verdict {
 	set3, err := nsec3.ExtractResponseSet(msg.Authority)
 	if err != nil {
 		// No NSEC3 records: try NSEC, else the zone failed to prove
 		// the denial.
 		if r.verifyNSECDenialOfName(qname, authority, apex, keys) {
-			return StatusSecure, false
+			return verdict{status: StatusSecure}
 		}
-		return StatusBogus, false
+		return verdict{status: StatusBogus}
 	}
 	iterations := int(set3.Params.Iterations)
-	verdict, limitHit := r.applyIterationPolicy(iterations)
-	switch verdict {
-	case verdictServfail:
-		// Item 8: SERVFAIL above the limit.
-		return StatusBogus, true
-	case verdictInsecure:
-		// Item 6: insecure above the limit. Item 7: a compliant
-		// validator still authenticates the NSEC3 records before
-		// trusting their iteration field.
-		if r.cfg.Policy.VerifyInsecureNSEC3 && !r.verifyType(authority, dnswire.TypeNSEC3, apex, keys) {
-			return StatusBogus, false
+	if v := r.applyIterationPolicy(iterations); v.status != StatusIndeterminate {
+		// Item 7: in the insecure region a compliant validator still
+		// authenticates the NSEC3 records before trusting their
+		// iteration field. Above a SERVFAIL limit they are never
+		// consulted.
+		if v.status == StatusInsecure && r.cfg.Policy.VerifyInsecureNSEC3 && !r.verifyType(authority, dnswire.TypeNSEC3, apex, keys) {
+			return verdict{status: StatusBogus}
 		}
-		return StatusInsecure, limitHit
+		return v
 	}
 	// Within limits: full validation. The denial proof is about to be
 	// re-hashed, so charge its iteration cost to the work counter.
 	r.countNSEC3Work(qname, set3.Zone, iterations)
 	if !r.verifyType(authority, dnswire.TypeNSEC3, apex, keys) {
-		return StatusBogus, false
+		return verdict{status: StatusBogus}
 	}
-	return prove(set3), false
+	return verdict{status: prove(set3)}
 }
 
-// policyVerdict is the outcome of the iteration limit check.
-type policyVerdict int
-
-const (
-	verdictValidate policyVerdict = iota // within limits: validate fully
-	verdictInsecure                      // Item 6 region
-	verdictServfail                      // Item 8 region
-)
-
 // applyIterationPolicy maps an NSEC3 iteration count to the resolver's
-// configured behaviour. limitHit is true when a limit (rather than the
-// default validate path) decided.
-func (r *Resolver) applyIterationPolicy(iterations int) (policyVerdict, bool) {
+// configured behaviour: Bogus above a SERVFAIL limit (Item 8), Insecure
+// above an insecure limit (Item 6) or RFC 5155's ceiling, and the zero
+// verdict when the proof must be validated in full.
+func (r *Resolver) applyIterationPolicy(iterations int) verdict {
 	p := r.cfg.Policy
 	if p.ServfailLimit != NoLimit && iterations > p.ServfailLimit {
-		return verdictServfail, true
+		return verdict{status: StatusBogus, byLimit: true}
 	}
 	if p.InsecureLimit != NoLimit && iterations > p.InsecureLimit {
-		return verdictInsecure, true
+		return verdict{status: StatusInsecure, byLimit: true}
 	}
 	// RFC 5155 §10.3 always applies: beyond 2500 iterations even an
 	// unlimited resolver treats the proof as insecure.
 	if iterations > nsec3.RFC5155MaxIterations {
-		return verdictInsecure, false
+		return verdict{status: StatusInsecure}
 	}
-	return verdictValidate, false
+	return verdict{}
 }
 
 // rrGroup is an RRset with its covering signatures.
@@ -320,7 +314,7 @@ func (r *Resolver) establishTrust(ctx context.Context, apex dnswire.Name, depth 
 	} else {
 		res, err := r.resolve(ctx, apex, dnswire.TypeDS, depth+1, false)
 		switch {
-		case err != nil || res.RCode == dnswire.RCodeServFail || res.Status == StatusBogus:
+		case err != nil || res.Status == StatusBogus:
 			return bogus
 		case res.Status == StatusInsecure:
 			// The parent zone itself is insecure (e.g. its own denial
