@@ -13,7 +13,9 @@ import (
 
 // buildCNAMEWorld stands up root + an "alias.test" zone holding a CNAME
 // into "target.test", which signs NSEC3 at iters iterations — the
-// statewalk cname-chain topology reduced to a regression fixture.
+// statewalk cname-chain topology reduced to a regression fixture. The
+// www alias targets a missing name; the data alias targets
+// www.target.test, which holds only an A record.
 func buildCNAMEWorld(t testing.TB, iters uint16) *testbed.Hierarchy {
 	t.Helper()
 	b := testbed.NewBuilder(tInception, tExpiration)
@@ -34,6 +36,8 @@ func buildCNAMEWorld(t testing.TB, iters uint16) *testbed.Hierarchy {
 		Populate: func(z *zone.Zone) {
 			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("www"), Class: dnswire.ClassIN, TTL: 300,
 				Data: dnswire.CNAME{Target: dnswire.MustParseName("gone.www.target.test")}})
+			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("data"), Class: dnswire.ClassIN, TTL: 300,
+				Data: dnswire.CNAME{Target: dnswire.MustParseName("www.target.test")}})
 		},
 	})
 	b.AddZone(testbed.ZoneSpec{
@@ -92,6 +96,35 @@ func TestCNAMEChaseNXDOMAINRespectsNoNegativeAD(t *testing.T) {
 	res = resolveA(t, newTestResolver(t, h, compliantPolicy()), "www.alias.test")
 	if res.RCode != dnswire.RCodeNXDomain || !res.AD {
 		t.Fatalf("control: rcode=%s ad=%v, want authenticated NXDOMAIN", res.RCode, res.AD)
+	}
+}
+
+// TestCNAMEChaseNODATARespectsNoNegativeAD: an alias chain ending in
+// NODATA is a negative answer too, so a NoNegativeAD profile must strip
+// AD from it as it does from a direct NODATA (the chase used to re-check
+// only the post-chase RCODE for NXDOMAIN).
+func TestCNAMEChaseNODATARespectsNoNegativeAD(t *testing.T) {
+	h := buildCNAMEWorld(t, 0)
+	qname := dnswire.MustParseName("data.alias.test")
+	p := compliantPolicy()
+	p.NoNegativeAD = true
+	res, err := newTestResolver(t, h, p).Resolve(context.Background(), qname, dnswire.TypeTXT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RCode != dnswire.RCodeNoError || hasType(res.Answers, dnswire.MustParseName("www.target.test"), dnswire.TypeTXT) {
+		t.Fatalf("rcode=%s answers=%v, want NODATA at the target", res.RCode, res.Answers)
+	}
+	if res.AD || res.Status != StatusSecure {
+		t.Fatalf("ad=%v status=%s, want a secure chain without AD under NoNegativeAD", res.AD, res.Status)
+	}
+	// Control: the same chain keeps AD when the profile doesn't strip it.
+	res, err = newTestResolver(t, h, compliantPolicy()).Resolve(context.Background(), qname, dnswire.TypeTXT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RCode != dnswire.RCodeNoError || !res.AD {
+		t.Fatalf("control: rcode=%s ad=%v, want authenticated NODATA", res.RCode, res.AD)
 	}
 }
 

@@ -286,17 +286,13 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 		res.RCode = chained.RCode
 		res.Answers = append(res.Answers, chained.Answers...)
 		res.Authority = chained.Authority
-		// The chain is only as secure as its weakest link.
+		// The chain is only as secure as its weakest link, and the
+		// target's AD already holds its own verdict and, under
+		// NoNegativeAD, whether it was negative (NXDOMAIN or NODATA).
 		if chained.Status != StatusSecure {
 			res.Status = chained.Status
-			res.AD = false
 		}
-		// Re-apply the negative-AD policy to the post-chase RCODE: an
-		// alias chain ending in NXDOMAIN is a negative answer even
-		// though the first hop was positive.
-		if r.cfg.Policy.NoNegativeAD && res.RCode == dnswire.RCodeNXDomain {
-			res.AD = false
-		}
+		res.AD = res.AD && chained.AD
 		res.EDE = append(res.EDE, chained.EDE...)
 	}
 
