@@ -8,8 +8,9 @@ import "go/ast"
 // a branch of their own, and which branches fall through to the next
 // statement — and threads an analyzer-defined state S along every path.
 // An analyzer supplies only what its facts mean: how a leaf changes the
-// state (visit), what entering a branch establishes (enter), and how
-// branch states meet again (join). The walker never asks who is calling.
+// state (visit) and what entering a branch establishes (enter). Where
+// several paths continue after a statement, branch-local facts are
+// dropped. The walker never asks who is calling.
 //
 // S must behave like a reference (a map or pointer): hooks update it in
 // place, and clone makes the independent copy a branch gets.
@@ -28,12 +29,6 @@ type flow[S any] struct {
 	// or comm clause — to record what taking that branch establishes.
 	// For a loop it runs after Init and Cond were visited.
 	enter func(of ast.Stmt, s S)
-	// join, when set, merges the states of the paths that continue
-	// after of (never empty). Without it branch-local facts are simply
-	// dropped — unless exactly one path continues, which then carries
-	// its facts on: an `if` whose body exits extends what its condition
-	// established to the rest of the list.
-	join func(of ast.Stmt, falls []S) S
 }
 
 // walk runs a statement list in order from state s. It returns the
@@ -141,12 +136,14 @@ func (f *flow[S]) stmt(stmt ast.Stmt, s S) (S, bool) {
 		return s, exitsFlow(stmt)
 	}
 
-	switch {
-	case len(falls) == 0:
+	// Branch-local facts are dropped where several paths continue; a
+	// single continuing path carries its facts on: an `if` whose body
+	// exits extends what its condition established to the rest of the
+	// list.
+	switch len(falls) {
+	case 0:
 		return s, true
-	case f.join != nil:
-		return f.join(stmt, falls), false
-	case len(falls) == 1:
+	case 1:
 		return falls[0], false
 	}
 	return s, false

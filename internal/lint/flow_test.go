@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -87,7 +86,7 @@ type seen map[string]bool
 // walkFlowFixture runs the walker over flowFixture with a visit hook
 // that records the visiting order and, per label, the state it was
 // visited in.
-func walkFlowFixture(t *testing.T, join func(of ast.Stmt, falls []seen) seen) (order []string, at map[string]seen, exits bool) {
+func walkFlowFixture(t *testing.T) (order []string, at map[string]seen, exits bool) {
 	t.Helper()
 	file, err := parser.ParseFile(token.NewFileSet(), "flow.go", flowFixture, 0)
 	if err != nil {
@@ -108,7 +107,6 @@ func walkFlowFixture(t *testing.T, join func(of ast.Stmt, falls []seen) seen) (o
 				s["took:"+labels(ifs.Cond)[0]] = true
 			}
 		},
-		join: join,
 	}
 	_, exits = fl.walk(file.Decls[0].(*ast.FuncDecl).Body.List, seen{})
 	return order, at, exits
@@ -118,7 +116,7 @@ func walkFlowFixture(t *testing.T, join func(of ast.Stmt, falls []seen) seen) (o
 // position is visited exactly once, in execution order, and nothing
 // after an exiting statement is.
 func TestFlowVisitsEveryPosition(t *testing.T) {
-	order, _, exits := walkFlowFixture(t, nil)
+	order, _, exits := walkFlowFixture(t)
 	want := []string{
 		"If.Init", "If.Cond", "If.Body", "ElseIf.Cond", "ElseIf.Body", "If.Else",
 		"For.Init", "For.Cond", "For.Body", "For.Post",
@@ -143,7 +141,7 @@ func TestFlowVisitsEveryPosition(t *testing.T) {
 // continue, and an if whose body exits extends what its condition
 // established to the rest of the list.
 func TestFlowBranchStates(t *testing.T) {
-	_, at, _ := walkFlowFixture(t, nil)
+	_, at, _ := walkFlowFixture(t)
 	for _, tc := range []struct {
 		at, fact string
 		want     bool
@@ -171,37 +169,5 @@ func TestFlowBranchStates(t *testing.T) {
 		if got := at[tc.at][tc.fact]; got != tc.want {
 			t.Errorf("at %s: fact %q = %v, want %v", tc.at, tc.fact, got, tc.want)
 		}
-	}
-}
-
-// TestFlowJoin pins what a join hook is handed: one state per path that
-// continues after the statement, never the paths that exit.
-func TestFlowJoin(t *testing.T) {
-	var got []string
-	_, at, _ := walkFlowFixture(t, func(of ast.Stmt, falls []seen) seen {
-		got = append(got, fmt.Sprintf("%T/%d", of, len(falls)))
-		out := seen{}
-		for _, s := range falls {
-			maps.Copy(out, s)
-		}
-		return out
-	})
-	want := []string{
-		"*ast.IfStmt/2",  // else-if: body and else
-		"*ast.IfStmt/2",  // outer if: body and the joined else-if
-		"*ast.ForStmt/2", // zero iterations, or out of the body
-		"*ast.RangeStmt/2",
-		"*ast.SwitchStmt/2",     // two clauses; the default rules out skipping them
-		"*ast.TypeSwitchStmt/2", // one clause, or none
-		"*ast.SelectStmt/2",     // one clause each; a select cannot skip
-		"*ast.ForStmt/1",        // the body exits (break): only the skip path continues
-		"*ast.IfStmt/1",         // the body exits (return): only the implicit else continues
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("join calls\n got %v\nwant %v", got, want)
-	}
-	// The join's result is the state the list continues in.
-	if !at["For.Init"]["If.Body"] || !at["For.Init"]["If.Else"] {
-		t.Errorf("the joined state did not reach the next statement: %v", at["For.Init"])
 	}
 }
