@@ -128,7 +128,10 @@ func mkSeries() *RCodeSeries {
 		mk("it-2", 2, dnswire.RCodeNXDomain, true),
 		mk("it-3", 3, dnswire.RCodeServFail, false),
 	}}
-	return BuildRCodeSeries("Test, IPv4", []*testbed.Transcript{t1, t2})
+	s := NewRCodeSeries("Test, IPv4")
+	s.Observe(t1)
+	s.Observe(t2)
+	return s
 }
 
 func TestBuildRCodeSeries(t *testing.T) {

@@ -86,16 +86,6 @@ func (s *RCodeSeries) Merge(b *RCodeSeries) {
 	}
 }
 
-// BuildRCodeSeries aggregates transcripts (validators only — filter
-// first) into the per-iteration response shares.
-func BuildRCodeSeries(title string, transcripts []*testbed.Transcript) *RCodeSeries {
-	s := NewRCodeSeries(title)
-	for _, tr := range transcripts {
-		s.Observe(tr)
-	}
-	return s
-}
-
 // Points derives the percent view, one point per probed iteration
 // count in increasing order.
 func (s *RCodeSeries) Points() []RCodePoint {

@@ -172,13 +172,6 @@ func (n *Network) Lookup(addr netip.AddrPort) (Handler, bool) {
 	return h, ok
 }
 
-// NumHosts returns the number of registered hosts.
-func (n *Network) NumHosts() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.hosts)
-}
-
 // wirePool holds the buffers Exchange carries messages in: one per
 // exchange in flight, returned with whatever capacity it grew to.
 var wirePool = sync.Pool{

@@ -65,11 +65,11 @@ func TestNetworkUnregister(t *testing.T) {
 	n := NewNetwork(1)
 	addr := Addr4(192, 0, 2, 2)
 	n.Register(addr, echoHandler{})
-	if n.NumHosts() != 1 {
+	if _, ok := n.Lookup(addr); !ok {
 		t.Fatal("host not registered")
 	}
 	n.Unregister(addr)
-	if n.NumHosts() != 0 {
+	if _, ok := n.Lookup(addr); ok {
 		t.Fatal("host not unregistered")
 	}
 }

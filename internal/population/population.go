@@ -203,14 +203,3 @@ func pickTLD(cum []float64, u float64) string {
 	}
 	return tldTable[len(tldTable)-1].name
 }
-
-// NSEC3Count returns how many domains in the universe are NSEC3-enabled.
-func (u *Universe) NSEC3Count() int {
-	n := 0
-	for i := range u.Domains {
-		if u.Domains[i].NSEC3 {
-			n++
-		}
-	}
-	return n
-}

@@ -442,9 +442,3 @@ func (e *Encoder) Write(r Result) error {
 	}
 	return e.WriteAny(out)
 }
-
-// Encode writes one result as a JSON line (one-shot convenience; bulk
-// writers should hold an Encoder).
-func Encode(w io.Writer, r Result) error {
-	return NewEncoder(w).Write(r)
-}

@@ -356,7 +356,7 @@ func TestEncodeNDJSON(t *testing.T) {
 		Queries: 4,
 	}
 	var buf bytes.Buffer
-	if err := Encode(&buf, r); err != nil {
+	if err := NewEncoder(&buf).Write(r); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
