@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/netip"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -557,5 +559,166 @@ func TestScanHighIterationDomainViaCD(t *testing.T) {
 	c := compliance.Classify(r.Facts)
 	if !c.NSEC3Enabled || c.Iterations != 500 || c.SaltLen != 2 {
 		t.Fatalf("heavy domain misread: %+v", c)
+	}
+}
+
+// emptyExchanger answers every query NOERROR with no records, so a
+// scan ends after its DNSKEY query; a done context fails the query.
+type emptyExchanger struct{}
+
+func (emptyExchanger) Exchange(ctx context.Context, _ netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	r := *q
+	r.Header.Response = true
+	return &r, nil
+}
+
+// streamSource hands out d0.test. … d(n-1).test. in order and fails
+// the test if Next is entered while another call is still inside it,
+// or called again after reporting the stream exhausted. onNext, when
+// set, runs inside the call that hands out domain i.
+type streamSource struct {
+	t        testing.TB
+	n, i     int
+	inFlight atomic.Int32
+	ended    bool
+	onNext   func(i int)
+}
+
+func (s *streamSource) Next() (dnswire.Name, bool) {
+	if s.inFlight.Add(1) != 1 {
+		s.t.Error("Source.Next entered concurrently")
+	}
+	defer s.inFlight.Add(-1)
+	if s.ended {
+		s.t.Error("Source.Next called after it returned false")
+	}
+	if s.i >= s.n {
+		s.ended = true
+		return "", false
+	}
+	i := s.i
+	s.i++
+	if s.onNext != nil {
+		s.onNext(i)
+	}
+	return dnswire.Name(fmt.Sprintf("d%d.test.", i)), true
+}
+
+// scanStream runs ScanAll over src on workers workers and returns each
+// worker's sink, checking that newSink ran once per worker, in order.
+func scanStream(t *testing.T, ctx context.Context, workers int, src Source) ([]*countingSink, error) {
+	t.Helper()
+	sc := New(Config{Exchanger: emptyExchanger{}, Workers: workers, Seed: 7})
+	defer sc.Close()
+	var sinks []*countingSink
+	err := sc.ScanAll(ctx, src, func(worker int) Sink {
+		if worker != len(sinks) {
+			t.Errorf("newSink(%d) called as call %d", worker, len(sinks))
+		}
+		s := &countingSink{}
+		sinks = append(sinks, s)
+		return s
+	})
+	if len(sinks) != workers {
+		t.Errorf("newSink ran %d times, want %d", len(sinks), workers)
+	}
+	return sinks, err
+}
+
+// scannedOnce counts each domain's results across sinks and fails on
+// any domain that reached more than one sink, or one sink twice.
+func scannedOnce(t *testing.T, sinks []*countingSink) map[dnswire.Name]bool {
+	t.Helper()
+	seen := map[dnswire.Name]bool{}
+	for _, s := range sinks {
+		for _, r := range s.results {
+			if seen[r.Facts.Domain] {
+				t.Errorf("%s scanned twice", r.Facts.Domain)
+			}
+			seen[r.Facts.Domain] = true
+		}
+	}
+	return seen
+}
+
+// TestScanAllStreamContract streams n domains through ScanAll on each
+// worker count: Next is never entered concurrently nor called past the
+// end, newSink runs once per worker in order (n < Workers too), and
+// every domain reaches exactly one sink exactly once.
+func TestScanAllStreamContract(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, 7, 1000} {
+			src := &streamSource{t: t, n: n}
+			sinks, err := scanStream(t, context.Background(), workers, src)
+			if err != nil {
+				t.Fatalf("workers %d, n %d: %v", workers, n, err)
+			}
+			seen := scannedOnce(t, sinks)
+			if len(seen) != n {
+				t.Fatalf("workers %d, n %d: %d domains scanned", workers, n, len(seen))
+			}
+			for i := range n {
+				if d := dnswire.Name(fmt.Sprintf("d%d.test.", i)); !seen[d] {
+					t.Fatalf("workers %d, n %d: %s never scanned", workers, n, d)
+				}
+			}
+		}
+	}
+}
+
+// TestScanAllCancelAfterExhaustion cancels inside the Next call that
+// ends the stream: nothing was left unfed, so ScanAll returns nil.
+func TestScanAllCancelAfterExhaustion(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &cancelAtEnd{streamSource: streamSource{t: t, n: 20}, cancel: cancel}
+		sinks, err := scanStream(t, ctx, workers, src)
+		cancel()
+		if err != nil {
+			t.Fatalf("workers %d: err = %v, want nil", workers, err)
+		}
+		if seen := scannedOnce(t, sinks); len(seen) != 20 {
+			t.Fatalf("workers %d: %d domains scanned, want 20", workers, len(seen))
+		}
+	}
+}
+
+// cancelAtEnd cancels its context when the stream runs out.
+type cancelAtEnd struct {
+	streamSource
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtEnd) Next() (dnswire.Name, bool) {
+	d, ok := c.streamSource.Next()
+	if !ok {
+		c.cancel()
+	}
+	return d, ok
+}
+
+// TestScanAllCancelMidFeed cancels inside the Next call that hands out
+// domain 3 of 1000: ScanAll returns context.Canceled, and no domain
+// reaches a sink twice.
+func TestScanAllCancelMidFeed(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := &streamSource{t: t, n: 1000}
+		src.onNext = func(i int) {
+			if i == 3 {
+				cancel()
+			}
+		}
+		sinks, err := scanStream(t, ctx, workers, src)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		if seen := scannedOnce(t, sinks); len(seen) == 1000 {
+			t.Fatalf("workers %d: all 1000 domains scanned after cancellation", workers)
+		}
 	}
 }
