@@ -37,7 +37,7 @@ type lineSource struct {
 	sc *bufio.Scanner
 }
 
-// Next implements scanner.Source (called from one goroutine).
+// Next implements scanner.Source; ScanAll never calls it concurrently.
 func (l *lineSource) Next() (dnswire.Name, bool) {
 	for l.sc.Scan() {
 		line := l.sc.Text()

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/compliance"
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -306,8 +307,10 @@ func (s *Scanner) ScanDomain(ctx context.Context, domain dnswire.Name) Result {
 }
 
 // Source streams domains into ScanAll. Next returns the next domain
-// to scan, or false when the stream is exhausted. ScanAll calls Next
-// from a single goroutine, so implementations need no locking.
+// to scan, or false when the stream is exhausted. ScanAll's workers
+// take turns calling Next under one lock, so it is never called
+// concurrently (nor again once it has returned false) and
+// implementations need no locking.
 type Source interface {
 	Next() (dnswire.Name, bool)
 }
@@ -345,45 +348,45 @@ type SinkFunc func(Result)
 // Consume implements Sink.
 func (f SinkFunc) Consume(r Result) { f(r) }
 
-// ScanAll scans every domain yielded by src with the configured worker
-// pool. newSink is called once per worker, sequentially and before
-// scanning starts; each returned sink then receives only that worker's
-// results, so per-worker aggregates need no mutex — the caller merges
-// them after ScanAll returns. On context cancellation the feed stops,
-// in-flight scans drain (their results still reach the sinks, with
-// ctx errors attached), and the context's error is returned.
+// ScanAll scans every domain yielded by src on the configured number
+// of workers, the caller's goroutine among them; each worker takes its
+// next domain straight from src as it frees up. newSink is called once
+// per worker, in order and before scanning starts; each returned sink
+// then receives only that worker's results, so per-worker aggregates
+// need no mutex — the caller merges them after ScanAll returns. Once
+// ctx is done no further domain is taken, in-flight scans drain (their
+// results still reach the sinks, with ctx errors attached), and the
+// context's error is returned unless src was already exhausted.
 func (s *Scanner) ScanAll(ctx context.Context, src Source, newSink func(worker int) Sink) error {
-	jobs := make(chan dnswire.Name)
 	sinks := make([]Sink, s.cfg.Workers)
 	for w := range sinks {
 		sinks[w] = newSink(w)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func(sink Sink) {
-			defer wg.Done()
-			for d := range jobs {
-				sink.Consume(s.ScanDomain(ctx, d))
-			}
-		}(sinks[w])
-	}
-	var err error
-feed:
-	for {
+	var (
+		mu   sync.Mutex
+		done bool
+		err  error
+	)
+	next := func() (dnswire.Name, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if done {
+			return "", false
+		}
+		if err = ctx.Err(); err != nil {
+			done = true
+			return "", false
+		}
 		d, ok := src.Next()
-		if !ok {
-			break
-		}
-		select {
-		case jobs <- d:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break feed
-		}
+		done = !ok
+		return d, ok
 	}
-	close(jobs)
-	wg.Wait()
+	_ = fanout.Each(len(sinks), len(sinks), func(w int) error {
+		for d, ok := next(); ok; d, ok = next() {
+			sinks[w].Consume(s.ScanDomain(ctx, d))
+		}
+		return nil
+	})
 	return err
 }
 

@@ -701,8 +701,9 @@ func (c *cancelAtEnd) Next() (dnswire.Name, bool) {
 }
 
 // TestScanAllCancelMidFeed cancels inside the Next call that hands out
-// domain 3 of 1000: ScanAll returns context.Canceled, and no domain
-// reaches a sink twice.
+// domain 3 of 1000: ScanAll makes no further Next call, domains 0–3
+// each reach one sink once (the last with the context's error), and
+// context.Canceled comes back.
 func TestScanAllCancelMidFeed(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -717,8 +718,11 @@ func TestScanAllCancelMidFeed(t *testing.T) {
 		if err != context.Canceled {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
-		if seen := scannedOnce(t, sinks); len(seen) == 1000 {
-			t.Fatalf("workers %d: all 1000 domains scanned after cancellation", workers)
+		if src.i != 4 || src.ended {
+			t.Fatalf("workers %d: Next handed out %d domains (ended %v), want 4", workers, src.i, src.ended)
+		}
+		if seen := scannedOnce(t, sinks); len(seen) != 4 {
+			t.Fatalf("workers %d: %d domains scanned, want 4", workers, len(seen))
 		}
 	}
 }
