@@ -8,8 +8,9 @@
 #   tests (fan-out, build keys phase, keysFor, concurrent same-content
 #   signs through one SignCache, the memo alloc pin, and the fan-out's
 #   users Atlas Measure, the resolver study's cancelled probe pass and
-#   statewalk's cancelled run, plus the distributed coordinator's
-#   cancel with a silent worker and its two abandoned-lease cases); a
+#   statewalk's cancelled run, ScanAll's workers sharing one Source,
+#   plus the distributed coordinator's cancel with a silent worker and
+#   its two abandoned-lease cases); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
@@ -54,12 +55,14 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # SignCache.sign — the allocation pin whose race guard once was
 # missing, and the batches that run on fanout.Each: Atlas's Measure
 # (ordering, EDE strip, cancel), the resolver study's probe pass and
-# statewalk's cell loop under a cancelled context — and the distributed
+# statewalk's cell loop under a cancelled context — ScanAll's workers
+# taking turns at one Source (never concurrently, none after a
+# cancellation, every domain to one sink once) — and the distributed
 # coordinator, where a lease lives as long as its connection: Serve
 # cancelled while a worker holds a lease in silence, a job write that
 # fails, and a second lease asked for on one connection.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$' \
-  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll' \
+  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/
@@ -85,6 +88,10 @@ go test -run='^$' -bench=. -benchtime=1x ./internal/...
 echo "== metrics smoke (authd -metrics, /healthz + /metrics) =="
 SMOKE_DIR=$(mktemp -d)
 go build -o "$SMOKE_DIR/authd" ./cmd/authd
+# Each backgrounded process's log is created before the process starts:
+# the polling sed below may otherwise run before the child has opened
+# it, and under set -e a missing file ends the run.
+: >"$SMOKE_DIR/authd.log"
 "$SMOKE_DIR/authd" -testbed -listen 127.0.0.1:0 -metrics 127.0.0.1:0 \
   >"$SMOKE_DIR/authd.log" 2>&1 &
 AUTHD_PID=$!
@@ -131,6 +138,7 @@ scrape_until_exit() {
 
 echo "== survey metrics smoke (repro -shards 2, lazy signing) =="
 go build -o "$SMOKE_DIR/repro" ./cmd/repro
+: >"$SMOKE_DIR/repro.log"
 "$SMOKE_DIR/repro" -fig1 -shards 2 -domain-scale 50000 -metrics 127.0.0.1:0 \
   >"$SMOKE_DIR/repro.log" 2>&1 &
 REPRO_PID=$!
@@ -161,6 +169,7 @@ dist_smoke() {
   shift 2
   echo "== distributed $name smoke (coordinator + 2 workers on loopback) =="
   local state="$SMOKE_DIR/dist-state-$name" log="$SMOKE_DIR/dist-$name"
+  : >"$log.coord.err"
   "$SMOKE_DIR/repro" -serve 127.0.0.1:0 "$@" \
     -state-dir "$state" -metrics 127.0.0.1:0 \
     >"$log.coord.log" 2>"$log.coord.err" &
@@ -196,6 +205,7 @@ dist_smoke survey survey_shards_completed_total -fig1 -shards 4 -domain-scale 50
 dist_smoke resolver-study resolverstudy_shards_completed_total -fig3 -shards 4 -resolver-scale 2000
 
 echo "== resolver study smoke (repro -fig3 -shards 2) =="
+: >"$SMOKE_DIR/fig3.err"
 "$SMOKE_DIR/repro" -fig3 -shards 2 -resolver-scale 2000 -metrics 127.0.0.1:0 \
   >"$SMOKE_DIR/fig3.log" 2>"$SMOKE_DIR/fig3.err" &
 REPRO_PID=$!

@@ -381,6 +381,7 @@ func (s *Scanner) ScanAll(ctx context.Context, src Source, newSink func(worker i
 		done = !ok
 		return d, ok
 	}
+	// The workers never fail, so Each has no error to return.
 	_ = fanout.Each(len(sinks), len(sinks), func(w int) error {
 		for d, ok := next(); ok; d, ok = next() {
 			sinks[w].Consume(s.ScanDomain(ctx, d))
