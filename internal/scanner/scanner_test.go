@@ -702,8 +702,7 @@ func (c *cancelAtEnd) Next() (dnswire.Name, bool) {
 
 // TestScanAllCancelMidFeed cancels inside the Next call that hands out
 // domain 3 of 1000: ScanAll makes no further Next call, domains 0–3
-// each reach one sink once (the last with the context's error), and
-// context.Canceled comes back.
+// each reach one sink once, and context.Canceled comes back.
 func TestScanAllCancelMidFeed(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
