@@ -199,6 +199,43 @@ func runRange(t *testing.T, offset, limit int) []byte {
 	return buf.Bytes()
 }
 
+// TestStatewalkCellsPinned compares Run's seed-7 report of every cell —
+// the triples and each cell's upstream query trace — with the committed
+// testdata/cells-seed7.ndjson, octet for octet, and names the first
+// line that differs. A change that moves a verdict, or a query the
+// resolver sends on its way to one, fails here. CORE_WRITE_GOLDEN=1
+// rewrites the file first — a deliberate act, done on a commit whose
+// science is the reference.
+func TestStatewalkCellsPinned(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Run(context.Background(), Config{Seed: 7, EmitCells: true, Out: scanner.NewEncoder(&buf)}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	path := filepath.Join("testdata", "cells-seed7.ndjson")
+	if os.Getenv("CORE_WRITE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("committed report missing (CORE_WRITE_GOLDEN=1 writes it): %v", err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	gl, wl := bytes.Split(buf.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("report differs from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("report differs from %s: %d lines, want %d", path, len(gl), len(wl))
+}
+
 // TestStatewalkSplitEquivalence is the statewalk twin of
 // TestSurveyShardEquivalence: the report of [0,n) must be byte-identical
 // to the concatenation of [0,k) and [k,n), proving emission order and

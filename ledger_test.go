@@ -5,15 +5,21 @@
 // metric's bound, no larger share of failed operations, and a claimed
 // metric won at least nine tenths of its pairs by more than the parent's
 // own interquartile spread. Workload names, metric names, directions and
-// bounds come from the manifest; nothing is restated here.
+// bounds come from the manifest; nothing is restated here. They also
+// hold the documents to what exists: a ledger line a document cites, a
+// test it names.
 package repro
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -357,5 +363,116 @@ func TestLedgerCanFail(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// citingDocs are the documents whose ledger citations must name a line
+// of BENCH.ndjson; namingDocs those whose test names must name a test.
+// ROADMAP.md names tests still to be written, and CHANGES.md tests since
+// deleted, so neither is held to the second rule.
+var (
+	citingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "bench/README.md"}
+	namingDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "bench/README.md"}
+)
+
+var (
+	// ledgerCitation is the ledger's own key, lower case, as in
+	// "`BENCH.ndjson` pr 21"; "PR 21" is a change's number, not a citation.
+	ledgerCitation = regexp.MustCompile(`\bpr\s+(\d+)\b`)
+	testName       = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	testFunc       = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+)
+
+// checkCitations returns one line per citation in doc's text that names
+// nothing: a "pr N" with no ledger line in prs and, when names is set, a
+// test name that is neither a function in funcs nor a prefix of one
+// (how `go test -run` reads a pattern).
+func checkCitations(doc, text string, names bool, prs map[int]bool, funcs []string) []string {
+	var bad []string
+	line := func(off int) int { return 1 + strings.Count(text[:off], "\n") }
+	for _, m := range ledgerCitation.FindAllStringSubmatchIndex(text, -1) {
+		if n, err := strconv.Atoi(text[m[2]:m[3]]); err != nil || !prs[n] {
+			bad = append(bad, fmt.Sprintf("%s:%d: %q names no BENCH.ndjson line", doc, line(m[0]), text[m[0]:m[1]]))
+		}
+	}
+	if !names {
+		return bad
+	}
+	for _, m := range testName.FindAllStringIndex(text, -1) {
+		name := text[m[0]:m[1]]
+		if !slices.ContainsFunc(funcs, func(f string) bool { return strings.HasPrefix(f, name) }) {
+			bad = append(bad, fmt.Sprintf("%s:%d: %s names no test function", doc, line(m[0]), name))
+		}
+	}
+	return bad
+}
+
+// citationTargets returns the pr of every ledger line and the name of
+// every Test, Benchmark and Fuzz function in the repository's test files
+// (bench/ included; testdata and dot-directories are not Go tests).
+func citationTargets(t *testing.T) (map[int]bool, []string) {
+	t.Helper()
+	_, entries, _ := loadLedger(t)
+	prs := make(map[int]bool)
+	for _, e := range entries {
+		prs[e.PR] = true
+	}
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			funcs = append(funcs, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prs, funcs
+}
+
+// TestDocCitations holds the documents to what exists: every ledger
+// citation names a line of BENCH.ndjson, and every test a document
+// outside ROADMAP.md and CHANGES.md names is one `go test -run` finds.
+func TestDocCitations(t *testing.T) {
+	prs, funcs := citationTargets(t)
+	for _, doc := range citingDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range checkCitations(doc, string(text), slices.Contains(namingDocs, doc), prs, funcs) {
+			t.Error(line)
+		}
+	}
+}
+
+// TestDocCitationsCanFail feeds the check a document with a doctored
+// ledger citation and a doctored test name beside real ones, and
+// requires it to name exactly the two doctored ones.
+func TestDocCitationsCanFail(t *testing.T) {
+	prs, funcs := citationTargets(t)
+	if prs[16] || !prs[22] {
+		t.Fatal("the ledger's lines moved: pr 16 must be absent and pr 22 present")
+	}
+	text := "Measured: `BENCH.ndjson` pr 22 and\npr 16; pinned by `TestLedger`,\n`TestMeasure` and `TestLedgerNoSuch`.\n"
+	got := checkCitations("doc.md", text, true, prs, funcs)
+	want := []string{
+		`doc.md:2: "pr 16" names no BENCH.ndjson line`,
+		`doc.md:3: TestLedgerNoSuch names no test function`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+	if got := checkCitations("doc.md", text, false, prs, funcs); !slices.Equal(got, want[:1]) {
+		t.Fatalf("without names: got %q, want %q", got, want[:1])
 	}
 }
