@@ -258,8 +258,8 @@ echo "resolver study one-world smoke OK (${ONEWORLD_S} s)"
 
 echo "== statewalk smoke (differential state-machine walk, fixed seed) =="
 # Every (topology × profile) cell through the real resolver, diffed
-# against the expectation model. Any unexplained divergence exits
-# nonzero; the NDJSON report is kept as a CI artifact for triage.
+# against the expectation model. Any divergence exits nonzero; the
+# NDJSON report is kept as a CI artifact for triage.
 "$SMOKE_DIR/repro" -statewalk -seed 7 -statewalk-out statewalk-report.ndjson \
   > "$SMOKE_DIR/statewalk.log" || { cat "$SMOKE_DIR/statewalk.log"; exit 1; }
 SW_CELLS=$(sed -n 's/^  cells executed  *\([0-9]*\)$/\1/p' "$SMOKE_DIR/statewalk.log")

@@ -57,7 +57,6 @@ func run() error {
 		statewalkBudget = flag.Int("statewalk-budget", 0, "statewalk: bound the enumeration to this many cells (0 = all)")
 		statewalkOut    = flag.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
 		statewalkCells  = flag.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
-		statewalkCorpus = flag.String("statewalk-corpus", "", "statewalk: write fuzz-corpus seeds minimized from unexplained divergences under this directory")
 		seed            = flag.Uint64("seed", 1, "simulation seed")
 		shards          = flag.Int("shards", 1, "run the domain survey and the resolver study in this many bounded shards (same results at any value)")
 		dScale          = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
@@ -154,7 +153,6 @@ func run() error {
 			budget:    *statewalkBudget,
 			out:       *statewalkOut,
 			emitCells: *statewalkCells,
-			corpusDir: *statewalkCorpus,
 			obs:       reg,
 		}); err != nil {
 			return err

@@ -69,59 +69,24 @@ func (r *Resolver) closestCut(qname dnswire.Name, qtype dnswire.Type) (dnswire.N
 }
 
 // walk is iterate's loop, the only one that follows referrals: from the
-// zone apex served by servers down to the zone authoritative for qname.
-//
-// With Policy.QNameMinimization (RFC 9156) each hop exposes only one
-// more label than is known to exist, probing with NS queries until the
-// full name and real type are reached. That composes cleanly with
-// DNSSEC validation: an NXDOMAIN for a minimized ancestor m of qname
-// carries a closest-encloser proof whose covered next-closer name is m
-// itself — exactly qname's next closer below the same encloser — so
-// nsec3.VerifyNXDOMAIN(qname) accepts the proof unchanged. Without
-// minimization every hop exposes the full name, and labels stays nil so
-// that path never pays for the split.
+// zone apex served by servers down to the zone authoritative for qname,
+// asking every zone on the way for (qname, qtype) and following at most
+// maxReferrals referrals.
 func (r *Resolver) walk(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, apex dnswire.Name, servers []netip.AddrPort, depth int) (*authResponse, error) {
-	// DS queries keep the full-name walk: they are answered by the
-	// parent, which a minimized NS probe would skip past.
-	var labels []string
-	if r.cfg.Policy.QNameMinimization && qtype != dnswire.TypeDS {
-		labels = qname.Labels()
-	}
-	// known counts the trailing labels of qname confirmed to exist or be
-	// delegated. Every hop follows a referral or confirms one more
-	// label, which bounds the loop.
-	known := apex.CountLabels()
-	for hop := 0; hop < maxReferrals+len(labels); hop++ {
-		cur, curType := qname, qtype
-		if known+1 < len(labels) {
-			var err error
-			if cur, err = dnswire.FromLabels(labels[len(labels)-known-1:]...); err != nil {
-				return nil, err
-			}
-			curType = dnswire.TypeNS
-		}
-		msg, err := r.queryAny(ctx, servers, cur, curType)
+	for hop := 0; hop < maxReferrals; hop++ {
+		msg, err := r.queryAny(ctx, servers, qname, qtype)
 		if err != nil {
 			return nil, err
 		}
 		if msg.Header.RCode != dnswire.RCodeNoError && msg.Header.RCode != dnswire.RCodeNXDomain {
 			return nil, fmt.Errorf("%w: %s from zone %s", ErrLame, msg.Header.RCode, apex)
 		}
-		if isReferral(msg) {
-			if apex, servers, err = r.followReferral(ctx, msg, apex, depth); err != nil {
-				return nil, err
-			}
-			known = max(known, apex.CountLabels())
-			continue
-		}
-		// An NXDOMAIN for a minimized ancestor denies the whole subtree
-		// (RFC 8020), so it is as final as the answer for qname itself.
-		if cur == qname || msg.Header.RCode == dnswire.RCodeNXDomain {
+		if !isReferral(msg) {
 			return &authResponse{msg: msg, apex: apex}, nil
 		}
-		// The minimized name exists (NODATA or some data): expose one
-		// more label to the same servers.
-		known++
+		if apex, servers, err = r.followReferral(ctx, msg, apex, depth); err != nil {
+			return nil, err
+		}
 	}
 	return nil, ErrLoop
 }
@@ -238,13 +203,6 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	if depth > maxDepth {
 		return nil, 0, ErrLoop
 	}
-	// RFC 8198: synthesize the NXDOMAIN from cached validated NSEC3
-	// spans when possible, skipping the network entirely.
-	if !cd {
-		if res, ok := r.tryAggressive(qname); ok {
-			return res, 30, nil
-		}
-	}
 	auth, err := r.iterate(ctx, qname, qtype, depth)
 	if err != nil {
 		// Unreachable/lame: SERVFAIL, cached briefly.
@@ -259,9 +217,6 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	res := r.decide(msg.Header.RCode, msg.Header.RCode == dnswire.RCodeNXDomain || len(msg.Answers) == 0, v)
 	if v.status == StatusBogus {
 		return res, 30, nil
-	}
-	if v.status == StatusSecure && msg.Header.RCode == dnswire.RCodeNXDomain {
-		r.learnAggressive(msg)
 	}
 	res.Answers = append(res.Answers, msg.Answers...)
 	res.Authority = append(res.Authority, msg.Authority...)

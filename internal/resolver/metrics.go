@@ -15,10 +15,6 @@ type metrics struct {
 	// cutHits counts walks that started below the root, at a cached
 	// zone cut.
 	cutHits *obs.Counter
-	// aggrHits / aggrMisses count RFC 8198 aggressive-cache consults
-	// (only when the policy enables aggressive NSEC use).
-	aggrHits   *obs.Counter
-	aggrMisses *obs.Counter
 	// hashWork accumulates the Gruza et al. cost model: every NSEC3
 	// denial the resolver verifies costs iterated SHA-1 applications
 	// proportional to (1 + iterations) per hashed candidate name.
@@ -36,10 +32,6 @@ func newMetrics(reg *obs.Registry) metrics {
 			"queries sent by the resolver to authoritative servers"),
 		cutHits: reg.Counter("resolver_delegation_cache_hits_total",
 			"delegation walks that started at a cached zone cut instead of the roots"),
-		aggrHits: reg.Counter("resolver_aggressive_hits_total",
-			"negative answers synthesized from the RFC 8198 cache"),
-		aggrMisses: reg.Counter("resolver_aggressive_misses_total",
-			"aggressive-cache consults that found no covering span"),
 		hashWork: reg.Counter("resolver_nsec3_hash_work_total",
 			"SHA-1 applications spent verifying NSEC3 denials (Gruza et al. cost model)"),
 	}

@@ -17,22 +17,21 @@
 // the one place to hook it:
 //
 //   - the walk — iterate (iterate.go) owns the only loop that follows
-//     referrals (walk); QNAME minimization is "how many labels does this
-//     hop expose" inside it, not a second walk. iterate starts at the
+//     referrals (walk), which asks every zone on the way for the full
+//     query name (no RFC 9156 minimization). iterate starts at the
 //     deepest cached zone cut enclosing the name — as every resolver the
 //     paper probed does — and the delegation cache (cuts) has exactly one
 //     writer, followReferral after its in-bailiwick check, and one
 //     reader, closestCut at the top of iterate. A walk that started at a
 //     cached cut and failed evicts it and is retried once from the
 //     roots, so the cache decides which server is asked first and never
-//     what the answer is (TestStatewalkDelegationCacheTransparent).
+//     what the answer is (TestStatewalkStateTransparent).
 //   - the cache door — resolve (this file) is the only function that
 //     reads or writes the message cache; client queries, the validator's
 //     DS lookups and followReferral's glue-less NS address lookups all
-//     enter through it. All four caches (messages, zone trust,
-//     aggressive-NSEC zones, zone cuts) are one ttlCache shape bounded by
-//     Config.MaxCacheEntries, so resolver state is enumerable from here
-//     (ROADMAP 5a).
+//     enter through it. All three caches (messages, zone trust, zone
+//     cuts) are one ttlCache shape bounded by Config.MaxCacheEntries, so
+//     resolver state is enumerable from here.
 //   - the verifier — verifyGroup (validate.go) is the only caller of
 //     dnssec.VerifyWithRRSIG; SOA, NSEC3, NSEC, answer and DNSKEY checks
 //     are filters over groupRRsets output. It verifies through
@@ -40,7 +39,7 @@
 //     (a study's fleet, one per core.Runner) check each distinct
 //     (key, signature, signed data) once between them. Only that
 //     cryptographic verdict is shared — the structural and validity-
-//     window checks, NSEC3 hashing (countNSEC3Work), the four caches
+//     window checks, NSEC3 hashing (countNSEC3Work), the three caches
 //     and every policy decision stay per resolver and per call.
 //   - the policy gate — applyIterationPolicy (validate.go) is the RFC
 //     9276 Item 6/8 decision for negative answers and wildcard
@@ -131,16 +130,6 @@ type Policy struct {
 	// transition (they pass the valid/expired test but answer every
 	// it-N probe with a plain NXDOMAIN).
 	NoNegativeAD bool
-	// AggressiveNSEC enables RFC 8198 aggressive use of the
-	// DNSSEC-validated cache: NXDOMAINs are synthesized from cached
-	// NSEC3 spans when they prove the queried name absent.
-	AggressiveNSEC bool
-	// QNameMinimization enables RFC 9156 minimized iteration: each
-	// delegation level only sees one more label of the query name.
-	// An NXDOMAIN for a minimized ancestor proves the full name
-	// absent, and its NSEC3 closest-encloser proof validates for the
-	// original qname unchanged.
-	QNameMinimization bool
 }
 
 // Config assembles a resolver.
@@ -160,7 +149,7 @@ type Config struct {
 	// MaxCacheEntries bounds each internal cache (default 4096).
 	MaxCacheEntries int
 	// Obs, when set, receives resolver metrics (upstream query count,
-	// aggressive-cache hits/misses, NSEC3 hash work). Nil disables
+	// delegation-cache hits, NSEC3 hash work). Nil disables
 	// instrumentation.
 	Obs *obs.Registry
 	// VerifyMemo, when set, answers the cryptographic step of RRSIG
@@ -182,10 +171,6 @@ type Resolver struct {
 	msgCache  *ttlCache[cacheKey, *Result]
 	zoneCache *ttlCache[dnswire.Name, zoneTrust]
 	cuts      *ttlCache[dnswire.Name, []netip.AddrPort]
-
-	// aggressive is the RFC 8198 validated-denial cache (nil unless
-	// the policy enables it).
-	aggressive *aggressiveCache
 
 	// met holds the observability counters (all no-op without
 	// Config.Obs).
@@ -271,17 +256,13 @@ func New(cfg Config) *Resolver {
 	if cfg.MaxCacheEntries == 0 {
 		cfg.MaxCacheEntries = 4096
 	}
-	r := &Resolver{
+	return &Resolver{
 		cfg:       cfg,
 		msgCache:  newTTLCache[cacheKey, *Result](cfg.MaxCacheEntries),
 		zoneCache: newTTLCache[dnswire.Name, zoneTrust](cfg.MaxCacheEntries),
 		cuts:      newTTLCache[dnswire.Name, []netip.AddrPort](cfg.MaxCacheEntries),
 		met:       newMetrics(cfg.Obs),
 	}
-	if cfg.Policy.AggressiveNSEC {
-		r.aggressive = &aggressiveCache{zones: newTTLCache[dnswire.Name, *aggressiveZone](cfg.MaxCacheEntries)}
-	}
-	return r
 }
 
 // Resolve answers (qname, qtype) for a client, consulting the cache.

@@ -2,7 +2,6 @@ package resolver
 
 import (
 	"context"
-	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -189,39 +188,6 @@ func TestTriples(t *testing.T) {
 				checkTriple(t, res, s.want[pi])
 			})
 		}
-	}
-
-	// An RFC 8198 synthesized NXDOMAIN: fresh names under the same
-	// closest encloser until one is answered without an upstream query.
-	// Synthesis needs validation, so the non-validating and CD profiles
-	// never hit and answer every name from the zone.
-	aggressive := plain(nxDomain, secureNoAD(nxDomain))
-	for pi, p := range profiles {
-		cd := pi == pCD
-		t.Run(p.Name+"/aggressive", func(t *testing.T) {
-			p.AggressiveNSEC = true
-			counter := &countingExchanger{inner: h.Net}
-			r := New(Config{
-				Roots: h.Roots, TrustAnchor: h.TrustAnchor,
-				Exchanger: counter, Policy: p,
-				Now: func() uint32 { return tNow },
-			})
-			var res *Result
-			hit := false
-			for i := 0; i < 32 && !hit; i++ {
-				before := counter.count
-				var err error
-				res, err = r.ResolveCD(ctx, dnswire.MustParseName(fmt.Sprintf("agg%d.www.target.test", i)), dnswire.TypeA, cd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hit = counter.count == before
-			}
-			if wantHit := p.Validate && !cd; hit != wantHit {
-				t.Fatalf("aggressive hit=%v, want %v", hit, wantHit)
-			}
-			checkTriple(t, res, aggressive[pi])
-		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dnswire"
 	"repro/internal/nsec3"
 	"repro/internal/resolver"
-	"repro/internal/respop"
 )
 
 // Triple is the remotely observable classification of one response —
@@ -194,14 +193,4 @@ func Expect(t TopologySpec, p resolver.Policy) Triple {
 	// Unreachable for enumerated shapes; fail loudly in the diff if a
 	// new shape forgets its model.
 	return Triple{RCode: dnswire.RCodeRefused}
-}
-
-// Explain returns the documented reason a divergence at this cell is
-// expected (a model refinement under investigation) — empty when the
-// divergence is unexplained and must fail the run. The table is empty:
-// every divergence statewalk found so far was a resolver bug, fixed in
-// tree (CNAME chases dropping the chained EDE and the negative-AD
-// strip, NODATA keeping AD under NoNegativeAD).
-func Explain(t TopologySpec, p respop.Profile, expected, observed Triple) string {
-	return ""
 }

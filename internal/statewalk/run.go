@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -22,14 +23,9 @@ type Config struct {
 	// Seed fixes the simulated network; enumeration and zone content
 	// are seed-independent, so any seed yields the same cell grid.
 	Seed uint64
-	// Offset/Limit select the cell range [Offset, Offset+Limit) of the
-	// topology-major × profile-minor grid; Limit <= 0 runs to the end.
-	// Concatenating the reports of [0,k) and [k,n) is byte-identical
-	// to one [0,n) run — the split-range golden property.
-	Offset, Limit int
-	// Workers bounds concurrent cells (default 8). Records are emitted
-	// in cell order regardless, so worker count never changes output.
-	Workers int
+	// Limit runs only the first Limit cells of the topology-major ×
+	// profile-minor grid; Limit <= 0 runs them all.
+	Limit int
 	// EmitCells writes a record for every cell, not just divergences —
 	// the golden tests and EXPERIMENTS.md tables use this.
 	EmitCells bool
@@ -43,17 +39,16 @@ type Config struct {
 // Record is one cell's NDJSON line. Divergence records carry the
 // topology ID, profile, both triples, and the minimized query trace.
 type Record struct {
-	Kind      string     `json:"kind"`
-	Topology  string     `json:"topology"`
-	Shape     string     `json:"shape"`
-	Profile   string     `json:"profile"`
-	QName     string     `json:"qname"`
-	QType     string     `json:"qtype"`
-	Expected  TripleJSON `json:"expected"`
-	Observed  TripleJSON `json:"observed"`
-	Diverged  bool       `json:"diverged"`
-	Explained string     `json:"explained,omitempty"`
-	Trace     []string   `json:"trace"`
+	Kind     string     `json:"kind"`
+	Topology string     `json:"topology"`
+	Shape    string     `json:"shape"`
+	Profile  string     `json:"profile"`
+	QName    string     `json:"qname"`
+	QType    string     `json:"qtype"`
+	Expected TripleJSON `json:"expected"`
+	Observed TripleJSON `json:"observed"`
+	Diverged bool       `json:"diverged"`
+	Trace    []string   `json:"trace"`
 }
 
 // Summary aggregates one run.
@@ -62,12 +57,6 @@ type Summary struct {
 	Profiles    int
 	Cells       int
 	Divergences int
-	// Unexplained counts divergences Explain has no entry for — a
-	// resolver bug or a model gap; CI fails on any.
-	Unexplained int
-	// Seeds are the fuzz-corpus seeds minimized from the topologies
-	// that produced unexplained divergences (one set per topology).
-	Seeds []CorpusSeed
 }
 
 // traceRecorder wraps the network to capture the resolver's upstream
@@ -120,32 +109,24 @@ func cellAddr(i int) netip.AddrPort {
 	return netsim.Addr4(10, 99, byte(i>>8), byte(i))
 }
 
-// Run executes the selected cell range and returns the summary. The
-// report (divergences, or every cell with EmitCells) is written to
-// cfg.Out in cell order: same seed and range ⇒ byte-identical output.
+// Run executes the selected cells on runtime.GOMAXPROCS(0) goroutines
+// and returns the summary. The report (divergences, or every cell with
+// EmitCells) is written to cfg.Out in cell order: same seed and Limit ⇒
+// byte-identical output.
 func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	w, err := BuildWorld(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	profiles := respop.Profiles()
-	total := len(w.Topologies) * len(profiles)
-	lo := min(max(cfg.Offset, 0), total)
-	hi := total
-	if cfg.Limit > 0 && lo+cfg.Limit < total {
-		hi = lo + cfg.Limit
-	}
-	n := hi - lo
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8
+	n := len(w.Topologies) * len(profiles)
+	if cfg.Limit > 0 {
+		n = min(n, cfg.Limit)
 	}
 	records := make([]*Record, n)
-	err = fanout.Each(n, workers, func(i int) (err error) {
+	err = fanout.Each(n, runtime.GOMAXPROCS(0), func(cell int) (err error) {
 		if err = ctx.Err(); err == nil {
-			cell := lo + i
-			records[i], err = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil, false)
+			records[cell], err = runCell(ctx, w, cell, w.Topologies[cell/len(profiles)], profiles[cell%len(profiles)], nil, false)
 		}
 		return err
 	})
@@ -164,7 +145,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 			"statewalk cells whose observed triple differed from the expectation model")
 	}
 	sum := &Summary{Topologies: len(w.Topologies), Profiles: len(profiles)}
-	seeded := make(map[int]bool)
 	for _, rec := range records {
 		sum.Cells++
 		if cellsC != nil {
@@ -175,20 +155,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 			if divC != nil {
 				divC.Inc()
 			}
-			if rec.Explained == "" {
-				sum.Unexplained++
-				// Minimize the divergence into corpus seeds, once per
-				// topology (cells of one topology share the zone).
-				ti := topologyIndexOf(w.Topologies, rec.Topology)
-				if ti >= 0 && !seeded[ti] {
-					seeded[ti] = true
-					seeds, err := SeedsForTopology(w.Topologies[ti])
-					if err != nil {
-						return nil, err
-					}
-					sum.Seeds = append(sum.Seeds, seeds...)
-				}
-			}
 		}
 		if cfg.Out != nil && (rec.Diverged || cfg.EmitCells) {
 			if err := cfg.Out.WriteAny(rec); err != nil {
@@ -197,16 +163,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		}
 	}
 	return sum, nil
-}
-
-// topologyIndexOf finds a topology by its record ID.
-func topologyIndexOf(topos []TopologySpec, id string) int {
-	for i, tp := range topos {
-		if tp.ID() == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // runCell probes one (topology × profile) cell: a fresh resolver with
@@ -270,7 +226,6 @@ func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof re
 	if observed != expected {
 		rec.Kind = "statewalk_divergence"
 		rec.Diverged = true
-		rec.Explained = Explain(topo, prof, expected, observed)
 	}
 	return rec, nil
 }

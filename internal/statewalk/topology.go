@@ -6,8 +6,8 @@
 // runner executes every (topology × respop profile) cell through the
 // real resolver over netsim and reports every divergence. Scenario
 // diversity comes from systematic enumeration instead of hand-written
-// cases; each real divergence is either a resolver bug or a documented
-// refinement of the model.
+// cases; any divergence fails the run, and is mended either in the
+// resolver or in the model.
 package statewalk
 
 import (
@@ -115,7 +115,7 @@ var iterationGrids = []struct {
 
 // Enumerate returns every topology in its canonical order. The list is
 // a pure function: Enumerate()[i].Index == i on every call, which the
-// split-range golden test relies on.
+// cell golden (testdata/cells-seed7.ndjson) relies on.
 func Enumerate() []TopologySpec {
 	var out []TopologySpec
 	for _, g := range iterationGrids {
