@@ -18,11 +18,11 @@
 //
 //   - the walk — iterate (iterate.go) owns the only loop that follows
 //     referrals (walk), which asks every zone on the way for the full
-//     query name (no RFC 9156 minimization). iterate starts at the
-//     deepest cached zone cut enclosing the name — as every resolver the
-//     paper probed does — and the delegation cache (cuts) has exactly one
-//     writer, followReferral after its in-bailiwick check, and one
-//     reader, closestCut at the top of iterate. A walk that started at a
+//     query name. iterate starts at the deepest cached zone cut
+//     enclosing the name — as every resolver the paper probed does — and
+//     the delegation cache (cuts) has exactly one writer, followReferral
+//     after its in-bailiwick check, and one reader, closestCut at the
+//     top of iterate. A walk that started at a
 //     cached cut and failed evicts it and is retried once from the
 //     roots, so the cache decides which server is asked first and never
 //     what the answer is (TestStatewalkStateTransparent).
