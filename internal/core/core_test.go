@@ -112,6 +112,16 @@ func TestSurveyEndToEnd(t *testing.T) {
 	}
 }
 
+// renderSurvey renders what the paper's figures and tables are built
+// from: both CDFs and the operator table.
+func renderSurvey(r *SurveyReport) string {
+	var sb strings.Builder
+	analysis.RenderCDF(&sb, "iterations", r.IterCDF, []int{0, 1, 5, 10, 25, 50, 100, 150, 500})
+	analysis.RenderCDF(&sb, "salt", r.SaltCDF, []int{0, 1, 4, 8, 10, 40, 45, 160})
+	analysis.RenderOperatorTable(&sb, r.Operators.Top(10))
+	return sb.String()
+}
+
 // TestSurveyShardEquivalence is the golden test of the streaming
 // refactor: RunSurvey with Shards=1 and Shards=3 at the same seed must
 // produce byte-identical aggregates — Figure 1 CDFs, Table 2 operator
@@ -134,29 +144,47 @@ func TestSurveyShardEquivalence(t *testing.T) {
 		}
 		return report
 	}
-	// Belt and braces: the rendered deliverables must match byte for
-	// byte (this is what the paper's figures and tables are built from).
-	render := func(r *SurveyReport) string {
-		var sb strings.Builder
-		analysis.RenderCDF(&sb, "iterations", r.IterCDF, []int{0, 1, 5, 10, 25, 50, 100, 150, 500})
-		analysis.RenderCDF(&sb, "salt", r.SaltCDF, []int{0, 1, 4, 8, 10, 40, 45, 160})
-		analysis.RenderOperatorTable(&sb, r.Operators.Top(10))
-		return sb.String()
-	}
 	for _, seed := range goldenSeeds {
 		whole := run(seed, 1)
 		sharded := run(seed, 3)
 		if !reflect.DeepEqual(whole, sharded) {
 			t.Errorf("seed %d: sharded report differs from unsharded:\nwhole:   %+v\nsharded: %+v", seed, whole, sharded)
 		}
-		if a, b := render(whole), render(sharded); a != b {
+		// Belt and braces: the rendered deliverables must match byte
+		// for byte.
+		if a, b := renderSurvey(whole), renderSurvey(sharded); a != b {
 			t.Errorf("seed %d: rendered outputs differ:\n--- shards=1\n%s\n--- shards=3\n%s", seed, a, b)
 		}
 		if whole.Agg.Total != 900 || sharded.Agg.Total != 900 {
 			t.Fatalf("seed %d: totals %d/%d, want 900", seed, whole.Agg.Total, sharded.Agg.Total)
 		}
-		checkGolden(t, fmt.Sprintf("survey-seed%d", seed), whole, render(whole))
+		checkGolden(t, fmt.Sprintf("survey-seed%d", seed), whole, renderSurvey(whole))
 	}
+}
+
+// TestSurveyIndependentOfWorkers: the scanner's concurrency is a
+// throttle, not an input. One worker and 64 scan the same universe
+// into the same report, and that report is the committed one.
+func TestSurveyIndependentOfWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end survey is slow")
+	}
+	var reports []*SurveyReport
+	for _, workers := range []int{1, 64} {
+		report, err := RunSurvey(context.Background(), SurveyConfig{
+			Registered: 900,
+			Seed:       1,
+			Workers:    workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, report)
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Fatalf("Workers 1 and 64 differ:\n1:  %+v\n64: %+v", reports[0], reports[1])
+	}
+	checkGolden(t, "survey-seed1", reports[0], renderSurvey(reports[0]))
 }
 
 // TestSurveyMetricsShardMerge is the observability counterpart of
