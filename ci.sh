@@ -8,9 +8,10 @@
 #   tests (fan-out, build keys phase, keysFor, concurrent same-content
 #   signs through one SignCache, the memo alloc pin, and the fan-out's
 #   users Atlas Measure, the resolver study's cancelled probe pass and
-#   statewalk's cancelled run, ScanAll's workers sharing one Source,
-#   plus the distributed coordinator's cancel with a silent worker and
-#   its two abandoned-lease cases); a
+#   statewalk's cancelled run, ScanAll's workers sharing one Source
+#   and scanning the same octets at any worker count, netsim's loss
+#   draw from many goroutines, plus the distributed coordinator's
+#   cancel with a silent worker and its two abandoned-lease cases); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash and the authoritative server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
@@ -57,12 +58,14 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # (ordering, EDE strip, cancel), the resolver study's probe pass and
 # statewalk's cell loop under a cancelled context — ScanAll's workers
 # taking turns at one Source (never concurrently, none after a
-# cancellation, every domain to one sink once) — and the distributed
+# cancellation, every domain to one sink once) and sending the same
+# octets at one worker and at eight — netsim's loss draw, the same set
+# lost serially and from 8 goroutines — and the distributed
 # coordinator, where a lease lives as long as its connection: Serve
 # cancelled while a worker holds a lease in silence, a job write that
 # fails, and a second lease asked for on one connection.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll' \
-  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$' \
+  ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/ ./internal/netsim/
 
 echo "== fuzz (5s per target) =="
 go test -run='^$' -fuzz=FuzzDecodeMessage -fuzztime=5s ./internal/dnswire/

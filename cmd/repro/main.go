@@ -44,14 +44,13 @@ func main() {
 
 func run() error {
 	var (
-		all      = flag.Bool("all", false, "run every experiment")
-		table1   = flag.Bool("table1", false, "Table 1: RFC 9276 guidelines")
-		fig1     = flag.Bool("fig1", false, "Figure 1 + §5.1 domain stats")
-		fig2     = flag.Bool("fig2", false, "Figure 2: Tranco popularity study")
-		table2   = flag.Bool("table2", false, "Table 2: name server operators")
-		tlds     = flag.Bool("tlds", false, "§5.1 TLD statistics")
-		fig3     = flag.Bool("fig3", false, "Figure 3 + §5.2 resolver stats")
-		timeline = flag.Bool("timeline", false, "§6 future work: compliance over the 2020–2024 migrations")
+		all    = flag.Bool("all", false, "run every experiment")
+		table1 = flag.Bool("table1", false, "Table 1: RFC 9276 guidelines")
+		fig1   = flag.Bool("fig1", false, "Figure 1 + §5.1 domain stats")
+		fig2   = flag.Bool("fig2", false, "Figure 2: Tranco popularity study")
+		table2 = flag.Bool("table2", false, "Table 2: name server operators")
+		tlds   = flag.Bool("tlds", false, "§5.1 TLD statistics")
+		fig3   = flag.Bool("fig3", false, "Figure 3 + §5.2 resolver stats")
 
 		statewalk       = flag.Bool("statewalk", false, "differential state-machine walk: every (topology × profile) cell vs the expectation model")
 		statewalkBudget = flag.Int("statewalk-budget", 0, "statewalk: bound the enumeration to this many cells (0 = all)")
@@ -72,7 +71,7 @@ func run() error {
 		leaseTTL   = flag.Duration("lease-ttl", 0, "coordinator: re-lease shards from workers silent this long (default 10s)")
 	)
 	flag.Parse()
-	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *timeline || *statewalk) {
+	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *statewalk) {
 		*all = true
 	}
 	ctx := context.Background()
@@ -215,18 +214,6 @@ func run() error {
 			return err
 		}
 		printFig3(rs)
-	}
-
-	if *all || *timeline {
-		samples, err := core.RunTimeline(ctx, core.TimelineConfig{
-			Registered: population.FullRegistered / *dScale,
-			Seed:       *seed,
-		})
-		if err != nil {
-			return err
-		}
-		core.RenderTimeline(os.Stdout, samples)
-		fmt.Println()
 	}
 	return nil
 }

@@ -21,10 +21,9 @@ import (
 //     afterwards in the same block.
 //
 // One detector (nondetSources) finds those sites; two scopes decide who
-// reports them. Inside Packages and ExtraFiles every site is reported
-// where it stands — internal/obs is there because its rendered /metrics
-// output and merged counters must not depend on map order or ambient
-// entropy. And every function declared in determinismRoots from which a
+// reports them. Inside Packages every site is reported where it stands
+// — internal/obs is there because its rendered /metrics output and
+// merged counters must not depend on map order or ambient entropy. And every function declared in determinismRoots from which a
 // site is reachable over the call graph — across package boundaries,
 // go/defer statements, function literals, interface dispatch, and
 // function-value references — is reported at its declaration with the
@@ -44,7 +43,6 @@ var DeterminismAnalyzer = &Analyzer{
 		"population/analysis layers, and report every call-graph path " +
 		"from the core/population/compliance/analysis layers to one",
 	Packages:   []string{"internal/population", "internal/respop", "internal/analysis", "internal/obs"},
-	ExtraFiles: []string{"internal/core/timeline.go"},
 	RunProject: runDeterminism,
 }
 

@@ -179,9 +179,6 @@ type Analyzer struct {
 	// with one of these suffixes (segment-aligned). Empty means every
 	// package.
 	Packages []string
-	// ExtraFiles admits individual files (path suffix match) that live
-	// in packages outside the Packages scope.
-	ExtraFiles []string
 	// ExemptFiles are file path suffixes the analyzer never inspects,
 	// even inside an in-scope package.
 	ExemptFiles []string
@@ -190,8 +187,7 @@ type Analyzer struct {
 	Run func(pass *Pass)
 	// RunProject, when set, runs once over the whole package set with
 	// the cross-package call graph instead of per package. Project
-	// analyzers scope themselves (Packages/ExtraFiles/ExemptFiles do
-	// not apply).
+	// analyzers scope themselves (Packages/ExemptFiles do not apply).
 	RunProject func(pass *ProjectPass)
 }
 
@@ -256,7 +252,7 @@ func (a *Analyzer) inScope(pkgPath, filename string) bool {
 	if matchesAny(filename, a.ExemptFiles) {
 		return false
 	}
-	return len(a.Packages) == 0 || matchesAny(pkgPath, a.Packages) || matchesAny(filename, a.ExtraFiles)
+	return len(a.Packages) == 0 || matchesAny(pkgPath, a.Packages)
 }
 
 // Package is one loaded, type-checked package ready for analysis.

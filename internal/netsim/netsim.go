@@ -19,14 +19,15 @@ package netsim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"time"
 
 	"repro/internal/dnswire"
+	"repro/internal/mix"
 	"repro/internal/obs"
 )
 
@@ -113,25 +114,41 @@ type Network struct {
 
 	// Latency is the one-way delivery delay applied twice per exchange.
 	Latency time.Duration
-	// LossRate in [0,1) drops queries (and their retries) randomly.
+	// LossRate in [0,1) is the share of queries dropped. Whether one is
+	// dropped is a pure function of the network's seed, the server and
+	// the query's ID, name and type: the same query to the same server
+	// meets the same fate whatever else is in flight, so a client's
+	// retry is drawn afresh only under a new ID.
 	LossRate float64
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	seed uint64
 
 	// mLost / mLatency count fault injections (nil without Instrument).
 	mLost    *obs.Counter
 	mLatency *obs.Counter
 }
 
-// NewNetwork creates a lossless, zero-latency network with a seeded RNG
-// for deterministic loss experiments.
+// NewNetwork creates a lossless, zero-latency network whose loss
+// draws, once LossRate is set, derive from seed. The zero value draws
+// what NewNetwork(0) draws.
 func NewNetwork(seed uint64) *Network {
-	return &Network{hosts: make(map[netip.AddrPort]Handler), rng: newLossRNG(seed)}
+	return &Network{hosts: make(map[netip.AddrPort]Handler), seed: seed}
 }
 
-func newLossRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))
+// lossPurpose keeps loss draws apart from any other draw on the seed.
+const lossPurpose = 0x6C6F7373 // "loss"
+
+// lost draws whether query, sent to server, is dropped.
+func (n *Network) lost(server netip.AddrPort, query *dnswire.Message) bool {
+	a := server.Addr().As16()
+	k := mix.New(n.seed, lossPurpose).
+		Uint64(binary.BigEndian.Uint64(a[:8])).
+		Uint64(binary.BigEndian.Uint64(a[8:])).
+		Uint64(uint64(server.Port())<<16 | uint64(query.Header.ID))
+	for _, q := range query.Questions {
+		k = k.String(string(q.Name)).Uint64(uint64(q.Type))
+	}
+	return float64(uint64(k)>>11)/(1<<53) < n.LossRate
 }
 
 // Instrument attaches fault-injection counters from reg: every
@@ -190,17 +207,9 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreachable, server)
 	}
-	if n.LossRate > 0 {
-		n.rngMu.Lock()
-		if n.rng == nil { // the zero value draws what NewNetwork(0) draws
-			n.rng = newLossRNG(0)
-		}
-		lost := n.rng.Float64() < n.LossRate
-		n.rngMu.Unlock()
-		if lost {
-			n.mLost.Inc()
-			return nil, fmt.Errorf("%w: to %s", ErrPacketLost, server)
-		}
+	if n.LossRate > 0 && n.lost(server, query) {
+		n.mLost.Inc()
+		return nil, fmt.Errorf("%w: to %s", ErrPacketLost, server)
 	}
 	if n.Latency > 0 {
 		n.mLatency.Inc()

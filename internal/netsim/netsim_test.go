@@ -3,9 +3,11 @@ package netsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,16 +85,64 @@ func TestNetworkLoss(t *testing.T) {
 	if _, err := n.Exchange(context.Background(), addr, q); !errors.Is(err, ErrPacketLost) {
 		t.Fatalf("err = %v", err)
 	}
-	// Statistical loss: about half at 0.5.
+	// Statistical loss: about half at 0.5. The draw is a function of
+	// the query, so each draw sends a query under a new ID.
 	n.LossRate = 0.5
 	lost := 0
 	for i := 0; i < 400; i++ {
+		q.Header.ID = uint16(i)
 		if _, err := n.Exchange(context.Background(), addr, q); err != nil {
 			lost++
 		}
 	}
 	if lost < 120 || lost > 280 {
 		t.Fatalf("lost %d/400 at 50 %% loss", lost)
+	}
+}
+
+// TestNetworkLossPure: whether a query is lost depends on the query
+// and the server, not on what else is in flight. 400 distinct queries
+// lose the same set sent one by one and from 8 goroutines at once.
+func TestNetworkLossPure(t *testing.T) {
+	n := NewNetwork(7)
+	n.LossRate = 0.5
+	addr := Addr4(192, 0, 2, 5)
+	n.Register(addr, echoHandler{})
+	const queries, workers = 400, 8
+	lostAt := func(i int) bool {
+		q := dnswire.NewQuery(uint16(i), dnswire.MustParseName(fmt.Sprintf("q%d.example.", i)), dnswire.TypeA, false)
+		_, err := n.Exchange(context.Background(), addr, q)
+		if err != nil && !errors.Is(err, ErrPacketLost) {
+			t.Errorf("query %d: %v", i, err)
+		}
+		return err != nil
+	}
+	serial := make([]bool, queries)
+	lost := 0
+	for i := range serial {
+		if serial[i] = lostAt(i); serial[i] {
+			lost++
+		}
+	}
+	if lost < 120 || lost > 280 {
+		t.Fatalf("lost %d/%d at 50 %% loss", lost, queries)
+	}
+	parallel := make([]bool, queries)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < queries; i += workers {
+				parallel[i] = lostAt(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("query %d: lost %v serially, %v from %d goroutines", i, serial[i], parallel[i], workers)
+		}
 	}
 }
 
@@ -111,6 +161,7 @@ func TestZeroValueNetwork(t *testing.T) {
 	zero.LossRate, seeded.LossRate = 0.5, 0.5
 	lost := 0
 	for i := 0; i < 400; i++ {
+		q.Header.ID = uint16(i)
 		_, err := zero.Exchange(context.Background(), addr, q)
 		_, want := seeded.Exchange(context.Background(), addr, q)
 		if (err == nil) != (want == nil) || (err != nil && !errors.Is(err, ErrPacketLost)) {

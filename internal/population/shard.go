@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/dnswire"
+	"repro/internal/mix"
 )
 
 // This file implements the streaming side of universe generation,
@@ -254,8 +255,8 @@ func (c *ShardCursor) Next() (*Shard, error) {
 
 // domainRNG seeds domain i's private PCG stream.
 func domainRNG(seed uint64, i int) *rand.Rand {
-	s := splitmix(seed ^ splitmix(uint64(i)+0x6C62272E07BB0142))
-	return rand.New(rand.NewPCG(s, splitmix(s)))
+	s := mix.SplitMix64(seed ^ mix.SplitMix64(uint64(i)+0x6C62272E07BB0142))
+	return rand.New(rand.NewPCG(s, mix.SplitMix64(s)))
 }
 
 // expectedNSEC3 is the calibration-expected NSEC3-enabled count at a
@@ -287,8 +288,7 @@ func specimenPlan(registered int) []RareSpecimen {
 
 // injectRareSpecimens applies the specimen plan to a materialized
 // universe — the same overrides, at the same NSEC3 ordinals, as the
-// streaming cursor applies (GenerateAt re-runs this after re-sampling
-// parameters for a different era).
+// streaming cursor applies.
 func injectRareSpecimens(u *Universe) {
 	plan := specimenPlan(len(u.Domains))
 	ord := 0

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 
 	"repro/internal/dnswire"
+	"repro/internal/mix"
 )
 
 // Iteration limits.
@@ -160,15 +161,19 @@ func (r *Resolver) followReferral(ctx context.Context, msg *dnswire.Message, par
 	return cut, addrs, nil
 }
 
-// queryAny tries servers in order until one responds.
+// queryAny tries servers in order until one responds. A query's ID is
+// a function of its name and the server's place in the list alone (the
+// resolver has no seed, so its key starts from zero), so simulated
+// traces are reproducible.
 func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
 	dnssecOK := r.validating()
+	key := mix.New(0, 0).String(string(qname))
 	var lastErr error
 	for i, s := range servers {
-		q := dnswire.NewQuery(uint16(0x8000|i<<8)^uint16(qnameHash(qname)), qname, qtype, dnssecOK)
+		q := dnswire.NewQuery(uint16(key.Uint64(uint64(i))), qname, qtype, dnssecOK)
 		q.Header.RecursionDesired = false
 		resp, err := r.exchange(ctx, s, q)
 		if err != nil {
@@ -178,17 +183,6 @@ func (r *Resolver) queryAny(ctx context.Context, servers []netip.AddrPort, qname
 		return resp, nil
 	}
 	return nil, lastErr
-}
-
-// qnameHash derives a deterministic query ID component so simulated
-// traces are reproducible.
-func qnameHash(n dnswire.Name) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(n); i++ {
-		h ^= uint32(n[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // validating reports whether the resolver performs DNSSEC validation.

@@ -377,10 +377,16 @@ func stripDNSSEC(rrs []dnswire.RR) []dnswire.RR {
 // serialLTE is RFC 1982 serial comparison, shared with dnssec.
 func serialLTE(a, b uint32) bool { return int32(b-a) >= 0 }
 
-// exchange sends query to server with small retries.
+// exchange sends query to server with one retry. The retry goes out
+// under a new ID, as a real resolver's does; a simulated network
+// draws loss per query, so a resend under the same ID would meet the
+// first one's fate.
 func (r *Resolver) exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
+		if attempt > 0 {
+			q.Header.ID = ^q.Header.ID
+		}
 		r.met.upstream.Inc()
 		resp, err := r.cfg.Exchanger.Exchange(ctx, server, q)
 		if err == nil {

@@ -2,12 +2,15 @@ package resolver
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
 	"repro/internal/nsec3"
+	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/zone"
 )
@@ -195,22 +198,56 @@ func TestResolveCDBitSkipsValidation(t *testing.T) {
 	}
 }
 
+// TestResolveSurvivesPacketLoss resolves distinct names at 15 % loss,
+// each on a fresh resolver, so every resolve goes upstream. One during
+// which no packet was lost must return the triple the lossless network
+// gives. One that lost packets returns that triple (its retries got
+// through) or SERVFAIL (they did not), and both must occur.
 func TestResolveSurvivesPacketLoss(t *testing.T) {
 	h := buildMixedWorld(t)
-	h.Net.LossRate = 0.15
-	r := newTestResolver(t, h, compliantPolicy())
-	// With per-exchange retries the resolution should usually succeed;
-	// accept occasional SERVFAIL but require a majority of successes.
-	ok := 0
-	for i := 0; i < 10; i++ {
-		res, err := r.Resolve(context.Background(),
-			dnswire.MustParseName("www.nsec-zone.com"), dnswire.TypeA)
-		if err == nil && res.RCode == dnswire.RCodeNoError {
-			ok++
+	reg := obs.NewRegistry()
+	h.Net.Instrument(reg)
+	lost := reg.Counter("netsim_packets_lost_total", "")
+	var qnames []dnswire.Name
+	for i := 0; i < 20; i++ {
+		for _, zone := range []string{"nsec-zone.com", "alias.com", "unsigned.com"} {
+			qnames = append(qnames, dnswire.MustParseName(fmt.Sprintf("n%d.%s", i, zone)))
 		}
 	}
-	if ok < 6 {
-		t.Fatalf("only %d/10 successes at 15%% loss", ok)
+	qnames = append(qnames, dnswire.MustParseName("www.nsec-zone.com"), dnswire.MustParseName("cn.alias.com"))
+	resolve := func(qname dnswire.Name) triple {
+		t.Helper()
+		res, err := newTestResolver(t, h, compliantPolicy()).Resolve(context.Background(), qname, dnswire.TypeA)
+		if err != nil {
+			t.Fatalf("%s: %v", qname, err)
+		}
+		return triple{rcode: res.RCode, status: res.Status, ad: res.AD, ede: res.EDE}
+	}
+	clean := make([]triple, len(qnames))
+	for i, qn := range qnames {
+		clean[i] = resolve(qn)
+	}
+	h.Net.LossRate = 0.15
+	survived, failed := 0, 0
+	for i, qn := range qnames {
+		before := lost.Value()
+		got := resolve(qn)
+		switch {
+		case reflect.DeepEqual(got, clean[i]):
+			if lost.Value() != before {
+				survived++
+			}
+		case lost.Value() == before:
+			t.Errorf("%s: %+v with no packet lost, want %+v", qn, got, clean[i])
+		case got.rcode == dnswire.RCodeServFail:
+			failed++
+		default:
+			t.Errorf("%s: %+v after loss, want %+v or SERVFAIL", qn, got, clean[i])
+		}
+	}
+	t.Logf("%d resolves: %d survived loss, %d failed under it, %d packets lost", len(qnames), survived, failed, lost.Value())
+	if survived == 0 || failed == 0 {
+		t.Fatalf("%d resolves survived loss and %d failed under it; want both", survived, failed)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/dnssec"
+	"repro/internal/mix"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/resolver"
@@ -127,8 +128,8 @@ func NewPlanner(cfg DeployConfig) (*Planner, error) {
 		if n == 0 {
 			continue
 		}
-		mix := Mix(q)
-		counts := allocateCounts(mix, n)
+		shares := Mix(q)
+		counts := allocateCounts(shares, n)
 		cum := make([]int, len(counts))
 		run := 0
 		for i, c := range counts {
@@ -139,9 +140,9 @@ func NewPlanner(cfg DeployConfig) (*Planner, error) {
 			q:      q,
 			offset: offset,
 			n:      n,
-			mix:    mix,
+			mix:    shares,
 			cum:    cum,
-			perm:   newFeistel(n, splitmix(cfg.Seed^(uint64(q)+1)*0x9E3779B97F4A7C15)),
+			perm:   newFeistel(n, mix.SplitMix64(cfg.Seed^(uint64(q)+1)*0x9E3779B97F4A7C15)),
 		})
 		offset += n
 	}
@@ -341,7 +342,7 @@ func newFeistel(n int, seed uint64) feistel {
 	f.mask = (uint64(1) << bits) - 1
 	s := seed
 	for i := range f.keys {
-		s = splitmix(s)
+		s = mix.SplitMix64(s)
 		f.keys[i] = s
 	}
 	return f
@@ -366,16 +367,7 @@ func (f feistel) round(x uint64) uint64 {
 	l := x >> f.halfBits
 	r := x & f.mask
 	for _, k := range f.keys {
-		l, r = r, l^(splitmix(r^k)&f.mask)
+		l, r = r, l^(mix.SplitMix64(r^k)&f.mask)
 	}
 	return l<<f.halfBits | r
-}
-
-// splitmix is the SplitMix64 finalizer — the same stream-splitting
-// primitive the domain-side planner uses to derive index-pure seeds.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

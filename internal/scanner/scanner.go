@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"time"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/compliance"
 	"repro/internal/dnswire"
 	"repro/internal/fanout"
+	"repro/internal/mix"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -40,7 +40,10 @@ type Config struct {
 	// Burst is the token-bucket burst capacity when QPS is set
 	// (default: Workers, so every worker can hold one token).
 	Burst int
-	// Seed drives the random probe labels.
+	// Seed keys the scanner's draws, each a pure function of the seed
+	// and its subject: a domain's probe label of the domain, a query's
+	// ID and retry jitter of its name, type and attempt. So a scan
+	// sends the same queries at any Workers.
 	Seed uint64
 	// Timeout bounds each query attempt (default 5s).
 	Timeout time.Duration
@@ -50,10 +53,10 @@ type Config struct {
 	// survey report reflects persistent faults, not transient loss.
 	Retries int
 	// RetryBackoff is the base delay before the first retry, doubling
-	// per attempt (default 50ms). Each sleep is jittered: the scanner
-	// draws uniformly from [base/2, base) using its seeded rng, so
-	// synchronized workers desynchronize without losing test
-	// reproducibility. Retries also pay the QPS limiter.
+	// per attempt (default 50ms). Each sleep is jittered: drawn from
+	// [base/2, base) as a function of (Seed, query name, type,
+	// attempt), so workers retrying different queries desynchronize
+	// and a replay sleeps the same. Retries also pay the QPS limiter.
 	RetryBackoff time.Duration
 	// Obs, when set, receives scanner metrics (queries issued, RTT
 	// histogram, retries, backoff and limiter wait time). Nil disables
@@ -74,12 +77,6 @@ type Result struct {
 type Scanner struct {
 	cfg     Config
 	limiter *tokenBucket
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	idMu   sync.Mutex
-	nextID uint16
 
 	// Metrics resolved once in New; all nil (no-op) when cfg.Obs is
 	// nil. mRTT and mLimiterWaitNS additionally gate their time.Now
@@ -112,10 +109,7 @@ func New(cfg Config) *Scanner {
 	if cfg.Burst <= 0 {
 		cfg.Burst = cfg.Workers
 	}
-	s := &Scanner{
-		cfg: cfg,
-		rng: rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x5851F42D4C957F2D)),
-	}
+	s := &Scanner{cfg: cfg}
 	if cfg.QPS > 0 {
 		s.limiter = newTokenBucket(cfg.QPS, cfg.Burst)
 	}
@@ -143,39 +137,41 @@ func (s *Scanner) Close() {
 	}
 }
 
-// randomLabel generates the random-subdomain probe label (cache
-// busting plus negative-response elicitation, §4.1).
-func (s *Scanner) randomLabel() string {
-	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := make([]byte, 16)
-	for i := range b {
-		b[i] = alphabet[s.rng.IntN(len(alphabet))]
-	}
-	return "zz-probe-" + string(b)
+// The purposes the scanner draws for.
+const (
+	drawLabel = iota + 1
+	drawID
+	drawJitter
+)
+
+// draw is the scanner's one source of chance: a pure function of its
+// seed, the draw's purpose and the query it serves.
+func (s *Scanner) draw(purpose uint64, qname dnswire.Name, qtype dnswire.Type, attempt int) uint64 {
+	return uint64(mix.New(s.cfg.Seed, purpose).String(string(qname)).Uint64(uint64(qtype)).Uint64(uint64(attempt)))
 }
 
-// jitter maps a base backoff to a uniformly random duration in
-// [d/2, d) — "equal jitter". Drawing from the scanner's seeded rng
-// keeps retry schedules reproducible under a fixed seed; in a
-// loss-free run no retries fire, so the random-label sequence is
-// untouched.
-func (s *Scanner) jitter(d time.Duration) time.Duration {
+// probeLabel is domain's random-subdomain probe label (cache busting
+// plus negative-response elicitation, §4.1): 16 characters of the
+// SplitMix64 stream seeded from the domain's draw.
+func (s *Scanner) probeLabel(domain dnswire.Name) string {
+	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
+	b := []byte("zz-probe-0123456789abcdef")
+	x := s.draw(drawLabel, domain, 0, 0)
+	for i := len("zz-probe-"); i < len(b); i++ {
+		x = mix.SplitMix64(x)
+		b[i] = alphabet[x%uint64(len(alphabet))]
+	}
+	return string(b)
+}
+
+// jitter maps a base backoff to a duration in [d/2, d) — "equal
+// jitter" — drawn from the query and attempt it delays.
+func (s *Scanner) jitter(d time.Duration, qname dnswire.Name, qtype dnswire.Type, attempt int) time.Duration {
 	if d <= 1 {
 		return d
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	half := d / 2
-	return half + time.Duration(s.rng.Int64N(int64(half)))
-}
-
-func (s *Scanner) id() uint16 {
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
-	s.nextID++
-	return s.nextID
+	return half + time.Duration(s.draw(drawJitter, qname, qtype, attempt)%uint64(half))
 }
 
 // query sends one recursive query (RD+CD+DO) through the resolver,
@@ -201,7 +197,9 @@ func (s *Scanner) query(ctx context.Context, qname dnswire.Name, qtype dnswire.T
 			}
 		}
 		actx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
-		q := dnswire.NewQuery(s.id(), qname, qtype, true)
+		// UDPExchanger dials a socket per exchange, so the ID needs to
+		// match its response only, not to be unique.
+		q := dnswire.NewQuery(uint16(s.draw(drawID, qname, qtype, attempt)), qname, qtype, true)
 		q.Header.CheckingDisabled = true
 		s.mQueries.Inc()
 		if attempt > 0 {
@@ -223,7 +221,7 @@ func (s *Scanner) query(ctx context.Context, qname dnswire.Name, qtype dnswire.T
 		if attempt >= s.cfg.Retries || ctx.Err() != nil {
 			return nil, lastErr
 		}
-		sleep := s.jitter(backoff)
+		sleep := s.jitter(backoff, qname, qtype, attempt)
 		t := time.NewTimer(sleep)
 		select {
 		case <-t.C:
@@ -284,7 +282,7 @@ func (s *Scanner) ScanDomain(ctx context.Context, domain dnswire.Name) Result {
 
 	// 4. Random subdomain: elicit NSEC3 (or NSEC) from the negative
 	// response (or from a wildcard expansion's proof).
-	probe, err := domain.Child(s.randomLabel())
+	probe, err := domain.Child(s.probeLabel(domain))
 	if err != nil {
 		res.Err = err
 		return res

@@ -329,11 +329,13 @@ func TestTokenBucketStopWakesWaiters(t *testing.T) {
 	b.Stop() // idempotent
 }
 
+// TestRandomLabelsUnique: 1,000 distinct domains get 1,000 distinct
+// probe labels, each behind the prefix.
 func TestRandomLabelsUnique(t *testing.T) {
 	sc := newScanner(netsim.NewNetwork(1), 0)
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
-		l := sc.randomLabel()
+		l := sc.probeLabel(dnswire.MustParseName(fmt.Sprintf("d%d.example", i)))
 		if seen[l] {
 			t.Fatalf("duplicate label %s", l)
 		}
@@ -401,24 +403,30 @@ func TestEncoderReuse(t *testing.T) {
 }
 
 // TestJitterDeterministicAndBounded: equal jitter must stay inside
-// [d/2, d) and, under a fixed seed, reproduce the same sequence — the
-// property that keeps retry schedules replayable.
+// [d/2, d) and be equal for equal inputs — the property that keeps
+// retry schedules replayable.
 func TestJitterDeterministicAndBounded(t *testing.T) {
 	mk := func() *Scanner {
 		return New(Config{Exchanger: netsim.NewNetwork(1), Seed: 42})
 	}
 	a, b := mk(), mk()
 	base := 80 * time.Millisecond
+	qname := dnswire.MustParseName("a.example")
+	seen := map[time.Duration]bool{}
 	for i := 0; i < 200; i++ {
-		ja := a.jitter(base)
+		ja := a.jitter(base, qname, dnswire.TypeDNSKEY, i)
 		if ja < base/2 || ja >= base {
 			t.Fatalf("jitter %v outside [%v, %v)", ja, base/2, base)
 		}
-		if jb := b.jitter(base); jb != ja {
-			t.Fatalf("draw %d: same seed diverged: %v vs %v", i, ja, jb)
+		if jb := b.jitter(base, qname, dnswire.TypeDNSKEY, i); jb != ja {
+			t.Fatalf("attempt %d: same inputs diverged: %v vs %v", i, ja, jb)
 		}
+		seen[ja] = true
 	}
-	if d := a.jitter(1); d != 1 {
+	if len(seen) < 190 {
+		t.Fatalf("200 attempts drew %d distinct jitters", len(seen))
+	}
+	if d := a.jitter(1, qname, dnswire.TypeDNSKEY, 0); d != 1 {
 		t.Fatalf("degenerate backoff mangled: %v", d)
 	}
 }
