@@ -40,9 +40,9 @@ type Config struct {
 	// Burst is the token-bucket burst capacity when QPS is set
 	// (default: Workers, so every worker can hold one token).
 	Burst int
-	// Seed keys the scanner's draws, each a pure function of the seed
-	// and its subject: a domain's probe label of the domain, a query's
-	// ID and retry jitter of its name, type and attempt. So a scan
+	// Seed keys the scanner's draws. Each is a pure function of the
+	// seed and its subject — the probe label of the domain, a query's
+	// ID and retry jitter of its name, type and attempt — so a scan
 	// sends the same queries at any Workers.
 	Seed uint64
 	// Timeout bounds each query attempt (default 5s).
