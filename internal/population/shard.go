@@ -285,24 +285,3 @@ func specimenPlan(registered int) []RareSpecimen {
 	}
 	return plan
 }
-
-// injectRareSpecimens applies the specimen plan to a materialized
-// universe — the same overrides, at the same NSEC3 ordinals, as the
-// streaming cursor applies.
-func injectRareSpecimens(u *Universe) {
-	plan := specimenPlan(len(u.Domains))
-	ord := 0
-	for i := range u.Domains {
-		if !u.Domains[i].NSEC3 {
-			continue
-		}
-		if ord >= len(plan) {
-			break
-		}
-		d := &u.Domains[i]
-		d.Iterations = plan[ord].Iterations
-		d.SaltLen = plan[ord].SaltLen
-		d.Operator = plan[ord].Operator
-		ord++
-	}
-}
