@@ -77,7 +77,7 @@ func run() error {
 		workers     = flag.Int("workers", 32, "concurrent scan workers")
 		qps         = flag.Int("qps", 0, "query rate limit (0 = unlimited)")
 		inPath      = flag.String("in", "-", "domain list file ('-' = stdin)")
-		seed        = flag.Uint64("seed", 1, "probe label seed")
+		seed        = flag.Uint64("seed", 1, "seed for probe labels, query IDs and retry jitter")
 	)
 	flag.Parse()
 	resolverAddr, err := netip.ParseAddrPort(*resolverArg)
