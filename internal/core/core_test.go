@@ -477,6 +477,34 @@ func TestResolverStudyReportPinned(t *testing.T) {
 	}
 }
 
+// TestResolverStudyHashWork pins the SHA-1 work the resolverstudy
+// benchmark's configuration (ScaleDen 1000, four shards, seed 1) makes
+// its validators do: resolver_nsec3_hash_work_total, one count per
+// name hashed plus one per additional iteration. The validators hash
+// every candidate closest encloser, next-closer name and wildcard on
+// every proof, with no memo (package nsec3's "What the chain indexes"),
+// so a change that makes the study cheaper by hashing less moves this
+// number, and one that only takes other work off the proof path does
+// not.
+func TestResolverStudyHashWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end resolver study is slow")
+	}
+	reg := obs.NewRegistry()
+	if _, err := RunResolverStudy(context.Background(), ResolverStudyConfig{
+		ScaleDen: 1000,
+		Shards:   4,
+		Seed:     1,
+		Obs:      reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const want = 1_002_013
+	if got := reg.Counter("resolver_nsec3_hash_work_total", "").Value(); got != want {
+		t.Errorf("resolver_nsec3_hash_work_total = %d, want %d", got, want)
+	}
+}
+
 // TestResolverStudyShardEquivalence is the Figure 3 twin of
 // TestSurveyShardEquivalence: the study with Shards=1 and Shards=3 at
 // the same seed must produce byte-identical reports, the

@@ -2,6 +2,8 @@ package nsec3
 
 import (
 	"bytes"
+	"crypto/sha1"
+	"strings"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -54,6 +56,42 @@ func FuzzHash(f *testing.F) {
 			if err != nil || !bytes.Equal(h, want) {
 				t.Fatalf("Hash(%q, %v) on the crypto/sha1 loop = %x, reference %x (err %v)", name, p, h, want, err)
 			}
+		}
+	})
+}
+
+// FuzzHashFromOwner holds HashFromOwner to referenceHashFromOwner on
+// every owner name the parser accepts. Where both accept they return
+// the same HashLen octets, and a label the reference rejects is
+// rejected. HashFromOwner may reject what the reference accepts only
+// when the raw leftmost label is not 32 base32hex characters: the
+// standard library's decoder skips CR and LF octets, and strings.ToUpper
+// turns some non-ASCII letters (U+0131, U+017F) into ASCII ones.
+func FuzzHashFromOwner(f *testing.F) {
+	h := sha1.Sum([]byte("owner"))
+	label := EncodeHash(h[:])
+	for _, s := range []string{
+		label + ".example.com.", strings.ToUpper(label) + ".example.", label, ".",
+		label[:31] + ".example.", label + "0.example.", label[:31] + "w.example.",
+		label[:16] + `\010` + label[16:] + ".example.", label[:31] + `\196\177.example.`,
+		label[:8] + `\.` + label[9:] + ".example.", "0123456789abcdef.example.com.", "!!!!.example.com.",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		owner, err := dnswire.ParseName(s)
+		if err != nil {
+			return
+		}
+		got, err := HashFromOwner(owner)
+		want, werr := referenceHashFromOwner(owner)
+		switch {
+		case werr != nil && err == nil:
+			t.Fatalf("HashFromOwner(%q) = %x, reference rejects it: %v", owner, got, werr)
+		case werr == nil && err != nil && isBase32HexLabel(owner.Labels()[0]):
+			t.Fatalf("HashFromOwner(%q) rejects a base32hex label: %v (reference %x)", owner, err, want)
+		case err == nil && !bytes.Equal(got, want):
+			t.Fatalf("HashFromOwner(%q) = %x, reference %x", owner, got, want)
 		}
 	})
 }
