@@ -320,3 +320,33 @@ func TestVerifyMemoHitAllocs(t *testing.T) {
 		t.Fatalf("only %d hits: the measured calls were not hits", f.hits())
 	}
 }
+
+// TestVerifyMismatchAllocFree pins the common case of a validator
+// trying each DNSKEY against each RRSIG: a pair whose key tag or
+// algorithm differ is rejected without allocating, and the error still
+// wraps ErrSigMismatch with the same text.
+func TestVerifyMismatchAllocFree(t *testing.T) {
+	f := newMemoFixture(t, dnswire.AlgECDSAP256SHA256)
+	otherTag := f.sig
+	otherTag.KeyTag++
+	otherAlg := f.sig
+	otherAlg.Algorithm = dnswire.AlgEd25519
+	for _, c := range []struct {
+		name string
+		sig  dnswire.RRSIG
+		want string
+	}{
+		{"key tag", otherTag, "dnssec: RRSIG does not match RRset: key tag"},
+		{"algorithm", otherAlg, "dnssec: RRSIG does not match RRset: algorithm"},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() {
+			err = f.memo.VerifyWithRRSIG(f.set, c.sig, f.key, f.zone, testNow)
+		}); n != 0 {
+			t.Errorf("%s mismatch allocates %.1f times per run, want 0", c.name, n)
+		}
+		if !errors.Is(err, ErrSigMismatch) || err.Error() != c.want {
+			t.Errorf("%s mismatch: %v, want %q wrapping ErrSigMismatch", c.name, err, c.want)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func NewRRset(rrs []dnswire.RR) (RRset, error) {
 	if len(rrs) == 0 {
 		return RRset{}, errors.New("dnssec: empty RRset")
 	}
-	set := RRset{Name: rrs[0].Name, Class: rrs[0].Class, TTL: rrs[0].TTL}
+	set := RRset{Name: rrs[0].Name, Class: rrs[0].Class, TTL: rrs[0].TTL, Datas: make([]dnswire.RData, 0, len(rrs))}
 	t := rrs[0].Type()
 	for _, rr := range rrs {
 		if rr.Name != set.Name || rr.Class != set.Class || rr.Type() != t {
@@ -265,6 +265,17 @@ var (
 	ErrSigMismatch    = errors.New("dnssec: RRSIG does not match RRset")
 )
 
+// The structural mismatches VerifyWithRRSIG meets on every RRSIG and
+// DNSKEY pair that do not belong together — RFC 4035 §5.3.1 selects a
+// candidate key by algorithm and key tag — carry nothing of the pair,
+// so they are built once.
+var (
+	errNotZoneKey   = errors.New("dnssec: DNSKEY is not a zone key")
+	errProtocol     = errors.New("dnssec: DNSKEY protocol is not 3")
+	errSigAlgorithm = fmt.Errorf("%w: algorithm", ErrSigMismatch)
+	errSigKeyTag    = fmt.Errorf("%w: key tag", ErrSigMismatch)
+)
+
 // serialLTE compares 32-bit serial-arithmetic timestamps (RFC 1982):
 // a <= b when the signed distance is non-negative.
 func serialLTE(a, b uint32) bool { return int32(b-a) >= 0 }
@@ -380,16 +391,16 @@ func VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dn
 // signature check itself, a pure function of bytes, is remembered.
 func (m *VerifyMemo) VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY, signer dnswire.Name, now uint32) error {
 	if !key.IsZoneKey() {
-		return errors.New("dnssec: DNSKEY is not a zone key")
+		return errNotZoneKey
 	}
 	if key.Protocol != 3 {
-		return errors.New("dnssec: DNSKEY protocol is not 3")
+		return errProtocol
 	}
 	if sig.Algorithm != key.Algorithm {
-		return fmt.Errorf("%w: algorithm", ErrSigMismatch)
+		return errSigAlgorithm
 	}
 	if sig.KeyTag != KeyTag(key) {
-		return fmt.Errorf("%w: key tag", ErrSigMismatch)
+		return errSigKeyTag
 	}
 	if sig.SignerName != signer {
 		return fmt.Errorf("%w: signer %s, zone %s", ErrSigMismatch, sig.SignerName, signer)

@@ -364,3 +364,23 @@ func TestUnpackAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// querySink keeps NewQuery's message live so escape analysis cannot
+// stack-allocate it.
+var querySink *Message
+
+// TestNewQuerySingleAlloc pins the query constructor every resolver,
+// scanner and prober calls per upstream question: the message, its
+// question, its additional section and the OPT are one allocation.
+func TestNewQuerySingleAlloc(t *testing.T) {
+	name := MustParseName("www.example.org.")
+	if n := testing.AllocsPerRun(200, func() {
+		querySink = NewQuery(7, name, TypeA, true)
+	}); n != 1 {
+		t.Errorf("NewQuery allocates %.1f times per run, want exactly 1", n)
+	}
+	o, ok := querySink.OPT()
+	if !ok || !o.DO || o.UDPSize != DefaultUDPSize || len(querySink.Questions) != 1 || len(querySink.Additional) != 1 {
+		t.Fatalf("NewQuery built %+v", querySink)
+	}
+}

@@ -182,17 +182,27 @@ func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
 }
 
 // NewQuery builds a standard recursive query for (name, type) with
-// EDNS(0) and the DO bit set when dnssec is true.
+// EDNS(0) and the DO bit set when dnssec is true. The message, its
+// question, its additional section and the OPT live in one allocation;
+// each section is a full slice, so appending to one copies it out.
 func NewQuery(id uint16, name Name, t Type, dnssec bool) *Message {
-	m := &Message{
+	q := &struct {
+		msg        Message
+		question   [1]Question
+		additional [1]RR
+		opt        OPT
+	}{}
+	q.question[0] = Question{Name: name, Type: t, Class: ClassIN}
+	q.opt = OPT{UDPSize: DefaultUDPSize, DO: dnssec}
+	q.additional[0] = q.opt.AsRR()
+	q.msg = Message{
 		Header: Header{
 			ID:               id,
 			Opcode:           OpcodeQuery,
 			RecursionDesired: true,
 		},
-		Questions: []Question{{Name: name, Type: t, Class: ClassIN}},
+		Questions:  q.question[:],
+		Additional: q.additional[:],
 	}
-	opt := &OPT{UDPSize: DefaultUDPSize, DO: dnssec}
-	m.Additional = append(m.Additional, opt.AsRR())
-	return m
+	return &q.msg
 }

@@ -151,3 +151,60 @@ func TestServerHashCount(t *testing.T) {
 		t.Errorf("NODATA proof of an existing name took %v, one hash %v: an indexed name must not be hashed", nodata, hash)
 	}
 }
+
+// TestAppendHashFromOwnerAllocFree pins the owner-label decode: the
+// label is read where it stands in the owner name and decoded into the
+// caller's buffer.
+func TestAppendHashFromOwnerAllocFree(t *testing.T) {
+	c, _ := buildTestChain(t, Params{Alg: dnswire.NSEC3HashSHA1}, false)
+	owner := c.Records[0].Full.Name
+	dst := make([]byte, 0, HashLen)
+	if n := testing.AllocsPerRun(100, func() {
+		var err error
+		if dst, err = AppendHashFromOwner(dst[:0], owner); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendHashFromOwner into spare capacity allocates %.1f times per run, want 0", n)
+	}
+}
+
+// setSink keeps the extracted set live so the measured calls are not
+// elided.
+var setSink *ResponseSet
+
+// TestVerifyNXDOMAINAllocFree pins the validator side of a negative
+// answer: extracting the three-record proof is three allocations (the
+// set, its records, one array of owner hashes), and verifying it is
+// none at iterations 0 and 150 — the candidate enclosers and the next
+// closer are qname's suffixes, the wildcard is hashed without being
+// built, and every hash lives on the stack.
+func TestVerifyNXDOMAINAllocFree(t *testing.T) {
+	for _, iters := range []uint16{0, 150} {
+		c, names := buildTestChain(t, Params{Alg: dnswire.NSEC3HashSHA1, Iterations: iters}, false)
+		qname := dnswire.MustParseName("x.y.www.example.com")
+		proof, err := c.ProveNXDOMAIN(qname, existsFn(names))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rrs []dnswire.RR
+		for _, r := range proofRecords(proof) {
+			rrs = append(rrs, c.RRFor(r, 300))
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if setSink, err = ExtractResponseSet(rrs); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 3 {
+			t.Errorf("iterations %d: ExtractResponseSet allocates %.1f times per run, want at most 3", iters, n)
+		}
+		set := setSink
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := set.VerifyNXDOMAIN(qname); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("iterations %d: VerifyNXDOMAIN allocates %.1f times per run, want 0", iters, n)
+		}
+	}
+}

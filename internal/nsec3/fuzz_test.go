@@ -60,10 +60,10 @@ func FuzzHash(f *testing.F) {
 	})
 }
 
-// FuzzHashFromOwner holds HashFromOwner to referenceHashFromOwner on
-// every owner name the parser accepts. Where both accept they return
+// FuzzHashFromOwner holds AppendHashFromOwner to referenceHashFromOwner
+// on every owner name the parser accepts. Where both accept they return
 // the same HashLen octets, and a label the reference rejects is
-// rejected. HashFromOwner may reject what the reference accepts only
+// rejected. AppendHashFromOwner may reject what the reference accepts only
 // when the raw leftmost label is not 32 base32hex characters: the
 // standard library's decoder skips CR and LF octets, and strings.ToUpper
 // turns some non-ASCII letters (U+0131, U+017F) into ASCII ones.
@@ -83,15 +83,15 @@ func FuzzHashFromOwner(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, err := HashFromOwner(owner)
+		got, err := AppendHashFromOwner(nil, owner)
 		want, werr := referenceHashFromOwner(owner)
 		switch {
 		case werr != nil && err == nil:
-			t.Fatalf("HashFromOwner(%q) = %x, reference rejects it: %v", owner, got, werr)
+			t.Fatalf("AppendHashFromOwner(%q) = %x, reference rejects it: %v", owner, got, werr)
 		case werr == nil && err != nil && isBase32HexLabel(owner.Labels()[0]):
-			t.Fatalf("HashFromOwner(%q) rejects a base32hex label: %v (reference %x)", owner, err, want)
+			t.Fatalf("AppendHashFromOwner(%q) rejects a base32hex label: %v (reference %x)", owner, err, want)
 		case err == nil && !bytes.Equal(got, want):
-			t.Fatalf("HashFromOwner(%q) = %x, reference %x", owner, got, want)
+			t.Fatalf("AppendHashFromOwner(%q) = %x, reference %x", owner, got, want)
 		}
 	})
 }

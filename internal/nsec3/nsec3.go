@@ -115,6 +115,17 @@ func Hash(name dnswire.Name, p Params) ([]byte, error) {
 // performs zero heap allocations — this is the form the denial-proof
 // serving path uses per query.
 func AppendHash(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
+	return appendHash(dst, "", name, p)
+}
+
+// wildcardWire is the wire form of the label "*".
+const wildcardWire = "\x01*"
+
+// appendHash is AppendHash of the name whose wire form is prefix (the
+// wire form of whole labels, or "") followed by name's. The validator
+// hashes "*.<closest encloser>" with prefix wildcardWire, so the
+// wildcard name is never built; prefix plus name must be a legal name.
+func appendHash(dst []byte, prefix string, name dnswire.Name, p Params) ([]byte, error) {
 	if p.Alg != dnswire.NSEC3HashSHA1 {
 		return nil, ErrUnknownAlg
 	}
@@ -122,12 +133,12 @@ func AppendHash(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
 		// A salt beyond the one-octet wire limit cannot appear in a
 		// valid NSEC3PARAM; accept it anyway (robustness principle) on
 		// a heap-allocating cold path.
-		return appendHashBigSalt(dst, name, p)
+		return appendHashBigSalt(dst, prefix, name, p)
 	}
 	// Big enough for wire-form name + salt (first round) and for
 	// digest + salt (every additional iteration).
 	var scratch [dnswire.MaxNameWireLen + MaxSaltLen]byte
-	buf := scratch[:0]
+	buf := append(scratch[:0], prefix...)
 	buf = name.AppendWire(buf)
 	buf = append(buf, p.Salt...)
 	digest := sha1.Sum(buf)
@@ -188,8 +199,9 @@ func rehashOneBlock(digest *[HashLen]byte, p Params) {
 
 // appendHashBigSalt is AppendHash for salts too long for the stack
 // scratch buffer.
-func appendHashBigSalt(dst []byte, name dnswire.Name, p Params) ([]byte, error) {
-	buf := make([]byte, 0, name.WireLen()+len(p.Salt))
+func appendHashBigSalt(dst []byte, prefix string, name dnswire.Name, p Params) ([]byte, error) {
+	buf := make([]byte, 0, len(prefix)+name.WireLen()+len(p.Salt))
+	buf = append(buf, prefix...)
 	buf = name.AppendWire(buf)
 	buf = append(buf, p.Salt...)
 	digest := sha1.Sum(buf)
@@ -202,22 +214,56 @@ func appendHashBigSalt(dst []byte, name dnswire.Name, p Params) ([]byte, error) 
 	return append(dst, digest[:]...), nil
 }
 
-// base32Hex is unpadded Base32 with the "extended hex" alphabet
-// (RFC 5155 §1.3), the encoding of NSEC3 owner labels; base32HexLower
-// is the same alphabet in the lower case normalized names use.
-var (
-	base32Hex      = base32.HexEncoding.WithPadding(base32.NoPadding)
-	base32HexLower = base32.NewEncoding("0123456789abcdefghijklmnopqrstuv").WithPadding(base32.NoPadding)
-)
+// base32HexLower is unpadded Base32 with the "extended hex" alphabet
+// (RFC 5155 §1.3), the encoding of NSEC3 owner labels, in the lower
+// case normalized names use.
+var base32HexLower = base32.NewEncoding("0123456789abcdefghijklmnopqrstuv").WithPadding(base32.NoPadding)
+
+// hashLabelLen is the length of an owner label: HashLen octets in
+// base32hex, five bits a character.
+const hashLabelLen = HashLen * 8 / 5
+
+// base32HexValue maps each octet to its base32hex digit value, in
+// either case, or 0xFF for an octet outside the alphabet.
+var base32HexValue = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xFF
+	}
+	for i, c := range "0123456789abcdefghijklmnopqrstuv" {
+		t[c] = byte(i)
+		if c >= 'a' {
+			t[c-'a'+'A'] = byte(i)
+		}
+	}
+	return t
+}()
 
 // EncodeHash renders a raw hash as the lowercase Base32hex owner label.
 func EncodeHash(h []byte) string {
 	return base32HexLower.EncodeToString(h)
 }
 
-// DecodeHash parses a Base32hex owner label back to the raw hash.
-func DecodeHash(label string) ([]byte, error) {
-	return base32Hex.DecodeString(strings.ToUpper(label))
+// appendDecodedHash appends the HashLen octets a 32-character base32hex
+// label spells to dst; ok is false, and dst unchanged, for any other
+// label. Eight characters carry five octets, so the label is four such
+// groups.
+func appendDecodedHash(dst []byte, label string) (out []byte, ok bool) {
+	if len(label) != hashLabelLen {
+		return dst, false
+	}
+	out = dst
+	for g := 0; g < hashLabelLen; g += 8 {
+		var v uint64
+		for i := g; i < g+8; i++ {
+			d := base32HexValue[label[i]]
+			if d == 0xFF {
+				return dst, false
+			}
+			v = v<<5 | uint64(d)
+		}
+		out = append(out, byte(v>>32), byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	}
+	return out, true
 }
 
 // OwnerName returns the NSEC3 owner name for the hash of name in zone:
@@ -230,21 +276,25 @@ func OwnerName(name, zone dnswire.Name, p Params) (dnswire.Name, error) {
 	return zone.Child(EncodeHash(h))
 }
 
-// HashFromOwner extracts the raw hash encoded in an NSEC3 RR's owner
-// name (its leftmost label).
-func HashFromOwner(owner dnswire.Name) ([]byte, error) {
-	labels := owner.Labels()
-	if len(labels) == 0 {
+// AppendHashFromOwner appends the raw hash encoded in an NSEC3 RR's
+// owner name (its leftmost label) to dst. The label is read where it
+// stands in the owner's presentation form: a hash label is 32
+// characters of 0-9 and a-v, which a normalized name never escapes, so
+// a label holding an escape is not one. With a dst of sufficient
+// capacity the call allocates nothing.
+func AppendHashFromOwner(dst []byte, owner dnswire.Name) ([]byte, error) {
+	if owner.IsRoot() {
 		return nil, fmt.Errorf("nsec3: owner name %q has no hash label", owner)
 	}
-	h, err := DecodeHash(labels[0])
-	if err != nil {
-		return nil, fmt.Errorf("nsec3: owner label %q: %w", labels[0], err)
+	label := strings.TrimSuffix(string(owner), ".")
+	if parent := owner.Parent(); !parent.IsRoot() {
+		label = label[:len(owner)-len(parent)-1]
 	}
-	if len(h) != HashLen {
-		return nil, fmt.Errorf("nsec3: owner hash is %d octets, want %d", len(h), HashLen)
+	out, ok := appendDecodedHash(dst, label)
+	if !ok {
+		return nil, fmt.Errorf("nsec3: owner label %q is not a %d-octet base32hex hash", label, HashLen)
 	}
-	return h, nil
+	return out, nil
 }
 
 // Covers reports whether the circular span (ownerHash, nextHash)
@@ -489,7 +539,8 @@ func (c *Chain) ByOwner(owner dnswire.Name) (*Record, bool) {
 	if len(c.Records) == 0 || owner.IsRoot() || owner.Parent() != c.Zone {
 		return nil, false
 	}
-	h, err := HashFromOwner(owner)
+	var hb [HashLen]byte
+	h, err := AppendHashFromOwner(hb[:0], owner)
 	if err != nil {
 		return nil, false
 	}

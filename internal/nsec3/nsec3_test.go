@@ -103,12 +103,11 @@ func TestEncodeDecodeHash(t *testing.T) {
 	if strings.ToLower(label) != label {
 		t.Fatal("label not lowercase")
 	}
-	back, err := DecodeHash(label)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, h) {
-		t.Fatal("decode mismatch")
+	for _, l := range []string{label, strings.ToUpper(label)} {
+		back, ok := appendDecodedHash(nil, l)
+		if !ok || !bytes.Equal(back, h) {
+			t.Fatalf("appendDecodedHash(%q) = %x, %t; want %x", l, back, ok, h)
+		}
 	}
 }
 
@@ -122,26 +121,43 @@ func TestOwnerNameAndBack(t *testing.T) {
 	if !owner.IsSubdomainOf(zone) || owner.CountLabels() != 3 {
 		t.Fatalf("owner = %s", owner)
 	}
-	h, err := HashFromOwner(owner)
+	prefix := []byte{0xff}
+	h, err := AppendHashFromOwner(prefix, owner)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := Hash(dnswire.MustParseName("www.example.com"), p)
-	if !bytes.Equal(h, want) {
-		t.Fatal("HashFromOwner mismatch")
+	if !bytes.Equal(h, append(prefix, want...)) {
+		t.Fatalf("AppendHashFromOwner = %x, want ff%x", h, want)
+	}
+	// An owner directly under the root has the same label.
+	under, err := dnswire.Root.Child(owner.Labels()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := AppendHashFromOwner(nil, under); err != nil || !bytes.Equal(h, want) {
+		t.Fatalf("AppendHashFromOwner(%s) = %x, %v; want %x", under, h, err, want)
 	}
 }
 
+// TestHashFromOwnerRejects checks that an owner label is a hash only
+// when it is 32 base32hex characters. The last two labels are what the
+// standard library's decoder once accepted: it skips CR and LF, and
+// upper-casing turns U+0131 (dotless i) into an ASCII I.
 func TestHashFromOwnerRejects(t *testing.T) {
-	if _, err := HashFromOwner(dnswire.Root); err == nil {
-		t.Fatal("root accepted")
-	}
-	// Wrong-length but valid base32hex.
-	if _, err := HashFromOwner(dnswire.MustParseName("0123456789abcdef.example.com")); err == nil {
-		t.Fatal("short hash accepted")
-	}
-	if _, err := HashFromOwner(dnswire.MustParseName("!!!!.example.com")); err == nil {
-		t.Fatal("non-base32hex accepted")
+	label := EncodeHash(mustHex("0123456789abcdef0123456789abcdef01234567"))
+	for _, owner := range []dnswire.Name{
+		dnswire.Root,
+		dnswire.MustParseName("0123456789abcdef.example.com"), // valid base32hex, short
+		dnswire.MustParseName(label + "0.example.com"),
+		dnswire.MustParseName("!!!!.example.com"),
+		dnswire.MustParseName(label[:31] + "w.example.com"),
+		dnswire.MustParseName(label[:16] + `\010` + label[16:] + ".example.com"),
+		dnswire.MustParseName(label[:31] + `\196\177.example.com`),
+	} {
+		if h, err := AppendHashFromOwner(nil, owner); err == nil {
+			t.Errorf("AppendHashFromOwner(%s) = %x, want an error", owner, h)
+		}
 	}
 }
 

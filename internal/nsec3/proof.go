@@ -152,29 +152,41 @@ type ResponseSet struct {
 // ExtractResponseSet collects the NSEC3 RRs from rrs (typically a
 // response's authority section), checks RFC 5155 §8.2's requirement
 // that all parameters agree, and infers the zone from the owner names.
+// The set, its records and one array for all owner hashes are its
+// three allocations.
 func ExtractResponseSet(rrs []dnswire.RR) (*ResponseSet, error) {
-	var set *ResponseSet
+	n := 0
+	for _, rr := range rrs {
+		if _, ok := rr.Data.(dnswire.NSEC3); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, errors.New("nsec3: no NSEC3 records in response")
+	}
+	set := &ResponseSet{Records: make([]Record, 0, n)}
+	// Each record's window is capped so an append through it cannot
+	// reach its neighbour.
+	hashes := make([]byte, 0, n*HashLen)
 	for _, rr := range rrs {
 		n3, ok := rr.Data.(dnswire.NSEC3)
 		if !ok {
 			continue
 		}
-		h, err := HashFromOwner(rr.Name)
-		if err != nil {
+		off := len(hashes)
+		var err error
+		if hashes, err = AppendHashFromOwner(hashes, rr.Name); err != nil {
 			return nil, err
 		}
 		p := Params{Alg: n3.HashAlg, Iterations: n3.Iterations, Salt: n3.Salt}
 		zone := rr.Name.Parent()
-		if set == nil {
-			set = &ResponseSet{Zone: zone, Params: p}
+		if len(set.Records) == 0 {
+			set.Zone, set.Params = zone, p
 		} else if set.Params.Alg != p.Alg || set.Params.Iterations != p.Iterations ||
 			!bytes.Equal(set.Params.Salt, p.Salt) || set.Zone != zone {
 			return nil, ErrInconsistentParams
 		}
-		set.Records = append(set.Records, Record{OwnerHash: h, RR: n3})
-	}
-	if set == nil {
-		return nil, errors.New("nsec3: no NSEC3 records in response")
+		set.Records = append(set.Records, Record{OwnerHash: hashes[off:len(hashes):len(hashes)], RR: n3})
 	}
 	return set, nil
 }
@@ -204,13 +216,16 @@ func (s *ResponseSet) covered(h []byte) (Record, bool) {
 // covering next-closer record (whose Opt-Out bit weakens the proof for
 // delegations). The cost of this function grows linearly with the
 // iteration count — one iterated hash per candidate ancestor — which is
-// the resolver-side exposure the paper measures.
+// the resolver-side exposure the paper measures. The names it returns
+// and hashes are qname's suffixes and every hash lives on the stack, so
+// a proof that verifies allocates nothing.
 func (s *ResponseSet) VerifyNXDOMAIN(qname dnswire.Name) (ce dnswire.Name, nextCloserRec Record, err error) {
 	ce, nextCloser, err := s.findClosestEncloser(qname)
 	if err != nil {
 		return "", Record{}, err
 	}
-	ncHash, err := Hash(nextCloser, s.Params)
+	var hb [HashLen]byte
+	ncHash, err := AppendHash(hb[:0], nextCloser, s.Params)
 	if err != nil {
 		return "", Record{}, err
 	}
@@ -218,7 +233,8 @@ func (s *ResponseSet) VerifyNXDOMAIN(qname dnswire.Name) (ce dnswire.Name, nextC
 	if !ok {
 		return "", Record{}, fmt.Errorf("%w: next closer %s", ErrNotCovered, nextCloser)
 	}
-	wcHash, err := Hash(ce.Wildcard(), s.Params)
+	// ce is a proper ancestor of qname, so "*." + ce is a legal name.
+	wcHash, err := appendHash(hb[:0], wildcardWire, ce, s.Params)
 	if err != nil {
 		return "", Record{}, err
 	}
@@ -231,7 +247,8 @@ func (s *ResponseSet) VerifyNXDOMAIN(qname dnswire.Name) (ce dnswire.Name, nextC
 // VerifyNODATA validates a NODATA proof: an NSEC3 matching qname whose
 // bitmap lacks qtype and CNAME (RFC 5155 §8.5).
 func (s *ResponseSet) VerifyNODATA(qname dnswire.Name, qtype dnswire.Type) error {
-	h, err := Hash(qname, s.Params)
+	var hb [HashLen]byte
+	h, err := AppendHash(hb[:0], qname, s.Params)
 	if err != nil {
 		return err
 	}
@@ -250,15 +267,16 @@ func (s *ResponseSet) VerifyNODATA(qname dnswire.Name, qtype dnswire.Type) error
 // covered, proving the exact name absent (RFC 5155 §8.8). The RRSIG
 // Labels field supplies wildcardLabels.
 func (s *ResponseSet) VerifyWildcardAnswer(qname dnswire.Name, wildcardLabels int) error {
-	labels := qname.Labels()
-	if wildcardLabels >= len(labels) {
+	n := qname.CountLabels()
+	if wildcardLabels >= n {
 		return fmt.Errorf("nsec3: wildcard label count %d not below qname %s", wildcardLabels, qname)
 	}
-	nextCloser, err := nameFromSuffix(labels, wildcardLabels+1)
-	if err != nil {
-		return err
+	nextCloser := qname
+	for drop := n - wildcardLabels - 1; drop > 0; drop-- {
+		nextCloser = nextCloser.Parent()
 	}
-	h, err := Hash(nextCloser, s.Params)
+	var hb [HashLen]byte
+	h, err := AppendHash(hb[:0], nextCloser, s.Params)
 	if err != nil {
 		return err
 	}
@@ -280,7 +298,8 @@ func (s *ResponseSet) VerifyNoDS(qname dnswire.Name) (Record, error) {
 		return Record{}, err
 	}
 	_ = ce
-	h, err := Hash(nextCloser, s.Params)
+	var hb [HashLen]byte
+	h, err := AppendHash(hb[:0], nextCloser, s.Params)
 	if err != nil {
 		return Record{}, err
 	}
@@ -296,34 +315,28 @@ func (s *ResponseSet) VerifyNoDS(qname dnswire.Name) (Record, error) {
 
 // findClosestEncloser implements RFC 5155 §8.3: the longest ancestor of
 // qname with a matching NSEC3 whose immediate child on qname's path is
-// covered.
+// covered. Candidates are qname's suffixes (Parent), so none is built.
 func (s *ResponseSet) findClosestEncloser(qname dnswire.Name) (ce, nextCloser dnswire.Name, err error) {
-	labels := qname.Labels()
+	if qname.IsRoot() {
+		return "", "", ErrNoClosestEncloser
+	}
+	var hb [HashLen]byte
 	// Candidate enclosers from longest (qname's parent) to the zone.
-	for drop := 1; drop <= len(labels); drop++ {
-		candidate, err := nameFromSuffix(labels, len(labels)-drop)
-		if err != nil {
-			return "", "", err
-		}
+	for child := qname; ; child = child.Parent() {
+		candidate := child.Parent()
 		if !candidate.IsSubdomainOf(s.Zone) {
 			break
 		}
-		h, err := Hash(candidate, s.Params)
+		h, err := AppendHash(hb[:0], candidate, s.Params)
 		if err != nil {
 			return "", "", err
 		}
 		if _, ok := s.matches(h); ok {
-			nc, err := nameFromSuffix(labels, len(labels)-drop+1)
-			if err != nil {
-				return "", "", err
-			}
-			return candidate, nc, nil
+			return candidate, child, nil
+		}
+		if candidate.IsRoot() {
+			break
 		}
 	}
 	return "", "", ErrNoClosestEncloser
-}
-
-// nameFromSuffix builds the name made of the last n labels.
-func nameFromSuffix(labels []string, n int) (dnswire.Name, error) {
-	return dnswire.FromLabels(labels[len(labels)-n:]...)
 }

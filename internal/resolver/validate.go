@@ -173,41 +173,75 @@ type rrGroup struct {
 	sigs []dnswire.RR
 }
 
-// groupRRsets splits a section into RRsets and attaches RRSIGs.
+// groupRRsets splits a section into RRsets and attaches RRSIGs. Groups
+// keep the order of their first record, and a group of signatures alone
+// is dropped (its data lives elsewhere or is absent). The first pass
+// sizes the groups that hold data; the second lays each out, records
+// then signatures, in one array shared by all groups, so the result is
+// two allocations. A record finds the rest of its group by scanning the
+// section, which is quadratic in its length: a validator's sections
+// are a handful of records.
 func groupRRsets(rrs []dnswire.RR) []rrGroup {
-	type key struct {
-		name dnswire.Name
-		t    dnswire.Type
+	groups, size := 0, 0
+	for i := range rrs {
+		if data, sigs := groupAt(rrs, i); data > 0 {
+			groups++
+			size += data + sigs
+		}
 	}
-	idx := make(map[key]int)
-	var out []rrGroup
-	for _, rr := range rrs {
-		if sig, ok := rr.Data.(dnswire.RRSIG); ok {
-			k := key{rr.Name, sig.TypeCovered}
-			if i, ok := idx[k]; ok {
-				out[i].sigs = append(out[i].sigs, rr)
-			} else {
-				idx[k] = len(out)
-				out = append(out, rrGroup{sigs: []dnswire.RR{rr}})
-			}
+	if groups == 0 {
+		return nil
+	}
+	out := make([]rrGroup, 0, groups)
+	all := make([]dnswire.RR, 0, size)
+	for i := range rrs {
+		data, _ := groupAt(rrs, i)
+		if data == 0 {
 			continue
 		}
-		k := key{rr.Name, rr.Type()}
-		if i, ok := idx[k]; ok {
-			out[i].rrs = append(out[i].rrs, rr)
-		} else {
-			idx[k] = len(out)
-			out = append(out, rrGroup{rrs: []dnswire.RR{rr}})
+		name, t, _ := groupKey(rrs[i])
+		start := len(all)
+		for _, wantSig := range [2]bool{false, true} {
+			for _, rr := range rrs[i:] {
+				if n, u, sig := groupKey(rr); n == name && u == t && sig == wantSig {
+					all = append(all, rr)
+				}
+			}
+		}
+		mid := start + data
+		out = append(out, rrGroup{rrs: all[start:mid:mid], sigs: all[mid:len(all):len(all)]})
+	}
+	return out
+}
+
+// groupKey is what a record is grouped by: its owner and type, or, for
+// an RRSIG, the type it covers.
+func groupKey(rr dnswire.RR) (name dnswire.Name, t dnswire.Type, sig bool) {
+	if s, ok := rr.Data.(dnswire.RRSIG); ok {
+		return rr.Name, s.TypeCovered, true
+	}
+	return rr.Name, rr.Type(), false
+}
+
+// groupAt counts the records and signatures of rrs[i]'s group when
+// rrs[i] is its first record, and returns 0, 0 otherwise.
+func groupAt(rrs []dnswire.RR, i int) (data, sigs int) {
+	name, t, _ := groupKey(rrs[i])
+	for _, rr := range rrs[:i] {
+		if n, u, _ := groupKey(rr); n == name && u == t {
+			return 0, 0
 		}
 	}
-	// Drop signature-only groups (their data lives elsewhere or is absent).
-	kept := out[:0]
-	for _, g := range out {
-		if len(g.rrs) > 0 {
-			kept = append(kept, g)
+	for _, rr := range rrs[i:] {
+		if n, u, sig := groupKey(rr); n == name && u == t {
+			if sig {
+				sigs++
+			} else {
+				data++
+			}
 		}
 	}
-	return kept
+	return data, sigs
 }
 
 // verifyGroup is the one RRset verifier: it reports whether any of g's

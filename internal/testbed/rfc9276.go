@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
@@ -30,12 +31,24 @@ type Subdomain struct {
 	// series); otherwise it queries a wildcard-synthesized name
 	// (valid/expired).
 	WantNXDOMAIN bool
+
+	// apex and www are <label>.<domain> and www.<label>.<domain>, set
+	// on the subdomains Subdomains returns so a probe name is one
+	// Child away. A Subdomain built elsewhere has them empty, and its
+	// methods parse its label instead.
+	apex, www dnswire.Name
 }
 
 // Subdomains returns the paper's 49 test subdomains (§4.2) plus
 // it-2501-expired: valid, expired, it-1…it-25, it-50…it-500 in steps of
-// 25, and the limit successors it-51, it-101, it-151.
-func Subdomains() []Subdomain {
+// 25, and the limit successors it-51, it-101, it-151. The slice is the
+// caller's.
+func Subdomains() []Subdomain { return slices.Clone(subdomains) }
+
+// subdomains is what Subdomains returns, built once.
+var subdomains = buildSubdomains()
+
+func buildSubdomains() []Subdomain {
 	out := []Subdomain{
 		{Label: "valid", Iterations: 0},
 		{Label: "expired", Iterations: 0, ExpireAll: true},
@@ -60,6 +73,10 @@ func Subdomains() []Subdomain {
 		Label: "it-2501-expired", Iterations: 2501,
 		ExpireDenial: true, WantNXDOMAIN: true,
 	})
+	for i := range out {
+		out[i].apex = out[i].Apex()
+		out[i].www = out[i].apex.MustChild("www")
+	}
 	return out
 }
 
@@ -71,15 +88,20 @@ func Subdomains() []Subdomain {
 // the apex wildcard, as the paper's cache-busting wildcard records
 // provide).
 func (s Subdomain) QName(unique string) dnswire.Name {
-	base := dnswire.MustParseName(s.Label + "." + TestbedDomain)
-	if s.WantNXDOMAIN {
-		return base.MustChild("www").MustChild(unique)
+	if !s.WantNXDOMAIN {
+		return s.Apex().MustChild(unique)
 	}
-	return base.MustChild(unique)
+	if s.www == "" {
+		s.www = s.Apex().MustChild("www")
+	}
+	return s.www.MustChild(unique)
 }
 
 // Apex returns the subdomain's zone apex.
 func (s Subdomain) Apex() dnswire.Name {
+	if s.apex != "" {
+		return s.apex
+	}
 	return dnswire.MustParseName(s.Label + "." + TestbedDomain)
 }
 
@@ -104,8 +126,7 @@ func InstallTestbed(b *Builder, serverAddr, serverV6 netip.AddrPort) {
 		// builder has one) reuses the signed zone across shard worlds.
 		Shared: true,
 	})
-	for _, sub := range Subdomains() {
-		sub := sub
+	for _, sub := range subdomains {
 		b.AddZone(ZoneSpec{
 			Apex: sub.Apex(),
 			Populate: func(z *zone.Zone) {
@@ -151,7 +172,7 @@ type Transcript struct {
 // records RCODE, AD, RA, and EDE for each — the client side of §4.2.
 func ProbeResolver(ctx context.Context, ex netsim.Exchanger, addr netip.AddrPort, unique string) (*Transcript, error) {
 	tr := &Transcript{Resolver: addr, Unique: unique}
-	for i, sub := range Subdomains() {
+	for i, sub := range subdomains {
 		q := dnswire.NewQuery(uint16(0x4000+i), sub.QName(unique), dnswire.TypeA, true)
 		resp, err := ex.Exchange(ctx, addr, q)
 		obs := Observation{
