@@ -91,10 +91,11 @@ func (s Subdomain) QName(unique string) dnswire.Name {
 	if !s.WantNXDOMAIN {
 		return s.Apex().MustChild(unique)
 	}
-	if s.www == "" {
-		s.www = s.Apex().MustChild("www")
+	www := s.www
+	if www == "" {
+		www = s.Apex().MustChild("www")
 	}
-	return s.www.MustChild(unique)
+	return www.MustChild(unique)
 }
 
 // Apex returns the subdomain's zone apex.
