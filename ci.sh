@@ -80,8 +80,8 @@ go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 # Anchored: an unanchored FuzzHash would also match FuzzHashFromOwner,
 # and go test refuses a -fuzz pattern that matches two targets.
 go test -run='^$' -fuzz='^FuzzHash$' -fuzztime=5s ./internal/nsec3/
-# The owner-label decoder against the Labels + standard-library base32hex
-# path it replaced: the same 20 octets, or a rejection.
+# The owner-label decoder against a Labels + standard-library base32hex
+# reference: the same 20 octets, or a rejection.
 go test -run='^$' -fuzz='^FuzzHashFromOwner$' -fuzztime=5s ./internal/nsec3/
 # The authoritative server's wire-level door against the adapter around
 # its own Handle, each input asked three times (miss, admitted, hit):

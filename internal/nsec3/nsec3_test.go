@@ -141,9 +141,9 @@ func TestOwnerNameAndBack(t *testing.T) {
 }
 
 // TestHashFromOwnerRejects checks that an owner label is a hash only
-// when it is 32 base32hex characters. The last two labels are what the
-// standard library's decoder once accepted: it skips CR and LF, and
-// upper-casing turns U+0131 (dotless i) into an ASCII I.
+// when it is 32 base32hex characters. The standard library's decoder
+// accepts the last two labels: it skips CR and LF, and upper-casing
+// turns U+0131 (dotless i) into an ASCII I.
 func TestHashFromOwnerRejects(t *testing.T) {
 	label := EncodeHash(mustHex("0123456789abcdef0123456789abcdef01234567"))
 	for _, owner := range []dnswire.Name{
