@@ -108,3 +108,69 @@ func TestSignedDataMatchesReference(t *testing.T) {
 		})
 	}
 }
+
+// fuzzRDatas splits b into RDATAs, each a length octet followed by up
+// to that many octets, at most 32 of them.
+func fuzzRDatas(b []byte) []dnswire.RData {
+	var out []dnswire.RData
+	for len(b) > 0 && len(out) < 32 {
+		n := min(int(b[0]), len(b)-1)
+		out = append(out, dnswire.Generic{T: dnswire.TypeTXT, Data: b[1 : 1+n]})
+		b = b[1+n:]
+	}
+	return out
+}
+
+// FuzzSignedDataDifferential holds signedData to referenceSignedData
+// over arbitrary owners, RRSIG Labels values and RDATA sets: duplicates,
+// RDATAs one of which is a prefix of another, empty ones, wildcard and
+// wildcard-expanded owners. The octets, or the error text, must agree,
+// and the caller's RRset must keep its order.
+func FuzzSignedDataDifferential(f *testing.F) {
+	for _, seed := range []struct {
+		owner  string
+		labels uint8
+		rdatas string
+	}{
+		{"www.example.com", 3, "\x03abc"},
+		{"www.example.com", 3, "\x03abc\x02ab\x03abc\x02ab"},
+		{"www.example.com", 3, "\x02ab\x03abc\x01a\x00\x04abcd"},
+		{"www.example.com", 3, "\x03abd\x03abc\x04abc\x00"},
+		{"x.y.wild.example.com", 3, "\x02ab\x03abc"},
+		{"*.wild.example.com", 3, "\x01a\x01a"},
+		{"*.wild.example.com", 2, "\x01a"},
+		{"www.example.com", 0, "\x01z\x01a"},
+		{"www.example.com", 4, "\x01a"},
+		{".", 0, "\x05hello\x05hello"},
+	} {
+		f.Add(seed.owner, seed.labels, uint32(300), uint16(dnswire.ClassIN), []byte(seed.rdatas))
+	}
+	f.Fuzz(func(t *testing.T, owner string, labels uint8, origTTL uint32, class uint16, rdatas []byte) {
+		name, err := dnswire.ParseName(owner)
+		if err != nil {
+			return
+		}
+		datas := fuzzRDatas(rdatas)
+		if len(datas) == 0 {
+			return
+		}
+		set := RRset{Name: name, Class: dnswire.Class(class), TTL: origTTL, Datas: datas}
+		sig := dnswire.RRSIG{
+			TypeCovered: dnswire.TypeTXT, Algorithm: dnswire.AlgECDSAP256SHA256, Labels: labels, OrigTTL: origTTL,
+			Expiration: testExpiration, Inception: testInception, KeyTag: 4711, SignerName: dnswire.MustParseName("example.com"),
+			Signature: bytes.Repeat([]byte{0xEE}, 64),
+		}
+		before := append([]dnswire.RData(nil), datas...)
+		got, gotErr := signedData(set, sig)
+		want, wantErr := referenceSignedData(set, sig)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("signedData err = %v, reference err = %v", gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("signed octets differ\n got  %x\n want %x", got, want)
+		}
+		if !reflect.DeepEqual(before, set.Datas) {
+			t.Fatal("signedData reordered the caller's RRset")
+		}
+	})
+}
