@@ -1,6 +1,9 @@
 package dnssec
 
 import (
+	"bytes"
+	"crypto/sha1"
+	"crypto/sha256"
 	"errors"
 	"net/netip"
 	"testing"
@@ -234,6 +237,9 @@ func TestDSGenerationAndVerification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if want := referenceDSDigest(owner, key.DNSKEY(), dt); !bytes.Equal(ds.Digest, want) {
+			t.Fatalf("digest %d: %x, want %x", dt, ds.Digest, want)
+		}
 		if err := VerifyDS(owner, key.DNSKEY(), ds); err != nil {
 			t.Fatalf("digest %d: %v", dt, err)
 		}
@@ -251,6 +257,78 @@ func TestDSGenerationAndVerification(t *testing.T) {
 	}
 	if _, err := NewDS(owner, key.DNSKEY(), dnswire.DigestType(99)); err == nil {
 		t.Fatal("unknown digest type accepted")
+	}
+}
+
+// referenceDSDigest is the DS digest the obvious way: the DNSKEY RDATA
+// rendered by dnswire behind the owner's wire form, hashed by the
+// standard library.
+func referenceDSDigest(owner dnswire.Name, key dnswire.DNSKEY, dt dnswire.DigestType) []byte {
+	in := dnswire.AppendRData(owner.AppendWire(nil), key)
+	if dt == dnswire.DigestSHA1 {
+		d := sha1.Sum(in)
+		return d[:]
+	}
+	d := sha256.Sum256(in)
+	return d[:]
+}
+
+// TestVerifyDSAllocFree pins VerifyDS at zero allocations for every
+// outcome a validator meets at a zone cut — a match, a DS naming
+// another key, a digest of the wrong length or value — and checks each
+// mismatch is told apart. An RSA key, longer than the stack buffer the
+// digest input is built in, still digests right.
+func TestVerifyDSAllocFree(t *testing.T) {
+	owner := dnswire.MustParseName("child.example.com")
+	ksk := genKey(t, dnswire.AlgECDSAP256SHA256, true).DNSKEY()
+	zsk := genKey(t, dnswire.AlgECDSAP256SHA256, false).DNSKEY()
+	ds, err := NewDS(owner, ksk, dnswire.DigestSHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha1DS, err := NewDS(owner, ksk, dnswire.DigestSHA1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := ds
+	short.Digest = ds.Digest[:20]
+	flipped := ds
+	flipped.Digest = append([]byte(nil), ds.Digest...)
+	flipped.Digest[31] ^= 1
+	for _, tc := range []struct {
+		name string
+		key  dnswire.DNSKEY
+		ds   dnswire.DS
+		want error
+	}{
+		{"SHA-256 match", ksk, ds, nil},
+		{"SHA-1 match", ksk, sha1DS, nil},
+		{"another key", zsk, ds, errDSKey},
+		{"digest length", ksk, short, errDSDigestLength},
+		{"digest value", ksk, flipped, errDSDigest},
+	} {
+		var err error
+		n := testing.AllocsPerRun(100, func() { err = VerifyDS(owner, tc.key, tc.ds) })
+		if err != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if n != 0 && !raceEnabled {
+			t.Errorf("%s: VerifyDS allocates %.1f times, want 0", tc.name, n)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	rsaKey := genKey(t, dnswire.AlgRSASHA256, true).DNSKEY()
+	rsaDS, err := NewDS(owner, rsaKey, dnswire.DigestSHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceDSDigest(owner, rsaKey, dnswire.DigestSHA256); !bytes.Equal(rsaDS.Digest, want) {
+		t.Fatalf("RSA key: digest %x, want %x", rsaDS.Digest, want)
+	}
+	if err := VerifyDS(owner, rsaKey, rsaDS); err != nil {
+		t.Fatalf("RSA key: %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@
 package dnssec
 
 import (
+	"bytes"
 	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
@@ -196,43 +197,66 @@ func (k *KeyPair) Tag() uint16 { return keyTag(k.Flags, 3, k.Algorithm, k.public
 // NewDS builds the DS record data for a child's DNSKEY at owner,
 // digesting owner-wire || DNSKEY-RDATA (RFC 4034 §5.1.4).
 func NewDS(owner dnswire.Name, key dnswire.DNSKEY, dt dnswire.DigestType) (dnswire.DS, error) {
-	buf := owner.AppendWire(nil)
-	buf = dnswire.AppendRData(buf, key)
-	var digest []byte
-	switch dt {
-	case dnswire.DigestSHA1:
-		d := sha1.Sum(buf)
-		digest = d[:]
-	case dnswire.DigestSHA256:
-		d := sha256.Sum256(buf)
-		digest = d[:]
-	default:
-		return dnswire.DS{}, fmt.Errorf("%w: digest type %d", ErrUnsupportedAlg, dt)
+	var sum [sha256.Size]byte
+	digest, err := dsDigest(&sum, owner, key, dt)
+	if err != nil {
+		return dnswire.DS{}, err
 	}
 	return dnswire.DS{
 		KeyTag:     KeyTag(key),
 		Algorithm:  key.Algorithm,
 		DigestType: dt,
-		Digest:     digest,
+		Digest:     bytes.Clone(digest),
 	}, nil
 }
 
-// VerifyDS checks that ds authenticates the DNSKEY at owner.
+// dsDigest writes the digest of type dt over owner-wire ||
+// DNSKEY-RDATA into sum and returns the part of sum it fills. The
+// digest input is built on the stack for any ECDSA P-256 or Ed25519
+// key.
+func dsDigest(sum *[sha256.Size]byte, owner dnswire.Name, key dnswire.DNSKEY, dt dnswire.DigestType) ([]byte, error) {
+	var buf [dnswire.MaxNameWireLen + 4 + 64]byte
+	b := owner.AppendWire(buf[:0])
+	b = binary.BigEndian.AppendUint16(b, key.Flags)
+	b = append(b, key.Protocol, byte(key.Algorithm))
+	b = append(b, key.PublicKey...)
+	switch dt {
+	case dnswire.DigestSHA1:
+		d := sha1.Sum(b)
+		return sum[:copy(sum[:], d[:])], nil
+	case dnswire.DigestSHA256:
+		*sum = sha256.Sum256(b)
+		return sum[:], nil
+	default:
+		return nil, fmt.Errorf("%w: digest type %d", ErrUnsupportedAlg, dt)
+	}
+}
+
+// The ways a DS can fail to authenticate a DNSKEY. A validator meets
+// the first on every DNSKEY its DS set does not name, so none of them
+// carries the pair.
+var (
+	errDSKey          = errors.New("dnssec: DS does not reference the key")
+	errDSDigestLength = errors.New("dnssec: DS digest length mismatch")
+	errDSDigest       = errors.New("dnssec: DS digest mismatch")
+)
+
+// VerifyDS checks that ds authenticates the DNSKEY at owner. It
+// allocates nothing unless the digest type is unsupported.
 func VerifyDS(owner dnswire.Name, key dnswire.DNSKEY, ds dnswire.DS) error {
 	if ds.KeyTag != KeyTag(key) || ds.Algorithm != key.Algorithm {
-		return fmt.Errorf("dnssec: DS does not reference key %d/%s", KeyTag(key), key.Algorithm)
+		return errDSKey
 	}
-	want, err := NewDS(owner, key, ds.DigestType)
+	var sum [sha256.Size]byte
+	want, err := dsDigest(&sum, owner, key, ds.DigestType)
 	if err != nil {
 		return err
 	}
-	if len(want.Digest) != len(ds.Digest) {
-		return errors.New("dnssec: DS digest length mismatch")
+	if len(want) != len(ds.Digest) {
+		return errDSDigestLength
 	}
-	for i := range want.Digest {
-		if want.Digest[i] != ds.Digest[i] {
-			return errors.New("dnssec: DS digest mismatch")
-		}
+	if !bytes.Equal(want, ds.Digest) {
+		return errDSDigest
 	}
 	return nil
 }

@@ -18,11 +18,15 @@ const verifyMemoCap = 1 << 14
 // once. It is the read-side twin of testbed.SignCache: that shares
 // signing across worlds, this shares checking across resolvers.
 //
-// The key is SHA-256 over the length-prefixed algorithm, DNSKEY public
-// key, RRSIG signature and SHA-256 of the signed data (RRSIG RDATA
-// minus signature ‖ canonical RRset), so it covers every byte the
+// The key is SHA-256 over the algorithm, the length-prefixed DNSKEY
+// public key and RRSIG signature, and the signed data itself (RRSIG
+// RDATA minus signature ‖ canonical RRset), so it covers every byte the
 // verdict depends on and nothing else: change one bit of the signature,
 // any RDATA, the owner, OrigTTL or the key and it is a different entry.
+// A check hashes once: the key is all a hit computes, built with the
+// signed data in one stack buffer, so a hit allocates nothing
+// (TestVerifyMemoHitAllocs); SHA-256 of the signed data alone is
+// computed only on a miss, for checkSignature.
 // The value is checkSignature's result, valid or not. Whatever is not a
 // pure function of those bytes stays outside and runs on every call —
 // key flags, protocol, algorithm and key-tag match, signer,
@@ -34,9 +38,10 @@ const verifyMemoCap = 1 << 14
 // changes none of their answers.
 //
 // Memory is bounded by verifyMemoCap = 16,384 entries: a 32-byte key
-// and a 16-byte error value per slot, at most ~112 bytes per entry with
-// the map's load factor and doubling growth — under 2 MB at the cap. A
-// resolver study holds a few hundred entries.
+// and a 16-byte error value per slot; a full table holds 1.8 MB of
+// heap (~110 bytes per entry with the map's load factor and growth,
+// measured on Go 1.24, amd64) — under 2 MB at the cap. A resolver study
+// holds a few hundred entries.
 //
 // A VerifyMemo is safe for concurrent use. Two goroutines that miss the
 // same key both verify and store the same verdict. The map is never
@@ -65,14 +70,15 @@ func NewVerifyMemo(reg *obs.Registry) *VerifyMemo {
 }
 
 // check is checkSignature through the memo; a nil m verifies every
-// time.
-func (m *VerifyMemo) check(alg dnswire.SecAlgorithm, pub, signature, msg []byte) error {
-	digest := sha256.Sum256(msg)
+// time. keyed is appendMemoPrefix's prefix followed by msg, the signed
+// octets: its SHA-256 is the memo key, and msg is hashed on its own
+// only on a miss, by checkSignature.
+func (m *VerifyMemo) check(alg dnswire.SecAlgorithm, pub, signature, keyed, msg []byte) error {
 	if m == nil {
-		return checkSignature(alg, pub, signature, msg, digest)
+		return checkSignature(alg, pub, signature, msg)
 	}
 	m.requests.Inc()
-	key := memoKey(alg, pub, signature, digest)
+	key := sha256.Sum256(keyed)
 	m.mu.Lock()
 	verdict, ok := m.m[key]
 	m.mu.Unlock()
@@ -80,7 +86,7 @@ func (m *VerifyMemo) check(alg dnswire.SecAlgorithm, pub, signature, msg []byte)
 		m.hits.Inc()
 		return verdict
 	}
-	verdict = checkSignature(alg, pub, signature, msg, digest)
+	verdict = checkSignature(alg, pub, signature, msg)
 	m.mu.Lock()
 	if len(m.m) >= verifyMemoCap {
 		m.m = make(map[[sha256.Size]byte]error)
@@ -90,16 +96,18 @@ func (m *VerifyMemo) check(alg dnswire.SecAlgorithm, pub, signature, msg []byte)
 	return verdict
 }
 
-// memoKey digests everything checkSignature's verdict depends on.
-// Lengths prefix the two variable fields so no two inputs share a
-// preimage; the buffer stays on the stack for every algorithm but RSA.
-func memoKey(alg dnswire.SecAlgorithm, pub, signature []byte, digest [sha256.Size]byte) [sha256.Size]byte {
-	var stack [1 + 2 + 64 + 2 + 64 + sha256.Size]byte
-	b := append(stack[:0], byte(alg))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(pub)))
-	b = append(b, pub...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(signature)))
-	b = append(b, signature...)
-	b = append(b, digest[:]...)
-	return sha256.Sum256(b)
+// memoPrefixCap holds appendMemoPrefix's octets for ECDSA P-256 and
+// Ed25519 keys and signatures.
+const memoPrefixCap = 1 + 2 + 64 + 2 + 64
+
+// appendMemoPrefix appends what the memo key covers ahead of the signed
+// octets: the algorithm, then the public key and the signature, each
+// behind its length. The signed octets go last, so no two inputs share
+// a preimage.
+func appendMemoPrefix(dst []byte, alg dnswire.SecAlgorithm, pub, signature []byte) []byte {
+	dst = append(dst, byte(alg))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(pub)))
+	dst = append(dst, pub...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(signature)))
+	return append(dst, signature...)
 }

@@ -294,30 +294,46 @@ func TestVerifyMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestVerifyMemoHitAllocs pins the cost of a hit: nothing beyond
-// building the signed data, which every verification has always done.
+// TestVerifyMemoHitAllocs pins a hit at zero allocations: the signed
+// octets are built, sorted and keyed on the stack, for the fixture's
+// pair of A records and for a zone's KSK and ZSK, the DNSKEY RRset a
+// validator checks at every zone cut.
 func TestVerifyMemoHitAllocs(t *testing.T) {
 	f := newMemoFixture(t, dnswire.AlgECDSAP256SHA256)
-	if _, err := f.verify(f.set, f.sig, f.key, testNow); err != nil {
+	ksk := genKey(t, dnswire.AlgECDSAP256SHA256, true)
+	zsk := genKey(t, dnswire.AlgECDSAP256SHA256, false)
+	keys := RRset{Name: f.zone, Class: dnswire.ClassIN, TTL: 3600, Datas: []dnswire.RData{zsk.DNSKEY(), ksk.DNSKEY()}}
+	keysSig, err := Sign(keys, ksk, f.zone, testInception, testExpiration)
+	if err != nil {
 		t.Fatal(err)
 	}
-	build := testing.AllocsPerRun(100, func() {
-		if _, err := signedData(f.set, f.sig); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		set  RRset
+		sig  dnswire.RRSIG
+		key  dnswire.DNSKEY
+	}{
+		{"A pair", f.set, f.sig, f.key},
+		{"DNSKEY pair", keys, keysSig, ksk.DNSKEY()},
+	} {
+		if _, err := f.verify(tc.set, tc.sig, tc.key, testNow); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	})
-	hit := testing.AllocsPerRun(100, func() {
-		if err := f.memo.verify(f.set, f.sig, f.key); err != nil {
-			t.Fatal(err)
+		hits := f.hits()
+		n := testing.AllocsPerRun(100, func() {
+			if err := f.memo.verify(tc.set, tc.sig, tc.key); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// sync.Pool drops Puts at random under -race, so AppendRData's
+		// pooled encoder is sometimes rebuilt: the pin is exact
+		// everywhere else.
+		if n != 0 && !raceEnabled {
+			t.Errorf("%s: a memo hit allocates %.1f times, want 0", tc.name, n)
 		}
-	})
-	// sync.Pool drops Puts at random under -race, so a pooled scratch
-	// is sometimes rebuilt: the pin is exact everywhere else.
-	if hit > build && !raceEnabled {
-		t.Errorf("a memo hit allocates %.0f, building the signed data alone %.0f", hit, build)
-	}
-	if f.hits() < 100 {
-		t.Fatalf("only %d hits: the measured calls were not hits", f.hits())
+		if f.hits()-hits < 100 {
+			t.Fatalf("%s: only %d hits: the measured calls were not hits", tc.name, f.hits()-hits)
+		}
 	}
 }
 

@@ -53,6 +53,21 @@ func referenceSignedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
 	return out, nil
 }
 
+// signedData is appendSignedData behind a few octets already in the
+// buffer, as verify calls it behind the memo key's prefix: it checks
+// they are left as they were and returns the signed octets alone.
+func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
+	front := []byte{0xA5, 0x5A, 0xA5}
+	b, err := appendSignedData(append([]byte(nil), front...), set, sig)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(b[:len(front)], front) {
+		panic(fmt.Sprintf("appendSignedData overwrote the octets before it: %x", b[:len(front)]))
+	}
+	return b[len(front):], nil
+}
+
 func TestSignedDataMatchesReference(t *testing.T) {
 	apex := dnswire.MustParseName("example.com")
 	a := func(ip string) dnswire.RData { return dnswire.A{Addr: netip.MustParseAddr(ip)} }

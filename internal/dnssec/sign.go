@@ -11,7 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"repro/internal/dnswire"
 )
@@ -71,56 +71,66 @@ func canonicalOwner(owner dnswire.Name, rrsigLabels uint8) (dnswire.Name, error)
 // appendCanonicalRRset appends the canonical wire form of the RRset
 // under its canonical owner: each record as
 // owner|type|class|OrigTTL|rdlen|rdata, records sorted by canonical
-// RDATA, duplicates counted once (RFC 4034 §6.3).
+// RDATA, duplicates counted once (RFC 4034 §6.3). Several RDATAs are
+// first rendered behind dst's current end and sorted as spans of it;
+// the records are written after them and moved down over them, so
+// sorting takes no memory beyond dst but a span table that stays on the
+// stack for up to rdataSpans records.
 func appendCanonicalRRset(dst []byte, owner dnswire.Name, set RRset, origTTL uint32) []byte {
 	var ownerBuf [dnswire.MaxNameWireLen]byte
 	ownerWire := owner.AppendWire(ownerBuf[:0])
 	t := set.Type()
-	// record appends one record's fixed part and an RDLENGTH to fill in,
-	// and returns where the RDATA starts.
-	record := func() int {
+	// record appends one record's fixed part and an RDLENGTH of rdlen.
+	record := func(rdlen int) {
 		dst = append(dst, ownerWire...)
 		dst = append(dst, byte(t>>8), byte(t), byte(set.Class>>8), byte(set.Class))
-		dst = append(dst, byte(origTTL>>24), byte(origTTL>>16), byte(origTTL>>8), byte(origTTL), 0, 0)
-		return len(dst)
-	}
-	setLength := func(start int) {
-		rdlen := len(dst) - start
-		dst[start-2], dst[start-1] = byte(rdlen>>8), byte(rdlen)
+		dst = append(dst, byte(origTTL>>24), byte(origTTL>>16), byte(origTTL>>8), byte(origTTL), byte(rdlen>>8), byte(rdlen))
 	}
 	if len(set.Datas) == 1 {
 		// Nothing to sort or de-duplicate: render in place.
-		start := record()
+		record(0)
+		start := len(dst)
 		dst = dnswire.AppendRData(dst, set.Datas[0])
-		setLength(start)
+		rdlen := len(dst) - start
+		dst[start-2], dst[start-1] = byte(rdlen>>8), byte(rdlen)
 		return dst
 	}
-	rdatas := make([][]byte, len(set.Datas))
-	for i, d := range set.Datas {
-		rdatas[i] = dnswire.AppendRData(nil, d)
+	base := len(dst)
+	var spanBuf [rdataSpans]rdataSpan
+	spans := spanBuf[:0]
+	for _, d := range set.Datas {
+		start := len(dst)
+		dst = dnswire.AppendRData(dst, d)
+		spans = append(spans, rdataSpan{start, len(dst)})
 	}
-	sort.Slice(rdatas, func(i, j int) bool { return bytes.Compare(rdatas[i], rdatas[j]) < 0 })
-	for i, rd := range rdatas {
-		if i > 0 && bytes.Equal(rdatas[i-1], rd) {
+	slices.SortFunc(spans, func(a, b rdataSpan) int {
+		return bytes.Compare(dst[a.start:a.end], dst[b.start:b.end])
+	})
+	records := len(dst)
+	for i, sp := range spans {
+		if i > 0 && bytes.Equal(dst[spans[i-1].start:spans[i-1].end], dst[sp.start:sp.end]) {
 			continue
 		}
-		start := record()
-		dst = append(dst, rd...)
-		setLength(start)
+		record(sp.end - sp.start)
+		dst = append(dst, dst[sp.start:sp.end]...)
 	}
-	return dst
+	n := copy(dst[base:], dst[records:])
+	return dst[:base+n]
 }
+
+// rdataSpans is how many RDATAs appendCanonicalRRset sorts without
+// allocating: more than any RRset the study's zones sign.
+const rdataSpans = 16
+
+// rdataSpan is where one rendered RDATA lies in appendCanonicalRRset's
+// buffer.
+type rdataSpan struct{ start, end int }
 
 // signedDataCap holds the signed octets of a typical RRset — an RRSIG
-// prefix and one NSEC3, A or DS record under a mid-length owner — so
-// building them does not grow a slice from nothing.
-const signedDataCap = 256
-
-// signedData returns the octets sig signs over set (appendSignedData)
-// in a slice of its own.
-func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
-	return appendSignedData(make([]byte, 0, signedDataCap), set, sig)
-}
+// prefix and a DNSKEY pair, or one NSEC3, A or DS record, under a
+// mid-length owner — so building them on the stack does not spill to
+// the heap.
+const signedDataCap = 512
 
 // appendSignedData appends the octets sig signs over set to dst: the
 // RRSIG RDATA minus its Signature field, then the canonical RRset
@@ -302,19 +312,24 @@ func Verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 
 // verify is Verify in its two halves: build the signed data and reject
 // malformed wire shapes (every call), then check the signature over it
-// (through m, when there is one).
+// (through m, when there is one). The signed octets are built on the
+// stack behind the memo key's prefix (appendMemoPrefix), so that a memo
+// hit hashes one buffer once and allocates nothing.
 func (m *VerifyMemo) verify(set RRset, sig dnswire.RRSIG, key dnswire.DNSKEY) error {
 	if sig.TypeCovered != set.Type() {
 		return fmt.Errorf("%w: covers %s, set is %s", ErrSigMismatch, sig.TypeCovered, set.Type())
 	}
-	msg, err := signedData(set, sig)
+	var buf [memoPrefixCap + signedDataCap]byte
+	keyed := appendMemoPrefix(buf[:0], key.Algorithm, key.PublicKey, sig.Signature)
+	prefix := len(keyed)
+	keyed, err := appendSignedData(keyed, set, sig)
 	if err != nil {
 		return err
 	}
 	if err := checkWireShape(key, sig.Signature); err != nil {
 		return err
 	}
-	return m.check(key.Algorithm, key.PublicKey, sig.Signature, msg)
+	return m.check(key.Algorithm, key.PublicKey, sig.Signature, keyed, keyed[prefix:])
 }
 
 // checkWireShape rejects what no signature check could accept and what
@@ -345,16 +360,17 @@ func checkWireShape(key dnswire.DNSKEY, signature []byte) error {
 }
 
 // checkSignature is the cryptographic half of Verify: whether signature
-// is pub's signature over msg (digest is SHA-256 of msg). It is a pure
-// function of its arguments' bytes — the property VerifyMemo rests on —
-// and expects inputs that passed checkWireShape.
-func checkSignature(alg dnswire.SecAlgorithm, pub, signature, msg []byte, digest [sha256.Size]byte) error {
+// is pub's signature over msg. It is a pure function of its arguments'
+// bytes — the property VerifyMemo rests on — and expects inputs that
+// passed checkWireShape.
+func checkSignature(alg dnswire.SecAlgorithm, pub, signature, msg []byte) error {
 	switch alg {
 	case dnswire.AlgECDSAP256SHA256:
 		key, err := ecdsaPublicFromWire(pub)
 		if err != nil {
 			return err
 		}
+		digest := sha256.Sum256(msg)
 		r := new(big.Int).SetBytes(signature[:32])
 		s := new(big.Int).SetBytes(signature[32:])
 		if !ecdsa.Verify(key, digest[:], r, s) {
@@ -370,6 +386,7 @@ func checkSignature(alg dnswire.SecAlgorithm, pub, signature, msg []byte, digest
 		if err != nil {
 			return err
 		}
+		digest := sha256.Sum256(msg)
 		if err := rsa.VerifyPKCS1v15(key, crypto.SHA256, digest[:], signature); err != nil {
 			return ErrBadSignature
 		}
