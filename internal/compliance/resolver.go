@@ -1,8 +1,6 @@
 package compliance
 
 import (
-	"sort"
-
 	"repro/internal/dnswire"
 	"repro/internal/testbed"
 )
@@ -63,13 +61,10 @@ func ClassifyResolver(tr *testbed.Transcript) ResolverClass {
 		valid.RCode == dnswire.RCodeNoError && valid.AD &&
 		expired.RCode == dnswire.RCodeServFail
 
-	series := tr.ItSeries()
-	sort.Slice(series, func(i, j int) bool { return series[i].Iterations < series[j].Iterations })
-
 	lastAD := -1
 	firstNoAD := -1
 	firstServfail := -1
-	for _, o := range series {
+	for _, o := range tr.ItSeries() {
 		if o.Err != nil {
 			continue
 		}

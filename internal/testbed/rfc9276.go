@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/netip"
@@ -207,7 +208,9 @@ func (t *Transcript) Find(label string) (Observation, bool) {
 }
 
 // ItSeries returns the it-N observations sorted by N (excluding
-// it-2501-expired).
+// it-2501-expired); observations with the same N keep their probe
+// order. Probes run in Subdomains order, where the limit successors
+// it-51, it-101 and it-151 come after it-500.
 func (t *Transcript) ItSeries() []Observation {
 	var out []Observation
 	for _, o := range t.Observations {
@@ -215,5 +218,6 @@ func (t *Transcript) ItSeries() []Observation {
 			out = append(out, o)
 		}
 	}
+	slices.SortStableFunc(out, func(a, b Observation) int { return cmp.Compare(a.Iterations, b.Iterations) })
 	return out
 }

@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/authserver"
@@ -160,6 +162,53 @@ func TestTranscriptHelpers(t *testing.T) {
 	series := tr.ItSeries()
 	if len(series) != 1 || series[0].Label != "it-1" {
 		t.Fatalf("ItSeries = %v (must exclude it-2501-expired)", series)
+	}
+}
+
+// TestItSeriesSortedByIterations feeds ItSeries every probe in a
+// shuffled order, plus two observations sharing an N, and checks the
+// it-N series comes back in ascending N — it-51 between it-50 and
+// it-75, not after it-500 where the probes put it — with equal N in the
+// order they were given and it-2501-expired left out.
+func TestItSeriesSortedByIterations(t *testing.T) {
+	var obs []Observation
+	want := 0
+	for _, s := range Subdomains() {
+		obs = append(obs, Observation{Label: s.Label, Iterations: s.Iterations, NXProbe: s.WantNXDOMAIN})
+		if s.WantNXDOMAIN && s.Label != "it-2501-expired" {
+			want++
+		}
+	}
+	obs = append(obs,
+		Observation{Label: "seven-first", Iterations: 7, NXProbe: true},
+		Observation{Label: "seven-second", Iterations: 7, NXProbe: true})
+	want += 2
+	rand.New(rand.NewSource(1)).Shuffle(len(obs), func(i, j int) { obs[i], obs[j] = obs[j], obs[i] })
+	var given []string // the label-7 observations, as shuffled
+	for _, o := range obs {
+		if o.Iterations == 7 {
+			given = append(given, o.Label)
+		}
+	}
+
+	series := (&Transcript{Observations: obs}).ItSeries()
+	if len(series) != want {
+		t.Fatalf("%d observations, want %d", len(series), want)
+	}
+	var got []string
+	for i, o := range series {
+		if o.Label == "it-2501-expired" || !o.NXProbe {
+			t.Fatalf("series holds %s", o.Label)
+		}
+		if i > 0 && o.Iterations < series[i-1].Iterations {
+			t.Fatalf("%s (N=%d) after %s (N=%d)", o.Label, o.Iterations, series[i-1].Label, series[i-1].Iterations)
+		}
+		if o.Iterations == 7 {
+			got = append(got, o.Label)
+		}
+	}
+	if !slices.Equal(got, given) {
+		t.Errorf("N=7 observations in order %v, given %v", got, given)
 	}
 }
 
