@@ -309,7 +309,7 @@ func TestVerifyDSAllocFree(t *testing.T) {
 	} {
 		var err error
 		n := testing.AllocsPerRun(100, func() { err = VerifyDS(owner, tc.key, tc.ds) })
-		if err != tc.want {
+		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
 		if n != 0 && !raceEnabled {

@@ -63,7 +63,7 @@ func signedData(set RRset, sig dnswire.RRSIG) ([]byte, error) {
 		return nil, err
 	}
 	if !bytes.Equal(b[:len(front)], front) {
-		panic(fmt.Sprintf("appendSignedData overwrote the octets before it: %x", b[:len(front)]))
+		return nil, fmt.Errorf("appendSignedData overwrote the octets before it: %x", b[:len(front)])
 	}
 	return b[len(front):], nil
 }

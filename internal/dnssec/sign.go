@@ -80,19 +80,23 @@ func appendCanonicalRRset(dst []byte, owner dnswire.Name, set RRset, origTTL uin
 	var ownerBuf [dnswire.MaxNameWireLen]byte
 	ownerWire := owner.AppendWire(ownerBuf[:0])
 	t := set.Type()
-	// record appends one record's fixed part and an RDLENGTH of rdlen.
-	record := func(rdlen int) {
+	// record appends one record's fixed part and an RDLENGTH to fill in,
+	// and returns where the RDATA starts.
+	record := func() int {
 		dst = append(dst, ownerWire...)
 		dst = append(dst, byte(t>>8), byte(t), byte(set.Class>>8), byte(set.Class))
-		dst = append(dst, byte(origTTL>>24), byte(origTTL>>16), byte(origTTL>>8), byte(origTTL), byte(rdlen>>8), byte(rdlen))
+		dst = append(dst, byte(origTTL>>24), byte(origTTL>>16), byte(origTTL>>8), byte(origTTL), 0, 0)
+		return len(dst)
+	}
+	setLength := func(start int) {
+		rdlen := len(dst) - start
+		dst[start-2], dst[start-1] = byte(rdlen>>8), byte(rdlen)
 	}
 	if len(set.Datas) == 1 {
 		// Nothing to sort or de-duplicate: render in place.
-		record(0)
-		start := len(dst)
+		start := record()
 		dst = dnswire.AppendRData(dst, set.Datas[0])
-		rdlen := len(dst) - start
-		dst[start-2], dst[start-1] = byte(rdlen>>8), byte(rdlen)
+		setLength(start)
 		return dst
 	}
 	base := len(dst)
@@ -111,15 +115,16 @@ func appendCanonicalRRset(dst []byte, owner dnswire.Name, set RRset, origTTL uin
 		if i > 0 && bytes.Equal(dst[spans[i-1].start:spans[i-1].end], dst[sp.start:sp.end]) {
 			continue
 		}
-		record(sp.end - sp.start)
+		start := record()
 		dst = append(dst, dst[sp.start:sp.end]...)
+		setLength(start)
 	}
 	n := copy(dst[base:], dst[records:])
 	return dst[:base+n]
 }
 
-// rdataSpans is how many RDATAs appendCanonicalRRset sorts without
-// allocating: more than any RRset the study's zones sign.
+// rdataSpans is how many RDATAs appendCanonicalRRset sorts with its
+// span table on the stack; a larger RRset allocates the table.
 const rdataSpans = 16
 
 // rdataSpan is where one rendered RDATA lies in appendCanonicalRRset's
