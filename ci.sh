@@ -6,14 +6,16 @@
 #   race-enabled tests (TestLedger among them: BENCH.ndjson held to
 #   BENCHMARK.json's bounds), then ten -race runs of the concurrency
 #   tests (fan-out, build keys phase, keysFor, concurrent same-content
-#   signs through one SignCache, the memo alloc pin, and the fan-out's
+#   signs through one SignCache, the verify memo's alloc pin and its
+#   eight-goroutine hammer, and the fan-out's
 #   users Atlas Measure, the resolver study's cancelled probe pass and
 #   statewalk's cancelled run, ScanAll's workers sharing one Source
 #   and scanning the same octets at any worker count, netsim's loss
 #   draw from many goroutines, plus the distributed coordinator's
 #   cancel with a silent worker and its two abandoned-lease cases); a
 #   5 s fuzz pass over the wire codec, the
-#   NSEC3 hash and the authoritative server's wire-level door; every
+#   NSEC3 hash, the signed octets of an RRSIG and the authoritative
+#   server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
 #   /metrics, survey metrics, distributed survey and resolver study,
 #   resolver study sharded and one-world, statewalk); reprolint over
@@ -54,7 +56,8 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # repeat the tests of state several goroutines reach at once — the
 # fan-out helper, the build's keys phase, SignCache.keysFor and
 # SignCache.sign — the allocation pin whose race guard once was
-# missing, and the batches that run on fanout.Each: Atlas's Measure
+# missing, the verify memo's table under eight goroutines, and the
+# batches that run on fanout.Each: Atlas's Measure
 # (ordering, EDE strip, cancel), the resolver study's probe pass and
 # statewalk's cell loop under a cancelled context — ScanAll's workers
 # taking turns at one Source (never concurrently, none after a
@@ -64,7 +67,7 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # coordinator, where a lease lives as long as its connection: Serve
 # cancelled while a worker holds a lease in silence, a job write that
 # fails, and a second lease asked for on one connection.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$' \
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestVerifyMemoConcurrent$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$' \
   ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/ ./internal/netsim/
 
 echo "== fuzz (5s per target) =="
@@ -83,6 +86,9 @@ go test -run='^$' -fuzz='^FuzzHash$' -fuzztime=5s ./internal/nsec3/
 # The owner-label decoder against a Labels + standard-library base32hex
 # reference: the same 20 octets, or a rejection.
 go test -run='^$' -fuzz='^FuzzHashFromOwner$' -fuzztime=5s ./internal/nsec3/
+# The octets an RRSIG covers, built on verify's stack, against the
+# test-only referenceSignedData: the same octets, or the same error.
+go test -run='^$' -fuzz='^FuzzSignedDataDifferential$' -fuzztime=5s ./internal/dnssec/
 # The authoritative server's wire-level door against the adapter around
 # its own Handle, each input asked three times (miss, admitted, hit):
 # the same octets or the same drop, and garbage never admitted.
