@@ -133,8 +133,8 @@ type rdataSpan struct{ start, end int }
 
 // signedDataCap holds the signed octets of a typical RRset — an RRSIG
 // prefix and a DNSKEY pair, or one NSEC3, A or DS record, under a
-// mid-length owner — so building them on the stack does not spill to
-// the heap.
+// mid-length owner — together with the RDATAs a DNSKEY pair is sorted
+// from, so building them on the stack does not spill to the heap.
 const signedDataCap = 512
 
 // appendSignedData appends the octets sig signs over set to dst: the
