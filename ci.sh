@@ -272,10 +272,16 @@ echo "resolver study one-world smoke OK (${ONEWORLD_S} s)"
 
 echo "== statewalk smoke (differential state-machine walk, fixed seed) =="
 # Every (topology × profile) cell through the real resolver, diffed
-# against the expectation model. Any divergence exits nonzero; the
-# NDJSON report is kept as a CI artifact for triage.
-"$SMOKE_DIR/repro" -statewalk -seed 7 -statewalk-out statewalk-report.ndjson \
+# against the expectation model. Any divergence exits nonzero. The
+# report holds every cell (-statewalk-cells) and must equal tier-1's
+# golden octet for octet, so the binary answers as the package does;
+# it is kept as a CI artifact for triage.
+"$SMOKE_DIR/repro" -statewalk -seed 7 -statewalk-cells -statewalk-out statewalk-report.ndjson \
   > "$SMOKE_DIR/statewalk.log" || { cat "$SMOKE_DIR/statewalk.log"; exit 1; }
+cmp statewalk-report.ndjson internal/statewalk/testdata/cells-seed7.ndjson || {
+  echo "statewalk report differs from internal/statewalk/testdata/cells-seed7.ndjson"
+  exit 1
+}
 SW_CELLS=$(sed -n 's/^  cells executed  *\([0-9]*\)$/\1/p' "$SMOKE_DIR/statewalk.log")
 # 33 topologies x 14 vendor profiles, the count tier-1's statewalk
 # tests assert.
@@ -284,7 +290,7 @@ SW_CELLS=$(sed -n 's/^  cells executed  *\([0-9]*\)$/\1/p' "$SMOKE_DIR/statewalk
   cat "$SMOKE_DIR/statewalk.log"
   exit 1
 }
-echo "statewalk smoke OK ($SW_CELLS cells, report in statewalk-report.ndjson)"
+echo "statewalk smoke OK ($SW_CELLS cells, report in statewalk-report.ndjson equals the golden)"
 
 echo "== reprolint =="
 # One load-and-analyze pass both gates the build — reprolint exits 1 on
