@@ -52,17 +52,16 @@ func run() error {
 		tlds   = flag.Bool("tlds", false, "§5.1 TLD statistics")
 		fig3   = flag.Bool("fig3", false, "Figure 3 + §5.2 resolver stats")
 
-		statewalk       = flag.Bool("statewalk", false, "differential state-machine walk: every (topology × profile) cell vs the expectation model")
-		statewalkBudget = flag.Int("statewalk-budget", 0, "statewalk: bound the enumeration to this many cells (0 = all)")
-		statewalkOut    = flag.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
-		statewalkCells  = flag.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
-		seed            = flag.Uint64("seed", 1, "simulation seed")
-		shards          = flag.Int("shards", 1, "run the domain survey and the resolver study in this many bounded shards (same results at any value)")
-		dScale          = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
-		rScale          = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
-		tScale          = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
-		metrics         = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
-		traceOut        = flag.String("trace", "", "append per-shard phase spans (survey and resolver study) to this NDJSON file")
+		statewalk      = flag.Bool("statewalk", false, "differential state-machine walk: every (topology × profile) cell vs the expectation model")
+		statewalkOut   = flag.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
+		statewalkCells = flag.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
+		seed           = flag.Uint64("seed", 1, "simulation seed")
+		shards         = flag.Int("shards", 1, "run the domain survey and the resolver study in this many bounded shards (same results at any value)")
+		dScale         = flag.Int("domain-scale", 10000, "divide the 302 M-domain universe by this")
+		rScale         = flag.Int("resolver-scale", 200, "divide the resolver fleet by this")
+		tScale         = flag.Int("tranco-scale", 100, "divide the 1 M Tranco list by this")
+		metrics        = flag.String("metrics", "", "serve /metrics and /healthz on this address while running")
+		traceOut       = flag.String("trace", "", "append per-shard phase spans (survey and resolver study) to this NDJSON file")
 
 		serveAddr  = flag.String("serve", "", "coordinate the study (-fig3: resolver study; otherwise the domain survey) for -worker processes on this TCP address (e.g. 127.0.0.1:0)")
 		workerAddr = flag.String("worker", "", "execute the study's shards for the coordinator at this TCP address (start with the same study flags)")
@@ -149,7 +148,6 @@ func run() error {
 	if *statewalk {
 		if err := runStatewalk(ctx, statewalkOptions{
 			seed:      *seed,
-			budget:    *statewalkBudget,
 			out:       *statewalkOut,
 			emitCells: *statewalkCells,
 			obs:       reg,

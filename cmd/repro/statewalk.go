@@ -13,7 +13,6 @@ import (
 // statewalkOptions carries the -statewalk* flags.
 type statewalkOptions struct {
 	seed      uint64
-	budget    int
 	out       string
 	emitCells bool
 	obs       *obs.Registry
@@ -35,7 +34,6 @@ func runStatewalk(ctx context.Context, o statewalkOptions) error {
 
 	sum, err := statewalk.Run(ctx, statewalk.Config{
 		Seed:      o.seed,
-		Limit:     o.budget,
 		EmitCells: o.emitCells,
 		Out:       scanner.NewEncoder(f),
 		Obs:       o.obs,

@@ -34,163 +34,51 @@ func (t Triple) JSON() TripleJSON {
 	return TripleJSON{RCode: t.RCode.String(), AD: t.AD, EDE: uint16(t.EDE)}
 }
 
-// limitOutcome is the model's reading of RFC 9276 Items 6/8 plus the
-// RFC 5155 §10.3 cap, from a profile's documented limits alone.
-type limitOutcome int
-
-const (
-	outcomeValidate limitOutcome = iota // within limits: full validation
-	outcomeInsecure                     // Item 6 region (or the §10.3 cap)
-	outcomeServfail                     // Item 8 region
-)
-
-// iterationOutcome classifies an iteration count under a policy.
-// limitEDE reports whether a configured limit (not the always-on
-// RFC 5155 cap) decided, i.e. whether Item 10 attaches the EDE.
-func iterationOutcome(p resolver.Policy, iters int) (limitOutcome, bool) {
+// iterationOutcome is the model's reading of RFC 9276 Items 6/8 plus
+// the RFC 5155 §10.3 cap, from a profile's documented limits alone: the
+// status the policy forces on an NSEC3 proof at iters — bogus in the
+// SERVFAIL region, insecure in the insecure region or above the cap,
+// secure when it forces nothing — and the EDE Item 10 attaches when a
+// configured limit (not the always-on cap) decided.
+func iterationOutcome(p resolver.Policy, iters int) (status, dnswire.EDECode) {
 	if p.ServfailLimit != resolver.NoLimit && iters > p.ServfailLimit {
-		return outcomeServfail, true
+		return bogus, p.EDE
 	}
 	if p.InsecureLimit != resolver.NoLimit && iters > p.InsecureLimit {
-		return outcomeInsecure, true
+		return insecure, p.EDE
 	}
 	if iters > nsec3.RFC5155MaxIterations {
-		return outcomeInsecure, false
+		return insecure, 0
 	}
-	return outcomeValidate, false
+	return secure, 0
 }
 
-// Expect predicts the (RCODE, AD, EDE) triple for one cell from the
-// profile's documented limits and validation mode — independently of
-// the resolver implementation, so a divergence always means one of the
-// two is wrong.
+// Expect predicts the (RCODE, AD, EDE) triple for one cell from its
+// shape's row and the profile's documented limits and validation mode —
+// independently of the resolver implementation, so a divergence always
+// means one of the two is wrong.
 func Expect(t TopologySpec, p resolver.Policy) Triple {
-	ede := func(limitEDE bool) dnswire.EDECode {
-		if limitEDE && p.EDE != 0 {
-			return p.EDE
-		}
-		return 0
-	}
-	servfail := func(limitEDE bool) Triple {
-		return Triple{RCode: dnswire.RCodeServFail, EDE: ede(limitEDE)}
-	}
-	// The base response the zone serves, before any validation verdict.
-	baseRCode := dnswire.RCodeNoError
-	switch t.Shape {
-	case ShapeSecureNX, ShapeNSECDenial, ShapeUnsignedDelegation, ShapeOmittedDS,
-		ShapeExpiredDenial, ShapeInsecureIsland, ShapeCNAMEChain:
-		baseRCode = dnswire.RCodeNXDomain
-	}
-
-	// Loops fail for everyone: resolution never reaches an answer, so
-	// neither validation mode nor limits matter.
-	switch t.Shape {
-	case ShapeDelegationLoop, ShapeCNAMELoop:
+	s := t.shape
+	if s.within == unresolvable {
+		// Resolution never reaches an answer, so neither validation
+		// mode nor limits matter.
 		return Triple{RCode: dnswire.RCodeServFail}
 	}
-
 	if !p.Validate {
 		// Non-validating resolvers relay the zone's answer, never set
 		// AD, never SERVFAIL on bad DNSSEC data.
-		return Triple{RCode: baseRCode}
+		return Triple{RCode: s.rcode}
 	}
-
-	outcome, limitEDE := iterationOutcome(p, int(t.Iterations))
-	// negAD is the AD bit of a validated negative answer: true unless
-	// the profile strips AD from negative responses.
-	negAD := !p.NoNegativeAD
-
-	switch t.Shape {
-	case ShapeExists:
-		// Positive answer, no denial proof: secure for every validator.
-		return Triple{RCode: dnswire.RCodeNoError, AD: true}
-	case ShapeNSECDenial:
-		// Plain NSEC carries no iteration count; NSEC3 limits cannot
-		// fire — even strict-zero boxes authenticate this denial.
-		return Triple{RCode: dnswire.RCodeNXDomain, AD: negAD}
-	case ShapeUnsignedDelegation, ShapeInsecureIsland:
-		// Insecure zones answer without AD; nothing to validate.
-		return Triple{RCode: dnswire.RCodeNXDomain}
-	case ShapeOmittedDS:
-		// Authenticated denial of DS makes the zone insecure, and an
-		// insecure zone's NSEC3 parameters must never reach the
-		// iteration policy — NXDOMAIN at any count, even above a
-		// SERVFAIL limit.
-		return Triple{RCode: dnswire.RCodeNXDomain}
-	case ShapeBrokenDS, ShapeExpiredAll:
-		// Verifiably broken chain / expired signatures: bogus, no EDE
-		// (the limit did not decide).
-		return Triple{RCode: dnswire.RCodeServFail}
-	case ShapeSecureNX:
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			return Triple{RCode: dnswire.RCodeNXDomain, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeNXDomain, AD: negAD}
-	case ShapeWildcard:
-		// Positive RCODE, but the wildcard proof is a denial the
-		// policy judges. A validated expansion keeps AD even for
-		// negative-AD strippers (the answer is positive).
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			return Triple{RCode: dnswire.RCodeNoError, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeNoError, AD: true}
-	case ShapeNodata:
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			return Triple{RCode: dnswire.RCodeNoError, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeNoError, AD: negAD}
-	case ShapeExpiredDenial:
-		// The NSEC3 RRSIGs are expired. Item 7 compliant validators
-		// authenticate the records on every path that trusts them:
-		// full validation and the insecure downgrade both discover the
-		// expiry and go bogus (no EDE — the limit did not decide).
-		// Item 7 violators skip the check in the insecure region and
-		// serve the downgrade. Above a SERVFAIL limit the signatures
-		// are never consulted, so the limit EDE survives.
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			if p.VerifyInsecureNSEC3 {
-				return Triple{RCode: dnswire.RCodeServFail}
-			}
-			return Triple{RCode: dnswire.RCodeNXDomain, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeServFail}
-	case ShapeCNAMEChain:
-		// The alias hop is compliant; the policy judges the chase
-		// target's denial, and the outcome must survive the chase
-		// unchanged — SERVFAIL keeps its EDE, NXDOMAIN stays negative
-		// for AD strippers.
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			return Triple{RCode: dnswire.RCodeNXDomain, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeNXDomain, AD: negAD}
-	case ShapeOptOutNoDS:
-		// NODATA for DS at an Opt-Out-excluded delegation: the proof
-		// is a denial the policy judges first; within limits the §8.6
-		// Opt-Out proof yields insecure (never AD).
-		switch outcome {
-		case outcomeServfail:
-			return servfail(limitEDE)
-		case outcomeInsecure:
-			return Triple{RCode: dnswire.RCodeNoError, EDE: ede(limitEDE)}
-		}
-		return Triple{RCode: dnswire.RCodeNoError}
+	st, ede := s.within, dnswire.EDECode(0)
+	forced, limitEDE := iterationOutcome(p, int(t.Iterations))
+	// An Item 7 validator authenticates the proof on the insecure path
+	// too, so there a bogus row stays bogus and the limit did not decide.
+	item7 := forced == insecure && st == bogus && p.VerifyInsecureNSEC3
+	if s.judged && forced != secure && !item7 {
+		st, ede = forced, limitEDE
 	}
-	// Unreachable for enumerated shapes; fail loudly in the diff if a
-	// new shape forgets its model.
-	return Triple{RCode: dnswire.RCodeRefused}
+	if st == bogus {
+		return Triple{RCode: dnswire.RCodeServFail, EDE: ede}
+	}
+	return Triple{RCode: s.rcode, AD: st == secure && !(s.negative && p.NoNegativeAD), EDE: ede}
 }

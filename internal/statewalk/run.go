@@ -23,9 +23,6 @@ type Config struct {
 	// Seed fixes the simulated network; enumeration and zone content
 	// are seed-independent, so any seed yields the same cell grid.
 	Seed uint64
-	// Limit runs only the first Limit cells of the topology-major ×
-	// profile-minor grid; Limit <= 0 runs them all.
-	Limit int
 	// EmitCells writes a record for every cell, not just divergences —
 	// the golden tests and EXPERIMENTS.md tables use this.
 	EmitCells bool
@@ -109,9 +106,9 @@ func cellAddr(i int) netip.AddrPort {
 	return netsim.Addr4(10, 99, byte(i>>8), byte(i))
 }
 
-// Run executes the selected cells on runtime.GOMAXPROCS(0) goroutines
-// and returns the summary. The report (divergences, or every cell with
-// EmitCells) is written to cfg.Out in cell order: same seed and Limit ⇒
+// Run executes every cell on runtime.GOMAXPROCS(0) goroutines and
+// returns the summary. The report (divergences, or every cell with
+// EmitCells) is written to cfg.Out in cell order: same seed ⇒
 // byte-identical output.
 func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	w, err := BuildWorld(cfg.Seed)
@@ -120,9 +117,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	}
 	profiles := respop.Profiles()
 	n := len(w.Topologies) * len(profiles)
-	if cfg.Limit > 0 {
-		n = min(n, cfg.Limit)
-	}
 	records := make([]*Record, n)
 	err = fanout.Each(n, runtime.GOMAXPROCS(0), func(cell int) (err error) {
 		if err = ctx.Err(); err == nil {
@@ -137,24 +131,17 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		return nil, err
 	}
 
-	var cellsC, divC *obs.Counter
-	if cfg.Obs != nil {
-		cellsC = cfg.Obs.Counter("statewalk_cells_total",
-			"(topology × profile) cells executed by the statewalk differential runner")
-		divC = cfg.Obs.Counter("statewalk_divergences_total",
-			"statewalk cells whose observed triple differed from the expectation model")
-	}
+	cellsC := cfg.Obs.Counter("statewalk_cells_total",
+		"(topology × profile) cells executed by the statewalk differential runner")
+	divC := cfg.Obs.Counter("statewalk_divergences_total",
+		"statewalk cells whose observed triple differed from the expectation model")
 	sum := &Summary{Topologies: len(w.Topologies), Profiles: len(profiles)}
 	for _, rec := range records {
 		sum.Cells++
-		if cellsC != nil {
-			cellsC.Inc()
-		}
+		cellsC.Inc()
 		if rec.Diverged {
 			sum.Divergences++
-			if divC != nil {
-				divC.Inc()
-			}
+			divC.Inc()
 		}
 		if cfg.Out != nil && (rec.Diverged || cfg.EmitCells) {
 			if err := cfg.Out.WriteAny(rec); err != nil {
@@ -215,7 +202,7 @@ func runCell(ctx context.Context, w *World, cell int, topo TopologySpec, prof re
 	rec := &Record{
 		Kind:     "statewalk_cell",
 		Topology: topo.ID(),
-		Shape:    string(topo.Shape),
+		Shape:    topo.shape.name,
 		Profile:  prof.Policy.Name,
 		QName:    qname.String(),
 		QType:    qtype.String(),

@@ -4,10 +4,12 @@
 // declarative expectation model predicts the (RCODE, AD, EDE) triple
 // Nosyk et al. use to classify validators remotely, and a differential
 // runner executes every (topology × respop profile) cell through the
-// real resolver over netsim and reports every divergence. Scenario
-// diversity comes from systematic enumeration instead of hand-written
-// cases; any divergence fails the run, and is mended either in the
-// resolver or in the model.
+// real resolver over netsim and reports every divergence. Each topology
+// family is one row of the shapes table: its iteration grid, its probe,
+// its zones and the columns the model reads. Scenario diversity comes
+// from systematic enumeration instead of hand-written cases; any
+// divergence fails the run, and is mended either in the resolver or in
+// the model.
 package statewalk
 
 import (
@@ -22,95 +24,201 @@ import (
 	"repro/internal/zone"
 )
 
-// Shape names one delegation/CNAME/DS corner topology family.
-type Shape string
+// status is what a validator concludes of a cell's answer before the
+// iteration policy is consulted.
+type status int
 
-// The enumerated shapes.
 const (
-	// ShapeExists: signed zone, existing name — positive secure
-	// baseline (no denial proof, so even strict-zero boxes validate).
-	ShapeExists Shape = "exists"
-	// ShapeSecureNX: signed NSEC3 zone at N iterations, nonexistent
-	// name — the paper's it-N probe as an NXDOMAIN denial.
-	ShapeSecureNX Shape = "secure-nx"
-	// ShapeWildcard: signed zone with an apex wildcard — a positive
-	// answer that still carries an NSEC3 proof (RFC 5155 §8.8), so the
-	// iteration policy applies to a NOERROR response.
-	ShapeWildcard Shape = "wildcard"
-	// ShapeNodata: existing name, absent type — the NODATA denial.
-	ShapeNodata Shape = "nodata"
-	// ShapeNSECDenial: plain-NSEC zone — authenticated denial with no
-	// iteration count at all; NSEC3 limits must not fire.
-	ShapeNSECDenial Shape = "nsec-denial"
-	// ShapeUnsignedDelegation: unsigned child of a signed parent — the
-	// ordinary insecure delegation.
-	ShapeUnsignedDelegation Shape = "unsigned-delegation"
-	// ShapeBrokenDS: the parent publishes a DS matching no key in the
-	// signed child — a verifiably broken chain (bogus, not insecure).
-	ShapeBrokenDS Shape = "broken-ds"
-	// ShapeOmittedDS: the child signs but the parent withholds the DS —
-	// authenticated denial of DS makes the zone insecure, and its NSEC3
-	// iteration count must never reach the policy.
-	ShapeOmittedDS Shape = "omitted-ds"
-	// ShapeExpiredAll: every RRSIG in the zone is expired.
-	ShapeExpiredAll Shape = "expired-all"
-	// ShapeExpiredDenial: only the NSEC3 RRSIGs are expired — the
-	// Item 7 probe (it-2501-expired generalized across the limits).
-	ShapeExpiredDenial Shape = "expired-denial"
-	// ShapeInsecureIsland: a signed grandchild below an unsigned
-	// middle zone — its own DNSSEC material is unreachable from the
-	// trust anchor.
-	ShapeInsecureIsland Shape = "insecure-island"
-	// ShapeDelegationLoop: two zones whose glue-less NS records point
-	// into each other — resolution can never bottom out.
-	ShapeDelegationLoop Shape = "delegation-loop"
-	// ShapeCNAMEChain: an alias in a compliant zone targeting a
-	// nonexistent name in a zone at N iterations — the policy outcome
-	// must survive the chase.
-	ShapeCNAMEChain Shape = "cname-chain"
-	// ShapeCNAMELoop: two aliases targeting each other.
-	ShapeCNAMELoop Shape = "cname-loop"
-	// ShapeOptOutNoDS: DS query at an insecure delegation excluded
-	// from an Opt-Out NSEC3 chain (RFC 5155 §8.6) — a NODATA whose
-	// proof the iteration policy still sees.
-	ShapeOptOutNoDS Shape = "optout-nods"
+	secure status = iota
+	insecure
+	bogus
+	unresolvable // resolution never reaches an answer
 )
+
+// shape is one delegation/CNAME/DS corner topology family: everything
+// the enumerator, the world builder and the expectation model know of
+// it.
+type shape struct {
+	name string
+	// iters lists the iteration counts enumerated: both sides of every
+	// vendor limit (50/100/150), the RFC 5155 §10.3 cap, and zero. A
+	// shape with one count leaves it out of its topology's ID.
+	iters []uint16
+	// probe is the queried name's labels below the apex, and qtype its
+	// type. Names are fixed per topology: the runner gives every cell a
+	// fresh resolver, so no cache busting is needed and traces stay
+	// byte-identical across runs.
+	probe string
+	qtype dnswire.Type
+	// zones edits the primary zone, which starts as defaultZone at the
+	// apex, and returns any other zones the shape needs; nil keeps the
+	// default alone.
+	zones func(t TopologySpec, primary *testbed.ZoneSpec) []testbed.ZoneSpec
+
+	// The model's columns. rcode is the RCODE the zone answers with;
+	// negative says the answer is NXDOMAIN or NODATA; judged says it
+	// carries an NSEC3 proof at the topology's count, which the
+	// iteration policy judges; within is the status when no limit
+	// fires.
+	rcode    dnswire.RCode
+	negative bool
+	judged   bool
+	within   status
+}
+
+// shapes is the enumerated space, in Enumerate's order.
+var shapes = []shape{
+	{
+		// Signed zone, existing name: the positive secure baseline (no
+		// denial proof, so even strict-zero boxes validate).
+		name: "exists", iters: []uint16{0}, probe: "www", qtype: dnswire.TypeA,
+		rcode: dnswire.RCodeNoError, within: secure,
+	},
+	{
+		// Signed NSEC3 zone at N iterations, nonexistent name: the
+		// paper's it-N probe as an NXDOMAIN denial (www exists, gone.www
+		// does not, and no wildcard matches).
+		name: "secure-nx", iters: []uint16{0, 50, 51, 100, 101, 150, 151, 2500, 2501},
+		probe: "gone.www", qtype: dnswire.TypeA,
+		rcode: dnswire.RCodeNXDomain, negative: true, judged: true, within: secure,
+	},
+	{
+		// An apex wildcard: a positive answer that still carries an
+		// NSEC3 proof (RFC 5155 §8.8), so the iteration policy applies
+		// to a NOERROR response. A validated expansion keeps AD even for
+		// negative-AD strippers.
+		name: "wildcard", iters: []uint16{0, 51, 101, 151, 2501}, probe: "probe", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) {
+			p.Populate = func(z *zone.Zone) { www(z); addA(z, z.Apex.Wildcard()) }
+		}),
+		rcode: dnswire.RCodeNoError, judged: true, within: secure,
+	},
+	{
+		// Existing name, absent type: the NODATA denial.
+		name: "nodata", iters: []uint16{0, 151}, probe: "www", qtype: dnswire.TypeTXT,
+		rcode: dnswire.RCodeNoError, negative: true, judged: true, within: secure,
+	},
+	{
+		// Plain-NSEC zone: authenticated denial with no iteration count
+		// at all, so NSEC3 limits cannot fire.
+		name: "nsec-denial", iters: []uint16{0}, probe: "gone.www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.Sign = zone.SignConfig{Denial: zone.DenialNSEC} }),
+		rcode: dnswire.RCodeNXDomain, negative: true, within: secure,
+	},
+	{
+		// Unsigned child of a signed parent: the ordinary insecure
+		// delegation.
+		name: "unsigned-delegation", iters: []uint16{0}, probe: "gone.www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.Unsigned = true }),
+		rcode: dnswire.RCodeNXDomain, negative: true, within: insecure,
+	},
+	{
+		// The parent publishes a DS matching no key in the signed child:
+		// a verifiably broken chain, bogus and not insecure.
+		name: "broken-ds", iters: []uint16{0}, probe: "www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.BreakDS = true }),
+		rcode: dnswire.RCodeNoError, within: bogus,
+	},
+	{
+		// The child signs but the parent withholds the DS: authenticated
+		// denial of DS makes the zone insecure, and its NSEC3 iteration
+		// count must never reach the policy, even above a SERVFAIL
+		// limit.
+		name: "omitted-ds", iters: []uint16{0, 151}, probe: "gone.www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.OmitDS = true }),
+		rcode: dnswire.RCodeNXDomain, negative: true, within: insecure,
+	},
+	{
+		// Every RRSIG in the zone is expired.
+		name: "expired-all", iters: []uint16{0}, probe: "www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.Sign.ExpireAll = true }),
+		rcode: dnswire.RCodeNoError, within: bogus,
+	},
+	{
+		// Only the NSEC3 RRSIGs are expired: the Item 7 probe
+		// (it-2501-expired generalized across the limits). Compliant
+		// validators authenticate the records on every path that trusts
+		// them, so the insecure downgrade goes bogus too; violators
+		// serve the downgrade. Above a SERVFAIL limit the signatures are
+		// never consulted.
+		name: "expired-denial", iters: []uint16{0, 151, 2501}, probe: "gone.www", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) { p.Sign.ExpireDenialSigs = true }),
+		rcode: dnswire.RCodeNXDomain, negative: true, judged: true, within: bogus,
+	},
+	{
+		// A signed grandchild below an unsigned middle zone: the leaf's
+		// DS lives in a zone that cannot authenticate it.
+		name: "insecure-island", iters: []uint16{0}, probe: "gone.www.island", qtype: dnswire.TypeA,
+		zones: func(t TopologySpec, p *testbed.ZoneSpec) []testbed.ZoneSpec {
+			p.Unsigned, p.Populate = true, nil
+			return []testbed.ZoneSpec{t.defaultZone(p.Apex.MustChild("island"))}
+		},
+		rcode: dnswire.RCodeNXDomain, negative: true, within: insecure,
+	},
+	{
+		// Two zones whose only NS host lives in the other, with no glue
+		// anywhere: chasing either delegation recurses into the other
+		// until the resolver's depth limit trips.
+		name: "delegation-loop", iters: []uint16{0}, probe: "www", qtype: dnswire.TypeA,
+		zones: func(t TopologySpec, p *testbed.ZoneSpec) []testbed.ZoneSpec {
+			partner := t.defaultZone(t.partnerApex())
+			p.NSHost, p.Populate = partner.Apex.MustChild("ns"), nil
+			partner.NSHost, partner.Populate = p.Apex.MustChild("ns"), nil
+			return []testbed.ZoneSpec{partner}
+		},
+		within: unresolvable,
+	},
+	{
+		// An alias in a compliant zone targeting a nonexistent name in a
+		// zone at N iterations: the policy judges the chase target's
+		// denial, and its outcome must survive the chase.
+		name: "cname-chain", iters: []uint16{0, 151}, probe: "alias", qtype: dnswire.TypeA,
+		zones: func(t TopologySpec, p *testbed.ZoneSpec) []testbed.ZoneSpec {
+			target := t.defaultZone(t.partnerApex())
+			p.Sign.NSEC3.Iterations = 0
+			p.Populate = func(z *zone.Zone) {
+				addCNAME(z, z.Apex.MustChild("alias"), target.Apex.MustChild("www").MustChild("gone"))
+			}
+			return []testbed.ZoneSpec{target}
+		},
+		rcode: dnswire.RCodeNXDomain, negative: true, judged: true, within: secure,
+	},
+	{
+		// Two aliases targeting each other.
+		name: "cname-loop", iters: []uint16{0}, probe: "loop1", qtype: dnswire.TypeA,
+		zones: edit(func(p *testbed.ZoneSpec) {
+			p.Populate = func(z *zone.Zone) {
+				addCNAME(z, z.Apex.MustChild("loop1"), z.Apex.MustChild("loop2"))
+				addCNAME(z, z.Apex.MustChild("loop2"), z.Apex.MustChild("loop1"))
+			}
+		}),
+		within: unresolvable,
+	},
+	{
+		// DS query at an insecure delegation excluded from an Opt-Out
+		// NSEC3 chain (RFC 5155 §8.6): a NODATA whose proof the
+		// iteration policy judges first; within limits the Opt-Out proof
+		// yields insecure. The delegated zone shares the primary's
+		// server, so its apex DS query is answered by the hosted parent.
+		name: "optout-nods", iters: []uint16{0, 151}, probe: "ins", qtype: dnswire.TypeDS,
+		zones: func(_ TopologySpec, p *testbed.ZoneSpec) []testbed.ZoneSpec {
+			p.Sign.OptOut = true
+			return []testbed.ZoneSpec{{Apex: p.Apex.MustChild("ins"), Unsigned: true}}
+		},
+		rcode: dnswire.RCodeNoError, negative: true, judged: true, within: insecure,
+	},
+}
 
 // TopologySpec is one enumerated topology: index-pure (the spec is a
 // function of its index alone), realized through testbed.Builder.
 type TopologySpec struct {
 	// Index is the topology's position in Enumerate's order.
 	Index int
-	// Shape selects the corner-case family.
-	Shape Shape
 	// Iterations is the NSEC3 iteration count of the zone whose denial
-	// the policy judges (for ShapeCNAMEChain, the chase target's zone).
-	// Zero for shapes where no NSEC3 proof is ever consulted.
+	// the policy judges (for a CNAME chain, the chase target's zone).
 	Iterations uint16
-}
-
-// iterationGrids lists, per shape, the iteration counts enumerated:
-// both sides of every vendor limit (50/100/150), the RFC 5155 §10.3
-// cap, and zero. Shapes absent here enumerate a single topology.
-var iterationGrids = []struct {
-	shape Shape
-	iters []uint16
-}{
-	{ShapeExists, []uint16{0}},
-	{ShapeSecureNX, []uint16{0, 50, 51, 100, 101, 150, 151, 2500, 2501}},
-	{ShapeWildcard, []uint16{0, 51, 101, 151, 2501}},
-	{ShapeNodata, []uint16{0, 151}},
-	{ShapeNSECDenial, []uint16{0}},
-	{ShapeUnsignedDelegation, []uint16{0}},
-	{ShapeBrokenDS, []uint16{0}},
-	{ShapeOmittedDS, []uint16{0, 151}},
-	{ShapeExpiredAll, []uint16{0}},
-	{ShapeExpiredDenial, []uint16{0, 151, 2501}},
-	{ShapeInsecureIsland, []uint16{0}},
-	{ShapeDelegationLoop, []uint16{0}},
-	{ShapeCNAMEChain, []uint16{0, 151}},
-	{ShapeCNAMELoop, []uint16{0}},
-	{ShapeOptOutNoDS, []uint16{0, 151}},
+	// shape is the topology's row in shapes.
+	shape *shape
 }
 
 // Enumerate returns every topology in its canonical order. The list is
@@ -118,31 +226,20 @@ var iterationGrids = []struct {
 // cell golden (testdata/cells-seed7.ndjson) relies on.
 func Enumerate() []TopologySpec {
 	var out []TopologySpec
-	for _, g := range iterationGrids {
-		for _, it := range g.iters {
-			out = append(out, TopologySpec{Index: len(out), Shape: g.shape, Iterations: it})
+	for i := range shapes {
+		for _, it := range shapes[i].iters {
+			out = append(out, TopologySpec{Index: len(out), Iterations: it, shape: &shapes[i]})
 		}
 	}
 	return out
 }
 
-// hasIterations reports whether the shape's identity includes an
-// iteration count (more than one grid entry).
-func (t TopologySpec) hasIterations() bool {
-	for _, g := range iterationGrids {
-		if g.shape == t.Shape {
-			return len(g.iters) > 1
-		}
-	}
-	return false
-}
-
 // ID is the topology's stable identifier, carried in every record.
 func (t TopologySpec) ID() string {
-	if t.hasIterations() {
-		return fmt.Sprintf("t%02d-%s-it%d", t.Index, t.Shape, t.Iterations)
+	if len(t.shape.iters) > 1 {
+		return fmt.Sprintf("t%02d-%s-it%d", t.Index, t.shape.name, t.Iterations)
 	}
-	return fmt.Sprintf("t%02d-%s", t.Index, t.Shape)
+	return fmt.Sprintf("t%02d-%s", t.Index, t.shape.name)
 }
 
 // Apex is the topology's primary zone under the test TLD.
@@ -156,117 +253,50 @@ func (t TopologySpec) partnerApex() dnswire.Name {
 	return dnswire.MustParseName(fmt.Sprintf("swt%02dx.test", t.Index))
 }
 
-// Probe returns the cell's single query. Names are fixed per topology:
-// the runner gives every cell a fresh resolver, so no cache busting is
-// needed and traces stay byte-identical across runs.
+// Probe returns the cell's single query.
 func (t TopologySpec) Probe() (dnswire.Name, dnswire.Type) {
-	apex := t.Apex()
-	switch t.Shape {
-	case ShapeExists, ShapeBrokenDS, ShapeExpiredAll:
-		return apex.MustChild("www"), dnswire.TypeA
-	case ShapeWildcard:
-		return apex.MustChild("probe"), dnswire.TypeA
-	case ShapeNodata:
-		return apex.MustChild("www"), dnswire.TypeTXT
-	case ShapeInsecureIsland:
-		return apex.MustChild("island").MustChild("www").MustChild("gone"), dnswire.TypeA
-	case ShapeDelegationLoop:
-		return apex.MustChild("www"), dnswire.TypeA
-	case ShapeCNAMEChain:
-		return apex.MustChild("alias"), dnswire.TypeA
-	case ShapeCNAMELoop:
-		return apex.MustChild("loop1"), dnswire.TypeA
-	case ShapeOptOutNoDS:
-		return apex.MustChild("ins"), dnswire.TypeDS
-	default:
-		// The NXDOMAIN probes: www exists, gone.www does not, and no
-		// wildcard matches — an authenticated denial.
-		return apex.MustChild("www").MustChild("gone"), dnswire.TypeA
-	}
+	return dnswire.MustParseName(t.shape.probe + "." + string(t.Apex())), t.shape.qtype
+}
+
+// defaultZone is a zone at apex signed with NSEC3 at the topology's
+// count and holding www.
+func (t TopologySpec) defaultZone(apex dnswire.Name) testbed.ZoneSpec {
+	return testbed.ZoneSpec{Apex: apex, Populate: www,
+		Sign: zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: t.Iterations}}}
 }
 
 // install adds the topology's zones to the builder. All topology zones
-// share one server so DS-at-apex queries route to the hosted parent
-// (the authserver behaviour ShapeOptOutNoDS depends on).
+// share one server so DS-at-apex queries route to the hosted parent.
 func (t TopologySpec) install(b *testbed.Builder, server netip.AddrPort) {
-	apex := t.Apex()
-	www := func(z *zone.Zone) {
-		z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("www"), Class: dnswire.ClassIN, TTL: 300,
-			Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
+	primary := t.defaultZone(t.Apex())
+	var more []testbed.ZoneSpec
+	if t.shape.zones != nil {
+		more = t.shape.zones(t, &primary)
 	}
-	nsec3Sign := func(iters uint16) zone.SignConfig {
-		return zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: iters}}
+	for _, z := range append([]testbed.ZoneSpec{primary}, more...) {
+		z.Server = server
+		b.AddZone(z)
 	}
-	switch t.Shape {
-	case ShapeWildcard:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: nsec3Sign(t.Iterations),
-			Populate: func(z *zone.Zone) {
-				www(z)
-				z.MustAdd(dnswire.RR{Name: z.Apex.Wildcard(), Class: dnswire.ClassIN, TTL: 300,
-					Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
-			}})
-	case ShapeNSECDenial:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server,
-			Sign: zone.SignConfig{Denial: zone.DenialNSEC}, Populate: www})
-	case ShapeUnsignedDelegation:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Unsigned: true, Populate: www})
-	case ShapeBrokenDS:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, BreakDS: true,
-			Sign: nsec3Sign(0), Populate: www})
-	case ShapeOmittedDS:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, OmitDS: true,
-			Sign: nsec3Sign(t.Iterations), Populate: www})
-	case ShapeExpiredAll:
-		cfg := nsec3Sign(0)
-		cfg.ExpireAll = true
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: cfg, Populate: www})
-	case ShapeExpiredDenial:
-		cfg := nsec3Sign(t.Iterations)
-		cfg.ExpireDenialSigs = true
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: cfg, Populate: www})
-	case ShapeInsecureIsland:
-		// Unsigned middle, signed leaf: the leaf's DS lives in a zone
-		// that cannot authenticate it.
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Unsigned: true})
-		b.AddZone(testbed.ZoneSpec{Apex: apex.MustChild("island"), Server: server,
-			Sign: nsec3Sign(0), Populate: www})
-	case ShapeDelegationLoop:
-		// Each zone's only NS host lives in the other zone, with no
-		// glue anywhere: chasing either delegation recurses into the
-		// other until the resolver's depth limit trips.
-		partner := t.partnerApex()
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server,
-			NSHost: partner.MustChild("ns"), Sign: nsec3Sign(0)})
-		b.AddZone(testbed.ZoneSpec{Apex: partner, Server: server,
-			NSHost: apex.MustChild("ns"), Sign: nsec3Sign(0)})
-	case ShapeCNAMEChain:
-		target := t.partnerApex()
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: nsec3Sign(0),
-			Populate: func(z *zone.Zone) {
-				z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("alias"), Class: dnswire.ClassIN, TTL: 300,
-					Data: dnswire.CNAME{Target: target.MustChild("www").MustChild("gone")}})
-			}})
-		b.AddZone(testbed.ZoneSpec{Apex: target, Server: server,
-			Sign: nsec3Sign(t.Iterations), Populate: www})
-	case ShapeCNAMELoop:
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: nsec3Sign(0),
-			Populate: func(z *zone.Zone) {
-				z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("loop1"), Class: dnswire.ClassIN, TTL: 300,
-					Data: dnswire.CNAME{Target: z.Apex.MustChild("loop2")}})
-				z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("loop2"), Class: dnswire.ClassIN, TTL: 300,
-					Data: dnswire.CNAME{Target: z.Apex.MustChild("loop1")}})
-			}})
-	case ShapeOptOutNoDS:
-		cfg := nsec3Sign(t.Iterations)
-		cfg.OptOut = true
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server, Sign: cfg, Populate: www})
-		// The insecure delegation the Opt-Out span skips; same server,
-		// so its apex DS query is answered by the hosted parent.
-		b.AddZone(testbed.ZoneSpec{Apex: apex.MustChild("ins"), Server: server, Unsigned: true})
-	default: // ShapeExists, ShapeSecureNX, ShapeNodata
-		b.AddZone(testbed.ZoneSpec{Apex: apex, Server: server,
-			Sign: nsec3Sign(t.Iterations), Populate: www})
+}
+
+// edit is a zones column that only edits the primary zone.
+func edit(f func(primary *testbed.ZoneSpec)) func(TopologySpec, *testbed.ZoneSpec) []testbed.ZoneSpec {
+	return func(_ TopologySpec, p *testbed.ZoneSpec) []testbed.ZoneSpec {
+		f(p)
+		return nil
 	}
+}
+
+// www adds the A record every default zone holds.
+func www(z *zone.Zone) { addA(z, z.Apex.MustChild("www")) }
+
+func addA(z *zone.Zone, name dnswire.Name) {
+	z.MustAdd(dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300,
+		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
+}
+
+func addCNAME(z *zone.Zone, name, target dnswire.Name) {
+	z.MustAdd(dnswire.RR{Name: name, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.CNAME{Target: target}})
 }
 
 // Fixed infrastructure addresses.
