@@ -24,6 +24,9 @@ import (
 	"repro/internal/obs"
 )
 
+// queryTimeout bounds each query attempt.
+const queryTimeout = 5 * time.Second
+
 // Config assembles a scanner.
 type Config struct {
 	// Exchanger is the transport.
@@ -35,18 +38,14 @@ type Config struct {
 	Workers int
 	// QPS caps the aggregate query rate; 0 disables the limiter. The
 	// paper limited itself to 14.7 K requests per second on average
-	// (Appendix A).
+	// (Appendix A). The token bucket holds Workers tokens, so every
+	// worker can hold one.
 	QPS int
-	// Burst is the token-bucket burst capacity when QPS is set
-	// (default: Workers, so every worker can hold one token).
-	Burst int
 	// Seed keys the scanner's draws. Each is a pure function of the
 	// seed and its subject — the probe label of the domain, a query's
 	// ID and retry jitter of its name, type and attempt — so a scan
 	// sends the same queries at any Workers.
 	Seed uint64
-	// Timeout bounds each query attempt (default 5s).
-	Timeout time.Duration
 	// Retries is how many extra attempts a transport-level query
 	// failure gets before the domain's scan is abandoned (default 2;
 	// negative disables retries). With retries on, ScanErrors in the
@@ -95,9 +94,6 @@ func New(cfg Config) *Scanner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 32
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
 	if cfg.Retries == 0 {
 		cfg.Retries = 2
 	} else if cfg.Retries < 0 {
@@ -106,12 +102,9 @@ func New(cfg Config) *Scanner {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = cfg.Workers
-	}
 	s := &Scanner{cfg: cfg}
 	if cfg.QPS > 0 {
-		s.limiter = newTokenBucket(cfg.QPS, cfg.Burst)
+		s.limiter = newTokenBucket(cfg.QPS, cfg.Workers)
 	}
 	if cfg.Obs != nil {
 		s.mQueries = cfg.Obs.Counter("scanner_queries_total",
@@ -196,7 +189,7 @@ func (s *Scanner) query(ctx context.Context, qname dnswire.Name, qtype dnswire.T
 				return nil, err
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
+		actx, cancel := context.WithTimeout(ctx, queryTimeout)
 		// UDPExchanger dials a socket per exchange, so the ID needs to
 		// match its response only, not to be unique.
 		q := dnswire.NewQuery(uint16(s.draw(drawID, qname, qtype, attempt)), qname, qtype, true)

@@ -169,7 +169,7 @@ func TestScanAllHonorsContext(t *testing.T) {
 	net, u := scanWorld(t, 300)
 	sc := New(Config{
 		Exchanger: net, Resolver: netsim.Addr4(1, 1, 1, 1),
-		Workers: 8, QPS: 1, Burst: 1, Seed: 7, // 1 qps: outlives the context
+		Workers: 8, QPS: 1, Seed: 7, // 1 qps: outlives the context
 	})
 	defer sc.Close()
 	names := make([]dnswire.Name, 0, 50)
@@ -480,7 +480,7 @@ func TestScannerLimiterWaitMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc := New(Config{
 		Exchanger: net, Resolver: netsim.Addr4(1, 1, 1, 1),
-		Workers: 2, QPS: 200, Burst: 1, Seed: 7,
+		Workers: 2, QPS: 200, Seed: 7,
 		Obs: reg,
 	})
 	defer sc.Close()
