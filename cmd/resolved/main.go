@@ -114,19 +114,18 @@ func run() error {
 
 // parseDS parses "keytag alg digesttype hexdigest".
 func parseDS(s string) (dnswire.DS, error) {
-	var tag, alg, dt int
-	var digest string
-	if _, err := fmt.Sscanf(s, "%d %d %d %s", &tag, &alg, &dt, &digest); err != nil {
+	// Scanned into the fields themselves: Sscanf refuses a negative
+	// value or one wider than the field instead of truncating it.
+	var (
+		ds     dnswire.DS
+		digest string
+	)
+	if _, err := fmt.Sscanf(s, "%d %d %d %s", &ds.KeyTag, &ds.Algorithm, &ds.DigestType, &digest); err != nil {
 		return dnswire.DS{}, fmt.Errorf("bad -anchor (want 'keytag alg digesttype hex'): %w", err)
 	}
-	raw := make([]byte, len(digest)/2)
-	if _, err := fmt.Sscanf(strings.ToLower(digest), "%x", &raw); err != nil {
+	ds.Digest = make([]byte, len(digest)/2)
+	if _, err := fmt.Sscanf(strings.ToLower(digest), "%x", &ds.Digest); err != nil {
 		return dnswire.DS{}, fmt.Errorf("bad -anchor digest: %w", err)
 	}
-	return dnswire.DS{
-		KeyTag:     uint16(tag),
-		Algorithm:  dnswire.SecAlgorithm(alg),
-		DigestType: dnswire.DigestType(dt),
-		Digest:     raw,
-	}, nil
+	return ds, nil
 }

@@ -13,7 +13,11 @@ func TestParseDS(t *testing.T) {
 	if len(ds.Digest) != 32 {
 		t.Fatalf("digest %d bytes", len(ds.Digest))
 	}
-	for _, bad := range []string{"", "1 2", "x y z w", "1 2 3 nothex!"} {
+	if ds, err := parseDS("65535 255 255 49FD"); err != nil || ds.KeyTag != 65535 || ds.Algorithm != 255 || ds.DigestType != 255 {
+		t.Errorf("parseDS at the fields' upper bounds = %+v, %v", ds, err)
+	}
+	for _, bad := range []string{"", "1 2", "x y z w", "1 2 3 nothex!",
+		"70000 13 2 49FD46E6", "-1 13 2 49FD46E6", "1 300 2 49FD46E6", "1 13 256 49FD46E6", "1 -13 2 49FD46E6"} {
 		if _, err := parseDS(bad); err == nil {
 			t.Errorf("parseDS(%q) accepted", bad)
 		}
