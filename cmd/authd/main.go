@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/authserver"
 	"repro/internal/dnswire"
 	"repro/internal/netsim"
-	"repro/internal/nsec3"
 	"repro/internal/obs"
 	"repro/internal/testbed"
 	"repro/internal/zone"
@@ -99,15 +97,9 @@ func run() error {
 		}
 		cfg := zone.SignConfig{Inception: inception, Expiration: expiration}
 		if *useNSEC3 {
-			cfg.Denial = zone.DenialNSEC3
-			var salt []byte
-			if *saltHex != "" {
-				if salt, err = hex.DecodeString(strings.ToLower(*saltHex)); err != nil {
-					return err
-				}
+			if err := cfg.UseNSEC3(*iterations, *saltHex, *optOut); err != nil {
+				return err
 			}
-			cfg.NSEC3 = nsec3.Params{Iterations: uint16(*iterations), Salt: salt}
-			cfg.OptOut = *optOut
 		}
 		signed, err := z.Sign(cfg)
 		if err != nil {

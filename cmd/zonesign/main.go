@@ -15,14 +15,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
-	"strings"
 	"time"
 
-	"encoding/hex"
-
 	"repro/internal/dnswire"
-	"repro/internal/nsec3"
 	"repro/internal/zone"
 )
 
@@ -64,26 +61,23 @@ func run() (retErr error) {
 	if err != nil {
 		return err
 	}
+	if *algorithm > math.MaxUint8 {
+		return fmt.Errorf("-algorithm %d: the DNSSEC algorithm field holds at most %d", *algorithm, math.MaxUint8)
+	}
 	cfg := zone.SignConfig{
 		Algorithm:  dnswire.SecAlgorithm(*algorithm),
 		Inception:  uint32(*inception),
 		Expiration: uint32(*expiration),
 	}
 	if *useNSEC3 {
-		cfg.Denial = zone.DenialNSEC3
-		var salt []byte
-		if *saltHex != "" {
-			if salt, err = hex.DecodeString(strings.ToLower(*saltHex)); err != nil {
-				return fmt.Errorf("bad salt: %w", err)
-			}
+		if err := cfg.UseNSEC3(*iterations, *saltHex, *optOut); err != nil {
+			return err
 		}
-		cfg.NSEC3 = nsec3.Params{Iterations: uint16(*iterations), Salt: salt}
-		cfg.OptOut = *optOut
 		if !cfg.NSEC3.RFC9276Compliant() {
 			fmt.Fprintf(os.Stderr,
 				"zonesign: warning: %d iterations / %d-byte salt violates RFC 9276 "+
 					"(MUST use 0 iterations, SHOULD NOT use a salt)\n",
-				*iterations, len(salt))
+				cfg.NSEC3.Iterations, len(cfg.NSEC3.Salt))
 		}
 	}
 	signed, err := z.Sign(cfg)

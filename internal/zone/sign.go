@@ -1,8 +1,10 @@
 package zone
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,6 +61,30 @@ type SignConfig struct {
 	ExpireDenialSigs bool
 	// KSK and ZSK, when nil, are generated.
 	KSK, ZSK *dnssec.KeyPair
+}
+
+// UseNSEC3 sets c to deny with NSEC3 from a signing command's flags:
+// the additional iterations, the salt in hex ("" for none) and the
+// Opt-Out flag. A count wider than the record's 16-bit field, or a
+// salt longer than its 8-bit length field (RFC 5155 §3.2), is refused,
+// not truncated.
+func (c *SignConfig) UseNSEC3(iterations uint, saltHex string, optOut bool) error {
+	if iterations > math.MaxUint16 {
+		return fmt.Errorf("zone: %d NSEC3 iterations: the record holds at most %d", iterations, math.MaxUint16)
+	}
+	var salt []byte
+	if saltHex != "" {
+		var err error
+		if salt, err = hex.DecodeString(saltHex); err != nil {
+			return fmt.Errorf("zone: NSEC3 salt: %w", err)
+		}
+	}
+	if len(salt) > math.MaxUint8 {
+		return fmt.Errorf("zone: %d-octet NSEC3 salt: the record holds at most %d", len(salt), math.MaxUint8)
+	}
+	c.Denial, c.OptOut = DenialNSEC3, optOut
+	c.NSEC3 = nsec3.Params{Iterations: uint16(iterations), Salt: salt}
+	return nil
 }
 
 // Signed is a signed zone ready to be served. Its keys, bitmaps and

@@ -3,6 +3,7 @@ package zone
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/dnssec"
@@ -172,6 +173,44 @@ func TestSignAllReportsTheFailedCell(t *testing.T) {
 		}
 		if _, err := mixed(t).Sign(cfg); err == nil || err.Error() != cellErr.Error() {
 			t.Errorf("%s: Sign = %v, want %v", denial, err, cellErr)
+		}
+	}
+}
+
+// TestUseNSEC3Range: UseNSEC3 takes every count an NSEC3 record can
+// carry and refuses the first one it cannot, where a plain uint16
+// conversion would sign 65,536 as 0; the salt's length is held to its
+// 8-bit field the same way, a salt that is not hex is refused, and an
+// empty one is no salt at all.
+func TestUseNSEC3Range(t *testing.T) {
+	for _, tc := range []struct {
+		iterations uint
+		salt       string
+		ok         bool
+	}{
+		{0, "", true},
+		{65535, "AB01", true},
+		{65536, "", false},
+		{65537, "", false},
+		{0, "xyz", false},
+		{0, strings.Repeat("ab", 255), true},
+		{0, strings.Repeat("ab", 256), false},
+	} {
+		var cfg SignConfig
+		err := cfg.UseNSEC3(tc.iterations, tc.salt, true)
+		if (err == nil) != tc.ok {
+			t.Errorf("UseNSEC3(%d, %q) = %v, want ok %v", tc.iterations, tc.salt, err, tc.ok)
+			continue
+		}
+		if !tc.ok {
+			if cfg.Denial != DenialNSEC || cfg.OptOut {
+				t.Errorf("UseNSEC3(%d, %q) failed but changed the config: %+v", tc.iterations, tc.salt, cfg)
+			}
+			continue
+		}
+		if cfg.Denial != DenialNSEC3 || !cfg.OptOut || uint(cfg.NSEC3.Iterations) != tc.iterations ||
+			len(cfg.NSEC3.Salt) != len(tc.salt)/2 || (tc.salt == "") != (cfg.NSEC3.Salt == nil) {
+			t.Errorf("UseNSEC3(%d, %q) set %+v", tc.iterations, tc.salt, cfg)
 		}
 	}
 }
