@@ -48,6 +48,9 @@ func run() (retErr error) {
 		flag.Usage()
 		return fmt.Errorf("-origin and -in are required")
 	}
+	if *algorithm > math.MaxUint8 {
+		return fmt.Errorf("-algorithm %d: the DNSSEC algorithm field holds at most %d", *algorithm, math.MaxUint8)
+	}
 	apex, err := dnswire.ParseName(*origin)
 	if err != nil {
 		return err
@@ -60,9 +63,6 @@ func run() (retErr error) {
 	z, err := zone.ParseMaster(f, apex, 300)
 	if err != nil {
 		return err
-	}
-	if *algorithm > math.MaxUint8 {
-		return fmt.Errorf("-algorithm %d: the DNSSEC algorithm field holds at most %d", *algorithm, math.MaxUint8)
 	}
 	cfg := zone.SignConfig{
 		Algorithm:  dnswire.SecAlgorithm(*algorithm),
