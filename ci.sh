@@ -17,7 +17,8 @@
 #   NSEC3 hash, the signed octets of an RRSIG and the authoritative
 #   server's wire-level door; every
 #   package-local benchmark once; the smokes over built binaries (authd
-#   /metrics, survey metrics, distributed survey and resolver study,
+#   /metrics, the real-socket chain authd -> resolved -> nsec3scan,
+#   survey metrics, distributed survey and resolver study,
 #   resolver study sharded and one-world, statewalk); reprolint over
 #   the tree (any finding fails). The analyzers' own fixtures are the
 #   tier-1 TestGolden, part of the race-enabled test leg.
@@ -112,6 +113,9 @@ AUTHD_PID=$!
 REPRO_PID=""
 cleanup() {
   kill "$AUTHD_PID" 2>/dev/null || true
+  for p in "${ROOT_PID:-}" "${RESOLVED_PID:-}"; do
+    [ -n "$p" ] && kill "$p" 2>/dev/null || true
+  done
   [ -n "$REPRO_PID" ] && kill "$REPRO_PID" 2>/dev/null || true
   for p in "${W1_PID:-}" "${W2_PID:-}"; do
     [ -n "$p" ] && kill "$p" 2>/dev/null || true
@@ -137,6 +141,54 @@ for m in authserver_queries_total authserver_answer_memo_hits_total \
   curl -fsS "$METRICS_URL" | grep -q "^$m " || { echo "authd /metrics lacks $m"; exit 1; }
 done
 echo "metrics smoke OK ($METRICS_URL)"
+
+echo "== real-socket smoke (authd -> resolved -> nsec3scan over loopback) =="
+# The §4.1 pipeline on real sockets: nsec3scan asks resolved, which
+# validates what authd serves for a signed root zone. Every hop runs
+# over netsim.UDPExchanger, which sends one datagram and leaves the
+# retrying to the resolver and the scanner.
+go build -o "$SMOKE_DIR/resolved" ./cmd/resolved
+go build -o "$SMOKE_DIR/nsec3scan" ./cmd/nsec3scan
+cat >"$SMOKE_DIR/root.zone" <<'ZONE'
+$ORIGIN .
+$TTL 300
+@	3600	IN	SOA	a.root-servers.net. nstld.verisign-grs.com. 1 1800 900 604800 86400
+@	3600	IN	NS	a.root-servers.net.
+a.root-servers.net.	IN	A	127.0.0.1
+ZONE
+: >"$SMOKE_DIR/root.log"
+"$SMOKE_DIR/authd" -listen 127.0.0.1:0 -zone ".=$SMOKE_DIR/root.zone" -iterations 5 -salt aabbccdd \
+  >"$SMOKE_DIR/root.log" 2>&1 &
+ROOT_PID=$!
+ROOT_ADDR=""
+for _ in $(seq 1 100); do
+  ROOT_ADDR=$(sed -n 's/^authd: listening on \([^ ]*\) (udp+tcp)$/\1/p' "$SMOKE_DIR/root.log")
+  [ -n "$ROOT_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$ROOT_ADDR" ] || { echo "authd -zone never bound"; cat "$SMOKE_DIR/root.log"; exit 1; }
+ROOT_DS=$(sed -n 's/^authd: serving \. (NSEC3), DS for the parent: \(.*\)$/\1/p' "$SMOKE_DIR/root.log")
+: >"$SMOKE_DIR/resolved.log"
+"$SMOKE_DIR/resolved" -listen 127.0.0.1:0 -root "$ROOT_ADDR" -anchor "$ROOT_DS" \
+  >"$SMOKE_DIR/resolved.log" 2>&1 &
+RESOLVED_PID=$!
+RESOLVED_ADDR=""
+for _ in $(seq 1 100); do
+  RESOLVED_ADDR=$(sed -n 's/^resolved: .* listening on \([^ ,]*\), root .*, validation=true$/\1/p' "$SMOKE_DIR/resolved.log")
+  [ -n "$RESOLVED_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$RESOLVED_ADDR" ] || { echo "resolved never bound with validation on"; cat "$SMOKE_DIR/resolved.log"; exit 1; }
+echo . | "$SMOKE_DIR/nsec3scan" -resolver "$RESOLVED_ADDR" >"$SMOKE_DIR/scan.out" 2>"$SMOKE_DIR/scan.err" \
+  || { echo "nsec3scan exited nonzero"; cat "$SMOKE_DIR/scan.err"; exit 1; }
+grep -qF '"nsec3param":["1 0 5 AABBCCDD"]' "$SMOKE_DIR/scan.out" \
+  || { echo "nsec3scan did not report the root's NSEC3PARAM"; cat "$SMOKE_DIR/scan.out"; exit 1; }
+grep -q '"nsec3_records":[1-9]' "$SMOKE_DIR/scan.out" \
+  || { echo "nsec3scan saw no NSEC3 records"; cat "$SMOKE_DIR/scan.out"; exit 1; }
+kill "$RESOLVED_PID" "$ROOT_PID"
+wait "$RESOLVED_PID" "$ROOT_PID" 2>/dev/null || true
+ROOT_PID="" RESOLVED_PID=""
+echo "real-socket smoke OK (authd $ROOT_ADDR, resolved $RESOLVED_ADDR)"
 
 # scrape_until_exit <pid> <metrics url> <snapshot file> snapshots
 # /metrics until the process exits: the endpoint dies with the process,

@@ -47,10 +47,9 @@ func RunTrancoStudy(ctx context.Context, cfg TrancoConfig) (*TrancoReport, error
 	}
 	// A dedicated universe where every domain is ranked: the ranked
 	// marginals then drive all parameters.
-	u, err := population.Generate(population.Config{
+	u, err := population.GenerateRanked(population.Config{
 		Registered: cfg.ListSize,
 		Seed:       cfg.Seed + 0x7714,
-		RankedSize: cfg.ListSize,
 	})
 	if err != nil {
 		return nil, err

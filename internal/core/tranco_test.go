@@ -15,7 +15,7 @@ import (
 func TestTrancoStudyMatchesUniverse(t *testing.T) {
 	const n = 2000
 	for _, seed := range []uint64{1, 7} {
-		u, err := population.Generate(population.Config{Registered: n, Seed: seed + 0x7714, RankedSize: n})
+		u, err := population.GenerateRanked(population.Config{Registered: n, Seed: seed + 0x7714})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,9 @@
 // resolver of a resolver-study shard, measuring every Atlas probe
 // (atlas.Platform.Measure) and running every statewalk cell
 // (statewalk.Run). scanner.ScanAll runs its workers on it too, one
-// index per worker, each pulling domains from a stream.
+// index per worker, each pulling domains from a stream. Split is the
+// balanced contiguous split both studies' shard planners cut their
+// index range with.
 package fanout
 
 import (
@@ -49,4 +51,20 @@ func Each(n, workers int, f func(i int) error) error {
 	run()
 	wg.Wait()
 	return first
+}
+
+// Split cuts n indices into parts contiguous runs and returns their
+// sizes: the first n%parts runs are one longer than the rest. A parts
+// count ≤ 0 means one run, one above n means n runs of one, and n = 0
+// has no runs.
+func Split(n, parts int) []int {
+	parts = min(max(parts, 1), n)
+	sizes := make([]int, parts)
+	for i := range sizes {
+		sizes[i] = n / parts
+		if i < n%parts {
+			sizes[i]++
+		}
+	}
+	return sizes
 }

@@ -3,6 +3,7 @@ package fanout
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -58,5 +59,50 @@ func TestEachStopsAfterFailure(t *testing.T) {
 	})
 	if !errors.Is(err, errStop) || calls != 6 {
 		t.Fatalf("got %v after %d calls, want errStop after 6", err, calls)
+	}
+}
+
+// TestSplit: the runs cover n, the part count clamps to [1, n], and the
+// first n%parts runs are the longer ones.
+func TestSplit(t *testing.T) {
+	for _, tc := range []struct {
+		n, parts int
+		want     []int
+	}{
+		{10, 3, []int{4, 3, 3}},
+		{10, 5, []int{2, 2, 2, 2, 2}},
+		{7, 1, []int{7}},
+		{7, 0, []int{7}},
+		{7, -2, []int{7}},
+		{3, 10, []int{1, 1, 1}},
+		{1, 4, []int{1}},
+		{0, 4, []int{}},
+		{11, 4, []int{3, 3, 3, 2}},
+	} {
+		if got := Split(tc.n, tc.parts); !slices.Equal(got, tc.want) {
+			t.Errorf("Split(%d, %d) = %v, want %v", tc.n, tc.parts, got, tc.want)
+		}
+	}
+	for n := 0; n <= 40; n++ {
+		for parts := -1; parts <= 45; parts++ {
+			sizes := Split(n, parts)
+			if want := min(max(parts, 1), n); len(sizes) != want {
+				t.Fatalf("Split(%d, %d): %d runs, want %d", n, parts, len(sizes), want)
+			}
+			sum := 0
+			for i, s := range sizes {
+				sum += s
+				want := n / len(sizes)
+				if i < n%len(sizes) {
+					want++
+				}
+				if s != want {
+					t.Fatalf("Split(%d, %d) = %v: run %d is %d, want %d", n, parts, sizes, i, s, want)
+				}
+			}
+			if sum != n {
+				t.Fatalf("Split(%d, %d) = %v sums to %d", n, parts, sizes, sum)
+			}
+		}
 	}
 }

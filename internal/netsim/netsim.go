@@ -1,7 +1,7 @@
 // Package netsim provides the transport layer shared by every DNS
 // component in this repository: an Exchanger interface for clients, a
 // Handler interface for servers, an in-memory simulated Internet
-// (deterministic, loss/latency injectable) for hermetic large-scale
+// (deterministic, loss injectable) for hermetic large-scale
 // experiments, and a real UDP/TCP implementation for loopback
 // integration tests and the cmd/ binaries.
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sync"
-	"time"
 
 	"repro/internal/dnswire"
 	"repro/internal/mix"
@@ -107,13 +106,11 @@ var (
 )
 
 // Network is an in-memory Internet: a registry of addressed hosts with
-// optional latency and loss. The zero value is usable.
+// optional loss. The zero value is usable.
 type Network struct {
 	mu    sync.RWMutex
 	hosts map[netip.AddrPort]Handler
 
-	// Latency is the one-way delivery delay applied twice per exchange.
-	Latency time.Duration
 	// LossRate in [0,1) is the share of queries dropped. Whether one is
 	// dropped is a pure function of the network's seed, the server and
 	// the query's ID, name and type: the same query to the same server
@@ -123,12 +120,11 @@ type Network struct {
 
 	seed uint64
 
-	// mLost / mLatency count fault injections (nil without Instrument).
-	mLost    *obs.Counter
-	mLatency *obs.Counter
+	// mLost counts dropped queries (nil without Instrument).
+	mLost *obs.Counter
 }
 
-// NewNetwork creates a lossless, zero-latency network whose loss
+// NewNetwork creates a lossless network whose loss
 // draws, once LossRate is set, derive from seed. The zero value draws
 // what NewNetwork(0) draws.
 func NewNetwork(seed uint64) *Network {
@@ -151,17 +147,14 @@ func (n *Network) lost(server netip.AddrPort, query *dnswire.Message) bool {
 	return float64(uint64(k)>>11)/(1<<53) < n.LossRate
 }
 
-// Instrument attaches fault-injection counters from reg: every
-// dropped packet and every injected latency delay is counted. A nil
-// registry leaves the network uninstrumented.
+// Instrument attaches the loss counter from reg: every dropped packet
+// is counted. A nil registry leaves the network uninstrumented.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	n.mLost = reg.Counter("netsim_packets_lost_total",
 		"queries dropped by the simulated network's loss injection")
-	n.mLatency = reg.Counter("netsim_latency_injections_total",
-		"exchanges delayed by the simulated network's latency injection")
 }
 
 // Register attaches a handler at addr, replacing any previous one.
@@ -200,8 +193,8 @@ var wirePool = sync.Pool{
 
 // Exchange implements Exchanger: the query crosses as octets and so
 // does the response (so what the codec refuses, a real packet would
-// have been refused for), honoring loss, latency, and context
-// cancellation.
+// have been refused for), honoring loss and context cancellation. It
+// sends once: a lost query is the caller's to retry.
 func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	h, ok := n.Lookup(server)
 	if !ok {
@@ -211,16 +204,7 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 		n.mLost.Inc()
 		return nil, fmt.Errorf("%w: to %s", ErrPacketLost, server)
 	}
-	if n.Latency > 0 {
-		n.mLatency.Inc()
-		t := time.NewTimer(2 * n.Latency)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	wire := wirePool.Get().(*[]byte)
@@ -232,7 +216,7 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 // roundTrip carries query to h and its response back as octets. The
 // response is rendered for a stream at once: a datagram that would
 // arrive truncated is never observable here — it only triggers the
-// retry over "TCP" — so the handler runs once and its response is
+// fallback to "TCP" — so the handler runs once and its response is
 // rendered once. Both directions share *wire, the response behind the
 // query, which keeps the capacity it grew to; Unpack's Message owns its
 // memory, so the buffer is free again when roundTrip returns.

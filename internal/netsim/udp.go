@@ -19,12 +19,10 @@ import (
 // cmd/ binaries and the loopback integration tests run on it;
 // everything else is transport-agnostic.
 
-// Server serves a Handler over UDP and TCP on the same address.
+// Server serves a Handler over UDP and TCP on the same address. A UDP
+// response is capped at dnswire.DefaultUDPSize; a TCP one is not.
 type Server struct {
 	Handler Handler
-	// UDPSize caps UDP responses; TCP responses are unlimited.
-	// Zero means dnswire.DefaultUDPSize.
-	UDPSize int
 
 	mu       sync.Mutex
 	pc       net.PacketConn
@@ -103,13 +101,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-func (s *Server) udpSize() int {
-	if s.UDPSize > 0 {
-		return s.UDPSize
-	}
-	return dnswire.DefaultUDPSize
-}
-
 // pktPool recycles 65535-octet packet buffers, the size a read needs
 // before the length of what arrives is known. Nothing decoded from one
 // aliases it (dnswire.Unpack's Message owns its memory; a WireHandler
@@ -156,7 +147,7 @@ func (s *Server) servePacket(ctx context.Context, bp *[]byte, n int, from net.Ad
 	refill(wire, (*bp)[:n])
 	pktPool.Put(bp)
 	query := *wire
-	if both := serve(ctx, s.Handler, query, from.(*net.UDPAddr).AddrPort(), query, s.udpSize()); both != nil {
+	if both := serve(ctx, s.Handler, query, from.(*net.UDPAddr).AddrPort(), query, dnswire.DefaultUDPSize); both != nil {
 		*wire = both
 		// A dropped response is indistinguishable from UDP loss; the
 		// client's retry logic covers it.
@@ -279,13 +270,12 @@ func writeTCPMessage(w io.Writer, m *dnswire.Message) error {
 	return err
 }
 
-// UDPExchanger is the real-socket client: UDP with retry and TCP
-// fallback when the response arrives truncated.
+// UDPExchanger is the real-socket client: one UDP datagram, and TCP
+// when the response arrives truncated. It does not retry: the resolver
+// and the scanner above it each keep their own retry budget.
 type UDPExchanger struct {
-	// Timeout per attempt; zero means 3s.
+	// Timeout per exchange; zero means 3s.
 	Timeout time.Duration
-	// Retries after the first attempt; zero means 1, negative none.
-	Retries int
 }
 
 func (u *UDPExchanger) timeout() time.Duration {
@@ -299,30 +289,21 @@ func (u *UDPExchanger) timeout() time.Duration {
 //
 //repro:nondeterministic clock reads set real-socket I/O deadlines, not response content
 func (u *UDPExchanger) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
+	resp, err := u.exchangeUDP(ctx, server, query)
+	if err != nil {
+		return nil, err
+	}
+	if resp.Header.Truncated {
+		return u.exchangeTCP(ctx, server, query)
+	}
+	return resp, nil
+}
+
+func (u *UDPExchanger) exchangeUDP(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	wire, err := query.Pack()
 	if err != nil {
 		return nil, err
 	}
-	attempts := 2
-	if u.Retries != 0 {
-		attempts = 1 + max(u.Retries, 0)
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		resp, err := u.exchangeUDPOnce(ctx, server, query, wire)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.Header.Truncated {
-			return u.exchangeTCP(ctx, server, query)
-		}
-		return resp, nil
-	}
-	return nil, lastErr
-}
-
-func (u *UDPExchanger) exchangeUDPOnce(ctx context.Context, server netip.AddrPort, query *dnswire.Message, wire []byte) (*dnswire.Message, error) {
 	d := net.Dialer{Timeout: u.timeout()}
 	conn, err := d.DialContext(ctx, "udp", server.String())
 	if err != nil {

@@ -24,9 +24,6 @@ type Config struct {
 	Registered int
 	// Seed drives all sampling.
 	Seed uint64
-	// RankedSize is the length of the Tranco-style popularity list
-	// generated alongside (0 disables).
-	RankedSize int
 }
 
 // DomainSpec is one synthetic registered domain: everything needed to
@@ -79,7 +76,7 @@ func newUniverseRNG(seed uint64) *rand.Rand {
 // (core.RunSurvey with Shards > 1) consumes the cursor directly and
 // produces exactly the domains returned here.
 func Generate(cfg Config) (*Universe, error) {
-	cur, err := NewShardCursor(Config{Registered: cfg.Registered, Seed: cfg.Seed}, 1)
+	cur, err := NewShardCursor(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -87,31 +84,34 @@ func Generate(cfg Config) (*Universe, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := shard.Universe
-	u.Config = cfg
-	if cfg.RankedSize > 0 {
-		assignRanks(u, newUniverseRNG(cfg.Seed^0x52414E4B45440A01))
+	return shard.Universe, nil
+}
+
+// GenerateRanked builds the universe Generate builds and ranks every
+// domain of it: a Tranco-style popularity list whose DNSSEC/NSEC3/
+// parameter distribution matches Figure 2's measurements (6.66 %
+// DNSSEC-enabled; 40.8 % of those NSEC3; of the NSEC3 ones 22.8 %
+// zero-iteration, 23.6 % no-salt, 12.7 % both), uniformly across
+// ranks. Ranking is a whole-universe permutation, so a ranked universe
+// is never sharded.
+func GenerateRanked(cfg Config) (*Universe, error) {
+	u, err := Generate(cfg)
+	if err != nil {
+		return nil, err
 	}
+	assignRanks(u, newUniverseRNG(cfg.Seed^0x52414E4B45440A01))
 	return u, nil
 }
 
-// assignRanks builds the Tranco-style list: RankedSize ranked domains
-// whose DNSSEC/NSEC3/parameter distribution matches Figure 2's
-// measurements (6.66 % DNSSEC-enabled; 40.8 % of those NSEC3; of the
-// NSEC3 ones 22.8 % zero-iteration, 23.6 % no-salt, 12.7 % both),
-// uniformly across ranks.
+// assignRanks gives every domain of u a distinct rank and redraws its
+// DNSSEC and NSEC3 parameters from the ranked marginals.
 func assignRanks(u *Universe, rng *rand.Rand) {
-	n := u.Config.RankedSize
-	if n > len(u.Domains) {
-		n = len(u.Domains)
-	}
 	// Ranked-domain conditional parameter cells:
 	//   both compliant            12.7 %
 	//   zero-iter, salted         22.8 − 12.7 = 10.1 %
 	//   iterated, no salt         23.6 − 12.7 = 10.9 %
 	//   iterated, salted          remainder   = 66.3 %
-	perm := rng.Perm(len(u.Domains))[:n]
-	for rank, idx := range perm {
+	for rank, idx := range rng.Perm(len(u.Domains)) {
 		d := &u.Domains[idx]
 		d.Rank = rank + 1
 		d.DNSSEC = rng.Float64() < 0.0666

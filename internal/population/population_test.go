@@ -6,9 +6,9 @@ import (
 	"testing/quick"
 )
 
-func genUniverse(t testing.TB, n int, ranked int) *Universe {
+func genUniverse(t testing.TB, n int) *Universe {
 	t.Helper()
-	u, err := Generate(Config{Registered: n, Seed: 42, RankedSize: ranked})
+	u, err := Generate(Config{Registered: n, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,8 +16,8 @@ func genUniverse(t testing.TB, n int, ranked int) *Universe {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := genUniverse(t, 5000, 0)
-	b := genUniverse(t, 5000, 0)
+	a := genUniverse(t, 5000)
+	b := genUniverse(t, 5000)
 	if len(a.Domains) != len(b.Domains) {
 		t.Fatal("sizes differ")
 	}
@@ -37,7 +37,7 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 func TestGlobalMarginalsMatchPaper(t *testing.T) {
 	// At 100 K domains the sampled marginals must sit close to the
 	// calibration targets (§5.1 / Figure 1).
-	u := genUniverse(t, 100000, 0)
+	u := genUniverse(t, 100000)
 	var dnssec, nsec3, zeroIter, noSalt, le25, saltLE10, optOut int
 	maxIter, maxSalt := 0, 0
 	for i := range u.Domains {
@@ -94,7 +94,7 @@ func TestGlobalMarginalsMatchPaper(t *testing.T) {
 
 func TestRareSpecimensSurviveAnyScale(t *testing.T) {
 	for _, n := range []int{300, 3000} {
-		u := genUniverse(t, n, 0)
+		u := genUniverse(t, n)
 		nsec3 := 0
 		for i := range u.Domains {
 			if u.Domains[i].NSEC3 {
@@ -137,7 +137,7 @@ func TestOperatorSharesSumToOne(t *testing.T) {
 }
 
 func TestTable2OperatorAssignment(t *testing.T) {
-	u := genUniverse(t, 100000, 0)
+	u := genUniverse(t, 100000)
 	counts := map[string]int{}
 	nsec3 := 0
 	for i := range u.Domains {
@@ -200,7 +200,10 @@ func TestTLDRegistryExactBuckets(t *testing.T) {
 }
 
 func TestRankedUniverseMarginals(t *testing.T) {
-	u := genUniverse(t, 30000, 30000) // fully ranked universe
+	u, err := GenerateRanked(Config{Registered: 30000, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dnssec, nsec3, zero, nosalt, both int
 	ranks := map[int]bool{}
 	for i := range u.Domains {

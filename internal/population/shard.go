@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/dnswire"
+	"repro/internal/fanout"
 	"repro/internal/mix"
 )
 
@@ -72,15 +73,10 @@ type ShardPlanner struct {
 	tlds      []TLDSpec
 }
 
-// NewShardPlanner prepares the shared tables for cfg. Ranked universes
-// are not shardable (rank assignment is a whole-universe permutation);
-// use Generate for those.
+// NewShardPlanner prepares the shared tables for cfg.
 func NewShardPlanner(cfg Config) (*ShardPlanner, error) {
 	if cfg.Registered <= 0 {
 		return nil, fmt.Errorf("population: Registered must be positive")
-	}
-	if cfg.RankedSize > 0 {
-		return nil, fmt.Errorf("population: ranked universes cannot be sharded")
 	}
 	ops := Operators()
 	operators := make(map[string]Operator, len(ops))
@@ -104,24 +100,16 @@ func (p *ShardPlanner) TLDs() []TLDSpec { return p.tlds }
 // Operators returns the shared operator table (read-only).
 func (p *ShardPlanner) Operators() map[string]Operator { return p.operators }
 
-// Plan splits the universe into the given number of shards and returns
-// one ShardPlan per shard. A shard count above cfg.Registered is
-// clamped; counts ≤ 0 mean one shard. The single pass over the stream
-// counts NSEC3 draws so every plan carries its starting ordinal.
+// Plan splits the universe into the given number of shards
+// (fanout.Split) and returns one ShardPlan per shard. A shard count
+// above cfg.Registered is clamped; counts ≤ 0 mean one shard. The
+// single pass over the stream counts NSEC3 draws so every plan carries
+// its starting ordinal.
 func (p *ShardPlanner) Plan(shards int) []ShardPlan {
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > p.cfg.Registered {
-		shards = p.cfg.Registered
-	}
-	plans := make([]ShardPlan, shards)
+	sizes := fanout.Split(p.cfg.Registered, shards)
+	plans := make([]ShardPlan, len(sizes))
 	offset, nsec3 := 0, 0
-	for s := 0; s < shards; s++ {
-		size := p.cfg.Registered / shards
-		if s < p.cfg.Registered%shards {
-			size++
-		}
+	for s, size := range sizes {
 		plans[s] = ShardPlan{Index: s, Offset: offset, Size: size, NSEC3Start: nsec3}
 		for i := offset; i < offset+size; i++ {
 			if p.nsec3At(i) {

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"reflect"
@@ -248,6 +249,49 @@ func TestResolveSurvivesPacketLoss(t *testing.T) {
 	t.Logf("%d resolves: %d survived loss, %d failed under it, %d packets lost", len(qnames), survived, failed, lost.Value())
 	if survived == 0 || failed == 0 {
 		t.Fatalf("%d resolves survived loss and %d failed under it; want both", survived, failed)
+	}
+}
+
+// sentQuery is one exchange a deadExchanger was asked for.
+type sentQuery struct {
+	server netip.AddrPort
+	id     uint16
+}
+
+func (s sentQuery) String() string { return fmt.Sprintf("%s ID %d", s.server, s.id) }
+
+// deadExchanger fails every exchange and records what it was sent.
+type deadExchanger struct{ sent []sentQuery }
+
+func (d *deadExchanger) Exchange(ctx context.Context, server netip.AddrPort, q *dnswire.Message) (*dnswire.Message, error) {
+	d.sent = append(d.sent, sentQuery{server, q.Header.ID})
+	return nil, errors.New("no answer")
+}
+
+// TestExchangeBudgetPerServer pins the resolver hop's retry budget:
+// with every exchange failing, each root is asked exactly twice, in
+// the roots' order, the second time under a new ID, and the resolve
+// ends in SERVFAIL.
+func TestExchangeBudgetPerServer(t *testing.T) {
+	roots := []netip.AddrPort{netsim.Addr4(198, 41, 0, 4), netsim.Addr4(199, 9, 14, 201)}
+	dead := &deadExchanger{}
+	r := New(Config{Roots: roots, Exchanger: dead, Now: func() uint32 { return tNow }})
+	res := resolveA(t, r, "www.example.com")
+	if res.RCode != dnswire.RCodeServFail {
+		t.Errorf("rcode %s, want SERVFAIL", res.RCode)
+	}
+	if len(dead.sent) != 4 {
+		t.Fatalf("%d exchanges %v, want 2 to each of 2 roots", len(dead.sent), dead.sent)
+	}
+	for i, s := range dead.sent {
+		if want := roots[i/2]; s.server != want {
+			t.Errorf("exchange %d went to %s, want %s", i, s.server, want)
+		}
+	}
+	for i := 0; i < 4; i += 2 {
+		if dead.sent[i].id == dead.sent[i+1].id {
+			t.Errorf("%s asked twice under ID %d, want a new ID for the retry", dead.sent[i].server, dead.sent[i].id)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/dnssec"
+	"repro/internal/fanout"
 	"repro/internal/mix"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -220,22 +221,14 @@ type ShardPlan struct {
 // ShardIndex returns the shard ordinal (core.Sharded).
 func (p ShardPlan) ShardIndex() int { return p.Index }
 
-// Plan splits the fleet into the given number of contiguous shards.
-// A count above the fleet size is clamped; counts ≤ 0 mean one shard.
+// Plan splits the fleet into the given number of contiguous shards
+// (fanout.Split). A count above the fleet size is clamped; counts ≤ 0
+// mean one shard.
 func (p *Planner) Plan(shards int) []ShardPlan {
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > p.total {
-		shards = p.total
-	}
-	plans := make([]ShardPlan, shards)
+	sizes := fanout.Split(p.total, shards)
+	plans := make([]ShardPlan, len(sizes))
 	offset := 0
-	for s := 0; s < shards; s++ {
-		size := p.total / shards
-		if s < p.total%shards {
-			size++
-		}
+	for s, size := range sizes {
 		plans[s] = ShardPlan{Index: s, Offset: offset, Size: size}
 		offset += size
 	}

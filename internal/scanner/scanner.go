@@ -27,6 +27,19 @@ import (
 // queryTimeout bounds each query attempt.
 const queryTimeout = 5 * time.Second
 
+// maxRetries is how many extra attempts a transport-level query failure
+// gets before the domain's scan is abandoned, so ScanErrors in the
+// survey report reflects persistent faults, not transient loss.
+// retryBackoff is the base delay before the first retry, doubling per
+// attempt. Each sleep is jittered: drawn from [base/2, base) as a
+// function of (Seed, query name, type, attempt), so workers retrying
+// different queries desynchronize and a replay sleeps the same.
+// Retries also pay the QPS limiter.
+const (
+	maxRetries   = 2
+	retryBackoff = 50 * time.Millisecond
+)
+
 // Config assembles a scanner.
 type Config struct {
 	// Exchanger is the transport.
@@ -46,17 +59,6 @@ type Config struct {
 	// ID and retry jitter of its name, type and attempt — so a scan
 	// sends the same queries at any Workers.
 	Seed uint64
-	// Retries is how many extra attempts a transport-level query
-	// failure gets before the domain's scan is abandoned (default 2;
-	// negative disables retries). With retries on, ScanErrors in the
-	// survey report reflects persistent faults, not transient loss.
-	Retries int
-	// RetryBackoff is the base delay before the first retry, doubling
-	// per attempt (default 50ms). Each sleep is jittered: drawn from
-	// [base/2, base) as a function of (Seed, query name, type,
-	// attempt), so workers retrying different queries desynchronize
-	// and a replay sleeps the same. Retries also pay the QPS limiter.
-	RetryBackoff time.Duration
 	// Obs, when set, receives scanner metrics (queries issued, RTT
 	// histogram, retries, backoff and limiter wait time). Nil disables
 	// instrumentation at zero cost on the query path.
@@ -93,14 +95,6 @@ type Scanner struct {
 func New(cfg Config) *Scanner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 32
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	} else if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	s := &Scanner{cfg: cfg}
 	if cfg.QPS > 0 {
@@ -174,7 +168,7 @@ func (s *Scanner) jitter(d time.Duration, qname dnswire.Name, qtype dnswire.Type
 //
 //repro:nondeterministic clock reads drive rate limiting and latency metrics, not scan results
 func (s *Scanner) query(ctx context.Context, qname dnswire.Name, qtype dnswire.Type) (*dnswire.Message, error) {
-	backoff := s.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if s.limiter != nil {
@@ -211,7 +205,7 @@ func (s *Scanner) query(ctx context.Context, qname dnswire.Name, qtype dnswire.T
 			return msg, nil
 		}
 		lastErr = err
-		if attempt >= s.cfg.Retries || ctx.Err() != nil {
+		if attempt >= maxRetries || ctx.Err() != nil {
 			return nil, lastErr
 		}
 		sleep := s.jitter(backoff, qname, qtype, attempt)

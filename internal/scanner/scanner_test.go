@@ -244,7 +244,6 @@ func TestRetryBackoffRecoversTransientFailures(t *testing.T) {
 	sc := New(Config{
 		Exchanger: flaky, Resolver: netsim.Addr4(1, 1, 1, 1),
 		Workers: 1, Seed: 7,
-		Retries: 2, RetryBackoff: time.Millisecond,
 	})
 	defer sc.Close()
 	var spec *population.DomainSpec
@@ -271,16 +270,15 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	sc := New(Config{
 		Exchanger: alwaysDown, Resolver: netsim.Addr4(1, 1, 1, 1),
 		Workers: 1, Seed: 7,
-		Retries: 3, RetryBackoff: time.Millisecond,
 	})
 	defer sc.Close()
 	r := sc.ScanDomain(context.Background(), dnswire.MustParseName("down.example"))
 	if r.Err == nil {
 		t.Fatal("scan of a dead transport succeeded")
 	}
-	// The first probe (DNSKEY) is the only query: 1 try + 3 retries.
-	if alwaysDown.calls != 4 {
-		t.Fatalf("%d transport calls, want 4 (1 try + 3 retries)", alwaysDown.calls)
+	// The first probe (DNSKEY) is the only query: 1 try + maxRetries.
+	if alwaysDown.calls != 1+maxRetries {
+		t.Fatalf("%d transport calls, want %d (1 try + %d retries)", alwaysDown.calls, 1+maxRetries, maxRetries)
 	}
 }
 
@@ -441,7 +439,6 @@ func TestScannerMetrics(t *testing.T) {
 	sc := New(Config{
 		Exchanger: flaky, Resolver: netsim.Addr4(1, 1, 1, 1),
 		Workers: 1, Seed: 7,
-		Retries: 2, RetryBackoff: time.Millisecond,
 		Obs: reg,
 	})
 	defer sc.Close()
