@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -269,4 +271,110 @@ func TestSurveyIDTLDCountsMatchReference(t *testing.T) {
 			t.Errorf("seed %d: %d domains under Identity Digital TLDs, want %d", seed, out.DomainsUnderIDTLDs, under)
 		}
 	}
+}
+
+// TestBuilderOrderIndependent is the fold half of the shard contract:
+// each study runs once at four shards, and its outcomes, JSON-encoded
+// as a worker sends them, are folded from fresh decodes in every one
+// of the 24 orders. Every order must build the in-order report and
+// render the committed seed-1 golden. A Merge that keeps the last
+// shard's field, a map-range write that keeps the last key, or a fold
+// that overwrites instead of merging fails here.
+func TestBuilderOrderIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end studies are slow")
+	}
+	t.Run("survey", func(t *testing.T) {
+		spec, err := SurveyConfig{Registered: 900, Seed: 1, Shards: 4}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEveryFoldOrder(t, spec, "survey-seed1", renderSurvey)
+	})
+	t.Run("resolverstudy", func(t *testing.T) {
+		spec, err := ResolverStudyConfig{ScaleDen: 2000, Seed: 1, Shards: 4}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEveryFoldOrder(t, spec, "resolverstudy-seed1", renderResolverStudy)
+	})
+}
+
+// checkEveryFoldOrder executes each of spec's jobs once and folds the
+// encoded outcomes in every permutation.
+func checkEveryFoldOrder[S Study[P, O, R], P, O Sharded, R any](t *testing.T, spec S, golden string, render func(R) string) {
+	t.Helper()
+	jobs, err := Plan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 4 {
+		t.Fatalf("planned %d jobs, want 4", len(jobs))
+	}
+	runner := NewRunner[S](nil, nil, nil)
+	encoded := make([][]byte, len(jobs))
+	for i, job := range jobs {
+		out, err := runner.Execute(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if encoded[i], err = json.Marshal(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", golden+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inOrder R
+	orders := 0
+	permute(len(jobs), func(order []int) {
+		b := NewBuilder(spec)
+		for _, i := range order {
+			var o O
+			if err := json.Unmarshal(encoded[i], &o); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Add(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report := b.Finish()
+		if orders == 0 {
+			inOrder = report
+		} else if !reflect.DeepEqual(report, inOrder) {
+			t.Errorf("fold order %v builds a report that differs from the in-order one", order)
+		}
+		if got := goldenText(t, report, render(report)); got != string(want) {
+			t.Errorf("fold order %v renders a report that differs from testdata/%s.golden", order, golden)
+		}
+		orders++
+	})
+	if orders != 24 {
+		t.Fatalf("folded %d orders, want 24", orders)
+	}
+}
+
+// permute calls visit with every permutation of 0..n-1, the identity
+// first.
+func permute(n int, visit func([]int)) {
+	order := make([]int, 0, n)
+	used := make([]bool, n)
+	var rec func()
+	rec = func() {
+		if len(order) == n {
+			visit(order)
+			return
+		}
+		for i := range n {
+			if !used[i] {
+				used[i] = true
+				order = append(order, i)
+				rec()
+				order = order[:len(order)-1]
+				used[i] = false
+			}
+		}
+	}
+	rec()
 }

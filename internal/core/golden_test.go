@@ -19,11 +19,7 @@ var goldenSeeds = []uint64{1, 7}
 // on a commit whose science is the reference.
 func checkGolden(t *testing.T, name string, report any, rendered string) {
 	t.Helper()
-	raw, err := json.MarshalIndent(report, "", "\t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(raw) + "\n" + rendered
+	got := goldenText(t, report, rendered)
 	path := filepath.Join("testdata", name+".golden")
 	if os.Getenv("CORE_WRITE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -47,4 +43,15 @@ func checkGolden(t *testing.T, name string, report any, rendered string) {
 		}
 	}
 	t.Fatalf("report differs from %s: %d lines, want %d", path, len(gl), len(wl))
+}
+
+// goldenText is the committed form of a report: indented JSON, a
+// newline, then its rendering.
+func goldenText(t *testing.T, report any, rendered string) string {
+	t.Helper()
+	raw, err := json.MarshalIndent(report, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw) + "\n" + rendered
 }
