@@ -31,6 +31,10 @@ echo "== build =="
 go build ./...
 
 echo "== vet =="
+# go vet's copylocks pass, over the root module here and over bench/
+# below, is the tree's lock-copy check: a sync.Mutex, RWMutex or
+# WaitGroup copied through a parameter, receiver, assignment or range
+# variable fails this leg.
 go vet ./...
 # internal/nsec3's SHA-1 kernel is amd64 assembly; other architectures
 # build a stub instead, which nothing above compiles. (go vet's asmdecl

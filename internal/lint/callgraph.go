@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -14,10 +13,10 @@ import (
 // call graph over every loaded package. An intraprocedural analyzer
 // sees one function body at a time, which once forced the determinism
 // guarantee onto a hand-maintained file exemption list; the graph lets
-// determinism, mergepurity, goleak, ctxprop and wiretaint reason about
-// whole call chains instead — "core reaches time.Now through the
-// scanner" rather than "this file may read the clock". Reach is the one
-// search every chain-reporting analyzer runs over it.
+// determinism, goleak and ctxprop reason about whole call chains
+// instead — "core reaches time.Now through the scanner" rather than
+// "this file may read the clock". Reach is the one search every
+// chain-reporting analyzer runs over it.
 //
 // Resolution is deliberately static and conservative:
 //
@@ -507,32 +506,23 @@ var (
 	StaticEdges = Edges(EdgeCall, EdgeGo, EdgeDefer, EdgeClosure)
 )
 
-// Search directions for Reach.
-const (
-	// Callees searches forward, from a function to what it calls.
-	Callees = true
-	// Callers searches backward, from a function to what calls it.
-	Callers = false
-)
-
 // Reached is the outcome of one Reach search.
 type Reached struct {
 	// Order lists the reached nodes breadth-first, seeds first.
 	Order []*CallNode
 
-	forward bool
-	// via maps a reached node to the neighbour the search came from,
-	// nil for a seed.
+	// via maps a reached node to the callee the search came from, nil
+	// for a seed.
 	via map[*CallNode]*CallNode
 }
 
 // Reach is the breadth-first search behind every chain-reporting
-// analyzer: from seeds, toward callees or callers, over the edge kinds
-// in over, never entering a node absorb accepts (nil absorbs nothing).
+// analyzer: from seeds back to their callers, over the edge kinds in
+// over, never entering a node absorb accepts (nil absorbs nothing).
 // An absorbed seed is dropped like any other absorbed node. Breadth
 // first makes every recorded chain a shortest one.
-func Reach(seeds []*CallNode, forward bool, over EdgeSet, absorb func(*CallNode) bool) *Reached {
-	r := &Reached{forward: forward, via: make(map[*CallNode]*CallNode)}
+func Reach(seeds []*CallNode, over EdgeSet, absorb func(*CallNode) bool) *Reached {
+	r := &Reached{via: make(map[*CallNode]*CallNode)}
 	visit := func(n, from *CallNode) {
 		if _, seen := r.via[n]; seen || absorb != nil && absorb(n) {
 			return
@@ -545,28 +535,13 @@ func Reach(seeds []*CallNode, forward bool, over EdgeSet, absorb func(*CallNode)
 	}
 	for i := 0; i < len(r.Order); i++ {
 		n := r.Order[i]
-		edges := n.In
-		if forward {
-			edges = n.Out
-		}
-		for _, e := range edges {
-			if over&(1<<e.Kind) == 0 {
-				continue
-			}
-			if forward {
-				visit(e.Callee, n)
-			} else {
+		for _, e := range n.In {
+			if over&(1<<e.Kind) != 0 {
 				visit(e.Caller, n)
 			}
 		}
 	}
 	return r
-}
-
-// Has reports whether the search reached n.
-func (r *Reached) Has(n *CallNode) bool {
-	_, ok := r.via[n]
-	return ok
 }
 
 // Via returns the neighbour the search reached n from: nil for a seed.
@@ -580,16 +555,12 @@ func (r *Reached) Seed(n *CallNode) *CallNode {
 	return n
 }
 
-// Chain renders the path between n and its seed in call order —
-// "core.Run → scanner.Scan → (*Scanner).query" — whichever way the
-// search ran.
+// Chain renders the path from n down to its seed in call order —
+// "core.Run → scanner.Scan → (*Scanner).query".
 func (r *Reached) Chain(n *CallNode) string {
 	var names []string
 	for ; n != nil; n = r.via[n] {
 		names = append(names, n.Name())
-	}
-	if r.forward {
-		slices.Reverse(names)
 	}
 	return strings.Join(names, " → ")
 }

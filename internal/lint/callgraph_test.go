@@ -7,6 +7,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,11 +150,16 @@ func TestCallGraphCrossPackage(t *testing.T) {
 
 // reaches reports whether to is reachable from from over any edges.
 func reaches(from, to *lint.CallNode) bool {
-	return lint.Reach([]*lint.CallNode{from}, lint.Callees, lint.AllEdges, nil).Has(to)
+	return has(lint.Reach([]*lint.CallNode{to}, lint.AllEdges, nil), from)
+}
+
+// has reports whether the search reached n.
+func has(r *lint.Reached, n *lint.CallNode) bool {
+	return slices.Contains(r.Order, n)
 }
 
 // TestReach pins the one search every chain-reporting analyzer runs:
-// both directions, shortest chains rendered in call order, the
+// callers of the seeds, shortest chains rendered in call order, the
 // edge-kind filter, and absorption — which stops propagation through a
 // node (and drops it as a seed) without touching the other seeds.
 func TestReach(t *testing.T) {
@@ -164,37 +170,35 @@ func TestReach(t *testing.T) {
 		return func(m *lint.CallNode) bool { return m == n }
 	}
 
-	// Forward: outer reaches callee directly and through inner; breadth
-	// first keeps the direct chain.
-	fwd := lint.Reach([]*lint.CallNode{outer}, lint.Callees, lint.AllEdges, nil)
-	if got, want := fwd.Chain(callee), "cgfix.outer → cgfix.callee"; got != want {
-		t.Errorf("forward chain = %q, want %q", got, want)
+	// From callee: every caller, chains in call order. outer calls
+	// callee directly and through inner; breadth first keeps the direct
+	// chain.
+	back := lint.Reach([]*lint.CallNode{callee}, lint.AllEdges, nil)
+	if got, want := back.Chain(outer), "cgfix.outer → cgfix.callee"; got != want {
+		t.Errorf("chain = %q, want %q", got, want)
 	}
-	if fwd.Seed(callee) != outer || fwd.Via(outer) != nil || fwd.Order[0] != outer {
-		t.Errorf("forward search does not start at its seed")
-	}
-
-	// Backward from callee: every caller, chains still in call order.
-	back := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.AllEdges, nil)
 	if got, want := back.Chain(inner), "cgfix.inner → cgfix.callee"; got != want {
-		t.Errorf("backward chain = %q, want %q", got, want)
+		t.Errorf("chain = %q, want %q", got, want)
+	}
+	if back.Seed(outer) != callee || back.Via(callee) != nil || back.Order[0] != callee {
+		t.Errorf("search does not start at its seed")
 	}
 	for _, name := range []string{"cgfix.plainCall", "cgfix.spawn", "cgfix.deferred", "cgfix.reference", "cgfix.immediate", "cgfix.outer"} {
-		if !back.Has(node(name)) {
+		if !has(back, node(name)) {
 			t.Errorf("backward search over all edges missed %s", name)
 		}
 	}
-	if back.Has(node("cgfix.dispatch")) {
+	if has(back, node("cgfix.dispatch")) {
 		t.Errorf("backward search reached cgfix.dispatch, which never reaches callee")
 	}
 
 	// Edge-kind filter: only the plain and deferred calls survive.
-	plain := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.Edges(lint.EdgeCall, lint.EdgeDefer), nil)
+	plain := lint.Reach([]*lint.CallNode{callee}, lint.Edges(lint.EdgeCall, lint.EdgeDefer), nil)
 	for name, want := range map[string]bool{
 		"cgfix.plainCall": true, "cgfix.deferred": true, "cgfix.inner": true, "cgfix.outer": true,
 		"cgfix.spawn": false, "cgfix.reference": false,
 	} {
-		if got := plain.Has(node(name)); got != want {
+		if got := has(plain, node(name)); got != want {
 			t.Errorf("call/defer-only search: reached %s = %v, want %v", name, got, want)
 		}
 	}
@@ -203,19 +207,19 @@ func TestReach(t *testing.T) {
 	// inner — is cut off, while outer is still reached by its own direct
 	// call; an absorbed seed is dropped while the other seed propagates.
 	top := node("cgfix.top")
-	absorbed := lint.Reach([]*lint.CallNode{callee}, lint.Callers, lint.AllEdges, isNode(inner))
-	if absorbed.Has(inner) || absorbed.Has(top) || !absorbed.Has(outer) || !back.Has(top) {
+	absorbed := lint.Reach([]*lint.CallNode{callee}, lint.AllEdges, isNode(inner))
+	if has(absorbed, inner) || has(absorbed, top) || !has(absorbed, outer) || !has(back, top) {
 		t.Errorf("absorbing inner: reached inner=%v top=%v outer=%v (top without absorb: %v), want false/false/true (true)",
-			absorbed.Has(inner), absorbed.Has(top), absorbed.Has(outer), back.Has(top))
+			has(absorbed, inner), has(absorbed, top), has(absorbed, outer), has(back, top))
 	}
-	seeds := lint.Reach([]*lint.CallNode{inner, node("cgfix.plainCall")}, lint.Callers, lint.AllEdges, isNode(inner))
-	if seeds.Has(inner) || seeds.Has(top) || !seeds.Has(node("cgfix.plainCall")) {
+	seeds := lint.Reach([]*lint.CallNode{inner, node("cgfix.plainCall")}, lint.AllEdges, isNode(inner))
+	if has(seeds, inner) || has(seeds, top) || !has(seeds, node("cgfix.plainCall")) {
 		t.Errorf("an absorbed seed must be dropped and stop nothing else")
 	}
 }
 
 // TestCallGraphSeesThroughStudyEngine pins the chains the generic study
-// engine must not hide from determinism, goleak, and mergepurity: both
+// engine must not hide from determinism and goleak: both
 // in-process entry points and the distributed worker loop reach the
 // execute body of both instantiations. The graph has one node per
 // generic function, so each entry point reaches both bodies — the

@@ -67,7 +67,7 @@ func runCtxProp(pass *ProjectPass) {
 			seeds = append(seeds, node)
 		}
 	}
-	blocked := Reach(seeds, Callers, StaticEdges, ctxExempt)
+	blocked := Reach(seeds, StaticEdges, ctxExempt)
 
 	// Rule 1 report: every declared, non-main, ctx-less function on a
 	// blocking path. Literals inherit their encloser's parameters and
@@ -159,18 +159,20 @@ func isSignalChan(t types.Type) bool {
 	return ok && st.NumFields() == 0
 }
 
-// blockingCalls are the net and io calls besides the reads readInto
-// knows that block: dialing, listening, accepting and writing on the
-// network (or on kernel accept queues), and the io helpers that loop
-// on Read until satisfied. Resolution is by name within the package,
-// which covers both the concrete methods ((*UDPConn).WriteTo) and the
-// interface methods (net.Conn.Write, net.Listener.Accept).
+// blockingCalls are the net and io calls that block: dialing,
+// listening, accepting, reading and writing on the network (or on
+// kernel accept queues), and the io helpers that loop on Read until
+// satisfied. Resolution is by name within the package, which covers
+// both the concrete methods ((*UDPConn).WriteTo) and the interface
+// methods (net.Conn.Write, net.Listener.Accept).
 var blockingCalls = map[string]bool{
 	"net.Dial": true, "net.DialContext": true, "net.DialTimeout": true,
 	"net.Listen": true, "net.ListenPacket": true, "net.ListenUDP": true,
 	"net.ListenTCP": true, "net.ListenIP": true, "net.ListenMulticastUDP": true,
 	"net.Accept": true, "net.AcceptTCP": true, "net.AcceptUDP": true,
+	"net.Read": true, "net.ReadFrom": true, "net.ReadFromUDP": true, "net.ReadMsgUDP": true,
 	"net.Write": true, "net.WriteTo": true, "net.WriteToUDP": true, "net.WriteMsgUDP": true,
+	"io.ReadFull": true, "io.ReadAtLeast": true,
 	"io.Copy": true, "io.CopyN": true, "io.ReadAll": true,
 }
 
@@ -193,7 +195,7 @@ func blockingSource(node *CallNode) string {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if fn := calleeFunc(info, n); fn != nil && fn.Pkg() != nil {
-				if name := fn.Pkg().Path() + "." + fn.Name(); blockingCalls[name] || readInto(info, n) != nil {
+				if name := fn.Pkg().Path() + "." + fn.Name(); blockingCalls[name] {
 					found = name
 				}
 			}

@@ -92,7 +92,7 @@ func runDeterminism(pass *ProjectPass) {
 			seeds = append(seeds, node)
 		}
 	}
-	tainted := Reach(seeds, Callers, AllEdges, sanctioned)
+	tainted := Reach(seeds, AllEdges, sanctioned)
 
 	// Report the innermost scoped function of each chain: the point
 	// where a deterministic layer escapes into tainted territory. Outer
@@ -231,7 +231,7 @@ func nondetSources(info *types.Info, root ast.Node, intoLits bool) []nondetSourc
 					if len(n.Lhs) != 1 || len(n.Rhs) != 1 || builtinCall(info, n.Rhs[0]) != "append" {
 						return
 					}
-					if root := rootVar(info, n.Lhs[0], hopDeref|hopField|hopIndex); declaredIn(root, rs) {
+					if root := rootVar(info, n.Lhs[0]); declaredIn(root, rs) {
 						return
 					}
 					if target := exprString(n.Lhs[0]); !sortedAfter(info, target, list[i+1:]) {

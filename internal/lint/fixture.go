@@ -27,7 +27,7 @@ type FixturePkg struct {
 	Subdir string
 	// PkgPath is the fake import path the package is checked under. It
 	// drives analyzer scoping (e.g. a path ending in internal/dnswire
-	// marks the package as a wiretaint source) and lets later fixture
+	// puts the package in wiresafety's scope) and lets later fixture
 	// packages import earlier ones.
 	PkgPath string
 }
@@ -47,7 +47,6 @@ func GoldenCases() []GoldenCase {
 		{DeterminismAnalyzer, "determinism", []FixturePkg{{"", "repro/internal/population"}}},
 		{WireSafetyAnalyzer, "wiresafety", []FixturePkg{{"", "repro/internal/dnswire"}}},
 		{ErrDiscardAnalyzer, "errdiscard", []FixturePkg{{"", "repro/internal/lintfixture"}}},
-		{CopyLockAnalyzer, "copylock", []FixturePkg{{"", "repro/internal/lintfixture"}}},
 		{RFCConstAnalyzer, "rfcconst", []FixturePkg{{"", "repro/internal/dnswire"}}},
 		// determinism's call-chain half: a scoped package reaching sources
 		// through an unscoped one.
@@ -60,11 +59,6 @@ func GoldenCases() []GoldenCase {
 			{"iolib", "repro/internal/iolib"},
 			{"svc", "repro/internal/svc"},
 		}},
-		{WireTaintAnalyzer, "wiretaint", []FixturePkg{
-			{"wire", "repro/internal/dnswire"},
-			{"srv", "repro/internal/srv"},
-		}},
-		{MergePurityAnalyzer, "mergepurity", []FixturePkg{{"", "repro/internal/mergefix"}}},
 		// The generic fixture is one engine checked twice: each consumer
 		// package carries the want markers of one analyzer.
 		{DeterminismAnalyzer, "generic", []FixturePkg{

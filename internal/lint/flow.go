@@ -2,8 +2,8 @@ package lint
 
 import "go/ast"
 
-// flow is the one statement-flow walker behind the flow-sensitive
-// analyzers. It owns the enumeration of Go's compound statements — which
+// flow is the statement-flow walker wiresafety tracks its len guards
+// on. It owns the enumeration of Go's compound statements — which
 // sub-statements and control expressions each has, which of them run on
 // a branch of their own, and which branches fall through to the next
 // statement — and threads an analyzer-defined state S along every path.

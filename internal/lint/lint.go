@@ -3,51 +3,48 @@
 // It exists because the reproduction's scientific claims rest on
 // invariants the Go compiler cannot check:
 //
-//   - generation, aggregation and merging must be pure functions of the
-//     seed, at any shard split, or the Table 2 / Figure 1 calibration
-//     stops being reproducible (determinism, mergepurity);
-//   - the hand-rolled DNS wire codec must survive adversarial bytes —
-//     no index past a buffer bound, no attacker-sized allocation or
-//     loop — the parser-robustness failure class that NSEC3
-//     CPU-exhaustion attacks exploit at measurement scale (wiresafety,
-//     wiretaint);
+//   - generation and aggregation must be pure functions of the seed,
+//     or the Table 2 / Figure 1 calibration stops being reproducible
+//     (determinism);
+//   - the hand-rolled DNS wire codec must not index past a buffer
+//     bound on adversarial bytes, the parser-robustness failure class
+//     that NSEC3 CPU-exhaustion attacks exploit at measurement scale
+//     (wiresafety);
 //   - the concurrent pipeline must stay stoppable and leak-free:
-//     cancellation reaches every blocking call, goroutines terminate,
-//     locks are not copied (ctxprop, goleak, copylock);
+//     cancellation reaches every blocking call and goroutines
+//     terminate (ctxprop, goleak);
 //   - errors and magic protocol numbers must not slip in as the scanner
 //     grows toward production scale (errdiscard, rfcconst).
 //
 // # What each analyzer buys
 //
-// An analyzer stays when no other check pins its property. The audit
-// below counted, per analyzer of the thirteen the suite once ran: code
-// lines (non-blank, non-comment, non-test), the product //repro:
-// waivers it reads, its fixture lines under testdata/src, the product
-// bugs it caught (from the commit log), and the other check that pins
-// the same property. Four rows name such a check, and those analyzers
-// were deleted with their fixtures, waivers and directives. Five more
-// are kept whatever their row says, as the project roadmap requires:
-// determinism and mergepurity guard the report contract, wiresafety and
-// wiretaint the codec, and copylock sees what vet misses; a "partial"
-// check pins their property only for the inputs it runs.
+// An analyzer stays when no other check pins its property. Two audits
+// counted, per analyzer of the thirteen the suite once ran: code lines
+// (non-blank, non-comment, non-test), the product //repro: waivers it
+// reads, its fixture lines under testdata/src, the product bugs it
+// caught (from the commit log), and the other check that pins the same
+// property. Seven rows name such a check, and those analyzers were
+// deleted with their fixtures, waivers and directives; the six kept
+// rows name none that pins the whole property. A "partial" check pins
+// it only for the inputs it runs.
 //
-//	analyzer      code  waivers  fixture  findings         other check                   verdict
-//	determinism    204        6   112+84  none recorded    partial: core goldens         kept (roadmap)
-//	mergepurity    244        6      171  none recorded    partial: core goldens         kept (roadmap)
-//	wiresafety     192        0       90  3693454          partial: codec fuzzers        kept (roadmap)
-//	wiretaint      308        0      254  none recorded    partial: codec fuzzers        kept (roadmap)
-//	copylock       133        0       85  none recorded    partial: go vet copylocks     kept (roadmap)
-//	ctxprop        215        4      173  43a710f          none (4 paths tested)         kept
-//	errdiscard     157        0      104  3693454 f14fe8f  none                          kept
-//	goleak         119        0      192  f14fe8f          none                          kept
-//	rfcconst        89        0       57  3693454          none                          kept
-//	lockorder      299        0      169  none             tests; -race leg              deleted
-//	hotpathalloc   260       13      127  73bce59 only     AllocsPerRun pins             deleted
-//	bufalias       237        9      123  73bce59 only     ownership tests; -race leg    deleted
-//	poolsafe       224        0       86  73bce59 only     AllocsPerRun pins; -race leg  deleted
+//	analyzer      code  waivers  fixture  findings         other check                        verdict
+//	determinism    203        6   112+84  none recorded    partial: core goldens              kept
+//	wiresafety     192        0       90  3693454          partial: codec fuzzers             kept
+//	ctxprop        217        4      173  43a710f          none (4 paths tested)              kept
+//	errdiscard     157        0      104  3693454 f14fe8f  none                               kept
+//	goleak         119        0      192  f14fe8f          none                               kept
+//	rfcconst        89        0       57  3693454          none                               kept
+//	mergepurity    244        6      171  none recorded    TestBuilderOrderIndependent        deleted
+//	wiretaint      308        0      254  none recorded    hostile-input tests; fuzzers       deleted
+//	copylock       133        0       85  none recorded    go vet copylocks                   deleted
+//	lockorder      299        0      169  none             tests; -race leg                   deleted
+//	hotpathalloc   260       13      127  73bce59 only     AllocsPerRun pins                  deleted
+//	bufalias       237        9      123  73bce59 only     ownership tests; -race leg         deleted
+//	poolsafe       224        0       86  73bce59 only     AllocsPerRun pins; -race leg       deleted
 //
 // Determinism's fixture count adds detertaint's; the generic fixture
-// (155 lines) is shared by determinism and ctxprop. mergepurity reads
+// (155 lines) is shared by determinism and ctxprop. mergepurity read
 // the six //repro:nondeterministic waivers determinism owns.
 // "73bce59 only" means nothing was found after the commit that added
 // the analyzer. The findings:
@@ -66,19 +63,39 @@
 //
 // The other checks, row by row:
 //
-//   - determinism, mergepurity: internal/core's committed survey and
-//     resolver-study reports at seeds 1 and 7, compared across shard
-//     splits, pin the output only at the seeds and splits they run. Kept.
-//   - wiresafety, wiretaint: the dnswire, nsec3 and netsim fuzzers
-//     sample inputs; they prove no index safe. The two check different
-//     things: wiretaint reports none of wiresafety's fixture lines,
-//     because a constant index without a len guard is not taint. Kept.
-//   - copylock: go vet's copylocks misses a by-value named result. Kept.
+//   - determinism: internal/core's committed survey and resolver-study
+//     reports at seeds 1 and 7, compared across shard splits, pin the
+//     output only at the seeds and splits they run. A clock or
+//     map-order read whose effect those runs happen not to show passes
+//     them; determinism sees the read itself, and its waivers are the
+//     one list of sanctioned clocks. Kept.
+//   - wiresafety: the dnswire, nsec3 and netsim fuzzers sample inputs;
+//     they prove no index safe. wiresafety proves every constant-offset
+//     index into a wire buffer in the codec packages dominated by a len
+//     guard, and found unguarded reads in the RDATA parsers. Kept.
 //   - ctxprop: TestResolverStudyCancelled, statewalk's TestRunCancelled,
 //     distsurvey's TestServeCancelWithSilentWorker and netsim's
 //     TestRealServerCloseCancelsHandlerCtx cover the paths they name,
 //     not a new blocking call. Kept.
 //   - errdiscard, rfcconst, goleak: nothing else looks. Kept.
+//   - mergepurity (a Merge that reads a clock, keeps the last shard's
+//     field or the last map key, or overwrites a mergeable field): core
+//     TestBuilderOrderIndependent runs both studies at four shards and
+//     folds the outcomes in all 24 orders; every order must build the
+//     same report and render the committed seed-1 golden.
+//   - wiretaint (a wire-derived length sizing a make, an index or a
+//     loop without a dominating guard), by entry point. dnswire's
+//     decoders: TestUnpackHostileCountsBounded, TestHostileCorpusFile
+//     and the four dnswire fuzzers (FuzzDecodeMessage,
+//     FuzzUnpackDifferential, FuzzPlainQueryDifferential,
+//     FuzzDecodeName). nsec3: FuzzHash and FuzzHashFromOwner. Network
+//     reads: distsurvey's TestFrameRejectsHostileLengths and netsim's
+//     FuzzServeWire (netsim's TCP length prefix is a uint16, bounded by
+//     its width).
+//   - copylock: go vet's copylocks pass, run over the root module and
+//     bench/, reports a lock copied through a parameter, receiver,
+//     assignment or range variable. It misses a by-value named result;
+//     no function in the tree has a result of a lock-bearing type.
 //   - lockorder (a method re-acquiring its receiver's mutex through a
 //     sibling, a return while holding a lock): any test that runs the
 //     path hangs, and go test fails on its timeout; the concurrent
@@ -111,10 +128,8 @@
 // call graph with its one search (callgraph.go: Reach), the
 // statement-flow walker with its one notion of a call that never
 // returns (flow.go), the //repro: directive table (suppress.go), and
-// the syntactic primitives at the end of this file — the buffer a read
-// fills (readInto), the variable an expression is rooted in (rootVar),
-// and the assignment fixpoint over locals (growLocals). The
-// cmd/reprolint driver loads packages and runs Analyzers().
+// the syntactic primitives at the end of this file. The cmd/reprolint
+// driver loads packages and runs Analyzers().
 package lint
 
 import (
@@ -275,12 +290,9 @@ func Analyzers() []*Analyzer {
 		DeterminismAnalyzer,
 		WireSafetyAnalyzer,
 		ErrDiscardAnalyzer,
-		CopyLockAnalyzer,
 		RFCConstAnalyzer,
 		GoLeakAnalyzer,
 		CtxPropAnalyzer,
-		WireTaintAnalyzer,
-		MergePurityAnalyzer,
 	}
 }
 
@@ -420,16 +432,6 @@ func isMap(t types.Type) bool {
 	return ok
 }
 
-// isBasic reports whether t is a basic type with any of the properties
-// in is (types.IsString, types.IsFloat, types.IsInteger, ...).
-func isBasic(t types.Type, is types.BasicInfo) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&is != 0
-}
-
 // deref returns the element type of a pointer type and t itself for
 // any other type.
 func deref(t types.Type) types.Type {
@@ -471,78 +473,23 @@ func inspectOwn(root ast.Node, visit func(ast.Node) bool) {
 	})
 }
 
-// hop is one step from an expression toward the variable it is rooted
-// in. A set of hops is what a caller lets rootVar cross.
-type hop uint8
-
-const (
-	hopDeref hop = 1 << iota // *x
-	hopField                 // x.f
-	hopIndex                 // x[i]
-)
-
-// rootVar is the one descent from an expression toward the variable it
-// is rooted in: it strips parens and the hops in through, and returns
-// the object of the identifier it ends at — nil when it ends anywhere
-// else (a call, a literal, a hop not in through). Which hops keep an
-// expression "the same state" is each analyzer's own contract, so the
-// caller names them.
-func rootVar(info *types.Info, e ast.Expr, through hop) types.Object {
+// rootVar returns the variable an lvalue chain is rooted in — through
+// parens, dereferences, field selections and indexing (a.b[i].c → a,
+// (*p).f → p) — or nil when the chain ends anywhere else (a call, a
+// literal).
+func rootVar(info *types.Info, e ast.Expr) types.Object {
 	for {
-		var h hop
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			return info.ObjectOf(x)
 		case *ast.StarExpr:
-			h, e = hopDeref, x.X
+			e = x.X
 		case *ast.SelectorExpr:
-			h, e = hopField, x.X
+			e = x.X
 		case *ast.IndexExpr:
-			h, e = hopIndex, x.X
-		}
-		if h&through == 0 {
+			e = x.X
+		default:
 			return nil
 		}
 	}
-}
-
-// growLocals is the assignment fixpoint: every variable assigned, in a
-// one-to-one assignment under body (function literals included), a
-// right-hand side admit accepts joins set, until no more do.
-func growLocals(info *types.Info, body ast.Node, set map[types.Object]bool, admit func(v types.Object, rhs ast.Expr) bool) {
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if n, ok := n.(*ast.AssignStmt); ok && len(n.Lhs) == len(n.Rhs) {
-				for i, lhs := range n.Lhs {
-					if v := rootVar(info, lhs, 0); v != nil && v.Name() != "_" && !set[v] && admit(v, n.Rhs[i]) {
-						set[v], changed = true, true
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// readInto returns the buffer a call fills from the network or io —
-// the first argument of a net Read, ReadFrom, ReadFromUDP or
-// ReadMsgUDP (functions and methods, interface methods included), the
-// second of io.ReadFull or io.ReadAtLeast — and nil for any other call.
-func readInto(info *types.Info, call *ast.CallExpr) ast.Expr {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	arg := -1
-	switch fn.Pkg().Path() + "." + fn.Name() {
-	case "net.Read", "net.ReadFrom", "net.ReadFromUDP", "net.ReadMsgUDP":
-		arg = 0
-	case "io.ReadFull", "io.ReadAtLeast":
-		arg = 1
-	}
-	if arg < 0 || arg >= len(call.Args) {
-		return nil
-	}
-	return call.Args[arg]
 }

@@ -165,30 +165,3 @@ func TestCtxExemptWaiverSemantics(t *testing.T) {
 		t.Errorf("bare %s directive was not reported", lint.CtxExemptDirective)
 	}
 }
-
-// TestWireTrustedPropagatesTaint pins the wiretaint waiver contract:
-// the waived function's own sinks are silent, but taint still flows
-// through it — the unwaived helper it calls reports, with the waived
-// function in the chain. A waiver must never launder attacker bytes
-// for the rest of the call tree.
-func TestWireTrustedPropagatesTaint(t *testing.T) {
-	diags, err := lint.RunFixture("testdata", goldenCase(t, "wiretaint"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var throughWaived bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "wire.Trusted → wire.allocT") {
-			throughWaived = true
-		}
-		if strings.Contains(d.Message, "directive without a reason") {
-			continue // the hygiene finding on BareWire names no sink
-		}
-		if strings.HasSuffix(d.Message, "wire.Trusted") {
-			t.Errorf("sink inside the waived function was reported: %s", d)
-		}
-	}
-	if !throughWaived {
-		t.Errorf("taint did not propagate through the waived function to wire.allocT")
-	}
-}

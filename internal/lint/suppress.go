@@ -10,31 +10,25 @@ import (
 // names its directive here; the call-graph builder collects every
 // //repro:<name> directive on a declaration into CallNode.Directives,
 // and the owning analyzer decides the semantics (determinism and
-// ctxprop absorb — callers of a waived function stay clean — while
-// wiretaint only silences the waived function's own sinks and keeps
-// propagating taint through it). A directive without a reason is never
-// a waiver: directiveHygiene reports it as a finding of its own.
+// ctxprop both absorb: callers of a waived function stay clean). A
+// directive without a reason is never a waiver: directiveHygiene
+// reports it as a finding of its own.
 const (
 	// NondetDirective marks a function as a sanctioned nondeterminism
 	// root (telemetry clocks, jittered backoff); determinism does not
-	// propagate taint past it and mergepurity skips a Merge carrying it.
+	// propagate taint past it.
 	NondetDirective = "//repro:nondeterministic"
 	// CtxExemptDirective marks a function that legitimately blocks
 	// without a context.Context (deadline-armed I/O, CPU-bound
 	// singleflight waits, lifecycle owned by a shutdown func).
 	CtxExemptDirective = "//repro:ctxexempt"
-	// WireTrustedDirective marks a function whose allocation/index
-	// sites are bounded by means the taint analysis cannot see (e.g.
-	// fuzz-verified framing). Taint still flows through it.
-	WireTrustedDirective = "//repro:wiretrusted"
 )
 
 // directives is the one table of //repro: directives: which analyzer
 // reports a bare one, and what the mandatory reason must state.
 var directives = map[string]struct{ owner, reason string }{
-	NondetDirective:      {"determinism", "state why this nondeterminism root is sanctioned"},
-	CtxExemptDirective:   {"ctxprop", "state why this blocking path needs no context"},
-	WireTrustedDirective: {"wiretaint", "state why these wire-derived values are bounded"},
+	NondetDirective:    {"determinism", "state why this nondeterminism root is sanctioned"},
+	CtxExemptDirective: {"ctxprop", "state why this blocking path needs no context"},
 }
 
 // directiveHygiene reports, for the running analyzer, every directive

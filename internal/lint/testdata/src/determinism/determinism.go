@@ -109,4 +109,4 @@ func bareAnnotation() time.Time { // want `//repro:nondeterministic directive wi
 // and the misspelling is a finding of its own.
 //
 //repro:nondeterminstic fixture: a typo of //repro:nondeterministic
-func misspelled() {} // want `unknown directive //repro:nondeterminstic; known: //repro:ctxexempt, //repro:nondeterministic, //repro:wiretrusted`
+func misspelled() {} // want `unknown directive //repro:nondeterminstic; known: //repro:ctxexempt, //repro:nondeterministic`
