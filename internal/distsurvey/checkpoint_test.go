@@ -157,3 +157,16 @@ func TestResumeRefusesVersion1State(t *testing.T) {
 		t.Fatalf("resume over version-1 state returned %v, want *StateMismatchError carrying the recorded hash", err)
 	}
 }
+
+// TestResumeRequiresStateDir: Resume with no StateDir has nothing to
+// resume from, and a coordinator that started fresh anyway would
+// silently redo every shard.
+func TestResumeRequiresStateDir(t *testing.T) {
+	spec, err := core.ResolverStudyConfig{ScaleDen: 2000, Seed: 5, Shards: 2}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(CoordinatorConfig[core.ResolverStudySpec]{Spec: spec, Resume: true}); err == nil {
+		t.Fatal("Resume without a StateDir accepted")
+	}
+}

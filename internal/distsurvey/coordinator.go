@@ -71,8 +71,12 @@ func (c *Coordinator[O, R]) CheckpointsLoaded() int {
 
 // NewCoordinator plans the study, recovers any checkpointed shards,
 // and prepares to serve workers. With a StateDir it refuses mixed
-// state via *StateMismatchError / *StateExistsError.
+// state via *StateMismatchError / *StateExistsError; Resume without a
+// StateDir is refused, since there is nothing to resume from.
 func NewCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](cfg CoordinatorConfig[S]) (*Coordinator[O, R], error) {
+	if cfg.Resume && cfg.StateDir == "" {
+		return nil, fmt.Errorf("distsurvey: Resume needs a StateDir to resume from")
+	}
 	jobs, err := core.Plan(cfg.Spec)
 	if err != nil {
 		return nil, err
