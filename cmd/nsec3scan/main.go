@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 
@@ -24,17 +25,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "nsec3scan:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // lineSource streams domain names off a reader one line at a time —
 // scanner.ScanAll pulls from it as workers free up, so the domain list
-// is never materialized.
+// is never materialized. Lines that do not parse are skipped with a
+// note on warn.
 type lineSource struct {
-	sc *bufio.Scanner
+	sc   *bufio.Scanner
+	warn io.Writer
 }
 
 // Next implements scanner.Source; ScanAll never calls it concurrently.
@@ -46,7 +46,7 @@ func (l *lineSource) Next() (dnswire.Name, bool) {
 		}
 		n, err := dnswire.ParseName(line)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nsec3scan: skipping %q: %v\n", line, err)
+			fmt.Fprintf(l.warn, "nsec3scan: skipping %q: %v\n", line, err)
 			continue
 		}
 		return n, true
@@ -71,46 +71,71 @@ func (s *resultSink) Consume(r scanner.Result) {
 	}
 }
 
-func run() error {
+// run scans the domains named by args' -in (default stdin), writing
+// one NDJSON result per domain to stdout and the summary to stderr. It
+// returns the exit status: 0, 1 on a refused flag or a failed scan, 2
+// on a flag that does not parse.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsec3scan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		resolverArg = flag.String("resolver", "127.0.0.1:5301", "recursive resolver to scan through")
-		workers     = flag.Int("workers", 32, "concurrent scan workers")
-		qps         = flag.Int("qps", 0, "query rate limit (0 = unlimited)")
-		inPath      = flag.String("in", "-", "domain list file ('-' = stdin)")
-		seed        = flag.Uint64("seed", 1, "seed for probe labels, query IDs and retry jitter")
+		resolverArg = fs.String("resolver", "127.0.0.1:5301", "recursive resolver to scan through")
+		workers     = fs.Int("workers", 32, "concurrent scan workers")
+		qps         = fs.Int("qps", 0, "query rate limit (0 = unlimited)")
+		inPath      = fs.String("in", "-", "domain list file ('-' = stdin)")
+		seed        = fs.Uint64("seed", 1, "seed for probe labels, query IDs and retry jitter")
 	)
-	flag.Parse()
-	resolverAddr, err := netip.ParseAddrPort(*resolverArg)
-	if err != nil {
-		return fmt.Errorf("bad -resolver: %w", err)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
+	// The scanner reads Workers < 1 as its default of 32 and a negative
+	// QPS as no limit: refuse both rather than scan at a rate not asked for.
+	resolver, err := netip.ParseAddrPort(*resolverArg)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("bad -resolver: %w", err)
+	case *workers < 1:
+		err = fmt.Errorf("-workers %d: need at least one worker", *workers)
+	case *qps < 0:
+		err = fmt.Errorf("-qps %d: the rate is 0 (unlimited) or positive", *qps)
+	default:
+		err = scan(ctx, scanner.Config{
+			Exchanger: &netsim.UDPExchanger{},
+			Resolver:  resolver,
+			Workers:   *workers,
+			QPS:       *qps,
+			Seed:      *seed,
+		}, *inPath, stdout, stderr)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "nsec3scan:", err)
+		return 1
+	}
+	return 0
+}
 
+// scan runs the scanner over the domain list at inPath.
+func scan(ctx context.Context, cfg scanner.Config, inPath string, stdout, stderr io.Writer) error {
 	in := os.Stdin
-	if *inPath != "-" {
-		f, err := os.Open(*inPath)
+	if inPath != "-" {
+		f, err := os.Open(inPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close() // read-only input; a close error cannot lose data
 		in = f
 	}
-	src := &lineSource{sc: bufio.NewScanner(in)}
+	src := &lineSource{sc: bufio.NewScanner(in), warn: stderr}
 
-	s := scanner.New(scanner.Config{
-		Exchanger: &netsim.UDPExchanger{},
-		Resolver:  resolverAddr,
-		Workers:   *workers,
-		QPS:       *qps,
-		Seed:      *seed,
-	})
+	s := scanner.New(cfg)
 	defer s.Close()
-	out := bufio.NewWriter(os.Stdout)
+	out := bufio.NewWriter(stdout)
 	// Early-return safety net; the success path Flushes explicitly
 	// below and checks the error there.
 	defer out.Flush()
 	enc := scanner.NewEncoder(out)
 	var sinks []*resultSink
-	err = s.ScanAll(context.Background(), src, func(int) scanner.Sink {
+	err := s.ScanAll(ctx, src, func(int) scanner.Sink {
 		sink := &resultSink{enc: enc, agg: compliance.NewAggregate()}
 		sinks = append(sinks, sink)
 		return sink
@@ -128,7 +153,7 @@ func run() error {
 	if err := out.Flush(); err != nil {
 		return fmt.Errorf("writing results: %w", err)
 	}
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stderr,
 		"nsec3scan: %d domains; %d DNSSEC-enabled (%.1f %%); %d NSEC3-enabled (%.1f %% of DNSSEC); "+
 			"Item 2 OK %.1f %%, Item 3 OK %.1f %%, both %.1f %% of NSEC3-enabled\n",
 		agg.Total,

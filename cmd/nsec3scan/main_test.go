@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ import (
 // call after the end stays ended.
 func TestLineSourceSkipsAndEnds(t *testing.T) {
 	in := "\n# comment\nexample.com\na..b\n" + strings.Repeat("x", 64) + ".test\n\nWWW.Example.Org.\n#last"
-	src := &lineSource{sc: bufio.NewScanner(strings.NewReader(in))}
+	src := &lineSource{sc: bufio.NewScanner(strings.NewReader(in)), warn: io.Discard}
 	var got []dnswire.Name
 	for {
 		n, ok := src.Next()
@@ -68,7 +69,7 @@ func TestLineSourceScansOnNetsim(t *testing.T) {
 	for _, d := range u.Domains {
 		list.WriteString(d.Name.String() + "\n")
 	}
-	src := &lineSource{sc: bufio.NewScanner(strings.NewReader(list.String()))}
+	src := &lineSource{sc: bufio.NewScanner(strings.NewReader(list.String())), warn: io.Discard}
 	s := scanner.New(scanner.Config{
 		Exchanger: net, Resolver: netsim.Addr4(1, 1, 1, 1), Workers: 8, Seed: 7,
 	})
@@ -107,6 +108,19 @@ func TestLineSourceScansOnNetsim(t *testing.T) {
 	for _, d := range u.Domains {
 		if !seen[d.Name.String()] {
 			t.Fatalf("%s never scanned", d.Name)
+		}
+	}
+}
+
+// TestRunRefusesBadFlags: fewer than one worker and a negative rate are
+// refused before any input is read. The scanner would read them as its
+// defaults, 32 workers and no limit.
+func TestRunRefusesBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-workers", "0"}, {"-workers", "-3"}, {"-qps", "-1"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), append(args, "-in", t.TempDir()+"/absent"), &stdout, &stderr)
+		if code != 1 || !strings.Contains(stderr.String(), args[0]+" "+args[1]+":") || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want 1 with the flag named on stderr", args, code, stderr.String(), stdout.String())
 		}
 	}
 }
