@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"time"
@@ -22,15 +23,15 @@ import (
 // resolver study, anything else the §4.1 domain survey.
 
 // runDistCoordinator binds addr, serves the study to workers, and
-// hands the merged report to print.
-func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, print func(R)) error {
+// hands the merged report to print with stdout.
+func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, stdout, stderr io.Writer, print func(io.Writer, R)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	// The bound address goes to stderr so scripts (and CI) can discover
 	// a :0 ephemeral port.
-	fmt.Fprintf(os.Stderr, "repro: coordinating on %s\n", ln.Addr())
+	fmt.Fprintf(stderr, "repro: coordinating on %s\n", ln.Addr())
 	coord, err := distsurvey.NewCoordinator(distsurvey.CoordinatorConfig[S]{
 		Spec:     spec,
 		Obs:      reg,
@@ -44,27 +45,27 @@ func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx con
 		return err
 	}
 	if n := coord.CheckpointsLoaded(); n > 0 {
-		fmt.Fprintf(os.Stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
+		fmt.Fprintf(stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
 	}
-	fmt.Printf("== Coordinating the %s…\n\n", spec)
+	fmt.Fprintf(stdout, "== Coordinating the %s…\n\n", spec)
 	report, err := coord.Serve(ctx, ln)
 	if err != nil {
 		return err
 	}
-	print(report)
+	print(stdout, report)
 	return nil
 }
 
 // runDistWorker dials the coordinator (retrying while it boots) and
 // executes leased shards until the study is done.
-func runDistWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, tracer *obs.Tracer) error {
+func runDistWorker[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, tracer *obs.Tracer, stderr io.Writer) error {
 	conn, err := dialRetry(ctx, addr)
 	if err != nil {
 		return err
 	}
 	name, _ := os.Hostname() // best-effort label; empty is fine
 	name = fmt.Sprintf("%s/%d", name, os.Getpid())
-	fmt.Fprintf(os.Stderr, "repro: worker %s serving coordinator %s\n", name, addr)
+	fmt.Fprintf(stderr, "repro: worker %s serving coordinator %s\n", name, addr)
 	return distsurvey.RunWorker(ctx, conn, spec, distsurvey.WorkerConfig{
 		Name:  name,
 		Obs:   reg,

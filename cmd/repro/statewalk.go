@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/obs"
@@ -19,11 +20,11 @@ type statewalkOptions struct {
 }
 
 // runStatewalk executes the differential state-machine walk and prints
-// its summary. Any divergence is an error: either the resolver or the
+// its summary to w. Any divergence is an error: either the resolver or the
 // expectation model is wrong, and CI must not pass until one of them is
 // mended.
-func runStatewalk(ctx context.Context, o statewalkOptions) error {
-	fmt.Printf("== Running the differential state-machine walk (seed %d)…\n\n", o.seed)
+func runStatewalk(ctx context.Context, w io.Writer, o statewalkOptions) error {
+	fmt.Fprintf(w, "== Running the differential state-machine walk (seed %d)…\n\n", o.seed)
 	f, err := os.Create(o.out)
 	if err != nil {
 		return err
@@ -41,11 +42,11 @@ func runStatewalk(ctx context.Context, o statewalkOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("==== Differential state-machine walk (topology × profile vs expectation model)")
-	fmt.Printf("  topologies enumerated             %6d\n", sum.Topologies)
-	fmt.Printf("  resolver profiles                 %6d\n", sum.Profiles)
-	fmt.Printf("  cells executed                    %6d\n", sum.Cells)
-	fmt.Printf("  divergences                       %6d  (report: %s)\n\n", sum.Divergences, o.out)
+	fmt.Fprintln(w, "==== Differential state-machine walk (topology × profile vs expectation model)")
+	fmt.Fprintf(w, "  topologies enumerated             %6d\n", sum.Topologies)
+	fmt.Fprintf(w, "  resolver profiles                 %6d\n", sum.Profiles)
+	fmt.Fprintf(w, "  cells executed                    %6d\n", sum.Cells)
+	fmt.Fprintf(w, "  divergences                       %6d  (report: %s)\n\n", sum.Divergences, o.out)
 
 	if sum.Divergences > 0 {
 		return fmt.Errorf("statewalk: %d divergences (see %s)", sum.Divergences, o.out)
