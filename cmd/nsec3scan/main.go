@@ -12,6 +12,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -74,7 +75,7 @@ func (s *resultSink) Consume(r scanner.Result) {
 // run scans the domains named by args' -in (default stdin), writing
 // one NDJSON result per domain to stdout and the summary to stderr. It
 // returns the exit status: 0, 1 on a refused flag or a failed scan, 2
-// on a flag that does not parse.
+// on a flag that does not parse (0 for -h).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nsec3scan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -85,7 +86,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		inPath      = fs.String("in", "-", "domain list file ('-' = stdin)")
 		seed        = fs.Uint64("seed", 1, "seed for probe labels, query IDs and retry jitter")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	// The scanner reads Workers < 1 as its default of 32 and a negative

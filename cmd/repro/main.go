@@ -21,6 +21,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,7 +43,7 @@ func main() {
 
 // run runs the experiments args select, printing the report to stdout
 // and progress to stderr. It returns the exit status: 0, 1 when an
-// experiment fails, 2 on a flag that does not parse.
+// experiment fails, 2 on a flag that does not parse (0 for -h).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -72,7 +73,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		resume     = fs.Bool("resume", false, "coordinator: resume the study recorded in -state-dir instead of starting fresh")
 		leaseTTL   = fs.Duration("lease-ttl", 0, "coordinator: re-lease shards from workers silent this long (default 10s)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	exit := func(err error) int {

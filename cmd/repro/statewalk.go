@@ -20,9 +20,9 @@ type statewalkOptions struct {
 }
 
 // runStatewalk executes the differential state-machine walk and prints
-// its summary to w. Any divergence is an error: either the resolver or the
-// expectation model is wrong, and CI must not pass until one of them is
-// mended.
+// its summary to w. Any divergence is an error: either the resolver or
+// the expectation model is wrong, and CI must not pass until one of
+// them is mended.
 func runStatewalk(ctx context.Context, w io.Writer, o statewalkOptions) error {
 	fmt.Fprintf(w, "== Running the differential state-machine walk (seed %d)…\n\n", o.seed)
 	f, err := os.Create(o.out)
