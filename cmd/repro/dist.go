@@ -23,15 +23,16 @@ import (
 // resolver study, anything else the §4.1 domain survey.
 
 // runDistCoordinator binds addr, serves the study to workers, and
-// hands the merged report to print with stdout.
+// hands the merged report to print with stdout. The address is
+// announced only once the coordinator is built, so a refused
+// configuration never names an address a worker could be sent to; the
+// listener is bound first so that a bind failure leaves no state in
+// stateDir.
 func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx context.Context, addr string, spec S, reg *obs.Registry, stateDir string, resume bool, leaseTTL time.Duration, stdout, stderr io.Writer, print func(io.Writer, R)) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	// The bound address goes to stderr so scripts (and CI) can discover
-	// a :0 ephemeral port.
-	fmt.Fprintf(stderr, "repro: coordinating on %s\n", ln.Addr())
 	coord, err := distsurvey.NewCoordinator(distsurvey.CoordinatorConfig[S]{
 		Spec:     spec,
 		Obs:      reg,
@@ -44,6 +45,9 @@ func runDistCoordinator[S core.Study[P, O, R], P, O core.Sharded, R any](ctx con
 		_ = ln.Close()
 		return err
 	}
+	// The bound address goes to stderr so scripts (and CI) can discover
+	// a :0 ephemeral port.
+	fmt.Fprintf(stderr, "repro: coordinating on %s\n", ln.Addr())
 	if n := coord.CheckpointsLoaded(); n > 0 {
 		fmt.Fprintf(stderr, "repro: resumed %d checkpointed shard(s) from %s\n", n, stateDir)
 	}

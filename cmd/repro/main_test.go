@@ -54,3 +54,15 @@ func TestRunRefusesUnknownFlag(t *testing.T) {
 		t.Fatalf("exit %d with stdout %q, want 2 and nothing printed", code, stdout.String())
 	}
 }
+
+// TestRunServeRefusedAnnouncesNothing: a coordinator whose
+// configuration is refused (-resume with no -state-dir to resume from)
+// exits non-zero without printing the "coordinating on" line a script
+// reads to start its workers.
+func TestRunServeRefusedAnnouncesNothing(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-serve", "127.0.0.1:0", "-resume"}, &stdout, &stderr)
+	if code == 0 || strings.Contains(stderr.String(), "coordinating on") {
+		t.Fatalf("exit %d, stderr %q: want a non-zero exit and no announced address", code, stderr.String())
+	}
+}
