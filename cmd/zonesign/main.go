@@ -13,8 +13,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -24,45 +27,52 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "zonesign:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() (retErr error) {
+// run signs the zone args name and writes it to -out (default stdout),
+// with warnings and errors on stderr. It returns the exit status: 0, 1
+// on a refused flag or a failed signing, 2 on a flag that does not
+// parse (0 for -h). Signing waits on nothing, so the context is unused:
+// run has the shape every command's run shares.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("zonesign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		origin     = flag.String("origin", "", "zone origin (required)")
-		inPath     = flag.String("in", "", "input master file (required)")
-		outPath    = flag.String("out", "", "output file (default stdout)")
-		useNSEC3   = flag.Bool("nsec3", false, "use NSEC3 instead of NSEC")
-		iterations = flag.Uint("iterations", 0, "NSEC3 additional iterations (RFC 9276: keep 0)")
-		saltHex    = flag.String("salt", "", "NSEC3 salt in hex (RFC 9276: keep empty)")
-		optOut     = flag.Bool("optout", false, "set the NSEC3 opt-out flag")
-		algorithm  = flag.Uint("algorithm", 13, "DNSSEC algorithm (8, 13, or 15)")
-		inception  = flag.Int64("inception", time.Now().Add(-time.Hour).Unix(), "RRSIG inception (unix)")
-		expiration = flag.Int64("expiration", time.Now().Add(30*24*time.Hour).Unix(), "RRSIG expiration (unix)")
+		origin     = fs.String("origin", "", "zone origin (required)")
+		inPath     = fs.String("in", "", "input master file (required)")
+		outPath    = fs.String("out", "", "output file (default stdout)")
+		useNSEC3   = fs.Bool("nsec3", false, "use NSEC3 instead of NSEC")
+		iterations = fs.Uint("iterations", 0, "NSEC3 additional iterations (RFC 9276: keep 0)")
+		saltHex    = fs.String("salt", "", "NSEC3 salt in hex (RFC 9276: keep empty)")
+		optOut     = fs.Bool("optout", false, "set the NSEC3 opt-out flag")
+		algorithm  = fs.Uint("algorithm", 13, "DNSSEC algorithm (8, 13, or 15)")
+		inception  = fs.Int64("inception", time.Now().Add(-time.Hour).Unix(), "RRSIG inception (unix)")
+		expiration = fs.Int64("expiration", time.Now().Add(30*24*time.Hour).Unix(), "RRSIG expiration (unix)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "zonesign:", err)
+		return 1
+	}
 	if *origin == "" || *inPath == "" {
-		flag.Usage()
-		return fmt.Errorf("-origin and -in are required")
+		fs.Usage()
+		return fail(errors.New("-origin and -in are required"))
 	}
 	if *algorithm > math.MaxUint8 {
-		return fmt.Errorf("-algorithm %d: the DNSSEC algorithm field holds at most %d", *algorithm, math.MaxUint8)
+		return fail(fmt.Errorf("-algorithm %d: the DNSSEC algorithm field holds at most %d", *algorithm, math.MaxUint8))
 	}
 	apex, err := dnswire.ParseName(*origin)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	f, err := os.Open(*inPath)
+	z, err := readZone(*inPath, apex)
 	if err != nil {
-		return err
-	}
-	defer f.Close() // read-only input; a close error cannot lose data
-	z, err := zone.ParseMaster(f, apex, 300)
-	if err != nil {
-		return err
+		return fail(err)
 	}
 	cfg := zone.SignConfig{
 		Algorithm:  dnswire.SecAlgorithm(*algorithm),
@@ -71,10 +81,10 @@ func run() (retErr error) {
 	}
 	if *useNSEC3 {
 		if err := cfg.UseNSEC3(*iterations, *saltHex, *optOut); err != nil {
-			return err
+			return fail(err)
 		}
 		if !cfg.NSEC3.RFC9276Compliant() {
-			fmt.Fprintf(os.Stderr,
+			fmt.Fprintf(stderr,
 				"zonesign: warning: %d iterations / %d-byte salt violates RFC 9276 "+
 					"(MUST use 0 iterations, SHOULD NOT use a salt)\n",
 				cfg.NSEC3.Iterations, len(cfg.NSEC3.Salt))
@@ -82,23 +92,40 @@ func run() (retErr error) {
 	}
 	signed, err := z.Sign(cfg)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-
-	out := os.Stdout
-	if *outPath != "" {
-		if out, err = os.Create(*outPath); err != nil {
-			return err
-		}
-		// A close error on the written zone file means truncated
-		// output; surface it as run's error unless one beat it there.
-		defer func() {
-			if cerr := out.Close(); cerr != nil && retErr == nil {
-				retErr = cerr
+	if *outPath == "" {
+		err = write(stdout, z, signed, cfg.Denial)
+	} else {
+		var f *os.File
+		if f, err = os.Create(*outPath); err == nil {
+			err = write(f, z, signed, cfg.Denial)
+			// A close error on the written zone file means truncated
+			// output: it fails the run unless an error beat it there.
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
-		}()
+		}
 	}
-	// Emit the zone data, then signatures and denial records.
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// readZone parses the master file at path under apex.
+func readZone(path string, apex dnswire.Name) (*zone.Zone, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() // read-only input; a close error cannot lose data
+	return zone.ParseMaster(f, apex, 300)
+}
+
+// write emits the zone data of z, then its signatures, its denial chain
+// and the DS record for the parent.
+func write(out io.Writer, z *zone.Zone, signed *zone.Signed, denial zone.DenialMode) error {
 	if err := zone.WriteMaster(out, z); err != nil {
 		return err
 	}
@@ -114,7 +141,7 @@ func run() (retErr error) {
 			}
 		}
 	}
-	switch cfg.Denial {
+	switch denial {
 	case zone.DenialNSEC3:
 		fmt.Fprintln(out, "; NSEC3 chain")
 		for _, rec := range signed.Chain().Records {
@@ -138,7 +165,7 @@ func run() (retErr error) {
 	}
 	ds, err := signed.DSForChild()
 	if err == nil {
-		fmt.Fprintf(out, "; DS for the parent:\n; %s 3600 IN DS %s\n", apex, ds)
+		fmt.Fprintf(out, "; DS for the parent:\n; %s 3600 IN DS %s\n", z.Apex, ds)
 	}
 	return nil
 }
