@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
+	"strings"
 
 	"repro/internal/dnswire"
 )
@@ -56,7 +57,9 @@ func (s RRset) Type() dnswire.Type { return s.Datas[0].Type() }
 func canonicalOwner(owner dnswire.Name, rrsigLabels uint8) (dnswire.Name, error) {
 	n := owner.CountLabels()
 	if int(rrsigLabels) > n {
-		return "", fmt.Errorf("dnssec: RRSIG labels %d exceeds owner %s", rrsigLabels, owner)
+		// The error formats a copy of owner, so that owner — and the
+		// RRset it belongs to — never escapes through it.
+		return "", fmt.Errorf("dnssec: RRSIG labels %d exceeds owner %s", rrsigLabels, dnswire.Name(strings.Clone(string(owner))))
 	}
 	if int(rrsigLabels) == n {
 		return owner, nil
@@ -428,7 +431,9 @@ func (m *VerifyMemo) VerifyWithRRSIG(set RRset, sig dnswire.RRSIG, key dnswire.D
 		return fmt.Errorf("%w: signer %s, zone %s", ErrSigMismatch, sig.SignerName, signer)
 	}
 	if !set.Name.IsSubdomainOf(signer) {
-		return fmt.Errorf("%w: owner %s outside zone %s", ErrSigMismatch, set.Name, signer)
+		// A copy of the owner, as in canonicalOwner: set stays where
+		// the caller built it.
+		return fmt.Errorf("%w: owner %s outside zone %s", ErrSigMismatch, dnswire.Name(strings.Clone(string(set.Name))), signer)
 	}
 	if int(sig.Labels) > set.Name.CountLabels() {
 		return fmt.Errorf("%w: labels field", ErrSigMismatch)

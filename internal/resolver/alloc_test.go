@@ -62,7 +62,12 @@ func TestResponsePathAllocs(t *testing.T) {
 			t.Fatalf("probe %d: rcode %s, AD %v", next-1, resp.Header.RCode, resp.Header.AuthenticatedData)
 		}
 	})
-	const want = 32
+	// 32 before five cuts took 9: verifyGroup's RRset onto its stack
+	// (4: the SOA and three NSEC3 groups), groupRRsets' groups into
+	// the caller's buffer (1), authResponse by value (1), the reply,
+	// its additional record and OPT in one block (2), and the upstream
+	// response's Authority handed to the Result uncopied (1).
+	const want = 23
 	if got != want {
 		t.Errorf("a fresh NXDOMAIN probe allocates %.0f times, want %d", got, want)
 	}
@@ -101,5 +106,34 @@ func TestResultSectionsCapLimited(t *testing.T) {
 		if grownAns[len(grownAns)-1].TTL != filler.TTL || grownAuth[len(grownAuth)-1].TTL != filler.TTL {
 			t.Errorf("%s: an append to the cached result overwrote another caller's append", name)
 		}
+	}
+}
+
+// TestVerifyGroupMemoHitAllocs pins verifyGroup on a memo hit at zero
+// allocations: the RRset it checks lies on its stack, and the signature
+// check answered by the memo allocates nothing.
+func TestVerifyGroupMemoHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pin: -race instrumentation allocates")
+	}
+	r, _ := warmNXQueries(t, 0)
+	ctx := context.Background()
+	auth, err := r.iterate(ctx, benchProbe(0, "group"), dnswire.TypeA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apex := responseZone(auth.msg, auth.apex)
+	zt := r.zoneKeys(ctx, apex, 0)
+	var buf [groupBuf]rrGroup
+	groups := groupRRsets(buf[:0], auth.msg.Authority)
+	if zt.status != StatusSecure || len(groups) == 0 || !r.verifyGroup(groups[0], apex, zt.keys) {
+		t.Fatalf("zone %s: trust %s, %d groups, or the first does not verify", apex, zt.status, len(groups))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if !r.verifyGroup(groups[0], apex, zt.keys) {
+			t.Fatal("the group stopped verifying")
+		}
+	}); n != 0 {
+		t.Errorf("a memo-hit verifyGroup allocates %.1f times, want 0", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"repro/internal/dnswire"
 	"repro/internal/mix"
@@ -25,7 +26,7 @@ var (
 )
 
 // authResponse is the raw outcome of iterating to the authoritative
-// zone for a query.
+// zone for a query, returned by value.
 type authResponse struct {
 	msg  *dnswire.Message
 	apex dnswire.Name // deepest delegation followed (zone context)
@@ -37,9 +38,9 @@ type authResponse struct {
 // started at a cached cut and failed — no server answered, a lame RCODE
 // or referral — evicts that cut and is retried once from the roots, so a
 // cached delegation can cost a retry but never change an outcome.
-func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int) (*authResponse, error) {
+func (r *Resolver) iterate(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, depth int) (authResponse, error) {
 	if depth > maxDepth {
-		return nil, ErrLoop
+		return authResponse{}, ErrLoop
 	}
 	apex, servers := r.closestCut(qname, qtype)
 	auth, err := r.walk(ctx, qname, qtype, apex, servers, depth)
@@ -73,23 +74,23 @@ func (r *Resolver) closestCut(qname dnswire.Name, qtype dnswire.Type) (dnswire.N
 // zone apex served by servers down to the zone authoritative for qname,
 // asking every zone on the way for (qname, qtype) and following at most
 // maxReferrals referrals.
-func (r *Resolver) walk(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, apex dnswire.Name, servers []netip.AddrPort, depth int) (*authResponse, error) {
+func (r *Resolver) walk(ctx context.Context, qname dnswire.Name, qtype dnswire.Type, apex dnswire.Name, servers []netip.AddrPort, depth int) (authResponse, error) {
 	for hop := 0; hop < maxReferrals; hop++ {
 		msg, err := r.queryAny(ctx, servers, qname, qtype)
 		if err != nil {
-			return nil, err
+			return authResponse{}, err
 		}
 		if msg.Header.RCode != dnswire.RCodeNoError && msg.Header.RCode != dnswire.RCodeNXDomain {
-			return nil, fmt.Errorf("%w: %s from zone %s", ErrLame, msg.Header.RCode, apex)
+			return authResponse{}, fmt.Errorf("%w: %s from zone %s", ErrLame, msg.Header.RCode, apex)
 		}
 		if !isReferral(msg) {
-			return &authResponse{msg: msg, apex: apex}, nil
+			return authResponse{msg: msg, apex: apex}, nil
 		}
 		if apex, servers, err = r.followReferral(ctx, msg, apex, depth); err != nil {
-			return nil, err
+			return authResponse{}, err
 		}
 	}
-	return nil, ErrLoop
+	return authResponse{}, ErrLoop
 }
 
 // isReferral reports whether msg is a delegation: non-authoritative,
@@ -212,8 +213,11 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 	if v.status == StatusBogus {
 		return res, 30, nil
 	}
-	res.Answers = append(res.Answers, msg.Answers...)
-	res.Authority = append(res.Authority, msg.Authority...)
+	// The sections are the response's own, cut to their length: a
+	// cached Result is every caller's, and an append to one of them —
+	// the chase's below included — must reallocate.
+	res.Answers = slices.Clip(msg.Answers)
+	res.Authority = slices.Clip(msg.Authority)
 
 	// CNAME chase: if the answer is an alias and the query wanted
 	// something else, continue at the target — through the cache door,
@@ -233,7 +237,7 @@ func (r *Resolver) resolveUncached(ctx context.Context, qname dnswire.Name, qtyp
 			return chained, 30, nil
 		}
 		res.RCode = chained.RCode
-		res.Answers = append(res.Answers, chained.Answers...)
+		res.Answers = slices.Clip(append(res.Answers, chained.Answers...))
 		res.Authority = chained.Authority
 		// The chain is only as secure as its weakest link, and the
 		// target's AD already holds its own verdict and, under

@@ -59,6 +59,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -318,16 +319,22 @@ func (r *Resolver) decide(rcode dnswire.RCode, negative bool, v verdict) *Result
 }
 
 // Handle implements netsim.Handler: the resolver as a recursive server.
+// The reply, its one additional record and that record's OPT are one
+// allocation, as in dnswire.NewQuery.
 func (r *Resolver) Handle(ctx context.Context, from netip.AddrPort, query *dnswire.Message) *dnswire.Message {
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               query.Header.ID,
-			Response:         true,
-			Opcode:           query.Header.Opcode,
-			RecursionDesired: query.Header.RecursionDesired,
-		},
-		Questions: query.Questions,
+	reply := &struct {
+		msg        dnswire.Message
+		additional [1]dnswire.RR
+		opt        dnswire.OPT
+	}{}
+	resp := &reply.msg
+	resp.Header = dnswire.Header{
+		ID:               query.Header.ID,
+		Response:         true,
+		Opcode:           query.Header.Opcode,
+		RecursionDesired: query.Header.RecursionDesired,
 	}
+	resp.Questions = query.Questions
 	if r.cfg.Policy.EchoRA {
 		// Broken boxes copy the query's RA bit (paper §5.2).
 		resp.Header.RecursionAvailable = query.Header.RecursionAvailable
@@ -350,9 +357,11 @@ func (r *Resolver) Handle(ctx context.Context, from netip.AddrPort, query *dnswi
 	resp.Answers = res.Answers
 	resp.Authority = res.Authority
 	if hasOPT {
-		opt := &dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: clientDO}
-		opt.EDEs = append(opt.EDEs, res.EDE...)
-		resp.Additional = append(resp.Additional, opt.AsRR())
+		// The EDEs are the Result's, cut to their length: the Result may
+		// be cached, and an append to the reply's must not reach it.
+		reply.opt = dnswire.OPT{UDPSize: dnswire.DefaultUDPSize, DO: clientDO, EDEs: slices.Clip(res.EDE)}
+		reply.additional[0] = reply.opt.AsRR()
+		resp.Additional = reply.additional[:]
 	}
 	if !clientDO {
 		// Strip DNSSEC records the client did not ask for.

@@ -56,7 +56,8 @@ func responseZone(msg *dnswire.Message, fallback dnswire.Name) dnswire.Name {
 // expansions additionally need a denial proof, where the iteration
 // policy applies.
 func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) verdict {
-	answers := groupRRsets(msg.Answers)
+	var buf [groupBuf]rrGroup
+	answers := groupRRsets(buf[:0], msg.Answers)
 	if len(answers) == 0 {
 		return verdict{status: StatusBogus}
 	}
@@ -76,8 +77,9 @@ func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, ap
 		return verdict{status: StatusSecure}
 	}
 	// Wildcard answer: the proof that qname itself does not exist must
-	// accompany it (RFC 5155 §8.8).
-	return r.validateDenial(qname, msg, groupRRsets(msg.Authority), apex, keys, func(set3 *nsec3.ResponseSet) SecurityStatus {
+	// accompany it (RFC 5155 §8.8). The answer groups are done with, so
+	// the authority's take their buffer.
+	return r.validateDenial(qname, msg, groupRRsets(buf[:0], msg.Authority), apex, keys, func(set3 *nsec3.ResponseSet) SecurityStatus {
 		if set3.VerifyWildcardAnswer(qname, wildcardLabels) != nil {
 			return StatusBogus
 		}
@@ -88,7 +90,8 @@ func (r *Resolver) validatePositive(qname dnswire.Name, msg *dnswire.Message, ap
 // validateNegative checks NXDOMAIN and NODATA responses: the SOA RRSIG
 // plus the denial proof.
 func (r *Resolver) validateNegative(qname dnswire.Name, qtype dnswire.Type, msg *dnswire.Message, apex dnswire.Name, keys []dnswire.DNSKEY) verdict {
-	authority := groupRRsets(msg.Authority)
+	var buf [groupBuf]rrGroup
+	authority := groupRRsets(buf[:0], msg.Authority)
 	// The SOA RRset must be signed.
 	if !r.verifyType(authority, dnswire.TypeSOA, apex, keys) {
 		return verdict{status: StatusBogus}
@@ -173,26 +176,29 @@ type rrGroup struct {
 	sigs []dnswire.RR
 }
 
-// groupRRsets splits a section into RRsets and attaches RRSIGs. Groups
-// keep the order of their first record, and a group of signatures alone
-// is dropped (its data lives elsewhere or is absent). The first pass
-// sizes the groups that hold data; the second lays each out, records
-// then signatures, in one array shared by all groups, so the result is
-// two allocations. A record finds the rest of its group by scanning the
-// section, which is quadratic in its length: a validator's sections
-// are a handful of records.
-func groupRRsets(rrs []dnswire.RR) []rrGroup {
-	groups, size := 0, 0
+// groupBuf is how many groups the callers of groupRRsets hold in a
+// stack array; a section with more grows out of it.
+const groupBuf = 8
+
+// groupRRsets splits a section into RRsets and attaches RRSIGs,
+// appending the groups to out. Groups keep the order of their first
+// record, and a group of signatures alone is dropped (its data lives
+// elsewhere or is absent). The first pass sizes the groups that hold
+// data; the second lays each out, records then signatures, in one array
+// shared by all groups, so grouping is one allocation when out has
+// room. A record finds the rest of its group by scanning the section,
+// which is quadratic in its length: a validator's sections are a
+// handful of records.
+func groupRRsets(out []rrGroup, rrs []dnswire.RR) []rrGroup {
+	size := 0
 	for i := range rrs {
 		if data, sigs := groupAt(rrs, i); data > 0 {
-			groups++
 			size += data + sigs
 		}
 	}
-	if groups == 0 {
-		return nil
+	if size == 0 {
+		return out
 	}
-	out := make([]rrGroup, 0, groups)
 	all := make([]dnswire.RR, 0, size)
 	for i := range rrs {
 		data, _ := groupAt(rrs, i)
@@ -248,9 +254,17 @@ func groupAt(rrs []dnswire.RR, i int) (data, sigs int) {
 // RRSIGs validates g's records with any of keys, the signature check
 // itself going through Config.VerifyMemo (nil: verify every time).
 func (r *Resolver) verifyGroup(g rrGroup, apex dnswire.Name, keys []dnswire.DNSKEY) bool {
-	set, err := dnssec.NewRRset(g.rrs)
-	if err != nil {
-		return false
+	// The records share owner and type; as in dnssec.NewRRset they must
+	// share a class too. The set's RDATA sits in a stack array, which
+	// append leaves only for an RRset of more than eight records. Its
+	// TTL plays no part in a check: the RRSIG's OrigTTL does.
+	var datas [8]dnswire.RData
+	set := dnssec.RRset{Name: g.rrs[0].Name, Class: g.rrs[0].Class, Datas: datas[:0]}
+	for _, rr := range g.rrs {
+		if rr.Class != set.Class {
+			return false
+		}
+		set.Datas = append(set.Datas, rr.Data)
 	}
 	now := r.cfg.Now()
 	for _, sigRR := range g.sigs {
@@ -371,7 +385,8 @@ func (r *Resolver) establishTrust(ctx context.Context, apex dnswire.Name, depth 
 	if err != nil {
 		return bogus
 	}
-	for _, g := range groupRRsets(auth.msg.Answers) {
+	var buf [groupBuf]rrGroup
+	for _, g := range groupRRsets(buf[:0], auth.msg.Answers) {
 		if g.rrs[0].Name != apex || g.rrs[0].Type() != dnswire.TypeDNSKEY {
 			continue
 		}
