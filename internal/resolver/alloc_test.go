@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dnssec"
@@ -136,4 +137,42 @@ func TestVerifyGroupMemoHitAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a memo-hit verifyGroup allocates %.1f times, want 0", n)
 	}
+}
+
+// TestResultSectionsConcurrent has goroutines resolve the same aliases
+// and NXDOMAIN names through one resolver and append to the Results
+// they get — cached ones shared with every other goroutine. Under
+// -race (ci.sh runs it ten times) a Result section that an append
+// could write into shows as a race.
+func TestResultSectionsConcurrent(t *testing.T) {
+	h := buildCNAMEWorld(t, 0)
+	r := newTestResolver(t, h, compliantPolicy())
+	names := []dnswire.Name{
+		dnswire.MustParseName("data.alias.test"),
+		dnswire.MustParseName("www.alias.test"),
+		dnswire.MustParseName("gone.www.target.test"),
+		dnswire.MustParseName("nowhere.alias.test"),
+	}
+	filler := dnswire.RR{Name: dnswire.MustParseName("filler.test"), Class: dnswire.ClassIN, TTL: 1, Data: dnswire.TXT{Strings: []string{"x"}}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				name := names[(g+i)%len(names)]
+				res, err := r.Resolve(context.Background(), name, dnswire.TypeA)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					return
+				}
+				answers := append(res.Answers, filler)
+				authority := append(res.Authority, filler)
+				if answers[len(answers)-1].TTL != filler.TTL || authority[len(authority)-1].TTL != filler.TTL {
+					t.Errorf("%s: an append was overwritten", name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package resolver
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"testing"
 
 	"repro/internal/dnswire"
@@ -48,5 +49,21 @@ func BenchmarkAblationPolicyOrder(b *testing.B) {
 			pol.VerifyInsecureNSEC3 = mode.verify
 			benchResolveNX(b, newTestResolver(b, h, pol), 500)
 		})
+	}
+}
+
+// BenchmarkResponsePath is TestResponsePathAllocs' path as a benchmark:
+// fresh NXDOMAIN probes of the it-0 zone answered through Handle by a
+// validator whose trust chain and VerifyMemo are warm.
+func BenchmarkResponsePath(b *testing.B) {
+	r, queries := warmNXQueries(b, b.N)
+	ctx := context.Background()
+	from := netip.MustParseAddrPort("192.0.2.1:53000")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, q := range queries {
+		if resp := r.Handle(ctx, from, q); resp.Header.RCode != dnswire.RCodeNXDomain {
+			b.Fatalf("rcode %s", resp.Header.RCode)
+		}
 	}
 }
