@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -88,8 +89,7 @@ func TestResultSectionsCapLimited(t *testing.T) {
 	other.TTL = 2
 	for _, name := range []string{"data.alias.test", "www.alias.test", "www.target.test", "gone.www.target.test"} {
 		first := resolveA(t, r, name)
-		answers := append([]dnswire.RR(nil), first.Answers...)
-		authority := append([]dnswire.RR(nil), first.Authority...)
+		answers, authority := slices.Clone(first.Answers), slices.Clone(first.Authority)
 		if len(first.Answers) != cap(first.Answers) || len(first.Authority) != cap(first.Authority) {
 			t.Errorf("%s: sections of length %d and %d have capacity %d and %d", name,
 				len(first.Answers), len(first.Authority), cap(first.Answers), cap(first.Authority))
