@@ -26,7 +26,7 @@ var (
 )
 
 // authResponse is the raw outcome of iterating to the authoritative
-// zone for a query, returned by value.
+// zone for a query.
 type authResponse struct {
 	msg  *dnswire.Message
 	apex dnswire.Name // deepest delegation followed (zone context)
