@@ -11,8 +11,9 @@
 #   users Atlas Measure, the resolver study's cancelled probe pass and
 #   statewalk's cancelled run, ScanAll's workers sharing one Source
 #   and scanning the same octets at any worker count, netsim's loss
-#   draw from many goroutines, plus the distributed coordinator's
-#   cancel with a silent worker and its two abandoned-lease cases); a
+#   draw from many goroutines, the distributed coordinator's cancel
+#   with a silent worker and its two abandoned-lease cases, plus the
+#   resolver's cached Results appended to from many goroutines); a
 #   5 s fuzz pass over the wire codec, the
 #   NSEC3 hash, the signed octets of an RRSIG and the authoritative
 #   server's wire-level door; every
