@@ -18,10 +18,12 @@
 package netsim
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net/netip"
 	"sync"
 
@@ -32,7 +34,9 @@ import (
 
 // Exchanger sends one DNS query to a server and returns its response.
 // It is the client-side abstraction used by the resolver's iterative
-// logic, the scanner, and the testbed prober.
+// logic, the scanner, and the testbed prober. The response is the
+// caller's to read, not to write: an Exchanger may hand the same
+// Message to every caller that receives the same octets.
 type Exchanger interface {
 	Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error)
 }
@@ -120,6 +124,10 @@ type Network struct {
 
 	seed uint64
 
+	// memo shares the decoding of response octets the network carries
+	// more than once.
+	memo responseMemo
+
 	// mLost counts dropped queries (nil without Instrument).
 	mLost *obs.Counter
 }
@@ -194,7 +202,9 @@ var wirePool = sync.Pool{
 // Exchange implements Exchanger: the query crosses as octets and so
 // does the response (so what the codec refuses, a real packet would
 // have been refused for), honoring loss and context cancellation. It
-// sends once: a lost query is the caller's to retry.
+// sends once: a lost query is the caller's to retry. Response octets
+// the network has carried before may come back as the Message already
+// decoded for them, shared with every earlier asker.
 func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	h, ok := n.Lookup(server)
 	if !ok {
@@ -208,7 +218,7 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 		return nil, err
 	}
 	wire := wirePool.Get().(*[]byte)
-	out, err := roundTrip(ctx, h, server, query, wire)
+	out, err := n.roundTrip(ctx, h, server, query, wire)
 	wirePool.Put(wire)
 	return out, err
 }
@@ -218,9 +228,10 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 // arrive truncated is never observable here — it only triggers the
 // fallback to "TCP" — so the handler runs once and its response is
 // rendered once. Both directions share *wire, the response behind the
-// query, which keeps the capacity it grew to; Unpack's Message owns its
-// memory, so the buffer is free again when roundTrip returns.
-func roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
+// query, which keeps the capacity it grew to; the Message returned
+// owns its memory (Unpack's, or the memo's copy), so the buffer is
+// free again when roundTrip returns.
+func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
 	qwire, err := query.PackBuffer((*wire)[:0], 0, true)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: packing query: %w", err)
@@ -234,11 +245,94 @@ func roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dns
 		return nil, fmt.Errorf("%w: %s dropped query", ErrPacketLost, server)
 	}
 	*wire = both
-	out, err := dnswire.Unpack(both[len(qwire):])
+	out, err := n.memo.decode(both[len(qwire):])
 	if err != nil {
 		return nil, fmt.Errorf("netsim: response corrupt: %w", err)
 	}
 	return out, nil
+}
+
+// memoLimit bounds the response memo's two tables, each emptied whole
+// when full (the idiom of authserver's answer memo). The resolver study
+// sends every validator the same few hundred DNSKEY and DS questions
+// under the same IDs; a client whose IDs never repeat (a load generator
+// cycling through 65,536 of them) never hits, and a table that large
+// would start to.
+const memoLimit = 1024
+
+// responseMemo maps response octets to the Message decoded for them.
+// It is read-only to everyone but decode: a Message in it is shared by
+// every asker of the same octets, which is what the Exchanger contract
+// allows. A response is admitted on its second sight — most octets a
+// network carries never repeat (a probe name is unique, a query ID
+// new) and those cost eight octets in seen, not a stored decoding —
+// and never when it is longer than dnswire.DefaultUDPSize (a zone
+// transfer).
+type responseMemo struct {
+	mu sync.Mutex
+	// decoded holds admitted responses under the 64-bit hash of their
+	// octets, ID included; an entry answers only the octets it carries.
+	decoded map[uint64]sharedResponse
+	// seen holds the hashes of responses decoded once.
+	seen map[uint64]struct{}
+}
+
+// sharedResponse is a response's octets and its decoding.
+type sharedResponse struct {
+	wire []byte
+	msg  *dnswire.Message
+}
+
+var memoSeed = maphash.MakeSeed()
+
+// decode returns the Message for response octets: the memo's when it
+// holds one for the very same octets, Unpack's otherwise. A miss
+// allocates nothing past Unpack's own.
+func (m *responseMemo) decode(wire []byte) (*dnswire.Message, error) {
+	if len(wire) > dnswire.DefaultUDPSize {
+		return dnswire.Unpack(wire)
+	}
+	h := maphash.Bytes(memoSeed, wire)
+	m.mu.Lock()
+	e := m.decoded[h]
+	hit := e.msg != nil && bytes.Equal(e.wire, wire)
+	again := !hit && m.sight(h)
+	m.mu.Unlock()
+	if hit {
+		return e.msg, nil
+	}
+	msg, err := dnswire.Unpack(wire)
+	if err == nil && again {
+		m.admit(h, wire, msg)
+	}
+	return msg, err
+}
+
+// sight notes that a response hashing to h was decoded and reports
+// whether one had been before. The caller holds m.mu.
+func (m *responseMemo) sight(h uint64) (again bool) {
+	if m.seen == nil {
+		m.seen = make(map[uint64]struct{}, memoLimit)
+	} else if len(m.seen) >= memoLimit {
+		clear(m.seen)
+	}
+	n := len(m.seen)
+	m.seen[h] = struct{}{}
+	return len(m.seen) == n
+}
+
+// admit stores msg, decoded from wire, for every later asker of the
+// same octets.
+func (m *responseMemo) admit(h uint64, wire []byte, msg *dnswire.Message) {
+	e := sharedResponse{wire: bytes.Clone(wire), msg: msg}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.decoded == nil {
+		m.decoded = make(map[uint64]sharedResponse)
+	} else if len(m.decoded) >= memoLimit {
+		clear(m.decoded)
+	}
+	m.decoded[h] = e
 }
 
 // Addr4 builds an IPv4 address:53 endpoint from four octets — a helper

@@ -3,6 +3,7 @@ package netsim_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -111,5 +112,39 @@ func TestSharedResponsesConcurrent(t *testing.T) {
 			}
 			t.Fatalf("validator %d: %d answers, want %d", i, len(got[i]), len(want))
 		}
+	}
+}
+
+// TestSharedResponsesIntact has several cold validators, each behind an
+// address on the network, probe the testbed through it, as the resolver
+// study does. Every response the network then shares must still be
+// what its octets decode to: a validator, prober or cache that writes
+// through a response it was handed changes it under every other asker.
+func TestSharedResponsesIntact(t *testing.T) {
+	h := buildTestbedWorld(t)
+	ctx := context.Background()
+	for i := range 4 {
+		addr := netsim.Addr4(10, 53, 0, byte(i))
+		h.Net.Register(addr, newValidator(h))
+		if _, err := testbed.ProbeResolver(ctx, h.Net, addr, fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := walkTestbed(ctx, newValidator(h), fmt.Sprintf("w%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := map[dnswire.Type]int{}
+	h.Net.SharedResponses(func(wire []byte, msg *dnswire.Message) {
+		shared[msg.Question().Type]++
+		fresh, err := dnswire.Unpack(wire)
+		if err != nil {
+			t.Fatalf("shared octets no longer decode: %v", err)
+		}
+		if !reflect.DeepEqual(msg, fresh) {
+			t.Errorf("shared %s %s response differs from its octets' decoding:\n got %v\nwant %v", msg.Question().Name, msg.Question().Type, msg, fresh)
+		}
+	})
+	if shared[dnswire.TypeDNSKEY] == 0 || shared[dnswire.TypeDS] == 0 {
+		t.Fatalf("shared responses by type %v: want DNSKEY and DS among them", shared)
 	}
 }
