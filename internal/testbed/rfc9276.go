@@ -172,10 +172,13 @@ type Transcript struct {
 // ProbeResolver queries every test subdomain through the resolver at
 // addr, using unique as the per-resolver cache-busting label, and
 // records RCODE, AD, RA, and EDE for each — the client side of §4.2.
+// One query message carries every probe, under its own ID and name.
 func ProbeResolver(ctx context.Context, ex netsim.Exchanger, addr netip.AddrPort, unique string) (*Transcript, error) {
-	tr := &Transcript{Resolver: addr, Unique: unique}
+	tr := &Transcript{Resolver: addr, Unique: unique, Observations: make([]Observation, 0, len(subdomains))}
+	q := dnswire.NewQuery(0, dnswire.Root, dnswire.TypeA, true)
 	for i, sub := range subdomains {
-		q := dnswire.NewQuery(uint16(0x4000+i), sub.QName(unique), dnswire.TypeA, true)
+		q.Header.ID = uint16(0x4000 + i)
+		q.Questions[0].Name = sub.QName(unique)
 		resp, err := ex.Exchange(ctx, addr, q)
 		obs := Observation{
 			Label:      sub.Label,
