@@ -20,6 +20,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/dnswire"
@@ -124,14 +125,22 @@ func readZone(path string, apex dnswire.Name) (*zone.Zone, error) {
 }
 
 // write emits the zone data of z, then its signatures, its denial chain
-// and the DS record for the parent.
+// and the DS record for the parent. Owners come in canonical order
+// (RFC 4034 §6.1) and each owner's types ascending, so the NSEC chain
+// is in its own order and the same zone signed twice prints its
+// records in the same order.
 func write(out io.Writer, z *zone.Zone, signed *zone.Signed, denial zone.DenialMode) error {
 	if err := zone.WriteMaster(out, z); err != nil {
 		return err
 	}
+	names := make([]dnswire.Name, 0, len(signed.AuthNames()))
+	for name := range signed.AuthNames() {
+		names = append(names, name)
+	}
+	slices.SortFunc(names, dnswire.CanonicalCompare)
 	fmt.Fprintln(out, "; RRSIGs")
-	for name, bitmap := range signed.AuthNames() {
-		for _, t := range bitmap {
+	for _, name := range names {
+		for _, t := range signed.AuthNames()[name] {
 			sigs, err := signed.RRSIGsFor(name, t)
 			if err != nil {
 				return err
@@ -157,7 +166,7 @@ func write(out io.Writer, z *zone.Zone, signed *zone.Signed, denial zone.DenialM
 		}
 	default:
 		fmt.Fprintln(out, "; NSEC chain")
-		for name := range signed.AuthNames() {
+		for _, name := range names {
 			if rr, ok := signed.NSECRecord(name); ok {
 				fmt.Fprintln(out, rr)
 			}
