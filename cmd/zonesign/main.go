@@ -133,14 +133,15 @@ func write(out io.Writer, z *zone.Zone, signed *zone.Signed, denial zone.DenialM
 	if err := zone.WriteMaster(out, z); err != nil {
 		return err
 	}
-	names := make([]dnswire.Name, 0, len(signed.AuthNames()))
-	for name := range signed.AuthNames() {
+	auth := signed.AuthNames()
+	names := make([]dnswire.Name, 0, len(auth))
+	for name := range auth {
 		names = append(names, name)
 	}
 	slices.SortFunc(names, dnswire.CanonicalCompare)
 	fmt.Fprintln(out, "; RRSIGs")
 	for _, name := range names {
-		for _, t := range signed.AuthNames()[name] {
+		for _, t := range auth[name] {
 			sigs, err := signed.RRSIGsFor(name, t)
 			if err != nil {
 				return err

@@ -228,9 +228,9 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 // arrive truncated is never observable here — it only triggers the
 // fallback to "TCP" — so the handler runs once and its response is
 // rendered once. Both directions share *wire, the response behind the
-// query, which keeps the capacity it grew to; the Message returned
-// owns its memory (Unpack's, or the memo's copy), so the buffer is
-// free again when roundTrip returns.
+// query, which keeps the capacity it grew to; Unpack's Message owns its
+// memory and the memo keeps its own copy of the octets it compares, so
+// the buffer is free again when roundTrip returns.
 func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
 	qwire, err := query.PackBuffer((*wire)[:0], 0, true)
 	if err != nil {
@@ -254,7 +254,7 @@ func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPor
 
 // memoLimit bounds the response memo's two tables, each emptied whole
 // when full (the idiom of authserver's answer memo). The resolver study
-// sends every validator the same few hundred DNSKEY and DS questions
+// sends every validator the same hundred or so DNSKEY and DS questions
 // under the same IDs; a client whose IDs never repeat (a load generator
 // cycling through 65,536 of them) never hits, and a table that large
 // would start to.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -104,13 +105,8 @@ func TestSharedResponsesConcurrent(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("validator %d: %v", i, errs[i])
 		}
-		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
-			for j := range want {
-				if j >= len(got[i]) || got[i][j] != want[j] {
-					t.Fatalf("validator %d concluded differently at %d:\n got %q\nwant %q", i, j, got[i][j:], want[j])
-				}
-			}
-			t.Fatalf("validator %d: %d answers, want %d", i, len(got[i]), len(want))
+		if !slices.Equal(got[i], want) {
+			t.Errorf("validator %d concluded differently:\n got %q\nwant %q", i, got[i], want)
 		}
 	}
 }
