@@ -74,8 +74,10 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # cancelled while a worker holds a lease in silence, a job write that
 # fails, and a second lease asked for on one connection — and the
 # resolver's Results, whose sections are the upstream response's own:
-# goroutines appending to the same cached Results.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestVerifyMemoConcurrent$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$|TestResultSectionsConcurrent$' \
+# goroutines appending to the same cached Results — and the network's
+# shared responses: two validators reading the same decoded DNSKEY and
+# DS answers at once.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestVerifyMemoConcurrent$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$|TestResultSectionsConcurrent$|TestSharedResponsesConcurrent$' \
   ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/ ./internal/netsim/ ./internal/resolver/
 
 echo "== fuzz (5s per target) =="
