@@ -12,23 +12,12 @@ import (
 	"repro/internal/resolver"
 	"repro/internal/respop"
 	"repro/internal/testbed"
-	"repro/internal/zone"
 )
 
 func buildWorldWithResolvers(t testing.TB, n int) (*testbed.Hierarchy, []*respop.Instance) {
 	t.Helper()
 	b := testbed.NewBuilder(1709251200, 1717200000)
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-	})
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.MustParseName("com"),
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-	})
-	testbed.InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	testbed.InstallWorld(b)
 	h, err := b.Build(netsim.NewNetwork(8))
 	if err != nil {
 		t.Fatal(err)

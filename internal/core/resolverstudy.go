@@ -9,14 +9,12 @@ import (
 	"repro/internal/atlas"
 	"repro/internal/compliance"
 	"repro/internal/dnssec"
-	"repro/internal/dnswire"
 	"repro/internal/fanout"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/resolver"
 	"repro/internal/respop"
 	"repro/internal/testbed"
-	"repro/internal/zone"
 )
 
 // This file is the §4.2 resolver study's instantiation of the study
@@ -323,18 +321,6 @@ func RunResolverStudy(ctx context.Context, cfg ResolverStudyConfig) (*ResolverSt
 func BuildTestbedWorld(seed uint64, opts ...testbed.BuilderOption) (*testbed.Hierarchy, error) {
 	opts = append([]testbed.BuilderOption{testbed.WithSeed(seed)}, opts...)
 	b := testbed.NewBuilder(DefaultInception, DefaultExpiration, opts...)
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-		Shared: true,
-	})
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.MustParseName("com"),
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-		Shared: true,
-	})
-	testbed.InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	testbed.InstallWorld(b)
 	return b.Build(netsim.NewNetwork(seed))
 }

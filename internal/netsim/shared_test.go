@@ -12,7 +12,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/resolver"
 	"repro/internal/testbed"
-	"repro/internal/zone"
 )
 
 const (
@@ -26,9 +25,7 @@ const (
 func buildTestbedWorld(t *testing.T) *testbed.Hierarchy {
 	t.Helper()
 	b := testbed.NewBuilder(inception, expiration)
-	b.AddZone(testbed.ZoneSpec{Apex: dnswire.Root, Sign: zone.SignConfig{Denial: zone.DenialNSEC}, Server: netsim.Addr4(198, 41, 0, 4)})
-	b.AddZone(testbed.ZoneSpec{Apex: dnswire.MustParseName("com"), Sign: zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true}, Server: netsim.Addr4(192, 5, 6, 30)})
-	testbed.InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	testbed.InstallWorld(b)
 	h, err := b.Build(netsim.NewNetwork(1))
 	if err != nil {
 		t.Fatal(err)

@@ -149,6 +149,26 @@ func InstallTestbed(b *Builder, serverAddr, serverV6 netip.AddrPort) {
 	}
 }
 
+// InstallWorld adds the whole §4.2 infrastructure to a hierarchy
+// builder: the root (NSEC) at 198.41.0.4, com (NSEC3 with opt-out) at
+// 192.5.6.30, and the testbed (InstallTestbed) at 203.0.113.10 and
+// Addr6(0x10). Every zone is Shared.
+func InstallWorld(b *Builder) {
+	b.AddZone(ZoneSpec{
+		Apex:   dnswire.Root,
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+		Server: netsim.Addr4(198, 41, 0, 4),
+		Shared: true,
+	})
+	b.AddZone(ZoneSpec{
+		Apex:   dnswire.MustParseName("com"),
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
+		Server: netsim.Addr4(192, 5, 6, 30),
+		Shared: true,
+	})
+	InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+}
+
 // Observation is what the prober saw for one subdomain through one
 // resolver — the raw material of Figure 3.
 type Observation struct {

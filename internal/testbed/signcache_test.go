@@ -140,17 +140,7 @@ func buildWide(t testing.TB, cache *SignCache) *Hierarchy {
 func buildSeeded(t *testing.T, seed uint64) *Hierarchy {
 	t.Helper()
 	b := NewBuilder(tInception, tExpiration, WithSeed(seed), WithCache(NewSignCache()), WithLazySigning())
-	b.AddZone(ZoneSpec{
-		Apex: dnswire.Root, Shared: true,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-	})
-	b.AddZone(ZoneSpec{
-		Apex: dnswire.MustParseName("com"), Shared: true,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-	})
-	InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	InstallWorld(b)
 	h, err := b.Build(netsim.NewNetwork(seed))
 	if err != nil {
 		t.Fatal(err)

@@ -21,17 +21,7 @@ const (
 func buildWorld(t testing.TB) *Hierarchy {
 	t.Helper()
 	b := NewBuilder(tInception, tExpiration)
-	b.AddZone(ZoneSpec{
-		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-	})
-	b.AddZone(ZoneSpec{
-		Apex:   dnswire.MustParseName("com"),
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-	})
-	InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+	InstallWorld(b)
 	h, err := b.Build(netsim.NewNetwork(2))
 	if err != nil {
 		t.Fatal(err)
