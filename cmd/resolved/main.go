@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -27,31 +29,45 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resolver"
 	"repro/internal/respop"
+	"repro/internal/zone"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "resolved:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
+// run serves the validating resolver args configure until ctx is done,
+// announcing it on stdout and errors on stderr. It returns the exit
+// status: 0, 1 on a refused flag value or a failed listener, 2 on a
+// flag that does not parse (0 for -h).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("resolved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen  = flag.String("listen", "127.0.0.1:5301", "UDP/TCP listen address")
-		rootArg = flag.String("root", "", "root name server address (required)")
-		anchor  = flag.String("anchor", "", "trust anchor DS RDATA: 'keytag alg digesttype hex' (empty = no validation)")
-		profile = flag.String("profile", "bind9-2021", "policy profile name")
-		metrics = flag.String("metrics", "", "serve /metrics and /healthz on this address")
+		listen  = fs.String("listen", "127.0.0.1:5301", "UDP/TCP listen address")
+		rootArg = fs.String("root", "", "root name server address (required)")
+		anchor  = fs.String("anchor", "", "trust anchor DS RDATA: 'keytag alg digesttype hex' (empty = no validation)")
+		profile = fs.String("profile", "bind9-2021", "policy profile name")
+		metrics = fs.String("metrics", "", "serve /metrics and /healthz on this address")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "resolved:", err)
+		return 1
+	}
 	if *rootArg == "" {
-		flag.Usage()
-		return fmt.Errorf("-root is required")
+		fs.Usage()
+		return fail(fmt.Errorf("-root is required"))
 	}
 	rootAddr, err := netip.ParseAddrPort(*rootArg)
 	if err != nil {
-		return fmt.Errorf("bad -root: %w", err)
+		return fail(fmt.Errorf("bad -root: %w", err))
 	}
 	var prof *respop.Profile
 	for _, p := range respop.Profiles() {
@@ -65,7 +81,7 @@ func run() error {
 		for _, p := range respop.Profiles() {
 			names = append(names, p.Policy.Name)
 		}
-		return fmt.Errorf("unknown profile %q; have: %s", *profile, strings.Join(names, ", "))
+		return fail(fmt.Errorf("unknown profile %q; have: %s", *profile, strings.Join(names, ", ")))
 	}
 	cfg := resolver.Config{
 		Roots:     []netip.AddrPort{rootAddr},
@@ -73,11 +89,11 @@ func run() error {
 		Policy:    prof.Policy,
 	}
 	if *anchor != "" {
-		ds, err := parseDS(*anchor)
+		ds, err := zone.ParseRData(dnswire.TypeDS, *anchor, dnswire.Root)
 		if err != nil {
-			return err
+			return fail(fmt.Errorf("bad -anchor (want 'keytag alg digesttype hex'): %w", err))
 		}
-		cfg.TrustAnchor = []dnswire.DS{ds}
+		cfg.TrustAnchor = []dnswire.DS{ds.(dnswire.DS)}
 	}
 	var handler netsim.Handler
 	if *metrics != "" {
@@ -91,41 +107,24 @@ func run() error {
 		})
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		// Best-effort teardown: the process is exiting anyway.
+		// Best-effort teardown: the server below is already closed.
 		defer func() { _ = stop() }()
-		fmt.Printf("resolved: metrics on http://%s/metrics\n", bound)
+		fmt.Fprintf(stdout, "resolved: metrics on http://%s/metrics\n", bound)
 	} else {
 		handler = resolver.New(cfg)
 	}
 	srv := &netsim.Server{Handler: handler}
-	addr, err := srv.Listen(context.Background(), *listen)
+	addr, err := srv.Listen(ctx, *listen)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("resolved: %s (%s) listening on %s, root %s, validation=%v\n",
+	fmt.Fprintf(stdout, "resolved: %s (%s) listening on %s, root %s, validation=%v\n",
 		prof.Policy.Name, prof.Vendor, addr, rootAddr, len(cfg.TrustAnchor) > 0)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	return srv.Close()
-}
-
-// parseDS parses "keytag alg digesttype hexdigest".
-func parseDS(s string) (dnswire.DS, error) {
-	// Scanned into the fields themselves: Sscanf refuses a negative
-	// value or one wider than the field instead of truncating it.
-	var (
-		ds     dnswire.DS
-		digest string
-	)
-	if _, err := fmt.Sscanf(s, "%d %d %d %s", &ds.KeyTag, &ds.Algorithm, &ds.DigestType, &digest); err != nil {
-		return dnswire.DS{}, fmt.Errorf("bad -anchor (want 'keytag alg digesttype hex'): %w", err)
+	<-ctx.Done()
+	if err := srv.Close(); err != nil {
+		return fail(err)
 	}
-	ds.Digest = make([]byte, len(digest)/2)
-	if _, err := fmt.Sscanf(strings.ToLower(digest), "%x", &ds.Digest); err != nil {
-		return dnswire.DS{}, fmt.Errorf("bad -anchor digest: %w", err)
-	}
-	return ds, nil
+	return 0
 }

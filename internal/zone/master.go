@@ -140,6 +140,14 @@ func nameRelativeTo(s string, origin dnswire.Name) (dnswire.Name, error) {
 	return dnswire.FromLabels(labels...)
 }
 
+// ParseRData parses the RDATA of a t record in the presentation syntax
+// a master-file line gives it after its type, with relative names
+// relative to origin. Fields are separated by whitespace; a trailing
+// hex or base64 field may be split across several (RFC 4034 §5.3).
+func ParseRData(t dnswire.Type, rdata string, origin dnswire.Name) (dnswire.RData, error) {
+	return parsePresentationRData(t, strings.Fields(rdata), origin)
+}
+
 func parsePresentationRData(t dnswire.Type, f []string, origin dnswire.Name) (dnswire.RData, error) {
 	need := func(n int) error {
 		if len(f) < n {
