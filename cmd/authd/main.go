@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -30,24 +32,37 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "authd:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
+// run serves the zones args select until ctx is done, announcing what
+// it serves and where on stdout and errors on stderr. It returns the
+// exit status: 0, 1 when a zone or a listener fails, 2 on a flag that
+// does not parse (0 for -h).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("authd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		listen     = flag.String("listen", "127.0.0.1:5300", "UDP/TCP listen address")
-		zoneArg    = flag.String("zone", "", "origin=masterfile to load and sign")
-		useNSEC3   = flag.Bool("nsec3", true, "sign with NSEC3")
-		iterations = flag.Uint("iterations", 0, "NSEC3 additional iterations")
-		saltHex    = flag.String("salt", "", "NSEC3 salt (hex)")
-		optOut     = flag.Bool("optout", false, "NSEC3 opt-out flag")
-		serveTB    = flag.Bool("testbed", false, "serve the rfc9276-in-the-wild.com testbed instead of -zone")
-		metrics    = flag.String("metrics", "", "serve /metrics and /healthz on this address")
+		listen     = fs.String("listen", "127.0.0.1:5300", "UDP/TCP listen address")
+		zoneArg    = fs.String("zone", "", "origin=masterfile to load and sign")
+		useNSEC3   = fs.Bool("nsec3", true, "sign with NSEC3")
+		iterations = fs.Uint("iterations", 0, "NSEC3 additional iterations")
+		saltHex    = fs.String("salt", "", "NSEC3 salt (hex)")
+		optOut     = fs.Bool("optout", false, "NSEC3 opt-out flag")
+		serveTB    = fs.Bool("testbed", false, "serve the rfc9276-in-the-wild.com testbed instead of -zone")
+		metrics    = fs.String("metrics", "", "serve /metrics and /healthz on this address")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "authd:", err)
+		return 1
+	}
 
 	srv := authserver.New()
 	inception := uint32(time.Now().Add(-time.Hour).Unix())
@@ -58,58 +73,50 @@ func run() error {
 		// Build the testbed zones; the simulated hierarchy builder is
 		// reused purely as a zone factory here.
 		b := testbed.NewBuilder(inception, expiration)
-		b.AddZone(testbed.ZoneSpec{
-			Apex: dnswire.Root, Sign: zone.SignConfig{Denial: zone.DenialNSEC},
-			Server: netsim.Addr4(198, 41, 0, 4),
-		})
-		b.AddZone(testbed.ZoneSpec{
-			Apex: dnswire.MustParseName("com"), Sign: zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-			Server: netsim.Addr4(192, 5, 6, 30),
-		})
-		testbed.InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
+		testbed.InstallWorld(b)
 		h, err := b.Build(netsim.NewNetwork(1))
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		tb := dnswire.MustParseName(testbed.TestbedDomain)
 		srv.AddZone(h.Zones[tb])
 		for _, sub := range testbed.Subdomains() {
 			srv.AddZone(h.Zones[sub.Apex()])
 		}
-		fmt.Printf("authd: serving the rfc9276 testbed (%d zones)\n", len(srv.Zones()))
+		fmt.Fprintf(stdout, "authd: serving the rfc9276 testbed (%d zones)\n", len(srv.Zones()))
 	case *zoneArg != "":
 		origin, path, ok := strings.Cut(*zoneArg, "=")
 		if !ok {
-			return fmt.Errorf("-zone must be origin=masterfile")
+			return fail(fmt.Errorf("-zone must be origin=masterfile"))
 		}
 		apex, err := dnswire.ParseName(origin)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		z, err := zone.ParseMaster(f, apex, 300)
 		_ = f.Close() // read-only handle; parse errors are surfaced below
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		cfg := zone.SignConfig{Inception: inception, Expiration: expiration}
 		if *useNSEC3 {
 			if err := cfg.UseNSEC3(*iterations, *saltHex, *optOut); err != nil {
-				return err
+				return fail(err)
 			}
 		}
 		signed, err := z.Sign(cfg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		srv.AddZone(signed)
 		ds, _ := signed.DSForChild()
-		fmt.Printf("authd: serving %s (%s), DS for the parent: %s\n", apex, cfg.Denial, ds)
+		fmt.Fprintf(stdout, "authd: serving %s (%s), DS for the parent: %s\n", apex, cfg.Denial, ds)
 	default:
-		return fmt.Errorf("one of -zone or -testbed is required")
+		return fail(fmt.Errorf("one of -zone or -testbed is required"))
 	}
 
 	if *metrics != "" {
@@ -120,22 +127,23 @@ func run() error {
 		srv.Instrument(reg)
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
-			return err
+			return fail(err)
 		}
-		// Best-effort teardown: the process is exiting anyway.
+		// Best-effort teardown: the server below is already closed.
 		defer func() { _ = stop() }()
-		fmt.Printf("authd: metrics on http://%s/metrics\n", bound)
+		fmt.Fprintf(stdout, "authd: metrics on http://%s/metrics\n", bound)
 	}
 
 	real := &netsim.Server{Handler: srv}
-	addr, err := real.Listen(context.Background(), *listen)
+	addr, err := real.Listen(ctx, *listen)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("authd: listening on %s (udp+tcp)\n", addr)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("authd: shutting down")
-	return real.Close()
+	fmt.Fprintf(stdout, "authd: listening on %s (udp+tcp)\n", addr)
+	<-ctx.Done()
+	fmt.Fprintln(stdout, "authd: shutting down")
+	if err := real.Close(); err != nil {
+		return fail(err)
+	}
+	return 0
 }
