@@ -10,27 +10,57 @@
 package main
 
 import (
+	"context"
 	"encoding/hex"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/dnswire"
 	"repro/internal/nsec3"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "nsec3hash:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) error {
-	if len(args) != 4 {
-		return fmt.Errorf("usage: nsec3hash <salt-hex|-> <algorithm> <iterations> <domain>")
+// run prints the hashed owner name of the domain args name to stdout.
+// It returns the exit status: 0, 1 on an argument that does not parse
+// as its field, 2 on a flag that does not parse or a wrong number of
+// arguments (0 for -h). Hashing waits on nothing, so the context is
+// unused: run has the shape every command's run shares.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nsec3hash", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: nsec3hash <salt-hex|-> <algorithm> <iterations> <domain>")
 	}
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() != 4 {
+		fs.Usage()
+		return 2
+	}
+	if err := hash(stdout, fs.Args()); err != nil {
+		fmt.Fprintln(stderr, "nsec3hash:", err)
+		return 1
+	}
+	return 0
+}
+
+// hash parses salt, algorithm, iterations and domain and prints the hash.
+func hash(w io.Writer, args []string) error {
 	var salt []byte
 	if args[0] != "-" && args[0] != "" {
 		var err error
@@ -63,7 +93,7 @@ func run(args []string) error {
 	if len(salt) > 0 {
 		saltStr = strings.ToUpper(hex.EncodeToString(salt))
 	}
-	fmt.Printf("%s (salt=%s, hash=%d, iterations=%d)\n",
+	_, err = fmt.Fprintf(w, "%s (salt=%s, hash=%d, iterations=%d)\n",
 		nsec3.EncodeHash(h), saltStr, alg, iters)
-	return nil
+	return err
 }

@@ -18,6 +18,8 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/compliance"
 	"repro/internal/dnswire"
@@ -26,7 +28,9 @@ import (
 )
 
 func main() {
-	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // lineSource streams domain names off a reader one line at a time —

@@ -124,3 +124,14 @@ func TestRunRefusesBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunUsageExitStatus: -h exits 0 and a flag that does not parse 2,
+// before any domain is read.
+func TestRunUsageExitStatus(t *testing.T) {
+	for args, want := range map[string]int{"-no-such-flag": 2, "-h": 0} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), []string{args}, &stdout, &stderr); code != want || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d with stdout %q, want %d and nothing printed", args, code, stdout.String(), want)
+		}
+	}
+}

@@ -26,7 +26,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"sort"
+	"syscall"
 
 	"repro/internal/analysis"
 	"repro/internal/compliance"
@@ -38,7 +40,9 @@ import (
 )
 
 func main() {
-	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run runs the experiments args select, printing the report to stdout
@@ -87,6 +91,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *statewalk) {
 		*all = true
+	}
+	// printSurvey prints the domain-survey sections the flags select,
+	// for the in-process run and the coordinator alike.
+	printSurvey := func(w io.Writer, s *core.SurveyReport) {
+		if *all || *fig1 {
+			printFig1(w, s)
+		}
+		if *all || *table2 {
+			printTable2(w, s)
+		}
+		if *all || *tlds {
+			printTLDs(w, s)
+		}
 	}
 
 	var reg *obs.Registry
@@ -146,17 +163,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *workerAddr != "" {
 			return exit(runDistWorker(ctx, *workerAddr, spec, reg, tracer, stderr))
 		}
-		return exit(runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, stdout, stderr, func(w io.Writer, report *core.SurveyReport) {
-			if *all || *fig1 {
-				printFig1(w, report)
-			}
-			if *all || *table2 {
-				printTable2(w, report)
-			}
-			if *all || *tlds {
-				printTLDs(w, report)
-			}
-		}))
+		return exit(runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, stdout, stderr, printSurvey))
 	}
 
 	if *statewalk {
@@ -174,12 +181,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		printTable1(stdout)
 	}
 
-	var survey *core.SurveyReport
 	if *all || *fig1 || *table2 || *tlds {
 		fmt.Fprintf(stdout, "== Running the §4.1 domain survey (%d domains, 1:%d scale, seed %d)…\n\n",
 			population.FullRegistered / *dScale, *dScale, *seed)
-		var err error
-		survey, err = core.RunSurvey(ctx, core.SurveyConfig{
+		survey, err := core.RunSurvey(ctx, core.SurveyConfig{
 			Registered: population.FullRegistered / *dScale,
 			Seed:       *seed,
 			Shards:     *shards,
@@ -189,15 +194,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return exit(err)
 		}
-	}
-	if (*all || *fig1) && survey != nil {
-		printFig1(stdout, survey)
-	}
-	if (*all || *table2) && survey != nil {
-		printTable2(stdout, survey)
-	}
-	if (*all || *tlds) && survey != nil {
-		printTLDs(stdout, survey)
+		printSurvey(stdout, survey)
 	}
 
 	if *all || *fig2 {

@@ -46,12 +46,14 @@ func TestAllReportPinned(t *testing.T) {
 	}
 }
 
-// TestRunRefusesUnknownFlag: a flag that does not parse exits 2 before
-// any experiment runs.
+// TestRunRefusesUnknownFlag: a flag that does not parse exits 2, and
+// -h 0, before any experiment runs.
 func TestRunRefusesUnknownFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
-		t.Fatalf("exit %d with stdout %q, want 2 and nothing printed", code, stdout.String())
+	for args, want := range map[string]int{"-no-such-flag": 2, "-h": 0} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), []string{args}, &stdout, &stderr); code != want || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d with stdout %q, want %d and nothing printed", args, code, stdout.String(), want)
+		}
 	}
 }
 

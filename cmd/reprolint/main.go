@@ -16,24 +16,37 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// run analyzes the packages args match and prints every finding. It
+// returns the exit status: 0 on a clean tree, 1 with findings, 2 on a
+// flag that does not parse (0 for -h) or a load error. Loading and
+// analysis are not cancellable, so the context is unused: run has the
+// shape every command's run shares.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reprolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	patterns := fs.Args()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -14,7 +15,7 @@ import (
 // array (empty, not null).
 func TestRunJSONClean(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "../../internal/nsec3"}, &stdout, &stderr)
+	code := run(context.Background(), []string{"-json", "../../internal/nsec3"}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run exited %d, stderr: %s", code, stderr.String())
 	}
@@ -75,7 +76,7 @@ func Spin() {
 
 	const want = "[goleak] unconditional loop in goroutine spawned at"
 	var stdout, stderr bytes.Buffer
-	if code := run(nil, &stdout, &stderr); code != 1 {
+	if code := run(context.Background(), nil, &stdout, &stderr); code != 1 {
 		t.Fatalf("run exited %d, want 1\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	if lines := strings.Split(strings.TrimSpace(stdout.String()), "\n"); len(lines) != 1 ||
@@ -85,7 +86,7 @@ func Spin() {
 
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-json"}, &stdout, &stderr); code != 1 {
+	if code := run(context.Background(), []string{"-json"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("-json run exited %d, want 1\nstderr: %s", code, stderr.String())
 	}
 	var diags []struct {
@@ -116,7 +117,7 @@ func Spin() {
 // length word, or makes a Merge method impure fails here.
 func TestRunCleanCtxPropTargets(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{
+	code := run(context.Background(), []string{
 		"../../internal/atlas", "../../internal/respop",
 		"../../internal/netsim", "../../internal/authserver",
 		"../../internal/testbed", "../../internal/distsurvey",
@@ -125,5 +126,16 @@ func TestRunCleanCtxPropTargets(t *testing.T) {
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run exited %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}
+
+// TestRunUsageExitStatus: -h exits 0 and a flag that does not parse 2,
+// before any package is loaded.
+func TestRunUsageExitStatus(t *testing.T) {
+	for args, want := range map[string]int{"-no-such-flag": 2, "-h": 0} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), []string{args}, &stdout, &stderr); code != want || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d with stdout %q, want %d and nothing printed", args, code, stdout.String(), want)
+		}
 	}
 }

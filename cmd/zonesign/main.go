@@ -20,7 +20,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/signal"
 	"slices"
+	"syscall"
 	"time"
 
 	"repro/internal/dnswire"
@@ -28,7 +30,9 @@ import (
 )
 
 func main() {
-	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run signs the zone args name and writes it to -out (default stdout),
