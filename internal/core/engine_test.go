@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -135,12 +136,20 @@ func checkRejectsDuplicate[S Study[P, O, R], P, O Sharded, R any](t *testing.T, 
 	if !errors.As(err, &dup) || dup.Index != 2 {
 		t.Fatalf("second Add returned %v, want *DuplicateShardError{2}", err)
 	}
-	if b.MergedCount() != 1 || !b.Merged(2) || b.Merged(0) {
-		t.Fatalf("merged bookkeeping wrong: count=%d", b.MergedCount())
+	merged := func() (idx []int) {
+		for i := range 8 {
+			if b.Merged(i) {
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
+	if got := merged(); !slices.Equal(got, []int{2}) {
+		t.Fatalf("merged bookkeeping wrong: shards %v merged, want [2]", got)
 	}
 	var none O
-	if err := b.Add(none); err == nil || b.MergedCount() != 1 {
-		t.Fatalf("absent outcome: Add returned %v with %d merged, want an error and 1", err, b.MergedCount())
+	if err := b.Add(none); err == nil || !slices.Equal(merged(), []int{2}) {
+		t.Fatalf("absent outcome: Add returned %v with shards %v merged, want an error and [2]", err, merged())
 	}
 }
 

@@ -190,9 +190,6 @@ func (b *Builder[O, R]) Add(o O) error {
 // Merged reports whether the shard's outcome has already been added.
 func (b *Builder[O, R]) Merged(index int) bool { return b.merged[index] }
 
-// MergedCount returns how many distinct shards have been added.
-func (b *Builder[O, R]) MergedCount() int { return len(b.merged) }
-
 // Finish computes the derived figures and returns the report.
 func (b *Builder[O, R]) Finish() R { return b.acc.finish() }
 

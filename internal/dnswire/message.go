@@ -141,22 +141,6 @@ func (m *Message) ExtendedRCode() RCode {
 	return rc
 }
 
-// SetExtendedRCode splits rc into the header and OPT high bits. If rc
-// needs more than 4 bits and no OPT is present, an OPT is added.
-func (m *Message) SetExtendedRCode(rc RCode) {
-	m.Header.RCode = rc & RCodeMask
-	high := uint8(rc >> 4)
-	o, ok := m.OPT()
-	if !ok {
-		if high == 0 {
-			return
-		}
-		o = &OPT{UDPSize: DefaultUDPSize}
-		m.Additional = append(m.Additional, RR{Name: Root, Class: Class(o.UDPSize), Data: o})
-	}
-	o.ExtRCodeHigh = high
-}
-
 // errTruncate signals that packing exceeded the size budget.
 var errTruncate = errors.New("dnswire: message exceeds size limit")
 

@@ -262,8 +262,11 @@ func TestEDNSAndEDERoundTrip(t *testing.T) {
 }
 
 func TestExtendedRCode(t *testing.T) {
-	m := &Message{Header: Header{ID: 1, Response: true}}
-	m.SetExtendedRCode(RCode(23)) // BADCOOKIE, needs 5 bits
+	// BADCOOKIE (23) needs 5 bits: 7 in the header, 1 in the OPT TTL's
+	// high byte (RFC 6891 §6.1.3).
+	opt := &OPT{UDPSize: DefaultUDPSize, ExtRCodeHigh: 1}
+	m := &Message{Header: Header{ID: 1, Response: true, RCode: 7},
+		Additional: []RR{{Name: Root, Class: Class(opt.UDPSize), Data: opt}}}
 	wire, err := m.Pack()
 	if err != nil {
 		t.Fatal(err)

@@ -266,16 +266,6 @@ func appendDecodedHash(dst []byte, label string) (out []byte, ok bool) {
 	return out, true
 }
 
-// OwnerName returns the NSEC3 owner name for the hash of name in zone:
-// base32hex(hash) prepended to the zone apex.
-func OwnerName(name, zone dnswire.Name, p Params) (dnswire.Name, error) {
-	h, err := Hash(name, p)
-	if err != nil {
-		return "", err
-	}
-	return zone.Child(EncodeHash(h))
-}
-
 // AppendHashFromOwner appends the raw hash encoded in an NSEC3 RR's
 // owner name (its leftmost label) to dst. The label is read where it
 // stands in the owner's presentation form: a hash label is 32
