@@ -59,9 +59,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "authd:", err)
-		return 1
+	exit := func(err error) int {
+		if err != nil {
+			fmt.Fprintln(stderr, "authd:", err)
+			return 1
+		}
+		return 0
 	}
 
 	srv := authserver.New()
@@ -76,10 +79,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		testbed.InstallWorld(b)
 		h, err := b.Build(netsim.NewNetwork(1))
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
-		tb := dnswire.MustParseName(testbed.TestbedDomain)
-		srv.AddZone(h.Zones[tb])
+		srv.AddZone(h.Zones[dnswire.MustParseName(testbed.TestbedDomain)])
 		for _, sub := range testbed.Subdomains() {
 			srv.AddZone(h.Zones[sub.Apex()])
 		}
@@ -87,36 +89,36 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	case *zoneArg != "":
 		origin, path, ok := strings.Cut(*zoneArg, "=")
 		if !ok {
-			return fail(fmt.Errorf("-zone must be origin=masterfile"))
+			return exit(fmt.Errorf("-zone must be origin=masterfile"))
 		}
 		apex, err := dnswire.ParseName(origin)
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		f, err := os.Open(path)
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		z, err := zone.ParseMaster(f, apex, 300)
 		_ = f.Close() // read-only handle; parse errors are surfaced below
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		cfg := zone.SignConfig{Inception: inception, Expiration: expiration}
 		if *useNSEC3 {
 			if err := cfg.UseNSEC3(*iterations, *saltHex, *optOut); err != nil {
-				return fail(err)
+				return exit(err)
 			}
 		}
 		signed, err := z.Sign(cfg)
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		srv.AddZone(signed)
 		ds, _ := signed.DSForChild()
 		fmt.Fprintf(stdout, "authd: serving %s (%s), DS for the parent: %s\n", apex, cfg.Denial, ds)
 	default:
-		return fail(fmt.Errorf("one of -zone or -testbed is required"))
+		return exit(fmt.Errorf("one of -zone or -testbed is required"))
 	}
 
 	if *metrics != "" {
@@ -127,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		srv.Instrument(reg)
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		// Best-effort teardown: the server below is already closed.
 		defer func() { _ = stop() }()
@@ -137,13 +139,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	real := &netsim.Server{Handler: srv}
 	addr, err := real.Listen(ctx, *listen)
 	if err != nil {
-		return fail(err)
+		return exit(err)
 	}
 	fmt.Fprintf(stdout, "authd: listening on %s (udp+tcp)\n", addr)
 	<-ctx.Done()
 	fmt.Fprintln(stdout, "authd: shutting down")
-	if err := real.Close(); err != nil {
-		return fail(err)
-	}
-	return 0
+	return exit(real.Close())
 }

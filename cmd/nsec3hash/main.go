@@ -40,60 +40,48 @@ func main() {
 func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nsec3hash", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: nsec3hash <salt-hex|-> <algorithm> <iterations> <domain>")
-	}
+	fs.Usage = func() { fmt.Fprintln(stderr, "usage: nsec3hash <salt-hex|-> <algorithm> <iterations> <domain>") }
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
 		return 2
 	}
-	if fs.NArg() != 4 {
+	if args = fs.Args(); len(args) != 4 {
 		fs.Usage()
 		return 2
 	}
-	if err := hash(stdout, fs.Args()); err != nil {
+	fail := func(err error) int {
 		fmt.Fprintln(stderr, "nsec3hash:", err)
 		return 1
 	}
-	return 0
-}
-
-// hash parses salt, algorithm, iterations and domain and prints the hash.
-func hash(w io.Writer, args []string) error {
 	var salt []byte
 	if args[0] != "-" && args[0] != "" {
 		var err error
 		if salt, err = hex.DecodeString(strings.ToLower(args[0])); err != nil {
-			return fmt.Errorf("bad salt: %w", err)
+			return fail(fmt.Errorf("bad salt: %w", err))
 		}
 	}
 	alg, err := strconv.ParseUint(args[1], 10, 8)
 	if err != nil {
-		return fmt.Errorf("bad algorithm: %w", err)
+		return fail(fmt.Errorf("bad algorithm: %w", err))
 	}
 	iters, err := strconv.ParseUint(args[2], 10, 16)
 	if err != nil {
-		return fmt.Errorf("bad iterations: %w", err)
+		return fail(fmt.Errorf("bad iterations: %w", err))
 	}
 	name, err := dnswire.ParseName(args[3])
 	if err != nil {
-		return fmt.Errorf("bad domain: %w", err)
+		return fail(fmt.Errorf("bad domain: %w", err))
 	}
-	p := nsec3.Params{
-		Alg:        dnswire.NSEC3HashAlg(alg),
-		Iterations: uint16(iters),
-		Salt:       salt,
-	}
-	h, err := nsec3.Hash(name, p)
+	h, err := nsec3.Hash(name, nsec3.Params{Alg: dnswire.NSEC3HashAlg(alg), Iterations: uint16(iters), Salt: salt})
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	saltStr := "-"
 	if len(salt) > 0 {
 		saltStr = strings.ToUpper(hex.EncodeToString(salt))
 	}
-	_, err = fmt.Fprintf(w, "%s (salt=%s, hash=%d, iterations=%d)\n",
+	fmt.Fprintf(stdout, "%s (salt=%s, hash=%d, iterations=%d)\n",
 		nsec3.EncodeHash(h), saltStr, alg, iters)
-	return err
+	return 0
 }

@@ -37,6 +37,7 @@ import (
 	"repro/internal/population"
 	"repro/internal/respop"
 	"repro/internal/scanner"
+	"repro/internal/statewalk"
 )
 
 func main() {
@@ -60,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tlds   = fs.Bool("tlds", false, "§5.1 TLD statistics")
 		fig3   = fs.Bool("fig3", false, "Figure 3 + §5.2 resolver stats")
 
-		statewalk      = fs.Bool("statewalk", false, "differential state-machine walk: every (topology × profile) cell vs the expectation model")
+		walk           = fs.Bool("statewalk", false, "differential state-machine walk: every (topology × profile) cell vs the expectation model")
 		statewalkOut   = fs.String("statewalk-out", "statewalk.ndjson", "statewalk: write divergence records to this NDJSON file")
 		statewalkCells = fs.Bool("statewalk-cells", false, "statewalk: record every cell, not just divergences")
 		seed           = fs.Uint64("seed", 1, "simulation seed")
@@ -89,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *statewalk) {
+	if !(*table1 || *fig1 || *fig2 || *table2 || *tlds || *fig3 || *walk) {
 		*all = true
 	}
 	// printSurvey prints the domain-survey sections the flags select,
@@ -166,12 +167,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exit(runDistCoordinator(ctx, *serveAddr, spec, reg, *stateDir, *resume, *leaseTTL, stdout, stderr, printSurvey))
 	}
 
-	if *statewalk {
-		if err := runStatewalk(ctx, stdout, statewalkOptions{
-			seed:      *seed,
-			out:       *statewalkOut,
-			emitCells: *statewalkCells,
-			obs:       reg,
+	if *walk {
+		if err := runStatewalk(ctx, stdout, *statewalkOut, statewalk.Config{
+			Seed: *seed, EmitCells: *statewalkCells, Obs: reg,
 		}); err != nil {
 			return exit(err)
 		}

@@ -6,26 +6,18 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/obs"
 	"repro/internal/scanner"
 	"repro/internal/statewalk"
 )
 
-// statewalkOptions carries the -statewalk* flags.
-type statewalkOptions struct {
-	seed      uint64
-	out       string
-	emitCells bool
-	obs       *obs.Registry
-}
-
-// runStatewalk executes the differential state-machine walk and prints
-// its summary to w. Any divergence is an error: either the resolver or
+// runStatewalk executes the differential state-machine walk cfg
+// describes, writes its records to the file at out, and prints its
+// summary to w. Any divergence is an error: either the resolver or
 // the expectation model is wrong, and CI must not pass until one of
 // them is mended.
-func runStatewalk(ctx context.Context, w io.Writer, o statewalkOptions) error {
-	fmt.Fprintf(w, "== Running the differential state-machine walk (seed %d)…\n\n", o.seed)
-	f, err := os.Create(o.out)
+func runStatewalk(ctx context.Context, w io.Writer, out string, cfg statewalk.Config) error {
+	fmt.Fprintf(w, "== Running the differential state-machine walk (seed %d)…\n\n", cfg.Seed)
+	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
@@ -33,12 +25,8 @@ func runStatewalk(ctx context.Context, w io.Writer, o statewalkOptions) error {
 	// releases the descriptor.
 	defer func() { _ = f.Close() }()
 
-	sum, err := statewalk.Run(ctx, statewalk.Config{
-		Seed:      o.seed,
-		EmitCells: o.emitCells,
-		Out:       scanner.NewEncoder(f),
-		Obs:       o.obs,
-	})
+	cfg.Out = scanner.NewEncoder(f)
+	sum, err := statewalk.Run(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -46,10 +34,10 @@ func runStatewalk(ctx context.Context, w io.Writer, o statewalkOptions) error {
 	fmt.Fprintf(w, "  topologies enumerated             %6d\n", sum.Topologies)
 	fmt.Fprintf(w, "  resolver profiles                 %6d\n", sum.Profiles)
 	fmt.Fprintf(w, "  cells executed                    %6d\n", sum.Cells)
-	fmt.Fprintf(w, "  divergences                       %6d  (report: %s)\n\n", sum.Divergences, o.out)
+	fmt.Fprintf(w, "  divergences                       %6d  (report: %s)\n\n", sum.Divergences, out)
 
 	if sum.Divergences > 0 {
-		return fmt.Errorf("statewalk: %d divergences (see %s)", sum.Divergences, o.out)
+		return fmt.Errorf("statewalk: %d divergences (see %s)", sum.Divergences, out)
 	}
 	return nil
 }

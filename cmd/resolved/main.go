@@ -57,31 +57,34 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	} else if err != nil {
 		return 2
 	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "resolved:", err)
-		return 1
+	exit := func(err error) int {
+		if err != nil {
+			fmt.Fprintln(stderr, "resolved:", err)
+			return 1
+		}
+		return 0
 	}
 	if *rootArg == "" {
 		fs.Usage()
-		return fail(fmt.Errorf("-root is required"))
+		return exit(fmt.Errorf("-root is required"))
 	}
 	rootAddr, err := netip.ParseAddrPort(*rootArg)
 	if err != nil {
-		return fail(fmt.Errorf("bad -root: %w", err))
+		return exit(fmt.Errorf("bad -root: %w", err))
 	}
-	var prof *respop.Profile
+	var (
+		prof  *respop.Profile
+		names []string
+	)
 	for _, p := range respop.Profiles() {
 		if p.Policy.Name == *profile {
 			prof = &p
 			break
 		}
+		names = append(names, p.Policy.Name)
 	}
 	if prof == nil {
-		var names []string
-		for _, p := range respop.Profiles() {
-			names = append(names, p.Policy.Name)
-		}
-		return fail(fmt.Errorf("unknown profile %q; have: %s", *profile, strings.Join(names, ", ")))
+		return exit(fmt.Errorf("unknown profile %q; have: %s", *profile, strings.Join(names, ", ")))
 	}
 	cfg := resolver.Config{
 		Roots:     []netip.AddrPort{rootAddr},
@@ -91,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *anchor != "" {
 		ds, err := zone.ParseRData(dnswire.TypeDS, *anchor, dnswire.Root)
 		if err != nil {
-			return fail(fmt.Errorf("bad -anchor (want 'keytag alg digesttype hex'): %w", err))
+			return exit(fmt.Errorf("bad -anchor (want 'keytag alg digesttype hex'): %w", err))
 		}
 		cfg.TrustAnchor = []dnswire.DS{ds.(dnswire.DS)}
 	}
@@ -107,7 +110,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		})
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
-			return fail(err)
+			return exit(err)
 		}
 		// Best-effort teardown: the server below is already closed.
 		defer func() { _ = stop() }()
@@ -118,13 +121,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	srv := &netsim.Server{Handler: handler}
 	addr, err := srv.Listen(ctx, *listen)
 	if err != nil {
-		return fail(err)
+		return exit(err)
 	}
 	fmt.Fprintf(stdout, "resolved: %s (%s) listening on %s, root %s, validation=%v\n",
 		prof.Policy.Name, prof.Vendor, addr, rootAddr, len(cfg.TrustAnchor) > 0)
 	<-ctx.Done()
-	if err := srv.Close(); err != nil {
-		return fail(err)
-	}
-	return 0
+	return exit(srv.Close())
 }
