@@ -73,7 +73,12 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(fmt.Errorf("bad domain: %w", err))
 	}
-	h, err := nsec3.Hash(name, nsec3.Params{Alg: dnswire.NSEC3HashAlg(alg), Iterations: uint16(iters), Salt: salt})
+	p := nsec3.Params{
+		Alg:        dnswire.NSEC3HashAlg(alg),
+		Iterations: uint16(iters),
+		Salt:       salt,
+	}
+	h, err := nsec3.Hash(name, p)
 	if err != nil {
 		return fail(err)
 	}

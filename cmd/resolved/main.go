@@ -98,16 +98,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.TrustAnchor = []dnswire.DS{ds.(dnswire.DS)}
 	}
-	var handler netsim.Handler
+	var reg *obs.Registry
 	if *metrics != "" {
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
-		queries := reg.Counter("resolved_queries_total", "client queries handled over UDP and TCP")
-		res := resolver.New(cfg)
-		handler = netsim.HandlerFunc(func(ctx context.Context, from netip.AddrPort, q *dnswire.Message) *dnswire.Message {
-			queries.Inc()
-			return res.Handle(ctx, from, q)
-		})
+		reg = obs.NewRegistry()
 		bound, stop, err := obs.Serve(*metrics, reg)
 		if err != nil {
 			return exit(err)
@@ -115,10 +108,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Best-effort teardown: the server below is already closed.
 		defer func() { _ = stop() }()
 		fmt.Fprintf(stdout, "resolved: metrics on http://%s/metrics\n", bound)
-	} else {
-		handler = resolver.New(cfg)
 	}
-	srv := &netsim.Server{Handler: handler}
+	cfg.Obs = reg
+	res := resolver.New(cfg)
+	queries := reg.Counter("resolved_queries_total", "client queries handled over UDP and TCP")
+	srv := &netsim.Server{Handler: netsim.HandlerFunc(func(ctx context.Context, from netip.AddrPort, q *dnswire.Message) *dnswire.Message {
+		queries.Inc()
+		return res.Handle(ctx, from, q)
+	})}
 	addr, err := srv.Listen(ctx, *listen)
 	if err != nil {
 		return exit(err)

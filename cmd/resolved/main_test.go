@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/netip"
 	"regexp"
 	"strings"
@@ -100,7 +102,8 @@ func (o *output) String() string {
 
 // TestRunValidates: resolved on loopback, anchored at the DS of a root
 // zone served on loopback, answers a DO query for the root's
-// NSEC3PARAM with AD set, and returns 0 once its context is done.
+// NSEC3PARAM with AD set, counts it on /metrics, and returns 0 once its
+// context is done.
 func TestRunValidates(t *testing.T) {
 	z, err := zone.ParseMaster(strings.NewReader(`$ORIGIN .
 @	3600	IN	SOA	a.root-servers.net. nstld.verisign-grs.com. 1 1800 900 604800 86400
@@ -134,7 +137,7 @@ a.root-servers.net.	IN	A	127.0.0.1
 	var stdout, stderr output
 	done := make(chan int, 1)
 	go func() {
-		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-root", rootAddr.String(), "-anchor", ds.String()}, &stdout, &stderr)
+		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-root", rootAddr.String(), "-anchor", ds.String(), "-metrics", "127.0.0.1:0"}, &stdout, &stderr)
 	}()
 	rx := regexp.MustCompile(`resolved: bind9-2021 \(.*\) listening on (\S+), root \S+, validation=true\n`)
 	var addr string
@@ -153,6 +156,19 @@ a.root-servers.net.	IN	A	127.0.0.1
 	if resp.Header.RCode != dnswire.RCodeNoError || !resp.Header.AuthenticatedData || len(resp.Answers) == 0 {
 		t.Errorf("NSEC3PARAM through resolved: rcode %v, AD %v, %d answers; want a validated answer",
 			resp.Header.RCode, resp.Header.AuthenticatedData, len(resp.Answers))
+	}
+	url := regexp.MustCompile(`resolved: metrics on (\S+)\n`).FindStringSubmatch(stdout.String())
+	if url == nil {
+		t.Fatalf("no metrics address printed:\n%s", stdout.String())
+	}
+	m, err := http.Get(url[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(m.Body)
+	m.Body.Close()
+	if err != nil || !regexp.MustCompile(`(?m)^resolved_queries_total 1$`).Match(body) {
+		t.Errorf("/metrics (%v) has no line resolved_queries_total 1:\n%s", err, body)
 	}
 	cancel()
 	if code := <-done; code != 0 {

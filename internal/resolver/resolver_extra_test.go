@@ -21,16 +21,7 @@ import (
 func buildMixedWorld(t testing.TB) *testbed.Hierarchy {
 	t.Helper()
 	b := testbed.NewBuilder(tInception, tExpiration)
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-	})
-	b.AddZone(testbed.ZoneSpec{
-		Apex:   dnswire.MustParseName("com"),
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-	})
+	testbed.InstallWorld(b)
 	b.AddZone(testbed.ZoneSpec{
 		Apex: dnswire.MustParseName("nsec-zone.com"),
 		Populate: func(z *zone.Zone) {
@@ -62,7 +53,6 @@ func buildMixedWorld(t testing.TB) *testbed.Hierarchy {
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, NSEC3: nsec3.Params{Iterations: 2}},
 		Server: netsim.Addr4(203, 0, 113, 23),
 	})
-	testbed.InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
 	h, err := b.Build(netsim.NewNetwork(13))
 	if err != nil {
 		t.Fatal(err)

@@ -107,14 +107,29 @@ func (s Subdomain) Apex() dnswire.Name {
 	return dnswire.MustParseName(s.Label + "." + TestbedDomain)
 }
 
-// InstallTestbed adds the testbed's zones to a hierarchy builder:
-// the rfc9276-in-the-wild.com zone itself plus one delegated,
-// separately-signed child zone per subdomain (NSEC3 parameters are
-// per-zone state, so each iteration count needs its own zone).
-// serverAddr/serverV6 host every testbed zone ("reachable over both
-// IPv4 and IPv6", §4.2). The parent "com" and the root must be added
-// by the caller.
-func InstallTestbed(b *Builder, serverAddr, serverV6 netip.AddrPort) {
+// InstallWorld adds the whole §4.2 infrastructure to a hierarchy
+// builder: the root (NSEC) at 198.41.0.4, com (NSEC3 with opt-out) at
+// 192.5.6.30, and on 203.0.113.10 and Addr6(0x10) ("reachable over
+// both IPv4 and IPv6", §4.2) the rfc9276-in-the-wild.com zone plus one
+// delegated, separately-signed child zone per subdomain (NSEC3
+// parameters are per-zone state, so each iteration count needs its own
+// zone). Every zone is identical across repeated builds, so all are
+// Shared: a sign cache (when the builder has one) reuses each signed
+// zone across shard worlds.
+func InstallWorld(b *Builder) {
+	b.AddZone(ZoneSpec{
+		Apex:   dnswire.Root,
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+		Server: netsim.Addr4(198, 41, 0, 4),
+		Shared: true,
+	})
+	b.AddZone(ZoneSpec{
+		Apex:   dnswire.MustParseName("com"),
+		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
+		Server: netsim.Addr4(192, 5, 6, 30),
+		Shared: true,
+	})
+	server, server6 := netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10)
 	website := dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}
 	b.AddZone(ZoneSpec{
 		Apex: dnswire.MustParseName(TestbedDomain),
@@ -123,9 +138,7 @@ func InstallTestbed(b *Builder, serverAddr, serverV6 netip.AddrPort) {
 			z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("www"), Class: dnswire.ClassIN, TTL: 300, Data: website})
 		},
 		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3},
-		Server: serverAddr, ServerV6: serverV6,
-		// Identical across repeated builds: a sign cache (when the
-		// builder has one) reuses the signed zone across shard worlds.
+		Server: server, ServerV6: server6,
 		Shared: true,
 	})
 	for _, sub := range subdomains {
@@ -143,30 +156,10 @@ func InstallTestbed(b *Builder, serverAddr, serverV6 netip.AddrPort) {
 				ExpireAll:        sub.ExpireAll,
 				ExpireDenialSigs: sub.ExpireDenial,
 			},
-			Server: serverAddr, ServerV6: serverV6,
+			Server: server, ServerV6: server6,
 			Shared: true,
 		})
 	}
-}
-
-// InstallWorld adds the whole §4.2 infrastructure to a hierarchy
-// builder: the root (NSEC) at 198.41.0.4, com (NSEC3 with opt-out) at
-// 192.5.6.30, and the testbed (InstallTestbed) at 203.0.113.10 and
-// Addr6(0x10). Every zone is Shared.
-func InstallWorld(b *Builder) {
-	b.AddZone(ZoneSpec{
-		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
-		Server: netsim.Addr4(198, 41, 0, 4),
-		Shared: true,
-	})
-	b.AddZone(ZoneSpec{
-		Apex:   dnswire.MustParseName("com"),
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC3, OptOut: true},
-		Server: netsim.Addr4(192, 5, 6, 30),
-		Shared: true,
-	})
-	InstallTestbed(b, netsim.Addr4(203, 0, 113, 10), netsim.Addr6(0x10))
 }
 
 // Observation is what the prober saw for one subdomain through one
