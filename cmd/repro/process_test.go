@@ -65,10 +65,8 @@ type gate struct {
 	hold, open    sync.Once
 }
 
-func newGate(t *testing.T) *gate {
-	g := &gate{held: make(chan struct{}), release: make(chan struct{})}
-	t.Cleanup(g.Open)
-	return g
+func newGate() *gate {
+	return &gate{held: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (g *gate) Write(p []byte) (int, error) {
@@ -119,9 +117,12 @@ func (s *started) wait(t *testing.T) int {
 	}
 }
 
-// held waits until run writes its first report section to g.
+// held waits until run writes its first report section to g. The gate
+// opens at the latest in the test's cleanup, which runs before start's
+// and so lets run return.
 func (s *started) held(t *testing.T, g *gate) {
 	t.Helper()
+	t.Cleanup(g.Open)
 	select {
 	case <-g.held:
 	case <-s.done:
@@ -155,7 +156,7 @@ const metricsLine = `repro: metrics on (http://\S+/metrics)\n`
 // TestRunMetricsReachesStudy: -metrics serves the study's own counters
 // while it runs — the registry run makes is the one the survey fills.
 func TestRunMetricsReachesStudy(t *testing.T) {
-	g := newGate(t)
+	g := newGate()
 	s := start(t, []string{"-fig1", "-shards", "2", "-domain-scale", "50000", "-metrics", "127.0.0.1:0"}, g)
 	url := s.stderr.await(t, metricsLine, s.done)
 	s.held(t, g)
@@ -188,7 +189,7 @@ func TestRunDistributed(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			state := t.TempDir()
-			g := newGate(t)
+			g := newGate()
 			coord := start(t, append([]string{"-serve", "127.0.0.1:0", "-state-dir", state, "-metrics", "127.0.0.1:0"}, c.flags...), g)
 			url := coord.stderr.await(t, metricsLine, coord.done)
 			addr := coord.stderr.await(t, `repro: coordinating on (\S+)\n`, coord.done)
