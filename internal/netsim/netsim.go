@@ -203,8 +203,9 @@ var wirePool = sync.Pool{
 // does the response (so what the codec refuses, a real packet would
 // have been refused for), honoring loss and context cancellation. It
 // sends once: a lost query is the caller's to retry. Response octets
-// the network has carried before may come back as the Message already
-// decoded for them, shared with every earlier asker.
+// the network has carried before, whatever their ID, may come back with
+// the sections already decoded for them, shared with every earlier
+// asker.
 func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
 	h, ok := n.Lookup(server)
 	if !ok {
@@ -255,55 +256,65 @@ func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPor
 // memoLimit bounds the response memo's two tables, each emptied whole
 // when full (the idiom of authserver's answer memo). The resolver study
 // sends every validator the same hundred or so DNSKEY and DS questions
-// under the same IDs; a client whose IDs never repeat (a load generator
-// cycling through 65,536 of them) never hits, and a table that large
-// would start to.
+// and a load generator may cycle through a few dozen, which fit many
+// times over; a response whose question never repeats (a unique probe
+// name) never hits, whatever the size.
 const memoLimit = 1024
 
-// responseMemo maps response octets to the Message decoded for them.
+// responseMemo maps response octets after the two-octet ID to the
+// Message decoded for them, as authserver's answer memo keys queries.
 // It is read-only to everyone but decode: a Message in it is shared by
 // every asker of the same octets, which is what the Exchanger contract
-// allows. A response is admitted on its second sight — most octets a
-// network carries never repeat (a probe name is unique, a query ID
-// new) and those cost eight octets in seen, not a stored decoding —
-// and never when it is longer than dnswire.DefaultUDPSize (a zone
-// transfer).
+// allows, and an asker under another ID gets a copy of the Message
+// value with its own ID and the same shared sections. A response is
+// admitted on its second sight — most octets a network carries never
+// repeat (a probe name is unique) and those cost eight octets in seen,
+// not a stored decoding — and never when it is longer than
+// dnswire.DefaultUDPSize (a zone transfer).
 type responseMemo struct {
 	mu sync.Mutex
 	// decoded holds admitted responses under the 64-bit hash of their
-	// octets, ID included; an entry answers only the octets it carries.
+	// octets after the ID; an entry answers only the octets it carries.
 	decoded map[uint64]sharedResponse
 	// seen holds the hashes of responses decoded once.
 	seen map[uint64]struct{}
 }
 
-// sharedResponse is a response's octets and its decoding.
+// sharedResponse is a response's octets after the ID and its decoding.
 type sharedResponse struct {
-	wire []byte
+	body []byte
 	msg  *dnswire.Message
 }
 
 var memoSeed = maphash.MakeSeed()
 
 // decode returns the Message for response octets: the memo's when it
-// holds one for the very same octets, Unpack's otherwise. A miss
-// allocates nothing past Unpack's own.
+// holds one for the very same octets after the ID — itself under the
+// ID it was decoded with, a one-allocation copy with wire's ID under
+// any other — and Unpack's otherwise. A miss allocates nothing past
+// Unpack's own.
 func (m *responseMemo) decode(wire []byte) (*dnswire.Message, error) {
-	if len(wire) > dnswire.DefaultUDPSize {
+	if len(wire) < 2 || len(wire) > dnswire.DefaultUDPSize {
 		return dnswire.Unpack(wire)
 	}
-	h := maphash.Bytes(memoSeed, wire)
+	id, body := binary.BigEndian.Uint16(wire), wire[2:]
+	h := maphash.Bytes(memoSeed, body)
 	m.mu.Lock()
 	e := m.decoded[h]
-	hit := e.msg != nil && bytes.Equal(e.wire, wire)
+	hit := e.msg != nil && bytes.Equal(e.body, body)
 	again := !hit && m.sight(h)
 	m.mu.Unlock()
 	if hit {
-		return e.msg, nil
+		if e.msg.Header.ID == id {
+			return e.msg, nil
+		}
+		msg := *e.msg
+		msg.Header.ID = id
+		return &msg, nil
 	}
 	msg, err := dnswire.Unpack(wire)
 	if err == nil && again {
-		m.admit(h, wire, msg)
+		m.admit(h, body, msg)
 	}
 	return msg, err
 }
@@ -321,10 +332,10 @@ func (m *responseMemo) sight(h uint64) (again bool) {
 	return len(m.seen) == n
 }
 
-// admit stores msg, decoded from wire, for every later asker of the
-// same octets.
-func (m *responseMemo) admit(h uint64, wire []byte, msg *dnswire.Message) {
-	e := sharedResponse{wire: bytes.Clone(wire), msg: msg}
+// admit stores msg, decoded from octets whose body follows the ID, for
+// every later asker of the same body.
+func (m *responseMemo) admit(h uint64, body []byte, msg *dnswire.Message) {
+	e := sharedResponse{body: bytes.Clone(body), msg: msg}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.decoded == nil {

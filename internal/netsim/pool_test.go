@@ -79,23 +79,22 @@ func TestPooledBuffersConcurrentQueries(t *testing.T) {
 }
 
 // TestExchangeAllocatesOnlyTheDecodes pins the simulated network's own
-// cost at zero: an exchange whose handler returns a prebuilt response
+// cost, exactly: an exchange whose handler returns a prebuilt response
 // allocates what the adapter's decoding of the query and the caller's
 // decoding of the response allocate, and nothing for the one buffer
 // both directions are rendered into — it comes from the pool, already
-// grown. Exactly that holds for response octets the network has not
-// carried before (each query here goes out under a new ID, and the
-// response echoes it) and for a response past dnswire.DefaultUDPSize,
-// however often it repeats. Octets it has carried twice come back as
-// the Message decoded for them then: a repeat costs only the query's
-// decode.
+// grown. Exactly that holds for a response to a question the network
+// has not carried before and for a response past
+// dnswire.DefaultUDPSize, however often it repeats. Octets after the ID
+// it has carried twice come back as the Message decoded for them then:
+// under the same ID a repeat costs only the query's decode, under a new
+// ID that and the one copy of the Message that carries the asker's ID.
 func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; steady-state alloc counts are nondeterministic")
 	}
 	apex := dnswire.MustParseName("bench.example")
-	qname := apex.MustChild("u0123456789abcdef")
-	query := dnswire.NewQuery(7, qname, dnswire.TypeA, true)
+	query := dnswire.NewQuery(7, apex.MustChild("u0123456789abcdef"), dnswire.TypeA, true)
 	sig := func(owner dnswire.Name, covered dnswire.Type) dnswire.RR {
 		return dnswire.RR{Name: owner, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.RRSIG{
 			TypeCovered: covered, Algorithm: dnswire.AlgECDSAP256SHA256, Labels: uint8(owner.CountLabels()),
@@ -119,23 +118,23 @@ func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 	// transfer is the same response with answers past a datagram.
 	transfer := *resp
 	for i := range 40 {
-		transfer.Answers = append(transfer.Answers, dnswire.RR{Name: qname, Class: dnswire.ClassIN, TTL: 300,
+		transfer.Answers = append(transfer.Answers, dnswire.RR{Name: query.Question().Name, Class: dnswire.ClassIN, TTL: 300,
 			Data: dnswire.TXT{Strings: []string{fmt.Sprintf("record %02d of a response too long for one datagram", i)}}})
 	}
 	addr := Addr4(192, 0, 2, 53)
 	ctx := context.Background()
+	const runs = 200
 	// exchanges is what one exchange allocates on a network whose
-	// handler answers with r under the query's ID; next gives each
-	// exchange its query ID.
-	exchanges := func(r *dnswire.Message, next func() uint16) float64 {
+	// handler answers with r under the query's ID and question; next
+	// gives each exchange its query.
+	exchanges := func(r *dnswire.Message, next func() *dnswire.Message) float64 {
 		n := NewNetwork(1)
 		n.Register(addr, HandlerFunc(func(_ context.Context, _ netip.AddrPort, q *dnswire.Message) *dnswire.Message {
-			r.Header.ID = q.Header.ID
+			r.Header.ID, r.Questions = q.Header.ID, q.Questions
 			return r
 		}))
-		return testing.AllocsPerRun(200, func() {
-			query.Header.ID = next()
-			if _, err := n.Exchange(ctx, addr, query); err != nil {
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := n.Exchange(ctx, addr, next()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -145,7 +144,7 @@ func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(200, func() {
+		return testing.AllocsPerRun(runs, func() {
 			if _, err := dnswire.Unpack(wire); err != nil {
 				t.Fatal(err)
 			}
@@ -154,21 +153,30 @@ func TestExchangeAllocatesOnlyTheDecodes(t *testing.T) {
 	if wire, err := transfer.Pack(); err != nil || len(wire) <= dnswire.DefaultUDPSize {
 		t.Fatalf("transfer response is %d octets (%v), want more than %d", len(wire), err, dnswire.DefaultUDPSize)
 	}
-	id := uint16(0)
-	newID := func() uint16 { id++; return id }
-	sameID := func() uint16 { return 7 }
+	// fresh holds one query per call AllocsPerRun makes, each under ID 7
+	// with a name of the same length as query's and no other's.
+	fresh := make([]*dnswire.Message, runs+1)
+	for i := range fresh {
+		fresh[i] = dnswire.NewQuery(7, apex.MustChild(fmt.Sprintf("u%016x", i)), dnswire.TypeA, true)
+	}
+	newQuestion := func() *dnswire.Message { q := fresh[0]; fresh = fresh[1:]; return q }
+	sameID := func() *dnswire.Message { return query }
+	renumbered := *query
+	newID := func() *dnswire.Message { renumbered.Header.ID++; return &renumbered }
+	decodeQuery, decodeResp := decode(query), decode(resp)
 	for _, c := range []struct {
 		name string
 		resp *dnswire.Message
-		next func() uint16
+		next func() *dnswire.Message
 		want float64
 	}{
-		{"first sighting", resp, newID, decode(query) + decode(resp)},
-		{"repeat", resp, sameID, decode(query)},
-		{"over a datagram", &transfer, sameID, decode(query) + decode(&transfer)},
+		{"new question", resp, newQuestion, decodeQuery + decodeResp},
+		{"same octets, same ID", resp, sameID, decodeQuery},
+		{"same octets, new ID", resp, newID, decodeQuery + 1},
+		{"over a datagram", &transfer, sameID, decodeQuery + decode(&transfer)},
 	} {
 		if got := exchanges(c.resp, c.next); got != c.want {
-			t.Errorf("%s: Exchange allocates %.0f times per query, the decodes %.0f: the difference is the network's own", c.name, got, c.want)
+			t.Errorf("%s: Exchange allocates %.0f times per query, want %.0f: the difference is the network's own", c.name, got, c.want)
 		}
 	}
 }
