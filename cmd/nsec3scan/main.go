@@ -30,7 +30,7 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(ctx, os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 // lineSource streams domain names off a reader one line at a time —
@@ -76,11 +76,12 @@ func (s *resultSink) Consume(r scanner.Result) {
 	}
 }
 
-// run scans the domains named by args' -in (default stdin), writing
-// one NDJSON result per domain to stdout and the summary to stderr. It
+// run scans the domains named by args' -in (default "-", stdin),
+// writing one NDJSON result per domain to stdout and the summary to
+// stderr. It
 // returns the exit status: 0, 1 on a refused flag or a failed scan, 2
 // on a flag that does not parse (0 for -h).
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nsec3scan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -112,7 +113,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Workers:   *workers,
 			QPS:       *qps,
 			Seed:      *seed,
-		}, *inPath, stdout, stderr)
+		}, *inPath, stdin, stdout, stderr)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "nsec3scan:", err)
@@ -121,9 +122,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// scan runs the scanner over the domain list at inPath.
-func scan(ctx context.Context, cfg scanner.Config, inPath string, stdout, stderr io.Writer) error {
-	in := os.Stdin
+// scan runs the scanner over the domain list at inPath, or on stdin
+// when inPath is "-".
+func scan(ctx context.Context, cfg scanner.Config, inPath string, stdin io.Reader, stdout, stderr io.Writer) error {
+	in := stdin
 	if inPath != "-" {
 		f, err := os.Open(inPath)
 		if err != nil {
