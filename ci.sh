@@ -12,7 +12,7 @@
 #   cancelled probe pass and statewalk's cancelled run, ScanAll's
 #   workers sharing one Source and scanning the same octets at any
 #   worker count, netsim's loss draw from many goroutines and its
-#   shared responses, the distributed coordinator's cancel with a
+#   shared responses under one ID space and two, the distributed coordinator's cancel with a
 #   silent worker and its two abandoned-lease cases, plus the
 #   resolver's cached Results appended to from many goroutines); a 5 s
 #   fuzz pass over the wire codec, the NSEC3 hash, the signed octets of
@@ -76,8 +76,8 @@ echo "== concurrency tests (-race, 10 runs each) =="
 # resolver's Results, whose sections are the upstream response's own:
 # goroutines appending to the same cached Results — and the network's
 # shared responses: two validators reading the same decoded DNSKEY and
-# DS answers at once.
-go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestVerifyMemoConcurrent$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$|TestResultSectionsConcurrent$|TestSharedResponsesConcurrent$' \
+# DS answers at once, under the same IDs and each in its own ID space.
+go test -race -count=10 -run 'TestEach|TestBuildIndependentOfGOMAXPROCS$|TestKeysForConcurrent$|TestSignCacheSameContentConcurrent$|TestVerifyMemoHitAllocs$|TestVerifyMemoConcurrent$|TestMeasure|TestResolverStudyCancelled$|TestRunCancelled$|TestServeCancelWithSilentWorker$|TestSecondLeaseOnOneConnection$|TestJobWriteFailureReleasesLease$|TestScanAll|TestNetworkLossPure$|TestResultSectionsConcurrent$|TestSharedResponsesConcurrent$|TestSharedResponsesAcrossIDsConcurrent$' \
   ./internal/fanout/ ./internal/testbed/ ./internal/dnssec/ ./internal/atlas/ ./internal/core/ ./internal/statewalk/ ./internal/distsurvey/ ./internal/scanner/ ./internal/netsim/ ./internal/resolver/
 
 echo "== fuzz (5s per target) =="

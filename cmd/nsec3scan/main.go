@@ -78,9 +78,8 @@ func (s *resultSink) Consume(r scanner.Result) {
 
 // run scans the domains named by args' -in (default "-", stdin),
 // writing one NDJSON result per domain to stdout and the summary to
-// stderr. It
-// returns the exit status: 0, 1 on a refused flag or a failed scan, 2
-// on a flag that does not parse (0 for -h).
+// stderr. It returns the exit status: 0, 1 on a refused flag or a
+// failed scan, 2 on a flag that does not parse (0 for -h).
 func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("nsec3scan", flag.ContinueOnError)
 	fs.SetOutput(stderr)

@@ -36,7 +36,8 @@ import (
 // It is the client-side abstraction used by the resolver's iterative
 // logic, the scanner, and the testbed prober. The response is the
 // caller's to read, not to write: an Exchanger may hand the same
-// Message to every caller that receives the same octets.
+// Message to every caller that receives the same octets, and its
+// sections to every caller that receives them under another ID.
 type Exchanger interface {
 	Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error)
 }
