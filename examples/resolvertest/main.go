@@ -9,7 +9,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/authserver"
 	"repro/internal/compliance"
@@ -22,17 +24,18 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run prints the demo to w.
+func run(w io.Writer) error {
 	h, err := core.BuildTestbedWorld(7)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("testbed up: %d zones under %s (49 subdomains + it-2501-expired)\n\n",
+	fmt.Fprintf(w, "testbed up: %d zones under %s (49 subdomains + it-2501-expired)\n\n",
 		len(h.Zones), testbed.TestbedDomain)
 	// The server-side query log (§4.2) is this program's to attach.
 	qlog := authserver.NewQueryLog(1 << 16)
@@ -61,7 +64,7 @@ func run() error {
 			return err
 		}
 		c := compliance.ClassifyResolver(tr)
-		fmt.Printf("%-22s (%s)\n", prof.Policy.Name, prof.Vendor)
+		fmt.Fprintf(w, "%-22s (%s)\n", prof.Policy.Name, prof.Vendor)
 		valid, _ := tr.Find("valid")
 		expired, _ := tr.Find("expired")
 		it1, _ := tr.Find("it-1")
@@ -77,7 +80,7 @@ func run() error {
 			if len(o.EDE) > 0 {
 				ede = fmt.Sprintf("  [%s]", o.EDE[0])
 			}
-			fmt.Printf("    %-16s %s%s%s\n", label, o.RCode, ad, ede)
+			fmt.Fprintf(w, "    %-16s %s%s%s\n", label, o.RCode, ad, ede)
 		}
 		show("valid", valid)
 		show("expired", expired)
@@ -85,7 +88,7 @@ func run() error {
 		show("it-151", it151)
 		show("it-500", it500)
 		show("it-2501-expired", bomb)
-		fmt.Printf("    classification: validator=%v Item6(limit=%d)=%v Item8(from=%d)=%v "+
+		fmt.Fprintf(w, "    classification: validator=%v Item6(limit=%d)=%v Item8(from=%d)=%v "+
 			"Item7-violation=%v three-phase=%v EDE27=%v\n\n",
 			c.IsValidator, c.InsecureLimit, c.ImplementsItem6,
 			c.ServfailFrom, c.ImplementsItem8, c.Item7Violation, c.ThreePhase, c.EDE27)
@@ -95,6 +98,6 @@ func run() error {
 	srcs := qlog.SourcesFor(func(n dnswire.Name) bool {
 		return n.IsSubdomainOf(dnswire.MustParseName(testbed.TestbedDomain))
 	})
-	fmt.Printf("server-side log saw %d distinct sources hit the testbed name servers\n", len(srcs))
+	fmt.Fprintf(w, "server-side log saw %d distinct sources hit the testbed name servers\n", len(srcs))
 	return nil
 }

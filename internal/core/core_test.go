@@ -517,6 +517,41 @@ func TestResolverStudyHashWork(t *testing.T) {
 	}
 }
 
+// TestResolverStudyMemoSplit pins how the resolverstudy benchmark's
+// configuration meets the network's response memo: how many responses
+// were decoded afresh and how many were handed a shared decoding, under
+// the ID it was decoded with or under a new one. One probe at a time per
+// shard, so which responses the memo's tables hold when each arrives
+// does not depend on scheduling. A change that sends more responses
+// through Unpack, or takes them off it, moves these numbers.
+func TestResolverStudyMemoSplit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end resolver study is slow")
+	}
+	reg := obs.NewRegistry()
+	if _, err := RunResolverStudy(context.Background(), ResolverStudyConfig{
+		ScaleDen: 1000,
+		Shards:   4,
+		Seed:     1,
+		Workers:  1,
+		Obs:      reg,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		want uint64
+	}{
+		{"netsim_response_memo_miss_total", 26_850},
+		{"netsim_response_memo_same_id_total", 25_935},
+		{"netsim_response_memo_new_id_total", 0},
+	} {
+		if got := reg.Counter(c.name, "").Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestResolverStudyShardEquivalence is the Figure 3 twin of
 // TestSurveyShardEquivalence: the study with Shards=1 and Shards=3 at
 // the same seed must produce byte-identical reports, the

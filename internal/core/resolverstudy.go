@@ -161,6 +161,7 @@ func (run *resolverExec) execute(ctx context.Context, plan respop.ShardPlan) (*R
 	if err != nil {
 		return nil, err
 	}
+	h.Net.Instrument(run.reg)
 	instances, err := respop.DeployShard(h, run.planner, plan, run.reg, run.memo)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ package integration
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -76,6 +77,40 @@ func TestRealSocketResolverAgainstTestbed(t *testing.T) {
 	if !c.ImplementsItem6 || c.InsecureLimit != 150 {
 		t.Fatalf("classification: %+v", c)
 	}
+
+	// The same profile in-process, in the same world under the same
+	// unique label, probed through the simulated network: the
+	// transcript must be the real-socket one, observation by observation.
+	simAddr := netsim.Addr4(10, 53, 21, 1)
+	h.Net.Register(simAddr, resolver.New(resolver.Config{
+		Roots:       h.Roots,
+		TrustAnchor: h.TrustAnchor,
+		Exchanger:   h.Net,
+		Policy:      respop.BIND2021.Policy,
+		Now:         func() uint32 { return core.DefaultNow },
+	}))
+	sim, err := testbed.ProbeResolver(context.Background(), h.Net, simAddr, "realsock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sim.Observations) != len(tr.Observations) {
+		t.Fatalf("%d observations in-process, %d over sockets", len(sim.Observations), len(tr.Observations))
+	}
+	for i, o := range tr.Observations {
+		if o.Err != nil {
+			t.Errorf("over sockets, %s: %v", o.Label, o.Err)
+		}
+		if a, b := observationText(o), observationText(sim.Observations[i]); a != b {
+			t.Errorf("probe %d:\n over sockets %s\n in-process   %s", i, a, b)
+		}
+	}
+}
+
+// observationText renders everything an Observation holds, EDE text
+// and error text included, so two transcripts compare line by line.
+func observationText(o testbed.Observation) string {
+	return fmt.Sprintf("%s it=%d nx=%v %s ad=%v ra=%v ede=%q err=%v",
+		o.Label, o.Iterations, o.NXProbe, o.RCode, o.AD, o.RA, o.EDE, o.Err)
 }
 
 // rewriteAllExchanger redirects every upstream query to one address —

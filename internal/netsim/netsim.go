@@ -156,14 +156,23 @@ func (n *Network) lost(server netip.AddrPort, query *dnswire.Message) bool {
 	return float64(uint64(k)>>11)/(1<<53) < n.LossRate
 }
 
-// Instrument attaches the loss counter from reg: every dropped packet
-// is counted. A nil registry leaves the network uninstrumented.
+// Instrument attaches the loss counter and the response memo's three
+// outcome counters from reg: every dropped packet is counted, and every
+// response decoded is a miss (Unpack ran), a hit under the ID its
+// shared decoding carries, or a hit under a new ID. A nil registry
+// leaves the network uninstrumented.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	n.mLost = reg.Counter("netsim_packets_lost_total",
 		"queries dropped by the simulated network's loss injection")
+	n.memo.mMiss = reg.Counter("netsim_response_memo_miss_total",
+		"responses the network carried and decoded afresh")
+	n.memo.mSameID = reg.Counter("netsim_response_memo_same_id_total",
+		"responses handed a shared decoding under the ID it was decoded with")
+	n.memo.mNewID = reg.Counter("netsim_response_memo_new_id_total",
+		"responses handed a copy of a shared decoding under a new ID")
 }
 
 // Register attaches a handler at addr, replacing any previous one.
@@ -279,6 +288,9 @@ type responseMemo struct {
 	decoded map[uint64]sharedResponse
 	// seen holds the hashes of responses decoded once.
 	seen map[uint64]struct{}
+
+	// The outcome counters (nil without Instrument).
+	mMiss, mSameID, mNewID *obs.Counter
 }
 
 // sharedResponse is a response's octets after the ID and its decoding.
@@ -296,6 +308,7 @@ var memoSeed = maphash.MakeSeed()
 // Unpack's own.
 func (m *responseMemo) decode(wire []byte) (*dnswire.Message, error) {
 	if len(wire) < 2 || len(wire) > dnswire.DefaultUDPSize {
+		m.mMiss.Inc()
 		return dnswire.Unpack(wire)
 	}
 	id, body := binary.BigEndian.Uint16(wire), wire[2:]
@@ -307,12 +320,15 @@ func (m *responseMemo) decode(wire []byte) (*dnswire.Message, error) {
 	m.mu.Unlock()
 	if hit {
 		if e.msg.Header.ID == id {
+			m.mSameID.Inc()
 			return e.msg, nil
 		}
+		m.mNewID.Inc()
 		msg := *e.msg
 		msg.Header.ID = id
 		return &msg, nil
 	}
+	m.mMiss.Inc()
 	msg, err := dnswire.Unpack(wire)
 	if err == nil && again {
 		m.admit(h, body, msg)
