@@ -542,7 +542,7 @@ func TestResolverStudyMemoSplit(t *testing.T) {
 		name string
 		want uint64
 	}{
-		{"netsim_response_memo_miss_total", 26_850},
+		{"netsim_response_memo_miss_total", 14_100},
 		{"netsim_response_memo_same_id_total", 25_935},
 		{"netsim_response_memo_new_id_total", 0},
 	} {

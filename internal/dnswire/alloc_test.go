@@ -365,6 +365,36 @@ func TestUnpackAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestReadReplyStatusAllocs pins the status reader's cost: nothing for
+// the benchmark's signed NXDOMAIN reply, whose OPT carries no EDE, and
+// for an EDE with text its slice and its string.
+func TestReadReplyStatusAllocs(t *testing.T) {
+	nxdomain, _ := benchResponses(t)
+	m, err := Unpack(nxdomain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Additional[0].Data.(*OPT).EDEs = []EDE{{Code: EDEUnsupportedNSEC3Iter, Text: "limit 150"}}
+	withEDE := mustPack(t, m)
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		want float64
+	}{
+		{"784-octet NXDOMAIN", nxdomain, 0},
+		{"the same with an EDE and its text", withEDE, 2},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := ReadReplyStatus(tc.wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("ReadReplyStatus of the %s allocates %.0f times, want exactly %.0f", tc.name, got, tc.want)
+		}
+	}
+}
+
 // querySink keeps NewQuery's message live so escape analysis cannot
 // stack-allocate it.
 var querySink *Message

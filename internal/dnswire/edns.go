@@ -126,16 +126,12 @@ func (o *OPT) AsRR() RR {
 }
 
 // parseOPT decodes an OPT pseudo-RR given the already-read class and
-// TTL, into the block's OPT for the message's first one. As in
+// TTL into o, which the caller provides: Unpack the block's OPT for the
+// message's first one, ReadReplyStatus one on its own stack. As in
 // parseRData, d's bound is narrowed to the RDATA while its options are
 // read: an option may neither end past RDLENGTH nor take octets of the
 // record after it.
-func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
-	o := d.opt
-	d.opt = nil
-	if o == nil {
-		o = new(OPT)
-	}
+func parseOPT(d *decoder, o *OPT, class Class, ttl uint32, rdlen int) error {
 	o.UDPSize = uint16(class)
 	o.ExtRCodeHigh = uint8(ttl >> 24)
 	o.Version = uint8(ttl >> 16)
@@ -143,27 +139,27 @@ func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
 	o.Z = uint16(ttl) & 0x7FFF
 	end := d.off + rdlen
 	if end > d.end {
-		return nil, fmt.Errorf("dnswire: OPT RDATA overruns message")
+		return fmt.Errorf("dnswire: OPT RDATA overruns message")
 	}
 	msgEnd := d.end
 	d.end = end
 	for d.off < end {
 		code, err := d.u16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		olen, err := d.u16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch code {
 		case optCodeEDE:
 			data, err := d.view(int(olen))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(data) < 2 {
-				return nil, fmt.Errorf("dnswire: EDE option shorter than 2 octets")
+				return fmt.Errorf("dnswire: EDE option shorter than 2 octets")
 			}
 			o.EDEs = append(o.EDEs, EDE{
 				Code: EDECode(binary.BigEndian.Uint16(data)),
@@ -172,13 +168,13 @@ func parseOPT(d *decoder, class Class, ttl uint32, rdlen int) (*OPT, error) {
 		default:
 			data, err := d.bytes(int(olen))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			o.Unknown = append(o.Unknown, OptOption{Code: code, Data: data})
 		}
 	}
 	d.end = msgEnd
-	return o, nil
+	return nil
 }
 
 // NewQuery builds a standard recursive query for (name, type) with

@@ -36,24 +36,33 @@ func fuzzSeedMessages(f *testing.F) [][]byte {
 	return append(seeds, nxdomain, positive)
 }
 
+// decodeMessageSeeds is what FuzzDecodeMessage adds to its committed
+// corpus (testdata/fuzz/FuzzDecodeMessage).
+func decodeMessageSeeds(f *testing.F) [][]byte {
+	f.Helper()
+	seeds := fuzzSeedMessages(f)
+	// Among them pointers to label boundaries inside the question and
+	// pointer chains of exactly maxPointers, through the memo and not.
+	for _, wire := range hostileMessages() {
+		seeds = append(seeds, wire)
+	}
+	return append(seeds,
+		[]byte{},
+		bytes.Repeat([]byte{0xC0}, 32), // compression-pointer soup
+		// An OPT whose TTL sets flag bits after DO, which no sender
+		// should: OPT.Z must carry them through the re-render. Its
+		// extended RCODE bits are 1.
+		newWire(0, 0, 0, 1).raw(0).u16(uint16(TypeOPT)).u16(1232).u32(0x0180_C001).u16(0).b)
+}
+
 // FuzzDecodeMessage asserts the codec's core robustness contract: no
 // input, however malformed, may panic the decoder, and any message it
 // accepts must survive re-encoding and decode from it to the same
 // Message.
 func FuzzDecodeMessage(f *testing.F) {
-	for _, wire := range fuzzSeedMessages(f) {
+	for _, wire := range decodeMessageSeeds(f) {
 		f.Add(wire)
 	}
-	// Among them pointers to label boundaries inside the question and
-	// pointer chains of exactly maxPointers, through the memo and not.
-	for _, wire := range hostileMessages() {
-		f.Add(wire)
-	}
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xC0}, 32)) // compression-pointer soup
-	// An OPT whose TTL sets flag bits after DO, which no sender should:
-	// OPT.Z must carry them through the re-render.
-	f.Add(newWire(0, 0, 0, 1).raw(0).u16(uint16(TypeOPT)).u16(1232).u32(0x0180_C001).u16(0).b)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
 		if err != nil {

@@ -460,6 +460,86 @@ func AdvertisedUDPSize(q []byte) int {
 	return 0
 }
 
+// ReplyStatus is what a reply says of its own outcome, apart from its
+// records: the header, the RCODE with the extended bits of the OPT
+// record, and that OPT's Extended DNS Errors (RFC 8914).
+type ReplyStatus struct {
+	Header Header
+	RCode  RCode // Header.RCode with the OPT's extended bits (RFC 6891 §6.1.3)
+	EDEs   []EDE
+}
+
+// ReplyStatus is the message's status: its Header, ExtendedRCode and
+// the EDEs of the OPT that Message.OPT finds.
+func (m *Message) ReplyStatus() ReplyStatus {
+	s := ReplyStatus{Header: m.Header, RCode: m.ExtendedRCode()}
+	if o, ok := m.OPT(); ok {
+		s.EDEs = o.EDEs
+	}
+	return s
+}
+
+// errReplyShape reports octets whose records cannot be walked to their
+// end: a name, a fixed field or an RDATA past the message, or octets
+// after the last record.
+var errReplyShape = errors.New("dnswire: reply records do not fill the message")
+
+// ReadReplyStatus reads a reply's status straight off the wire. It
+// walks the question and every record by its name's octets and its
+// RDLENGTH, checks that each lies within msg and that nothing follows
+// the last, and decodes one RDATA: that of the first OPT record of the
+// additional section, which is where Message.OPT looks, with the codec's
+// own OPT parser. Names are skipped, not decoded, and no other RDATA is
+// parsed, so a reply without EDE text costs no allocation. Wherever
+// Unpack succeeds, ReadReplyStatus succeeds and equals
+// Unpack(msg).ReplyStatus(); it may also accept octets Unpack refuses
+// for a malformed name or RDATA of a record it skips. The EDE texts are
+// the call's own strings.
+func ReadReplyStatus(msg []byte) (ReplyStatus, error) {
+	if len(msg) < headerLen {
+		return ReplyStatus{}, errReplyShape
+	}
+	u16 := binary.BigEndian.Uint16
+	var s ReplyStatus
+	s.Header = headerFromFlags(u16(msg[2:]))
+	s.Header.ID = u16(msg)
+	s.RCode = s.Header.RCode
+	off, ok := headerLen, true
+	for n := u16(msg[4:]); n > 0; n-- {
+		if off, ok = skipName(msg, off); !ok || off+4 > len(msg) {
+			return ReplyStatus{}, errReplyShape
+		}
+		off += 4 // QTYPE, QCLASS
+	}
+	additional := int(u16(msg[10:]))
+	seenOPT := false
+	for n := int(u16(msg[6:])) + int(u16(msg[8:])) + additional; n > 0; n-- {
+		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
+		if off, ok = skipName(msg, off); !ok || off+10 > len(msg) {
+			return ReplyStatus{}, errReplyShape
+		}
+		rdata, rdlen := off+10, int(u16(msg[off+8:]))
+		if rdata+rdlen > len(msg) {
+			return ReplyStatus{}, errReplyShape
+		}
+		if n <= additional && !seenOPT && Type(u16(msg[off:])) == TypeOPT {
+			seenOPT = true
+			var o OPT
+			d := decoder{msg: msg, off: rdata, end: len(msg)}
+			if err := parseOPT(&d, &o, Class(u16(msg[off+2:])), binary.BigEndian.Uint32(msg[off+4:]), rdlen); err != nil {
+				return ReplyStatus{}, err
+			}
+			s.RCode |= RCode(o.ExtRCodeHigh) << 4
+			s.EDEs = o.EDEs
+		}
+		off = rdata + rdlen
+	}
+	if off != len(msg) {
+		return ReplyStatus{}, errReplyShape
+	}
+	return s, nil
+}
+
 // skipName returns the offset past the name at off: past its root
 // label, or past the compression pointer that ends it.
 func skipName(q []byte, off int) (int, bool) {
@@ -500,11 +580,16 @@ func unpackRR(d *decoder) (RR, error) {
 		return rr, err
 	}
 	if t == TypeOPT {
-		opt, err := parseOPT(d, rr.Class, rr.TTL, int(rdlen))
-		if err != nil {
+		// The message's first OPT decodes into the block's.
+		o := d.opt
+		d.opt = nil
+		if o == nil {
+			o = new(OPT)
+		}
+		if err := parseOPT(d, o, rr.Class, rr.TTL, int(rdlen)); err != nil {
 			return rr, err
 		}
-		rr.Data = opt
+		rr.Data = o
 		return rr, nil
 	}
 	rr.Data, err = parseRData(t, d, int(rdlen))

@@ -86,9 +86,9 @@
 //   - wiretaint (a wire-derived length sizing a make, an index or a
 //     loop without a dominating guard), by entry point. dnswire's
 //     decoders: TestUnpackHostileCountsBounded, TestHostileCorpusFile
-//     and the four dnswire fuzzers (FuzzDecodeMessage,
+//     and the five dnswire fuzzers (FuzzDecodeMessage,
 //     FuzzUnpackDifferential, FuzzPlainQueryDifferential,
-//     FuzzDecodeName). nsec3: FuzzHash and FuzzHashFromOwner. Network
+//     FuzzReplyStatusDifferential, FuzzDecodeName). nsec3: FuzzHash and FuzzHashFromOwner. Network
 //     reads: distsurvey's TestFrameRejectsHostileLengths and netsim's
 //     FuzzServeWire (netsim's TCP length prefix is a uint16, bounded by
 //     its width).

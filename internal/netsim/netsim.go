@@ -217,6 +217,59 @@ var wirePool = sync.Pool{
 // the sections already decoded for them, shared with every earlier
 // asker.
 func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dnswire.Message) (*dnswire.Message, error) {
+	wire := wirePool.Get().(*[]byte)
+	defer wirePool.Put(wire)
+	resp, err := n.roundTrip(ctx, server, query, wire)
+	if err != nil {
+		return nil, err
+	}
+	out, err := n.memo.decode(resp)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: response corrupt: %w", err)
+	}
+	return out, nil
+}
+
+// ExchangeStatus sends query to server through ex and returns the
+// status of the reply: its header, extended RCODE and EDEs. On a
+// *Network the reply is carried exactly as Exchange carries it — the
+// same loss, unreachable host and dropped query — and its status is
+// read off the octets by dnswire.ReadReplyStatus: no record is
+// decoded, and the response memo never sees it. Any other Exchanger is
+// asked through Exchange and the status read off the Message it
+// returns.
+func ExchangeStatus(ctx context.Context, ex Exchanger, server netip.AddrPort, query *dnswire.Message) (dnswire.ReplyStatus, error) {
+	n, ok := ex.(*Network)
+	if !ok {
+		resp, err := ex.Exchange(ctx, server, query)
+		if err != nil {
+			return dnswire.ReplyStatus{}, err
+		}
+		return resp.ReplyStatus(), nil
+	}
+	wire := wirePool.Get().(*[]byte)
+	defer wirePool.Put(wire)
+	resp, err := n.roundTrip(ctx, server, query, wire)
+	if err != nil {
+		return dnswire.ReplyStatus{}, err
+	}
+	st, err := dnswire.ReadReplyStatus(resp)
+	if err != nil {
+		return dnswire.ReplyStatus{}, fmt.Errorf("netsim: response corrupt: %w", err)
+	}
+	return st, nil
+}
+
+// roundTrip carries query to server and returns the response octets,
+// which live in *wire until it goes back to the pool. The response is
+// rendered for a stream at once: a datagram that would arrive truncated
+// is never observable here — it only triggers the fallback to "TCP" —
+// so the handler runs once and its response is rendered once. Both
+// directions share *wire, the response behind the query, which keeps
+// the capacity it grew to; what the caller makes of the response must
+// own its memory (Unpack's Message does, and the memo keeps its own
+// copy of the octets it compares).
+func (n *Network) roundTrip(ctx context.Context, server netip.AddrPort, query *dnswire.Message, wire *[]byte) ([]byte, error) {
 	h, ok := n.Lookup(server)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrHostUnreachable, server)
@@ -228,21 +281,6 @@ func (n *Network) Exchange(ctx context.Context, server netip.AddrPort, query *dn
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	wire := wirePool.Get().(*[]byte)
-	out, err := n.roundTrip(ctx, h, server, query, wire)
-	wirePool.Put(wire)
-	return out, err
-}
-
-// roundTrip carries query to h and its response back as octets. The
-// response is rendered for a stream at once: a datagram that would
-// arrive truncated is never observable here — it only triggers the
-// fallback to "TCP" — so the handler runs once and its response is
-// rendered once. Both directions share *wire, the response behind the
-// query, which keeps the capacity it grew to; Unpack's Message owns its
-// memory and the memo keeps its own copy of the octets it compares, so
-// the buffer is free again when roundTrip returns.
-func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPort, query *dnswire.Message, wire *[]byte) (*dnswire.Message, error) {
 	qwire, err := query.PackBuffer((*wire)[:0], 0, true)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: packing query: %w", err)
@@ -256,11 +294,7 @@ func (n *Network) roundTrip(ctx context.Context, h Handler, server netip.AddrPor
 		return nil, fmt.Errorf("%w: %s dropped query", ErrPacketLost, server)
 	}
 	*wire = both
-	out, err := n.memo.decode(both[len(qwire):])
-	if err != nil {
-		return nil, fmt.Errorf("netsim: response corrupt: %w", err)
-	}
-	return out, nil
+	return both[len(qwire):], nil
 }
 
 // memoLimit bounds the response memo's two tables, each emptied whole

@@ -186,13 +186,15 @@ type Transcript struct {
 // addr, using unique as the per-resolver cache-busting label, and
 // records RCODE, AD, RA, and EDE for each — the client side of §4.2.
 // One query message carries every probe, under its own ID and name.
+// Only each reply's status is read (netsim.ExchangeStatus): on the
+// simulated network its records are never decoded.
 func ProbeResolver(ctx context.Context, ex netsim.Exchanger, addr netip.AddrPort, unique string) (*Transcript, error) {
 	tr := &Transcript{Resolver: addr, Unique: unique, Observations: make([]Observation, 0, len(subdomains))}
 	q := dnswire.NewQuery(0, dnswire.Root, dnswire.TypeA, true)
 	for i, sub := range subdomains {
 		q.Header.ID = uint16(0x4000 + i)
 		q.Questions[0].Name = sub.QName(unique)
-		resp, err := ex.Exchange(ctx, addr, q)
+		st, err := netsim.ExchangeStatus(ctx, ex, addr, q)
 		obs := Observation{
 			Label:      sub.Label,
 			Iterations: sub.Iterations,
@@ -201,12 +203,10 @@ func ProbeResolver(ctx context.Context, ex netsim.Exchanger, addr netip.AddrPort
 		if err != nil {
 			obs.Err = err
 		} else {
-			obs.RCode = resp.ExtendedRCode()
-			obs.AD = resp.Header.AuthenticatedData
-			obs.RA = resp.Header.RecursionAvailable
-			if opt, ok := resp.OPT(); ok {
-				obs.EDE = opt.EDEs
-			}
+			obs.RCode = st.RCode
+			obs.AD = st.Header.AuthenticatedData
+			obs.RA = st.Header.RecursionAvailable
+			obs.EDE = st.EDEs
 		}
 		tr.Observations = append(tr.Observations, obs)
 	}
