@@ -435,29 +435,11 @@ func PlainQuery(msg []byte) (h Header, q Question, edns, do, ok bool) {
 // 0 for a query without one (or too malformed to have its records
 // walked: that one Unpack refuses too).
 func AdvertisedUDPSize(q []byte) int {
-	if len(q) < headerLen {
+	opt, ok := firstOPT(q)
+	if !ok || opt == 0 {
 		return 0
 	}
-	u16 := binary.BigEndian.Uint16
-	off, ok := headerLen, true
-	for n := u16(q[4:]); n > 0; n-- {
-		if off, ok = skipName(q, off); !ok {
-			return 0
-		}
-		off += 4 // QTYPE, QCLASS
-	}
-	additional := int(u16(q[10:]))
-	for n := int(u16(q[6:])) + int(u16(q[8:])) + additional; n > 0; n-- {
-		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
-		if off, ok = skipName(q, off); !ok || off+10 > len(q) {
-			return 0
-		}
-		if n <= additional && Type(u16(q[off:])) == TypeOPT {
-			return int(u16(q[off+2:]))
-		}
-		off += 10 + int(u16(q[off+8:]))
-	}
-	return 0
+	return int(binary.BigEndian.Uint16(q[opt+2:]))
 }
 
 // ReplyStatus is what a reply says of its own outcome, apart from its
@@ -496,7 +478,8 @@ var errReplyShape = errors.New("dnswire: reply records do not fill the message")
 // for a malformed name or RDATA of a record it skips. The EDE texts are
 // the call's own strings.
 func ReadReplyStatus(msg []byte) (ReplyStatus, error) {
-	if len(msg) < headerLen {
+	opt, ok := firstOPT(msg)
+	if !ok {
 		return ReplyStatus{}, errReplyShape
 	}
 	u16 := binary.BigEndian.Uint16
@@ -504,40 +487,52 @@ func ReadReplyStatus(msg []byte) (ReplyStatus, error) {
 	s.Header = headerFromFlags(u16(msg[2:]))
 	s.Header.ID = u16(msg)
 	s.RCode = s.Header.RCode
-	off, ok := headerLen, true
+	if opt == 0 {
+		return s, nil
+	}
+	// TYPE, CLASS (the UDP size), TTL (the extended RCODE and flags),
+	// RDLENGTH, RDATA.
+	var o OPT
+	d := decoder{msg: msg, off: opt + 10, end: len(msg)}
+	if err := parseOPT(&d, &o, Class(u16(msg[opt+2:])), binary.BigEndian.Uint32(msg[opt+4:]), int(u16(msg[opt+8:]))); err != nil {
+		return ReplyStatus{}, err
+	}
+	s.RCode |= RCode(o.ExtRCodeHigh) << 4
+	s.EDEs = o.EDEs
+	return s, nil
+}
+
+// firstOPT walks msg's question and records by their names' octets and
+// their RDLENGTH and returns the offset of the TYPE field of the first
+// OPT record of the additional section, 0 when there is none. ok is
+// false when a name, a fixed field or an RDATA runs past msg or octets
+// follow the last record.
+func firstOPT(msg []byte) (opt int, ok bool) {
+	if len(msg) < headerLen {
+		return 0, false
+	}
+	u16 := binary.BigEndian.Uint16
+	off := headerLen
 	for n := u16(msg[4:]); n > 0; n-- {
 		if off, ok = skipName(msg, off); !ok || off+4 > len(msg) {
-			return ReplyStatus{}, errReplyShape
+			return 0, false
 		}
 		off += 4 // QTYPE, QCLASS
 	}
 	additional := int(u16(msg[10:]))
-	seenOPT := false
 	for n := int(u16(msg[6:])) + int(u16(msg[8:])) + additional; n > 0; n-- {
 		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
 		if off, ok = skipName(msg, off); !ok || off+10 > len(msg) {
-			return ReplyStatus{}, errReplyShape
+			return 0, false
 		}
-		rdata, rdlen := off+10, int(u16(msg[off+8:]))
-		if rdata+rdlen > len(msg) {
-			return ReplyStatus{}, errReplyShape
+		if n <= additional && opt == 0 && Type(u16(msg[off:])) == TypeOPT {
+			opt = off
 		}
-		if n <= additional && !seenOPT && Type(u16(msg[off:])) == TypeOPT {
-			seenOPT = true
-			var o OPT
-			d := decoder{msg: msg, off: rdata, end: len(msg)}
-			if err := parseOPT(&d, &o, Class(u16(msg[off+2:])), binary.BigEndian.Uint32(msg[off+4:]), rdlen); err != nil {
-				return ReplyStatus{}, err
-			}
-			s.RCode |= RCode(o.ExtRCodeHigh) << 4
-			s.EDEs = o.EDEs
+		if off += 10 + int(u16(msg[off+8:])); off > len(msg) {
+			return 0, false
 		}
-		off = rdata + rdlen
 	}
-	if off != len(msg) {
-		return ReplyStatus{}, errReplyShape
-	}
-	return s, nil
+	return opt, off == len(msg)
 }
 
 // skipName returns the offset past the name at off: past its root
