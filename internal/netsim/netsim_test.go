@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -191,6 +192,66 @@ func TestNetworkFaultInjectionMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("netsim_packets_lost_total", "").Value(); got != 3 {
 		t.Errorf("netsim_packets_lost_total %d, want 3", got)
+	}
+}
+
+// TestExchangeStatusCarriesAsExchange: on a *Network, ExchangeStatus
+// meets the fate Exchange meets — the same queries lost at 50 % loss,
+// an unreachable host, a dropped query, a cancelled context — and
+// otherwise reads the status Exchange's Message gives, without the
+// response memo: every Exchange is a counted memo outcome, no
+// ExchangeStatus is.
+func TestExchangeStatusCarriesAsExchange(t *testing.T) {
+	reg := obs.NewRegistry()
+	n := NewNetwork(7)
+	n.Instrument(reg)
+	n.LossRate = 0.5
+	addr, dropper := Addr4(192, 0, 2, 11), Addr4(192, 0, 2, 12)
+	n.Register(addr, echoHandler{txt: "status"})
+	n.Register(dropper, HandlerFunc(func(context.Context, netip.AddrPort, *dnswire.Message) *dnswire.Message { return nil }))
+	memoOutcomes := func() uint64 {
+		var sum uint64
+		for _, c := range []string{"miss", "same_id", "new_id"} {
+			sum += reg.Counter("netsim_response_memo_"+c+"_total", "").Value()
+		}
+		return sum
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	answered := 0
+	for i := 0; i < 200; i++ {
+		q := dnswire.NewQuery(uint16(i), dnswire.MustParseName(fmt.Sprintf("q%d.example.", i)), dnswire.TypeA, true)
+		to, ctx := addr, context.Background()
+		switch i % 10 {
+		case 7:
+			to = Addr4(192, 0, 2, 13) // nobody there
+		case 8:
+			to = dropper
+		case 9:
+			ctx = cancelled
+		}
+		before := memoOutcomes()
+		st, err := ExchangeStatus(ctx, n, to, q)
+		if memoOutcomes() != before {
+			t.Fatalf("query %d: ExchangeStatus reached the response memo", i)
+		}
+		resp, want := n.Exchange(ctx, to, q)
+		if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+			t.Fatalf("query %d: ExchangeStatus %v, Exchange %v", i, err, want)
+		}
+		if err != nil {
+			continue
+		}
+		answered++
+		if ws := resp.ReplyStatus(); !reflect.DeepEqual(st, ws) {
+			t.Fatalf("query %d: ExchangeStatus %+v, Exchange's %+v", i, st, ws)
+		}
+	}
+	if answered < 40 || answered > 100 {
+		t.Fatalf("%d of 140 reachable queries answered at 50 %% loss", answered)
+	}
+	if memoOutcomes() != uint64(answered) {
+		t.Errorf("memo outcomes %d, want one per answered Exchange (%d)", memoOutcomes(), answered)
 	}
 }
 
