@@ -15,8 +15,9 @@
 #   shared responses under one ID space and two, the distributed coordinator's cancel with a
 #   silent worker and its two abandoned-lease cases, plus the
 #   resolver's cached Results appended to from many goroutines); a 5 s
-#   fuzz pass over the wire codec, the NSEC3 hash, the signed octets of
-#   an RRSIG and the authoritative server's wire-level door; every
+#   fuzz pass over the wire codec (the reply-status reader among it), the
+#   NSEC3 hash, the signed octets of an RRSIG and the authoritative
+#   server's wire-level door; every
 #   package-local benchmark once; two legs over built binaries — the
 #   real-socket chain authd -> resolved -> nsec3scan, the one leg that
 #   crosses process boundaries, and the one-world resolver study; and
@@ -89,6 +90,10 @@ go test -run='^$' -fuzz=FuzzUnpackDifferential -fuzztime=5s ./internal/dnswire/
 # what it accepts Unpack accepts and reads the same (ID, flags, the one
 # question, OPT presence, DO); what Unpack rejects it never accepts.
 go test -run='^$' -fuzz=FuzzPlainQueryDifferential -fuzztime=5s ./internal/dnswire/
+# The prober's reply-status reader against Unpack(...).ReplyStatus():
+# wherever Unpack decodes a reply, the reader reads the same header,
+# extended RCODE and EDEs.
+go test -run='^$' -fuzz='^FuzzReplyStatusDifferential$' -fuzztime=5s ./internal/dnswire/
 go test -run='^$' -fuzz=FuzzDecodeName -fuzztime=5s ./internal/dnswire/
 # Anchored: an unanchored FuzzHash would also match FuzzHashFromOwner,
 # and go test refuses a -fuzz pattern that matches two targets.
