@@ -436,10 +436,10 @@ func PlainQuery(msg []byte) (h Header, q Question, edns, do, ok bool) {
 // walked: that one Unpack refuses too).
 func AdvertisedUDPSize(q []byte) int {
 	opt, ok := firstOPT(q)
-	if !ok || opt == 0 {
+	if !ok {
 		return 0
 	}
-	return int(binary.BigEndian.Uint16(q[opt+2:]))
+	return int(opt.class)
 }
 
 // ReplyStatus is what a reply says of its own outcome, apart from its
@@ -478,23 +478,23 @@ var errReplyShape = errors.New("dnswire: reply records do not fill the message")
 // for a malformed name or RDATA of a record it skips. The EDE texts are
 // the call's own strings.
 func ReadReplyStatus(msg []byte) (ReplyStatus, error) {
+	if len(msg) < headerLen {
+		return ReplyStatus{}, errReplyShape
+	}
+	var s ReplyStatus
+	s.Header = headerFromFlags(binary.BigEndian.Uint16(msg[2:]))
+	s.Header.ID = binary.BigEndian.Uint16(msg)
+	s.RCode = s.Header.RCode
 	opt, ok := firstOPT(msg)
 	if !ok {
 		return ReplyStatus{}, errReplyShape
 	}
-	u16 := binary.BigEndian.Uint16
-	var s ReplyStatus
-	s.Header = headerFromFlags(u16(msg[2:]))
-	s.Header.ID = u16(msg)
-	s.RCode = s.Header.RCode
-	if opt == 0 {
+	if opt.rdata == 0 {
 		return s, nil
 	}
-	// TYPE, CLASS (the UDP size), TTL (the extended RCODE and flags),
-	// RDLENGTH, RDATA.
 	var o OPT
-	d := decoder{msg: msg, off: opt + 10, end: len(msg)}
-	if err := parseOPT(&d, &o, Class(u16(msg[opt+2:])), binary.BigEndian.Uint32(msg[opt+4:]), int(u16(msg[opt+8:]))); err != nil {
+	d := decoder{msg: msg, off: opt.rdata, end: len(msg)}
+	if err := parseOPT(&d, &o, Class(opt.class), opt.ttl, opt.rdlen); err != nil {
 		return ReplyStatus{}, err
 	}
 	s.RCode |= RCode(o.ExtRCodeHigh) << 4
@@ -502,20 +502,28 @@ func ReadReplyStatus(msg []byte) (ReplyStatus, error) {
 	return s, nil
 }
 
+// optFields are an OPT record's fixed fields as read off the wire and
+// the offset of its RDATA; rdata is 0 for no record.
+type optFields struct {
+	class        uint16 // the UDP payload size
+	ttl          uint32 // extended RCODE, version, DO and Z
+	rdata, rdlen int
+}
+
 // firstOPT walks msg's question and records by their names' octets and
-// their RDLENGTH and returns the offset of the TYPE field of the first
-// OPT record of the additional section, 0 when there is none. ok is
-// false when a name, a fixed field or an RDATA runs past msg or octets
-// follow the last record.
-func firstOPT(msg []byte) (opt int, ok bool) {
+// their RDLENGTH and returns the first OPT record of the additional
+// section, the zero optFields when there is none. ok is false when a
+// name, a fixed field or an RDATA runs past msg or octets follow the
+// last record.
+func firstOPT(msg []byte) (opt optFields, ok bool) {
 	if len(msg) < headerLen {
-		return 0, false
+		return opt, false
 	}
 	u16 := binary.BigEndian.Uint16
 	off := headerLen
 	for n := u16(msg[4:]); n > 0; n-- {
 		if off, ok = skipName(msg, off); !ok || off+4 > len(msg) {
-			return 0, false
+			return opt, false
 		}
 		off += 4 // QTYPE, QCLASS
 	}
@@ -523,13 +531,14 @@ func firstOPT(msg []byte) (opt int, ok bool) {
 	for n := int(u16(msg[6:])) + int(u16(msg[8:])) + additional; n > 0; n-- {
 		// TYPE, CLASS, TTL and RDLENGTH follow the owner name.
 		if off, ok = skipName(msg, off); !ok || off+10 > len(msg) {
-			return 0, false
+			return opt, false
 		}
-		if n <= additional && opt == 0 && Type(u16(msg[off:])) == TypeOPT {
-			opt = off
+		rdlen := int(u16(msg[off+8:]))
+		if n <= additional && opt.rdata == 0 && Type(u16(msg[off:])) == TypeOPT {
+			opt = optFields{class: u16(msg[off+2:]), ttl: binary.BigEndian.Uint32(msg[off+4:]), rdata: off + 10, rdlen: rdlen}
 		}
-		if off += 10 + int(u16(msg[off+8:])); off > len(msg) {
-			return 0, false
+		if off += 10 + rdlen; off > len(msg) {
+			return opt, false
 		}
 	}
 	return opt, off == len(msg)
