@@ -24,13 +24,12 @@ func TestSurveyEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end survey is slow")
 	}
-	report, err := RunSurvey(context.Background(), SurveyConfig{
-		Registered: 4000,
-		Seed:       1,
-	})
+	cfg := SurveyConfig{Registered: 4000, Seed: 1}
+	report, err := RunSurvey(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTruth(t, cfg, report)
 	if report.ScanErrors > 0 {
 		t.Fatalf("%d scan errors", report.ScanErrors)
 	}
@@ -134,14 +133,12 @@ func TestSurveyShardEquivalence(t *testing.T) {
 	}
 	run := func(seed uint64, shards int) *SurveyReport {
 		t.Helper()
-		report, err := RunSurvey(context.Background(), SurveyConfig{
-			Registered: 900,
-			Seed:       seed,
-			Shards:     shards,
-		})
+		cfg := SurveyConfig{Registered: 900, Seed: seed, Shards: shards}
+		report, err := RunSurvey(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTruth(t, cfg, report)
 		return report
 	}
 	for _, seed := range goldenSeeds {
@@ -171,14 +168,12 @@ func TestSurveyIndependentOfWorkers(t *testing.T) {
 	}
 	var reports []*SurveyReport
 	for _, workers := range []int{1, 64} {
-		report, err := RunSurvey(context.Background(), SurveyConfig{
-			Registered: 900,
-			Seed:       1,
-			Workers:    workers,
-		})
+		cfg := SurveyConfig{Registered: 900, Seed: 1, Workers: workers}
+		report, err := RunSurvey(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTruth(t, cfg, report)
 		reports = append(reports, report)
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) {
@@ -198,15 +193,12 @@ func TestSurveyMetricsShardMerge(t *testing.T) {
 	run := func(shards int) *obs.Registry {
 		t.Helper()
 		reg := obs.NewRegistry()
-		report, err := RunSurvey(context.Background(), SurveyConfig{
-			Registered: 600,
-			Seed:       5,
-			Shards:     shards,
-			Obs:        reg,
-		})
+		cfg := SurveyConfig{Registered: 600, Seed: 5, Shards: shards, Obs: reg}
+		report, err := RunSurvey(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTruth(t, cfg, report)
 		if report.ScanErrors > 0 {
 			t.Fatalf("shards=%d: %d scan errors", shards, report.ScanErrors)
 		}
@@ -260,15 +252,12 @@ func TestSurveyTraceSpans(t *testing.T) {
 	}
 	var buf strings.Builder
 	enc := scanner.NewEncoder(&buf)
-	_, err := RunSurvey(context.Background(), SurveyConfig{
-		Registered: 300,
-		Seed:       5,
-		Shards:     2,
-		Trace:      obs.NewTracer(enc),
-	})
+	cfg := SurveyConfig{Registered: 300, Seed: 5, Shards: 2, Trace: obs.NewTracer(enc)}
+	report, err := RunSurvey(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkTruth(t, cfg, report)
 	type span struct {
 		Span  string `json:"span"`
 		Shard int    `json:"shard"`

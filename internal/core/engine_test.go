@@ -244,6 +244,7 @@ func TestSurveyIDTLDCountsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkShardTruth(t, SurveyConfig{Registered: 600, Seed: seed, Shards: 3}, jobs[0].Plan, out)
 
 		planner, err := population.NewShardPlanner(spec.populationConfig())
 		if err != nil {

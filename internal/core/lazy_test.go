@@ -23,16 +23,12 @@ func TestSurveyEagerLazyEquivalence(t *testing.T) {
 	run := func(mode SigningMode) (*SurveyReport, *obs.Registry) {
 		t.Helper()
 		reg := obs.NewRegistry()
-		report, err := RunSurvey(context.Background(), SurveyConfig{
-			Registered: 600,
-			Seed:       5,
-			Shards:     3,
-			Signing:    mode,
-			Obs:        reg,
-		})
+		cfg := SurveyConfig{Registered: 600, Seed: 5, Shards: 3, Signing: mode, Obs: reg}
+		report, err := RunSurvey(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkTruth(t, cfg, report)
 		return report, reg
 	}
 	eager, eagerReg := run(SigningEager)
@@ -115,11 +111,12 @@ func TestSurveySignsWhatIsServed(t *testing.T) {
 	counters := func(mode SigningMode, registered int) (made, deferred, zones uint64) {
 		t.Helper()
 		reg := obs.NewRegistry()
-		if _, err := RunSurvey(context.Background(), SurveyConfig{
-			Registered: registered, Seed: 1, Shards: 4, Workers: 2, Signing: mode, Obs: reg,
-		}); err != nil {
+		cfg := SurveyConfig{Registered: registered, Seed: 1, Shards: 4, Workers: 2, Signing: mode, Obs: reg}
+		report, err := RunSurvey(context.Background(), cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		checkTruth(t, cfg, report)
 		c := func(name string) uint64 { return reg.Counter(name, "").Value() }
 		return c("survey_rrsigs_signed_total"), c("survey_rrsigs_deferred_total"),
 			c("survey_zones_signed_total") + c("survey_zones_reused_total")

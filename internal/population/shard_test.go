@@ -1,7 +1,11 @@
 package population
 
 import (
+	"reflect"
 	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/compliance"
 )
 
 // collectShards drains a cursor and returns the concatenated domains
@@ -216,5 +220,35 @@ func TestShardCursorRejectsBadConfig(t *testing.T) {
 	}
 	if cur.Shards() != 3 {
 		t.Errorf("shards = %d, want clamp to 3", cur.Shards())
+	}
+}
+
+// TestTruthIndependentOfShards: the planted truth of a universe folds
+// to the same aggregate and operator stats whatever the shard split,
+// and its totals are the universe's.
+func TestTruthIndependentOfShards(t *testing.T) {
+	p, err := NewShardPlanner(Config{Registered: 3000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(shards int) *Truth {
+		t.Helper()
+		all := &Truth{Agg: compliance.NewAggregate(), Operators: analysis.NewOperatorStats()}
+		for _, plan := range p.Plan(shards) {
+			truth, err := p.Truth(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all.Agg.Merge(truth.Agg)
+			all.Operators.Merge(truth.Operators)
+		}
+		return all
+	}
+	whole := fold(1)
+	if whole.Agg.Total != 3000 || whole.Agg.NSEC3Enabled == 0 || whole.Operators.Total() != whole.Agg.NSEC3Enabled {
+		t.Fatalf("truth of 3000 domains: %+v, %d operator rows", whole.Agg, whole.Operators.Total())
+	}
+	if sharded := fold(5); !reflect.DeepEqual(whole, sharded) {
+		t.Errorf("five shards fold to another truth:\n%+v\n%+v", whole.Agg, sharded.Agg)
 	}
 }

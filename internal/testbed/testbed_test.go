@@ -76,6 +76,54 @@ func TestHierarchyStructure(t *testing.T) {
 	}
 }
 
+// TestInstallWorldServesAlgorithm13: every zone InstallWorld serves
+// publishes ECDSA P-256 (algorithm 13) DNSKEYs and signs its DNSKEY
+// RRset with them, with keys derived from a seed (the resolver study's
+// worlds) and with generated ones (authd -testbed). The resolver
+// study's vendor profiles are classified against this world, so its
+// algorithm holds still whatever other worlds sign with.
+func TestInstallWorldServesAlgorithm13(t *testing.T) {
+	for _, opts := range [][]BuilderOption{nil, {WithSeed(1), WithLazySigning()}} {
+		b := NewBuilder(tInception, tExpiration, opts...)
+		InstallWorld(b)
+		h, err := b.Build(netsim.NewNetwork(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[dnswire.Name]bool)
+		for addr, srv := range h.Servers {
+			for _, apex := range srv.Zones() {
+				seen[apex] = true
+				resp, err := h.Net.Exchange(context.Background(), addr, dnswire.NewQuery(1, apex, dnswire.TypeDNSKEY, true))
+				if err != nil {
+					t.Fatalf("%s DNSKEY: %v", apex, err)
+				}
+				keys, sigs := 0, 0
+				for _, rr := range resp.Answers {
+					switch d := rr.Data.(type) {
+					case dnswire.DNSKEY:
+						keys++
+						if d.Algorithm != dnswire.AlgECDSAP256SHA256 {
+							t.Errorf("%d options: %s publishes a DNSKEY of algorithm %d", len(opts), apex, d.Algorithm)
+						}
+					case dnswire.RRSIG:
+						sigs++
+						if d.Algorithm != dnswire.AlgECDSAP256SHA256 {
+							t.Errorf("%d options: %s signs its DNSKEYs with algorithm %d", len(opts), apex, d.Algorithm)
+						}
+					}
+				}
+				if keys == 0 || sigs == 0 {
+					t.Errorf("%d options: %s served %d DNSKEYs and %d RRSIGs", len(opts), apex, keys, sigs)
+				}
+			}
+		}
+		if want := 3 + len(Subdomains()); len(seen) != want {
+			t.Errorf("%d options: %d zones served, want %d", len(opts), len(seen), want)
+		}
+	}
+}
+
 func TestQNameShapes(t *testing.T) {
 	subs := Subdomains()
 	for _, s := range subs {
