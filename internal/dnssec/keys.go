@@ -83,22 +83,34 @@ func GenerateKey(alg dnswire.SecAlgorithm, ksk bool) (*KeyPair, error) {
 	return kp, nil
 }
 
-// DeriveKey returns the ECDSA P-256 key pair that is a function of
-// secret, apex and role (ksk): the private scalar is HMAC-SHA-256,
-// keyed by secret, over apex's wire form, the role's DNSKEY flags and
-// a four-octet counter, the first output in [1, n−1] as the counter
-// counts up from zero. Its signatures are deterministic (RFC 6979), so
-// the same inputs sign the same RRset to the same octets. This is for
-// simulated worlds that must be reproducible from a seed; a key that
-// guards anything real comes from GenerateKey.
+// DeriveKey returns the key pair for alg that is a function of secret,
+// apex and role (ksk), made from HMAC-SHA-256 keyed by secret. For
+// ECDSA P-256 the private scalar is the MAC over apex's wire form, the
+// role's DNSKEY flags and a four-octet counter, the first output in
+// [1, n−1] as the counter counts up from zero; its signatures are
+// deterministic by RFC 6979. For Ed25519 the private key's seed is the
+// MAC over apex's wire form, the flags and the algorithm octet: any 32
+// octets are a seed, and the algorithm octet keeps it apart from the
+// P-256 scalar of the same inputs. Ed25519 signatures are
+// deterministic by construction (RFC 8032). Either way the same inputs
+// sign the same RRset to the same octets. This is for simulated worlds
+// that must be reproducible from a seed; a key that guards anything
+// real comes from GenerateKey.
 func DeriveKey(alg dnswire.SecAlgorithm, ksk bool, secret []byte, apex dnswire.Name) (*KeyPair, error) {
-	if alg != dnswire.AlgECDSAP256SHA256 {
-		return nil, fmt.Errorf("%w: derived %s key", ErrUnsupportedAlg, alg)
-	}
 	flags := keyFlags(ksk)
-	n := elliptic.P256().Params().N
 	msg := binary.BigEndian.AppendUint16(apex.AppendWire(nil), flags)
 	mac := hmac.New(sha256.New, secret)
+	switch alg {
+	case dnswire.AlgECDSAP256SHA256:
+	case dnswire.AlgEd25519:
+		_, _ = mac.Write(append(msg, byte(alg))) // hash.Hash.Write never fails
+		priv := ed25519.NewKeyFromSeed(mac.Sum(nil))
+		pub := append([]byte(nil), priv.Public().(ed25519.PublicKey)...)
+		return &KeyPair{Algorithm: alg, Flags: flags, priv: priv, publicKey: pub}, nil
+	default:
+		return nil, fmt.Errorf("%w: derived %s key", ErrUnsupportedAlg, alg)
+	}
+	n := elliptic.P256().Params().N
 	for counter := uint32(0); ; counter++ {
 		mac.Reset()
 		_, _ = mac.Write(binary.BigEndian.AppendUint32(msg, counter)) // hash.Hash.Write never fails

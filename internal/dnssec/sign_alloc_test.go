@@ -25,8 +25,9 @@ const signRROverAlgorithm = 3
 // both kinds of key: a derived key against (*ecdsa.PrivateKey).Sign
 // with a nil reader (RFC 6979), a generated one against
 // ecdsa.SignASN1 over crypto/rand (hedged) — the stdlib's counts move
-// with the Go release, the overhead must not. Signatures made the same
-// way verify.
+// with the Go release, the overhead must not. A derived Ed25519 key's
+// Sign allocates exactly the signature. Signatures made the same way
+// verify.
 func TestSignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are nondeterministic under -race")
@@ -85,6 +86,24 @@ func TestSignAllocs(t *testing.T) {
 		if len(sigs) < 50 {
 			t.Fatalf("%s: checked %d signatures, want 50", tc.name, len(sigs))
 		}
+	}
+
+	// A derived Ed25519 key: Sign's one allocation is the signature,
+	// which ed25519.Sign makes and the RRSIG keeps.
+	ed, err := DeriveKey(dnswire.AlgEd25519, false, []byte("seed"), zone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sig dnswire.RRSIG
+	if got := testing.AllocsPerRun(200, func() {
+		if sig, err = Sign(set, ed, zone, testInception, testExpiration); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("derived Ed25519: Sign allocates %.0f times, want 1", got)
+	}
+	if err := VerifyWithRRSIG(set, sig, ed.DNSKEY(), zone, testNow); err != nil {
+		t.Fatalf("derived Ed25519: %v", err)
 	}
 }
 

@@ -50,6 +50,14 @@ func WithLazySigning() DeployOption {
 	return func(o *deployOptions) { o.lazy = true }
 }
 
+// signAlgorithm is the DNSSEC algorithm of every zone Deploy plants:
+// Ed25519 (RFC 8080). What the survey reads of a zone — DNSKEY
+// present, NSEC3PARAM, NS and a denial's NSEC3 records — does not
+// depend on it, its scan resolver sets CD, and an Ed25519 signature
+// costs about half a P-256 one. The testbed world of the resolver
+// study keeps P-256, zone.Sign's default.
+const signAlgorithm = dnswire.AlgEd25519
+
 // signConfig maps a TLD's or a domain's DNSSEC parameters to the zone
 // signing config that reproduces them; saltSeed makes the NSEC3 salt a
 // function of the zone's position in the universe.
@@ -59,12 +67,13 @@ func signConfig(dnssec, hashed bool, iterations uint16, saltLen int, optOut bool
 		return zone.SignConfig{Denial: zone.DenialNone}
 	case hashed:
 		return zone.SignConfig{
-			Denial: zone.DenialNSEC3,
-			NSEC3:  nsec3.Params{Iterations: iterations, Salt: deterministicSalt(saltLen, saltSeed)},
-			OptOut: optOut,
+			Algorithm: signAlgorithm,
+			Denial:    zone.DenialNSEC3,
+			NSEC3:     nsec3.Params{Iterations: iterations, Salt: deterministicSalt(saltLen, saltSeed)},
+			OptOut:    optOut,
 		}
 	default:
-		return zone.SignConfig{Denial: zone.DenialNSEC}
+		return zone.SignConfig{Algorithm: signAlgorithm, Denial: zone.DenialNSEC}
 	}
 }
 
@@ -91,7 +100,7 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 	b := testbed.NewBuilder(inception, expiration, bopts...)
 	b.AddZone(testbed.ZoneSpec{
 		Apex:   dnswire.Root,
-		Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+		Sign:   zone.SignConfig{Algorithm: signAlgorithm, Denial: zone.DenialNSEC},
 		Shared: true,
 		Server: netsim.Addr4(198, 41, 0, 4),
 	})
@@ -130,7 +139,7 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 				z.MustAdd(dnswire.RR{Name: z.Apex.MustChild("ns1"), Class: dnswire.ClassIN,
 					TTL: 3600, Data: dnswire.A{Addr: addr.Addr()}})
 			},
-			Sign:   zone.SignConfig{Denial: zone.DenialNSEC},
+			Sign:   zone.SignConfig{Algorithm: signAlgorithm, Denial: zone.DenialNSEC},
 			Shared: true,
 			Server: addr,
 		})
@@ -144,7 +153,7 @@ func Deploy(u *Universe, net *netsim.Network, inception, expiration uint32, opts
 			addr := netsim.Addr4(192, 7, 0, byte(len(tldAddrs)))
 			tldAddrs[tld.Labels()[0]] = addr
 			b.AddZone(testbed.ZoneSpec{
-				Apex: tld, Sign: zone.SignConfig{Denial: zone.DenialNSEC}, Shared: true, Server: addr,
+				Apex: tld, Sign: zone.SignConfig{Algorithm: signAlgorithm, Denial: zone.DenialNSEC}, Shared: true, Server: addr,
 			})
 		}
 	}
