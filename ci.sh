@@ -21,8 +21,10 @@
 #   package-local benchmark once; two legs over built binaries — the
 #   real-socket chain authd -> resolved -> nsec3scan, the one leg that
 #   crosses process boundaries, and the one-world resolver study; and
-#   reprolint over the tree (any finding fails). The analyzers' own
-#   fixtures are the tier-1 TestGolden, part of the race-enabled leg.
+#   reprolint over the tree (any finding fails; tier-1's TestTreeIsClean
+#   runs the same check, and this leg writes the JSON report). The
+#   analyzers' own fixtures are the tier-1 TestGolden, part of the
+#   race-enabled leg.
 # The one-world leg is the one timed leg: it fails past a 10 s wall
 # budget. Otherwise the numbers are bench/'s, committed in BENCH.ndjson,
 # and allocation ceilings are AllocsPerRun pins in tier-1.
